@@ -2,13 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments clean
+.PHONY: all check build vet lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments clean
 
 all: build vet test
 
 # check is the pre-merge gate: compile, vet, lint, full tests, the race
-# detector over every package, and the streaming-service smoke.
-check: build vet lint test race serve-smoke
+# detector over every package, the streaming-service smoke, and the
+# end-to-end benchmark at its small size table (every workload, every query
+# checked against the serial oracle).
+check: build vet lint test race serve-smoke bench-quick
 
 build:
 	$(GO) build ./...
@@ -47,8 +49,12 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# race runs every package under the race detector, then repeats the one test
+# whose subject is a schedule: many goroutines demanding tiers of one shared
+# fragment index at once (each built once, same pointer for all).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestTierConcurrentSingleFlight' ./internal/fragidx/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and
@@ -112,11 +118,24 @@ bench-json:
 
 # bench-smoke runs every scan-kernel benchmark for a single iteration: no
 # timing signal, but it executes the benchmark fixtures end to end (including
-# the fragment-index warm-up scans and their zero-alloc expectations), so a
-# kernel that panics, diverges, or allocates per candidate fails CI without
-# the cost of a timed run.
+# the fragment-index warm-up scans, their zero-alloc expectations, and the
+# cold-index BenchmarkScanKernelFragIdxCold that builds the tiers in the
+# loop), so a kernel that panics, diverges, or allocates per candidate fails
+# CI without the cost of a timed run.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkScanKernel' -benchtime 1x -run '^$$' ./internal/core/
+
+# bench-e2e runs the repository benchmark (BENCHMARK.json; see
+# bench/README.md): six workloads, an untraced and a traced pass each,
+# results and span traces under bench/out/. bench-quick is the same driver
+# on the small size table of its tests with one-second runs — no timing
+# signal, but every workload runs both passes and every query is checked
+# against the serial oracle.
+bench-e2e:
+	$(GO) run ./bench
+
+bench-quick:
+	$(GO) run ./bench -quick -seconds 1
 
 # scale-smoke drives the virtual machine at cluster scale: a full 4096-rank
 # run (clean and with an injected crash), the hierarchical-vs-flat

@@ -9,6 +9,7 @@
 //	            volume|elastic[,...]]
 //	           [-scale quick|default|full] [-queries N] [-csv]
 //	           [-trace run.json]
+//	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Absolute run-times are virtual seconds under the calibrated gigabit
 // cost model; the shapes (scaling, crossovers, ablation ratios) are the
@@ -24,6 +25,7 @@ import (
 	"strings"
 
 	"pepscale/internal/experiments"
+	"pepscale/internal/prof"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func main() {
 
 // run executes the harness against explicit argument and output streams
 // (the testable entry point).
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	flag := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	flag.SetOutput(stderr)
 	var (
@@ -47,9 +49,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tprog   = flag.Bool("target-progress", false, "enable the software-RMA target-progress fidelity mode")
 		trpath  = flag.String("trace", "", "with -exp trace: also write the Chrome trace_event JSON here")
 	)
+	profFlags := prof.Register(flag)
 	if err := flag.Parse(args); err != nil {
 		return err
 	}
+	stopProf, err := profFlags.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 
 	var cfg *experiments.Config
 	switch *scale {

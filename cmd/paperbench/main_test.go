@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -35,5 +37,20 @@ func TestPaperbenchErrors(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "nonsense"}, sink, sink); err == nil {
 		t.Error("unknown experiment should error")
+	}
+}
+
+func TestPaperbenchProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-scale", "quick", "-exp", "table1", "-queries", "4",
+		"-cpuprofile", cpu, "-memprofile", mem}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (%v)", filepath.Base(p), err)
+		}
 	}
 }

@@ -13,6 +13,7 @@
 //	      [-mods "Oxidation(M),Phospho(STY)"] [-semi] [-groups 2]
 //	      [-library lib.txt] [-decoy -fdr 0.01] [-o hits.tsv] [-metrics]
 //	      [-trace run.json] [-trace-summary]
+//	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Without -db/-spectra, a synthetic demonstration workload is generated
 // (-synth-db N sequences, -synth-queries M spectra).
@@ -37,6 +38,7 @@ import (
 	"strings"
 
 	"pepscale"
+	"pepscale/internal/prof"
 	"pepscale/internal/serve"
 )
 
@@ -49,7 +51,7 @@ func main() {
 
 // run executes the tool against explicit argument and output streams (the
 // testable entry point).
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	flag := flag.NewFlagSet("pepid", flag.ContinueOnError)
 	flag.SetOutput(stderr)
 	var (
@@ -87,9 +89,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		serveWin   = flag.Float64("serve-window", 0.05, "batching window in virtual seconds (with -serve)")
 		serveBatch = flag.Int("serve-max-batch", 16, "batch-size close threshold (with -serve)")
 	)
+	profFlags := prof.Register(flag)
 	if err := flag.Parse(args); err != nil {
 		return err
 	}
+	stopProf, err := profFlags.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 
 	algo, err := pepscale.ParseAlgorithm(*algoName)
 	if err != nil {

@@ -105,3 +105,39 @@ func TestPepidErrors(t *testing.T) {
 		t.Error("unknown scorer should error")
 	}
 }
+
+// TestPepidProfiles: -cpuprofile and -memprofile write non-empty files on
+// the batch path together with -trace, on the -serve path, and on an error
+// exit (the profile is stopped and closed however run returns — a second
+// CPU profile could not start otherwise).
+func TestPepidProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr bool
+	}{
+		{"batch+trace", []string{"-synth-db", "60", "-synth-queries", "2", "-p", "2", "-scan", "fragidx",
+			"-trace", filepath.Join(dir, "run.json")}, false},
+		{"serve", []string{"-synth-db", "60", "-synth-queries", "4", "-p", "2", "-serve", "-serve-duration", "0.1"}, false},
+		{"error-exit", []string{"-synth-db", "30", "-synth-queries", "1", "-scorer", "bogus"}, true},
+	}
+	for _, tc := range cases {
+		cpu := filepath.Join(dir, tc.name+".cpu.pprof")
+		mem := filepath.Join(dir, tc.name+".mem.pprof")
+		var stdout, stderr bytes.Buffer
+		err := run(append(tc.args, "-cpuprofile", cpu, "-memprofile", mem), &stdout, &stderr)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, wantErr %v", tc.name, err, tc.wantErr)
+		}
+		for _, p := range []string{cpu, mem} {
+			if st, serr := os.Stat(p); serr != nil || st.Size() == 0 {
+				t.Errorf("%s: profile %s missing or empty (%v)", tc.name, filepath.Base(p), serr)
+			}
+		}
+	}
+	sink := &bytes.Buffer{}
+	if err := run([]string{"-cpuprofile", filepath.Join(dir, "no", "such", "dir.pprof")}, sink, sink); err == nil {
+		t.Error("uncreatable -cpuprofile path should error")
+	}
+}

@@ -109,10 +109,11 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading annotated packages: %v", err)
 	}
-	marked, ok := ranksafety.Analyzer.Begin(pkgs).(map[string]bool)
+	marks, ok := ranksafety.Analyzer.Begin(pkgs).(*ranksafety.Marks)
 	if !ok {
-		t.Fatalf("ranksafety.Begin returned %T, want map[string]bool", ranksafety.Analyzer.Begin(pkgs))
+		t.Fatalf("ranksafety.Begin returned %T, want *ranksafety.Marks", ranksafety.Analyzer.Begin(pkgs))
 	}
+	marked := marks.PerRank
 	for _, want := range []string{
 		"pepscale/internal/score.scratch",
 		"pepscale/internal/score.BatchQuery",
@@ -124,6 +125,17 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 	} {
 		if !marked[want] {
 			t.Errorf("type %s has lost its //pepvet:perrank marker", want)
+		}
+	}
+	// The block-owned types every rank reads at once: dropping the marker
+	// would drop the immutable-after-publish check with it.
+	for _, want := range []string{
+		"pepscale/internal/fragidx.Index",
+		"pepscale/internal/fragidx.Tier",
+		"pepscale/internal/core.blockIndex",
+	} {
+		if !marks.Shared[want] {
+			t.Errorf("type %s has lost its //pepvet:shared marker", want)
 		}
 	}
 }

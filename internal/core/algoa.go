@@ -110,25 +110,26 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 }
 
 // processBlock digests a block into its mass index (memoized host-side per
-// run; the clock still charges each rank), scans all given queries against
-// it, and charges the digestion, scoring, and reporting costs. key is the
-// block's precomputed cache identity (see blockKey) — threading it through
-// the transport loops avoids re-hashing every transported block's bytes on
-// every iteration. It returns the candidate count.
+// run, together with the fragment index a fragidx-mode scan walks; the clock
+// still charges each rank), scans all given queries against it, and charges
+// the digestion, scoring, and reporting costs. key is the block's
+// precomputed cache identity (see blockKey) — threading it through the
+// transport loops avoids re-hashing every transported block's bytes on every
+// iteration. It returns the candidate count.
 func processBlock(r *cluster.Rank, l *loaded, opt Options, qs []*score.Query, lists []*topk.List, recs []fasta.Record, gids []int32, idOf func(int32) string, key cacheKey) (int64, error) {
 	cost := r.Cost()
 	if gids == nil {
 		return 0, fmt.Errorf("processBlock: nil gids")
 	}
-	ix, ixBytes, err := l.cache.indexFor(key, recs, gids, opt.Digest)
+	blk, err := l.cache.indexFor(key, recs, gids, opt.Digest)
 	if err != nil {
 		return 0, err
 	}
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(recs)))
-	r.NoteAlloc(ixBytes)
-	st := l.scan.scan(qs, lists, ix, l.sc, opt, idOf)
+	r.NoteAlloc(blk.foot)
+	st := l.scan.scan(qs, lists, blk, l.sc, opt, idOf)
 	r.Compute(scanComputeSec(cost, l.sc, st))
-	r.NoteFree(ixBytes)
+	r.NoteFree(blk.foot)
 	return st.Candidates, nil
 }
 

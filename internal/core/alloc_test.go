@@ -19,9 +19,9 @@ func TestScanIndexZeroAllocPerCandidate(t *testing.T) {
 		f := newScanFixture(t, scorer, 120, 8)
 		opt := f.opt
 		opt.MinScore = math.MaxFloat64
-		f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf) // warm under this opt
+		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf) // warm under this opt
 		if allocs := testing.AllocsPerRun(3, func() {
-			f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
+			f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
 		}); allocs != 0 {
 			t.Errorf("%s: %v allocs per warmed scan over %d candidates, want 0",
 				scorer, allocs, f.cands)
@@ -36,9 +36,9 @@ func TestScanPrefilterZeroAlloc(t *testing.T) {
 	opt := f.opt
 	opt.Prefilter = 0.25
 	opt.MinScore = math.MaxFloat64
-	f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
+	f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
 	if allocs := testing.AllocsPerRun(3, func() {
-		f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
+		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
 	}); allocs != 0 {
 		t.Errorf("%v allocs per warmed prefiltered scan, want 0", allocs)
 	}
@@ -55,9 +55,9 @@ func TestScanFragIdxZeroAllocPerCandidate(t *testing.T) {
 		opt := f.opt
 		opt.ScanMode = ScanModeFragIdx
 		opt.MinScore = math.MaxFloat64
-		f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf) // warm: builds tiers
+		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf) // warm: builds tiers
 		if allocs := testing.AllocsPerRun(3, func() {
-			f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
+			f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
 		}); allocs != 0 {
 			t.Errorf("%s: %v allocs per warmed fragidx scan over %d candidates, want 0",
 				scorer, allocs, f.cands)
@@ -74,9 +74,9 @@ func TestScanFragIdxPrefilterZeroAlloc(t *testing.T) {
 		opt.ScanMode = ScanModeFragIdx
 		opt.Prefilter = 0.25
 		opt.MinScore = math.MaxFloat64
-		f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
+		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
 		if allocs := testing.AllocsPerRun(3, func() {
-			f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
+			f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
 		}); allocs != 0 {
 			t.Errorf("%s: %v allocs per warmed prefiltered fragidx scan, want 0", scorer, allocs)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
+	"pepscale/internal/fragidx"
 	"pepscale/internal/sortmz"
 )
 
@@ -14,12 +15,17 @@ import (
 // the virtual clock still charges that work per rank); on the simulation
 // host, p ranks rebuilding identical immutable structures would multiply
 // wall-clock time AND resident memory by p for no fidelity gain, so the
-// host builds each block's parse/digest once, keyed by content. All cached
-// values are immutable after construction and therefore safe to share
-// across rank goroutines.
+// host builds each block's parse, digest and fragment index once, keyed by
+// content. All cached values are immutable after construction (the fragment
+// index after each tier's single build) and therefore safe to share across
+// rank goroutines. The cache lives as long as the run: one Run, every
+// attempt of one RunResilient/RunElastic, one Backend.
 type indexCache struct {
 	mu sync.Mutex
 	m  map[cacheKey]*cacheEntry
+	// fragBuild lends scratch to every fragment-index tier build of the run
+	// and counts them (one per tier built; see blockIndex).
+	fragBuild *fragidx.BuildPool
 	// dense is a per-kind slice fast path for the dominant key shape:
 	// block-index hashes (see blockKey), which are small integers. At
 	// p=4096 the transport loops perform O(p²) cache lookups per run, and
@@ -58,6 +64,7 @@ const (
 	kindRecords
 	kindSeqs
 	kindCands
+	kindCandIndex
 	kindRanges
 
 	kindCount = int(kindRanges) + 1
@@ -82,7 +89,7 @@ func blockKey(block int, size int) cacheKey {
 }
 
 func newIndexCache() *indexCache {
-	return &indexCache{m: make(map[cacheKey]*cacheEntry)}
+	return &indexCache{m: make(map[cacheKey]*cacheEntry), fragBuild: fragidx.NewBuildPool()}
 }
 
 // getOrBuild returns the cached value for key, building it exactly once
@@ -127,32 +134,71 @@ func (c *indexCache) getOrBuild(key cacheKey, build func() (interface{}, error))
 	return e.v, e.err
 }
 
-// builtIndex pairs a block index with its memory footprint, computed once
-// at build time. The footprint walk is O(index) and the transport loops ask
-// for it O(p) times per block.
-type builtIndex struct {
+// blockIndex is what the host derives from one block's peptides: the mass
+// index, its memory footprint (the footprint walk is O(index) and the
+// transport loops ask for it O(p) times per block), and — created by the
+// first fragment-index scan of the block — the inverted fragment index.
+// Every rank scanning the block shares all three; a scanState keeps only its
+// own walk state.
+//
+//pepvet:shared
+type blockIndex struct {
 	ix   *digest.Index
 	foot int64
+
+	fragOnce sync.Once
+	frag     *fragidx.Index
+	// fragBuild is the owning cache's pool; nil for a block outside any
+	// cache, whose fragment index then builds with a pool of its own.
+	fragBuild *fragidx.BuildPool
 }
 
-// indexFor returns the mass index for a block and its footprint, building
-// both on first use. key must identify both content and protein numbering;
-// block-index keys do (the gid bases are a pure function of the block
-// index, and Algorithm B's wire format embeds gids in the bytes).
-func (c *indexCache) indexFor(key cacheKey, recs []fasta.Record, gids []int32, p digest.Params) (*digest.Index, int64, error) {
-	key.kind = kindIndex
+// newBlockIndex wraps a block's mass index. fragBuild is nil for a block no
+// run cache owns — the serial reference and tests, which scan one block with
+// throwaway state.
+func newBlockIndex(ix *digest.Index, fragBuild *fragidx.BuildPool) *blockIndex {
+	return &blockIndex{ix: ix, foot: indexFootprintBytes(ix), fragBuild: fragBuild}
+}
+
+// fragIndex returns the block's fragment index, created on first use. It is
+// a pure function of the block and the run's (constant) scoring and
+// modification settings; its tiers are built on demand, each exactly once.
+func (b *blockIndex) fragIndex(opt Options) *fragidx.Index {
+	b.fragOnce.Do(func() {
+		b.frag = fragidx.NewPooled(b.ix, opt.Digest.Mods, opt.Score, b.fragBuild)
+	})
+	return b.frag
+}
+
+// indexFor returns the block's derived indexes, digesting on first use. key
+// must identify both content and protein numbering; block-index keys do (the
+// gid bases are a pure function of the block index, and Algorithm B's wire
+// format embeds gids in the bytes).
+func (c *indexCache) indexFor(key cacheKey, recs []fasta.Record, gids []int32, p digest.Params) (*blockIndex, error) {
+	return c.blockFor(key, kindIndex, func() (*digest.Index, error) {
+		return digest.NewIndexIDs(recs, gids, p)
+	})
+}
+
+// blockFor single-flights the blockIndex of one block under (key, kind),
+// building its mass index with build on first use.
+func (c *indexCache) blockFor(key cacheKey, kind cacheKind, build func() (*digest.Index, error)) (*blockIndex, error) {
+	key.kind = kind
 	v, err := c.getOrBuild(key, func() (interface{}, error) {
-		ix, err := digest.NewIndexIDs(recs, gids, p)
+		ix, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return builtIndex{ix: ix, foot: indexFootprintBytes(ix)}, nil
+		var fragBuild *fragidx.BuildPool
+		if c != nil {
+			fragBuild = c.fragBuild
+		}
+		return newBlockIndex(ix, fragBuild), nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	b := v.(builtIndex)
-	return b.ix, b.foot, nil
+	return v.(*blockIndex), nil
 }
 
 // rangesFor memoizes the record-aligned blocks-way partition of the

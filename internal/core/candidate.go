@@ -136,10 +136,11 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	loadSec := r.Time() - t0
 
 	// C2: digest the local block once (block index = rank id here).
-	ix, _, err := l.cache.indexFor(blockKey(id, len(l.myBytes)), l.recs, contiguousGIDs(l.bases[id], len(l.recs)), opt.Digest)
+	blk, err := l.cache.indexFor(blockKey(id, len(l.myBytes)), l.recs, contiguousGIDs(l.bases[id], len(l.recs)), opt.Digest)
 	if err != nil {
 		return err
 	}
+	ix := blk.ix
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(l.recs)))
 	idOf := blockIDResolver(l.recs, l.bases[id])
 	entries := make([]candEntry, ix.Len())
@@ -252,7 +253,7 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	sortSec := r.Time() - tSort
 
 	// C4: fetch and scan only intersecting bands, own band first.
-	indices, candidates, err := candScanPhase(r, l, opt, mine, bandLo, bandHi, routed.Indices)
+	indices, candidates, err := candScanPhase(r, l, opt, mine, blockKey(id, len(blockBytes)), bandLo, bandHi, routed.Indices)
 	if err != nil {
 		return err
 	}
@@ -307,8 +308,9 @@ func sortCands(cs []candEntry) {
 // candScanPhase sorts the local queries by mass, computes the set of ranks
 // whose candidate bands intersect any local query window, and scans those
 // bands with masked prefetching. It returns the reordered query indices
-// and the candidate count.
-func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, bandLo, bandHi []float64, qIdx []int) ([]int, int64, error) {
+// and the candidate count. ownKey is the cache identity of the rank's own
+// band — the key every other rank derives from its wire image.
+func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ownKey cacheKey, bandLo, bandHi []float64, qIdx []int) ([]int, int64, error) {
 	p, id := r.Size(), r.ID()
 	cost := r.Cost()
 
@@ -356,11 +358,12 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 
 	var candidates int64
 	var cur []candEntry
+	var curKey cacheKey
 	var curAlloc int64
 	for si, owner := range needed {
 		if si == 0 {
 			if owner == id {
-				cur = own
+				cur, curKey = own, ownKey
 			} else {
 				data, err := r.Get(owner, candWindow).Wait()
 				if err != nil {
@@ -368,7 +371,8 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 				}
 				r.NoteAlloc(int64(len(data)))
 				curAlloc = int64(len(data))
-				if cur, err = l.cache.candsFor(blockKey(owner, len(data)), data); err != nil {
+				curKey = blockKey(owner, len(data))
+				if cur, err = l.cache.candsFor(curKey, data); err != nil {
 					return nil, 0, err
 				}
 				r.Compute(cost.SortSecPerKey * float64(len(cur)))
@@ -379,7 +383,7 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 			pending = r.Get(needed[si+1], candWindow)
 		}
 
-		c, err := scanCandBlock(r, l, opt, cur, bandLo[owner], bandHi[owner])
+		c, err := scanCandBlock(r, l, opt, cur, curKey, bandLo[owner], bandHi[owner])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -398,7 +402,8 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 				r.NoteFree(curAlloc)
 			}
 			curAlloc = int64(len(data))
-			if cur, err = l.cache.candsFor(blockKey(needed[si+1], len(data)), data); err != nil {
+			curKey = blockKey(needed[si+1], len(data))
+			if cur, err = l.cache.candsFor(curKey, data); err != nil {
 				return nil, 0, err
 			}
 			r.Compute(cost.SortSecPerKey * float64(len(cur)))
@@ -413,8 +418,9 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ban
 // scanCandBlock scores the subset of local queries whose windows intersect
 // the block's mass band against the block's candidates. There is no
 // digestion: the block IS the candidate list (the engine's computational
-// saving).
-func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, bandLo, bandHi float64) (int64, error) {
+// saving). The host wraps it in a mass index once per band (key), shared by
+// every rank whose queries reach the band.
+func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, key cacheKey, bandLo, bandHi float64) (int64, error) {
 	cost := r.Cost()
 	// Queries possibly served by this band.
 	qFrom := sort.Search(len(l.qs), func(i int) bool {
@@ -428,17 +434,21 @@ func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, b
 	if qFrom >= qTo {
 		return 0, nil
 	}
-	peps := make([]digest.Peptide, len(block))
-	idByGID := make(map[int32]string, len(block))
-	for i, e := range block {
-		peps[i] = digest.Peptide{Seq: e.Seq, Protein: e.GID, Mass: e.Mass, Sites: e.Sites}
-		idByGID[e.GID] = e.ID
-	}
-	ix, err := digest.IndexFromPeptides(peps, opt.Digest)
+	blk, err := l.cache.blockFor(key, kindCandIndex, func() (*digest.Index, error) {
+		peps := make([]digest.Peptide, len(block))
+		for i, e := range block {
+			peps[i] = digest.Peptide{Seq: e.Seq, Protein: e.GID, Mass: e.Mass, Sites: e.Sites}
+		}
+		return digest.IndexFromPeptides(peps, opt.Digest)
+	})
 	if err != nil {
 		return 0, err
 	}
-	st := l.scan.scan(l.qs[qFrom:qTo], l.lists[qFrom:qTo], ix, l.sc, opt, func(g int32) string {
+	idByGID := make(map[int32]string, len(block))
+	for _, e := range block {
+		idByGID[e.GID] = e.ID
+	}
+	st := l.scan.scan(l.qs[qFrom:qTo], l.lists[qFrom:qTo], blk, l.sc, opt, func(g int32) string {
 		if s, ok := idByGID[g]; ok {
 			return s
 		}

@@ -84,6 +84,12 @@ type elasticSchedule struct {
 // describe the successful attempt (RunSec accumulating failed attempts'
 // virtual time); Recovery details every attempt and the checkpoint traffic.
 func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) (*Result, *Recovery, error) {
+	return runElastic(cfg, in, opt, eopt, newIndexCache())
+}
+
+// runElastic is RunElastic on the caller's host-side cache, shared by every
+// attempt and every membership epoch.
+func runElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions, cache *indexCache) (*Result, *Recovery, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -107,7 +113,6 @@ func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) 
 		maxAttempts = mp.Universe
 	}
 	store := ckpt.NewStore()
-	cache := newIndexCache()
 	rec := &Recovery{}
 	dead := make(map[int]bool)
 	var timeBase float64
@@ -140,8 +145,7 @@ func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) 
 		if err != nil {
 			return nil, rec, err
 		}
-		sh := newShared(mp.Universe)
-		sh.cache = cache
+		sh := newShared(mp.Universe, cache)
 		rep := mach.RunWithReport(func(r *cluster.Rank) error {
 			return elasticBody(r, in, opt, es, store, sh)
 		})

@@ -52,35 +52,23 @@ import (
 // likelihood benchmark).
 const passTileCands = 1 << 16
 
-// scanFragIdx runs the fragment-index scan. Callers guarantee
-// opt.Score.Library == nil (see scanState.scan).
+// scanFragIdx runs the fragment-index scan over a non-empty block and query
+// set. fidx is the block's inverted index — block-owned and shared: the
+// run's cache hands every rank scanning the block the same one, whichever
+// rank first needs a tier builds it, and nothing here writes to it. Callers
+// guarantee opt.Score.Library == nil (see scanState.scan).
 //
 //pepvet:hotpath
-func (ss *scanState) scanFragIdx(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
+func (ss *scanState) scanFragIdx(qs []*score.Query, lists []*topk.List, ix *digest.Index, fidx *fragidx.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
 	var st scanStats
-	n := len(qs)
-	if n == 0 || ix.Len() == 0 {
-		return st
-	}
-
 	ss.bindQueries(qs)
 	ss.computeWindows(qs, ix, opt, &st)
-
-	// Build (or reuse) the block's inverted index. Blocks are cached by
-	// digest.Index identity: engine block caches hand back the same pointer
-	// for a re-resident block, and a rebuild after fault recovery produces
-	// an identical index because the build is a pure function of the block.
-	if ss.fidxFor != ix {
-		ss.fidx = fragidx.New(ix, opt.Digest.Mods, opt.Score)
-		ss.fidxFor = ix
-		ss.fscr.DropCursors()
-	}
-	ss.fscr.Reset(ix.Len())
+	ss.fscr.Bind(fidx)
 
 	if sc.FragWalk() == score.FragWalkPasses {
-		ss.scanFragIdxPasses(qs, lists, ix, sc, opt, idOf, &st)
+		ss.scanFragIdxPasses(qs, lists, ix, fidx, sc, opt, idOf, &st)
 	} else {
-		ss.scanFragIdxMatch(qs, lists, ix, sc, opt, idOf, &st)
+		ss.scanFragIdxMatch(qs, lists, ix, fidx, sc, opt, idOf, &st)
 	}
 	return st
 }
@@ -92,7 +80,7 @@ func (ss *scanState) scanFragIdx(qs []*score.Query, lists []*topk.List, ix *dige
 // cursors instead of binary-searching every row (see fragidx.Scratch).
 //
 //pepvet:hotpath
-func (ss *scanState) scanFragIdxMatch(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string, st *scanStats) {
+func (ss *scanState) scanFragIdxMatch(qs []*score.Query, lists []*topk.List, ix *digest.Index, fidx *fragidx.Index, sc score.Scorer, opt Options, idOf func(int32) string, st *scanStats) {
 	mods := opt.Digest.Mods
 	for _, qi32 := range ss.order {
 		qi := int(qi32)
@@ -107,13 +95,13 @@ func (ss *scanState) scanFragIdxMatch(qs []*score.Query, lists []*topk.List, ix 
 		maxZ := spectrum.EffectiveMaxFragmentCharge(opt.Score.Theoretical, q.Charge)
 
 		ss.fscr.BeginWindow(w.start, w.end)
-		tier := ss.fidx.Tier(maxZ, fragidx.KindMatch)
+		tier := fidx.Tier(maxZ, fragidx.KindMatch)
 		ss.fscr.WalkMatch(tier, peakBins, peakInt, w.start, w.end)
 
 		var quick *fragidx.Tier
 		quickIsMain := false
 		if opt.Prefilter > 0 {
-			quick = ss.fidx.Tier(1, fragidx.KindMatch)
+			quick = fidx.Tier(1, fragidx.KindMatch)
 			quickIsMain = quick == tier
 			if !quickIsMain {
 				ss.fscr.WalkQuick(quick, peakBins, w.start, w.end)
@@ -164,7 +152,7 @@ func (ss *scanState) scanFragIdxMatch(qs []*score.Query, lists []*topk.List, ix 
 // walk's cursors keep the monotone-window invariant.
 //
 //pepvet:hotpath
-func (ss *scanState) scanFragIdxPasses(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string, st *scanStats) {
+func (ss *scanState) scanFragIdxPasses(qs []*score.Query, lists []*topk.List, ix *digest.Index, fidx *fragidx.Index, sc score.Scorer, opt Options, idOf func(int32) string, st *scanStats) {
 	mods := opt.Digest.Mods
 	order := ss.order
 	for lo := 0; lo < len(order); {
@@ -193,7 +181,7 @@ func (ss *scanState) scanFragIdxPasses(qs []*score.Query, lists []*topk.List, ix
 				// nil when the block's fragment slots exceed the packable
 				// range — no bounds then; every candidate takes the
 				// full-score path.
-				pq.Tier = ss.fidx.Tier(maxZ, fragidx.KindPasses)
+				pq.Tier = fidx.Tier(maxZ, fragidx.KindPasses)
 				pq.Bins, pq.Intens = bq.Peaks()
 				pq.LP0, pq.L1P0 = bq.OccLogs()
 			}
@@ -216,7 +204,7 @@ func (ss *scanState) scanFragIdxPasses(qs []*score.Query, lists []*topk.List, ix
 			if opt.Prefilter > 0 {
 				// The passes tier is never the quick (match) tier, so the
 				// quick walk always runs here.
-				quick = ss.fidx.Tier(1, fragidx.KindMatch)
+				quick = fidx.Tier(1, fragidx.KindMatch)
 				peakBins, _ := bq.Peaks()
 				ss.fscr.BeginWindow(w.start, w.end)
 				ss.fscr.WalkQuick(quick, peakBins, w.start, w.end)

@@ -64,12 +64,12 @@ func masterWorkerSolo(r *cluster.Rank, in Input, opt Options, sh *shared) error 
 	if err != nil {
 		return err
 	}
-	ix, ixBytes, err := sh.cache.indexFor(fullDBKey(in), recs, contiguousGIDs(0, len(recs)), opt.Digest)
+	blk, err := sh.cache.indexFor(fullDBKey(in), recs, contiguousGIDs(0, len(recs)), opt.Digest)
 	if err != nil {
 		return err
 	}
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(recs)))
-	r.NoteAlloc(ixBytes)
+	r.NoteAlloc(blk.foot)
 	loadSec := r.Time() - t0
 	r.SetPhase("scan")
 
@@ -78,7 +78,8 @@ func masterWorkerSolo(r *cluster.Rank, in Input, opt Options, sh *shared) error 
 	for i := range lists {
 		lists[i] = topk.New(opt.Tau)
 	}
-	st := scanIndex(qs, lists, ix, sc, opt, blockIDResolver(recs, 0))
+	var scan scanState
+	st := scan.scan(qs, lists, blk, sc, opt, blockIDResolver(recs, 0))
 	r.Compute(scanComputeSec(cost, sc, st))
 	sh.merged = finalizeResults(queryIndices(0, len(qs)), qs, lists)
 	sh.loadSec[0] = loadSec
@@ -172,12 +173,12 @@ func mwWorker(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	if err != nil {
 		return err
 	}
-	ix, ixBytes, err := sh.cache.indexFor(fullDBKey(in), recs, contiguousGIDs(0, len(recs)), opt.Digest)
+	blk, err := sh.cache.indexFor(fullDBKey(in), recs, contiguousGIDs(0, len(recs)), opt.Digest)
 	if err != nil {
 		return err
 	}
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(recs)))
-	r.NoteAlloc(ixBytes)
+	r.NoteAlloc(blk.foot)
 	loadSec := r.Time() - t0
 	r.SetPhase("scan")
 	idOf := blockIDResolver(recs, 0)
@@ -202,7 +203,7 @@ func mwWorker(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 		for i := range lists {
 			lists[i] = topk.New(opt.Tau)
 		}
-		st := scan.scan(qs, lists, ix, sc, opt, idOf)
+		st := scan.scan(qs, lists, blk, sc, opt, idOf)
 		r.Compute(scanComputeSec(cost, sc, st))
 		candidates += st.Candidates
 		processed += len(qs)

@@ -83,6 +83,13 @@ func dbBlockWindow(b int) string {
 // accumulating the virtual time of failed attempts (the wall-clock cost of
 // the failures); the Recovery return details every attempt.
 func RunResilient(cfg cluster.Config, in Input, opt Options, ropt ResilientOptions) (*Result, *Recovery, error) {
+	return runResilient(cfg, in, opt, ropt, newIndexCache())
+}
+
+// runResilient is RunResilient on the caller's host-side cache, which every
+// attempt shares: a block digested or indexed before a crash is not rebuilt
+// after it.
+func runResilient(cfg cluster.Config, in Input, opt Options, ropt ResilientOptions, cache *indexCache) (*Result, *Recovery, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +102,6 @@ func RunResilient(cfg cluster.Config, in Input, opt Options, ropt ResilientOptio
 		maxAttempts = p0
 	}
 	store := ckpt.NewStore()
-	cache := newIndexCache()
 	rec := &Recovery{}
 	dead := 0
 	var failedSec float64
@@ -115,8 +121,7 @@ func RunResilient(cfg cluster.Config, in Input, opt Options, ropt ResilientOptio
 		if err != nil {
 			return nil, rec, err
 		}
-		sh := newShared(pLive)
-		sh.cache = cache
+		sh := newShared(pLive, cache)
 		rep := mach.RunWithReport(func(r *cluster.Rank) error {
 			return resilientBody(r, in, opt, ropt, p0, store, sh)
 		})
@@ -410,7 +415,7 @@ func RunWithRecovery(algo Algorithm, cfg cluster.Config, in Input, opt Options, 
 		if attempt < len(faults) {
 			c.Fault = faults[attempt]
 		}
-		res, rep, err := runReported(algo, c, in, opt)
+		res, rep, err := runReported(algo, c, in, opt, newIndexCache())
 		att := RecoveryAttempt{Ranks: pLive}
 		if rep != nil {
 			att.Err = rep.Err
@@ -449,8 +454,9 @@ type reportedRun struct {
 }
 
 // runReported is Run returning the machine's RunReport alongside the
-// result, so drivers can distinguish recoverable failures.
-func runReported(algo Algorithm, cfg cluster.Config, in Input, opt Options) (*Result, *reportedRun, error) {
+// result, so drivers can distinguish recoverable failures. cache is the
+// run's host-side memoizer, the caller's so tests can read its counters.
+func runReported(algo Algorithm, cfg cluster.Config, in Input, opt Options, cache *indexCache) (*Result, *reportedRun, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -458,7 +464,7 @@ func runReported(algo Algorithm, cfg cluster.Config, in Input, opt Options) (*Re
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := newShared(cfg.Ranks)
+	sh := newShared(cfg.Ranks, cache)
 	body, err := engineBody(algo, cfg, in, opt, sh)
 	if err != nil {
 		return nil, nil, err

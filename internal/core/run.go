@@ -87,14 +87,14 @@ type shared struct {
 	cache    *indexCache
 }
 
-func newShared(p int) *shared {
+func newShared(p int, cache *indexCache) *shared {
 	return &shared{
 		loadSec:    make([]float64, p),
 		sortSec:    make([]float64, p),
 		candidates: make([]int64, p),
 		queries:    make([]int, p),
 		migBytes:   make([]int64, p),
-		cache:      newIndexCache(),
+		cache:      cache,
 	}
 }
 
@@ -128,6 +128,6 @@ func engineBody(algo Algorithm, cfg cluster.Config, in Input, opt Options, sh *s
 // Run executes a search with the selected engine on a fresh virtual
 // machine.
 func Run(algo Algorithm, cfg cluster.Config, in Input, opt Options) (*Result, error) {
-	res, _, err := runReported(algo, cfg, in, opt)
+	res, _, err := runReported(algo, cfg, in, opt, newIndexCache())
 	return res, err
 }

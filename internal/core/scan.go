@@ -59,12 +59,13 @@ func (s *massSorter) Less(i, j int) bool {
 	return s.order[i] < s.order[j]
 }
 
-// scanState carries the reusable buffers of one rank's peptide-major sweep.
-// A warmed state performs zero heap allocations per (peptide, query)
-// evaluation; engine loops keep one instance alive across blocks so the
-// per-query scoring caches (score.BatchQuery) survive as long as the query
-// set does. Like a Scorer, a scanState belongs to one rank and is not safe
-// for concurrent use.
+// scanState carries the reusable buffers of one rank's block scans. A warmed
+// state performs zero heap allocations per (peptide, query) evaluation;
+// engine loops keep one instance alive across blocks so the per-query scoring
+// caches (score.BatchQuery) survive as long as the query set does. Like a
+// Scorer, a scanState belongs to one rank and is not safe for concurrent use.
+// It owns nothing derived from a block: the mass index and the fragment
+// index arrive with each scan's blockIndex, shared with every other rank.
 //
 //pepvet:perrank
 type scanState struct {
@@ -82,11 +83,8 @@ type scanState struct {
 	quickBins  []int32
 	quickFrags []spectrum.Fragment
 
-	// Fragment-index state (ScanModeFragIdx): the inverted index of the
-	// resident block, cached by digest.Index identity so rescans of the
-	// same block reuse it, plus the walk accumulators.
-	fidx     *fragidx.Index
-	fidxFor  *digest.Index
+	// Fragment-index walk state (ScanModeFragIdx): the accumulators and
+	// per-tier row cursors of this rank's walks over the block's index.
 	fscr     fragidx.Scratch
 	passTile []fragidx.PassQuery
 }
@@ -114,17 +112,20 @@ func (ss *scanState) addActive(charge int, qi int32) {
 // All kernels are bit-identical in hits, Offer order, and stats; the virtual
 // clock charges the same scan cost regardless of the host-side path (see
 // scanComputeSec), so traces are byte-identical across modes too.
-func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
+func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, blk *blockIndex, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
 	switch {
 	case opt.ScanMode == ScanModeQueryMajor:
-		return scanIndexQueryMajor(qs, lists, ix, sc, opt, idOf)
+		return scanIndexQueryMajor(qs, lists, blk.ix, sc, opt, idOf)
 	case opt.ScanMode == ScanModeFragIdx && opt.Score.Library == nil:
 		// A spectral library changes candidates' fragment structure per
 		// lookup, which the index (built from the generator) cannot mirror;
 		// library-backed runs fall through to the peptide-major sweep.
-		return ss.scanFragIdx(qs, lists, ix, sc, opt, idOf)
+		if len(qs) == 0 || blk.ix.Len() == 0 {
+			return scanStats{}
+		}
+		return ss.scanFragIdx(qs, lists, blk.ix, blk.fragIndex(opt), sc, opt, idOf)
 	default:
-		return ss.scanPeptideMajor(qs, lists, ix, sc, opt, idOf)
+		return ss.scanPeptideMajor(qs, lists, blk.ix, sc, opt, idOf)
 	}
 }
 

@@ -109,15 +109,16 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 						fragLists[i] = topk.New(opt.Tau)
 					}
 					refSt := scanIndexQueryMajor(qs, refLists, ix, refSc, opt, idOf)
+					blk := newBlockIndex(ix, nil)
 					var ss scanState
-					batSt := ss.scan(qs, batLists, ix, batSc, opt, idOf)
+					batSt := ss.scan(qs, batLists, blk, batSc, opt, idOf)
 					if refSt != batSt {
 						t.Errorf("%s: scanStats differ: query-major %+v, peptide-major %+v", scorer, refSt, batSt)
 					}
 					fragOpt := opt
 					fragOpt.ScanMode = ScanModeFragIdx
 					var fss scanState
-					fragSt := fss.scan(qs, fragLists, ix, fragSc, fragOpt, idOf)
+					fragSt := fss.scan(qs, fragLists, blk, fragSc, fragOpt, idOf)
 					if refSt != fragSt {
 						t.Errorf("%s: scanStats differ: query-major %+v, fragidx %+v", scorer, refSt, fragSt)
 					}
@@ -140,11 +141,11 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 						reLists[i] = topk.New(opt.Tau)
 						fragReLists[i] = topk.New(opt.Tau)
 					}
-					reSt := ss.scan(qs, reLists, ix, batSc, opt, idOf)
+					reSt := ss.scan(qs, reLists, blk, batSc, opt, idOf)
 					if reSt != batSt {
 						t.Errorf("%s: warmed rescan stats differ: first %+v, rescan %+v", scorer, batSt, reSt)
 					}
-					fragReSt := fss.scan(qs, fragReLists, ix, fragSc, fragOpt, idOf)
+					fragReSt := fss.scan(qs, fragReLists, blk, fragSc, fragOpt, idOf)
 					if fragReSt != fragSt {
 						t.Errorf("%s: warmed fragidx rescan stats differ: first %+v, rescan %+v", scorer, fragSt, fragReSt)
 					}

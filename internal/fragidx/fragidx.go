@@ -33,9 +33,17 @@
 // Everything here is deterministic: tiers are pure functions of the block's
 // peptides and the scoring configuration, so an index rebuilt after a fault
 // recovery is bit-identical to the original.
+//
+// Ownership: an Index belongs to its block, not to a rank. Every rank that
+// scans the block reads the same Index concurrently; each (maxZ, kind) tier
+// is built exactly once, by whichever rank demands it first, and is
+// immutable from then on. What stays per rank is the walk state (Scratch).
 package fragidx
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"pepscale/internal/chem"
 	"pepscale/internal/digest"
 	"pepscale/internal/score"
@@ -141,7 +149,11 @@ const (
 
 // Tier is one inverted index over the block at a fixed fragment-charge cap:
 // a CSR layout of bin rows over [minBin, minBin+rows), plus the
-// query-independent per-ordinal statistics the scan consumes.
+// query-independent per-ordinal statistics the scan consumes. A Tier is
+// written only by the buildTier call that creates it and is read-only once
+// Index.Tier has returned it, so any number of ranks may walk it at once.
+//
+//pepvet:shared
 type Tier struct {
 	kind     Kind
 	maxZ     int
@@ -229,8 +241,14 @@ func (t *Tier) WindowPostings(bin int32, start, end int) ([]int32, []Meta) {
 
 // Index owns the lazily built tiers of one block. It is constructed from a
 // digest.Index in mass order, so ordinals equal digest positions; tiers are
-// keyed by (fragment-charge cap, kind) and built on first demand. An Index
-// belongs to one rank's scan and is not safe for concurrent use.
+// keyed by (fragment-charge cap, kind) and built on first demand.
+//
+// An Index is safe for concurrent readers: the fields set by New never
+// change, and each tier has its own single-flight slot — the first Tier call
+// for a key builds under that slot's lock while calls for other keys proceed,
+// and every later call is one atomic load.
+//
+//pepvet:shared
 type Index struct {
 	src  *digest.Index
 	mods []chem.Mod
@@ -239,13 +257,39 @@ type Index struct {
 	lens   []int32 // peptide length per ordinal, shared by every tier
 	maxLen int32   // largest peptide length of the block
 
-	match  []*Tier // by maxZ; nil = not yet built
-	passes []*Tier // by maxZ; nil = not yet built or unsupported
+	pool *BuildPool // build scratch, reused across this pool's indexes
+
+	match  [maxPassCharge + 1]tierSlot // by maxZ
+	passes [maxPassCharge + 1]tierSlot // by maxZ
+
+	// wide holds the match tiers whose charge cap exceeds the slot arrays
+	// (a configured MaxFragmentCharge above maxPassCharge); wideMu guards
+	// the map, not the builds.
+	wideMu sync.Mutex
+	wide   map[int]*tierSlot
 }
 
-// New prepares an index over the block; tiers are built on first Tier call.
+// tierSlot single-flights one tier: t is nil until the build that holds mu
+// publishes it.
+type tierSlot struct {
+	t  atomic.Pointer[Tier]
+	mu sync.Mutex
+}
+
+// New prepares an index over the block with build scratch of its own; tiers
+// are built on first Tier call.
 func New(src *digest.Index, mods []chem.Mod, cfg score.Config) *Index {
-	x := &Index{src: src, mods: mods, cfg: cfg}
+	return NewPooled(src, mods, cfg, nil)
+}
+
+// NewPooled is New with the tier builds drawing their scratch from pool, so
+// the indexes of one run's blocks share a few scratch sets instead of each
+// build allocating its own. A nil pool gives the index a private one.
+func NewPooled(src *digest.Index, mods []chem.Mod, cfg score.Config, pool *BuildPool) *Index {
+	if pool == nil {
+		pool = NewBuildPool()
+	}
+	x := &Index{src: src, mods: mods, cfg: cfg, pool: pool, wide: make(map[int]*tierSlot)}
 	peps := src.Peptides()
 	x.lens = make([]int32, len(peps))
 	for i := range peps {
@@ -260,33 +304,56 @@ func New(src *digest.Index, mods []chem.Mod, cfg score.Config) *Index {
 // Len returns the candidate count of the block.
 func (x *Index) Len() int { return len(x.lens) }
 
-// Tier returns the (maxZ, kind) tier, building and caching it on first use.
-// For KindPasses it returns nil when the block cannot carry pass postings
-// (fragment slot or charge beyond the packable range) — callers fall back
-// to full scoring; KindMatch is always available.
+// Tier returns the (maxZ, kind) tier, building it on first use; every caller
+// of one key gets the same pointer. For KindPasses it returns nil when the
+// block cannot carry pass postings (fragment slot or charge beyond the
+// packable range) — callers fall back to full scoring; KindMatch is always
+// available.
 func (x *Index) Tier(maxZ int, kind Kind) *Tier {
 	if maxZ < 1 {
 		maxZ = 1
 	}
-	if kind == KindPasses {
+	var s *tierSlot
+	switch {
+	case kind == KindPasses:
 		if maxZ > maxPassCharge || x.maxSlots(maxZ) > maxSlot+1 || x.Len() > maxPackOrd {
 			return nil
 		}
-		for len(x.passes) <= maxZ {
-			x.passes = append(x.passes, nil)
-		}
-		if x.passes[maxZ] == nil {
-			x.passes[maxZ] = x.buildTier(maxZ, KindPasses)
-		}
-		return x.passes[maxZ]
+		s = &x.passes[maxZ]
+	case maxZ <= maxPassCharge:
+		s = &x.match[maxZ]
+	default:
+		s = x.wideSlot(maxZ)
 	}
-	for len(x.match) <= maxZ {
-		x.match = append(x.match, nil)
+	if t := s.t.Load(); t != nil {
+		return t
 	}
-	if x.match[maxZ] == nil {
-		x.match[maxZ] = x.buildTier(maxZ, KindMatch)
+	return x.buildOnce(s, maxZ, kind)
+}
+
+// wideSlot returns the slot of a match tier beyond the slot arrays.
+func (x *Index) wideSlot(maxZ int) *tierSlot {
+	x.wideMu.Lock()
+	defer x.wideMu.Unlock()
+	s := x.wide[maxZ]
+	if s == nil {
+		s = new(tierSlot)
+		//pepvet:allow ranksafety wideMu is held; the map only ever gains single-flight slots
+		x.wide[maxZ] = s
 	}
-	return x.match[maxZ]
+	return s
+}
+
+// buildOnce builds s's tier unless a concurrent caller already has.
+func (x *Index) buildOnce(s *tierSlot, maxZ int, kind Kind) *Tier {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t := s.t.Load(); t != nil {
+		return t
+	}
+	t := x.buildTier(maxZ, kind)
+	s.t.Store(t)
+	return t
 }
 
 // maxSlots returns the largest per-pass fragment-slot count of the block at
@@ -303,7 +370,8 @@ func (x *Index) maxSlots(maxZ int) int {
 // then emission order, and counting-sorts the postings into bin rows. The
 // scatter preserves the ordinal order within each row. Build cost is one
 // fragment generation pass over the block — the work the scan then never
-// repeats per query.
+// repeats per query. The pre-sort posting streams live in pooled scratch;
+// only the returned tier's own arrays are allocated.
 //
 //pepvet:hotpath
 func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
@@ -334,20 +402,31 @@ func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
 		}
 	}
 	total *= nPasses
-	binsOf := make([]int32, 0, total)
-	capPass, capMatch := 0, total
-	if kind == KindPasses {
-		capPass, capMatch = total, 0
-	}
-	keysOf := make([]uint32, 0, capPass)
-	ordsOf := make([]int32, 0, capMatch)
-	metasOf := make([]Meta, 0, capMatch)
 
-	var pm marks
-	var fragBuf []spectrum.Fragment
-	var deltaBuf []float64
-	var nullPep []byte
-	var nullDel []float64
+	// The pre-sort streams, in enumeration order (ordinal, pass, slot): each
+	// posting's bin and, for match tiers, its payload. Ordinals and pass
+	// keys are not stored — every pass of a candidate emits nFrags[ord]
+	// fragments (see Tier.slots), so the scatter below re-derives them by
+	// walking the same order.
+	//
+	// A scratch set serves tiers of several charge caps and blocks in an
+	// order the scheduler picks. Sizing it for the largest cap a scan asks
+	// for (EffectiveMaxFragmentCharge never exceeds the configured one),
+	// plus headroom for a somewhat larger block, makes the first allocation
+	// the last whatever that order is — so a run's allocation volume repeats.
+	room := total / maxZ * max(maxZ, x.cfg.Theoretical.MaxFragmentCharge)
+	room += room / 8
+	bs := x.pool.get()
+	defer x.pool.put(bs)
+	binsOf := emptied(bs.bins, total, room)
+	metasOf := bs.metas[:0]
+	if kind == KindMatch {
+		metasOf = emptied(bs.metas, total, room)
+	}
+
+	pm := &bs.pm
+	fragBuf, deltaBuf := bs.frags, bs.deltas
+	nullPep, nullDel := bs.nullPep, bs.nullDel
 	minBin, maxBin := int32(0), int32(-1)
 	for ord := 0; ord < n; ord++ {
 		pep := &peps[ord]
@@ -375,15 +454,8 @@ func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
 				f := &fragBuf[slot]
 				b := spectrum.BinIndex(f.MZ, width)
 				binsOf = append(binsOf, b)
-				if kind == KindPasses {
-					key := uint32(ord)<<keyOrdShift | uint32(slot)
-					if pass != 0 {
-						key |= 1 << keyNullShift
-					}
-					keysOf = append(keysOf, key)
-				} else {
+				if kind == KindMatch {
 					// Match walks read only ordinal and series; slot stays 0.
-					ordsOf = append(ordsOf, int32(ord))
 					metasOf = append(metasOf, newMeta(pass, f.Kind, f.Charge, 0, f.Index))
 				}
 				if maxBin < minBin {
@@ -402,6 +474,9 @@ func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
 			}
 		}
 	}
+	// Hand the (possibly regrown) buffers back for the next build.
+	bs.bins, bs.metas = binsOf, metasOf
+	bs.frags, bs.deltas, bs.nullPep, bs.nullDel = fragBuf, deltaBuf, nullPep, nullDel
 
 	if len(binsOf) == 0 {
 		t.minBin = 0
@@ -417,24 +492,39 @@ func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
 	for r := 0; r < rows; r++ {
 		t.rowStart[r+1] += t.rowStart[r]
 	}
-	fill := make([]int32, rows)
+	fill := emptied(bs.fill, rows, rows)[:rows]
+	clear(fill)
+	bs.fill = fill
+	k := 0
 	if kind == KindPasses {
 		t.keys = make([]uint32, len(binsOf))
-		for k, b := range binsOf {
-			r := int(b - minBin)
-			at := t.rowStart[r] + fill[r]
-			t.keys[at] = keysOf[k]
-			fill[r]++
+		for ord := 0; ord < n; ord++ {
+			nf := uint32(t.nFrags[ord])
+			for pass := 0; pass < nPasses; pass++ {
+				key := uint32(ord) << keyOrdShift
+				if pass != 0 {
+					key |= 1 << keyNullShift
+				}
+				for slot := uint32(0); slot < nf; slot++ {
+					r := int(binsOf[k] - minBin)
+					t.keys[t.rowStart[r]+fill[r]] = key | slot
+					fill[r]++
+					k++
+				}
+			}
 		}
 	} else {
 		t.ords = make([]int32, len(binsOf))
 		t.metas = make([]Meta, len(binsOf))
-		for k, b := range binsOf {
-			r := int(b - minBin)
-			at := t.rowStart[r] + fill[r]
-			t.ords[at] = ordsOf[k]
-			t.metas[at] = metasOf[k]
-			fill[r]++
+		for ord := 0; ord < n; ord++ {
+			for nf := t.nFrags[ord]; nf > 0; nf-- {
+				r := int(binsOf[k] - minBin)
+				at := t.rowStart[r] + fill[r]
+				t.ords[at] = int32(ord)
+				t.metas[at] = metasOf[k]
+				fill[r]++
+				k++
+			}
 		}
 	}
 	return t

@@ -39,9 +39,11 @@ type Scratch struct {
 	// prefilter walk can coexist with a higher-charge scoring walk.
 	qn []int32
 
-	// Per-tier row cursors (see cursorFor), reset lazily per scan.
+	// Per-tier row cursors (see cursorFor), reset lazily per scan; bound is
+	// the index whose tiers they belong to (see Bind).
 	scan    uint64
 	cursors []tierCursor
+	bound   *Index
 
 	// Bin-major passes-sweep state (see sweep.go).
 	sweep sweep
@@ -85,10 +87,21 @@ func (s *Scratch) Reset(n int) {
 	s.scan++
 }
 
-// DropCursors forgets every per-tier cursor. Callers invoke it when the
-// walked tiers are replaced (a new block's index), so stale tier pointers
-// are not retained.
-func (s *Scratch) DropCursors() {
+// Bind starts a scan of x's block: Reset for its candidate count, and — when
+// x is not the index the previous scan walked — dropCursors, since none of
+// the remembered tiers will be walked again. The index itself is shared by
+// every rank scanning the block; only this walk state is the rank's own.
+func (s *Scratch) Bind(x *Index) {
+	if s.bound != x {
+		s.dropCursors()
+		s.bound = x
+	}
+	s.Reset(x.Len())
+}
+
+// dropCursors forgets every per-tier cursor, so stale tier pointers are not
+// retained once the walked tiers are replaced (a new block's index).
+func (s *Scratch) dropCursors() {
 	for i := range s.cursors {
 		s.cursors[i] = tierCursor{}
 	}
