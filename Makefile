@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments clean
+.PHONY: all check build vet loc lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments clean
 
 all: build vet test
 
@@ -17,6 +17,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines of every package and their total (analyzer
+# corpora under testdata/ excluded) — the unit this round's "smaller" is
+# claimed in. CI appends it to the job summary of every PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # lint is split in two so CI can run the repo's own analyzers with GitHub
 # annotations while the optional third-party linters stay a separate step.

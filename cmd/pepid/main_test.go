@@ -104,6 +104,10 @@ func TestPepidErrors(t *testing.T) {
 	if err := run([]string{"-scorer", "bogus", "-synth-db", "30", "-synth-queries", "1"}, sink, sink); err == nil {
 		t.Error("unknown scorer should error")
 	}
+	err := run([]string{"-scan", "query", "-synth-db", "30", "-synth-queries", "1"}, sink, sink)
+	if err == nil || !strings.Contains(err.Error(), "unknown scan mode") {
+		t.Errorf("-scan query (the removed query-major mode): err = %v, want unknown scan mode", err)
+	}
 }
 
 // TestPepidProfiles: -cpuprofile and -memprofile write non-empty files on

@@ -119,6 +119,8 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 		"pepscale/internal/score.BatchQuery",
 		"pepscale/internal/score.CandidatePrep",
 		"pepscale/internal/core.scanState",
+		"pepscale/internal/core.sweeper",
+		"pepscale/internal/core.rgroup",
 		"pepscale/internal/cluster.Rank",
 		"pepscale/internal/fragidx.Scratch",
 		"pepscale/internal/placement.Scratch",

@@ -164,12 +164,12 @@ func (r *Rank) syncTo(name string, maxClock, cost float64) {
 	r.noteExit()
 }
 
+// The world collectives below are the Comm methods on the all-ranks
+// communicator (comm.go): one rendezvous, one cost formula, one trace shape.
+
 // Barrier blocks until all ranks arrive; clocks synchronize to the slowest
 // rank plus a ⌈log₂p⌉-round latency cost.
-func (r *Rank) Barrier() {
-	_, maxClock := r.m.coll.arrive(r, r.id, nil, nil)
-	r.syncTo("barrier", maxClock, r.worldCollSec(0))
-}
+func (r *Rank) Barrier() { r.World().Barrier() }
 
 // ReduceOp selects the combining operation of an Allreduce.
 type ReduceOp int
@@ -197,53 +197,11 @@ func (op ReduceOp) String() string {
 
 // AllreduceInt64 combines one int64 per rank under op; every rank receives
 // the result.
-func (r *Rank) AllreduceInt64(op ReduceOp, v int64) int64 {
-	res, maxClock := r.m.coll.arrive(r, r.id, v, func(inputs []interface{}) interface{} {
-		acc := inputs[0].(int64)
-		for _, in := range inputs[1:] {
-			x := in.(int64)
-			switch op {
-			case OpSum:
-				acc += x
-			case OpMax:
-				if x > acc {
-					acc = x
-				}
-			case OpMin:
-				if x < acc {
-					acc = x
-				}
-			}
-		}
-		return acc
-	})
-	r.syncTo("allreduce-int64", maxClock, r.worldCollSec(8))
-	return res.(int64)
-}
+func (r *Rank) AllreduceInt64(op ReduceOp, v int64) int64 { return r.World().AllreduceInt64(op, v) }
 
 // AllreduceFloat64 combines one float64 per rank under op.
 func (r *Rank) AllreduceFloat64(op ReduceOp, v float64) float64 {
-	res, maxClock := r.m.coll.arrive(r, r.id, v, func(inputs []interface{}) interface{} {
-		acc := inputs[0].(float64)
-		for _, in := range inputs[1:] {
-			x := in.(float64)
-			switch op {
-			case OpSum:
-				acc += x
-			case OpMax:
-				if x > acc {
-					acc = x
-				}
-			case OpMin:
-				if x < acc {
-					acc = x
-				}
-			}
-		}
-		return acc
-	})
-	r.syncTo("allreduce-float64", maxClock, r.worldCollSec(8))
-	return res.(float64)
+	return r.World().AllreduceFloat64(op, v)
 }
 
 // AllreduceInt64Vec element-wise combines equal-length vectors (the global
@@ -285,83 +243,15 @@ func (r *Rank) AllreduceInt64Vec(op ReduceOp, vec []int64) []int64 {
 
 // Bcast distributes root's payload to every rank (root receives its own
 // data back unchanged).
-func (r *Rank) Bcast(root int, data []byte) []byte {
-	res, maxClock := r.m.coll.arrive(r, r.id, data, func(inputs []interface{}) interface{} {
-		d, _ := inputs[root].([]byte)
-		return d
-	})
-	out, _ := res.([]byte)
-	r.syncTo("bcast", maxClock, r.worldCollSec(len(out)))
-	if r.id != root {
-		cp := make([]byte, len(out))
-		copy(cp, out)
-		r.Stats.BytesReceived += int64(len(out))
-		r.traceCollBytes(0, int64(len(out)))
-		return cp
-	}
-	r.Stats.BytesSent += int64(len(out))
-	r.traceCollBytes(int64(len(out)), 0)
-	return out
-}
+func (r *Rank) Bcast(root int, data []byte) []byte { return r.World().Bcast(root, data) }
 
 // Allgather collects one payload per rank; every rank receives the full
 // rank-indexed slice (private copies).
-func (r *Rank) Allgather(payload []byte) [][]byte {
-	res, maxClock := r.m.coll.arrive(r, r.id, payload, func(inputs []interface{}) interface{} {
-		out := make([][]byte, len(inputs))
-		var total int
-		for i, in := range inputs {
-			b, _ := in.([]byte)
-			out[i] = b
-			total += len(b)
-		}
-		return gathered{bufs: out, total: total}
-	})
-	g := res.(gathered)
-	r.syncTo("allgather", maxClock, r.worldCollSec(g.total))
-	out := make([][]byte, len(g.bufs))
-	for i, b := range g.bufs {
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		out[i] = cp
-	}
-	r.Stats.BytesSent += int64(len(payload))
-	r.Stats.BytesReceived += int64(g.total)
-	r.traceCollBytes(int64(len(payload)), int64(g.total))
-	return out
-}
-
-type gathered struct {
-	bufs  [][]byte
-	total int
-}
+func (r *Rank) Allgather(payload []byte) [][]byte { return r.World().Allgather(payload) }
 
 // Gather collects one payload per rank at root. Root receives the
 // rank-indexed slice; other ranks receive nil.
-func (r *Rank) Gather(root int, payload []byte) [][]byte {
-	res, maxClock := r.m.coll.arrive(r, r.id, payload, func(inputs []interface{}) interface{} {
-		out := make([][]byte, len(inputs))
-		var total int
-		for i, in := range inputs {
-			b, _ := in.([]byte)
-			out[i] = b
-			total += len(b)
-		}
-		return gathered{bufs: out, total: total}
-	})
-	g := res.(gathered)
-	cost := r.Cost()
-	if r.id == root {
-		r.syncTo("gather", maxClock, cost.gatherRootSecLevels(g.total, r.m.world.lv))
-		r.Stats.BytesReceived += int64(g.total)
-		r.traceCollBytes(0, int64(g.total))
-		return g.bufs
-	}
-	r.syncTo("gather", maxClock, cost.PathXferSec(len(payload), r.id, root, r.Size()))
-	r.Stats.BytesSent += int64(len(payload))
-	r.traceCollBytes(int64(len(payload)), 0)
-	return nil
-}
+func (r *Rank) Gather(root int, payload []byte) [][]byte { return r.World().Gather(root, payload) }
 
 // Alltoallv performs a personalized all-to-all exchange: send[j] goes to
 // rank j, and the result's element j is what rank j sent to this rank. It

@@ -157,6 +157,12 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	return out
 }
 
+// gathered is the rendezvous result of Gather and Allgather.
+type gathered struct {
+	bufs  [][]byte
+	total int
+}
+
 // Gather collects one payload per member at the member with group index
 // root, which receives the group-ordered slice; other members receive nil.
 func (c *Comm) Gather(root int, payload []byte) [][]byte {

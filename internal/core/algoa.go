@@ -34,6 +34,12 @@ type loaded struct {
 	// qs are the conditioned local queries; lists their top-τ accumulators.
 	qs    []*score.Query
 	lists []*topk.List
+	scanner
+}
+
+// scanner is what a rank needs to scan one block: the part of loaded that
+// both transport cores (walkBlocks' visits and the sweeper) carry.
+type scanner struct {
 	// sc is the scoring model.
 	sc score.Scorer
 	// scan is the rank's persistent sweep state: buffers stay warm and the
@@ -58,7 +64,7 @@ func loadPhase(r *cluster.Rank, in Input, opt Options, cache *indexCache, blocks
 // conditions them at their destination rank.
 func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, blocks, myBlock int, prepare bool) (*loaded, error) {
 	cost := r.Cost()
-	l := &loaded{blocks: blocks, myBlock: myBlock, cache: cache}
+	l := &loaded{blocks: blocks, myBlock: myBlock, scanner: scanner{cache: cache}}
 
 	ranges := cache.rangesFor(in.DBData, blocks)
 	rg := ranges[myBlock]
@@ -87,10 +93,7 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 	// Query loading: rank i receives roughly m/p queries.
 	l.qlo, l.qhi = share(len(in.Queries), r.Size(), r.ID())
 	mySpecs := in.Queries[l.qlo:l.qhi]
-	var qbytes int
-	for _, s := range mySpecs {
-		qbytes += 64 + 12*len(s.Peaks)
-	}
+	qbytes := queryBytes(mySpecs)
 	r.Compute(cost.IOSec(qbytes))
 	r.NoteAlloc(int64(qbytes))
 	if prepare {
@@ -116,19 +119,19 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 // precomputed cache identity (see blockKey) — threading it through the
 // transport loops avoids re-hashing every transported block's bytes on every
 // iteration. It returns the candidate count.
-func processBlock(r *cluster.Rank, l *loaded, opt Options, qs []*score.Query, lists []*topk.List, recs []fasta.Record, gids []int32, idOf func(int32) string, key cacheKey) (int64, error) {
+func (sn *scanner) processBlock(r *cluster.Rank, opt Options, qs []*score.Query, lists []*topk.List, recs []fasta.Record, gids []int32, idOf func(int32) string, key cacheKey) (int64, error) {
 	cost := r.Cost()
 	if gids == nil {
 		return 0, fmt.Errorf("processBlock: nil gids")
 	}
-	blk, err := l.cache.indexFor(key, recs, gids, opt.Digest)
+	blk, err := sn.cache.indexFor(key, recs, gids, opt.Digest)
 	if err != nil {
 		return 0, err
 	}
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(recs)))
 	r.NoteAlloc(blk.foot)
-	st := l.scan.scan(qs, lists, blk, l.sc, opt, idOf)
-	r.Compute(scanComputeSec(cost, l.sc, st))
+	st := sn.scan.scan(qs, lists, blk, sn.sc, opt, idOf)
+	r.Compute(scanComputeSec(cost, sn.sc, st))
 	r.NoteFree(blk.foot)
 	return st.Candidates, nil
 }
@@ -142,6 +145,29 @@ func contiguousGIDs(base int32, n int) []int32 {
 	return out
 }
 
+// gatherResults charges the reporting cost of this rank's results and
+// gathers every member's at comm's first member, which merges them into the
+// host-side shared area. total sizes the merge.
+func gatherResults(r *cluster.Rank, comm *cluster.Comm, results []QueryResult, total int, sh *shared) error {
+	chargeHits(r, results)
+	gathered := comm.Gather(0, encodeResults(results))
+	if comm.Index() != 0 {
+		return nil
+	}
+	merged, err := mergeGathered(gathered, total)
+	sh.merged = merged
+	return err
+}
+
+// chargeHits charges the cost of reporting results' hits.
+func chargeHits(r *cluster.Rank, results []QueryResult) {
+	var hits int
+	for _, qr := range results {
+		hits += len(qr.Hits)
+	}
+	r.Compute(r.Cost().HitSecPerHit * float64(hits))
+}
+
 // finishRun reports this rank's hit lists, gathers everything at rank 0,
 // and records the per-rank counters in the host-side shared area. indices
 // maps the rank's (possibly reordered) query slots back to their positions
@@ -149,20 +175,8 @@ func contiguousGIDs(base int32, n int) []int32 {
 func finishRun(r *cluster.Rank, l *loaded, sh *shared, indices []int, loadSec, sortSec float64, candidates int64) error {
 	r.SetStep(-1)
 	r.SetPhase("report")
-	cost := r.Cost()
-	results := finalizeResults(indices, l.qs, l.lists)
-	var hits int
-	for _, qr := range results {
-		hits += len(qr.Hits)
-	}
-	r.Compute(cost.HitSecPerHit * float64(hits))
-	gathered := r.Gather(0, encodeResults(results))
-	if r.ID() == 0 {
-		merged, err := mergeGathered(gathered, l.qhi-l.qlo)
-		if err != nil {
-			return err
-		}
-		sh.merged = merged
+	if err := gatherResults(r, r.World(), finalizeResults(indices, l.qs, l.lists), l.qhi-l.qlo, sh); err != nil {
+		return err
 	}
 	id := r.ID()
 	sh.loadSec[id] = loadSec
@@ -172,69 +186,131 @@ func finishRun(r *cluster.Rank, l *loaded, sh *shared, indices []int, loadSec, s
 	return nil
 }
 
-// algorithmABody is the paper's Algorithm A, per rank:
+// walkBlocks is the paper's one transport idea, written once: visit the
+// block of each rank of a cycle in turn while a one-sided get for the next
+// block is in flight. The cycle is the n ranks first..first+n−1; step s
+// visits the dbWindow of rank first + (start+s) mod n. When step 0's owner is
+// this rank, its resident block is visited without a fetch and that visit's
+// data is nil. With masking the next get is issued before the visit and
+// completed after it; without, it is issued only after the visit (the
+// paper's no-masking comparison version).
+//
+// The walk holds Dcomp and Drecv together, as the paper's space bound says:
+// the previous transported block is released only after the next one has
+// arrived. The checkpointed sweep (sweep.go) frees after each scan instead,
+// which is one reason the two are separate cores.
+func walkBlocks(r *cluster.Rank, first, n, start int, masking bool, visit func(owner int, data []byte) error) error {
+	var data []byte
+	var held int64 // transported Dcomp footprint (0 while the resident block is current)
+	arrive := func(pending *cluster.Pending) error {
+		d, err := pending.Wait()
+		if err != nil {
+			return err
+		}
+		r.NoteAlloc(int64(len(d))) // Drecv materialized
+		if held > 0 {
+			r.NoteFree(held) // previous transported block released
+		}
+		data, held = d, int64(len(d))
+		return nil
+	}
+	ownerAt := func(s int) int { return first + (start+s)%n }
+	for s := 0; s < n; s++ {
+		owner := ownerAt(s)
+		r.SetStep(s)
+		if s == 0 && owner != r.ID() {
+			// First block is remote: nothing to mask against yet.
+			if err := arrive(r.Get(owner, dbWindow)); err != nil {
+				return err
+			}
+		}
+		var pending *cluster.Pending
+		if masking && s+1 < n {
+			pending = r.Get(ownerAt(s+1), dbWindow)
+		}
+		if err := visit(owner, data); err != nil {
+			return err
+		}
+		if s+1 < n {
+			if !masking {
+				pending = r.Get(ownerAt(s+1), dbWindow)
+			}
+			if err := arrive(pending); err != nil {
+				return err
+			}
+		}
+	}
+	if held > 0 {
+		r.NoteFree(held)
+	}
+	return nil
+}
+
+// cycleBody is the paper's Algorithm A, per rank, run inside each of groups
+// equal sub-groups of gs = p/groups ranks:
 //
 //	A1. Load block Di and the local query share Qi in parallel; expose Di.
-//	A2. For s = 0 .. p−1: issue a non-blocking one-sided get for block
-//	    (i+s+1) mod p (masking), generate candidates on the fly from the
+//	A2. For s = 0 .. gs−1: issue a non-blocking one-sided get for block
+//	    (i+s+1) mod gs (masking), generate candidates on the fly from the
 //	    current block, score Qi against them while the transfer proceeds,
 //	    then complete the get.
 //	A3. Report the τ best hits per local query; gather at rank 0.
 //
-// With masking disabled the get is issued only after the current block has
-// been fully processed (the paper's no-masking comparison version).
-func algorithmABody(r *cluster.Rank, in Input, opt Options, masking bool, sh *shared) error {
+// Algorithm A is the one-group case on the world communicator. The SubGroup
+// engine is the extension the paper proposes for medium-range inputs
+// ("processors can divide themselves into smaller sub-groups, where the
+// database is partitioned within each sub-group and the query set is
+// partitioned across sub-groups"): each rank holds an O(N/gs) block — more
+// than Algorithm A's N/p, far below the master–worker's N — and performs
+// gs−1 transfers instead of p−1. It splits the world so that transport and
+// the exposure epoch stay group-local. split is the caller's choice, not
+// inferred from groups: Split is a charged collective, and SubGroup with one
+// group still performs it while Algorithm A never does.
+func cycleBody(r *cluster.Rank, in Input, opt Options, masking bool, groups int, split bool, sh *shared) error {
 	p, id := r.Size(), r.ID()
+	gs := p / groups
+	if gs < 1 {
+		return fmt.Errorf("core: %d groups exceed %d ranks", groups, p)
+	}
+	local := id % gs
+	first := id - local // the group's lowest rank
 	t0 := r.Time()
 	r.SetPhase("load")
-	l, err := loadPhase(r, in, opt, sh.cache, p, id)
+	l, err := loadPhase(r, in, opt, sh.cache, gs, local)
 	if err != nil {
 		return err
 	}
+	// Split stays after loadPhase's Allgather and before Expose: moving a
+	// charged collective moves every later event of the trace.
+	comm := r.World()
+	if split {
+		comm = comm.Split(id/gs, local)
+	}
 	r.Expose(dbWindow, l.myBytes)
-	r.Barrier()
+	comm.Barrier()
 	loadSec := r.Time() - t0
 	r.SetPhase("scan")
 
-	curRecs, curBase := l.recs, l.bases[id]
-	curKey := blockKey(id, len(l.myBytes))
-	var curAlloc int64 // transported Dcomp footprint (0 while scanning Di)
+	// Blocks are identical across groups (every group partitions the same
+	// database the same way), so keying by block index shares the host-side
+	// parse/digest between groups.
 	var candidates int64
-	for s := 0; s < p; s++ {
-		r.SetStep(s)
-		nextOwner := (id + s + 1) % p
-		var pending *cluster.Pending
-		if masking && s+1 < p {
-			pending = r.Get(nextOwner, dbWindow)
+	err = walkBlocks(r, first, gs, local, masking, func(owner int, data []byte) error {
+		b := owner - first
+		recs, size := l.recs, len(l.myBytes)
+		if owner != id {
+			size = len(data)
+			if recs, err = l.cache.recsFor(blockKey(b, size), data); err != nil {
+				return fmt.Errorf("rank %d: block from rank %d: %w", id, owner, err)
+			}
 		}
-		c, err := processBlock(r, l, opt, l.qs, l.lists, curRecs, contiguousGIDs(curBase, len(curRecs)), blockIDResolver(curRecs, curBase), curKey)
-		if err != nil {
-			return err
-		}
+		base := l.bases[b]
+		c, err := l.processBlock(r, opt, l.qs, l.lists, recs, contiguousGIDs(base, len(recs)), blockIDResolver(recs, base), blockKey(b, size))
 		candidates += c
-		if s+1 < p {
-			if !masking {
-				pending = r.Get(nextOwner, dbWindow)
-			}
-			data, err := pending.Wait()
-			if err != nil {
-				return err
-			}
-			r.NoteAlloc(int64(len(data))) // Drecv materialized
-			if curAlloc > 0 {
-				r.NoteFree(curAlloc) // previous transported block released
-			}
-			curAlloc = int64(len(data))
-			curKey = blockKey(nextOwner, len(data))
-			curRecs, err = l.cache.recsFor(curKey, data)
-			if err != nil {
-				return fmt.Errorf("rank %d: block from rank %d: %w", id, nextOwner, err)
-			}
-			curBase = l.bases[nextOwner]
-		}
-	}
-	if curAlloc > 0 {
-		r.NoteFree(curAlloc)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return finishRun(r, l, sh, queryIndices(l.qlo, l.qhi), loadSec, 0, candidates)
 }

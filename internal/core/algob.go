@@ -89,15 +89,8 @@ func algorithmBBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 		istart := sortmz.SenderGroupStart(sorted.Boundaries, minKey)
 		gsz := p - istart
 		if gsz > 0 {
-			owners := make([]int, gsz)
-			rel := id - istart
-			if rel < 0 {
-				rel = 0
-			}
-			for s := 0; s < gsz; s++ {
-				owners[s] = istart + (rel+s)%gsz
-			}
-			candidates, err = bTransportLoop(r, l, opt, sorted, blockBytes, owners, id)
+			// A rank below the sender group starts the cycle at its head.
+			candidates, err = bTransportLoop(r, l, opt, sorted, blockBytes, istart, gsz, max(id-istart, 0))
 			if err != nil {
 				return err
 			}
@@ -106,48 +99,21 @@ func algorithmBBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	return finishRun(r, l, sh, indices, loadSec, sorted.SortSec, candidates)
 }
 
-// bTransportLoop runs the masked database-transport iterations over the
-// sender group.
-func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Result, ownRaw []byte, owners []int, id int) (int64, error) {
+// bTransportLoop walks the sender group: each visit decodes the owner's
+// sorted slice and scans the queries whose window can reach it.
+func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Result, ownRaw []byte, first, n, start int) (int64, error) {
+	id := r.ID()
 	var candidates int64
-	var cur []sortmz.Seq
-	var curKey cacheKey
-	var curAlloc int64
-	masking := opt.Masking
-
-	// Each rank's sorted slice is unique within the run, so the owner rank
-	// is the block's cache identity — no content hashing per fetch.
-	fetch := func(owner int, pending *cluster.Pending) ([]sortmz.Seq, cacheKey, int64, error) {
-		data, err := pending.Wait()
-		if err != nil {
-			return nil, cacheKey{}, 0, err
-		}
-		key := blockKey(owner, len(data))
-		seqs, err := l.cache.seqsFor(key, data)
-		if err != nil {
-			return nil, cacheKey{}, 0, err
-		}
-		r.NoteAlloc(int64(len(data)))
-		return seqs, key, int64(len(data)), nil
-	}
-
-	for si, owner := range owners {
-		r.SetStep(si)
-		if si == 0 {
-			if owner == id {
-				cur, curKey = sorted.Local, blockKey(id, len(ownRaw))
-			} else {
-				// First block is remote: nothing to mask against yet.
-				seqs, key, alloc, err := fetch(owner, r.Get(owner, dbWindow))
-				if err != nil {
-					return 0, err
-				}
-				cur, curKey, curAlloc = seqs, key, alloc
+	err := walkBlocks(r, first, n, start, opt.Masking, func(owner int, data []byte) error {
+		// Each rank's sorted slice is unique within the run, so the owner rank
+		// is the block's cache identity — no content hashing per fetch.
+		cur, key := sorted.Local, blockKey(id, len(ownRaw))
+		if owner != id {
+			key = blockKey(owner, len(data))
+			var err error
+			if cur, err = l.cache.seqsFor(key, data); err != nil {
+				return err
 			}
-		}
-		var pending *cluster.Pending
-		if masking && si+1 < len(owners) {
-			pending = r.Get(owners[si+1], dbWindow)
 		}
 
 		// Restrict to queries whose window can reach this block: sequences
@@ -160,41 +126,20 @@ func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Resu
 		})
 		recs := make([]fasta.Record, len(cur))
 		gids := make([]int32, len(cur))
+		idByGID := make(map[int32]string, len(cur))
 		for i, s := range cur {
 			recs[i] = s.Rec
 			gids[i] = s.GID
-		}
-		idByGID := make(map[int32]string, len(cur))
-		for _, s := range cur {
 			idByGID[s.GID] = s.Rec.ID
 		}
-		c, err := processBlock(r, l, opt, l.qs[:limit], l.lists[:limit], recs, gids, func(g int32) string {
+		c, err := l.processBlock(r, opt, l.qs[:limit], l.lists[:limit], recs, gids, func(g int32) string {
 			if idStr, ok := idByGID[g]; ok {
 				return idStr
 			}
 			return fmt.Sprintf("protein_%d", g)
-		}, curKey)
-		if err != nil {
-			return 0, err
-		}
+		}, key)
 		candidates += c
-
-		if si+1 < len(owners) {
-			if !masking {
-				pending = r.Get(owners[si+1], dbWindow)
-			}
-			seqs, key, alloc, err := fetch(owners[si+1], pending)
-			if err != nil {
-				return 0, err
-			}
-			if curAlloc > 0 {
-				r.NoteFree(curAlloc)
-			}
-			cur, curKey, curAlloc = seqs, key, alloc
-		}
-	}
-	if curAlloc > 0 {
-		r.NoteFree(curAlloc)
-	}
-	return candidates, nil
+		return err
+	})
+	return candidates, err
 }

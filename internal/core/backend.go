@@ -7,19 +7,21 @@
 // minimal-move incremental plan thereafter), Rotate migrates block windows
 // between members at a membership change (generation-versioned names, the
 // elastic engine's discipline), and ScanBatch advances one in-flight query
-// batch by a bounded number of block steps on its owner rank. Between Runs
+// batch by a bounded number of block steps on its owner rank. All three are
+// the checkpointed group sweep of sweep.go, driven one machine Run at a time:
+// a batch is a group whose id is the batch id. Between Runs
 // the machine idles — windows persist, per-rank clocks accumulate — which is
 // what makes the service "always on": every dispatch starts with
 // Rank.IdleUntil to the batch's dispatch instant, so service-time gaps are
 // explicit intervals on the virtual timeline.
 //
-// Batch state follows the resilient engine's recovery shape: after each
-// quantum the batch's top-τ lists, cursor, and candidate count are
-// checkpointed (internal/ckpt) to the backend's stable store, and
-// Invalidate re-stages a batch from its latest checkpoint after a crash,
-// an owner loss, or an owner reassignment — the batch re-offers exactly the
-// post-cursor blocks against lists that reflect exactly the pre-cursor
-// blocks, so a membership event never changes a hit.
+// Batch state follows the sweep's recovery shape: after each quantum the
+// batch's top-τ lists, cursor, and candidate count are checkpointed
+// (internal/ckpt) to the backend's stable store, and after Invalidate — a
+// crash, an owner loss, or an owner reassignment — the next owner restores
+// the batch from its latest checkpoint: it re-offers exactly the post-cursor
+// blocks against lists that reflect exactly the pre-cursor blocks, so a
+// membership event never changes a hit.
 //
 // Bit-identity with an offline batch run holds by the standard argument: a
 // top-τ list is a pure function of its offer multiset (topk's strict total
@@ -30,14 +32,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
-	"pepscale/internal/fasta"
 	"pepscale/internal/placement"
-	"pepscale/internal/score"
 	"pepscale/internal/spectrum"
-	"pepscale/internal/topk"
 )
 
 // Backend is the serving layer's resident-cluster engine. All methods are
@@ -45,16 +45,15 @@ import (
 // the rank programs they launch follow the per-rank ownership discipline of
 // the batch engines.
 type Backend struct {
-	opt    Options
-	db     []byte
-	p0     int
-	ranges []fasta.Range
-	bases  []int32
-	cache  *indexCache
-	store  *ckpt.Store
-	plan   *placement.Plan
-	scr    placement.Scratch
-	gen    []int32
+	opt   Options
+	db    []byte
+	p0    int
+	bases []int32
+	cache *indexCache
+	store *ckpt.Store
+	plan  *placement.Plan
+	scr   placement.Scratch
+	gen   []int32
 	// migBytes[r] counts block-migration bytes fetched by rank r across
 	// all rotations (each rank writes only its own slot during a Run).
 	migBytes []int64
@@ -71,18 +70,16 @@ func NewBackend(db []byte, opt Options, blocks int) (*Backend, error) {
 		return nil, fmt.Errorf("core: backend needs at least 1 block, got %d", blocks)
 	}
 	bk := &Backend{
-		opt:    opt,
-		db:     db,
-		p0:     blocks,
-		ranges: fasta.Ranges(db, blocks),
-		cache:  newIndexCache(),
-		store:  ckpt.NewStore(),
-		gen:    make([]int32, blocks),
-		bases:  make([]int32, blocks),
+		opt:   opt,
+		db:    db,
+		p0:    blocks,
+		cache: newIndexCache(),
+		store: ckpt.NewStore(),
+		gen:   make([]int32, blocks),
+		bases: make([]int32, blocks),
 	}
 	var acc int32
-	for b := 0; b < blocks; b++ {
-		rg := bk.ranges[b]
+	for b, rg := range bk.cache.rangesFor(db, blocks) {
 		recs, err := bk.cache.recsFor(blockKey(b, rg.End-rg.Start), db[rg.Start:rg.End])
 		if err != nil {
 			return nil, fmt.Errorf("core: backend block %d: %w", b, err)
@@ -120,6 +117,17 @@ func (bk *Backend) MigrationBytes() int64 {
 	return total
 }
 
+// sweeper is rank r's handle on the backend's partition, placement, window
+// generations and store for the duration of one machine Run.
+func (bk *Backend) sweeper(r *cluster.Rank) (*sweeper, error) {
+	sw, err := newSweeper(r, bk.db, bk.opt, bk.cache, bk.store, "batch", bk.plan, bk.gen)
+	if err != nil {
+		return nil, err
+	}
+	sw.bases = bk.bases
+	return sw, nil
+}
+
 // Boot (re)loads every member's owned blocks onto mach and exposes them
 // under the current window generations. It is called once at service start
 // and again after every machine loss (the replacement machine has no
@@ -135,7 +143,7 @@ func (bk *Backend) Boot(mach *cluster.Machine, members []int) (*cluster.RunRepor
 			return nil, err
 		}
 		bk.plan = plan
-	} else if !equalInts(bk.plan.Members, members) {
+	} else if !slices.Equal(bk.plan.Members, members) {
 		next, err := bk.scr.Next(bk.plan, members)
 		if err != nil {
 			return nil, err
@@ -145,26 +153,16 @@ func (bk *Backend) Boot(mach *cluster.Machine, members []int) (*cluster.RunRepor
 	if bk.migBytes == nil {
 		bk.migBytes = make([]int64, mach.Ranks())
 	}
-	plan := bk.plan
 	rep := mach.RunWithReport(func(r *cluster.Rank) error {
-		id := r.ID()
-		mine := plan.BlocksOf(id)
-		if len(mine) == 0 {
+		if len(bk.plan.BlocksOf(r.ID())) == 0 {
 			return nil
 		}
-		cost := r.Cost()
-		r.SetPhase("load")
-		for _, b := range mine {
-			rg := bk.ranges[b]
-			raw := bk.db[rg.Start:rg.End]
-			r.Compute(cost.IOSec(len(raw)))
-			r.NoteAlloc(int64(len(raw)))
-			if _, err := bk.cache.recsFor(blockKey(b, len(raw)), raw); err != nil {
-				return fmt.Errorf("rank %d: load block %d: %w", id, b, err)
-			}
-			r.Expose(blockWinName(b, bk.gen[b]), raw)
+		sw, err := bk.sweeper(r)
+		if err != nil {
+			return err
 		}
-		return nil
+		r.SetPhase("load")
+		return sw.loadOwned()
 	})
 	return rep, nil
 }
@@ -179,7 +177,7 @@ func (bk *Backend) Rotate(mach *cluster.Machine, newMembers []int) (*cluster.Run
 	if bk.plan == nil {
 		return nil, nil, fmt.Errorf("core: backend rotate before boot")
 	}
-	if equalInts(bk.plan.Members, newMembers) {
+	if slices.Equal(bk.plan.Members, newMembers) {
 		return nil, nil, nil
 	}
 	next, err := bk.scr.Next(bk.plan, newMembers)
@@ -190,40 +188,36 @@ func (bk *Backend) Rotate(mach *cluster.Machine, newMembers []int) (*cluster.Run
 	if err != nil {
 		return nil, nil, err
 	}
-	type blockMig struct {
-		b, from, to      int
-		oldName, newName string
-	}
-	var bmigs []blockMig
-	for _, mg := range migs {
-		if mg.Kind != placement.MigrateBlock {
-			continue
+	// Each block migration's source window is named with the generation
+	// before the bump.
+	oldNames := make([]string, len(migs))
+	for i, mg := range migs {
+		if mg.Kind == placement.MigrateBlock {
+			oldNames[i] = blockWinName(mg.ID, bk.gen[mg.ID])
+			bk.gen[mg.ID]++
 		}
-		old := blockWinName(mg.ID, bk.gen[mg.ID])
-		bk.gen[mg.ID]++
-		bmigs = append(bmigs, blockMig{mg.ID, mg.From, mg.To, old, blockWinName(mg.ID, bk.gen[mg.ID])})
 	}
 	bk.plan = next
 	rep := mach.RunWithReport(func(r *cluster.Rank) error {
 		id := r.ID()
-		for _, mg := range bmigs {
-			switch id {
-			case mg.to:
-				r.SetPhase("migrate")
-				data, err := r.Get(mg.from, mg.oldName).Wait()
-				if err != nil {
-					return err
-				}
-				r.NoteAlloc(int64(len(data)))
-				if _, err := bk.cache.recsFor(blockKey(mg.b, len(data)), data); err != nil {
-					return fmt.Errorf("rank %d: migrate block %d: %w", id, mg.b, err)
-				}
-				r.Expose(mg.newName, data)
-				bk.migBytes[id] += int64(len(data))
-			case mg.from:
-				r.SetPhase("migrate")
-				r.NoteFree(int64(bk.ranges[mg.b].End - bk.ranges[mg.b].Start))
+		sw, err := bk.sweeper(r)
+		if err != nil {
+			return err
+		}
+		for i, mg := range migs {
+			if mg.Kind != placement.MigrateBlock || (id != mg.To && id != mg.From) {
+				continue
 			}
+			r.SetPhase("migrate")
+			if id == mg.From {
+				r.NoteFree(int64(len(sw.block(mg.ID))))
+				continue
+			}
+			n, err := sw.fetchMigrated(mg.ID, mg.From, oldNames[i])
+			if err != nil {
+				return err
+			}
+			bk.migBytes[id] += n
 		}
 		return nil
 	})
@@ -237,15 +231,9 @@ type BatchState struct {
 	id    int32
 	owner int
 	specs []*spectrum.Spectrum
-
-	qs         []*score.Query
-	lists      []*topk.List
-	cursor     int
-	candidates int64
-	prepared   bool
-	// restoreBlob stages a checkpoint decode into the next prepare (set by
-	// Invalidate; the decode and its I/O charge happen on the owner rank).
-	restoreBlob []byte
+	// gr is the batch's machine-bound scan state: nil until its owner's
+	// first quantum loads it, and again after Invalidate.
+	gr *rgroup
 
 	done      bool
 	doneClock float64
@@ -269,11 +257,23 @@ func (bs *BatchState) SetOwner(owner int) { bs.owner = owner }
 // Size returns the batch's query count.
 func (bs *BatchState) Size() int { return len(bs.specs) }
 
-// Cursor returns the next block step to scan (p0 when the sweep is done).
-func (bs *BatchState) Cursor() int { return bs.cursor }
+// Cursor returns the next block step to scan (p0 when the sweep is done; 0
+// while the batch holds no machine-bound state).
+func (bs *BatchState) Cursor() int {
+	if bs.gr == nil {
+		return 0
+	}
+	return bs.gr.cursor
+}
 
-// Candidates returns the candidates scored so far.
-func (bs *BatchState) Candidates() int64 { return bs.candidates }
+// Candidates returns the candidates scored so far (0 while the batch holds
+// no machine-bound state).
+func (bs *BatchState) Candidates() int64 {
+	if bs.gr == nil {
+		return 0
+	}
+	return bs.gr.candidates
+}
 
 // Done reports whether the batch has swept all blocks and finalized.
 func (bs *BatchState) Done() bool { return bs.done }
@@ -285,20 +285,14 @@ func (bs *BatchState) DoneClock() float64 { return bs.doneClock }
 // query's position within the batch).
 func (bs *BatchState) Results() []QueryResult { return bs.results }
 
-// Invalidate drops the batch's machine-bound state and stages a restore
-// from its latest checkpoint (none: the batch rescans from block 0). Call
-// after a machine loss or before reassigning the batch to a new owner —
-// lists are rebuilt from the checkpoint, so no block is ever offered twice.
-func (bk *Backend) Invalidate(bs *BatchState) {
-	bs.prepared = false
-	bs.qs, bs.lists = nil, nil
-	bs.cursor, bs.candidates = 0, 0
-	if blob, ok := bk.store.Get(bs.id); ok {
-		bs.restoreBlob = blob
-	} else {
-		bs.restoreBlob = nil
-	}
-}
+// Invalidate drops the batch's machine-bound state. Call after a machine
+// loss or before reassigning the batch to a new owner — the next owner's
+// first quantum rebuilds the lists from the stable store's latest checkpoint
+// (none: the batch rescans from block 0), so no block is ever offered
+// twice. Reading the store then rather than staging a copy
+// of the blob now is equivalent: batch ids are unique, and a batch is never
+// scanned — hence never checkpointed — between Invalidate and that quantum.
+func (bk *Backend) Invalidate(bs *BatchState) { bs.gr = nil }
 
 // ScanBatch advances bs by at most steps block scans on its owner rank,
 // starting no earlier than the absolute machine-local time dispatchAt. The
@@ -311,145 +305,43 @@ func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt f
 	if steps < 1 {
 		steps = bk.p0
 	}
-	plan := bk.plan
 	rep := mach.RunWithReport(func(r *cluster.Rank) error {
 		if r.ID() != bs.owner {
 			return nil
 		}
-		cost := r.Cost()
 		r.IdleUntil(dispatchAt)
-		if !bs.prepared {
-			if err := bk.prepare(r, bs); err != nil {
-				return err
-			}
-		}
-		sc, err := score.New(bk.opt.ScorerName, bk.opt.Score)
+		sw, err := bk.sweeper(r)
 		if err != nil {
 			return err
 		}
-		shim := &loaded{sc: sc, cache: bk.cache}
-		r.SetPhase("scan")
-		// The batch's block order is staggered by its id so concurrent
-		// batches spread their remote fetches across owners; hits are
-		// order-independent (the offer multiset is what matters).
-		for n := 0; bs.cursor < bk.p0 && n < steps; n++ {
-			s := bs.cursor
-			r.SetStep(s)
-			b := (s + int(bs.id)%bk.p0) % bk.p0
-			var recs []fasta.Record
-			var key cacheKey
-			var alloc int64
-			if owner := plan.BlockRank(b); owner == bs.owner {
-				rg := bk.ranges[b]
-				raw := bk.db[rg.Start:rg.End]
-				key = blockKey(b, len(raw))
-				if recs, err = bk.cache.recsFor(key, raw); err != nil {
-					return fmt.Errorf("rank %d: block %d: %w", r.ID(), b, err)
-				}
-			} else {
-				data, err := r.Get(owner, blockWinName(b, bk.gen[b])).Wait()
-				if err != nil {
-					return err
-				}
-				alloc = int64(len(data))
-				r.NoteAlloc(alloc)
-				key = blockKey(b, len(data))
-				if recs, err = bk.cache.recsFor(key, data); err != nil {
-					return fmt.Errorf("rank %d: block %d: %w", r.ID(), b, err)
-				}
-			}
-			c, err := processBlock(r, shim, bk.opt, bs.qs, bs.lists, recs, contiguousGIDs(bk.bases[b], len(recs)), blockIDResolver(recs, bk.bases[b]), key)
-			if err != nil {
+		if bs.gr == nil {
+			r.SetPhase("ingest")
+			if bs.gr, err = sw.loadGroup(int(bs.id), 0, bs.specs); err != nil {
 				return err
 			}
-			bs.candidates += c
-			if alloc > 0 {
-				r.NoteFree(alloc)
+		}
+		gr := bs.gr
+		r.SetPhase("scan")
+		// The group id is the batch id, so the block order (id+s) mod p0 is
+		// staggered across concurrent batches and their remote fetches
+		// spread across owners; hits are order-independent (the offer
+		// multiset is what matters).
+		for n := 0; gr.cursor < bk.p0 && n < steps; n++ {
+			if err := sw.step(gr, gr.cursor, false); err != nil {
+				return err
 			}
-			bs.cursor = s + 1
 		}
 		r.SetStep(-1)
-		bk.checkpoint(r, bs)
-		if bs.cursor == bk.p0 {
+		sw.checkpoint(gr)
+		if gr.cursor == bk.p0 {
 			r.SetPhase("report")
-			bs.results = finalizeResults(queryIndices(0, len(bs.qs)), bs.qs, bs.lists)
-			var hits int
-			for _, qr := range bs.results {
-				hits += len(qr.Hits)
-			}
-			r.Compute(cost.HitSecPerHit * float64(hits))
-			r.NoteFree(int64(bs.qbytes()))
+			bs.results = finalizeResults(queryIndices(gr.qlo, gr.qhi), gr.qs, gr.lists)
+			chargeHits(r, bs.results)
+			r.NoteFree(int64(queryBytes(bs.specs)))
 			bs.done = true
 			bs.doneClock = r.Time()
 		}
 		return nil
 	})
 	return rep, nil
-}
-
-// qbytes is the batch's conditioned-query footprint estimate (the same
-// formula every engine charges at query load).
-func (bs *BatchState) qbytes() int {
-	var qbytes int
-	for _, s := range bs.specs {
-		qbytes += 64 + 12*len(s.Peaks)
-	}
-	return qbytes
-}
-
-// prepare conditions the batch's queries on the owner rank (charged as I/O
-// plus per-peak prep) and replays its staged checkpoint, if any.
-func (bk *Backend) prepare(r *cluster.Rank, bs *BatchState) error {
-	cost := r.Cost()
-	r.SetPhase("ingest")
-	qbytes := bs.qbytes()
-	r.Compute(cost.IOSec(qbytes))
-	r.NoteAlloc(int64(qbytes))
-	bs.qs = prepareQueries(r, bs.specs, bk.opt.Score)
-	bs.lists = make([]*topk.List, len(bs.qs))
-	for i := range bs.lists {
-		bs.lists[i] = topk.New(bk.opt.Tau)
-	}
-	bs.cursor, bs.candidates = 0, 0
-	if bs.restoreBlob != nil {
-		r.Compute(cost.IOSec(len(bs.restoreBlob)))
-		cp, err := ckpt.Decode(bs.restoreBlob)
-		if err != nil {
-			return fmt.Errorf("rank %d: restore batch %d: %w", r.ID(), bs.id, err)
-		}
-		if cp.Group != bs.id || len(cp.Queries) != len(bs.qs) || int(cp.Cursor) > bk.p0 {
-			return fmt.Errorf("rank %d: restore batch %d: checkpoint shape mismatch", r.ID(), bs.id)
-		}
-		for i := range cp.Queries {
-			for _, h := range cp.Queries[i].Hits {
-				bs.lists[i].Offer(h)
-			}
-		}
-		bs.cursor = int(cp.Cursor)
-		bs.candidates = cp.Candidates
-		if r.Tracing() {
-			r.Mark("restore", fmt.Sprintf("batch %d resumes at step %d", bs.id, bs.cursor))
-		}
-		bs.restoreBlob = nil
-	}
-	bs.prepared = true
-	return nil
-}
-
-// checkpoint serializes the batch's recovery state to the stable store,
-// charging the write as I/O on the owner's clock.
-func (bk *Backend) checkpoint(r *cluster.Rank, bs *BatchState) {
-	cp := ckpt.Group{Group: bs.id, Cursor: int32(bs.cursor), Candidates: bs.candidates}
-	cp.Queries = make([]ckpt.Query, len(bs.lists))
-	for i, l := range bs.lists {
-		cp.Queries[i] = ckpt.Query{Hits: l.Hits()}
-	}
-	blob := cp.Encode()
-	bk.store.Put(bs.id, blob)
-	r.SetPhase("checkpoint")
-	if r.Tracing() {
-		r.Mark("checkpoint", fmt.Sprintf("batch %d at step %d (%d bytes)", bs.id, bs.cursor, len(blob)))
-	}
-	r.Compute(r.Cost().IOSec(len(blob)))
-	r.SetPhase("scan")
 }

@@ -16,6 +16,16 @@
 //     ranks split into groups; the database is partitioned within a group
 //     and the query set across groups.
 //
+// Database transport is written twice and crash restart once. walkBlocks
+// (algoa.go) is the paper's double-buffered block walk, shared by Algorithm
+// A, SubGroup (Algorithm A inside each group) and Algorithm B's sender
+// group; the sweeper (sweep.go) is the checkpointed group sweep over a
+// stable p0-way partition, shared by RunResilient, RunElastic and the pepd
+// Backend. They differ in when a transported block is freed and in who
+// owns the step cursor, so they stay separate (see sweep.go). recoverLoop
+// (resilient.go) is the one attempt loop behind RunResilient, RunElastic
+// and RunWithRecovery.
+//
 // All engines run on the virtual distributed-memory machine of
 // internal/cluster and produce identical hit lists for identical inputs —
 // the validation property the paper reports ("both implementations A & B
@@ -67,12 +77,12 @@ type Options struct {
 	// Groups is the sub-group count of the SubGroup engine (must divide p).
 	Groups int
 	// ScanMode selects the block-scan kernel: "" or "peptide" for the
-	// peptide-major sweep (default), "query" for the historical query-major
-	// reference, "fragidx" for the inverted fragment-index path. All three
-	// produce bit-identical results — hits, Offer order, stats, traces —
-	// and differ only in host-side speed. Library-backed scoring falls back
-	// from "fragidx" to the peptide-major sweep (the index mirrors the
-	// on-the-fly fragment generator, not curated spectra).
+	// peptide-major sweep (default), "fragidx" for the inverted
+	// fragment-index path. Both produce bit-identical results — hits, Offer
+	// order, stats, traces — and differ only in host-side speed.
+	// Library-backed scoring falls back from "fragidx" to the peptide-major
+	// sweep (the index mirrors the on-the-fly fragment generator, not
+	// curated spectra).
 	ScanMode string
 }
 
@@ -80,8 +90,6 @@ type Options struct {
 const (
 	// ScanModePeptideMajor is the batched index-order sweep (the default).
 	ScanModePeptideMajor = "peptide"
-	// ScanModeQueryMajor is the historical per-query reference scan.
-	ScanModeQueryMajor = "query"
 	// ScanModeFragIdx is the inverted fragment-index scan (internal/fragidx).
 	ScanModeFragIdx = "fragidx"
 )
@@ -116,9 +124,9 @@ func (o Options) Validate() error {
 		return err
 	}
 	switch o.ScanMode {
-	case "", ScanModePeptideMajor, ScanModeQueryMajor, ScanModeFragIdx:
+	case "", ScanModePeptideMajor, ScanModeFragIdx:
 	default:
-		return fmt.Errorf("core: unknown scan mode %q (want peptide, query, or fragidx)", o.ScanMode)
+		return fmt.Errorf("core: unknown scan mode %q (want peptide or fragidx)", o.ScanMode)
 	}
 	return nil
 }
@@ -232,6 +240,16 @@ func share(m, p, i int) (lo, hi int) {
 	return m * i / p, m * (i + 1) / p
 }
 
+// queryBytes is the conditioned-query footprint estimate every engine
+// charges at query load.
+func queryBytes(specs []*spectrum.Spectrum) int {
+	var n int
+	for _, s := range specs {
+		n += 64 + 12*len(s.Peaks)
+	}
+	return n
+}
+
 // prepareQueries conditions a slice of raw spectra and charges the rank's
 // clock for the work.
 func prepareQueries(r *cluster.Rank, specs []*spectrum.Spectrum, cfg score.Config) []*score.Query {
@@ -274,65 +292,6 @@ const prefilterCostFraction = 0.15
 func scanIndex(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
 	var ss scanState
 	return ss.scan(qs, lists, newBlockIndex(ix, nil), sc, opt, idOf)
-}
-
-// scanIndexQueryMajor is the historical query-major scan: for each query in
-// turn, walk its candidate window and evaluate every pair independently. It
-// is retained as the bit-identical reference the property tests compare the
-// peptide-major sweep against.
-//
-// The inner loop is allocation-free per candidate: modification deltas and
-// prefilter fragments reuse scan-level buffers, and a topk.Hit (annotated
-// peptide string, protein-ID lookup) is materialized only after the raw
-// score beats both MinScore and the list's current threshold. A hit scoring
-// strictly below a full list's worst retained score can never be accepted
-// (ties fall through to Offer, whose deterministic tie-break needs the
-// materialized strings), so skipping it changes neither results nor the
-// Offered count that feeds the virtual clock.
-func scanIndexQueryMajor(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
-	var st scanStats
-	mods := opt.Digest.Mods
-	var deltaBuf []float64
-	var fragBuf []spectrum.Fragment
-	for qi, q := range qs {
-		lo, hi := opt.Tol.Window(q.ParentMass)
-		start, end := ix.Window(lo, hi)
-		st.Candidates += int64(end - start)
-		list := lists[qi]
-		for i := start; i < end; i++ {
-			pep := ix.At(i)
-			deltas := pep.AppendModDeltas(deltaBuf, mods)
-			if deltas != nil {
-				deltaBuf = deltas
-			}
-			if opt.Prefilter > 0 {
-				var frac float64
-				frac, fragBuf = score.QuickMatchFractionBuf(q, pep.Seq, deltas, opt.Score, fragBuf)
-				if frac < opt.Prefilter {
-					st.Prefiltered++
-					continue
-				}
-			}
-			s := sc.Score(q, pep.Seq, deltas)
-			if s <= opt.MinScore {
-				continue
-			}
-			if thr, full := list.Threshold(); full && s < thr {
-				continue
-			}
-			hit := topk.Hit{
-				Peptide:   pep.Annotated(mods),
-				Protein:   pep.Protein,
-				ProteinID: idOf(pep.Protein),
-				Mass:      pep.Mass,
-				Score:     s,
-			}
-			if list.Offer(hit) {
-				st.Offered++
-			}
-		}
-	}
-	return st
 }
 
 // scanComputeSec converts scan statistics into the virtual CPU time of the
@@ -398,47 +357,4 @@ func queryIndices(lo, hi int) []int {
 		out[i] = lo + i
 	}
 	return out
-}
-
-// collectRankMetrics snapshots the machine-side stats plus engine-side
-// counters into the result metrics. Engines call it on rank 0 after a
-// final barrier-like gather of the counters.
-func buildMetrics(algo string, mach *cluster.Machine, loadSec, sortSec []float64, candidates []int64, queries []int) Metrics {
-	p := mach.Ranks()
-	m := Metrics{Algorithm: algo, Ranks: p, RunSec: mach.MaxTime()}
-	m.PerRank = make([]RankMetrics, p)
-	for i := 0; i < p; i++ {
-		st := mach.Rank(i).Stats
-		rm := RankMetrics{
-			ComputeSec:       st.ComputeSec,
-			TotalCommSec:     st.TotalCommSec,
-			ResidualCommSec:  st.ResidualCommSec,
-			SyncWaitSec:      st.SyncWaitSec,
-			BytesSent:        st.BytesSent,
-			BytesReceived:    st.BytesReceived,
-			RMABytesReceived: st.RMABytesReceived,
-			RMARetries:       st.RMARetries,
-			RMAFailures:      st.RMAFailures,
-			Messages:         st.Messages,
-			MaxResidentBytes: st.MaxResidentBytes,
-		}
-		if loadSec != nil {
-			rm.LoadSec = loadSec[i]
-		}
-		if sortSec != nil {
-			rm.SortSec = sortSec[i]
-			if sortSec[i] > m.SortSec {
-				m.SortSec = sortSec[i]
-			}
-		}
-		if candidates != nil {
-			rm.Candidates = candidates[i]
-			m.Candidates += candidates[i]
-		}
-		if queries != nil {
-			rm.Queries = queries[i]
-		}
-		m.PerRank[i] = rm
-	}
-	return m
 }

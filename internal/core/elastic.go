@@ -1,14 +1,14 @@
-// The elastic transport loop: Algorithm A's block-cycled scan over a LIVE
+// The elastic engine: the checkpointed group sweep (sweep.go) over a LIVE
 // membership — ranks join and leave a running machine at scheduled virtual
 // times, with ownership rebalanced through the placement layer and the
 // final hits bit-identical to a static run.
 //
-// The job keeps the stable logical structure of the resilient engine: the
-// database is partitioned once into p0 record-aligned blocks and the
-// queries into p0 groups, p0 = MembershipPlan.Initial. A placement.Plan
-// maps both onto the current membership; the initial plan is the historical
-// round-robin partition, and every membership change advances it with
-// placement.Next, which moves only the minimal orphaned-or-over-quota set.
+// The job keeps the sweep's stable logical structure: the database is
+// partitioned once into p0 record-aligned blocks and the queries into p0
+// groups, p0 = MembershipPlan.Initial. A placement.Plan maps both onto the
+// current membership; the initial plan is the historical round-robin
+// partition, and every membership change advances it with placement.Next,
+// which moves only the minimal orphaned-or-over-quota set.
 //
 // The scan is step-major: at global step s every owned group g offers block
 // (g+s) mod p0, so all groups share one cursor and the per-group offer
@@ -38,22 +38,20 @@
 // multiset, each group's offers stay s-ascending across any join/leave
 // history (checkpoints reflect exactly the pre-cursor blocks), and the
 // group→block schedule never depends on placement. A crash aborts the
-// attempt and the driver replays the membership schedule without the dead
-// ranks on a fresh machine, resuming from the checkpoint store.
+// attempt and recoverLoop (resilient.go) replays the membership schedule
+// without the dead ranks on a fresh machine, resuming from the checkpoint
+// store.
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
-	"pepscale/internal/fasta"
 	"pepscale/internal/placement"
-	"pepscale/internal/score"
-	"pepscale/internal/topk"
-	"pepscale/internal/trace"
 )
 
 // ElasticOptions configures the elastic driver.
@@ -107,96 +105,32 @@ func runElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions, 
 	if epoch < 1 {
 		epoch = 1
 	}
-	p0 := mp.Initial
-	maxAttempts := eopt.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = mp.Universe
-	}
 	store := ckpt.NewStore()
-	rec := &Recovery{}
-	dead := make(map[int]bool)
-	var timeBase float64
-	var atts []*trace.Attempt
-	for attempt := 0; ; attempt++ {
-		initial := filterRanks(mp.InitialMembers(), dead)
-		if len(initial) == 0 {
-			// The whole starting roster died across attempts: restart on the
-			// lowest surviving universe rank (placement is indifferent).
-			for id := 0; id < mp.Universe; id++ {
-				if !dead[id] {
-					initial = []int{id}
-					break
-				}
+	return recoverLoop("elastic", mp.Universe, eopt.MaxAttempts, eopt.Faults, store, func(failed []int, timeBase float64) (*attemptPlan, error) {
+		dead := make(map[int]bool, len(failed))
+		for _, f := range failed {
+			dead[f] = true
+		}
+		initial := slices.DeleteFunc(mp.InitialMembers(), func(id int) bool { return dead[id] })
+		// The whole starting roster died across attempts: restart on the
+		// lowest surviving universe rank (placement is indifferent).
+		for id := 0; len(initial) == 0 && id < mp.Universe; id++ {
+			if !dead[id] {
+				initial = []int{id}
 			}
 		}
 		if len(initial) == 0 {
-			return nil, rec, fmt.Errorf("core: all %d ranks failed", mp.Universe)
+			return nil, fmt.Errorf("core: all %d ranks failed", mp.Universe)
 		}
-		es := &elasticSchedule{p0: p0, epoch: epoch, initial: initial,
+		es := &elasticSchedule{p0: mp.Initial, epoch: epoch, initial: initial,
 			events: filterEvents(mp.Events, dead), timeBase: timeBase}
 		c := cfg
 		c.Ranks = mp.Universe
 		c.Members = initial
-		c.Fault = nil
-		if attempt < len(eopt.Faults) {
-			c.Fault = eopt.Faults[attempt]
-		}
-		mach, err := cluster.New(c)
-		if err != nil {
-			return nil, rec, err
-		}
 		sh := newShared(mp.Universe, cache)
-		rep := mach.RunWithReport(func(r *cluster.Rank) error {
-			return elasticBody(r, in, opt, es, store, sh)
-		})
-		rec.Attempts = append(rec.Attempts, RecoveryAttempt{
-			Ranks:       len(initial),
-			Err:         rep.Err,
-			FailedRanks: rep.FailedRanks,
-			RunSec:      mach.MaxTime(),
-		})
-		rec.CheckpointWrites = store.Writes()
-		rec.CheckpointBytes = store.Bytes()
-		if att := mach.Trace(fmt.Sprintf("attempt %d: elastic p0=%d", attempt, len(initial))); att != nil {
-			atts = append(atts, att)
-		}
-		if rep.OK() {
-			metrics := buildMetrics("elastic", mach, sh.loadSec, sh.sortSec, sh.candidates, sh.queries)
-			metrics.RunSec += timeBase
-			for i := range metrics.PerRank {
-				metrics.PerRank[i].MigrationBytes = sh.migBytes[i]
-			}
-			for _, qr := range sh.merged {
-				metrics.Hits += int64(len(qr.Hits))
-			}
-			res := &Result{Queries: sh.merged, Metrics: metrics}
-			if len(atts) > 0 {
-				res.Trace = &trace.Trace{Attempts: atts}
-			}
-			return res, rec, nil
-		}
-		if !rep.Recoverable() {
-			return nil, rec, rep.Err
-		}
-		if attempt+1 >= maxAttempts {
-			return nil, rec, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, rep.Err)
-		}
-		for _, f := range rep.FailedRanks {
-			dead[f] = true
-		}
-		timeBase += mach.MaxTime()
-	}
-}
-
-// filterRanks drops dead ranks from an ascending list.
-func filterRanks(ids []int, dead map[int]bool) []int {
-	out := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if !dead[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+		return &attemptPlan{cfg: c, ranks: len(initial), label: fmt.Sprintf("elastic p0=%d", len(initial)), sh: sh,
+			body: func(r *cluster.Rank) error { return elasticBody(r, in, opt, es, store, sh) }}, nil
+	})
 }
 
 // filterEvents removes dead ranks from a schedule, dropping events it
@@ -222,40 +156,17 @@ func filterEvents(events []cluster.MemberEvent, dead map[int]bool) []cluster.Mem
 	return out
 }
 
-// blockWinName names database block b's RMA window at migration generation
-// gen: the original exposure keeps the resilient engine's name, every
-// migration re-exposes under a bumped generation (windows are immutable and
-// outlive rank bodies, so a rank re-acquiring a block within one attempt
-// needs a fresh key).
-func blockWinName(b int, gen int32) string {
-	if gen == 0 {
-		return dbBlockWindow(b)
-	}
-	return fmt.Sprintf("db%d.g%d", b, gen)
-}
-
-// eBlock is one resident database block.
-type eBlock struct {
-	raw  []byte
-	recs []fasta.Record
-}
-
-// elasticState is one rank's live view of the elastic run. Every field is
-// recomputed deterministically from the schedule (or received once in the
-// admission payload), so all members always agree on plan, generations, and
-// event cursor without exchanging any further coordination state.
+// elasticState is one rank's live view of the elastic run: its sweeper plus
+// the step and event cursors. Every field is recomputed deterministically
+// from the schedule (or received once in the admission payload), so all
+// members always agree on plan, generations, and event cursor without
+// exchanging any further coordination state.
 type elasticState struct {
-	plan     *placement.Plan
+	*sweeper
 	scr      placement.Scratch
 	eventIdx int
 	s        int // next scan step
 	nextB    int // next epoch-boundary step
-	bases    []int32
-	gen      []int32
-	blocks   map[int]*eBlock
-	groups   map[int]*rgroup
-	sc       score.Scorer
-	shim     *loaded
 	loadT    float64
 }
 
@@ -263,7 +174,7 @@ type elasticState struct {
 // run the search from step 0; dormant ranks park until admitted (possibly
 // repeatedly — a graceful leaver parks again) or released.
 func elasticBody(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store, sh *shared) error {
-	active := containsInt(es.initial, r.ID())
+	_, active := slices.BinarySearch(es.initial, r.ID())
 	for {
 		var st *elasticState
 		var err error
@@ -279,7 +190,7 @@ func elasticBody(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 		if err != nil {
 			return err
 		}
-		departed, err := elasticMain(r, in, opt, es, store, sh, st)
+		departed, err := elasticMain(r, in, es, sh, st)
 		if err != nil {
 			return err
 		}
@@ -294,124 +205,47 @@ func elasticBody(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 // blocks of the round-robin plan, agree on protein-index bases over the
 // initial membership's communicator, and build/restore the owned groups.
 func elasticStart(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store, sh *shared) (*elasticState, error) {
-	id := r.ID()
-	cost := r.Cost()
 	t0 := r.Time()
 	r.SetPhase("load")
 	plan, err := placement.RoundRobin(es.p0, es.p0, es.initial)
 	if err != nil {
 		return nil, err
 	}
-	st := &elasticState{plan: plan, nextB: es.epoch,
-		gen: make([]int32, es.p0), blocks: make(map[int]*eBlock), groups: make(map[int]*rgroup)}
-
-	ranges := fasta.Ranges(in.DBData, es.p0)
-	myBlocks := plan.BlocksOf(id)
-	for _, b := range myBlocks {
-		rg := ranges[b]
-		raw := in.DBData[rg.Start:rg.End]
-		r.Compute(cost.IOSec(len(raw)))
-		r.NoteAlloc(int64(len(raw)))
-		recs, err := sh.cache.recsFor(blockKey(b, len(raw)), raw)
-		if err != nil {
-			return nil, fmt.Errorf("rank %d: load block %d: %w", id, b, err)
-		}
-		st.blocks[b] = &eBlock{raw: raw, recs: recs}
-		r.Expose(blockWinName(b, 0), raw)
+	sw, err := newSweeper(r, in.DBData, opt, sh.cache, store, "group", plan, make([]int32, es.p0))
+	if err != nil {
+		return nil, err
 	}
-
+	st := &elasticState{sweeper: sw, nextB: es.epoch}
+	if err := sw.loadOwned(); err != nil {
+		return nil, err
+	}
 	// Protein-index bases over the initial membership only — the world
 	// communicator is off-limits: dormant ranks are parked and must never
 	// be awaited.
 	comm := r.Group(es.initial)
-	payload := make([]byte, 8*len(myBlocks))
-	for i, b := range myBlocks {
-		binary.LittleEndian.PutUint64(payload[8*i:], uint64(len(st.blocks[b].recs)))
-	}
-	counts := comm.Allgather(payload)
-	nrecs := make([]int32, es.p0)
-	for j, buf := range counts {
-		for k, b := range plan.BlocksOf(es.initial[j]) {
-			nrecs[b] = int32(binary.LittleEndian.Uint64(buf[8*k:]))
-		}
-	}
-	st.bases = make([]int32, es.p0)
-	var acc int32
-	for b := 0; b < es.p0; b++ {
-		st.bases[b] = acc
-		acc += nrecs[b]
-	}
-
-	if st.sc, err = score.New(opt.ScorerName, opt.Score); err != nil {
+	if err := sw.agreeBases(comm); err != nil {
 		return nil, err
 	}
-	for _, g := range plan.GroupsOf(id) {
-		gr, _, err := loadGroup(r, in, opt, es.p0, store, g)
-		if err != nil {
+	for _, g := range plan.GroupsOf(r.ID()) {
+		if err := sw.loadShare(in.Queries, g); err != nil {
 			return nil, err
 		}
-		st.groups[g] = gr
 	}
-	st.shim = &loaded{sc: st.sc, cache: sh.cache}
 	comm.Barrier() // all initial windows exposed
 	st.loadT = r.Time() - t0
 	return st, nil
-}
-
-// loadGroup builds query group g (conditioning charged as I/O plus prep),
-// restoring its cursor state from the stable store when a checkpoint
-// exists. It returns the restored blob size (0 for a fresh group).
-func loadGroup(r *cluster.Rank, in Input, opt Options, p0 int, store *ckpt.Store, g int) (*rgroup, int, error) {
-	cost := r.Cost()
-	qlo, qhi := share(len(in.Queries), p0, g)
-	specs := in.Queries[qlo:qhi]
-	var qbytes int
-	for _, s := range specs {
-		qbytes += 64 + 12*len(s.Peaks)
-	}
-	r.Compute(cost.IOSec(qbytes))
-	r.NoteAlloc(int64(qbytes))
-	gr := &rgroup{g: g, qlo: qlo, qhi: qhi, qs: prepareQueries(r, specs, opt.Score)}
-	gr.lists = make([]*topk.List, len(gr.qs))
-	for i := range gr.lists {
-		gr.lists[i] = topk.New(opt.Tau)
-	}
-	var restored int
-	if blob, ok := store.Get(int32(g)); ok {
-		r.Compute(cost.IOSec(len(blob)))
-		cp, err := ckpt.Decode(blob)
-		if err != nil {
-			return nil, 0, fmt.Errorf("rank %d: restore group %d: %w", r.ID(), g, err)
-		}
-		if int(cp.Group) != g || len(cp.Queries) != len(gr.qs) || int(cp.Cursor) > p0 {
-			return nil, 0, fmt.Errorf("rank %d: restore group %d: checkpoint shape mismatch", r.ID(), g)
-		}
-		for i := range cp.Queries {
-			for _, h := range cp.Queries[i].Hits {
-				gr.lists[i].Offer(h)
-			}
-		}
-		gr.cursor = int(cp.Cursor)
-		gr.candidates = cp.Candidates
-		restored = len(blob)
-		if r.Tracing() {
-			r.Mark("restore", fmt.Sprintf("group %d resumes at step %d", g, gr.cursor))
-		}
-	}
-	return gr, restored, nil
 }
 
 // elasticMain runs the step-major scan from st.s, handling epoch boundaries
 // (checkpoint, agreed-time event firing, admissions, migrations) until the
 // sweep completes or this rank leaves the membership. It returns
 // departed=true when the rank left gracefully and should park again.
-func elasticMain(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store, sh *shared, st *elasticState) (bool, error) {
-	id := r.ID()
+func elasticMain(r *cluster.Rank, in Input, es *elasticSchedule, sh *shared, st *elasticState) (bool, error) {
 	r.SetPhase("scan")
 	for ; st.s < es.p0; st.s++ {
 		if st.s == st.nextB {
 			st.nextB += es.epoch
-			departed, err := elasticBoundary(r, in, opt, es, store, sh, st)
+			departed, err := elasticBoundary(r, in, es, sh, st)
 			if err != nil {
 				return false, err
 			}
@@ -419,88 +253,42 @@ func elasticMain(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 				return true, nil
 			}
 		}
-		s := st.s
-		r.SetStep(s)
-		for _, g := range sortedGroupIDs(st.groups) {
-			gr := st.groups[g]
-			if s < gr.cursor || len(gr.qs) == 0 {
+		// Tag the step on every member, not only inside sweeper.step: a
+		// member that drives no group still reaches the next boundary, and
+		// its events there carry this step.
+		r.SetStep(st.s)
+		for _, gr := range st.sortedGroups() {
+			if st.s < gr.cursor || len(gr.qs) == 0 {
 				continue
 			}
-			b := (g + s) % es.p0
-			var recs []fasta.Record
-			var key cacheKey
-			var alloc int64
-			if owner := st.plan.BlockRank(b); owner == id {
-				ob := st.blocks[b]
-				recs, key = ob.recs, blockKey(b, len(ob.raw))
-			} else {
-				data, err := r.Get(owner, blockWinName(b, st.gen[b])).Wait()
-				if err != nil {
-					return false, err
-				}
-				alloc = int64(len(data))
-				r.NoteAlloc(alloc)
-				key = blockKey(b, len(data))
-				if recs, err = sh.cache.recsFor(key, data); err != nil {
-					return false, fmt.Errorf("rank %d: block %d: %w", id, b, err)
-				}
-			}
-			c, err := processBlock(r, st.shim, opt, gr.qs, gr.lists, recs, contiguousGIDs(st.bases[b], len(recs)), blockIDResolver(recs, st.bases[b]), key)
-			if err != nil {
+			if err := st.step(gr, st.s, false); err != nil {
 				return false, err
 			}
-			gr.candidates += c
-			if alloc > 0 {
-				r.NoteFree(alloc)
-			}
-			gr.cursor = s + 1
 		}
 	}
-	r.SetStep(-1)
-	r.SetPhase("report")
 
 	// Report over the final membership; the lowest member merges and then
 	// releases every parked rank so the machine can complete.
-	var results []QueryResult
-	var totalCand int64
-	var nq int
-	for _, g := range sortedGroupIDs(st.groups) {
-		gr := st.groups[g]
-		results = append(results, finalizeResults(queryIndices(gr.qlo, gr.qhi), gr.qs, gr.lists)...)
-		totalCand += gr.candidates
-		nq += len(gr.qs)
-	}
-	var hits int
-	for _, qr := range results {
-		hits += len(qr.Hits)
-	}
-	r.Compute(r.Cost().HitSecPerHit * float64(hits))
 	comm := r.Group(st.plan.Members)
-	gathered := comm.Gather(0, encodeResults(results))
+	if err := st.report(comm, len(in.Queries), st.loadT, sh); err != nil {
+		return false, err
+	}
 	if comm.Index() == 0 {
-		merged, err := mergeGathered(gathered, len(in.Queries))
-		if err != nil {
-			return false, err
-		}
-		sh.merged = merged
 		for rank := 0; rank < r.Size(); rank++ {
 			if !st.plan.IsMember(rank) {
 				r.Release(rank)
 			}
 		}
 	}
-	sh.loadSec[id] = st.loadT
-	sh.candidates[id] = totalCand
-	sh.queries[id] = nq
 	return false, nil
 }
 
 // elasticBoundary handles one epoch boundary on an active member.
-func elasticBoundary(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store, sh *shared, st *elasticState) (bool, error) {
+func elasticBoundary(r *cluster.Rank, in Input, es *elasticSchedule, sh *shared, st *elasticState) (bool, error) {
 	// 1. Checkpoint every owned group at the shared cursor, so any group
 	// that migrates (or any crash) resumes exactly here.
-	for _, g := range sortedGroupIDs(st.groups) {
-		writeCheckpoint(r, store, st.groups[g])
+	for _, gr := range st.sortedGroups() {
+		st.checkpoint(gr)
 	}
 	// 2. Agree on the boundary's virtual time; fire every event it reaches.
 	comm := r.Group(st.plan.Members)
@@ -510,7 +298,7 @@ func elasticBoundary(r *cluster.Rank, in Input, opt Options, es *elasticSchedule
 		newMembers = applyEvent(newMembers, es.events[st.eventIdx])
 		st.eventIdx++
 	}
-	if equalInts(newMembers, st.plan.Members) {
+	if slices.Equal(newMembers, st.plan.Members) {
 		return false, nil
 	}
 	r.SetPhase("migrate")
@@ -521,13 +309,13 @@ func elasticBoundary(r *cluster.Rank, in Input, opt Options, es *elasticSchedule
 			r.Admit(j, encodeAdmission(st, newMembers, es.p0))
 		}
 	}
-	return elasticApply(r, in, opt, es, store, sh, st, newMembers)
+	return elasticApply(r, in, sh, st, newMembers)
 }
 
 // elasticApply runs the post-agreement tail of a boundary — plan advance,
 // migrations, union synchronization, departure — identically on continuing
 // members and joiners.
-func elasticApply(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, store *ckpt.Store, sh *shared, st *elasticState, newMembers []int) (bool, error) {
+func elasticApply(r *cluster.Rank, in Input, sh *shared, st *elasticState, newMembers []int) (bool, error) {
 	id := r.ID()
 	r.SetPhase("migrate")
 	next, err := st.scr.Next(st.plan, newMembers)
@@ -541,34 +329,24 @@ func elasticApply(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, s
 	for _, mg := range migs {
 		switch mg.Kind {
 		case placement.MigrateBlock:
+			// Every rank bumps the generation; the source window is named
+			// with the generation before the bump.
 			oldName := blockWinName(mg.ID, st.gen[mg.ID])
 			st.gen[mg.ID]++
 			if mg.To == id {
-				data, err := r.Get(mg.From, oldName).Wait()
+				n, err := st.fetchMigrated(mg.ID, mg.From, oldName)
 				if err != nil {
 					return false, err
 				}
-				r.NoteAlloc(int64(len(data)))
-				recs, err := sh.cache.recsFor(blockKey(mg.ID, len(data)), data)
-				if err != nil {
-					return false, fmt.Errorf("rank %d: migrate block %d: %w", id, mg.ID, err)
-				}
-				st.blocks[mg.ID] = &eBlock{raw: data, recs: recs}
-				r.Expose(blockWinName(mg.ID, st.gen[mg.ID]), data)
-				sh.migBytes[id] += int64(len(data))
+				sh.migBytes[id] += n
 			} else if mg.From == id {
-				if ob := st.blocks[mg.ID]; ob != nil {
-					r.NoteFree(int64(len(ob.raw)))
-					delete(st.blocks, mg.ID)
-				}
+				r.NoteFree(int64(len(st.block(mg.ID))))
 			}
 		case placement.MigrateGroup:
 			if mg.To == id {
-				gr, _, err := loadGroup(r, in, opt, es.p0, store, mg.ID)
-				if err != nil {
+				if err := st.loadShare(in.Queries, mg.ID); err != nil {
 					return false, err
 				}
-				st.groups[mg.ID] = gr
 			} else if mg.From == id {
 				delete(st.groups, mg.ID)
 			}
@@ -598,13 +376,13 @@ func elasticJoin(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 	}
 	prev := &placement.Plan{Blocks: es.p0, Groups: es.p0, Members: ad.oldMembers,
 		BlockOwner: ad.blockOwner, GroupOwner: ad.groupOwner}
-	st := &elasticState{plan: prev, eventIdx: ad.eventIdx, s: ad.step, nextB: ad.step + es.epoch,
-		bases: ad.bases, gen: ad.gen, blocks: make(map[int]*eBlock), groups: make(map[int]*rgroup)}
-	if st.sc, err = score.New(opt.ScorerName, opt.Score); err != nil {
+	sw, err := newSweeper(r, in.DBData, opt, sh.cache, store, "group", prev, ad.gen)
+	if err != nil {
 		return nil, err
 	}
-	st.shim = &loaded{sc: st.sc, cache: sh.cache}
-	departed, err := elasticApply(r, in, opt, es, store, sh, st, ad.newMembers)
+	sw.bases = ad.bases
+	st := &elasticState{sweeper: sw, eventIdx: ad.eventIdx, s: ad.step, nextB: ad.step + es.epoch}
+	departed, err := elasticApply(r, in, sh, st, ad.newMembers)
 	if err != nil {
 		return nil, err
 	}
@@ -743,28 +521,11 @@ func appendIntList(out []byte, vs []int) []byte {
 	return out
 }
 
-// sortedGroupIDs returns the map's keys ascending — the deterministic
-// iteration order every per-rank group walk uses.
-func sortedGroupIDs(groups map[int]*rgroup) []int {
-	out := make([]int, 0, len(groups))
-	//pepvet:allow determinism keys are sorted immediately below; no iteration order escapes
-	for g := range groups {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func containsInt(sorted []int, v int) bool {
-	i := sort.SearchInts(sorted, v)
-	return i < len(sorted) && sorted[i] == v
-}
-
 // diffSorted returns the elements of a not present in b (both ascending).
 func diffSorted(a, b []int) []int {
 	var out []int
 	for _, v := range a {
-		if !containsInt(b, v) {
+		if _, ok := slices.BinarySearch(b, v); !ok {
 			out = append(out, v)
 		}
 	}
@@ -790,16 +551,4 @@ func unionSorted(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

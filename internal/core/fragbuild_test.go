@@ -138,7 +138,7 @@ func TestFragIdxBuiltOncePerBlock(t *testing.T) {
 			o := opt
 			o.Groups = 2
 			cache := newIndexCache()
-			res, _, err := runReported(e.algo, clusterCfg(e.ranks), in, o, cache)
+			res, err := runOn(e.algo, clusterCfg(e.ranks), in, o, cache)
 			if err != nil {
 				t.Fatal(err)
 			}

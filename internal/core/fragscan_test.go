@@ -186,7 +186,7 @@ func TestFragIdxLibraryFallback(t *testing.T) {
 
 // TestScanModeValidate pins the option-validation surface of ScanMode.
 func TestScanModeValidate(t *testing.T) {
-	for _, mode := range []string{"", ScanModePeptideMajor, ScanModeQueryMajor, ScanModeFragIdx} {
+	for _, mode := range []string{"", ScanModePeptideMajor, ScanModeFragIdx} {
 		opt := DefaultOptions()
 		opt.ScanMode = mode
 		if err := opt.Validate(); err != nil {
@@ -194,9 +194,12 @@ func TestScanModeValidate(t *testing.T) {
 		}
 	}
 	opt := DefaultOptions()
-	opt.ScanMode = "inverted"
-	if err := opt.Validate(); err == nil {
-		t.Error("invalid scan mode accepted")
+	// "query" named the query-major reference until it became test-only.
+	for _, mode := range []string{"inverted", "query"} {
+		opt.ScanMode = mode
+		if err := opt.Validate(); err == nil {
+			t.Errorf("invalid scan mode %q accepted", mode)
+		}
 	}
 	if math.IsNaN(opt.MinScore) {
 		t.Error("sanity")

@@ -94,10 +94,7 @@ func mwMaster(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	cost := r.Cost()
 	r.SetPhase("load")
 	m := len(in.Queries)
-	var qbytes int
-	for _, s := range in.Queries {
-		qbytes += 64 + 12*len(s.Peaks)
-	}
+	qbytes := queryBytes(in.Queries)
 	r.Compute(cost.IOSec(qbytes)) // master loads Q into local memory
 	r.NoteAlloc(int64(qbytes))
 

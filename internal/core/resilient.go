@@ -1,39 +1,28 @@
-// The resilient transport loop: Algorithm A's block-cycled scan hardened
-// with epoch checkpoint/restart.
+// The resilient engine and the crash-restart driver.
 //
-// The database is partitioned ONCE into p0 record-aligned blocks (p0 = the
-// initial rank count) and the queries into p0 groups — the job's stable
-// logical structure, independent of how many ranks survive. On an attempt
-// with p′ ≤ p0 live ranks, block b is owned (and exposed) by rank b mod p′
-// and group g is driven by rank g mod p′; group g scans blocks (g+s) mod p0
-// for s = 0..p0−1, which at p′ = p0 is exactly Algorithm A's schedule. Every
-// CheckpointEvery steps a group's recovery state — top-τ hit lists, the
-// step cursor s, the candidate counter — is serialized (internal/ckpt) to
-// the host-side stable store, its write charged as I/O on the virtual
-// clock.
+// RunResilient is the checkpointed group sweep (sweep.go) in its group-major
+// nest: on an attempt with p′ ≤ p0 live ranks the round-robin plan puts block
+// b on rank b mod p′ and group g on rank g mod p′, each owned group sweeps
+// blocks (g+s) mod p0 for s = cursor..p0−1 — at p′ = p0 exactly Algorithm A's
+// schedule, prefetch masking included — and checkpoints every
+// CheckpointEvery steps.
 //
-// When a rank fails (cluster.RunReport.Recoverable), the driver re-runs the
+// When a rank fails (cluster.RunReport.Recoverable), recoverLoop re-runs the
 // body on the survivors: the lost rank's blocks and groups re-partition
 // round-robin among p′−1 ranks, and each group resumes at its checkpointed
-// cursor. Final hits are bit-identical to the failure-free run: a top-τ
-// list's content is a pure function of the multiset of offers (topk's
-// strict total order breaks all ties), each group re-offers exactly the
-// post-cursor blocks against the checkpoint that reflects exactly the
-// pre-cursor blocks, and the group→block schedule never depends on the
-// rank count. Resident memory stays O(N/p′): a rank holds its ⌈p0/p′⌉
-// owned blocks plus one transported block plus one block index.
+// cursor. Resident memory stays O(N/p′): a rank holds its ⌈p0/p′⌉ owned
+// blocks plus one transported block plus one block index. The same loop
+// drives RunElastic (elastic.go), which replays its membership schedule
+// without the dead ranks, and RunWithRecovery, which has no checkpoints and
+// restarts a standard engine from scratch.
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
-	"pepscale/internal/fasta"
 	"pepscale/internal/placement"
-	"pepscale/internal/score"
-	"pepscale/internal/topk"
 	"pepscale/internal/trace"
 )
 
@@ -72,9 +61,88 @@ type Recovery struct {
 	CheckpointBytes  int64
 }
 
-// dbBlockWindow names the RMA window exposing database block b.
-func dbBlockWindow(b int) string {
-	return fmt.Sprintf("db%d", b)
+// attemptPlan is one driver attempt as its engine lays it out on the ranks
+// still alive.
+type attemptPlan struct {
+	// cfg is the attempt's machine (recoverLoop sets its fault schedule).
+	cfg cluster.Config
+	// ranks is the live rank count recorded in RecoveryAttempt.Ranks.
+	ranks int
+	// label names the attempt in the trace, after "attempt N: ".
+	label string
+	sh    *shared
+	body  func(*cluster.Rank) error
+}
+
+// recoverLoop is the crash-restart driver: it runs attempts until one
+// succeeds, a failure is not recoverable, or maxAttempts (default: universe)
+// is spent. plan lays out the next attempt given every rank that failed so
+// far (in the numbering of the attempt it failed in) and the virtual time the
+// failed attempts consumed. The returned metrics describe the successful
+// attempt, with RunSec accumulating the failed attempts' virtual time (the
+// wall-clock cost of the failures); store, when the engine checkpoints,
+// feeds the Recovery's stable-store counters.
+func recoverLoop(name string, universe, maxAttempts int, faults []*cluster.FaultPlan, store *ckpt.Store,
+	plan func(dead []int, failedSec float64) (*attemptPlan, error)) (*Result, *Recovery, error) {
+	if maxAttempts <= 0 {
+		maxAttempts = universe
+	}
+	rec := &Recovery{}
+	var dead []int
+	var failedSec float64
+	var atts []*trace.Attempt
+	for attempt := 0; ; attempt++ {
+		ap, err := plan(dead, failedSec)
+		if err != nil {
+			return nil, rec, err
+		}
+		ap.cfg.Fault = nil
+		if attempt < len(faults) {
+			ap.cfg.Fault = faults[attempt]
+		}
+		mach, err := cluster.New(ap.cfg)
+		if err != nil {
+			return nil, rec, err
+		}
+		rep := mach.RunWithReport(ap.body)
+		rec.Attempts = append(rec.Attempts, RecoveryAttempt{
+			Ranks:       ap.ranks,
+			Err:         rep.Err,
+			FailedRanks: rep.FailedRanks,
+			RunSec:      mach.MaxTime(),
+		})
+		if store != nil {
+			rec.CheckpointWrites, rec.CheckpointBytes = store.Writes(), store.Bytes()
+		}
+		if att := mach.Trace(fmt.Sprintf("attempt %d: %s", attempt, ap.label)); att != nil {
+			atts = append(atts, att)
+		}
+		if rep.OK() {
+			// buildResult has summed the hits; only the failed attempts'
+			// time is added here.
+			res := buildResult(name, mach, ap.sh, atts)
+			res.Metrics.RunSec += failedSec
+			return res, rec, nil
+		}
+		if !rep.Recoverable() {
+			return nil, rec, rep.Err
+		}
+		if attempt+1 >= maxAttempts {
+			return nil, rec, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, rep.Err)
+		}
+		dead = append(dead, rep.FailedRanks...)
+		failedSec += mach.MaxTime()
+	}
+}
+
+// shrunk is cfg on the ranks left after dead failures: the engines that
+// renumber survivors 0..p′−1 only need the count.
+func shrunk(cfg cluster.Config, dead []int) (cluster.Config, error) {
+	p0 := cfg.Ranks
+	if cfg.Ranks -= len(dead); cfg.Ranks < 1 {
+		return cfg, fmt.Errorf("core: all %d ranks failed", p0)
+	}
+	return cfg, nil
 }
 
 // RunResilient executes the checkpointed Algorithm-A-style search,
@@ -97,91 +165,26 @@ func runResilient(cfg cluster.Config, in Input, opt Options, ropt ResilientOptio
 	if p0 < 1 {
 		return nil, nil, fmt.Errorf("core: need at least 1 rank, got %d", p0)
 	}
-	maxAttempts := ropt.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = p0
-	}
 	store := ckpt.NewStore()
-	rec := &Recovery{}
-	dead := 0
-	var failedSec float64
-	var atts []*trace.Attempt
-	for attempt := 0; ; attempt++ {
-		pLive := p0 - dead
-		if pLive < 1 {
-			return nil, rec, fmt.Errorf("core: all %d ranks failed", p0)
-		}
-		c := cfg
-		c.Ranks = pLive
-		c.Fault = nil
-		if attempt < len(ropt.Faults) {
-			c.Fault = ropt.Faults[attempt]
-		}
-		mach, err := cluster.New(c)
+	return recoverLoop("resilient", p0, ropt.MaxAttempts, ropt.Faults, store, func(dead []int, _ float64) (*attemptPlan, error) {
+		c, err := shrunk(cfg, dead)
 		if err != nil {
-			return nil, rec, err
+			return nil, err
 		}
-		sh := newShared(pLive, cache)
-		rep := mach.RunWithReport(func(r *cluster.Rank) error {
-			return resilientBody(r, in, opt, ropt, p0, store, sh)
-		})
-		rec.Attempts = append(rec.Attempts, RecoveryAttempt{
-			Ranks:       pLive,
-			Err:         rep.Err,
-			FailedRanks: rep.FailedRanks,
-			RunSec:      mach.MaxTime(),
-		})
-		rec.CheckpointWrites = store.Writes()
-		rec.CheckpointBytes = store.Bytes()
-		if att := mach.Trace(fmt.Sprintf("attempt %d: resilient p=%d", attempt, pLive)); att != nil {
-			atts = append(atts, att)
-		}
-		if rep.OK() {
-			metrics := buildMetrics("resilient", mach, sh.loadSec, sh.sortSec, sh.candidates, sh.queries)
-			metrics.RunSec += failedSec
-			for _, qr := range sh.merged {
-				metrics.Hits += int64(len(qr.Hits))
-			}
-			res := &Result{Queries: sh.merged, Metrics: metrics}
-			if len(atts) > 0 {
-				res.Trace = &trace.Trace{Attempts: atts}
-			}
-			return res, rec, nil
-		}
-		if !rep.Recoverable() {
-			return nil, rec, rep.Err
-		}
-		if attempt+1 >= maxAttempts {
-			return nil, rec, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, rep.Err)
-		}
-		dead += len(rep.FailedRanks)
-		failedSec += mach.MaxTime()
-	}
-}
-
-// rgroup is one query group's in-flight state on its driving rank.
-type rgroup struct {
-	g          int
-	qlo, qhi   int
-	qs         []*score.Query
-	lists      []*topk.List
-	cursor     int
-	candidates int64
+		sh := newShared(c.Ranks, cache)
+		return &attemptPlan{cfg: c, ranks: c.Ranks, label: fmt.Sprintf("resilient p=%d", c.Ranks), sh: sh,
+			body: func(r *cluster.Rank) error { return resilientBody(r, in, opt, ropt, p0, store, sh) }}, nil
+	})
 }
 
 // resilientBody is one attempt's rank program; p0 is the stable logical
-// partition width (the initial rank count).
-//
-// Ownership comes from the placement layer's RoundRobin plan over the
-// attempt's ranks 0..p−1, which reproduces the historical modular partition
-// (block b and group g on rank b mod p) assignment-for-assignment — the
-// refactor changes no owner, no virtual time, and no trace byte.
+// partition width (the initial rank count). Ownership is the placement
+// layer's RoundRobin plan over the attempt's ranks 0..p−1 (block b and group
+// g on rank b mod p).
 func resilientBody(r *cluster.Rank, in Input, opt Options, ropt ResilientOptions, p0 int, store *ckpt.Store, sh *shared) error {
-	p, id := r.Size(), r.ID()
-	cost := r.Cost()
 	t0 := r.Time()
 	r.SetPhase("load")
-	members := make([]int, p)
+	members := make([]int, r.Size())
 	for i := range members {
 		members[i] = i
 	}
@@ -189,204 +192,40 @@ func resilientBody(r *cluster.Rank, in Input, opt Options, ropt ResilientOptions
 	if err != nil {
 		return err
 	}
-
-	// Load and expose the owned blocks of the stable p0-way partition.
-	type ownedBlock struct {
-		raw  []byte
-		recs []fasta.Record
-	}
-	ranges := fasta.Ranges(in.DBData, p0)
-	myBlocks := plan.BlocksOf(id)
-	owned := make(map[int]*ownedBlock, len(myBlocks))
-	for _, b := range myBlocks {
-		rg := ranges[b]
-		raw := in.DBData[rg.Start:rg.End]
-		r.Compute(cost.IOSec(len(raw)))
-		r.NoteAlloc(int64(len(raw)))
-		recs, err := sh.cache.recsFor(blockKey(b, len(raw)), raw)
-		if err != nil {
-			return fmt.Errorf("rank %d: load block %d: %w", id, b, err)
-		}
-		owned[b] = &ownedBlock{raw: raw, recs: recs}
-		r.Expose(dbBlockWindow(b), raw)
-	}
-
-	// Agree on global protein-index bases: each rank contributes its owned
-	// blocks' record counts (ascending block order).
-	payload := make([]byte, 8*len(myBlocks))
-	for i, b := range myBlocks {
-		binary.LittleEndian.PutUint64(payload[8*i:], uint64(len(owned[b].recs)))
-	}
-	counts := r.Allgather(payload)
-	bases := make([]int32, p0)
-	nrecs := make([]int32, p0)
-	for j := 0; j < p; j++ {
-		buf := counts[j]
-		for k, b := range plan.BlocksOf(j) {
-			nrecs[b] = int32(binary.LittleEndian.Uint64(buf[8*k:]))
-		}
-	}
-	var acc int32
-	for b := 0; b < p0; b++ {
-		bases[b] = acc
-		acc += nrecs[b]
-	}
-
-	sc, err := score.New(opt.ScorerName, opt.Score)
+	sw, err := newSweeper(r, in.DBData, opt, sh.cache, store, "group", plan, make([]int32, p0))
 	if err != nil {
 		return err
 	}
-
-	// Build the owned query groups, restoring each from its latest
-	// checkpoint if one exists.
-	var groups []*rgroup
-	for _, g := range plan.GroupsOf(id) {
-		qlo, qhi := share(len(in.Queries), p0, g)
-		specs := in.Queries[qlo:qhi]
-		var qbytes int
-		for _, s := range specs {
-			qbytes += 64 + 12*len(s.Peaks)
+	if err := sw.loadOwned(); err != nil {
+		return err
+	}
+	if err := sw.agreeBases(r.World()); err != nil {
+		return err
+	}
+	for _, g := range plan.GroupsOf(r.ID()) {
+		if err := sw.loadShare(in.Queries, g); err != nil {
+			return err
 		}
-		r.Compute(cost.IOSec(qbytes))
-		r.NoteAlloc(int64(qbytes))
-		gr := &rgroup{g: g, qlo: qlo, qhi: qhi, qs: prepareQueries(r, specs, opt.Score)}
-		gr.lists = make([]*topk.List, len(gr.qs))
-		for i := range gr.lists {
-			gr.lists[i] = topk.New(opt.Tau)
-		}
-		if blob, ok := store.Get(int32(g)); ok {
-			r.Compute(cost.IOSec(len(blob)))
-			cp, err := ckpt.Decode(blob)
-			if err != nil {
-				return fmt.Errorf("rank %d: restore group %d: %w", id, g, err)
-			}
-			if int(cp.Group) != g || len(cp.Queries) != len(gr.qs) || int(cp.Cursor) > p0 {
-				return fmt.Errorf("rank %d: restore group %d: checkpoint shape mismatch", id, g)
-			}
-			for i := range cp.Queries {
-				for _, h := range cp.Queries[i].Hits {
-					gr.lists[i].Offer(h)
-				}
-			}
-			gr.cursor = int(cp.Cursor)
-			gr.candidates = cp.Candidates
-			if r.Tracing() {
-				r.Mark("restore", fmt.Sprintf("group %d resumes at step %d", g, gr.cursor))
-			}
-		}
-		groups = append(groups, gr)
 	}
 	r.Barrier() // all windows exposed
 	loadSec := r.Time() - t0
 
-	// The block sweep, per owned group: fetch block (g+s) mod p0 (local or
-	// one-sided get with prefetch masking), scan, checkpoint on the epoch
-	// boundary. The shim carries the shared cache, scorer, and the rank's
-	// persistent scan state through processBlock.
-	shim := &loaded{sc: sc, cache: sh.cache}
 	r.SetPhase("scan")
-	for _, gr := range groups {
+	for _, gr := range sw.sortedGroups() {
 		if len(gr.qs) == 0 {
 			gr.cursor = p0
 			continue
 		}
-		var pending *cluster.Pending
-		pendingBlock := -1
 		for s := gr.cursor; s < p0; s++ {
-			r.SetStep(s)
-			b := (gr.g + s) % p0
-			var recs []fasta.Record
-			var key cacheKey
-			var alloc int64
-			if plan.BlockRank(b) == id {
-				ob := owned[b]
-				recs, key = ob.recs, blockKey(b, len(ob.raw))
-			} else {
-				if pending == nil || pendingBlock != b {
-					pending = r.Get(plan.BlockRank(b), dbBlockWindow(b))
-				}
-				data, err := pending.Wait()
-				pending, pendingBlock = nil, -1
-				if err != nil {
-					return err
-				}
-				alloc = int64(len(data))
-				r.NoteAlloc(alloc)
-				key = blockKey(b, len(data))
-				recs, err = sh.cache.recsFor(key, data)
-				if err != nil {
-					return fmt.Errorf("rank %d: block %d: %w", id, b, err)
-				}
-			}
-			// Prefetch the next step's block while this one is scanned.
-			if opt.Masking && s+1 < p0 {
-				nb := (gr.g + s + 1) % p0
-				if owner := plan.BlockRank(nb); owner != id {
-					pending = r.Get(owner, dbBlockWindow(nb))
-					pendingBlock = nb
-				}
-			}
-			c, err := processBlock(r, shim, opt, gr.qs, gr.lists, recs, contiguousGIDs(bases[b], len(recs)), blockIDResolver(recs, bases[b]), key)
-			if err != nil {
+			if err := sw.step(gr, s, opt.Masking); err != nil {
 				return err
 			}
-			gr.candidates += c
-			if alloc > 0 {
-				r.NoteFree(alloc)
-			}
-			gr.cursor = s + 1
 			if every := ropt.CheckpointEvery; every > 0 && (gr.cursor%every == 0 || gr.cursor == p0) {
-				writeCheckpoint(r, store, gr)
+				sw.checkpoint(gr)
 			}
 		}
 	}
-	r.SetStep(-1)
-	r.SetPhase("report")
-
-	// Report: finalize every owned group, gather at rank 0.
-	var results []QueryResult
-	var totalCand int64
-	var nq int
-	for _, gr := range groups {
-		results = append(results, finalizeResults(queryIndices(gr.qlo, gr.qhi), gr.qs, gr.lists)...)
-		totalCand += gr.candidates
-		nq += len(gr.qs)
-	}
-	var hits int
-	for _, qr := range results {
-		hits += len(qr.Hits)
-	}
-	r.Compute(cost.HitSecPerHit * float64(hits))
-	gathered := r.Gather(0, encodeResults(results))
-	if id == 0 {
-		merged, err := mergeGathered(gathered, len(in.Queries))
-		if err != nil {
-			return err
-		}
-		sh.merged = merged
-	}
-	sh.loadSec[id] = loadSec
-	sh.candidates[id] = totalCand
-	sh.queries[id] = nq
-	return nil
-}
-
-// writeCheckpoint serializes the group's recovery state to the stable
-// store, charging the write as I/O.
-func writeCheckpoint(r *cluster.Rank, store *ckpt.Store, gr *rgroup) {
-	cp := ckpt.Group{Group: int32(gr.g), Cursor: int32(gr.cursor), Candidates: gr.candidates}
-	cp.Queries = make([]ckpt.Query, len(gr.lists))
-	for i, l := range gr.lists {
-		cp.Queries[i] = ckpt.Query{Hits: l.Hits()}
-	}
-	blob := cp.Encode()
-	store.Put(int32(gr.g), blob)
-	r.SetPhase("checkpoint")
-	if r.Tracing() {
-		r.Mark("checkpoint", fmt.Sprintf("group %d at step %d (%d bytes)", gr.g, gr.cursor, len(blob)))
-	}
-	r.Compute(r.Cost().IOSec(len(blob)))
-	r.SetPhase("scan")
+	return sw.report(r.World(), len(in.Queries), loadSec, sh)
 }
 
 // RunWithRecovery runs a standard engine (see Run) and, on a recoverable
@@ -396,92 +235,21 @@ func writeCheckpoint(r *cluster.Rank, store *ckpt.Store, gr *rgroup) {
 // results are identical across rank counts, so a from-scratch re-run on
 // p−1 ranks reproduces the failure-free hits exactly.
 func RunWithRecovery(algo Algorithm, cfg cluster.Config, in Input, opt Options, faults []*cluster.FaultPlan, maxAttempts int) (*Result, *Recovery, error) {
-	p0 := cfg.Ranks
-	if maxAttempts <= 0 {
-		maxAttempts = p0
-	}
-	rec := &Recovery{}
-	dead := 0
-	var failedSec float64
-	var atts []*trace.Attempt
-	for attempt := 0; ; attempt++ {
-		pLive := p0 - dead
-		if pLive < 1 {
-			return nil, rec, fmt.Errorf("core: all %d ranks failed", p0)
-		}
-		c := cfg
-		c.Ranks = pLive
-		c.Fault = nil
-		if attempt < len(faults) {
-			c.Fault = faults[attempt]
-		}
-		res, rep, err := runReported(algo, c, in, opt, newIndexCache())
-		att := RecoveryAttempt{Ranks: pLive}
-		if rep != nil {
-			att.Err = rep.Err
-			att.FailedRanks = rep.FailedRanks
-			att.RunSec = rep.runSec
-			if rep.attempt != nil {
-				rep.attempt.Label = fmt.Sprintf("attempt %d: %s", attempt, rep.attempt.Label)
-				atts = append(atts, rep.attempt)
-			}
-		}
-		rec.Attempts = append(rec.Attempts, att)
-		if err == nil {
-			res.Metrics.RunSec += failedSec
-			if len(atts) > 0 {
-				res.Trace = &trace.Trace{Attempts: atts}
-			}
-			return res, rec, nil
-		}
-		if rep == nil || !rep.Recoverable() {
-			return nil, rec, err
-		}
-		if attempt+1 >= maxAttempts {
-			return nil, rec, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, err)
-		}
-		dead += len(rep.FailedRanks)
-		failedSec += rep.runSec
-	}
-}
-
-// reportedRun couples a cluster.RunReport with the attempt's virtual time
-// and (when tracing is enabled) its event trace.
-type reportedRun struct {
-	*cluster.RunReport
-	runSec  float64
-	attempt *trace.Attempt
-}
-
-// runReported is Run returning the machine's RunReport alongside the
-// result, so drivers can distinguish recoverable failures. cache is the
-// run's host-side memoizer, the caller's so tests can read its counters.
-func runReported(algo Algorithm, cfg cluster.Config, in Input, opt Options, cache *indexCache) (*Result, *reportedRun, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
-	mach, err := cluster.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sh := newShared(cfg.Ranks, cache)
-	body, err := engineBody(algo, cfg, in, opt, sh)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := mach.RunWithReport(body)
-	rr := &reportedRun{RunReport: rep, runSec: mach.MaxTime()}
-	rr.attempt = mach.Trace(fmt.Sprintf("%s p=%d", algo.String(), cfg.Ranks))
-	if rep.Err != nil {
-		return nil, rr, rep.Err
-	}
-	metrics := buildMetrics(algo.String(), mach, sh.loadSec, sh.sortSec, sh.candidates, sh.queries)
-	for _, qr := range sh.merged {
-		metrics.Hits += int64(len(qr.Hits))
-	}
-	res := &Result{Queries: sh.merged, Metrics: metrics}
-	if rr.attempt != nil {
-		res.Trace = &trace.Trace{Attempts: []*trace.Attempt{rr.attempt}}
-	}
-	return res, rr, nil
+	return recoverLoop(algo.String(), cfg.Ranks, maxAttempts, faults, nil, func(dead []int, _ float64) (*attemptPlan, error) {
+		c, err := shrunk(cfg, dead)
+		if err != nil {
+			return nil, err
+		}
+		// A fresh cache per attempt: Algorithm B's block keys are
+		// owner-rank-relative and name different bytes at a different p′.
+		sh := newShared(c.Ranks, newIndexCache())
+		body, err := engineBody(algo, c, in, opt, sh)
+		if err != nil {
+			return nil, err
+		}
+		return &attemptPlan{cfg: c, ranks: c.Ranks, label: fmt.Sprintf("%s p=%d", algo, c.Ranks), sh: sh, body: body}, nil
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pepscale/internal/cluster"
+	"pepscale/internal/trace"
 )
 
 // Algorithm selects a parallel engine.
@@ -104,9 +105,9 @@ func engineBody(algo Algorithm, cfg cluster.Config, in Input, opt Options, sh *s
 	case AlgoMasterWorker:
 		return func(r *cluster.Rank) error { return masterWorkerBody(r, in, opt, sh) }, nil
 	case AlgoA:
-		return func(r *cluster.Rank) error { return algorithmABody(r, in, opt, true, sh) }, nil
+		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, true, 1, false, sh) }, nil
 	case AlgoANoMask:
-		return func(r *cluster.Rank) error { return algorithmABody(r, in, opt, false, sh) }, nil
+		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, false, 1, false, sh) }, nil
 	case AlgoB:
 		return func(r *cluster.Rank) error { return algorithmBBody(r, in, opt, sh) }, nil
 	case AlgoCandidate:
@@ -119,7 +120,7 @@ func engineBody(algo Algorithm, cfg cluster.Config, in Input, opt Options, sh *s
 		if cfg.Ranks%groups != 0 {
 			return nil, fmt.Errorf("core: %d groups do not divide %d ranks", groups, cfg.Ranks)
 		}
-		return func(r *cluster.Rank) error { return subGroupBody(r, in, opt, groups, sh) }, nil
+		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, opt.Masking, groups, true, sh) }, nil
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 	}
@@ -128,6 +129,71 @@ func engineBody(algo Algorithm, cfg cluster.Config, in Input, opt Options, sh *s
 // Run executes a search with the selected engine on a fresh virtual
 // machine.
 func Run(algo Algorithm, cfg cluster.Config, in Input, opt Options) (*Result, error) {
-	res, _, err := runReported(algo, cfg, in, opt, newIndexCache())
-	return res, err
+	return runOn(algo, cfg, in, opt, newIndexCache())
+}
+
+// runOn is Run on the caller's host-side memoizer, so tests can read its
+// counters.
+func runOn(algo Algorithm, cfg cluster.Config, in Input, opt Options, cache *indexCache) (*Result, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	mach, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sh := newShared(cfg.Ranks, cache)
+	body, err := engineBody(algo, cfg, in, opt, sh)
+	if err != nil {
+		return nil, err
+	}
+	if err := mach.Run(body); err != nil {
+		return nil, err
+	}
+	var atts []*trace.Attempt
+	if att := mach.Trace(fmt.Sprintf("%s p=%d", algo, cfg.Ranks)); att != nil {
+		atts = []*trace.Attempt{att}
+	}
+	return buildResult(algo.String(), mach, sh, atts), nil
+}
+
+// buildResult snapshots the machine-side stats plus the engine-side counters
+// of the shared area into a Result. It is the only place Metrics.Hits is
+// summed: a driver that adds the merged hits again double-counts them.
+func buildResult(algo string, mach *cluster.Machine, sh *shared, atts []*trace.Attempt) *Result {
+	p := mach.Ranks()
+	m := Metrics{Algorithm: algo, Ranks: p, RunSec: mach.MaxTime(), PerRank: make([]RankMetrics, p)}
+	for i := range m.PerRank {
+		st := mach.Rank(i).Stats
+		m.PerRank[i] = RankMetrics{
+			ComputeSec:       st.ComputeSec,
+			TotalCommSec:     st.TotalCommSec,
+			ResidualCommSec:  st.ResidualCommSec,
+			SyncWaitSec:      st.SyncWaitSec,
+			LoadSec:          sh.loadSec[i],
+			SortSec:          sh.sortSec[i],
+			BytesSent:        st.BytesSent,
+			BytesReceived:    st.BytesReceived,
+			RMABytesReceived: st.RMABytesReceived,
+			RMARetries:       st.RMARetries,
+			RMAFailures:      st.RMAFailures,
+			MaxResidentBytes: st.MaxResidentBytes,
+			Candidates:       sh.candidates[i],
+			Queries:          sh.queries[i],
+			Messages:         st.Messages,
+			MigrationBytes:   sh.migBytes[i],
+		}
+		if sh.sortSec[i] > m.SortSec {
+			m.SortSec = sh.sortSec[i]
+		}
+		m.Candidates += sh.candidates[i]
+	}
+	for _, qr := range sh.merged {
+		m.Hits += int64(len(qr.Hits))
+	}
+	res := &Result{Queries: sh.merged, Metrics: m}
+	if len(atts) > 0 {
+		res.Trace = &trace.Trace{Attempts: atts}
+	}
+	return res
 }

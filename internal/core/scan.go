@@ -1,6 +1,7 @@
 // The peptide-major batched block scan.
 //
-// The historical scan (scanIndexQueryMajor) is query-major: for each query
+// The historical scan (scanIndexQueryMajor, now the tests' reference oracle
+// in scanref_test.go) is query-major: for each query
 // it walks the query's candidate window and regenerates the candidate's
 // theoretical fragments and null-shuffle spectra for every pair, even
 // though these depend on the query only through its precursor charge and
@@ -113,10 +114,7 @@ func (ss *scanState) addActive(charge int, qi int32) {
 // clock charges the same scan cost regardless of the host-side path (see
 // scanComputeSec), so traces are byte-identical across modes too.
 func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, blk *blockIndex, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
-	switch {
-	case opt.ScanMode == ScanModeQueryMajor:
-		return scanIndexQueryMajor(qs, lists, blk.ix, sc, opt, idOf)
-	case opt.ScanMode == ScanModeFragIdx && opt.Score.Library == nil:
+	if opt.ScanMode == ScanModeFragIdx && opt.Score.Library == nil {
 		// A spectral library changes candidates' fragment structure per
 		// lookup, which the index (built from the generator) cannot mirror;
 		// library-backed runs fall through to the peptide-major sweep.
@@ -124,9 +122,8 @@ func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, blk *blockIndex
 			return scanStats{}
 		}
 		return ss.scanFragIdx(qs, lists, blk.ix, blk.fragIndex(opt), sc, opt, idOf)
-	default:
-		return ss.scanPeptideMajor(qs, lists, blk.ix, sc, opt, idOf)
 	}
+	return ss.scanPeptideMajor(qs, lists, blk.ix, sc, opt, idOf)
 }
 
 // bindQueries binds per-query batch state, keeping each query's caches when

@@ -47,7 +47,7 @@ type Config struct {
 	// DB is the FASTA database kept resident on the cluster.
 	DB []byte
 	// Opt are the search options (Tau, tolerance, scorer, ScanMode —
-	// query-major, peptide-major, or fragidx — all serve identically).
+	// peptide-major or fragidx — both serve identically).
 	Opt core.Options
 	// Ranks is the machine's rank universe when Membership is nil (all
 	// ranks start as members).

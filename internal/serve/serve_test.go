@@ -121,7 +121,7 @@ func TestStreamingMatchesOffline(t *testing.T) {
 	if len(arrivals) == 0 {
 		t.Fatal("empty schedule")
 	}
-	for _, mode := range []string{core.ScanModeQueryMajor, core.ScanModePeptideMajor, core.ScanModeFragIdx} {
+	for _, mode := range []string{core.ScanModePeptideMajor, core.ScanModeFragIdx} {
 		for _, steps := range []int{0, 1} {
 			label := fmt.Sprintf("mode=%s/steps=%d", mode, steps)
 			cfg := steadyCfg(db)
