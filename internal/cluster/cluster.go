@@ -1302,15 +1302,22 @@ func (r *Rank) waitWindow(owner int, key windowKey) (*window, error) {
 	}
 }
 
-// Wait completes the get and returns a private copy of the window data.
-// The clock advances only by the residual (unmasked) transfer time:
+// Wait completes the get and returns a private copy of the window data in a
+// buffer of its own: WaitInto(nil).
+func (p *Pending) Wait() ([]byte, error) { return p.WaitInto(nil) }
+
+// WaitInto completes the get and returns a private copy of the window data,
+// appended to buf[:0] — the caller owns buf and the result, and by passing
+// the buffer of a block it has finished with it holds Dcomp and Drecv and
+// nothing else, as the paper's Algorithm A does. The clock advances only by
+// the residual (unmasked) transfer time:
 // completion = max(issueTime, exposeTime) + λ + bytes·μ, and the rank's
 // clock becomes max(clock, completion). If the window is not exposed yet,
-// Wait blocks until the owner exposes it (or fails, or finishes without
+// WaitInto blocks until the owner exposes it (or fails, or finishes without
 // exposing). Injected transfer drops are retried with exponential backoff
 // (plus bounded deterministic jitter when the plan configures it) charged
 // on the virtual clock; exhausting the budget fails this rank.
-func (p *Pending) Wait() ([]byte, error) {
+func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 	if p.done {
 		return nil, errors.New("cluster: Wait called twice on the same Pending")
 	}
@@ -1415,7 +1422,5 @@ func (p *Pending) Wait() ([]byte, error) {
 		}
 		r.tl.Append(ev)
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
+	return append(buf[:0], data...), nil
 }

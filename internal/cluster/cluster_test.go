@@ -378,6 +378,39 @@ func TestRMAGetData(t *testing.T) {
 		if again[0] != byte(next) {
 			return fmt.Errorf("window corrupted by reader")
 		}
+
+		// WaitInto: the copy lands in the caller's buffer and stays private.
+		buf := make([]byte, 0, 16)
+		got, err = r.Get(next, "blk").WaitInto(buf)
+		if err != nil {
+			return err
+		}
+		if &got[0] != &buf[:1][0] || !bytes.Equal(got, bytes.Repeat([]byte{byte(next)}, 10)) {
+			return fmt.Errorf("rank %d WaitInto did not fill the caller's buffer: %v", r.ID(), got)
+		}
+		got[0] = 99
+		if again, err = r.Get(next, "blk").Wait(); err != nil {
+			return err
+		}
+		if again[0] != byte(next) {
+			return fmt.Errorf("window corrupted through a WaitInto buffer")
+		}
+
+		// A re-exposure replaces the window; buffers fetched before it keep
+		// the bytes they were given, and a reused buffer holds the new block.
+		r.Barrier()
+		r.Expose("blk", bytes.Repeat([]byte{byte(10 + r.ID())}, 6))
+		r.Barrier()
+		if again[0] != byte(next) || got[1] != byte(next) {
+			return fmt.Errorf("re-exposure wrote through to earlier copies: %v %v", again, got)
+		}
+		got, err = r.Get(next, "blk").WaitInto(got)
+		if err != nil {
+			return err
+		}
+		if &got[0] != &buf[:1][0] || !bytes.Equal(got, bytes.Repeat([]byte{byte(10 + next)}, 6)) {
+			return fmt.Errorf("rank %d reused buffer holds %v after the second block", r.ID(), got)
+		}
 		return nil
 	})
 	if err != nil {

@@ -198,12 +198,14 @@ func finishRun(r *cluster.Rank, l *loaded, sh *shared, indices []int, loadSec, s
 // The walk holds Dcomp and Drecv together, as the paper's space bound says:
 // the previous transported block is released only after the next one has
 // arrived. The checkpointed sweep (sweep.go) frees after each scan instead,
-// which is one reason the two are separate cores.
+// which is one reason the two are separate cores. On the host the two are
+// two buffers swapped on arrival, so visit must not keep a reference into
+// data once it returns (the run cache's decoders copy out of it).
 func walkBlocks(r *cluster.Rank, first, n, start int, masking bool, visit func(owner int, data []byte) error) error {
-	var data []byte
+	var data, drecv []byte
 	var held int64 // transported Dcomp footprint (0 while the resident block is current)
 	arrive := func(pending *cluster.Pending) error {
-		d, err := pending.Wait()
+		d, err := pending.WaitInto(drecv)
 		if err != nil {
 			return err
 		}
@@ -211,7 +213,7 @@ func walkBlocks(r *cluster.Rank, first, n, start int, masking bool, visit func(o
 		if held > 0 {
 			r.NoteFree(held) // previous transported block released
 		}
-		data, held = d, int64(len(d))
+		data, drecv, held = d, data, int64(len(d))
 		return nil
 	}
 	ownerAt := func(s int) int { return first + (start+s)%n }

@@ -360,15 +360,19 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, own
 	var cur []candEntry
 	var curKey cacheKey
 	var curAlloc int64
+	// dcomp and drecv are the host's two transport buffers, swapped on every
+	// arrival (candsFor copies out of the bytes it decodes).
+	var dcomp, drecv []byte
 	for si, owner := range needed {
 		if si == 0 {
 			if owner == id {
 				cur, curKey = own, ownKey
 			} else {
-				data, err := r.Get(owner, candWindow).Wait()
+				data, err := r.Get(owner, candWindow).WaitInto(drecv)
 				if err != nil {
 					return nil, 0, err
 				}
+				dcomp, drecv = data, dcomp
 				r.NoteAlloc(int64(len(data)))
 				curAlloc = int64(len(data))
 				curKey = blockKey(owner, len(data))
@@ -393,10 +397,11 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, own
 			if !opt.Masking {
 				pending = r.Get(needed[si+1], candWindow)
 			}
-			data, err := pending.Wait()
+			data, err := pending.WaitInto(drecv)
 			if err != nil {
 				return nil, 0, err
 			}
+			dcomp, drecv = data, dcomp
 			r.NoteAlloc(int64(len(data)))
 			if curAlloc > 0 {
 				r.NoteFree(curAlloc)

@@ -91,6 +91,9 @@ type sweeper struct {
 	// pending is the prefetch issued by the previous step for the block of
 	// the step that follows it in the same group; nil otherwise.
 	pending *cluster.Pending
+	// dcomp and drecv are the host's two transport buffers: the block being
+	// scanned and the one the next get lands in, swapped on every arrival.
+	dcomp, drecv []byte
 }
 
 func newSweeper(r *cluster.Rank, db []byte, opt Options, cache *indexCache, store *ckpt.Store, noun string, plan *placement.Plan, gen []int32) (*sweeper, error) {
@@ -246,9 +249,10 @@ func (sw *sweeper) step(gr *rgroup, s int, prefetch bool) error {
 			pending = r.Get(owner, blockWinName(b, sw.gen[b]))
 		}
 		var err error
-		if data, err = pending.Wait(); err != nil {
+		if data, err = pending.WaitInto(sw.drecv); err != nil {
 			return err
 		}
+		sw.drecv, sw.dcomp = sw.dcomp, data
 		alloc = int64(len(data))
 		r.NoteAlloc(alloc)
 	}
