@@ -57,12 +57,14 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# race runs every package under the race detector, then repeats the one test
+# race runs every package under the race detector, then repeats the tests
 # whose subject is a schedule: many goroutines demanding tiers of one shared
-# fragment index at once (each built once, same pointer for all).
+# fragment index, or entries of one run cache through its lock-free hit path,
+# at once (each built once, same pointer for all).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestTierConcurrentSingleFlight' ./internal/fragidx/
+	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and

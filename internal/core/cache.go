@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
@@ -21,25 +22,21 @@ import (
 // rank goroutines. The cache lives as long as the run: one Run, every
 // attempt of one RunResilient/RunElastic, one Backend.
 type indexCache struct {
+	// mu guards m and every insertion into or growth of a dense table; dense
+	// hits take no lock.
 	mu sync.Mutex
 	m  map[cacheKey]*cacheEntry
 	// fragBuild lends scratch to every fragment-index tier build of the run
 	// and counts them (one per tier built; see blockIndex).
 	fragBuild *fragidx.BuildPool
-	// dense is a per-kind slice fast path for the dominant key shape:
-	// block-index hashes (see blockKey), which are small integers. At
-	// p=4096 the transport loops perform O(p²) cache lookups per run, and
-	// the map's hash+equality per lookup dominates the simulation host's
-	// time; a slice index replaces both. Keys with large hashes (content
-	// hashes) and size-mismatched slots fall back to the map.
-	dense [kindCount][]denseSlot
-}
-
-// denseSlot is one dense fast-path entry; occupied when e is non-nil. size
-// guards against (implausible) same-index different-size keys.
-type denseSlot struct {
-	e    *cacheEntry
-	size int
+	// dense is a per-kind table fast path for the dominant key shape:
+	// block-index hashes (see blockKey), which are small integers. At p=1024
+	// the transport loops perform 2.1 M cache lookups per search from every
+	// host thread, so a hit reads an atomically published table and nothing
+	// else: slots are set once under mu, growth copies the slots into a
+	// larger table under mu and publishes it afterwards. Keys with large
+	// hashes (content hashes) and size-mismatched slots fall back to the map.
+	dense [kindCount]atomic.Pointer[[]atomic.Pointer[cacheEntry]]
 }
 
 // denseHashLimit bounds the dense fast path's memory: hashes at or above it
@@ -54,6 +51,10 @@ type cacheEntry struct {
 	once sync.Once
 	v    interface{}
 	err  error
+	// size is the key's size, fixed at insertion: a dense slot serves only
+	// keys of its size (guarding against implausible same-index
+	// different-size keys).
+	size int
 }
 
 // cacheKind namespaces the derived-data type within the cache.
@@ -98,40 +99,64 @@ func (c *indexCache) getOrBuild(key cacheKey, build func() (interface{}, error))
 	if c == nil {
 		return build()
 	}
-	c.mu.Lock()
-	var e *cacheEntry
-	if key.hash < denseHashLimit {
-		d := c.dense[key.kind]
-		if int(key.hash) >= len(d) {
-			n := int(key.hash) + 1
-			if g := 2 * len(d); g > n {
-				n = g
-			}
-			nd := make([]denseSlot, n)
-			copy(nd, d)
-			c.dense[key.kind] = nd
-			d = nd
-		}
-		if s := &d[key.hash]; s.e == nil {
-			e = &cacheEntry{}
-			*s = denseSlot{e: e, size: key.size}
-		} else if s.size == key.size {
-			e = s.e
-		}
-	}
+	e := c.denseHit(key)
 	if e == nil {
-		var ok bool
-		e, ok = c.m[key]
-		if !ok {
-			e = &cacheEntry{}
-			c.m[key] = e
-		}
+		e = c.insert(key)
 	}
-	c.mu.Unlock()
 	e.once.Do(func() {
 		e.v, e.err = build()
 	})
 	return e.v, e.err
+}
+
+// denseHit is the lock-free lookup: key's entry if its dense slot is set
+// and of key's size, else nil.
+func (c *indexCache) denseHit(key cacheKey) *cacheEntry {
+	if key.hash >= denseHashLimit {
+		return nil
+	}
+	if t := c.dense[key.kind].Load(); t != nil && int(key.hash) < len(*t) {
+		if e := (*t)[key.hash].Load(); e != nil && e.size == key.size {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert returns key's entry, creating it if no requester has yet: in the
+// dense table when the hash is small and the slot free or of key's size, in
+// the map otherwise.
+func (c *indexCache) insert(key cacheKey) *cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if key.hash < denseHashLimit {
+		var d []atomic.Pointer[cacheEntry]
+		if t := c.dense[key.kind].Load(); t != nil {
+			d = *t
+		}
+		if int(key.hash) >= len(d) {
+			nd := make([]atomic.Pointer[cacheEntry], max(int(key.hash)+1, 2*len(d)))
+			for i := range d {
+				nd[i].Store(d[i].Load())
+			}
+			c.dense[key.kind].Store(&nd)
+			d = nd
+		}
+		e := d[key.hash].Load()
+		if e == nil {
+			e = &cacheEntry{size: key.size}
+			d[key.hash].Store(e)
+		}
+		if e.size == key.size {
+			return e
+		}
+	}
+	e, ok := c.m[key]
+	if !ok {
+		e = &cacheEntry{size: key.size}
+		c.m[key] = e
+	}
+	return e
 }
 
 // blockIndex is what the host derives from one block's peptides: the mass

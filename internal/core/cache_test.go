@@ -2,6 +2,8 @@ package core
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pepscale/internal/digest"
@@ -57,5 +59,58 @@ func TestCachedDecodersDoNotAlias(t *testing.T) {
 				t.Errorf("cached value changed with the buffer it was decoded from:\n got %v\nwant %v", got, want)
 			}
 		})
+	}
+}
+
+// TestIndexCacheSingleFlight drives the lock-free hit path against inserts
+// and table growth from many goroutines at once: keys whose hashes force the
+// dense table to grow several times, two sizes under one hash (the second
+// falls back to the map) and a content-hash key (map only). Every key is
+// built once and every caller sees the same value. Run under -race.
+func TestIndexCacheSingleFlight(t *testing.T) {
+	keys := []cacheKey{{hash: 1 << 40, size: 5, kind: kindRecords}, {hash: 7, size: 99, kind: kindRecords}}
+	for h := uint64(0); h < 600; h += 7 {
+		keys = append(keys, cacheKey{hash: h, size: 10, kind: kindRecords})
+	}
+	const workers = 64
+	cache := newIndexCache()
+	builds := make([]atomic.Int32, len(keys))
+	seen := make([][]*int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			seen[w] = make([]*int, len(keys))
+			for j := range keys {
+				i := (j*13 + w*5) % len(keys) // each worker its own order
+				v, err := cache.getOrBuild(keys[i], func() (interface{}, error) {
+					builds[i].Add(1)
+					return new(int), nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen[w][i] = v.(*int)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range keys {
+		if n := builds[i].Load(); n != 1 {
+			t.Errorf("key %+v built %d times", keys[i], n)
+		}
+		for w := range seen {
+			if seen[w][i] == nil || seen[w][i] != seen[0][i] {
+				t.Fatalf("key %+v: worker %d saw %p, worker 0 saw %p", keys[i], w, seen[w][i], seen[0][i])
+			}
+		}
+	}
+	if t0 := cache.dense[kindRecords].Load(); t0 == nil || len(*t0) < 596 {
+		t.Errorf("dense table did not grow to cover the block keys")
+	}
+	if len(cache.m) != 2 {
+		t.Errorf("map holds %d entries, want the content-hash key and the size-mismatched one", len(cache.m))
 	}
 }

@@ -24,8 +24,10 @@ func (c *indexCache) blocksOfKind(kind cacheKind) []*blockIndex {
 			out = append(out, b)
 		}
 	}
-	for _, s := range c.dense[kind] {
-		add(s.e)
+	if t := c.dense[kind].Load(); t != nil {
+		for i := range *t {
+			add((*t)[i].Load())
+		}
 	}
 	for key, e := range c.m {
 		if key.kind == kind {
