@@ -152,13 +152,15 @@ bench-quick:
 # bit-identity property, the hierarchical comm-time win at p ≥ 1024, and a
 # single untimed iteration of the 1024-rank machine benchmark. Catches O(p²)
 # regressions in the machine internals that the default-sized tests never
-# exercise.
+# exercise. The last line is the transport step's allocation guard: one
+# Get+WaitInto per rank at p=1024, failing above one allocation per step.
 scale-smoke:
 	$(GO) test -short -count=1 \
 		-run 'MachineScale4096|HierarchicalReducesCommTime|HierarchicalCollectivesBitIdentical' \
 		./internal/cluster/
 	$(GO) test -short -count=1 -run 'AlgoAScale4096' ./internal/core/
 	$(GO) test -bench 'BenchmarkMachineScale/p=1024' -benchtime 1x -run '^$$' ./internal/cluster/
+	$(GO) test -bench 'BenchmarkTransportStep/p=1024' -benchtime 1x -benchmem -run '^$$' ./internal/cluster/
 
 # serve-smoke runs the streaming-service golden path under the race
 # detector — a seeded load test pinning streaming-equals-offline hits and

@@ -61,10 +61,10 @@ type Machine struct {
 
 	mailbox []chan message
 
-	// windowMu is an RWMutex because window lookups (Wait's fast path,
-	// every rank, every transport step) vastly outnumber exposures.
-	windowMu sync.RWMutex
-	windows  map[windowKey]*window
+	// wins[owner] holds the RMA windows rank owner has exposed. One table
+	// per owner, each behind its own lock, so two host threads meet only when
+	// they read from the same owner at the same instant.
+	wins []winTable
 
 	coll  *phaser
 	world *commShared
@@ -157,15 +157,28 @@ type Machine struct {
 	notifyCh chan struct{}
 }
 
-type windowKey struct {
-	owner int
-	name  string
+// winTable is one owner's windows by name. An RWMutex because lookups
+// (every rank, every transport step) vastly outnumber exposures.
+type winTable struct {
+	mu sync.RWMutex
+	m  map[string]*window
 }
 
+// window is one exposure: immutable once published. A re-exposure swaps in a
+// new value under the table's lock, so a Wait that loaded the old one keeps
+// reading the old epoch's data and time together.
 type window struct {
 	data       []byte
 	exposeTime float64
-	ready      chan struct{}
+}
+
+// window returns owner's current exposure under name, or nil.
+func (m *Machine) window(owner int, name string) *window {
+	t := &m.wins[owner]
+	t.mu.RLock()
+	w := t.m[name]
+	t.mu.RUnlock()
+	return w
 }
 
 type message struct {
@@ -228,7 +241,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		cfg:             cfg,
-		windows:         make(map[windowKey]*window),
+		wins:            make([]winTable, cfg.Ranks),
 		groups:          make(map[string]*commShared),
 		abort:           make(chan struct{}),
 		failures:        make(map[int]error),
@@ -450,14 +463,10 @@ func (m *Machine) recomputeCan() {
 		}
 	}
 	m.blockMu.Unlock()
-	m.windowMu.RLock()
 	for i := range m.anWinOpen {
-		m.anWinOpen[i] = false
-		if b := m.anBlocked[i]; b.kind == blockWindow {
-			_, m.anWinOpen[i] = m.windows[windowKey{owner: b.peer, name: b.name}]
-		}
+		b := m.anBlocked[i]
+		m.anWinOpen[i] = b.kind == blockWindow && m.window(b.peer, b.name) != nil
 	}
-	m.windowMu.RUnlock()
 
 	nCan := 0
 	for i := range m.anCan {
@@ -781,9 +790,7 @@ func (m *Machine) Reset() {
 			}
 		}
 	}
-	m.windowMu.Lock()
-	m.windows = make(map[windowKey]*window)
-	m.windowMu.Unlock()
+	m.wins = make([]winTable, m.cfg.Ranks)
 	// A crashed run may have poisoned the collective rendezvous (a round
 	// with permanently missing arrivals); rebuild it and the world
 	// communicator that references it.
@@ -1195,26 +1202,19 @@ func (r *Rank) Expose(name string, data []byte) {
 	if r.tl != nil {
 		r.tl.Append(trace.Event{Kind: trace.KindExpose, Name: name, Peer: -1, Bytes: int64(len(data)), Start: r.clock})
 	}
-	r.m.windowMu.Lock()
-	key := windowKey{owner: r.id, name: name}
-	if w, ok := r.m.windows[key]; ok {
-		// Re-exposure replaces the data in a new epoch.
-		w.data = data
-		w.exposeTime = r.clock
-		select {
-		case <-w.ready:
-		default:
-			close(w.ready)
-		}
-		r.m.windowMu.Unlock()
-		r.m.broadcast()
-		return
+	t := &r.m.wins[r.id]
+	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[string]*window)
 	}
-	w := &window{data: data, exposeTime: r.clock, ready: make(chan struct{})}
-	close(w.ready)
-	r.m.windows[key] = w
-	r.m.windowMu.Unlock()
-	r.m.stateVer.Add(1)
+	_, again := t.m[name]
+	// A re-exposure replaces the window in a new epoch; it never writes
+	// through the old one.
+	t.m[name] = &window{data: data, exposeTime: r.clock}
+	t.mu.Unlock()
+	if !again {
+		r.m.stateVer.Add(1) // the stuck-rank analysis reads which windows exist
+	}
 	r.m.broadcast() // wake waiters blocked on this exposure
 }
 
@@ -1243,34 +1243,28 @@ func (r *Rank) Get(owner int, name string) *Pending {
 	return &Pending{r: r, owner: owner, name: name, issueTime: r.clock, issueCompute: r.Stats.ComputeSec}
 }
 
-// waitWindow blocks until owner's window under key exists, the owner fails
+// waitWindow blocks until owner's window under name exists, the owner fails
 // (ErrRankFailed), or the owner's body finishes without ever exposing it
 // (ErrNoWindow — unless a peer failure explains the missing exposure, which
 // is reported as ErrRankFailed instead). An exposure merely still in flight
 // is therefore waited for, not an error. Every exit condition is a fact of
 // the virtual execution, so the outcome is schedule-independent.
-func (r *Rank) waitWindow(owner int, key windowKey) (*window, error) {
+func (r *Rank) waitWindow(owner int, name string) (*window, error) {
 	// Fast path: in steady-state transport loops the window was exposed long
 	// ago, so skip the wakeup-channel registration and blocked-state
 	// bookkeeping entirely. At p=4096 this lookup runs O(p²) times per run.
-	r.m.windowMu.RLock()
-	w, ok := r.m.windows[key]
-	r.m.windowMu.RUnlock()
-	if ok {
+	if w := r.m.window(owner, name); w != nil {
 		return w, nil
 	}
 	defer r.m.clearBlocked(r.id)
 	for {
 		ch := r.m.notified() // grab before re-checking to avoid lost wakeups
-		r.m.windowMu.RLock()
-		w, ok := r.m.windows[key]
-		r.m.windowMu.RUnlock()
-		if ok {
+		if w := r.m.window(owner, name); w != nil {
 			return w, nil
 		}
 		if owner == r.id {
 			// A rank knows its own windows synchronously.
-			return nil, fmt.Errorf("cluster: rank %d: window %q: %w", r.id, key.name, ErrNoWindow)
+			return nil, fmt.Errorf("cluster: rank %d: window %q: %w", r.id, name, ErrNoWindow)
 		}
 		if r.m.isFailed(owner) {
 			if rank, t, ok := r.m.firstCrash(); ok {
@@ -1286,10 +1280,10 @@ func (r *Rank) waitWindow(owner int, key windowKey) (*window, error) {
 				r.chargeDetection(rank, t)
 				return nil, ErrRankFailed{Rank: rank}
 			}
-			return nil, fmt.Errorf("cluster: rank %d: window %q: rank %d finished without exposing it: %w", r.id, key.name, owner, ErrNoWindow)
+			return nil, fmt.Errorf("cluster: rank %d: window %q: rank %d finished without exposing it: %w", r.id, name, owner, ErrNoWindow)
 		}
 		if r.m.hasFailure() {
-			r.m.setBlocked(r.id, blockInfo{kind: blockWindow, peer: owner, name: key.name})
+			r.m.setBlocked(r.id, blockInfo{kind: blockWindow, peer: owner, name: name})
 			if r.m.shouldUnwind(r.id) {
 				return nil, r.interruptedErr()
 			}
@@ -1326,20 +1320,14 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 	r.faultPoint()
 	r.noteProgress()
 	entry := r.clock
-	key := windowKey{owner: p.owner, name: p.name}
-	w, err := r.waitWindow(p.owner, key)
+	w, err := r.waitWindow(p.owner, p.name)
 	if err != nil {
 		if r.tl != nil {
 			r.tl.Append(trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Start: entry, Dur: r.clock - entry, Note: err.Error()})
 		}
 		return nil, err
 	}
-	// Expose closes ready before the window becomes discoverable, so this
-	// never blocks; it orders this read after the exposure.
-	<-w.ready
-	r.m.windowMu.RLock()
 	data, exposeTime := w.data, w.exposeTime
-	r.m.windowMu.RUnlock()
 
 	start := p.issueTime
 	if exposeTime > start {

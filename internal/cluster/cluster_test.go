@@ -418,6 +418,80 @@ func TestRMAGetData(t *testing.T) {
 	}
 }
 
+// TestWaitIntoAllocs is the transport step's allocation budget with tracing
+// off: completing a get into a warmed buffer allocates nothing, and a whole
+// Get+WaitInto step allocates the Pending and nothing else. Rank 1 is parked
+// in the closing barrier while rank 0 measures.
+func TestWaitIntoAllocs(t *testing.T) {
+	m := newMachine(t, 2, freeNet())
+	err := m.Run(func(r *Rank) error {
+		r.Expose("blk", make([]byte, 512))
+		r.Barrier()
+		if r.ID() == 0 {
+			const runs = 100
+			buf := make([]byte, 0, 512)
+			var werr error
+			pend := make([]*Pending, runs+1) // AllocsPerRun warms up with one extra call
+			for i := range pend {
+				pend[i] = r.Get(1, "blk")
+			}
+			wait := testing.AllocsPerRun(runs, func() {
+				p := pend[len(pend)-1]
+				pend = pend[:len(pend)-1]
+				if buf, werr = p.WaitInto(buf); werr != nil {
+					panic(werr)
+				}
+			})
+			step := testing.AllocsPerRun(runs, func() {
+				if buf, werr = r.Get(1, "blk").WaitInto(buf); werr != nil {
+					panic(werr)
+				}
+			})
+			if wait != 0 || step > 1 {
+				return fmt.Errorf("WaitInto %v allocs/op (want 0), Get+WaitInto %v (want ≤ 1)", wait, step)
+			}
+		}
+		r.Barrier()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetDropsWindows: a window exposed before Reset is gone after it, for
+// its owner and for every other rank.
+func TestResetDropsWindows(t *testing.T) {
+	m := newMachine(t, 2, freeNet())
+	if err := m.Run(func(r *Rank) error {
+		r.Expose("w", []byte{byte(r.ID())})
+		r.Expose("only-first-run", []byte{7})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.Reset()
+	err := m.Run(func(r *Rank) error {
+		r.Expose("w", []byte{byte(10 + r.ID())})
+		r.Barrier()
+		if got, err := r.Get(1-r.ID(), "w").Wait(); err != nil || !bytes.Equal(got, []byte{byte(11 - r.ID())}) {
+			return fmt.Errorf("rank %d read %v, %v after Reset and re-exposure", r.ID(), got, err)
+		}
+		// A stale window would hand back the first run's byte. Each rank asks
+		// for its own; rank 0 also for rank 1's, which returns without
+		// exposing it.
+		for owner := r.ID(); owner < 2; owner++ {
+			if got, err := r.Get(owner, "only-first-run").Wait(); !errors.Is(err, ErrNoWindow) {
+				return fmt.Errorf("rank %d: stale window of rank %d survived Reset: %v, %v", r.ID(), owner, got, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRMAMasking(t *testing.T) {
 	// Transfer takes 1s. With 2s of compute between Get and Wait, the
 	// wait is fully masked; without compute the full second is residual.
