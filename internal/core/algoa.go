@@ -112,37 +112,31 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 	return l, nil
 }
 
-// processBlock digests a block into its mass index (memoized host-side per
-// run, together with the fragment index a fragidx-mode scan walks; the clock
-// still charges each rank), scans all given queries against it, and charges
-// the digestion, scoring, and reporting costs. key is the block's
+// processBlock digests a block of contiguously numbered proteins (base,
+// base+1, …) into its mass index (memoized host-side per run, together with
+// the fragment index a fragidx-mode scan walks; the clock still charges each
+// rank) and scans all given queries against it. key is the block's
 // precomputed cache identity (see blockKey) — threading it through the
 // transport loops avoids re-hashing every transported block's bytes on every
 // iteration. It returns the candidate count.
-func (sn *scanner) processBlock(r *cluster.Rank, opt Options, qs []*score.Query, lists []*topk.List, recs []fasta.Record, gids []int32, idOf func(int32) string, key cacheKey) (int64, error) {
-	cost := r.Cost()
-	if gids == nil {
-		return 0, fmt.Errorf("processBlock: nil gids")
-	}
-	blk, err := sn.cache.indexFor(key, recs, gids, opt.Digest)
+func (sn *scanner) processBlock(r *cluster.Rank, opt Options, qs []*score.Query, lists []*topk.List, recs []fasta.Record, base int32, key cacheKey) (int64, error) {
+	blk, err := sn.cache.indexFor(key, recs, base, opt.Digest)
 	if err != nil {
 		return 0, err
 	}
+	return sn.scanBlock(r, opt, qs, lists, recs, blk, blockIDResolver(recs, base)), nil
+}
+
+// scanBlock scans the queries against a block's index and charges the
+// digestion, scoring, and reporting costs. It returns the candidate count.
+func (sn *scanner) scanBlock(r *cluster.Rank, opt Options, qs []*score.Query, lists []*topk.List, recs []fasta.Record, blk *blockIndex, idOf func(int32) string) int64 {
+	cost := r.Cost()
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(recs)))
 	r.NoteAlloc(blk.foot)
 	st := sn.scan.scan(qs, lists, blk, sn.sc, opt, idOf)
 	r.Compute(scanComputeSec(cost, sn.sc, st))
 	r.NoteFree(blk.foot)
-	return st.Candidates, nil
-}
-
-// contiguousGIDs materializes base..base+n-1.
-func contiguousGIDs(base int32, n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = base + int32(i)
-	}
-	return out
+	return st.Candidates
 }
 
 // gatherResults charges the reporting cost of this rank's results and
@@ -306,8 +300,7 @@ func cycleBody(r *cluster.Rank, in Input, opt Options, masking bool, groups int,
 				return fmt.Errorf("rank %d: block from rank %d: %w", id, owner, err)
 			}
 		}
-		base := l.bases[b]
-		c, err := l.processBlock(r, opt, l.qs, l.lists, recs, contiguousGIDs(base, len(recs)), blockIDResolver(recs, base), blockKey(b, size))
+		c, err := l.processBlock(r, opt, l.qs, l.lists, recs, l.bases[b], blockKey(b, size))
 		candidates += c
 		return err
 	})

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pepscale/internal/cluster"
+	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
 	"pepscale/internal/score"
 	"pepscale/internal/sortmz"
@@ -125,21 +126,29 @@ func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Resu
 			return lo > float64(hiKey)+1
 		})
 		recs := make([]fasta.Record, len(cur))
-		gids := make([]int32, len(cur))
 		idByGID := make(map[int32]string, len(cur))
 		for i, s := range cur {
 			recs[i] = s.Rec
-			gids[i] = s.GID
 			idByGID[s.GID] = s.Rec.ID
 		}
-		c, err := l.processBlock(r, opt, l.qs[:limit], l.lists[:limit], recs, gids, func(g int32) string {
+		// A sorted slice numbers its proteins by the gids it carries.
+		blk, err := l.cache.blockFor(key, kindIndex, func() (*digest.Index, error) {
+			gids := make([]int32, len(cur))
+			for i, s := range cur {
+				gids[i] = s.GID
+			}
+			return digest.NewIndexIDs(recs, gids, opt.Digest)
+		})
+		if err != nil {
+			return err
+		}
+		candidates += l.scanBlock(r, opt, l.qs[:limit], l.lists[:limit], recs, blk, func(g int32) string {
 			if idStr, ok := idByGID[g]; ok {
 				return idStr
 			}
 			return fmt.Sprintf("protein_%d", g)
-		}, key)
-		candidates += c
-		return err
+		})
+		return nil
 	})
 	return candidates, err
 }

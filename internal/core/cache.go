@@ -195,12 +195,17 @@ func (b *blockIndex) fragIndex(opt Options) *fragidx.Index {
 	return b.frag
 }
 
-// indexFor returns the block's derived indexes, digesting on first use. key
-// must identify both content and protein numbering; block-index keys do (the
-// gid bases are a pure function of the block index, and Algorithm B's wire
-// format embeds gids in the bytes).
-func (c *indexCache) indexFor(key cacheKey, recs []fasta.Record, gids []int32, p digest.Params) (*blockIndex, error) {
+// indexFor returns the derived indexes of a block whose proteins are numbered
+// base, base+1, …, digesting on first use. key must identify both content and
+// protein numbering; block-index keys do (the gid bases are a pure function of
+// the block index). Only the cold build materialises the gids: a lookup runs
+// once per rank per visit, a build once per block.
+func (c *indexCache) indexFor(key cacheKey, recs []fasta.Record, base int32, p digest.Params) (*blockIndex, error) {
 	return c.blockFor(key, kindIndex, func() (*digest.Index, error) {
+		gids := make([]int32, len(recs))
+		for i := range gids {
+			gids[i] = base + int32(i)
+		}
 		return digest.NewIndexIDs(recs, gids, p)
 	})
 }

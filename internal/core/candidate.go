@@ -136,7 +136,7 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	loadSec := r.Time() - t0
 
 	// C2: digest the local block once (block index = rank id here).
-	blk, err := l.cache.indexFor(blockKey(id, len(l.myBytes)), l.recs, contiguousGIDs(l.bases[id], len(l.recs)), opt.Digest)
+	blk, err := l.cache.indexFor(blockKey(id, len(l.myBytes)), l.recs, l.bases[id], opt.Digest)
 	if err != nil {
 		return err
 	}

@@ -64,7 +64,7 @@ func masterWorkerSolo(r *cluster.Rank, in Input, opt Options, sh *shared) error 
 	if err != nil {
 		return err
 	}
-	blk, err := sh.cache.indexFor(fullDBKey(in), recs, contiguousGIDs(0, len(recs)), opt.Digest)
+	blk, err := sh.cache.indexFor(fullDBKey(in), recs, 0, opt.Digest)
 	if err != nil {
 		return err
 	}
@@ -170,7 +170,7 @@ func mwWorker(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	if err != nil {
 		return err
 	}
-	blk, err := sh.cache.indexFor(fullDBKey(in), recs, contiguousGIDs(0, len(recs)), opt.Digest)
+	blk, err := sh.cache.indexFor(fullDBKey(in), recs, 0, opt.Digest)
 	if err != nil {
 		return err
 	}

@@ -267,8 +267,7 @@ func (sw *sweeper) step(gr *rgroup, s int, prefetch bool) error {
 			sw.pending = r.Get(owner, blockWinName(nb, sw.gen[nb]))
 		}
 	}
-	base := sw.bases[b]
-	c, err := sw.processBlock(r, sw.opt, gr.qs, gr.lists, recs, contiguousGIDs(base, len(recs)), blockIDResolver(recs, base), key)
+	c, err := sw.processBlock(r, sw.opt, gr.qs, gr.lists, recs, sw.bases[b], key)
 	if err != nil {
 		return err
 	}
