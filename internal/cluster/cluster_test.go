@@ -268,6 +268,14 @@ func TestGatherAndAllgather(t *testing.T) {
 		if len(all) != 3 || string(all[0]) != "a" || string(all[2]) != "ccc" {
 			return fmt.Errorf("allgather = %q", all)
 		}
+		// The copies share a backing array but not their capacity, and
+		// belong to this rank alone.
+		_ = append(all[0], 'X')
+		all[1][0] = byte('A' + r.ID())
+		r.Barrier()
+		if want := string([]byte{byte('A' + r.ID()), 'b'}); string(all[1]) != want || string(all[2]) != "ccc" {
+			return fmt.Errorf("rank %d: allgather copies not private: %q, want [1] = %q", r.ID(), all, want)
+		}
 		return nil
 	})
 	if err != nil {

@@ -191,7 +191,8 @@ func (c *Comm) Gather(root int, payload []byte) [][]byte {
 }
 
 // Allgather collects one payload per member; every member receives the
-// group-ordered slice (private copies).
+// group-ordered slice as private copies, cut from one backing array per
+// caller and capacity-clipped so appending to one cannot reach the next.
 func (c *Comm) Allgather(payload []byte) [][]byte {
 	res, maxClock := c.shared.ph.arrive(c.r, c.myIdx, payload, func(inputs []interface{}) interface{} {
 		out := make([][]byte, len(inputs))
@@ -206,10 +207,11 @@ func (c *Comm) Allgather(payload []byte) [][]byte {
 	g := res.(gathered)
 	c.r.syncTo("allgather", maxClock, c.collSec(g.total))
 	out := make([][]byte, len(g.bufs))
+	flat := make([]byte, 0, g.total)
 	for i, b := range g.bufs {
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		out[i] = cp
+		o := len(flat)
+		flat = append(flat, b...)
+		out[i] = flat[o:len(flat):len(flat)]
 	}
 	c.r.Stats.BytesSent += int64(len(payload))
 	c.r.Stats.BytesReceived += int64(g.total)
