@@ -40,6 +40,7 @@ import (
 	"pepscale/internal/cluster"
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
+	"pepscale/internal/fragidx"
 	"pepscale/internal/score"
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
@@ -124,7 +125,12 @@ func (o Options) Validate() error {
 		return err
 	}
 	switch o.ScanMode {
-	case "", ScanModePeptideMajor, ScanModeFragIdx:
+	case "", ScanModePeptideMajor:
+	case ScanModeFragIdx:
+		if z := o.Score.Theoretical.MaxFragmentCharge; z > fragidx.MaxFragmentCharge {
+			return fmt.Errorf("core: scan mode %q cannot index fragment charges above %d: Score.Theoretical.MaxFragmentCharge is %d (use scan mode %q)",
+				ScanModeFragIdx, fragidx.MaxFragmentCharge, z, ScanModePeptideMajor)
+		}
 	default:
 		return fmt.Errorf("core: unknown scan mode %q (want peptide or fragidx)", o.ScanMode)
 	}

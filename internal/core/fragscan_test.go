@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pepscale/internal/cluster"
@@ -203,5 +204,25 @@ func TestScanModeValidate(t *testing.T) {
 	}
 	if math.IsNaN(opt.MinScore) {
 		t.Error("sanity")
+	}
+	// The fragment index packs fragment charge into three bits; only the
+	// peptide-major scan takes a larger cap.
+	for _, tc := range []struct {
+		mode string
+		maxZ int
+		ok   bool
+	}{
+		{ScanModeFragIdx, 2, true}, {ScanModeFragIdx, 7, true}, {ScanModeFragIdx, 8, false},
+		{ScanModePeptideMajor, 8, true}, {"", 8, true},
+	} {
+		opt := DefaultOptions()
+		opt.ScanMode, opt.Score.Theoretical.MaxFragmentCharge = tc.mode, tc.maxZ
+		err := opt.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("mode %q, MaxFragmentCharge %d: Validate = %v, want ok=%v", tc.mode, tc.maxZ, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "MaxFragmentCharge") {
+			t.Errorf("error does not name the option: %v", err)
+		}
 	}
 }

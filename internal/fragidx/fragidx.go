@@ -79,6 +79,11 @@ const (
 	// walks read only the ordinal and series bits.
 	maxSlot       = metaSlotMask
 	maxPassCharge = metaChargeMask
+
+	// MaxFragmentCharge is the largest fragment charge a Meta can carry. A
+	// larger one would spill into the series bit, which every walk reads, so
+	// core.Options.Validate refuses the fragment-index scan above it.
+	MaxFragmentCharge = metaChargeMask
 )
 
 // Passes-tier postings pack ordinal, pass, and slot into one uint32 key:
