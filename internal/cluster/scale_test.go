@@ -129,58 +129,56 @@ func BenchmarkMachineScale(b *testing.B) {
 // at a gate before and after them while the benchmark goroutine reads the
 // allocation counter, and machine set-up and tear-down stay outside.
 func BenchmarkTransportStep(b *testing.B) {
-	for _, p := range []int{1024} {
-		b.Run("p="+itoa(p), func(b *testing.B) {
-			m, err := New(Config{Ranks: p, Cost: TwoLevelCluster()})
-			if err != nil {
-				b.Fatal(err)
+	const p = 1024
+	b.Run("p=1024", func(b *testing.B) {
+		m, err := New(Config{Ranks: p, Cost: TwoLevelCluster()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var warmed, stepped atomic.Int32
+		var start, finish atomic.Bool
+		spin := func(done func() bool) {
+			for !done() {
+				runtime.Gosched()
 			}
-			var warmed, stepped atomic.Int32
-			var start, finish atomic.Bool
-			spin := func(done func() bool) {
-				for !done() {
-					runtime.Gosched()
+		}
+		runErr := make(chan error, 1)
+		go func() {
+			runErr <- m.Run(func(r *Rank) error {
+				id := r.ID()
+				r.Expose("blk", make([]byte, 680)) // scale_wide's mean block
+				r.Barrier()
+				buf, err := r.Get((id+1)%p, "blk").WaitInto(nil)
+				warmed.Add(1)
+				spin(start.Load)
+				for i := 0; i < b.N && err == nil; i++ {
+					buf, err = r.Get((id+i+2)%p, "blk").WaitInto(buf)
 				}
-			}
-			runErr := make(chan error, 1)
-			go func() {
-				runErr <- m.Run(func(r *Rank) error {
-					id := r.ID()
-					r.Expose("blk", make([]byte, 680)) // scale_wide's mean block
-					r.Barrier()
-					buf, err := r.Get((id+1)%p, "blk").WaitInto(nil)
-					warmed.Add(1)
-					spin(start.Load)
-					for i := 0; i < b.N && err == nil; i++ {
-						buf, err = r.Get((id+i+2)%p, "blk").WaitInto(buf)
-					}
-					stepped.Add(1)
-					spin(finish.Load)
-					return err
-				})
-			}()
-			spin(func() bool { return warmed.Load() == int32(p) })
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			start.Store(true)
-			spin(func() bool { return stepped.Load() == int32(p) })
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			finish.Store(true)
-			if err := <-runErr; err != nil {
-				b.Fatal(err)
-			}
-			steps := float64(p) * float64(b.N)
-			perStep := float64(after.Mallocs-before.Mallocs) / steps
-			b.ReportMetric(perStep, "allocs/step")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/steps, "B/step")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/steps, "ns/step")
-			if perStep > 1 {
-				b.Fatalf("%.2f allocs per transport step, want ≤ 1 (the Pending)", perStep)
-			}
-		})
-	}
+				stepped.Add(1)
+				spin(finish.Load)
+				return err
+			})
+		}()
+		spin(func() bool { return warmed.Load() == p })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		start.Store(true)
+		spin(func() bool { return stepped.Load() == p })
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		finish.Store(true)
+		if err := <-runErr; err != nil {
+			b.Fatal(err)
+		}
+		steps := float64(p) * float64(b.N)
+		perStep := float64(after.Mallocs-before.Mallocs) / steps
+		b.ReportMetric(perStep, "allocs/step")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/steps, "ns/step")
+		if perStep > 1 {
+			b.Fatalf("%.2f allocs per transport step, want ≤ 1 (the Pending)", perStep)
+		}
+	})
 }
 
 // itoa avoids pulling strconv into the benchmark name hot path. (Test-only.)

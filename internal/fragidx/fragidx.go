@@ -78,7 +78,7 @@ const (
 	// Index.Tier), though plain match tiers remain available since their
 	// walks read only the ordinal and series bits.
 	maxSlot       = metaSlotMask
-	maxPassCharge = metaChargeMask
+	maxPassCharge = MaxFragmentCharge
 
 	// MaxFragmentCharge is the largest fragment charge a Meta can carry. A
 	// larger one would spill into the series bit, which every walk reads, so
