@@ -2,7 +2,8 @@
 // nondeterminism out of the packages whose outputs must be bit-identical
 // across runs, hosts, and GOMAXPROCS settings: the engine scan, the scoring
 // models, the digest and fragment indexes, the synthetic data generators,
-// and the virtual cluster whose clocks the experiments report.
+// the blob codec, and the virtual cluster whose clocks the experiments
+// report.
 //
 // Within those packages it forbids
 //
@@ -55,6 +56,7 @@ var Packages = []string{
 	"internal/spectrum",
 	"internal/synth",
 	"internal/trace",
+	"internal/wire",
 }
 
 const name = "determinism"

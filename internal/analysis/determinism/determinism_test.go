@@ -62,6 +62,7 @@ func TestAppliesTo(t *testing.T) {
 		"pepscale/internal/serve",
 		"pepscale/internal/spectrum",
 		"pepscale/internal/synth",
+		"pepscale/internal/wire",
 	} {
 		if !determinism.Analyzer.AppliesTo(path) {
 			t.Errorf("AppliesTo(%q) = false, want true", path)
@@ -71,6 +72,7 @@ func TestAppliesTo(t *testing.T) {
 		"pepscale",
 		"pepscale/internal/topk",
 		"pepscale/internal/report",
+		"pepscale/internal/wire/wiretest",
 		"pepscale/cmd/paperbench",
 		"other/internal/coredump",
 	} {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pepscale/internal/topk"
+	"pepscale/internal/wire/wiretest"
 )
 
 func sampleGroup(seed int64) *Group {
@@ -16,8 +17,10 @@ func sampleGroup(seed int64) *Group {
 	nq := rng.Intn(5)
 	g.Queries = make([]Query, nq)
 	for i := range g.Queries {
-		nh := rng.Intn(4)
-		hits := make([]topk.Hit, nh)
+		var hits []topk.Hit // an empty list decodes as nil
+		if nh := rng.Intn(4); nh > 0 {
+			hits = make([]topk.Hit, nh)
+		}
 		for j := range hits {
 			hits[j] = topk.Hit{
 				Peptide:   string(rune('A'+rng.Intn(26))) + "EPTIDEK",
@@ -69,24 +72,11 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodeHugeCountRejected: a blob claiming 2^32-1 queries, or that many
+// hits for its first query, is rejected before anything is allocated for them.
 func TestDecodeHugeCountRejected(t *testing.T) {
-	// A blob claiming 2^31 queries must be rejected before allocating.
-	var b []byte
-	b = append(b, blobHeader(0, 0, 0)...)
-	b = appendU32(b, 1<<31-1)
-	if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-}
-
-func blobHeader(group, cursor int32, cand int64) []byte {
-	var b []byte
-	b = appendU32(b, magic)
-	b = appendU32(b, version)
-	b = appendU32(b, uint32(group))
-	b = appendU32(b, uint32(cursor))
-	b = appendU64(b, uint64(cand))
-	return b
+	wiretest.HostileCounts(t, fuzzSeedGroup().Encode(), map[int]uint32{24: 2, 28: 2},
+		func(b []byte) error { _, err := Decode(b); return err }, ErrCorrupt)
 }
 
 func TestStore(t *testing.T) {

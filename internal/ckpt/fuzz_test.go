@@ -1,11 +1,10 @@
 package ckpt
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"pepscale/internal/topk"
+	"pepscale/internal/wire/wiretest"
 )
 
 // fuzzSeedGroup is a small but fully-populated checkpoint used to seed the
@@ -27,7 +26,7 @@ func fuzzSeedGroup() *Group {
 
 // FuzzDecode hammers the checkpoint decoder with arbitrary blobs: it must
 // never panic, must reject structural garbage with ErrCorrupt, and any blob
-// it does accept must re-encode canonically (Encode∘Decode is idempotent).
+// it does accept must re-encode to the bytes it was given.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(fuzzSeedGroup().Encode())
@@ -37,21 +36,5 @@ func FuzzDecode(f *testing.F) {
 	mutated[0] ^= 0xff // bad magic
 	f.Add(mutated)
 
-	f.Fuzz(func(t *testing.T, b []byte) {
-		g, err := Decode(b)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Decode error %v is not ErrCorrupt", err)
-			}
-			return
-		}
-		re := g.Encode()
-		g2, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-encoded blob does not decode: %v", err)
-		}
-		if !bytes.Equal(re, g2.Encode()) {
-			t.Fatal("Encode∘Decode is not idempotent")
-		}
-	})
+	wiretest.Canonical(f, Decode, (*Group).Encode, ErrCorrupt)
 }

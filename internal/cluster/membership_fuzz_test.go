@@ -1,15 +1,16 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
+
+	"pepscale/internal/wire/wiretest"
 )
 
 // FuzzDecodeMembershipPlan fuzzes the membership-schedule codec. The
-// invariants: Decode never panics; any accepted blob describes a schedule
-// that passes Validate; and the codec is canonical — an accepted blob
-// re-encodes to exactly itself, so there is a bijection between valid
-// schedules and valid blobs. The checked-in seed corpus lives under
+// invariants: Decode never panics; every rejection is errMembership (Decode
+// ends with Validate, so an accepted blob describes a valid schedule); and
+// the codec is canonical — an accepted blob re-encodes to exactly itself, so
+// there is a bijection between valid schedules and valid blobs. The checked-in seed corpus lives under
 // testdata/fuzz/FuzzDecodeMembershipPlan.
 func FuzzDecodeMembershipPlan(f *testing.F) {
 	f.Add([]byte{})
@@ -21,16 +22,5 @@ func FuzzDecodeMembershipPlan(f *testing.F) {
 		{TimeSec: 2, Leave: []int{0, 4}},
 		{TimeSec: 2, Join: []int{0}, Leave: []int{1}},
 	}}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		mp, err := DecodeMembershipPlan(data)
-		if err != nil {
-			return
-		}
-		if verr := mp.Validate(); verr != nil {
-			t.Fatalf("decoder accepted a schedule Validate rejects: %v", verr)
-		}
-		if re := EncodeMembershipPlan(mp); !bytes.Equal(re, data) {
-			t.Fatalf("accepted blob is not canonical:\n in: %x\nout: %x", data, re)
-		}
-	})
+	wiretest.Canonical(f, DecodeMembershipPlan, EncodeMembershipPlan, errMembership)
 }

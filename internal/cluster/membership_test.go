@@ -2,12 +2,13 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"pepscale/internal/wire/wiretest"
 )
 
 func TestMembershipPlanValidate(t *testing.T) {
@@ -130,16 +131,22 @@ func TestMembershipDecodeRejects(t *testing.T) {
 	// Decode.
 	bad := &MembershipPlan{Universe: 2, Initial: 2, Events: []MemberEvent{{TimeSec: 1, Join: []int{0}}}}
 	cases["semantics"] = EncodeMembershipPlan(bad)
-	// A fictitious event count larger than the remaining bytes must be
-	// rejected before allocation.
-	huge := append([]byte{}, good[:18]...)
-	binary.LittleEndian.PutUint32(huge[14:], 1<<20)
-	cases["hugeCount"] = huge
+	// A universe Validate would have to allocate a table for is rejected
+	// before it runs.
+	cases["hugeUniverse"] = EncodeMembershipPlan(&MembershipPlan{Universe: maxUniverse + 1, Initial: 1})
 	for name, blob := range cases {
-		if _, err := DecodeMembershipPlan(blob); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := DecodeMembershipPlan(blob); !errors.Is(err, errMembership) {
+			t.Errorf("%s: error %v, want errMembership", name, err)
 		}
 	}
+}
+
+// TestMembershipHostileCounts: a fictitious event or rank count is rejected
+// before anything is allocated for it.
+func TestMembershipHostileCounts(t *testing.T) {
+	wiretest.HostileCounts(t, EncodeMembershipPlan(goldenPlan()),
+		map[int]uint32{14: 3, 26: 2, 38: 0}, // events, joins and leaves of event 0
+		func(b []byte) error { _, err := DecodeMembershipPlan(b); return err }, errMembership)
 }
 
 // TestAdmissionFlow drives the full dormant-rank protocol: park, admit with

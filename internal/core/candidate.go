@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -12,6 +11,7 @@ import (
 	"pepscale/internal/score"
 	"pepscale/internal/sortmz"
 	"pepscale/internal/topk"
+	"pepscale/internal/wire"
 )
 
 // candWindow is the RMA window name for candidate blocks.
@@ -43,20 +43,17 @@ func marshalCands(entries []candEntry) ([]byte, error) {
 		n += e.wireSize()
 	}
 	out := make([]byte, 0, n)
-	var scratch [8]byte
 	for _, e := range entries {
 		if len(e.ID) > 255 || len(e.Seq) > 255 || len(e.Sites) > 255 {
 			return nil, fmt.Errorf("core: candidate entry too large (id=%d seq=%d sites=%d)", len(e.ID), len(e.Seq), len(e.Sites))
 		}
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(e.Mass))
-		out = append(out, scratch[:8]...)
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(e.GID))
-		out = append(out, scratch[:4]...)
+		out = wire.F64(out, e.Mass)
+		out = wire.U32(out, uint32(e.GID))
 		out = append(out, byte(len(e.ID)), byte(len(e.Seq)), byte(len(e.Sites)))
 		out = append(out, e.ID...)
 		out = append(out, e.Seq...)
 		for _, s := range e.Sites {
-			out = append(out, byte(s.Pos), byte(s.Pos>>8), s.Mod)
+			out = append(wire.U16(out, s.Pos), s.Mod)
 		}
 	}
 	return out, nil
@@ -64,35 +61,22 @@ func marshalCands(entries []candEntry) ([]byte, error) {
 
 func unmarshalCands(buf []byte) ([]candEntry, error) {
 	var out []candEntry
-	i := 0
-	for i < len(buf) {
-		if i+15 > len(buf) {
-			return nil, fmt.Errorf("core: truncated candidate header at byte %d", i)
+	r := wire.NewReader(buf, errWire)
+	for r.Len() > 0 {
+		e := candEntry{Mass: r.F64(), GID: int32(r.U32())}
+		idLen, seqLen, nSites := int(r.U8()), int(r.U8()), int(r.U8())
+		e.ID = string(r.Bytes(idLen))
+		e.Seq = append(make([]byte, 0, seqLen), r.Bytes(seqLen)...)
+		if nSites > 0 {
+			e.Sites = make([]digest.ModSite, nSites)
 		}
-		mass := math.Float64frombits(binary.LittleEndian.Uint64(buf[i:]))
-		gid := int32(binary.LittleEndian.Uint32(buf[i+8:]))
-		idLen := int(buf[i+12])
-		seqLen := int(buf[i+13])
-		nSites := int(buf[i+14])
-		i += 15
-		need := idLen + seqLen + 3*nSites
-		if i+need > len(buf) {
-			return nil, fmt.Errorf("core: truncated candidate body at byte %d", i)
+		for s := range e.Sites {
+			e.Sites[s] = digest.ModSite{Pos: r.U16(), Mod: r.U8()}
 		}
-		id := string(buf[i : i+idLen])
-		i += idLen
-		seq := make([]byte, seqLen)
-		copy(seq, buf[i:i+seqLen])
-		i += seqLen
-		var sites []digest.ModSite
-		for s := 0; s < nSites; s++ {
-			sites = append(sites, digest.ModSite{
-				Pos: uint16(buf[i]) | uint16(buf[i+1])<<8,
-				Mod: buf[i+2],
-			})
-			i += 3
-		}
-		out = append(out, candEntry{Mass: mass, GID: gid, ID: id, Seq: seq, Sites: sites})
+		out = append(out, e)
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -209,15 +193,12 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	if len(mine) > 0 {
 		lo, hi = mine[0].Mass, mine[len(mine)-1].Mass
 	}
-	var bound [16]byte
-	binary.LittleEndian.PutUint64(bound[:8], math.Float64bits(lo))
-	binary.LittleEndian.PutUint64(bound[8:], math.Float64bits(hi))
-	tuples := r.Allgather(bound[:])
+	tuples := r.Allgather(wire.F64(wire.F64(make([]byte, 0, 16), lo), hi))
 	bandLo := make([]float64, p)
 	bandHi := make([]float64, p)
 	for j, b := range tuples {
-		bandLo[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-		bandHi[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		rd := wire.NewReader(b, errWire)
+		bandLo[j], bandHi[j] = rd.F64(), rd.F64()
 	}
 	// C3b: co-partition the queries with the candidates — each raw query
 	// spectrum travels to the rank owning its mass band, so almost every

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
 
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
+	"pepscale/internal/wire"
 )
 
 // This file is the deterministic wire codec for everything the engines ship
@@ -24,32 +22,24 @@ import (
 // errWire reports a result or batch blob that fails structural validation.
 var errWire = errors.New("core: corrupt wire blob")
 
+// resultWireMin is the encoded size of a QueryResult with an empty
+// identifier and no hits: index, identifier length, parent mass, hit count.
+const resultWireMin = 4 + 4 + 8 + 4
+
 // encodeResults serializes per-query hit lists for the gather to rank 0.
 func encodeResults(rs []QueryResult) []byte {
 	n := 4
 	for i := range rs {
-		n += 4 + 4 + len(rs[i].ID) + 8 + 4
-		for j := range rs[i].Hits {
-			h := &rs[i].Hits[j]
-			n += 4 + len(h.Peptide) + 4 + 4 + len(h.ProteinID) + 8 + 8
-		}
+		n += 4 + 4 + len(rs[i].ID) + 8 + topk.HitsWireSize(rs[i].Hits)
 	}
 	b := make([]byte, 0, n)
-	b = wireU32(b, uint32(len(rs)))
+	b = wire.U32(b, uint32(len(rs)))
 	for i := range rs {
 		q := &rs[i]
-		b = wireU32(b, uint32(q.Index))
-		b = wireStr(b, q.ID)
-		b = wireF64(b, q.ParentMass)
-		b = wireU32(b, uint32(len(q.Hits)))
-		for j := range q.Hits {
-			h := &q.Hits[j]
-			b = wireStr(b, h.Peptide)
-			b = wireU32(b, uint32(h.Protein))
-			b = wireStr(b, h.ProteinID)
-			b = wireF64(b, h.Mass)
-			b = wireF64(b, h.Score)
-		}
+		b = wire.U32(b, uint32(q.Index))
+		b = wire.Str(b, q.ID)
+		b = wire.F64(b, q.ParentMass)
+		b = topk.AppendHits(b, q.Hits)
 	}
 	return b
 }
@@ -60,46 +50,16 @@ func decodeResults(b []byte) ([]QueryResult, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	d := wireReader{b: b}
-	nq := d.u32()
-	if d.err == nil && int64(nq) > int64(len(b)) {
-		return nil, fmt.Errorf("%w: query count %d exceeds blob size", errWire, nq)
+	d := wire.NewReader(b, errWire)
+	rs := make([]QueryResult, d.Count(resultWireMin))
+	for i := range rs {
+		rs[i].Index = int(int32(d.U32()))
+		rs[i].ID = d.Str()
+		rs[i].ParentMass = d.F64()
+		rs[i].Hits = topk.ReadHits(&d)
 	}
-	var rs []QueryResult
-	if d.err == nil {
-		rs = make([]QueryResult, nq)
-	}
-	for i := 0; d.err == nil && i < int(nq); i++ {
-		rs[i].Index = int(int32(d.u32()))
-		rs[i].ID = d.str()
-		rs[i].ParentMass = d.f64()
-		nh := d.u32()
-		if d.err != nil {
-			break
-		}
-		if int64(nh) > int64(len(b)) {
-			return nil, fmt.Errorf("%w: hit count %d exceeds blob size", errWire, nh)
-		}
-		if nh == 0 {
-			continue
-		}
-		hits := make([]topk.Hit, nh)
-		for j := 0; d.err == nil && j < int(nh); j++ {
-			hits[j] = topk.Hit{
-				Peptide:   d.str(),
-				Protein:   int32(d.u32()),
-				ProteinID: d.str(),
-				Mass:      d.f64(),
-				Score:     d.f64(),
-			}
-		}
-		rs[i].Hits = hits
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errWire, len(d.b))
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return rs, nil
 }
@@ -108,23 +68,13 @@ func decodeResults(b []byte) ([]QueryResult, error) {
 func encodeBatch(m batchMsg) []byte {
 	n := 4 + 4*len(m.Indices) + 4
 	for _, s := range m.Specs {
-		n += 4 + len(s.ID) + 8 + 4 + 4 + 16*len(s.Peaks)
+		n += s.WireSize()
 	}
 	b := make([]byte, 0, n)
-	b = wireU32(b, uint32(len(m.Indices)))
-	for _, idx := range m.Indices {
-		b = wireU32(b, uint32(idx))
-	}
-	b = wireU32(b, uint32(len(m.Specs)))
+	b = wire.Ints(b, m.Indices)
+	b = wire.U32(b, uint32(len(m.Specs)))
 	for _, s := range m.Specs {
-		b = wireStr(b, s.ID)
-		b = wireF64(b, s.PrecursorMZ)
-		b = wireU32(b, uint32(s.Charge))
-		b = wireU32(b, uint32(len(s.Peaks)))
-		for _, p := range s.Peaks {
-			b = wireF64(b, p.MZ)
-			b = wireF64(b, p.Intensity)
-		}
+		b = s.AppendWire(b)
 	}
 	return b
 }
@@ -135,110 +85,16 @@ func decodeBatch(b []byte) (batchMsg, error) {
 	if len(b) == 0 {
 		return m, nil
 	}
-	d := wireReader{b: b}
-	ni := d.u32()
-	if d.err == nil && int64(ni)*4 > int64(len(d.b)) {
-		return m, fmt.Errorf("%w: index count %d exceeds blob size", errWire, ni)
-	}
-	if d.err == nil && ni > 0 {
-		m.Indices = make([]int, ni)
-		for i := range m.Indices {
-			m.Indices[i] = int(int32(d.u32()))
+	d := wire.NewReader(b, errWire)
+	m.Indices = d.Ints()
+	if n := d.Count(spectrum.WireMin); n > 0 {
+		m.Specs = make([]*spectrum.Spectrum, n)
+		for i := range m.Specs {
+			m.Specs[i] = spectrum.ReadWire(&d)
 		}
 	}
-	ns := d.u32()
-	if d.err == nil && int64(ns) > int64(len(b)) {
-		return m, fmt.Errorf("%w: spectrum count %d exceeds blob size", errWire, ns)
-	}
-	if d.err == nil && ns > 0 {
-		m.Specs = make([]*spectrum.Spectrum, ns)
-	}
-	for i := 0; d.err == nil && i < int(ns); i++ {
-		s := &spectrum.Spectrum{
-			ID:          d.str(),
-			PrecursorMZ: d.f64(),
-			Charge:      int(int32(d.u32())),
-		}
-		np := d.u32()
-		if d.err != nil {
-			break
-		}
-		if int64(np)*16 > int64(len(d.b)) {
-			return m, fmt.Errorf("%w: peak count %d exceeds blob size", errWire, np)
-		}
-		if np > 0 {
-			s.Peaks = make([]spectrum.Peak, np)
-			for j := range s.Peaks {
-				s.Peaks[j].MZ = d.f64()
-				s.Peaks[j].Intensity = d.f64()
-			}
-		}
-		m.Specs[i] = s
-	}
-	if d.err != nil {
-		return batchMsg{}, d.err
-	}
-	if len(d.b) != 0 {
-		return batchMsg{}, fmt.Errorf("%w: %d trailing bytes", errWire, len(d.b))
+	if err := d.Finish(); err != nil {
+		return batchMsg{}, err
 	}
 	return m, nil
-}
-
-func wireU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func wireF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func wireStr(b []byte, s string) []byte {
-	b = wireU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// wireReader is a sticky-error little-endian cursor over a wire blob.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (d *wireReader) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.err = fmt.Errorf("%w: truncated", errWire)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *wireReader) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = fmt.Errorf("%w: truncated", errWire)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *wireReader) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(n) > uint64(len(d.b)) {
-		d.err = fmt.Errorf("%w: truncated string of %d bytes", errWire, n)
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }

@@ -9,6 +9,7 @@ import (
 
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
+	"pepscale/internal/wire/wiretest"
 )
 
 func wireSampleResults() []QueryResult {
@@ -81,6 +82,20 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// nonEmpty hides the empty blob from the canonical harness: the engines
+// decode it as the empty value (a rank with nothing to send sends nothing;
+// pinned by the round-trip tests above), and it is the one accepted input
+// that is not an encoder's output.
+func nonEmpty[T any](decode func([]byte) (T, error)) func([]byte) (T, error) {
+	return func(b []byte) (T, error) {
+		if len(b) == 0 {
+			var zero T
+			return zero, errWire
+		}
+		return decode(b)
+	}
+}
+
 // FuzzDecodeResults: arbitrary blobs must never panic the result decoder,
 // and accepted blobs must re-encode to the identical bytes (the property
 // the tracer's byte counts rely on).
@@ -88,18 +103,7 @@ func FuzzDecodeResults(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeResults(wireSampleResults()))
 	f.Add(encodeResults(nil))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		rs, err := decodeResults(b)
-		if err != nil {
-			if !errors.Is(err, errWire) {
-				t.Fatalf("error %v is not errWire", err)
-			}
-			return
-		}
-		if len(b) > 0 && !bytes.Equal(encodeResults(rs), b) {
-			t.Fatal("accepted blob is not canonical")
-		}
-	})
+	wiretest.Canonical(f, nonEmpty(decodeResults), encodeResults, errWire)
 }
 
 // FuzzDecodeBatch: same contract for the batch decoder.
@@ -107,16 +111,29 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeBatch(wireSampleBatch()))
 	f.Add(encodeBatch(batchMsg{}))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeBatch(b)
-		if err != nil {
-			if !errors.Is(err, errWire) {
-				t.Fatalf("error %v is not errWire", err)
-			}
-			return
-		}
-		if len(b) > 0 && !bytes.Equal(encodeBatch(m), b) {
-			t.Fatal("accepted blob is not canonical")
-		}
-	})
+	wiretest.Canonical(f, nonEmpty(decodeBatch), encodeBatch, errWire)
+}
+
+// TestWireHostileCounts: every count field of the four engine formats is
+// checked against the bytes behind it before anything is allocated for it.
+// Offsets index the golden values' encodings.
+func TestWireHostileCounts(t *testing.T) {
+	st, newMembers, p0 := goldenAdmissionState()
+	for _, c := range []struct {
+		name   string
+		valid  []byte
+		counts map[int]uint32 // offset of each u32 count field → its value
+		decode func([]byte) error
+	}{
+		{"results", encodeResults(wireSampleResults()), map[int]uint32{0: 2, 26: 2}, // queries, hits of query 0
+			func(b []byte) error { _, err := decodeResults(b); return err }},
+		{"batch", encodeBatch(wireSampleBatch()), map[int]uint32{0: 3, 16: 3, 38: 2}, // indices, spectra, peaks of spectrum 0
+			func(b []byte) error { _, err := decodeBatch(b); return err }},
+		{"admission", encodeAdmission(st, newMembers, p0), map[int]uint32{8: 3, 24: 3, 64: 3, 80: 3}, // old and new members, block and group owners
+			func(b []byte) error { _, err := decodeAdmission(b, p0); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			wiretest.HostileCounts(t, c.valid, c.counts, c.decode, errWire)
+		})
+	}
 }

@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
+	"pepscale/internal/wire/wiretest"
 )
 
 // fuzzSeedSubmit is a fully-populated submission frame for round-trip and
@@ -88,8 +88,8 @@ func TestWireRejects(t *testing.T) {
 	// Peak-count overrun: a canonical header claiming 2^31 peaks with no
 	// payload behind it.
 	over := append([]byte{}, valid...)
-	over = over[:len(over)-2*peakWireSize] // strip the peak payload
-	over[len(over)-4] = 0xff               // count field now absurd
+	over = over[:len(over)-2*16] // strip the two peaks
+	over[len(over)-4] = 0xff     // count field now absurd
 	over[len(over)-3] = 0xff
 	over[len(over)-2] = 0xff
 	over[len(over)-1] = 0x7f
@@ -108,6 +108,15 @@ func TestWireRejects(t *testing.T) {
 	}
 }
 
+// TestWireHostileCounts: a fictitious peak or hit count is rejected before
+// anything is allocated for it.
+func TestWireHostileCounts(t *testing.T) {
+	wiretest.HostileCounts(t, fuzzSeedSubmit().Encode(), map[int]uint32{55: 2}, // peaks
+		func(b []byte) error { _, err := DecodeSubmit(b); return err }, errFrame)
+	wiretest.HostileCounts(t, fuzzSeedResult().Encode(), map[int]uint32{55: 2}, // hits
+		func(b []byte) error { _, err := DecodeResult(b); return err }, errFrame)
+}
+
 // FuzzDecodeSubmit: the submit decoder never panics, rejects non-canonical
 // blobs with errFrame, and every accepted blob re-encodes to its exact
 // input bytes.
@@ -119,18 +128,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[0] ^= 0xff
 	f.Add(mutated)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := DecodeSubmit(b)
-		if err != nil {
-			if !errors.Is(err, errFrame) {
-				t.Fatalf("DecodeSubmit error %v is not errFrame", err)
-			}
-			return
-		}
-		if !bytes.Equal(fr.Encode(), b) {
-			t.Fatal("accepted submit frame does not re-encode to its input")
-		}
-	})
+	wiretest.Canonical(f, DecodeSubmit, (*SubmitFrame).Encode, errFrame)
 }
 
 // FuzzDecodeResult is the result-frame counterpart of FuzzDecodeSubmit.
@@ -142,16 +140,5 @@ func FuzzDecodeResult(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[0] ^= 0xff
 	f.Add(mutated)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := DecodeResult(b)
-		if err != nil {
-			if !errors.Is(err, errFrame) {
-				t.Fatalf("DecodeResult error %v is not errFrame", err)
-			}
-			return
-		}
-		if !bytes.Equal(fr.Encode(), b) {
-			t.Fatal("accepted result frame does not re-encode to its input")
-		}
-	})
+	wiretest.Canonical(f, DecodeResult, (*ResultFrame).Encode, errFrame)
 }
