@@ -779,6 +779,7 @@ func (m *Machine) Reset() {
 	for i, r := range m.ranks {
 		r.clock = 0
 		r.Stats = Stats{}
+		r.leaving = false
 		r.pending = make(map[int][]message)
 		r.progress.reset()
 	drain:
@@ -896,6 +897,8 @@ type Rank struct {
 	// trace event by syncTo).
 	lastCollPh  string
 	lastCollSeq int64
+	// leaving is set between LeaveBarrier and the Depart that completes it.
+	leaving bool
 
 	// Stats is the rank's accounting; readable after Run completes.
 	Stats Stats

@@ -329,14 +329,31 @@ func (r *Rank) Admit(to int, payload []byte) {
 
 // Depart marks the calling rank dormant again (a graceful leave). The
 // rank's body should then park in AwaitAdmission to stay re-admittable, or
-// return.
+// return. After LeaveBarrier only the trace mark is left to do.
 func (r *Rank) Depart() {
-	if err := r.m.markActive(r.id, false); err != nil {
+	if r.leaving {
+		r.leaving = false
+	} else if err := r.m.markActive(r.id, false); err != nil {
 		panic(err.Error())
 	}
 	if r.tl != nil {
 		r.Mark("depart", fmt.Sprintf("rank %d left the membership", r.id))
 	}
+}
+
+// LeaveBarrier is Barrier for a caller that leaves the membership at it and
+// may be re-admitted by a member straight after: the caller's membership bit
+// flips before it enters, so the barrier's completion orders the flip before
+// anything a member does once its own Barrier returns. Flipping it in a later
+// Depart would leave that to the host scheduler — an Admit of this rank at
+// the next boundary could find it still active. The caller finishes the
+// leave with Depart, which then only traces the mark.
+func (c *Comm) LeaveBarrier() {
+	if err := c.r.m.markActive(c.r.id, false); err != nil {
+		panic(err.Error())
+	}
+	c.r.leaving = true
+	c.Barrier()
 }
 
 // Release frees a dormant rank that will never be admitted: its

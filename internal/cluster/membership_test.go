@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pepscale/internal/wire/wiretest"
 )
@@ -204,6 +205,40 @@ func TestAdmissionFlow(t *testing.T) {
 	}
 	if joined.Load() != 1 || rejoined.Load() != 1 {
 		t.Fatalf("joined=%d rejoined=%d", joined.Load(), rejoined.Load())
+	}
+}
+
+// TestLeaveBarrierOrdersReadmission pins the host order of a leave that is
+// followed by a re-admission at the next synchronization point: rank 1 leaves
+// through LeaveBarrier and rank 0 admits it again as soon as its own barrier
+// returns. The sleep is host time only; it makes rank 0's Admit run before
+// rank 1's Depart, which is fatal ("rank 1 already active") if the membership
+// bit flips there instead of before the barrier.
+func TestLeaveBarrierOrdersReadmission(t *testing.T) {
+	m, err := New(Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = m.Run(func(r *Rank) error {
+		both := r.Group([]int{0, 1})
+		if r.ID() == 0 {
+			both.Barrier()
+			r.Admit(1, []byte("back"))
+			return nil
+		}
+		both.LeaveBarrier()
+		time.Sleep(20 * time.Millisecond)
+		r.Depart()
+		if pay, ok := r.AwaitAdmission(); !ok || string(pay) != "back" {
+			t.Errorf("re-admission: ok=%v payload=%q", ok, pay)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !m.Active(1) {
+		t.Fatal("rank 1 is not active after its re-admission")
 	}
 }
 

@@ -354,16 +354,23 @@ func elasticApply(r *cluster.Rank, in Input, sh *shared, st *elasticState, newMe
 	}
 	// Old and new members synchronize on their union: every migration
 	// source stays responsive until every fetch of this boundary is done,
-	// and no joiner can race ahead of the membership it joined.
-	union := unionSorted(st.plan.Members, newMembers)
-	r.Group(union).Barrier()
+	// and no joiner can race ahead of the membership it joined. A leaver's
+	// membership bit flips on its way in, so the lowest member's Admit at
+	// the next boundary finds it dormant whichever of the two the host runs
+	// first.
+	union := r.Group(unionSorted(st.plan.Members, newMembers))
+	leaving := !next.IsMember(id)
+	if leaving {
+		union.LeaveBarrier()
+	} else {
+		union.Barrier()
+	}
 	st.plan = next
 	r.SetPhase("scan")
-	if !st.plan.IsMember(id) {
+	if leaving {
 		r.Depart()
-		return true, nil
 	}
-	return false, nil
+	return leaving, nil
 }
 
 // elasticJoin boots a rank admitted at an epoch boundary from the admission
