@@ -3,7 +3,10 @@ package serve
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
+
+	"pepscale/internal/spectrum"
 )
 
 // TestQueueFullRetryAfter: a full ingress queue rejects with a typed
@@ -137,6 +140,56 @@ func TestUnknownAndOutOfOrder(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitRejectsNonFinite: a submit whose arrival time or precursor m/z
+// is not finite, or whose charge is below 1, is refused with the typed,
+// non-retryable error at both entrances and changes no state — admitted, a
+// NaN arrival makes next() return NaN forever and Drain spin, and a +Inf one
+// makes every later submit out of order. A valid submit and Close still
+// complete afterwards.
+func TestSubmitRejectsNonFinite(t *testing.T) {
+	db, pool := testWorkload(t, 40, 4)
+	s, err := New(steadyCfg(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Metrics()
+	with := func(charge int, mz float64) *spectrum.Spectrum {
+		sp := *pool[0]
+		sp.Charge, sp.PrecursorMZ = charge, mz
+		return &sp
+	}
+	for name, f := range map[string]*SubmitFrame{
+		"NaN at":        {Tenant: "acme", AtSec: math.NaN(), Spec: pool[0]},
+		"+Inf at":       {Tenant: "acme", AtSec: math.Inf(1), Spec: pool[0]},
+		"-Inf at":       {Tenant: "acme", AtSec: math.Inf(-1), Spec: pool[0]},
+		"charge 0":      {Tenant: "acme", AtSec: 1, Spec: with(0, pool[0].PrecursorMZ)},
+		"NaN precursor": {Tenant: "acme", AtSec: 1, Spec: with(2, math.NaN())},
+	} {
+		var inv *InvalidSubmitError
+		if err := s.Submit(f.AtSec, f.Tenant, f.Spec); !errors.As(err, &inv) {
+			t.Errorf("%s: Submit returned %v", name, err)
+		}
+		if err := s.SubmitFrame(f.Encode()); !errors.As(err, &inv) {
+			t.Errorf("%s: SubmitFrame returned %v", name, err)
+		}
+		if _, ok := IsRetryable(inv); ok {
+			t.Errorf("%s: classified as retryable backpressure", name)
+		}
+	}
+	if got := s.Metrics(); !reflect.DeepEqual(got, before) {
+		t.Errorf("rejected submits changed the stats:\n got %+v\nwant %+v", got, before)
+	}
+	if err := s.Submit(1, "acme", pool[1]); err != nil {
+		t.Fatalf("valid submit after the rejections: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Completed; got != 1 {
+		t.Errorf("completed %d, want 1", got)
 	}
 }
 

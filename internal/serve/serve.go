@@ -343,8 +343,9 @@ func (s *Server) fail(err error) error {
 
 // Submit offers one query spectrum for tenant at virtual time at (non-
 // decreasing across calls). It returns nil on admission, a typed
-// *QuotaError or *QueueFullError rejection under backpressure, or the
-// service's fatal error. Admission never blocks: the scan loop runs only
+// *QuotaError or *QueueFullError rejection under backpressure, a typed
+// *InvalidSubmitError, *OutOfOrderError or *UnknownTenantError for a submit
+// that can never be admitted, or the service's fatal error. Admission never blocks: the scan loop runs only
 // inside the event-time advance, and a rejected submit changes no state.
 func (s *Server) Submit(at float64, tenantName string, spec *spectrum.Spectrum) error {
 	if s.failed != nil {
@@ -352,6 +353,9 @@ func (s *Server) Submit(at float64, tenantName string, spec *spectrum.Spectrum) 
 	}
 	if spec == nil {
 		return fmt.Errorf("serve: nil spectrum")
+	}
+	if !finite(at) || spec.Charge < 1 || !finite(spec.PrecursorMZ) {
+		return &InvalidSubmitError{AtSec: at, Charge: spec.Charge, PrecursorMZ: spec.PrecursorMZ}
 	}
 	if at < s.lastSubmit {
 		return &OutOfOrderError{AtSec: at, LastSec: s.lastSubmit}
@@ -397,6 +401,8 @@ func (s *Server) Submit(at float64, tenantName string, spec *spectrum.Spectrum) 
 	}
 	return s.failed
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // SubmitFrame decodes a submission frame and submits it (the frame's AtSec
 // is the arrival instant; its Seq is advisory — completions carry the

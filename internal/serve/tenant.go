@@ -98,6 +98,22 @@ func (e *OutOfOrderError) Error() string {
 	return fmt.Sprintf("serve: out-of-order submit at %.6fs (last %.6fs)", e.AtSec, e.LastSec)
 }
 
+// InvalidSubmitError rejects a submit the service cannot schedule or search:
+// a non-finite arrival time (the event loop would never reach, or never get
+// past, it), a charge below 1, or a non-finite precursor m/z. Resubmitting
+// the same query cannot succeed, so it is not retryable.
+type InvalidSubmitError struct {
+	AtSec       float64
+	Charge      int
+	PrecursorMZ float64
+}
+
+// Error implements error.
+func (e *InvalidSubmitError) Error() string {
+	return fmt.Sprintf("serve: invalid submit (at %vs, charge %d, precursor m/z %v): times and m/z must be finite, charge at least 1",
+		e.AtSec, e.Charge, e.PrecursorMZ)
+}
+
 // IsRetryable reports whether err is a backpressure rejection (quota or
 // queue) rather than a fatal service error, and returns its retry-after.
 func IsRetryable(err error) (retryAfterSec float64, ok bool) {

@@ -2,7 +2,12 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pepscale/internal/spectrum"
@@ -117,18 +122,61 @@ func TestWireHostileCounts(t *testing.T) {
 		func(b []byte) error { _, err := DecodeResult(b); return err }, errFrame)
 }
 
+// submitSeeds are FuzzDecodeSubmit's in-code seeds: the valid frame, a
+// truncation, a bad magic, and the canonical frame that used to wedge pepd
+// (AtSec = NaN: admitted, then never reached by the event loop).
+func submitSeeds() [][]byte {
+	valid := fuzzSeedSubmit().Encode()
+	mutated := append([]byte(nil), valid...)
+	mutated[0] ^= 0xff
+	nanAt := fuzzSeedSubmit()
+	nanAt.AtSec = math.NaN()
+	return [][]byte{{}, valid, valid[:len(valid)-3], mutated, nanAt.Encode()}
+}
+
 // FuzzDecodeSubmit: the submit decoder never panics, rejects non-canonical
 // blobs with errFrame, and every accepted blob re-encodes to its exact
 // input bytes.
 func FuzzDecodeSubmit(f *testing.F) {
-	valid := fuzzSeedSubmit().Encode()
-	f.Add([]byte{})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	mutated := append([]byte(nil), valid...)
-	mutated[0] ^= 0xff
-	f.Add(mutated)
+	for _, b := range submitSeeds() {
+		f.Add(b)
+	}
 	wiretest.Canonical(f, DecodeSubmit, (*SubmitFrame).Encode, errFrame)
+}
+
+// TestSubmitCorpusCannotWedge: whatever a corpus entry of FuzzDecodeSubmit
+// holds, a fresh server given it as a frame answers and still closes (a hang
+// is the test binary's timeout).
+func TestSubmitCorpusCannotWedge(t *testing.T) {
+	frames := submitSeeds()
+	files, err := filepath.Glob("testdata/fuzz/FuzzDecodeSubmit/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed corpus: %v", err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(<quoted>)\n"
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		frames = append(frames, []byte(b))
+	}
+	db, _ := testWorkload(t, 40, 1)
+	for i, frame := range frames {
+		s, err := New(steadyCfg(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = s.SubmitFrame(frame) // admitted or refused, either is an answer
+		if err := s.Close(); err != nil {
+			t.Errorf("frame %d: Close: %v", i, err)
+		}
+	}
 }
 
 // FuzzDecodeResult is the result-frame counterpart of FuzzDecodeSubmit.
