@@ -92,9 +92,12 @@ chaos-elastic:
 	$(GO) test -race -count=1 ./internal/placement/
 
 # fuzz-short gives every fuzz target a fixed, CI-sized budget: the codec
-# decoders (checkpoint, result/batch wire, trace JSON reader) must never
-# panic and must only accept canonical blobs. The minimize budget is capped
-# so a coverage-expanding input cannot stall the run.
+# decoders (checkpoint, result/batch wire, membership plan, pepd frames,
+# trace JSON reader) must never panic and must only accept canonical blobs
+# (internal/wire/wiretest), and the two input parsers (FASTA with its
+# boundary-repair splitter, MGF) must never panic and must agree with
+# themselves. The minimize budget is capped so a coverage-expanding input
+# cannot stall the run.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/ckpt/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
@@ -104,6 +107,8 @@ fuzz-short:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeMembershipPlan -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSubmit -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/fasta/ -run '^$$' -fuzz FuzzParseFASTA -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/spectrum/ -run '^$$' -fuzz FuzzParseMGF -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # cover enforces the checked-in statement-coverage floor
 # (.coverage-threshold) over the simulation and observability packages.
