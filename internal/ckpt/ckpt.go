@@ -1,14 +1,10 @@
 // Package ckpt implements the checkpoint codec and stable store backing the
 // resilient transport loop (core.RunResilient): a query group's recovery
 // state — the block-step cursor s, the candidate counter, and every query's
-// top-τ hit list — serialized to a deterministic, self-describing binary
-// blob.
-//
-// The encoding is fixed little-endian with float bits written via
-// math.Float64bits, so the same state always produces the same bytes: blobs
-// are comparable, hashable, and bit-stable across runs — the property the
-// chaos tests rely on when proving a recovered run identical to the
-// failure-free one.
+// top-τ hit list — serialized to a PCKP blob under the repository's codec
+// rules (DESIGN.md, "Blob codec"). The same state always produces the same
+// bytes, which is what lets the chaos tests prove a recovered run identical
+// to the failure-free one.
 package ckpt
 
 import (

@@ -196,9 +196,7 @@ func AutoscaleMembershipPlan(p0, spares int, horizonSec float64, seed int64) *Me
 	return mp
 }
 
-// Binary codec for membership schedules. The format is canonical: a blob is
-// accepted only if Decode(blob) re-encodes to exactly blob, which the fuzz
-// target enforces (see membership_fuzz_test.go).
+// Binary codec for membership schedules (PMBR; DESIGN.md, "Blob codec").
 const (
 	membershipMagic   = uint32(0x504d4252) // "RBMP" little-endian on the wire
 	membershipVersion = uint16(1)

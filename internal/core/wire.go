@@ -8,18 +8,14 @@ import (
 	"pepscale/internal/wire"
 )
 
-// This file is the deterministic wire codec for everything the engines ship
-// between ranks: per-rank hit lists gathered to rank 0 and the master–worker
-// / sort-path query batches. Like the checkpoint codec (internal/ckpt), it
-// writes fixed little-endian fields with float bits via math.Float64bits, so
-// a blob — and therefore its length, which the tracer records as event
-// payload bytes — is a pure function of the encoded values. encoding/gob
-// cannot provide that: its wire type descriptors embed ids allocated from
-// process-global state on first encode, so concurrently encoding goroutines
-// race for id assignment and identical values may serialize to different
-// byte counts from one process to the next.
+// This file holds the two headerless formats the engines ship between ranks
+// under the repository's codec rules (DESIGN.md, "Blob codec"): per-rank hit
+// lists gathered to rank 0 and the master–worker / sort-path query batches.
+// A blob's length is a pure function of the encoded values, and the tracer
+// records it as event payload bytes.
 
-// errWire reports a result or batch blob that fails structural validation.
+// errWire reports a blob of one of the engines' formats (results, batches,
+// candidate blocks, admission payloads) that fails structural validation.
 var errWire = errors.New("core: corrupt wire blob")
 
 // resultWireMin is the encoded size of a QueryResult with an empty

@@ -1,11 +1,8 @@
 // The client wire codec: submission and result frames for pepd sessions.
 //
-// Frames follow the repository's deterministic codec discipline (internal/
-// ckpt, internal/core wire.go): a magic/version header, fixed little-endian
-// fields, float bits via math.Float64bits, and a strict decoder that
-// accepts only canonical blobs — every accepted frame re-encodes to the
-// exact input bytes, which the fuzz targets pin. A frame's length is a pure
-// function of its values, so traced frame bytes are replayable.
+// Frames follow the repository's codec rules (DESIGN.md, "Blob codec")
+// behind a magic and a version. A frame's length is a pure function of its
+// values, so traced frame bytes are replayable.
 package serve
 
 import (
