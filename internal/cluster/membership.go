@@ -206,9 +206,13 @@ const (
 // validation.
 var errMembership = errors.New("cluster: bad membership blob")
 
-// maxUniverse bounds the universe a blob may declare: Validate simulates the
-// schedule over a table of that many ranks.
-const maxUniverse = 1 << 24
+const (
+	// maxUniverse bounds the universe a blob may declare: Validate simulates
+	// the schedule over a table of that many ranks.
+	maxUniverse = 1 << 24
+	// eventWireMin is the encoded size of an event with empty rank lists.
+	eventWireMin = 8 + 4 + 4
+)
 
 // EncodeMembershipPlan serializes the plan into the canonical little-endian
 // binary form.
@@ -260,9 +264,6 @@ func DecodeMembershipPlan(data []byte) (*MembershipPlan, error) {
 	}
 	return mp, nil
 }
-
-// eventWireMin is the encoded size of an event with empty rank lists.
-const eventWireMin = 8 + 4 + 4
 
 // Admission tags are reserved message tags of the membership protocol.
 const (

@@ -46,14 +46,13 @@ func Ints(b []byte, vs []int) []byte {
 // inline.
 type Reader struct {
 	b        []byte // the unread tail; nil once a read has failed
-	size     int
 	short    bool
 	sentinel error
 }
 
 // NewReader starts a cursor at b's first byte. Finish's errors wrap sentinel.
 func NewReader(b []byte, sentinel error) Reader {
-	return Reader{b: b, size: len(b), sentinel: sentinel}
+	return Reader{b: b, sentinel: sentinel}
 }
 
 // U8 reads one byte.
@@ -151,7 +150,7 @@ func (r *Reader) Len() int { return len(r.b) }
 func (r *Reader) Finish() error {
 	switch {
 	case r.short:
-		return fmt.Errorf("%w: truncated (%d bytes)", r.sentinel, r.size)
+		return fmt.Errorf("%w: truncated", r.sentinel)
 	case len(r.b) != 0:
 		return fmt.Errorf("%w: %d trailing bytes", r.sentinel, len(r.b))
 	}
