@@ -208,13 +208,13 @@ func TestAdmissionFlow(t *testing.T) {
 	}
 }
 
-// TestLeaveBarrierOrdersReadmission pins the host order of a leave that is
+// TestAdmitAfterLeaveBarrier pins the host order of a leave that is
 // followed by a re-admission at the next synchronization point: rank 1 leaves
 // through LeaveBarrier and rank 0 admits it again as soon as its own barrier
 // returns. The sleep is host time only; it makes rank 0's Admit run before
 // rank 1's Depart, which is fatal ("rank 1 already active") if the membership
 // bit flips there instead of before the barrier.
-func TestLeaveBarrierOrdersReadmission(t *testing.T) {
+func TestAdmitAfterLeaveBarrier(t *testing.T) {
 	m, err := New(Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
