@@ -2,15 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build vet loc lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments clean
+.PHONY: all check build vet loc lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments experiments-check clean
 
 all: build vet test
 
 # check is the pre-merge gate: compile, vet, lint, full tests, the race
-# detector over every package, the streaming-service smoke, and the
-# end-to-end benchmark at its small size table (every workload, every query
-# checked against the serial oracle).
-check: build vet lint test race serve-smoke bench-quick
+# detector over every package, the paper's tables against their golden, the
+# streaming-service smoke, and the end-to-end benchmark at its small size
+# table (every workload, every query checked against the serial oracle).
+check: build vet lint test race experiments-check serve-smoke bench-quick
 
 build:
 	$(GO) build ./...
@@ -188,6 +188,18 @@ experiments:
 
 quick-experiments:
 	$(GO) run ./cmd/paperbench -scale quick -exp all
+
+# experiments-check holds every table and figure at quick scale to the
+# committed bytes (the virtual clock is exact per seed, so the comparison is
+# a plain diff). `make experiments-check UPDATE=1` rewrites the golden for a
+# change that means to move a table.
+EXPERIMENTS_GOLDEN = internal/experiments/testdata/experiments_quick.txt
+experiments-check:
+ifdef UPDATE
+	$(GO) run ./cmd/paperbench -scale quick -exp all > $(EXPERIMENTS_GOLDEN)
+else
+	$(GO) run ./cmd/paperbench -scale quick -exp all | diff -u $(EXPERIMENTS_GOLDEN) -
+endif
 
 clean:
 	$(GO) clean ./...
