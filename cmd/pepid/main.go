@@ -1,8 +1,8 @@
 // Command pepid runs an end-to-end peptide-identification search: a FASTA
 // protein database against an MGF query file (or synthetic stand-ins for
 // both), on any of the six engines, printing the top-τ hits per query and
-// the run's virtual-time metrics, with optional spectral-library scoring
-// and target–decoy FDR estimation.
+// the run's virtual-time metrics, with optional target–decoy FDR
+// estimation.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	      [-scorer likelihood|hyper|sharedpeaks|xcorr] [-prefilter 0.28]
 //	      [-scan peptide|fragidx]
 //	      [-mods "Oxidation(M),Phospho(STY)"] [-semi] [-groups 2]
-//	      [-library lib.txt] [-decoy -fdr 0.01] [-o hits.tsv] [-metrics]
+//	      [-decoy -fdr 0.01] [-o hits.tsv] [-metrics]
 //	      [-trace run.json] [-trace-summary]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		missed    = flag.Int("missed", 2, "allowed missed cleavages")
 		groups    = flag.Int("groups", 2, "sub-group count for -algo subgroup")
 		noMask    = flag.Bool("no-masking", false, "disable communication-computation masking")
-		libPath   = flag.String("library", "", "optional spectral library file (curated model spectra)")
 		decoy     = flag.Bool("decoy", false, "append reversed-sequence decoys to the database and estimate FDR")
 		fdrCut    = flag.Float64("fdr", 0.01, "q-value threshold for the FDR report (with -decoy)")
 		outPath   = flag.String("o", "", "hits TSV output path (default stdout)")
@@ -124,14 +123,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	opt.BatchSize = *batchSize
 	opt.Masking = !*noMask
 	opt.Groups = *groups
-	if *libPath != "" {
-		lib, err := pepscale.LoadSpectralLibraryFile(*libPath)
-		if err != nil {
-			return err
-		}
-		opt.Score.Library = lib
-		fmt.Fprintf(stderr, "pepid: loaded spectral library with %d entries\n", lib.Len())
-	}
 	if *mods != "" {
 		for _, name := range strings.Split(*mods, ",") {
 			m, ok := pepscale.ModificationByName(strings.TrimSpace(name))

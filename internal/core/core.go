@@ -81,9 +81,6 @@ type Options struct {
 	// peptide-major sweep (default), "fragidx" for the inverted
 	// fragment-index path. Both produce bit-identical results — hits, Offer
 	// order, stats, traces — and differ only in host-side speed.
-	// Library-backed scoring falls back from "fragidx" to the peptide-major
-	// sweep (the index mirrors the on-the-fly fragment generator, not
-	// curated spectra).
 	ScanMode string
 }
 

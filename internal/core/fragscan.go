@@ -55,8 +55,7 @@ const passTileCands = 1 << 16
 // scanFragIdx runs the fragment-index scan over a non-empty block and query
 // set. fidx is the block's inverted index — block-owned and shared: the
 // run's cache hands every rank scanning the block the same one, whichever
-// rank first needs a tier builds it, and nothing here writes to it. Callers
-// guarantee opt.Score.Library == nil (see scanState.scan).
+// rank first needs a tier builds it, and nothing here writes to it.
 //
 //pepvet:hotpath
 func (ss *scanState) scanFragIdx(qs []*score.Query, lists []*topk.List, ix *digest.Index, fidx *fragidx.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {

@@ -8,11 +8,6 @@ import (
 	"testing"
 
 	"pepscale/internal/cluster"
-	"pepscale/internal/digest"
-	"pepscale/internal/score"
-	"pepscale/internal/spectrum"
-	"pepscale/internal/synth"
-	"pepscale/internal/topk"
 )
 
 // fragIdxAlgos enumerates every engine the fragment-index path is plumbed
@@ -126,62 +121,6 @@ func TestFragIdxResilientChaos(t *testing.T) {
 	queriesEqual(t, "chaos", golden.Queries, res.Queries)
 	if res.Metrics.Candidates != golden.Metrics.Candidates {
 		t.Errorf("candidates %d, want %d", res.Metrics.Candidates, golden.Metrics.Candidates)
-	}
-}
-
-// TestFragIdxLibraryFallback: a spectral library cannot be mirrored by the
-// index, so ScanModeFragIdx must silently fall back to the peptide-major
-// sweep and still reproduce the reference results.
-func TestFragIdxLibraryFallback(t *testing.T) {
-	dbSpec := synth.SizedSpec(60)
-	dbSpec.Seed = 7
-	db := synth.GenerateDB(dbSpec)
-	opt := testOptions()
-	spSpec := synth.DefaultSpectraSpec(8)
-	spSpec.Digest = opt.Digest
-	truths, err := synth.GenerateSpectra(db, spSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := digest.NewIndex(db, 0, opt.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := spectrum.NewLibrary()
-	for i := 0; i < ix.Len(); i += 5 {
-		pep := ix.At(i)
-		lib.Add(string(pep.Seq), spectrum.Theoretical("lib", pep.Seq, nil, 2, opt.Score.Theoretical))
-	}
-	opt.Score.Library = lib
-	qs := prepareQueries(nil, synth.Spectra(truths), opt.Score)
-	idOf := blockIDResolver(db, 0)
-
-	refLists := make([]*topk.List, len(qs))
-	fragLists := make([]*topk.List, len(qs))
-	for i := range qs {
-		refLists[i] = topk.New(opt.Tau)
-		fragLists[i] = topk.New(opt.Tau)
-	}
-	sc1, err := score.New(opt.ScorerName, opt.Score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc2, err := score.New(opt.ScorerName, opt.Score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSt := scanIndexQueryMajor(qs, refLists, ix, sc1, opt, idOf)
-	fragOpt := opt
-	fragOpt.ScanMode = ScanModeFragIdx
-	var ss scanState
-	fragSt := ss.scan(qs, fragLists, newBlockIndex(ix, nil), sc2, fragOpt, idOf)
-	if refSt != fragSt {
-		t.Errorf("library fallback stats differ: %+v vs %+v", refSt, fragSt)
-	}
-	for qi := range qs {
-		if !reflect.DeepEqual(refLists[qi].Hits(), fragLists[qi].Hits()) {
-			t.Errorf("query %d library-fallback hits differ", qi)
-		}
 	}
 }
 

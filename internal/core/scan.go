@@ -114,10 +114,7 @@ func (ss *scanState) addActive(charge int, qi int32) {
 // clock charges the same scan cost regardless of the host-side path (see
 // scanComputeSec), so traces are byte-identical across modes too.
 func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, blk *blockIndex, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
-	if opt.ScanMode == ScanModeFragIdx && opt.Score.Library == nil {
-		// A spectral library changes candidates' fragment structure per
-		// lookup, which the index (built from the generator) cannot mirror;
-		// library-backed runs fall through to the peptide-major sweep.
+	if opt.ScanMode == ScanModeFragIdx {
 		if len(qs) == 0 || blk.ix.Len() == 0 {
 			return scanStats{}
 		}

@@ -17,9 +17,8 @@ import (
 
 // CandidatePrep holds the prepared form of one candidate at one precursor
 // charge: the theoretical fragment list of the model peptide (and, for the
-// likelihood model, of its deterministic null shuffles), the fragments'
-// precomputed bin indices, and the per-slot model confidences. All buffers
-// are recycled across candidates, so a warmed Prepare/ScorePrepared cycle
+// likelihood model, of its deterministic null shuffles) and the fragments'
+// precomputed bin indices. All buffers are recycled across candidates, so a warmed Prepare/ScorePrepared cycle
 // performs zero heap allocations. A CandidatePrep belongs to the sweep of
 // one rank and is not safe for concurrent use.
 //
@@ -27,13 +26,6 @@ import (
 type CandidatePrep struct {
 	pepLen int
 	charge int
-	// shared marks the generation path, where a null shuffle permutes
-	// residues but keeps the fragment (Kind, Index, Charge) slot structure
-	// of the model pass, so the per-query log-ratio terms can be memoized by
-	// peptide length (see BatchQuery.lenTerms). A library lookup can break
-	// slot alignment between passes, so that path stores per-pass
-	// confidences and evaluates the terms directly.
-	shared bool
 	nPass  int
 	pass   [1 + nullShuffles]prepPass
 	// predicted is the query-independent half of the match statistics of
@@ -42,31 +34,17 @@ type CandidatePrep struct {
 }
 
 // prepPass is one prepared fragment list — the model peptide or one of its
-// null shuffles — with per-slot bins and (library path) confidences.
+// null shuffles — with per-slot bins.
 type prepPass struct {
 	frags []spectrum.Fragment
 	bins  []int32
-	p1    []float64
 }
 
 // fill populates the pass for (pep, deltas) at the given precursor charge,
 // reusing the pass buffers.
-func (p *prepPass) fill(cfg Config, charge int, pep []byte, deltas []float64, withP1 bool) {
-	p.frags = cfg.appendFragmentsAt(p.frags[:0], charge, pep, deltas)
+func (p *prepPass) fill(cfg Config, charge int, pep []byte, deltas []float64) {
+	p.frags = spectrum.AppendFragments(p.frags[:0], pep, deltas, charge, cfg.Theoretical)
 	p.bins = spectrum.AppendBinIndices(p.bins[:0], p.frags, cfg.binWidth())
-	p.p1 = p.p1[:0]
-	if withP1 {
-		p.p1 = appendConfidence(p.p1, p.frags, len(pep))
-	}
-}
-
-// appendConfidence appends each fragment slot's model confidence p1 — the
-// same expression Likelihood.Score evaluates inline.
-func appendConfidence(dst []float64, frags []spectrum.Fragment, pepLen int) []float64 {
-	for _, f := range frags {
-		dst = append(dst, 0.30+0.55*fragConfidence(f, pepLen))
-	}
-	return dst
 }
 
 // prepareSingle fills pass 0 only (the models without a null component)
@@ -74,9 +52,8 @@ func appendConfidence(dst []float64, frags []spectrum.Fragment, pepLen int) []fl
 func (prep *CandidatePrep) prepareSingle(cfg Config, scr *scratch, pep []byte, modDeltas []float64, charge int) {
 	prep.pepLen = len(pep)
 	prep.charge = charge
-	prep.shared = false
 	prep.nPass = 1
-	prep.pass[0].fill(cfg, charge, pep, modDeltas, false)
+	prep.pass[0].fill(cfg, charge, pep, modDeltas)
 	scr.pred.reset()
 	prep.predicted = 0
 	for _, bin := range prep.pass[0].bins {
@@ -171,39 +148,34 @@ func (bq *BatchQuery) lenTerms(pepLen, n int) []float64 {
 func (s *Likelihood) Prepare(prep *CandidatePrep, pep []byte, modDeltas []float64, charge int) {
 	prep.pepLen = len(pep)
 	prep.charge = charge
-	prep.shared = s.cfg.Library == nil
 	prep.nPass = 1 + nullShuffles
-	prep.pass[0].fill(s.cfg, charge, pep, modDeltas, !prep.shared)
+	prep.pass[0].fill(s.cfg, charge, pep, modDeltas)
 	for k := uint64(0); k < nullShuffles; k++ {
 		nullPep, nullDeltas := s.scr.shuffled(pep, modDeltas, k)
-		prep.pass[1+k].fill(s.cfg, charge, nullPep, nullDeltas, !prep.shared)
+		prep.pass[1+k].fill(s.cfg, charge, nullPep, nullDeltas)
 	}
 }
 
 // ScorePrepared implements Scorer; bit-identical to Score for the prepared
-// candidate when bq.Q's precursor charge equals the prepared charge.
+// candidate when bq.Q's precursor charge equals the prepared charge. A null
+// shuffle permutes residues but keeps the fragment (Kind, Index, Charge)
+// slot structure of the model pass, so all four passes read one per-query
+// log-ratio table memoized by peptide length (see BatchQuery.lenTerms).
 //
 //pepvet:hotpath
 func (s *Likelihood) ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64 {
-	var model, null float64
-	if prep.shared {
-		rr := bq.lenTerms(prep.pepLen, len(prep.pass[0].frags))
-		model = likelihoodPassCached(bq.Q, &prep.pass[0], rr)
-		for k := 1; k <= nullShuffles; k++ {
-			null += likelihoodPassCached(bq.Q, &prep.pass[k], rr)
-		}
-	} else {
-		model = likelihoodPassDirect(bq.Q, &prep.pass[0])
-		for k := 1; k <= nullShuffles; k++ {
-			null += likelihoodPassDirect(bq.Q, &prep.pass[k])
-		}
+	rr := bq.lenTerms(prep.pepLen, len(prep.pass[0].frags))
+	model := likelihoodPassCached(bq.Q, &prep.pass[0], rr)
+	var null float64
+	for k := 1; k <= nullShuffles; k++ {
+		null += likelihoodPassCached(bq.Q, &prep.pass[k], rr)
 	}
 	return model - null/nullShuffles
 }
 
 // likelihoodPassCached accumulates one pass's log-likelihood from the
 // eagerly built per-(query, length) term table; identical term values and
-// accumulation order as Likelihood.logLikelihoodCached.
+// accumulation order as Likelihood.logLikelihood.
 //
 //pepvet:hotpath
 func likelihoodPassCached(q *Query, p *prepPass, rr []float64) float64 {
@@ -213,24 +185,6 @@ func likelihoodPassCached(q *Query, p *prepPass, rr []float64) float64 {
 			ll += (0.5 + 0.5*inten) * rr[2*j]
 		} else {
 			ll += rr[2*j+1]
-		}
-	}
-	return ll
-}
-
-// likelihoodPassDirect is the uncached (library path) pass evaluation,
-// mirroring Likelihood.logLikelihood with the fragments' p1 precomputed.
-//
-//pepvet:hotpath
-func likelihoodPassDirect(q *Query, p *prepPass) float64 {
-	p0 := q.occupancy
-	var ll float64
-	for j, bin := range p.bins {
-		p1 := p.p1[j]
-		if inten, ok := q.PeakInten(bin); ok {
-			ll += (0.5 + 0.5*inten) * math.Log(p1/p0)
-		} else {
-			ll += math.Log((1 - p1) / (1 - p0))
 		}
 	}
 	return ll

@@ -82,40 +82,6 @@ func TestScorePreparedMatchesScore(t *testing.T) {
 	}
 }
 
-// TestScorePreparedLibraryPath covers the uncached branch: with a spectral
-// library supplying one candidate's model spectrum, fragment slot structure
-// differs between candidates, so ScorePrepared must bypass the memo and
-// still match Score exactly — for the library hit and the generation-path
-// miss alike.
-func TestScorePreparedLibraryPath(t *testing.T) {
-	cfg := DefaultConfig()
-	lib := spectrum.NewLibrary()
-	lib.Add(truePep, spectrum.Theoretical("lib", []byte(truePep), nil, 2, cfg.Theoretical))
-	cfg.Library = lib
-
-	q := makeQuery(t, truePep, 7)
-	bq := Batch(q)
-	for _, name := range Names() {
-		ref, err := New(name, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bat, err := New(name, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prep CandidatePrep
-		for _, pepStr := range []string{truePep, decoyOf(truePep)} {
-			pep := []byte(pepStr)
-			want := ref.Score(q, pep, nil)
-			bat.Prepare(&prep, pep, nil, q.Charge)
-			if got := bat.ScorePrepared(&bq, &prep); got != want {
-				t.Errorf("%s pep=%s: library-path ScorePrepared = %v, Score = %v", name, pepStr, got, want)
-			}
-		}
-	}
-}
-
 // TestQuickBinsMatchesQuickMatchFraction pins the split prefilter: the
 // query-independent QuickBins plus per-query QuickMatchFromBins must
 // reproduce QuickMatchFraction exactly.

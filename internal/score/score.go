@@ -38,9 +38,6 @@ type Config struct {
 	BinWidth float64
 	// Theoretical controls on-the-fly model spectrum generation.
 	Theoretical spectrum.TheoreticalOptions
-	// Library, when non-nil, supplies curated model spectra for candidates
-	// present in it; absent candidates fall back to on-the-fly generation.
-	Library *spectrum.Library
 	// Preprocess conditions experimental spectra before binning.
 	Preprocess spectrum.PreprocessOptions
 }
@@ -205,35 +202,6 @@ type matchStats struct {
 	nFrag     int
 	distinct  int // distinct matched bins
 	predicted int // distinct predicted bins
-}
-
-// appendFragments appends the candidate's model fragments to dst: curated
-// library peaks when available, on-the-fly generation otherwise. With a
-// warm dst it performs zero allocations on the generation path (the library
-// path is rare and may allocate for the map lookup).
-func (c Config) appendFragments(dst []spectrum.Fragment, q *Query, pep []byte, modDeltas []float64) []spectrum.Fragment {
-	return c.appendFragmentsAt(dst, q.Charge, pep, modDeltas)
-}
-
-// appendFragmentsAt is appendFragments for an explicit precursor charge —
-// the query-independent form the batched Prepare path uses.
-func (c Config) appendFragmentsAt(dst []spectrum.Fragment, charge int, pep []byte, modDeltas []float64) []spectrum.Fragment {
-	if c.Library != nil {
-		if s, ok := c.Library.Lookup(string(pep)); ok && len(modDeltas) == 0 {
-			// Library spectra carry curated peaks; convert to fragments of
-			// unknown series so they participate in matching. Kind/Index are
-			// synthetic (alternating series keeps factorial terms meaningful).
-			for i, p := range s.Peaks {
-				kind := spectrum.BIon
-				if i%2 == 1 {
-					kind = spectrum.YIon
-				}
-				dst = append(dst, spectrum.Fragment{Kind: kind, Index: i/2 + 1, Charge: 1, MZ: p.MZ})
-			}
-			return dst
-		}
-	}
-	return spectrum.AppendFragments(dst, pep, modDeltas, charge, c.Theoretical)
 }
 
 // binMarks is an epoch-stamped sparse membership table over fragment bins.
@@ -495,41 +463,34 @@ func (s *Likelihood) Cost() float64 { return 2.5 }
 // Score implements Scorer. All fragment generation and null-model shuffling
 // runs through the scratch buffers, so a warmed call allocates nothing.
 //
-// On the generation path the null shuffles permute residues but keep the
-// fragment (Kind, Index, Charge) structure — and therefore every log-ratio
-// term — identical slot-for-slot with the model pass, so the math.Log
-// results are memoized per slot across the four passes. A library lookup
-// can change the fragment structure between passes, so that (cold) path
-// keeps the direct evaluation.
+// The null shuffles permute residues but keep the fragment (Kind, Index,
+// Charge) structure — and therefore every log-ratio term — identical
+// slot-for-slot with the model pass, so the math.Log results are memoized
+// per slot across the four passes.
 func (s *Likelihood) Score(q *Query, pep []byte, modDeltas []float64) float64 {
-	cached := s.cfg.Library == nil
-	s.scr.frags = s.cfg.appendFragments(s.scr.frags[:0], q, pep, modDeltas)
-	var model float64
-	if cached {
-		s.scr.resetLogTerms(len(s.scr.frags))
-		model = s.logLikelihoodCached(q, s.scr.frags, len(pep))
-	} else {
-		model = s.logLikelihood(q, s.scr.frags, len(pep))
-	}
+	s.scr.frags = spectrum.AppendFragments(s.scr.frags[:0], pep, modDeltas, q.Charge, s.cfg.Theoretical)
+	s.scr.resetLogTerms(len(s.scr.frags))
+	model := s.logLikelihood(q, s.scr.frags, len(pep))
 	var null float64
 	for k := uint64(0); k < nullShuffles; k++ {
 		nullPep, nullDeltas := s.scr.shuffled(pep, modDeltas, k)
-		s.scr.frags = s.cfg.appendFragments(s.scr.frags[:0], q, nullPep, nullDeltas)
-		if cached {
-			null += s.logLikelihoodCached(q, s.scr.frags, len(nullPep))
-		} else {
-			null += s.logLikelihood(q, s.scr.frags, len(nullPep))
-		}
+		s.scr.frags = spectrum.AppendFragments(s.scr.frags[:0], nullPep, nullDeltas, q.Charge, s.cfg.Theoretical)
+		null += s.logLikelihood(q, s.scr.frags, len(nullPep))
 	}
 	return model - null/nullShuffles
 }
 
-// logLikelihoodCached is logLikelihood with the log-ratio terms memoized in
-// the scratch slot caches (primed by resetLogTerms). A term is computed on
-// first use by any pass and reused by later passes; both p1 ratios are
-// strictly positive, so NaN is unreachable as a computed value and safely
-// marks unset slots.
-func (s *Likelihood) logLikelihoodCached(q *Query, frags []spectrum.Fragment, pepLen int) float64 {
+// logLikelihood evaluates ln P(spectrum | peptide) under the Poisson peak
+// model: each predicted fragment bin independently holds an observed peak
+// with probability p1 (the model's confidence that the fragment appears;
+// mid-sequence singly charged y-ions are most reliable), rewarded in
+// proportion to the observed intensity, while background bins hold peaks
+// with the spectrum's occupancy probability p0. The log-ratio terms are
+// memoized in the scratch slot caches (primed by resetLogTerms): a term is
+// computed on first use by any pass and reused by later passes; both p1
+// ratios are strictly positive, so NaN is unreachable as a computed value
+// and safely marks unset slots.
+func (s *Likelihood) logLikelihood(q *Query, frags []spectrum.Fragment, pepLen int) float64 {
 	width := s.cfg.binWidth()
 	p0 := q.occupancy
 	var ll float64
@@ -551,29 +512,6 @@ func (s *Likelihood) logLikelihoodCached(q *Query, frags []spectrum.Fragment, pe
 				s.scr.logR0[j] = r
 			}
 			ll += r
-		}
-	}
-	return ll
-}
-
-// logLikelihood evaluates ln P(spectrum | peptide) under the Poisson peak
-// model: each predicted fragment bin independently holds an observed peak
-// with probability p1 (weighted by the model intensity), while background
-// bins hold peaks with the spectrum's occupancy probability p0.
-func (s *Likelihood) logLikelihood(q *Query, frags []spectrum.Fragment, pepLen int) float64 {
-	width := s.cfg.binWidth()
-	p0 := q.occupancy
-	var ll float64
-	for _, f := range frags {
-		bin := spectrum.BinIndex(f.MZ, width)
-		// Model confidence that this fragment appears, from the intensity
-		// model (mid-sequence singly charged y-ions are most reliable).
-		p1 := 0.30 + 0.55*fragConfidence(f, pepLen)
-		if inten, ok := q.PeakInten(bin); ok {
-			// Observed: reward scaled by observed intensity rank.
-			ll += (0.5 + 0.5*inten) * math.Log(p1/p0)
-		} else {
-			ll += math.Log((1 - p1) / (1 - p0))
 		}
 	}
 	return ll
@@ -608,7 +546,7 @@ func (s *Hyper) Cost() float64 { return 1.0 }
 // Score implements Scorer: ln(dot · nB! · nY!) with the factorials capped
 // (as in X!Tandem) to keep scores finite.
 func (s *Hyper) Score(q *Query, pep []byte, modDeltas []float64) float64 {
-	s.scr.frags = s.cfg.appendFragments(s.scr.frags[:0], q, pep, modDeltas)
+	s.scr.frags = spectrum.AppendFragments(s.scr.frags[:0], pep, modDeltas, q.Charge, s.cfg.Theoretical)
 	return hyperFromStats(s.scr.match(q, s.scr.frags, s.cfg.binWidth()))
 }
 
@@ -645,7 +583,7 @@ func (s *SharedPeaks) Cost() float64 { return 1.2 }
 
 // Score implements Scorer.
 func (s *SharedPeaks) Score(q *Query, pep []byte, modDeltas []float64) float64 {
-	s.scr.frags = s.cfg.appendFragments(s.scr.frags[:0], q, pep, modDeltas)
+	s.scr.frags = spectrum.AppendFragments(s.scr.frags[:0], pep, modDeltas, q.Charge, s.cfg.Theoretical)
 	return sharedPeaksFromStats(q, s.scr.match(q, s.scr.frags, s.cfg.binWidth()))
 }
 

@@ -184,30 +184,6 @@ func TestQuickMatchFraction(t *testing.T) {
 	}
 }
 
-func TestLibraryPathUsed(t *testing.T) {
-	// With a library spectrum registered, the scorer consults it (hit
-	// counter advances) and still scores deterministically.
-	lib := spectrum.NewLibrary()
-	model := spectrum.Theoretical("m", []byte(truePep), nil, 2, spectrum.DefaultTheoretical)
-	lib.Add(truePep, model)
-	cfg := DefaultConfig()
-	cfg.Library = lib
-	sc, _ := New("hyper", cfg)
-	q := makeQuery(t, truePep, 11)
-	s1 := sc.Score(q, []byte(truePep), nil)
-	s2 := sc.Score(q, []byte(truePep), nil)
-	if s1 != s2 {
-		t.Error("library-backed scoring nondeterministic")
-	}
-	hits, _ := lib.Stats()
-	if hits == 0 {
-		t.Error("library was not consulted")
-	}
-	if s1 <= 0 {
-		t.Errorf("library-backed score %v", s1)
-	}
-}
-
 func TestHypergeomSurvivalSanity(t *testing.T) {
 	if p := hypergeomSurvival(100, 10, 10, 0); p != 1 {
 		t.Errorf("P(X>=0) = %v", p)

@@ -30,7 +30,7 @@ func (s *XCorr) Cost() float64 { return 1.1 }
 
 // Score implements Scorer.
 func (s *XCorr) Score(q *Query, pep []byte, modDeltas []float64) float64 {
-	s.scr.frags = s.cfg.appendFragments(s.scr.frags[:0], q, pep, modDeltas)
+	s.scr.frags = spectrum.AppendFragments(s.scr.frags[:0], pep, modDeltas, q.Charge, s.cfg.Theoretical)
 	frags := s.scr.frags
 	if len(frags) == 0 {
 		return 0

@@ -1,8 +1,6 @@
 // Package spectrum models tandem mass spectra: experimental peak lists,
-// their binned/normalized form used for scoring, theoretical (model)
-// spectra generated on the fly from candidate peptide sequences, and a
-// spectral library for the MSPolygraph "use accurate library spectra when
-// available" path.
+// their binned/normalized form used for scoring, and theoretical (model)
+// spectra generated on the fly from candidate peptide sequences.
 package spectrum
 
 import (

@@ -213,31 +213,3 @@ func TestBinIndexMonotonic(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLibrary(t *testing.T) {
-	lib := NewLibrary()
-	if lib.Len() != 0 {
-		t.Error("new library not empty")
-	}
-	s := &Spectrum{ID: "m", Peaks: []Peak{{100, 1}}}
-	lib.Add("PEPTIDEK", s)
-	lib.Add("AAAK", s)
-	lib.Add("PEPTIDEK", s) // replace
-	if lib.Len() != 2 {
-		t.Errorf("Len = %d", lib.Len())
-	}
-	if _, ok := lib.Lookup("PEPTIDEK"); !ok {
-		t.Error("lookup failed")
-	}
-	if _, ok := lib.Lookup("MISSING"); ok {
-		t.Error("lookup of absent key succeeded")
-	}
-	hits, misses := lib.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d, %d", hits, misses)
-	}
-	peps := lib.Peptides()
-	if len(peps) != 2 || peps[0] != "AAAK" {
-		t.Errorf("Peptides = %v", peps)
-	}
-}

@@ -65,8 +65,6 @@ type (
 	Spectrum = spectrum.Spectrum
 	// Peak is one (m/z, intensity) point.
 	Peak = spectrum.Peak
-	// SpectralLibrary stores curated model spectra by peptide.
-	SpectralLibrary = spectrum.Library
 	// ProteinRecord is one FASTA database entry.
 	ProteinRecord = fasta.Record
 	// Tolerance is a Dalton or ppm mass-match window (δ).
@@ -244,40 +242,6 @@ func AcceptedAtFDR(psms []PSM, alpha float64) []PSM { return fdr.AcceptedAt(psms
 
 // SummarizeFDR computes headline acceptance counts from estimated PSMs.
 func SummarizeFDR(psms []PSM) FDRSummary { return fdr.Summarize(psms) }
-
-// --- Spectral libraries ---
-
-// NewSpectralLibrary returns an empty library of curated model spectra.
-// Assign it to Options.Score.Library to activate the MSPolygraph-style
-// "use library spectra when available" path; absent peptides fall back to
-// on-the-fly model generation.
-func NewSpectralLibrary() *SpectralLibrary { return spectrum.NewLibrary() }
-
-// BuildSpectralLibrary bootstraps a library with on-the-fly model spectra
-// for the given peptides.
-func BuildSpectralLibrary(peptides []string, charge int) *SpectralLibrary {
-	return spectrum.BuildLibrary(peptides, charge, spectrum.DefaultTheoretical)
-}
-
-// SaveSpectralLibrary writes a library in the pepscale text format.
-func SaveSpectralLibrary(w io.Writer, lib *SpectralLibrary) error {
-	return spectrum.SaveLibrary(w, lib)
-}
-
-// LoadSpectralLibrary reads a library written by SaveSpectralLibrary.
-func LoadSpectralLibrary(r io.Reader) (*SpectralLibrary, error) {
-	return spectrum.LoadLibrary(r)
-}
-
-// LoadSpectralLibraryFile reads a library file.
-func LoadSpectralLibraryFile(path string) (*SpectralLibrary, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("pepscale: %w", err)
-	}
-	defer f.Close()
-	return spectrum.LoadLibrary(f)
-}
 
 // --- Synthetic workloads ---
 

@@ -185,52 +185,6 @@ func TestTolerances(t *testing.T) {
 	}
 }
 
-func TestSpectralLibraryFacade(t *testing.T) {
-	lib := pepscale.BuildSpectralLibrary([]string{"PEPTIDEK", "MKVLAGHWK"}, 2)
-	if lib.Len() != 2 {
-		t.Fatalf("library size %d", lib.Len())
-	}
-	var buf bytes.Buffer
-	if err := pepscale.SaveSpectralLibrary(&buf, lib); err != nil {
-		t.Fatal(err)
-	}
-	back, err := pepscale.LoadSpectralLibrary(bytes.NewReader(buf.Bytes()))
-	if err != nil || back.Len() != 2 {
-		t.Fatalf("round trip: %v, %d", err, back.Len())
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lib.txt")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := pepscale.LoadSpectralLibraryFile(path)
-	if err != nil || fromFile.Len() != 2 {
-		t.Fatalf("file load: %v", err)
-	}
-
-	// A library-backed search runs and agrees with itself deterministically.
-	db := pepscale.GenerateDatabase(pepscale.SizedDatabase(50))
-	truths, err := pepscale.GenerateSpectra(db, pepscale.DefaultSpectraSpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := pepscale.DefaultOptions()
-	opt.Tau = 3
-	opt.Score.Library = lib
-	job := pepscale.Job{Algorithm: pepscale.AlgorithmA, Ranks: 2, Options: &opt}
-	r1, err := job.Run(pepscale.MarshalFASTA(db), pepscale.SpectraOf(truths))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := job.Run(pepscale.MarshalFASTA(db), pepscale.SpectraOf(truths))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1.Queries, r2.Queries) {
-		t.Error("library-backed search nondeterministic")
-	}
-}
-
 func TestFDRFacade(t *testing.T) {
 	db := pepscale.GenerateDatabase(pepscale.SizedDatabase(40))
 	if got := len(pepscale.DecoyDatabase(db)); got != 80 {
