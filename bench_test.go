@@ -420,33 +420,6 @@ func BenchmarkRMABandwidthSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkRMATargetProgress contrasts true-RDMA one-sided semantics with
-// the software passive-target fidelity mode (gets serviced only at the
-// target's MPI progress intervals).
-func BenchmarkRMATargetProgress(b *testing.B) {
-	f := fixture(b)
-	for _, cfg := range []struct {
-		name string
-		cost cluster.CostModel
-	}{
-		{"rdma", cluster.GigabitCluster()},
-		{"software-rma", cluster.GigabitClusterSoftwareRMA()},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var v float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(core.AlgoA, cluster.Config{Ranks: 8, Cost: cfg.cost},
-					core.Input{DBData: f.data, Queries: f.queries}, f.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				v = res.Metrics.RunSec
-			}
-			b.ReportMetric(v, "vsec/run")
-		})
-	}
-}
-
 // BenchmarkFDREstimate measures target-decoy q-value assignment on genuine
 // spectra (true peptides present among the targets).
 func BenchmarkFDREstimate(b *testing.B) {

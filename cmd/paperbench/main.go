@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		queries = flag.Int("queries", 0, "override query-spectra count")
 		tau     = flag.Int("tau", 0, "override tau (top hits per query)")
 		csv     = flag.Bool("csv", false, "also emit CSV after each table")
-		tprog   = flag.Bool("target-progress", false, "enable the software-RMA target-progress fidelity mode")
 		trpath  = flag.String("trace", "", "with -exp trace: also write the Chrome trace_event JSON here")
 	)
 	profFlags := prof.Register(flag)
@@ -85,9 +84,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	cfg.CSV = *csv
 	cfg.TracePath = *trpath
-	if *tprog {
-		cfg.Cost.RMATargetProgress = true
-	}
 
 	return cfg.Run(strings.Split(*exp, ","))
 }

@@ -281,7 +281,7 @@ func New(cfg Config) (*Machine, error) {
 	m.ranks = make([]*Rank, cfg.Ranks)
 	for i := 0; i < cfg.Ranks; i++ {
 		m.mailbox[i] = make(chan message, cfg.MailboxDepth)
-		m.ranks[i] = &Rank{m: m, id: i, pending: make(map[int][]message), progress: newProgressLog()}
+		m.ranks[i] = &Rank{m: m, id: i, pending: make(map[int][]message)}
 		if m.rec != nil {
 			m.ranks[i].tl = m.rec.Rank(i)
 		}
@@ -704,7 +704,6 @@ func (m *Machine) RunWithReport(body func(r *Rank) error) *RunReport {
 		go func(r *Rank) {
 			defer wg.Done()
 			defer m.noteBodyDone(r.id)
-			defer func() { r.progress.finish(r.clock) }()
 			defer func() {
 				switch rec := recover().(type) {
 				case nil:
@@ -781,7 +780,6 @@ func (m *Machine) Reset() {
 		r.Stats = Stats{}
 		r.leaving = false
 		r.pending = make(map[int][]message)
-		r.progress.reset()
 	drain:
 		for {
 			select {
@@ -883,11 +881,10 @@ type Stats struct {
 //
 //pepvet:perrank
 type Rank struct {
-	m        *Machine
-	id       int
-	clock    float64
-	pending  map[int][]message
-	progress *progressLog
+	m       *Machine
+	id      int
+	clock   float64
+	pending map[int][]message
 
 	// tl is the rank's trace log; nil when tracing is disabled, making
 	// every emission site a single pointer test.
@@ -902,30 +899,6 @@ type Rank struct {
 
 	// Stats is the rank's accounting; readable after Run completes.
 	Stats Stats
-}
-
-// noteProgress publishes the rank's current clock as an instant MPI
-// progress point (target-progress RMA mode only).
-func (r *Rank) noteProgress() {
-	if r.m.cfg.Cost.RMATargetProgress {
-		r.progress.publish(r.clock)
-	}
-}
-
-// noteCollectiveEnter opens a blocking in-MPI interval for a collective.
-// Its exit provably postdates any request it could unblock (machine- or
-// group-wide rendezvous), so the bound is infinite.
-func (r *Rank) noteCollectiveEnter() {
-	if r.m.cfg.Cost.RMATargetProgress {
-		r.progress.enter(r.clock, infBound)
-	}
-}
-
-// noteExit closes the rank's open in-MPI interval at the current clock.
-func (r *Rank) noteExit() {
-	if r.m.cfg.Cost.RMATargetProgress {
-		r.progress.exit(r.clock)
-	}
 }
 
 // ID returns the rank index in [0, p).
@@ -1014,7 +987,6 @@ func (r *Rank) Send(to int, tag string, payload []byte) {
 		panic(fmt.Sprintf("cluster: rank %d Send to invalid rank %d", r.id, to))
 	}
 	r.faultPoint()
-	r.noteProgress()
 	cost := r.m.cfg.Cost
 	start := r.clock
 	r.clock += cost.SendOverheadSec
@@ -1068,7 +1040,6 @@ func (r *Rank) sendSlow(to int, msg message) {
 // tag and payload, advancing the clock to the message's arrival time.
 func (r *Rank) Recv(from int) (tag string, payload []byte) {
 	r.faultPoint()
-	r.noteProgress()
 	for {
 		if q := r.pending[from]; len(q) > 0 {
 			msg := q[0]
@@ -1084,7 +1055,6 @@ func (r *Rank) Recv(from int) (tag string, payload []byte) {
 // to keep timing as schedule-independent as possible.
 func (r *Rank) RecvAny() (from int, tag string, payload []byte) {
 	r.faultPoint()
-	r.noteProgress()
 	for {
 		// Drain anything immediately available so the arrival-time choice
 		// sees all queued messages.
@@ -1191,7 +1161,6 @@ func (r *Rank) deliver(msg message) (string, []byte) {
 	if r.tl != nil {
 		r.tl.Append(trace.Event{Kind: trace.KindRecv, Name: msg.tag, Peer: msg.from, Bytes: int64(len(msg.payload)), Start: entry, Dur: r.clock - entry, Delta: trace.StatDelta{TotalCommSec: xfer, ResidualCommSec: commD, SyncWaitSec: syncD, BytesReceived: int64(len(msg.payload))}})
 	}
-	r.noteProgress() // post-receive progress point (target-progress mode)
 	return msg.tag, msg.payload
 }
 
@@ -1201,7 +1170,6 @@ func (r *Rank) deliver(msg message) (string, []byte) {
 // the "without disturbing the remote processor" property of MPI_Get.
 func (r *Rank) Expose(name string, data []byte) {
 	r.faultPoint()
-	r.noteProgress()
 	if r.tl != nil {
 		r.tl.Append(trace.Event{Kind: trace.KindExpose, Name: name, Peer: -1, Bytes: int64(len(data)), Start: r.clock})
 	}
@@ -1321,7 +1289,6 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 	p.done = true
 	r := p.r
 	r.faultPoint()
-	r.noteProgress()
 	entry := r.clock
 	w, err := r.waitWindow(p.owner, p.name)
 	if err != nil {
@@ -1367,19 +1334,6 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 		attempts++
 	}
 	completion := start + retryExtra + xfer
-	if cost.RMATargetProgress && p.owner != r.id {
-		// Software-emulated passive-target RMA: the request reaches the
-		// target at start+λ but is serviced only at the target's next MPI
-		// progress instant; the transfer follows. While this rank blocks
-		// here it is itself in-MPI and serviceable, with its own exit
-		// provably at or after start+xfer.
-		r.progress.enter(r.clock, start+retryExtra+xfer)
-		arrival := start + cost.LatencySec
-		svc := r.m.ranks[p.owner].progress.serviceTime(arrival, r.m.abort, r.interrupted)
-		if svc+retryExtra+xfer > completion {
-			completion = svc + retryExtra + xfer
-		}
-	}
 	r.Stats.BytesReceived += int64(len(data))
 	r.Stats.RMABytesReceived += int64(len(data))
 	waited := completion - r.clock
@@ -1388,9 +1342,8 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 	}
 	d := trace.StatDelta{BytesReceived: int64(len(data)), RMABytesReceived: int64(len(data)), RMARetries: nretries}
 	// The op's total cost is its transfer time (including retry attempts)
-	// or, when the target's service delay (target-progress mode) or
-	// exposure lag stretched the wait, the full unmasked wait — keeping
-	// residual ≤ total per op.
+	// or, when exposure lag stretched the wait, the full unmasked wait —
+	// keeping residual ≤ total per op.
 	if waited > retryExtra+xfer {
 		r.Stats.TotalCommSec += waited
 		d.TotalCommSec = waited
@@ -1402,9 +1355,6 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 		r.Stats.ResidualCommSec += waited
 		d.ResidualCommSec = waited
 		r.clock = completion
-	}
-	if cost.RMATargetProgress && p.owner != r.id {
-		r.progress.exit(r.clock)
 	}
 	if r.tl != nil {
 		ev := trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Bytes: int64(len(data)), Start: entry, Dur: r.clock - entry, Delta: d}

@@ -47,7 +47,6 @@ type phRound struct {
 	seq      int64
 	inputs   []interface{}
 	clocks   []float64
-	ranks    []*Rank
 	arrived  int
 	done     chan struct{}
 	result   interface{}
@@ -64,7 +63,6 @@ func newRound(n int, seq int64) *phRound {
 		seq:    seq,
 		inputs: make([]interface{}, n),
 		clocks: make([]float64, n),
-		ranks:  make([]*Rank, n),
 		done:   make(chan struct{}),
 	}
 }
@@ -74,13 +72,11 @@ func newRound(n int, seq int64) *phRound {
 // It returns fn's result and the maximum clock across participants.
 func (p *phaser) arrive(r *Rank, idx int, input interface{}, fn func(inputs []interface{}) interface{}) (interface{}, float64) {
 	r.faultPoint()
-	r.noteCollectiveEnter()
 	p.mu.lock(r)
 	rd := p.cur
 	r.lastCollPh, r.lastCollSeq = p.id, rd.seq
 	rd.inputs[idx] = input
 	rd.clocks[idx] = r.clock
-	rd.ranks[idx] = r
 	rd.arrived++
 	if rd.arrived == p.n {
 		rd.maxClock = rd.clocks[0]
@@ -91,16 +87,6 @@ func (p *phaser) arrive(r *Rank, idx int, input interface{}, fn func(inputs []in
 		}
 		if fn != nil {
 			rd.result = fn(rd.inputs)
-		}
-		// Target-progress mode: the rendezvous is complete, so every
-		// participant's in-MPI interval for this collective is now known.
-		// Publish the closures centrally BEFORE releasing the round, so a
-		// rank that proceeds past the collective can never observe a stale
-		// open interval on a peer (determinism of RMA service times).
-		if r.m.cfg.Cost.RMATargetProgress {
-			for _, pr := range rd.ranks {
-				pr.progress.closeOpen(rd.maxClock)
-			}
 		}
 		p.cur = newRound(p.n, rd.seq+1)
 		p.mu.unlock()
@@ -161,7 +147,6 @@ func (r *Rank) syncTo(name string, maxClock, cost float64) {
 	if r.tl != nil {
 		r.tl.Append(trace.Event{Kind: trace.KindCollective, Name: name, Peer: -1, PhID: r.lastCollPh, Seq: r.lastCollSeq, Start: entry, Dur: r.clock - entry, Delta: trace.StatDelta{SyncWaitSec: wait, TotalCommSec: cost, ResidualCommSec: cost}})
 	}
-	r.noteExit()
 }
 
 // The world collectives below are the Comm methods on the all-ranks

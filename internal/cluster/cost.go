@@ -27,22 +27,6 @@ type CostModel struct {
 	// 0 falls back to BytesPerSec. NIC sharing (RanksPerNode) applies on
 	// top.
 	RMABytesPerSec float64
-	// RMATargetProgress enables the target-progress fidelity mode: a Get
-	// is serviced only at the target's next MPI progress point (its next
-	// entry into a communication primitive) or while it is provably inside
-	// one (blocked collectives and waits poll progress), as with
-	// software-emulated passive-target RMA on clusters without RDMA
-	// hardware. Residual communication then tracks the target's
-	// computation granularity — the regime the paper measured. Off by
-	// default (true RDMA semantics).
-	//
-	// Constraint: programs must not make a Get's completion depend on a
-	// rank that is blocked in a matched point-to-point Recv (no service
-	// bound can be proven for a Recv, so such cycles deadlock). The
-	// engines satisfy this by construction: the master–worker baseline is
-	// pure point-to-point, and the transport engines use only RMA and
-	// collectives during query processing.
-	RMATargetProgress bool
 	// BlockingRMAFactor is the bandwidth-degradation multiplier applied to
 	// a Get that is waited on with no intervening computation (the
 	// unmasked, blocking pattern): all ranks then issue their transfers at
@@ -96,16 +80,6 @@ func GigabitCluster() CostModel {
 		PrepSecPerPeak:       2e-7,
 		SortSecPerKey:        60e-9,
 	}
-}
-
-// GigabitClusterSoftwareRMA returns the gigabit model with the
-// target-progress RMA fidelity mode enabled: one-sided gets are serviced
-// only at the target's MPI progress points, as with 2009-era
-// software-emulated passive-target RMA.
-func GigabitClusterSoftwareRMA() CostModel {
-	c := GigabitCluster()
-	c.RMATargetProgress = true
-	return c
 }
 
 // LaptopDirect returns a low-latency single-node model (shared-memory

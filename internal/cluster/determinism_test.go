@@ -11,7 +11,7 @@ import (
 // seed: a mix of compute, collectives, one-sided gets (masked and
 // blocking), and point-to-point rounds. Every rank derives the same
 // op schedule, so the program is collectively consistent.
-func randomProgram(seed uint64, p int, p2p bool) func(r *Rank) error {
+func randomProgram(seed uint64, p int) func(r *Rank) error {
 	type op struct {
 		kind  int
 		param int
@@ -47,12 +47,7 @@ func randomProgram(seed uint64, p int, p2p bool) func(r *Rank) error {
 				if _, err := r.Get((r.ID()+1)%r.Size(), "w").Wait(); err != nil {
 					return err
 				}
-			case 4: // ring send/recv (not combined with target-progress RMA;
-				// see CostModel.RMATargetProgress constraint)
-				if !p2p {
-					r.Compute(float64(o.param) * 1e-6)
-					continue
-				}
+			case 4: // ring send/recv
 				if r.Size() > 1 {
 					r.Send((r.ID()+1)%r.Size(), "t", make([]byte, o.param))
 					r.Recv((r.ID() + r.Size() - 1) % r.Size())
@@ -68,13 +63,12 @@ func randomProgram(seed uint64, p int, p2p bool) func(r *Rank) error {
 
 // TestRandomProgramsDeterministic: arbitrary op schedules produce
 // bit-identical per-rank virtual clocks and statistics across repeated
-// real executions, for both RDMA and target-progress semantics.
+// real executions.
 func TestRandomProgramsDeterministic(t *testing.T) {
-	models := []CostModel{GigabitCluster(), GigabitClusterSoftwareRMA()}
-	f := func(seed uint64, p8, model8 uint8) bool {
+	cm := GigabitCluster()
+	f := func(seed uint64, p8 uint8) bool {
 		p := int(p8%6) + 1
-		cm := models[int(model8)%len(models)]
-		prog := randomProgram(seed, p, !cm.RMATargetProgress)
+		prog := randomProgram(seed, p)
 		run := func() ([]float64, []Stats) {
 			m, err := New(Config{Ranks: p, Cost: cm})
 			if err != nil {
@@ -99,7 +93,7 @@ func TestRandomProgramsDeterministic(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			c2, s2 := run()
 			if !reflect.DeepEqual(c1, c2) {
-				t.Logf("clocks diverged: seed=%d p=%d model=%d\n%v\n%v", seed, p, model8, c1, c2)
+				t.Logf("clocks diverged: seed=%d p=%d\n%v\n%v", seed, p, c1, c2)
 				return false
 			}
 			if !reflect.DeepEqual(s1, s2) {
@@ -127,7 +121,7 @@ func TestRandomProgramsMonotoneClocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := randomProgram(seed*977, p, true)
+		prog := randomProgram(seed*977, p)
 		wrapped := func(r *Rank) error {
 			last := r.Time()
 			check := func() error {

@@ -97,7 +97,7 @@ func TestDegenerateTopologyTraceIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := m.RunWithReport(randomProgram(seed, p, true))
+		rep := m.RunWithReport(randomProgram(seed, p))
 		o := outcome{clocks: make([]float64, p), stats: make([]Stats, p)}
 		if rep.Err != nil {
 			o.errs = rep.Err.Error()

@@ -110,18 +110,14 @@ func exerciseAll(r *Rank) error {
 }
 
 func TestTraceMatchesStats(t *testing.T) {
-	cm := GigabitCluster()
-	for _, tprog := range []bool{false, true} {
-		cm.RMATargetProgress = tprog
-		m, err := New(Config{Ranks: 4, Cost: cm, Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run(exerciseAll); err != nil {
-			t.Fatal(err)
-		}
-		checkTraceMatchesStats(t, m, m.Trace("exercise"))
+	m, err := New(Config{Ranks: 4, Cost: GigabitCluster(), Trace: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := m.Run(exerciseAll); err != nil {
+		t.Fatal(err)
+	}
+	checkTraceMatchesStats(t, m, m.Trace("exercise"))
 }
 
 func TestTraceMatchesStatsUnderFaults(t *testing.T) {
