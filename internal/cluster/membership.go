@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"pepscale/internal/wire"
@@ -124,6 +125,33 @@ func (mp *MembershipPlan) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Apply returns the ascending member list after the event — leaves before
+// joins and never empty, the order Validate simulates — leaving members
+// untouched. It is tolerant where Validate is strict, so a schedule a driver
+// filtered after a crash can never corrupt the set: a leave of a non-member
+// or of the last member, a join of a member and a join of a rank in dead
+// (nil when the caller tracks none) are skipped.
+func (ev MemberEvent) Apply(members []int, dead map[int]bool) []int {
+	out := slices.Clone(members)
+	for _, l := range ev.Leave {
+		if len(out) <= 1 {
+			break
+		}
+		if i, ok := slices.BinarySearch(out, l); ok {
+			out = slices.Delete(out, i, i+1)
+		}
+	}
+	for _, j := range ev.Join {
+		if dead[j] {
+			continue
+		}
+		if i, ok := slices.BinarySearch(out, j); !ok {
+			out = slices.Insert(out, i, j)
+		}
+	}
+	return out
 }
 
 // SpotMembershipPlan generates the spot-instance churn profile: `cycles`

@@ -64,6 +64,32 @@ func TestMembershipPlanValidate(t *testing.T) {
 	}
 }
 
+// TestMembershipEventApply: leaves before joins, ascending, never empty, and
+// tolerant of what a crash-filtered schedule can still contain.
+func TestMembershipEventApply(t *testing.T) {
+	members := []int{0, 2, 5}
+	for _, tc := range []struct {
+		name string
+		ev   MemberEvent
+		dead map[int]bool
+		want []int
+	}{
+		{"leave-then-join", MemberEvent{Leave: []int{2}, Join: []int{1, 7}}, nil, []int{0, 1, 5, 7}},
+		{"rejoin-in-one-event", MemberEvent{Leave: []int{5}, Join: []int{5}}, nil, []int{0, 2, 5}},
+		{"leave-of-non-member", MemberEvent{Leave: []int{3}}, nil, []int{0, 2, 5}},
+		{"join-of-member", MemberEvent{Join: []int{2}}, nil, []int{0, 2, 5}},
+		{"join-of-dead", MemberEvent{Join: []int{1, 3}}, map[int]bool{3: true}, []int{0, 1, 2, 5}},
+		{"last-member-stays", MemberEvent{Leave: []int{0, 2, 5}}, nil, []int{5}},
+	} {
+		if got := tc.ev.Apply(members, tc.dead); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if !reflect.DeepEqual(members, []int{0, 2, 5}) {
+		t.Errorf("Apply modified its input: %v", members)
+	}
+}
+
 // TestMembershipProfilesDeterministicAndValid: both generators are pure
 // functions of their arguments and always emit validating schedules.
 func TestMembershipProfilesDeterministicAndValid(t *testing.T) {

@@ -34,6 +34,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pepscale/internal/chem"
@@ -72,8 +73,11 @@ type Options struct {
 	Prefilter float64
 	// BatchSize is the master–worker query batch size (default 16).
 	BatchSize int
-	// Masking enables communication–computation overlap in Algorithms A/B.
-	// DefaultOptions turns it on; the ablation turns it off.
+	// Masking enables communication–computation overlap (the prefetch of
+	// the next block while the current one is scanned) in every transport
+	// engine: A, B, sub-group, candidate and the resilient sweep.
+	// DefaultOptions turns it on; AlgoANoMask is Algorithm A with it forced
+	// off, whatever this field says.
 	Masking bool
 	// Groups is the sub-group count of the SubGroup engine (must divide p).
 	Groups int
@@ -139,6 +143,48 @@ func (o Options) Validate() error {
 type Input struct {
 	DBData  []byte
 	Queries []*spectrum.Spectrum
+}
+
+// InvalidQueryError rejects a query spectrum no engine can search: a
+// precursor m/z that is not finite, a charge below 1, or a peak that is not
+// finite. A NaN parent mass has no place in the mass order the scan sweeps
+// queries in, so one such spectrum would move the candidate windows of the
+// valid queries around it; every entry point refuses the run instead.
+type InvalidQueryError struct {
+	// Index is the query's position in Input.Queries.
+	Index int
+	// ID is the spectrum identifier.
+	ID string
+	// Reason names the offending field and its value.
+	Reason string
+}
+
+// Error implements error.
+func (e *InvalidQueryError) Error() string {
+	return fmt.Sprintf("core: query %d (%q): %s", e.Index, e.ID, e.Reason)
+}
+
+// validate is the check every entry point that returns an error makes before
+// it runs: the options, then each query.
+func (in Input) validate(opt Options) error {
+	if err := opt.Validate(); err != nil {
+		return err
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for i, q := range in.Queries {
+		switch {
+		case !finite(q.PrecursorMZ):
+			return &InvalidQueryError{Index: i, ID: q.ID, Reason: fmt.Sprintf("precursor m/z %v is not finite", q.PrecursorMZ)}
+		case q.Charge < 1:
+			return &InvalidQueryError{Index: i, ID: q.ID, Reason: fmt.Sprintf("charge %d is below 1", q.Charge)}
+		}
+		for _, pk := range q.Peaks {
+			if !finite(pk.MZ) || !finite(pk.Intensity) {
+				return &InvalidQueryError{Index: i, ID: q.ID, Reason: fmt.Sprintf("peak (%v, %v) is not finite", pk.MZ, pk.Intensity)}
+			}
+		}
+	}
+	return nil
 }
 
 // QueryResult is the reported hit list for one query.

@@ -33,9 +33,27 @@ func clusterCfg(p int) cluster.Config {
 	return cluster.Config{Ranks: p, Cost: cluster.GigabitCluster()}
 }
 
-// queriesEqual asserts two result sets report identical hit lists.
+// assertHitsInWindow asserts the invariant every search owes its caller
+// whatever the engine: each reported hit's mass lies inside the query's
+// window m(q) ± δ.
+func assertHitsInWindow(t *testing.T, opt Options, results []QueryResult) {
+	t.Helper()
+	for _, q := range results {
+		lo, hi := opt.Tol.Window(q.ParentMass)
+		for _, h := range q.Hits {
+			if !(h.Mass >= lo && h.Mass <= hi) {
+				t.Errorf("query %s (parent %v): hit %s of mass %v lies outside [%v, %v]", q.ID, q.ParentMass, h.Peptide, h.Mass, lo, hi)
+			}
+		}
+	}
+}
+
+// queriesEqual asserts two result sets report identical hit lists, all of
+// them inside their queries' mass windows (every caller searches at
+// testOptions' δ).
 func queriesEqual(t *testing.T, label string, want, got []QueryResult) {
 	t.Helper()
+	assertHitsInWindow(t, testOptions(), got)
 	if len(want) != len(got) {
 		t.Fatalf("%s: got %d query results, want %d", label, len(got), len(want))
 	}

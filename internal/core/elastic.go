@@ -46,7 +46,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
@@ -88,7 +87,7 @@ func RunElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) 
 // runElastic is RunElastic on the caller's host-side cache, shared by every
 // attempt and every membership epoch.
 func runElastic(cfg cluster.Config, in Input, opt Options, eopt ElasticOptions, cache *indexCache) (*Result, *Recovery, error) {
-	if err := opt.Validate(); err != nil {
+	if err := in.validate(opt); err != nil {
 		return nil, nil, err
 	}
 	mp := eopt.Membership
@@ -295,7 +294,7 @@ func elasticBoundary(r *cluster.Rank, in Input, es *elasticSchedule, sh *shared,
 	told := comm.AllreduceFloat64(cluster.OpMax, es.timeBase+r.Time())
 	newMembers := st.plan.Members
 	for st.eventIdx < len(es.events) && es.events[st.eventIdx].TimeSec <= told {
-		newMembers = applyEvent(newMembers, es.events[st.eventIdx])
+		newMembers = es.events[st.eventIdx].Apply(newMembers, nil)
 		st.eventIdx++
 	}
 	if slices.Equal(newMembers, st.plan.Members) {
@@ -398,30 +397,6 @@ func elasticJoin(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 	}
 	st.loadT = r.Time() - t0
 	return st, nil
-}
-
-// applyEvent applies one membership event to an ascending member list,
-// tolerantly: leaves of non-members (or of the last member) and joins of
-// members are skipped, so a driver-filtered schedule can never corrupt the
-// set. Leaves apply before joins, matching MembershipPlan.Validate.
-func applyEvent(members []int, ev cluster.MemberEvent) []int {
-	out := append([]int(nil), members...)
-	for _, l := range ev.Leave {
-		if len(out) <= 1 {
-			break
-		}
-		if i := sort.SearchInts(out, l); i < len(out) && out[i] == l {
-			out = append(out[:i], out[i+1:]...)
-		}
-	}
-	for _, j := range ev.Join {
-		if i := sort.SearchInts(out, j); i == len(out) || out[i] != j {
-			out = append(out, 0)
-			copy(out[i+1:], out[i:])
-			out[i] = j
-		}
-	}
-	return out
 }
 
 // admission is the decoded boundary hand-off for a joiner.

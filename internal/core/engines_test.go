@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -71,7 +72,8 @@ func TestSpaceOptimality(t *testing.T) {
 }
 
 // TestMaskingOnlyAffectsTime: the ablation must not change results, and
-// masked time must not exceed unmasked.
+// masked time must not exceed unmasked. Masking has one meaning: Algorithm A
+// with Options.Masking off is the run AlgoANoMask names.
 func TestMaskingOnlyAffectsTime(t *testing.T) {
 	in := testInput(t, 80, 10)
 	opt := testOptions()
@@ -86,6 +88,15 @@ func TestMaskingOnlyAffectsTime(t *testing.T) {
 	queriesEqual(t, "masking", masked.Queries, unmasked.Queries)
 	if masked.Metrics.RunSec > unmasked.Metrics.RunSec {
 		t.Errorf("masked (%v) slower than unmasked (%v)", masked.Metrics.RunSec, unmasked.Metrics.RunSec)
+	}
+	opt.Masking = false
+	viaOption, err := Run(AlgoA, clusterCfg(8), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queriesEqual(t, "masking-off", unmasked.Queries, viaOption.Queries)
+	if viaOption.Metrics.RunSec != unmasked.Metrics.RunSec {
+		t.Errorf("Algorithm A with Masking off ran %v s, AlgoANoMask %v s", viaOption.Metrics.RunSec, unmasked.Metrics.RunSec)
 	}
 }
 
@@ -227,6 +238,55 @@ func TestEdgeCases(t *testing.T) {
 	})
 }
 
+// TestNonFiniteQueryRejected: a query no engine can search — a NaN or
+// infinite precursor (no mass window), a charge below 1, a NaN peak — is
+// refused with the typed error by every entry point before anything runs,
+// and by the MGF parser where such a spectrum would come from. One NaN
+// parent mass used to move the candidate windows of the valid queries
+// sorted around it.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	const victim = 2
+	cases := []struct {
+		name   string
+		mutate func(s *spectrum.Spectrum)
+		mgf    string
+	}{
+		{"nan-precursor", func(s *spectrum.Spectrum) { s.PrecursorMZ = math.NaN() }, "PEPMASS=NaN\n"},
+		{"+inf-precursor", func(s *spectrum.Spectrum) { s.PrecursorMZ = math.Inf(1) }, "PEPMASS=+Inf\n"},
+		{"-inf-precursor", func(s *spectrum.Spectrum) { s.PrecursorMZ = math.Inf(-1) }, "PEPMASS=-Inf\n"},
+		{"nan-peak", func(s *spectrum.Spectrum) { s.Peaks[0].MZ = math.NaN() }, "PEPMASS=500\nNaN 1\n"},
+		{"charge-0", func(s *spectrum.Spectrum) { s.Charge = 0 }, "PEPMASS=500\nCHARGE=0+\n"},
+	}
+	opt := testOptions()
+	cfg := clusterCfg(3)
+	entries := []struct {
+		name string
+		run  func(in Input) error
+	}{
+		{"Serial", func(in Input) error { _, err := Serial(in, opt, cfg.Cost); return err }},
+		{"Run", func(in Input) error { _, err := Run(AlgoA, cfg, in, opt); return err }},
+		{"RunResilient", func(in Input) error { _, _, err := RunResilient(cfg, in, opt, ResilientOptions{}); return err }},
+		{"RunElastic", func(in Input) error { _, _, err := RunElastic(cfg, in, opt, ElasticOptions{}); return err }},
+		{"RunWithRecovery", func(in Input) error { _, _, err := RunWithRecovery(AlgoB, cfg, in, opt, nil, 0); return err }},
+	}
+	for _, tc := range cases {
+		in := testInput(t, 30, 5)
+		tc.mutate(in.Queries[victim])
+		for _, e := range entries {
+			var inv *InvalidQueryError
+			if err := e.run(in); !errors.As(err, &inv) {
+				t.Errorf("%s/%s: error = %v, want *InvalidQueryError", tc.name, e.name, err)
+			} else if inv.Index != victim || inv.ID != in.Queries[victim].ID {
+				t.Errorf("%s/%s: error names query %d (%q), want %d (%q)", tc.name, e.name, inv.Index, inv.ID, victim, in.Queries[victim].ID)
+			}
+		}
+		mgf := "BEGIN IONS\nTITLE=q\n" + tc.mgf + "END IONS\n"
+		if _, err := spectrum.ParseMGF(strings.NewReader(mgf)); !errors.Is(err, spectrum.ErrMGF) {
+			t.Errorf("%s: ParseMGF(%q) error = %v, want ErrMGF", tc.name, mgf, err)
+		}
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	in := testInput(t, 10, 2)
 	bad := []Options{
@@ -327,12 +387,9 @@ func TestHitsAreTauBoundedAndSorted(t *testing.T) {
 			if h.ProteinID == "" || !strings.HasPrefix(h.ProteinID, "MICRO_") {
 				t.Errorf("hit missing protein id: %+v", h)
 			}
-			lo, hi := opt.Tol.Window(q.ParentMass)
-			if h.Mass < lo || h.Mass > hi {
-				t.Errorf("hit outside tolerance window: %v not in [%v,%v]", h.Mass, lo, hi)
-			}
 		}
 	}
+	assertHitsInWindow(t, opt, res.Queries)
 }
 
 // TestGroundTruthRecovered: engines must find the generating peptide as

@@ -158,7 +158,7 @@ func RunResilient(cfg cluster.Config, in Input, opt Options, ropt ResilientOptio
 // attempt shares: a block digested or indexed before a crash is not rebuilt
 // after it.
 func runResilient(cfg cluster.Config, in Input, opt Options, ropt ResilientOptions, cache *indexCache) (*Result, *Recovery, error) {
-	if err := opt.Validate(); err != nil {
+	if err := in.validate(opt); err != nil {
 		return nil, nil, err
 	}
 	p0 := cfg.Ranks
@@ -235,7 +235,7 @@ func resilientBody(r *cluster.Rank, in Input, opt Options, ropt ResilientOptions
 // results are identical across rank counts, so a from-scratch re-run on
 // p−1 ranks reproduces the failure-free hits exactly.
 func RunWithRecovery(algo Algorithm, cfg cluster.Config, in Input, opt Options, faults []*cluster.FaultPlan, maxAttempts int) (*Result, *Recovery, error) {
-	if err := opt.Validate(); err != nil {
+	if err := in.validate(opt); err != nil {
 		return nil, nil, err
 	}
 	return recoverLoop(algo.String(), cfg.Ranks, maxAttempts, faults, nil, func(dead []int, _ float64) (*attemptPlan, error) {

@@ -105,7 +105,7 @@ func engineBody(algo Algorithm, cfg cluster.Config, in Input, opt Options, sh *s
 	case AlgoMasterWorker:
 		return func(r *cluster.Rank) error { return masterWorkerBody(r, in, opt, sh) }, nil
 	case AlgoA:
-		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, true, 1, false, sh) }, nil
+		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, opt.Masking, 1, false, sh) }, nil
 	case AlgoANoMask:
 		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, false, 1, false, sh) }, nil
 	case AlgoB:
@@ -135,7 +135,7 @@ func Run(algo Algorithm, cfg cluster.Config, in Input, opt Options) (*Result, er
 // runOn is Run on the caller's host-side memoizer, so tests can read its
 // counters.
 func runOn(algo Algorithm, cfg cluster.Config, in Input, opt Options, cache *indexCache) (*Result, error) {
-	if err := opt.Validate(); err != nil {
+	if err := in.validate(opt); err != nil {
 		return nil, err
 	}
 	mach, err := cluster.New(cfg)

@@ -15,7 +15,7 @@ import (
 // single-processor run-time under the given cost model (the paper's p = 1
 // column, "equivalent to the uni-worker processor run of MSPolygraph").
 func Serial(in Input, opt Options, cost cluster.CostModel) (*Result, error) {
-	if err := opt.Validate(); err != nil {
+	if err := in.validate(opt); err != nil {
 		return nil, err
 	}
 	recs, err := fasta.ParseBytes(in.DBData)

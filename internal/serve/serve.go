@@ -33,6 +33,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pepscale/internal/cluster"
@@ -300,7 +301,7 @@ func (s *Server) onCrash(rep *cluster.RunReport) error {
 		s.dead[f] = true
 	}
 	s.retireMachine(fmt.Sprintf("incarnation %d: pepd p=%d (crashed)", s.incarnation, len(s.members)))
-	s.members = filterDead(s.members, s.dead)
+	s.members = slices.DeleteFunc(s.members, func(id int) bool { return s.dead[id] })
 	if len(s.members) == 0 {
 		return s.fail(fmt.Errorf("serve: all ranks failed"))
 	}
@@ -751,8 +752,8 @@ func (s *Server) finish(br *batchRef) {
 // placement, and in-flight batches owned by leavers re-stage from their
 // checkpoints on a remaining member.
 func (s *Server) rotate(ev cluster.MemberEvent) {
-	newMembers := applyMemberEvent(s.members, ev, s.dead)
-	if equalRanks(newMembers, s.members) {
+	newMembers := ev.Apply(s.members, s.dead)
+	if slices.Equal(newMembers, s.members) {
 		return
 	}
 	rep, migs, err := s.bk.Rotate(s.mach, newMembers)
@@ -776,62 +777,12 @@ func (s *Server) rotate(ev cluster.MemberEvent) {
 	s.stats.Rotations++
 	s.stats.Migrations += int64(len(migs))
 	for _, br := range s.inflight {
-		if !br.bs.Done() && !memberOf(s.members, br.bs.Owner()) {
+		if br.bs.Done() {
+			continue
+		}
+		if _, member := slices.BinarySearch(s.members, br.bs.Owner()); !member {
 			s.bk.Invalidate(br.bs)
 			br.bs.SetOwner(s.pickOwner())
 		}
 	}
-}
-
-// applyMemberEvent applies leaves then joins to an ascending member list,
-// skipping dead ranks, non-member leaves, duplicate joins, and a leave
-// that would empty the service.
-func applyMemberEvent(members []int, ev cluster.MemberEvent, dead map[int]bool) []int {
-	out := append([]int(nil), members...)
-	for _, l := range ev.Leave {
-		if len(out) <= 1 {
-			break
-		}
-		if i := sort.SearchInts(out, l); i < len(out) && out[i] == l {
-			out = append(out[:i], out[i+1:]...)
-		}
-	}
-	for _, j := range ev.Join {
-		if dead[j] {
-			continue
-		}
-		if i := sort.SearchInts(out, j); i == len(out) || out[i] != j {
-			out = append(out, 0)
-			copy(out[i+1:], out[i:])
-			out[i] = j
-		}
-	}
-	return out
-}
-
-func filterDead(members []int, dead map[int]bool) []int {
-	out := make([]int, 0, len(members))
-	for _, m := range members {
-		if !dead[m] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-func memberOf(sorted []int, v int) bool {
-	i := sort.SearchInts(sorted, v)
-	return i < len(sorted) && sorted[i] == v
-}
-
-func equalRanks(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

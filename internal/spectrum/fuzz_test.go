@@ -27,11 +27,10 @@ func finiteSpectra(specs []*spectrum.Spectrum) bool {
 }
 
 // FuzzParseMGF: the parser never panics and rejects only with ErrMGF; what it
-// accepts survives WriteMGF → ParseMGF — the same spectra, titles, charges
-// and peak counts, and, once the values have been through the writer's fixed
-// precision, the same spectra exactly on every further trip. Inputs with a
-// NaN or infinite number are parsed (ROADMAP item 7) but not held to the
-// round trip: NaN peaks have no sorted order to return to.
+// accepts holds finite numbers only and survives WriteMGF → ParseMGF — the
+// same spectra, titles, charges and peak counts, and, once the values have
+// been through the writer's fixed precision, the same spectra exactly on
+// every further trip.
 func FuzzParseMGF(f *testing.F) {
 	db := synth.GenerateDB(synth.SizedSpec(20))
 	truths, err := synth.GenerateSpectra(db, synth.DefaultSpectraSpec(3))
@@ -53,6 +52,7 @@ func FuzzParseMGF(f *testing.F) {
 		"BEGIN IONS\nCHARGE=0\nEND IONS\n",           // bad charge
 		"BEGIN IONS\n100\nEND IONS\n",                // peak without intensity
 		"BEGIN IONS\nPEPMASS=NaN\nInf 1\nEND IONS\n", // non-finite numbers
+		"BEGIN IONS\n100 NaN\nEND IONS\n",            // non-finite intensity
 		"BEGIN IONS\nTITLE=x",                        // unterminated
 	} {
 		f.Add([]byte(s))
@@ -66,7 +66,7 @@ func FuzzParseMGF(f *testing.F) {
 			return
 		}
 		if !finiteSpectra(first) {
-			return
+			t.Fatalf("ParseMGF accepted a non-finite number:\n%s", data)
 		}
 		trip := func(specs []*spectrum.Spectrum) []*spectrum.Spectrum {
 			var buf bytes.Buffer

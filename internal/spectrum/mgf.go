@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -39,7 +40,9 @@ func WriteMGF(w io.Writer, specs []*Spectrum) error {
 	return bw.Flush()
 }
 
-// ParseMGF reads all spectra from an MGF stream.
+// ParseMGF reads all spectra from an MGF stream. Every number it accepts is
+// finite: a NaN precursor has no mass window and NaN peaks no sorted order,
+// so "NaN" and "Inf" are malformed input like any other non-number.
 func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -77,6 +80,9 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: PEPMASS at line %d: %v", ErrMGF, line, err)
 			}
+			if !finite(v) {
+				return nil, fmt.Errorf("%w: non-finite PEPMASS at line %d", ErrMGF, line)
+			}
 			cur.PrecursorMZ = v
 		case strings.HasPrefix(text, "CHARGE="):
 			v := strings.TrimSuffix(text[len("CHARGE="):], "+")
@@ -96,7 +102,7 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 			}
 			mz, err1 := strconv.ParseFloat(fields[0], 64)
 			in, err2 := strconv.ParseFloat(fields[1], 64)
-			if err1 != nil || err2 != nil {
+			if err1 != nil || err2 != nil || !finite(mz) || !finite(in) {
 				return nil, fmt.Errorf("%w: peak line %d", ErrMGF, line)
 			}
 			cur.Peaks = append(cur.Peaks, Peak{MZ: mz, Intensity: in})
@@ -110,3 +116,5 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 	}
 	return specs, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

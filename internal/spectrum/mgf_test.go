@@ -68,6 +68,11 @@ func TestParseMGFErrors(t *testing.T) {
 		"BEGIN IONS\n100.1\nEND IONS\n",       // short peak line
 		"BEGIN IONS\nTITLE=q\n100.1 5\n",      // unterminated
 		"BEGIN IONS\nxyz zz\nEND IONS\n",      // bad peak floats
+		"BEGIN IONS\nPEPMASS=NaN\nEND IONS\n", // non-finite pepmass
+		"BEGIN IONS\nPEPMASS=+Inf\nEND IONS\n",
+		"BEGIN IONS\nPEPMASS=-inf\nEND IONS\n",
+		"BEGIN IONS\nNaN 5\nEND IONS\n", // non-finite peak
+		"BEGIN IONS\n100.1 Inf\nEND IONS\n",
 	}
 	for _, in := range cases {
 		if _, err := ParseMGF(strings.NewReader(in)); !errors.Is(err, ErrMGF) {
