@@ -18,9 +18,10 @@ import (
 // CandidatePrep holds the prepared form of one candidate at one precursor
 // charge: the theoretical fragment list of the model peptide (and, for the
 // likelihood model, of its deterministic null shuffles) and the fragments'
-// precomputed bin indices. All buffers are recycled across candidates, so a warmed Prepare/ScorePrepared cycle
-// performs zero heap allocations. A CandidatePrep belongs to the sweep of
-// one rank and is not safe for concurrent use.
+// precomputed bin indices. All buffers are recycled across candidates, so a
+// warmed Prepare/ScorePrepared cycle performs zero heap allocations. A
+// CandidatePrep belongs to the sweep of one rank and is not safe for
+// concurrent use.
 //
 //pepvet:perrank
 type CandidatePrep struct {
