@@ -186,8 +186,9 @@ examples:
 experiments:
 	$(GO) run ./cmd/paperbench -scale default -exp all
 
+QUICK_EXPERIMENTS = $(GO) run ./cmd/paperbench -scale quick -exp all
 quick-experiments:
-	$(GO) run ./cmd/paperbench -scale quick -exp all
+	$(QUICK_EXPERIMENTS)
 
 # experiments-check holds every table and figure at quick scale to the
 # committed bytes (the virtual clock is exact per seed, so the comparison is
@@ -196,9 +197,9 @@ quick-experiments:
 EXPERIMENTS_GOLDEN = internal/experiments/testdata/experiments_quick.txt
 experiments-check:
 ifdef UPDATE
-	$(GO) run ./cmd/paperbench -scale quick -exp all > $(EXPERIMENTS_GOLDEN)
+	$(QUICK_EXPERIMENTS) > $(EXPERIMENTS_GOLDEN)
 else
-	$(GO) run ./cmd/paperbench -scale quick -exp all | diff -u $(EXPERIMENTS_GOLDEN) -
+	$(QUICK_EXPERIMENTS) | diff -u $(EXPERIMENTS_GOLDEN) -
 endif
 
 clean:
