@@ -157,8 +157,9 @@ bench-quick:
 # bit-identity property, the hierarchical comm-time win at p ≥ 1024, and a
 # single untimed iteration of the 1024-rank machine benchmark. Catches O(p²)
 # regressions in the machine internals that the default-sized tests never
-# exercise. The last line is the transport step's allocation guard: one
-# Get+WaitInto per rank at p=1024, failing above one allocation per step.
+# exercise. The last two lines are allocation guards: one Get+WaitInto per
+# rank at p=1024, failing above one allocation per step, and one digest index
+# build per block shape, failing above its bytes-per-peptide budget.
 scale-smoke:
 	$(GO) test -short -count=1 \
 		-run 'MachineScale4096|HierarchicalReducesCommTime|HierarchicalCollectivesBitIdentical' \
@@ -166,6 +167,7 @@ scale-smoke:
 	$(GO) test -short -count=1 -run 'AlgoAScale4096' ./internal/core/
 	$(GO) test -bench 'BenchmarkMachineScale/p=1024' -benchtime 1x -run '^$$' ./internal/cluster/
 	$(GO) test -bench 'BenchmarkTransportStep/p=1024' -benchtime 1x -benchmem -run '^$$' ./internal/cluster/
+	$(GO) test -bench 'BenchmarkNewIndex' -benchtime 1x -run '^$$' ./internal/digest/
 
 # serve-smoke runs the streaming-service golden path under the race
 # detector — a seeded load test pinning streaming-equals-offline hits and

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"pepscale/internal/cluster"
 	"pepscale/internal/digest"
-	"pepscale/internal/fasta"
 	"pepscale/internal/score"
 	"pepscale/internal/sortmz"
 	"pepscale/internal/topk"
@@ -107,14 +105,16 @@ func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Resu
 	var candidates int64
 	err := walkBlocks(r, first, n, start, opt.Masking, func(owner int, data []byte) error {
 		// Each rank's sorted slice is unique within the run, so the owner rank
-		// is the block's cache identity — no content hashing per fetch.
-		cur, key := sorted.Local, blockKey(id, len(ownRaw))
-		if owner != id {
-			key = blockKey(owner, len(data))
-			var err error
-			if cur, err = l.cache.seqsFor(key, data); err != nil {
-				return err
-			}
+		// is the block's cache identity — no content hashing per fetch. The
+		// resident slice is read through the cache like a transported one:
+		// whichever rank reaches a block first decodes it for all.
+		if owner == id {
+			data = ownRaw
+		}
+		key := blockKey(owner, len(data))
+		cur, err := l.cache.seqsFor(key, data)
+		if err != nil {
+			return err
 		}
 
 		// Restrict to queries whose window can reach this block: sequences
@@ -125,29 +125,13 @@ func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Resu
 			lo, _ := opt.Tol.Window(l.qs[i].ParentMass)
 			return lo > float64(hiKey)+1
 		})
-		recs := make([]fasta.Record, len(cur))
-		idByGID := make(map[int32]string, len(cur))
-		for i, s := range cur {
-			recs[i] = s.Rec
-			idByGID[s.GID] = s.Rec.ID
-		}
-		// A sorted slice numbers its proteins by the gids it carries.
 		blk, err := l.cache.blockFor(key, kindIndex, func() (*digest.Index, error) {
-			gids := make([]int32, len(cur))
-			for i, s := range cur {
-				gids[i] = s.GID
-			}
-			return digest.NewIndexIDs(recs, gids, opt.Digest)
+			return digest.NewIndexIDs(cur.recs, cur.gids, opt.Digest)
 		})
 		if err != nil {
 			return err
 		}
-		candidates += l.scanBlock(r, opt, l.qs[:limit], l.lists[:limit], recs, blk, func(g int32) string {
-			if idStr, ok := idByGID[g]; ok {
-				return idStr
-			}
-			return fmt.Sprintf("protein_%d", g)
-		})
+		candidates += l.scanBlock(r, opt, l.qs[:limit], l.lists[:limit], cur.recs, blk, cur.idOf)
 		return nil
 	})
 	return candidates, err

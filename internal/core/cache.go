@@ -198,16 +198,9 @@ func (b *blockIndex) fragIndex(opt Options) *fragidx.Index {
 // indexFor returns the derived indexes of a block whose proteins are numbered
 // base, base+1, …, digesting on first use. key must identify both content and
 // protein numbering; block-index keys do (the gid bases are a pure function of
-// the block index). Only the cold build materialises the gids: a lookup runs
-// once per rank per visit, a build once per block.
+// the block index).
 func (c *indexCache) indexFor(key cacheKey, recs []fasta.Record, base int32, p digest.Params) (*blockIndex, error) {
-	return c.blockFor(key, kindIndex, func() (*digest.Index, error) {
-		gids := make([]int32, len(recs))
-		for i := range gids {
-			gids[i] = base + int32(i)
-		}
-		return digest.NewIndexIDs(recs, gids, p)
-	})
+	return c.blockFor(key, kindIndex, func() (*digest.Index, error) { return digest.NewIndex(recs, base, p) })
 }
 
 // blockFor single-flights the blockIndex of one block under (key, kind),
@@ -258,16 +251,46 @@ func (c *indexCache) recsFor(key cacheKey, raw []byte) ([]fasta.Record, error) {
 	return v.([]fasta.Record), nil
 }
 
+// seqBlock is one Algorithm B sorted slice in the forms every visit reads:
+// the records in slice order, the gid each carries (a sorted slice numbers
+// its proteins by the gids it transports) and the gid→FASTA-ID lookup.
+// Immutable once built and shared by every rank visiting the block.
+type seqBlock struct {
+	recs    []fasta.Record
+	gids    []int32
+	idByGID map[int32]string
+}
+
+func (b *seqBlock) idOf(gid int32) string {
+	if id, ok := b.idByGID[gid]; ok {
+		return id
+	}
+	return fmt.Sprintf("protein_%d", gid)
+}
+
 // seqsFor decodes an Algorithm B wire block once per key.
-func (c *indexCache) seqsFor(key cacheKey, raw []byte) ([]sortmz.Seq, error) {
+func (c *indexCache) seqsFor(key cacheKey, raw []byte) (*seqBlock, error) {
 	key.kind = kindSeqs
 	v, err := c.getOrBuild(key, func() (interface{}, error) {
-		return sortmz.UnmarshalSeqs(raw)
+		seqs, err := sortmz.UnmarshalSeqs(raw)
+		if err != nil {
+			return nil, err
+		}
+		b := &seqBlock{
+			recs:    make([]fasta.Record, len(seqs)),
+			gids:    make([]int32, len(seqs)),
+			idByGID: make(map[int32]string, len(seqs)),
+		}
+		for i, s := range seqs {
+			b.recs[i], b.gids[i] = s.Rec, s.GID
+			b.idByGID[s.GID] = s.Rec.ID
+		}
+		return b, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]sortmz.Seq), nil
+	return v.(*seqBlock), nil
 }
 
 // candsFor decodes a candidate-transport wire block once per key.

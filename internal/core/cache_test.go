@@ -34,7 +34,13 @@ func TestCachedDecodersDoNotAlias(t *testing.T) {
 		decode func(c *indexCache, raw []byte) (interface{}, error)
 	}{
 		{"recsFor", fastaImg, func(c *indexCache, raw []byte) (interface{}, error) { return c.recsFor(blockKey(0, len(raw)), raw) }},
-		{"seqsFor", seqImg, func(c *indexCache, raw []byte) (interface{}, error) { return c.seqsFor(blockKey(0, len(raw)), raw) }},
+		{"seqsFor", seqImg, func(c *indexCache, raw []byte) (interface{}, error) {
+			b, err := c.seqsFor(blockKey(0, len(raw)), raw)
+			if err != nil {
+				return nil, err
+			}
+			return b.recs, nil
+		}},
 		{"candsFor", candImg, func(c *indexCache, raw []byte) (interface{}, error) { return c.candsFor(blockKey(0, len(raw)), raw) }},
 	}
 	for _, tc := range cases {

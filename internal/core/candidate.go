@@ -421,11 +421,10 @@ func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, k
 		return 0, nil
 	}
 	blk, err := l.cache.blockFor(key, kindCandIndex, func() (*digest.Index, error) {
-		peps := make([]digest.Peptide, len(block))
-		for i, e := range block {
-			peps[i] = digest.Peptide{Seq: e.Seq, Protein: e.GID, Mass: e.Mass, Sites: e.Sites}
-		}
-		return digest.IndexFromPeptides(peps, opt.Digest)
+		return digest.IndexFromFunc(len(block), func(i int) digest.Peptide {
+			e := &block[i]
+			return digest.Peptide{Seq: e.Seq, Protein: e.GID, Mass: e.Mass, Sites: e.Sites}
+		}, opt.Digest)
 	})
 	if err != nil {
 		return 0, err

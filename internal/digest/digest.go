@@ -13,13 +13,11 @@
 package digest
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 
 	"pepscale/internal/chem"
-	"pepscale/internal/fasta"
 )
 
 // Params configure candidate generation.
@@ -70,6 +68,10 @@ func (p Params) Validate() error {
 	}
 	if p.MinLength < 1 || p.MaxLength < p.MinLength {
 		return fmt.Errorf("digest: invalid length bounds [%d,%d]", p.MinLength, p.MaxLength)
+	}
+	// ModSite.Pos and the index's length column are 16 bits wide.
+	if p.MaxLength > math.MaxUint16 {
+		return fmt.Errorf("digest: max length %d exceeds %d", p.MaxLength, math.MaxUint16)
 	}
 	if p.MinMass < 0 || p.MaxMass < p.MinMass {
 		return fmt.Errorf("digest: invalid mass bounds [%g,%g]", p.MinMass, p.MaxMass)
@@ -155,17 +157,19 @@ func CleavageSites(seq []byte) []int {
 	if len(seq) == 0 {
 		return nil
 	}
-	sites := []int{0}
+	return appendCleavageSites(nil, seq)
+}
+
+// appendCleavageSites appends the cut positions of a non-empty seq to dst.
+func appendCleavageSites(dst []int, seq []byte) []int {
+	dst = append(dst, 0)
 	for i := 1; i < len(seq); i++ {
 		prev := seq[i-1]
 		if (prev == 'K' || prev == 'R') && seq[i] != 'P' {
-			sites = append(sites, i)
+			dst = append(dst, i)
 		}
 	}
-	if len(seq) > 0 {
-		sites = append(sites, len(seq))
-	}
-	return sites
+	return append(dst, len(seq))
 }
 
 // Digest enumerates the candidate peptides of one protein and passes each
@@ -173,47 +177,95 @@ func CleavageSites(seq []byte) []int {
 // containing non-standard residues (B, J, O, U, X, Z) have those segments
 // skipped: a peptide is emitted only if every residue is standard.
 func Digest(seq []byte, protein int32, p Params, emit func(Peptide)) {
-	sites := CleavageSites(seq)
-	if len(sites) < 2 {
+	newDigester(p).run(seq, func(start, end int, mass float64, sites []ModSite) {
+		pep := Peptide{Seq: seq[start:end], Protein: protein, Mass: mass}
+		if len(sites) > 0 {
+			pep.Sites = append([]ModSite(nil), sites...)
+		}
+		emit(pep)
+	})
+}
+
+// emitFunc receives one candidate of the sequence being digested:
+// seq[start:end] at the given mass. sites is the digester's scratch, valid
+// only during the call (nil when unmodified).
+type emitFunc func(start, end int, mass float64, sites []ModSite)
+
+// digester enumerates candidates protein after protein, reusing its scratch:
+// an index build digests every protein of its block twice (count, then fill)
+// without allocating per protein or per peptide.
+type digester struct {
+	p     Params
+	tab   *[256]float64
+	water float64
+	cuts  []int
+
+	// The modification expansion in progress: the applicable sites of
+	// seq[start:end], the ones applied so far and their mass.
+	seq          []byte
+	emit         emitFunc
+	start, end   int
+	cands, sites []ModSite
+	base, mass   float64
+	budget       int
+}
+
+func newDigester(p Params) *digester {
+	d := &digester{p: p, tab: chem.Table(p.MassType), water: chem.WaterMono}
+	if p.MassType == chem.Average {
+		d.water = chem.WaterAvg
+	}
+	return d
+}
+
+// run enumerates seq's candidates in a deterministic order. Every mass is
+// the left-to-right residue sum plus water — chem.ResidueSum's exact
+// operation order, since Hit.Mass is output: the spans sharing a start
+// extend one running sum across missed cleavages, which adds the same terms
+// in the same order (a difference of prefix sums would not).
+func (d *digester) run(seq []byte, emit emitFunc) {
+	if len(seq) == 0 {
 		return
 	}
-	tab := chem.Table(p.MassType)
-	water := chem.WaterMono
-	if p.MassType == chem.Average {
-		water = chem.WaterAvg
-	}
-	for i := 0; i+1 < len(sites); i++ {
-		for mc := 0; mc <= p.MissedCleavages && i+1+mc < len(sites); mc++ {
-			start, end := sites[i], sites[i+1+mc]
-			pep := seq[start:end]
-			if len(pep) > p.MaxLength && !p.SemiTryptic {
+	d.seq, d.emit = seq, emit
+	d.cuts = appendCleavageSites(d.cuts[:0], seq)
+	cuts, p := d.cuts, &d.p
+	for i := 0; i+1 < len(cuts); i++ {
+		start, at := cuts[i], cuts[i]
+		sum, standard := 0.0, true
+		for mc := 0; mc <= p.MissedCleavages && i+1+mc < len(cuts); mc++ {
+			end := cuts[i+1+mc]
+			if end-start > p.MaxLength && !p.SemiTryptic {
 				// Longer spans only grow; no further missed cleavages help.
 				break
 			}
-			emitForms(pep, protein, p, tab, water, emit)
+			for _, b := range seq[at:end] {
+				m := d.tab[b] // zero for a non-standard residue
+				sum += m
+				standard = standard && m != 0
+			}
+			at = end
+			if n := end - start; standard && n >= p.MinLength && n <= p.MaxLength {
+				d.expandMods(start, end, sum+d.water)
+			}
+			if p.SemiTryptic {
+				// Proper prefixes and suffixes; the full peptide was emitted above.
+				for l := p.MinLength; l < end-start; l++ {
+					d.emitSub(start, start+l)
+					d.emitSub(end-l, end)
+				}
+			}
 		}
 	}
 }
 
-// emitForms emits the fully tryptic peptide and, if enabled, its
-// semi-tryptic prefixes/suffixes; each form is further expanded over
-// modification variants.
-func emitForms(pep []byte, protein int32, p Params, tab *[256]float64, water float64, emit func(Peptide)) {
-	emitOne := func(sub []byte) {
-		if len(sub) < p.MinLength || len(sub) > p.MaxLength || !allStandard(sub) {
-			return
-		}
-		base := chem.ResidueSum(sub, tab) + water
-		expandMods(sub, protein, base, p, emit)
+// emitSub emits one semi-tryptic form and its modification variants.
+func (d *digester) emitSub(start, end int) {
+	sub := d.seq[start:end]
+	if len(sub) > d.p.MaxLength || !allStandard(sub) {
+		return
 	}
-	emitOne(pep)
-	if p.SemiTryptic {
-		// Proper prefixes and suffixes; the full peptide was emitted above.
-		for l := p.MinLength; l < len(pep); l++ {
-			emitOne(pep[:l])
-			emitOne(pep[len(pep)-l:])
-		}
-	}
+	d.expandMods(start, end, chem.ResidueSum(sub, d.tab)+d.water)
 }
 
 func allStandard(seq []byte) bool {
@@ -227,239 +279,53 @@ func allStandard(seq []byte) bool {
 
 // expandMods emits the unmodified peptide plus modification variants, in a
 // deterministic order, respecting the mass window and variant cap.
-func expandMods(pep []byte, protein int32, baseMass float64, p Params, emit func(Peptide)) {
+func (d *digester) expandMods(start, end int, baseMass float64) {
+	p := &d.p
 	if baseMass >= p.MinMass && baseMass <= p.MaxMass {
-		emit(Peptide{Seq: pep, Protein: protein, Mass: baseMass})
+		d.emit(start, end, baseMass, nil)
 	}
 	if len(p.Mods) == 0 || p.MaxModsPerPeptide == 0 {
 		return
 	}
 	// Collect applicable (position, mod) sites in deterministic order.
-	type cand struct {
-		pos int
-		mod int
-	}
-	var cands []cand
-	for i, b := range pep {
+	d.cands = d.cands[:0]
+	for i, b := range d.seq[start:end] {
 		for mi, m := range p.Mods {
 			if m.AppliesTo(b) {
-				cands = append(cands, cand{pos: i, mod: mi})
+				d.cands = append(d.cands, ModSite{Pos: uint16(i), Mod: uint8(mi)})
 			}
 		}
 	}
-	if len(cands) == 0 {
+	if len(d.cands) == 0 {
 		return
 	}
-	budget := p.maxVariants()
-	var sites []ModSite
-	var mass float64
-	var rec func(next, depth int)
-	rec = func(next, depth int) {
-		if budget <= 0 {
-			return
+	d.start, d.end, d.base, d.mass = start, end, baseMass, 0
+	d.budget = p.maxVariants()
+	d.sites = d.sites[:0]
+	d.expandFrom(0, 0)
+}
+
+// expandFrom extends the modification set in d.sites by each candidate at or
+// after next, depth first.
+func (d *digester) expandFrom(next, depth int) {
+	p := &d.p
+	for c := next; c < len(d.cands) && d.budget > 0; c++ {
+		cand := d.cands[c]
+		// At most one modification per residue position.
+		if n := len(d.sites); n > 0 && d.sites[n-1].Pos == cand.Pos {
+			continue
 		}
-		for c := next; c < len(cands); c++ {
-			if budget <= 0 {
-				return
-			}
-			// At most one modification per residue position.
-			if len(sites) > 0 && int(sites[len(sites)-1].Pos) == cands[c].pos {
-				continue
-			}
-			sites = append(sites, ModSite{Pos: uint16(cands[c].pos), Mod: uint8(cands[c].mod)})
-			mass += p.Mods[cands[c].mod].Delta
-			total := baseMass + mass
-			if total >= p.MinMass && total <= p.MaxMass {
-				out := make([]ModSite, len(sites))
-				copy(out, sites)
-				emit(Peptide{Seq: pep, Protein: protein, Mass: total, Sites: out})
-				budget--
-			}
-			if depth+1 < p.MaxModsPerPeptide {
-				rec(c+1, depth+1)
-			}
-			mass -= p.Mods[cands[c].mod].Delta
-			sites = sites[:len(sites)-1]
+		d.sites = append(d.sites, cand)
+		d.mass += p.Mods[cand.Mod].Delta
+		total := d.base + d.mass
+		if total >= p.MinMass && total <= p.MaxMass {
+			d.emit(d.start, d.end, total, d.sites)
+			d.budget--
 		}
-	}
-	rec(0, 0)
-}
-
-// Index is a mass-sorted candidate store for one database block.
-type Index struct {
-	params Params
-	peps   []Peptide
-}
-
-// NewIndex digests every record and builds the mass-sorted index.
-// baseProtein is added to each record's position to form its global protein
-// index (blocks of a distributed database carry their global offsets).
-func NewIndex(recs []fasta.Record, baseProtein int32, p Params) (*Index, error) {
-	gids := make([]int32, len(recs))
-	for i := range gids {
-		gids[i] = baseProtein + int32(i)
-	}
-	return NewIndexIDs(recs, gids, p)
-}
-
-// NewIndexIDs is NewIndex with an explicit global protein index per record,
-// as needed after the m/z redistribution of Algorithm B scrambles block
-// membership.
-func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(gids) != len(recs) {
-		return nil, fmt.Errorf("digest: %d records but %d protein ids", len(recs), len(gids))
-	}
-	ix := &Index{params: p}
-	for i, rec := range recs {
-		Digest(rec.Seq, gids[i], p, func(pep Peptide) {
-			ix.peps = append(ix.peps, pep)
-		})
-	}
-	ix.sort()
-	return ix, nil
-}
-
-// IndexFromPeptides builds an index directly from pre-generated peptides —
-// the path used by the candidate-transport engine, where candidates arrive
-// over the network already digested. The peptides are (re)sorted into the
-// canonical mass order.
-func IndexFromPeptides(peps []Peptide, p Params) (*Index, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	ix := &Index{params: p, peps: peps}
-	ix.sort()
-	return ix, nil
-}
-
-// sort orders peptides by mass with a deterministic total tie-break so that
-// identical databases produce identical indexes regardless of block
-// boundaries.
-func (ix *Index) sort() {
-	sort.Slice(ix.peps, func(i, j int) bool {
-		a, b := ix.peps[i], ix.peps[j]
-		if a.Mass != b.Mass {
-			return a.Mass < b.Mass
+		if depth+1 < p.MaxModsPerPeptide {
+			d.expandFrom(c+1, depth+1)
 		}
-		if c := bytes.Compare(a.Seq, b.Seq); c != 0 {
-			return c < 0
-		}
-		if a.Protein != b.Protein {
-			return a.Protein < b.Protein
-		}
-		return len(a.Sites) < len(b.Sites)
-	})
-}
-
-// Params returns the digestion parameters the index was built with.
-func (ix *Index) Params() Params { return ix.params }
-
-// Len returns the number of indexed candidate peptides.
-func (ix *Index) Len() int { return len(ix.peps) }
-
-// At returns the i-th peptide in mass order.
-func (ix *Index) At(i int) Peptide { return ix.peps[i] }
-
-// Peptides returns the full mass-ordered peptide slice — the fragment
-// enumeration hook of the inverted fragment index, which iterates every
-// candidate once per block without the per-element copy of At. The slice is
-// owned by the index and must not be modified.
-func (ix *Index) Peptides() []Peptide { return ix.peps }
-
-// Window returns the index range [start, end) of peptides with mass in
-// [lo, hi].
-func (ix *Index) Window(lo, hi float64) (start, end int) {
-	start = sort.Search(len(ix.peps), func(i int) bool { return ix.peps[i].Mass >= lo })
-	end = sort.Search(len(ix.peps), func(i int) bool { return ix.peps[i].Mass > hi })
-	return start, end
-}
-
-// WindowFrom is Window for an ascending-mass sweep: hintStart/hintEnd are
-// the bounds of the previously computed window, and both lo and hi must be
-// no smaller than that window's (true for Da and ppm tolerances alike, as
-// both widen monotonically with the reference mass). The bounds gallop
-// forward from the hints, so computing all windows of a mass-sorted query
-// batch costs near-linear time instead of a binary search per query. The
-// result is exactly Window(lo, hi).
-func (ix *Index) WindowFrom(hintStart, hintEnd int, lo, hi float64) (start, end int) {
-	return ix.gallopMassGE(hintStart, lo), ix.gallopMassGT(hintEnd, hi)
-}
-
-// gallopMassGE returns the first index >= from whose mass is >= lo, under
-// the precondition that every index below from has mass < lo.
-func (ix *Index) gallopMassGE(from int, lo float64) int {
-	n := len(ix.peps)
-	if from < 0 {
-		from = 0
+		d.mass -= p.Mods[cand.Mod].Delta
+		d.sites = d.sites[:len(d.sites)-1]
 	}
-	if from >= n || ix.peps[from].Mass >= lo {
-		return from
-	}
-	// Exponential gallop: find a bracket (prev, bound] with
-	// peps[prev].Mass < lo, then binary-search inside it.
-	prev, step := from, 1
-	bound := from + step
-	for bound < n && ix.peps[bound].Mass < lo {
-		prev = bound
-		step *= 2
-		bound = from + step
-	}
-	if bound > n {
-		bound = n
-	}
-	base := prev + 1
-	//pepvet:allow allocflow sort.Search does not retain the predicate, so the context stays on the stack; the zero-alloc scan guards pin it
-	return base + sort.Search(bound-base, func(k int) bool { return ix.peps[base+k].Mass >= lo })
-}
-
-// gallopMassGT is gallopMassGE for the exclusive upper bound: the first
-// index >= from whose mass is > hi, under the precondition that every index
-// below from has mass <= hi.
-func (ix *Index) gallopMassGT(from int, hi float64) int {
-	n := len(ix.peps)
-	if from < 0 {
-		from = 0
-	}
-	if from >= n || ix.peps[from].Mass > hi {
-		return from
-	}
-	prev, step := from, 1
-	bound := from + step
-	for bound < n && ix.peps[bound].Mass <= hi {
-		prev = bound
-		step *= 2
-		bound = from + step
-	}
-	if bound > n {
-		bound = n
-	}
-	base := prev + 1
-	//pepvet:allow allocflow sort.Search does not retain the predicate, so the context stays on the stack; the zero-alloc scan guards pin it
-	return base + sort.Search(bound-base, func(k int) bool { return ix.peps[base+k].Mass > hi })
-}
-
-// CountInWindow returns the number of candidates with mass in [lo, hi].
-func (ix *Index) CountInWindow(lo, hi float64) int {
-	s, e := ix.Window(lo, hi)
-	return e - s
-}
-
-// MinMass and MaxMass return the smallest/largest indexed masses (0,0 for
-// an empty index).
-func (ix *Index) MinMass() float64 {
-	if len(ix.peps) == 0 {
-		return 0
-	}
-	return ix.peps[0].Mass
-}
-
-// MaxMass returns the largest indexed mass (0 for an empty index).
-func (ix *Index) MaxMass() float64 {
-	if len(ix.peps) == 0 {
-		return 0
-	}
-	return ix.peps[len(ix.peps)-1].Mass
 }

@@ -2,6 +2,8 @@ package digest
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -302,47 +304,44 @@ func TestWindowFromMatchesWindow(t *testing.T) {
 
 func TestIndexDeterministicAcrossBlockSplit(t *testing.T) {
 	// Digesting the whole set must equal digesting two halves with
-	// adjusted protein bases (the distributed-engine invariant).
+	// adjusted protein bases (the distributed-engine invariant): the same
+	// peptides, bit for bit, with and without modifications.
 	recs := []fasta.Record{}
 	for i := 0; i < 10; i++ {
 		recs = append(recs, fasta.Record{ID: "r", Seq: randomProtein(uint64(i)+77, 150)})
 	}
-	p := DefaultParams()
-	whole, err := NewIndex(recs, 0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := NewIndex(recs[:5], 0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := NewIndex(recs[5:], 5, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.Len() != h1.Len()+h2.Len() {
-		t.Fatalf("split sizes: %d vs %d+%d", whole.Len(), h1.Len(), h2.Len())
-	}
-	// Mass multiset must agree.
-	masses := func(ix *Index) []float64 {
-		out := make([]float64, ix.Len())
-		for i := range out {
-			out[i] = ix.At(i).Mass
+	modified := DefaultParams()
+	modified.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
+	modified.MaxModsPerPeptide = 2
+	for name, p := range map[string]Params{"plain": DefaultParams(), "modified": modified} {
+		whole, err := NewIndex(recs, 0, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-	merged := append(masses(h1), masses(h2)...)
-	// merged is not globally sorted; compare sums and extremes as a cheap
-	// multiset proxy plus count.
-	var sw, sm float64
-	for _, m := range masses(whole) {
-		sw += m
-	}
-	for _, m := range merged {
-		sm += m
-	}
-	if math.Abs(sw-sm) > 1e-6 {
-		t.Errorf("mass sums differ: %v vs %v", sw, sm)
+		h1, err := NewIndex(recs[:5], 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := NewIndex(recs[5:], 5, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole.Len() != h1.Len()+h2.Len() {
+			t.Fatalf("%s: split sizes: %d vs %d+%d", name, whole.Len(), h1.Len(), h2.Len())
+		}
+		// +1 per peptide of the whole, -1 per peptide of a half.
+		count := map[string]int{}
+		for ix, sign := range map[*Index]int{whole: 1, h1: -1, h2: -1} {
+			for i := 0; i < ix.Len(); i++ {
+				pep := ix.At(i)
+				count[fmt.Sprintf("%x %s %d %v", math.Float64bits(pep.Mass), pep.Seq, pep.Protein, pep.Sites)] += sign
+			}
+		}
+		for k, n := range count {
+			if n != 0 {
+				t.Errorf("%s: peptide %s: whole has %+d more than the halves", name, k, n)
+			}
+		}
 	}
 }
 
@@ -353,6 +352,8 @@ func TestParamsValidate(t *testing.T) {
 		{MinLength: 3, MaxLength: 2, MaxMass: 1},
 		{MinLength: 1, MaxLength: 2, MinMass: 5, MaxMass: 1},
 		{MinLength: 1, MaxLength: 2, MaxMass: 1, MaxModsPerPeptide: -1},
+		// ModSite.Pos and the index's length column are 16 bits wide.
+		{MinLength: 1, MaxLength: math.MaxUint16 + 1, MaxMass: 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -361,6 +362,41 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if err := DefaultParams().Validate(); err != nil {
 		t.Errorf("DefaultParams invalid: %v", err)
+	}
+	if err := (Params{MinLength: 1, MaxLength: math.MaxUint16, MaxMass: 1}).Validate(); err != nil {
+		t.Errorf("MaxLength %d rejected: %v", math.MaxUint16, err)
+	}
+
+	// Valid parameters, but a block or peptide beyond the index's column
+	// widths: refused with the typed error before anything is allocated (the
+	// records alias one buffer, so the test holds a megabyte, not 4 GiB).
+	seq := make([]byte, 1<<20)
+	recs := make([]fasta.Record, 1<<12+1)
+	for i := range recs {
+		recs[i].Seq = seq
+	}
+	longest := Peptide{Seq: seq[:math.MaxUint16]}
+	tooLarge := []struct {
+		what  string
+		build func() (*Index, error)
+	}{
+		{"block residues", func() (*Index, error) { return NewIndex(recs, 0, DefaultParams()) }},
+		{"block residues", func() (*Index, error) {
+			return IndexFromFunc(1<<16+2, func(int) Peptide { return longest }, DefaultParams())
+		}},
+		{"peptide length", func() (*Index, error) {
+			return IndexFromPeptides([]Peptide{{Seq: seq[:math.MaxUint16+1]}}, DefaultParams())
+		}},
+		{"peptide mod sites", func() (*Index, error) {
+			return IndexFromPeptides([]Peptide{{Seq: seq[:8], Sites: make([]ModSite, math.MaxUint16+1)}}, DefaultParams())
+		}},
+	}
+	for i, c := range tooLarge {
+		_, err := c.build()
+		var e *TooLargeError
+		if !errors.As(err, &e) || e.What != c.what {
+			t.Errorf("oversized case %d: err = %v, want TooLargeError for %s", i, err, c.what)
+		}
 	}
 }
 

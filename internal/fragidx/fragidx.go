@@ -295,10 +295,9 @@ func NewPooled(src *digest.Index, mods []chem.Mod, cfg score.Config, pool *Build
 		pool = NewBuildPool()
 	}
 	x := &Index{src: src, mods: mods, cfg: cfg, pool: pool, wide: make(map[int]*tierSlot)}
-	peps := src.Peptides()
-	x.lens = make([]int32, len(peps))
-	for i := range peps {
-		x.lens[i] = int32(len(peps[i].Seq))
+	x.lens = make([]int32, src.Len())
+	for i := range x.lens {
+		x.lens[i] = int32(src.SeqLen(i))
 		if x.lens[i] > x.maxLen {
 			x.maxLen = x.lens[i]
 		}
@@ -380,8 +379,7 @@ func (x *Index) maxSlots(maxZ int) int {
 //
 //pepvet:hotpath
 func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
-	peps := x.src.Peptides()
-	n := len(peps)
+	n := x.src.Len()
 	theo := x.cfg.Theoretical
 	theo.MaxFragmentCharge = maxZ
 	width := x.cfg.FragmentBinWidth()
@@ -401,9 +399,9 @@ func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
 	}
 
 	total := 0
-	for i := range peps {
-		if l := len(peps[i].Seq); l >= 2 {
-			total += 2 * (l - 1) * maxZ
+	for _, l := range x.lens {
+		if l >= 2 {
+			total += 2 * (int(l) - 1) * maxZ
 		}
 	}
 	total *= nPasses
@@ -434,7 +432,7 @@ func (x *Index) buildTier(maxZ int, kind Kind) *Tier {
 	nullPep, nullDel := bs.nullPep, bs.nullDel
 	minBin, maxBin := int32(0), int32(-1)
 	for ord := 0; ord < n; ord++ {
-		pep := &peps[ord]
+		pep := x.src.At(ord)
 		deltas := pep.AppendModDeltas(deltaBuf, x.mods)
 		if deltas != nil {
 			deltaBuf = deltas
