@@ -127,7 +127,7 @@ bench:
 # quiet machine; compare against git history before committing.
 bench-json:
 	{ $(GO) test -bench 'BenchmarkScorers' -benchmem -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkScanKernel|BenchmarkEngineHostTime|BenchmarkResilient' -run '^$$' ./internal/core/ ; \
+	  $(GO) test -bench 'BenchmarkScanKernel|BenchmarkEngineHostTime' -run '^$$' ./internal/core/ ; \
 	  $(GO) test -bench 'BenchmarkMachineScale' -run '^$$' ./internal/cluster/ ; } \
 	  | $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 

@@ -1,10 +1,10 @@
 // Package ckpt implements the checkpoint codec and stable store backing the
-// resilient transport loop (core.RunResilient): a query group's recovery
-// state — the block-step cursor s, the candidate counter, and every query's
-// top-τ hit list — serialized to a PCKP blob under the repository's codec
-// rules (DESIGN.md, "Blob codec"). The same state always produces the same
-// bytes, which is what lets the chaos tests prove a recovered run identical
-// to the failure-free one.
+// checkpointed group sweep (core.RunElastic and the pepd backend): a query
+// group's recovery state — the block-step cursor s, the candidate counter,
+// and every query's top-τ hit list — serialized to a PCKP blob under the
+// repository's codec rules (DESIGN.md, "Blob codec"). The same state always
+// produces the same bytes, which is what lets the chaos tests prove a
+// recovered run identical to the failure-free one.
 package ckpt
 
 import (

@@ -181,24 +181,26 @@ func finishRun(r *cluster.Rank, l *loaded, sh *shared, indices []int, loadSec, s
 }
 
 // walkBlocks is the paper's one transport idea, written once: visit the
-// block of each rank of a cycle in turn while a one-sided get for the next
-// block is in flight. The cycle is the n ranks first..first+n−1; step s
-// visits the dbWindow of rank first + (start+s) mod n. When step 0's owner is
-// this rank, its resident block is visited without a fetch and that visit's
-// data is nil. With masking the next get is issued before the visit and
-// completed after it; without, it is issued only after the visit (the
-// paper's no-masking comparison version).
+// window win of n ranks in turn, step s visiting rank ownerAt(s), while a
+// one-sided get for the next one is in flight. When step 0's owner is this
+// rank, its resident block is visited without a fetch and that visit's data
+// is nil. With masking the next get is issued before the visit and completed
+// after it; without, it is issued only after the visit (the paper's
+// no-masking comparison version). arrived, when set, sees each fetched block
+// once it has landed and the footprint has been updated, before the visit
+// that scans it and before any further get.
 //
 // The walk holds Dcomp and Drecv together, as the paper's space bound says:
 // the previous transported block is released only after the next one has
 // arrived. The checkpointed sweep (sweep.go) frees after each scan instead,
 // which is one reason the two are separate cores. On the host the two are
-// two buffers swapped on arrival, so visit must not keep a reference into
-// data once it returns (the run cache's decoders copy out of it).
-func walkBlocks(r *cluster.Rank, first, n, start int, masking bool, visit func(owner int, data []byte) error) error {
+// two buffers swapped on arrival, so arrived and visit must not keep a
+// reference into data once they return (the run cache's decoders copy out of
+// it).
+func walkBlocks(r *cluster.Rank, n int, ownerAt func(s int) int, win string, masking bool, arrived, visit func(owner int, data []byte) error) error {
 	var data, drecv []byte
 	var held int64 // transported Dcomp footprint (0 while the resident block is current)
-	arrive := func(pending *cluster.Pending) error {
+	arrive := func(owner int, pending *cluster.Pending) error {
 		d, err := pending.WaitInto(drecv)
 		if err != nil {
 			return err
@@ -208,30 +210,33 @@ func walkBlocks(r *cluster.Rank, first, n, start int, masking bool, visit func(o
 			r.NoteFree(held) // previous transported block released
 		}
 		data, drecv, held = d, data, int64(len(d))
-		return nil
+		if arrived == nil {
+			return nil
+		}
+		return arrived(owner, data)
 	}
-	ownerAt := func(s int) int { return first + (start+s)%n }
 	for s := 0; s < n; s++ {
 		owner := ownerAt(s)
 		r.SetStep(s)
 		if s == 0 && owner != r.ID() {
 			// First block is remote: nothing to mask against yet.
-			if err := arrive(r.Get(owner, dbWindow)); err != nil {
+			if err := arrive(owner, r.Get(owner, win)); err != nil {
 				return err
 			}
 		}
 		var pending *cluster.Pending
 		if masking && s+1 < n {
-			pending = r.Get(ownerAt(s+1), dbWindow)
+			pending = r.Get(ownerAt(s+1), win)
 		}
 		if err := visit(owner, data); err != nil {
 			return err
 		}
 		if s+1 < n {
+			next := ownerAt(s + 1)
 			if !masking {
-				pending = r.Get(ownerAt(s+1), dbWindow)
+				pending = r.Get(next, win)
 			}
-			if err := arrive(pending); err != nil {
+			if err := arrive(next, pending); err != nil {
 				return err
 			}
 		}
@@ -262,7 +267,7 @@ func walkBlocks(r *cluster.Rank, first, n, start int, masking bool, visit func(o
 // the exposure epoch stay group-local. split is the caller's choice, not
 // inferred from groups: Split is a charged collective, and SubGroup with one
 // group still performs it while Algorithm A never does.
-func cycleBody(r *cluster.Rank, in Input, opt Options, masking bool, groups int, split bool, sh *shared) error {
+func cycleBody(r *cluster.Rank, in Input, opt Options, groups int, split bool, sh *shared) error {
 	p, id := r.Size(), r.ID()
 	gs := p / groups
 	if gs < 1 {
@@ -291,7 +296,8 @@ func cycleBody(r *cluster.Rank, in Input, opt Options, masking bool, groups int,
 	// database the same way), so keying by block index shares the host-side
 	// parse/digest between groups.
 	var candidates int64
-	err = walkBlocks(r, first, gs, local, masking, func(owner int, data []byte) error {
+	ownerAt := func(s int) int { return first + (local+s)%gs }
+	err = walkBlocks(r, gs, ownerAt, dbWindow, opt.Masking, nil, func(owner int, data []byte) error {
 		b := owner - first
 		recs, size := l.recs, len(l.myBytes)
 		if owner != id {

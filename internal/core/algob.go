@@ -98,12 +98,14 @@ func algorithmBBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	return finishRun(r, l, sh, indices, loadSec, sorted.SortSec, candidates)
 }
 
-// bTransportLoop walks the sender group: each visit decodes the owner's
-// sorted slice and scans the queries whose window can reach it.
+// bTransportLoop walks the sender group, the n ranks first..first+n−1 from
+// first+start: each visit decodes the owner's sorted slice and scans the
+// queries whose window can reach it.
 func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Result, ownRaw []byte, first, n, start int) (int64, error) {
 	id := r.ID()
 	var candidates int64
-	err := walkBlocks(r, first, n, start, opt.Masking, func(owner int, data []byte) error {
+	ownerAt := func(s int) int { return first + (start+s)%n }
+	err := walkBlocks(r, n, ownerAt, dbWindow, opt.Masking, nil, func(owner int, data []byte) error {
 		// Each rank's sorted slice is unique within the run, so the owner rank
 		// is the block's cache identity — no content hashing per fetch. The
 		// resident slice is read through the cache like a transported one:

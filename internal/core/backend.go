@@ -327,7 +327,7 @@ func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt f
 		// spread across owners; hits are order-independent (the offer
 		// multiset is what matters).
 		for n := 0; gr.cursor < bk.p0 && n < steps; n++ {
-			if err := sw.step(gr, gr.cursor, false); err != nil {
+			if err := sw.step(gr, gr.cursor); err != nil {
 				return err
 			}
 		}

@@ -237,42 +237,6 @@ func BenchmarkScanKernelQueryMajor(b *testing.B) {
 	}
 }
 
-// BenchmarkResilient measures the checkpointed transport loop against its
-// checkpoint-free configuration: host wall-clock per run plus the virtual
-// run-time (vsec/op) and checkpoint traffic (ckptB/op), so the recorded
-// baseline captures the failure-free cost of enabling recovery.
-func BenchmarkResilient(b *testing.B) {
-	db := synth.GenerateDB(synth.SizedSpec(200))
-	data := fasta.Marshal(db)
-	truths, err := synth.GenerateSpectra(db, synth.DefaultSpectraSpec(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := Input{DBData: data, Queries: synth.Spectra(truths)}
-	opt := DefaultOptions()
-	opt.Tau = 10
-	for _, every := range []int{0, 1} {
-		b.Run(fmt.Sprintf("p=4/ckpt=%d", every), func(b *testing.B) {
-			cfg := cluster.Config{Ranks: 4, Cost: cluster.GigabitCluster()}
-			ropt := ResilientOptions{CheckpointEvery: every}
-			var vsec, ckptBytes float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, rec, err := RunResilient(cfg, in, opt, ropt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				vsec = res.Metrics.RunSec
-				ckptBytes = float64(rec.CheckpointBytes)
-			}
-			b.StopTimer()
-			b.ReportMetric(vsec, "vsec/op")
-			b.ReportMetric(ckptBytes, "ckptB/op")
-		})
-	}
-}
-
 // BenchmarkEngineHostTime measures the full engine run (host wall-clock of
 // the simulation, dominated by the scan kernel).
 func BenchmarkEngineHostTime(b *testing.B) {

@@ -20,7 +20,7 @@ import (
 // content. All cached values are immutable after construction (the fragment
 // index after each tier's single build) and therefore safe to share across
 // rank goroutines. The cache lives as long as the run: one Run, every
-// attempt of one RunResilient/RunElastic, one Backend.
+// attempt of one RunElastic, one Backend.
 type indexCache struct {
 	// mu guards m and every insertion into or growth of a dense table; dense
 	// hits take no lock.

@@ -287,10 +287,10 @@ func sortCands(cs []candEntry) {
 }
 
 // candScanPhase sorts the local queries by mass, computes the set of ranks
-// whose candidate bands intersect any local query window, and scans those
-// bands with masked prefetching. It returns the reordered query indices
-// and the candidate count. ownKey is the cache identity of the rank's own
-// band — the key every other rank derives from its wire image.
+// whose candidate bands intersect any local query window, and walks those
+// bands (walkBlocks over candWindow). It returns the reordered query
+// indices and the candidate count. ownKey is the cache identity of the
+// rank's own band — the key every other rank derives from its wire image.
 func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, ownKey cacheKey, bandLo, bandHi []float64, qIdx []int) ([]int, int64, error) {
 	p, id := r.Size(), r.ID()
 	cost := r.Cost()
@@ -337,68 +337,26 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, own
 		needed = append(needed, j)
 	}
 
+	// The walk starts at the own band when it is needed; a fetched band is
+	// decoded on arrival (the host decodes it once per run) and its
+	// per-key sort is charged before the next get.
 	var candidates int64
-	var cur []candEntry
-	var curKey cacheKey
-	var curAlloc int64
-	// dcomp and drecv are the host's two transport buffers, swapped on every
-	// arrival (candsFor copies out of the bytes it decodes).
-	var dcomp, drecv []byte
-	for si, owner := range needed {
-		if si == 0 {
-			if owner == id {
-				cur, curKey = own, ownKey
-			} else {
-				data, err := r.Get(owner, candWindow).WaitInto(drecv)
-				if err != nil {
-					return nil, 0, err
-				}
-				dcomp, drecv = data, dcomp
-				r.NoteAlloc(int64(len(data)))
-				curAlloc = int64(len(data))
-				curKey = blockKey(owner, len(data))
-				if cur, err = l.cache.candsFor(curKey, data); err != nil {
-					return nil, 0, err
-				}
-				r.Compute(cost.SortSecPerKey * float64(len(cur)))
-			}
+	cur, curKey := own, ownKey
+	arrived := func(owner int, data []byte) error {
+		curKey = blockKey(owner, len(data))
+		var err error
+		if cur, err = l.cache.candsFor(curKey, data); err != nil {
+			return err
 		}
-		var pending *cluster.Pending
-		if opt.Masking && si+1 < len(needed) {
-			pending = r.Get(needed[si+1], candWindow)
-		}
-
+		r.Compute(cost.SortSecPerKey * float64(len(cur)))
+		return nil
+	}
+	err := walkBlocks(r, len(needed), func(s int) int { return needed[s] }, candWindow, opt.Masking, arrived, func(owner int, _ []byte) error {
 		c, err := scanCandBlock(r, l, opt, cur, curKey, bandLo[owner], bandHi[owner])
-		if err != nil {
-			return nil, 0, err
-		}
 		candidates += c
-
-		if si+1 < len(needed) {
-			if !opt.Masking {
-				pending = r.Get(needed[si+1], candWindow)
-			}
-			data, err := pending.WaitInto(drecv)
-			if err != nil {
-				return nil, 0, err
-			}
-			dcomp, drecv = data, dcomp
-			r.NoteAlloc(int64(len(data)))
-			if curAlloc > 0 {
-				r.NoteFree(curAlloc)
-			}
-			curAlloc = int64(len(data))
-			curKey = blockKey(needed[si+1], len(data))
-			if cur, err = l.cache.candsFor(curKey, data); err != nil {
-				return nil, 0, err
-			}
-			r.Compute(cost.SortSecPerKey * float64(len(cur)))
-		}
-	}
-	if curAlloc > 0 {
-		r.NoteFree(curAlloc)
-	}
-	return indices, candidates, nil
+		return err
+	})
+	return indices, candidates, err
 }
 
 // scanCandBlock scores the subset of local queries whose windows intersect

@@ -33,14 +33,16 @@
 //     store; then old and new members synchronize on their union and
 //     leavers park back in AwaitAdmission, re-admittable at later events.
 //
-// Bit-identity with the static run holds for the same reason it does for
-// the resilient engine: a top-τ list is a pure function of its offer
-// multiset, each group's offers stay s-ascending across any join/leave
-// history (checkpoints reflect exactly the pre-cursor blocks), and the
-// group→block schedule never depends on placement. A crash aborts the
-// attempt and recoverLoop (resilient.go) replays the membership schedule
-// without the dead ranks on a fresh machine, resuming from the checkpoint
-// store.
+// Bit-identity with the static run holds because a top-τ list is a pure
+// function of its offer multiset, each group's offers stay s-ascending
+// across any join/leave history (checkpoints reflect exactly the pre-cursor
+// blocks), and the group→block schedule never depends on placement. A crash
+// aborts the attempt and recoverLoop (recover.go) replays the membership
+// schedule without the dead ranks on a fresh machine, resuming from the
+// checkpoint store. With no Membership the roster is static — cfg.Ranks
+// members, no events — and the engine is the checkpointed crash restart of
+// Algorithm A's schedule: the survivors re-partition the p0 blocks and groups
+// round-robin, and resident memory stays O(N/p′).
 package core
 
 import (
@@ -56,7 +58,9 @@ import (
 // ElasticOptions configures the elastic driver.
 type ElasticOptions struct {
 	// Membership is the join/leave schedule. Nil runs a static membership
-	// over cfg.Ranks (Universe = Initial = cfg.Ranks, no events).
+	// over cfg.Ranks (Universe = Initial = cfg.Ranks, no events): Algorithm
+	// A's schedule, checkpointed at every boundary and restarted on the
+	// survivors after a crash.
 	Membership *cluster.MembershipPlan
 	// EpochSteps is the number of scan steps between epoch boundaries
 	// (default 1: events can fire before every step).
@@ -260,7 +264,7 @@ func elasticMain(r *cluster.Rank, in Input, es *elasticSchedule, sh *shared, st 
 			if st.s < gr.cursor || len(gr.qs) == 0 {
 				continue
 			}
-			if err := st.step(gr, st.s, false); err != nil {
+			if err := st.step(gr, st.s); err != nil {
 				return false, err
 			}
 		}

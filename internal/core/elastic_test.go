@@ -22,30 +22,20 @@ func migrationTotal(m Metrics) int64 {
 	return n
 }
 
-// TestElasticStaticMatchesResilient: with no membership schedule the
-// elastic engine degenerates to a static run and must reproduce the
-// resilient engine (and through it the serial reference) exactly.
-func TestElasticStaticMatchesResilient(t *testing.T) {
-	in := testInput(t, 60, 12)
-	opt := testOptions()
-	golden, _, err := RunResilient(clusterCfg(4), in, opt, ResilientOptions{})
+// elasticReference is what an elastic run over in must reproduce: the serial
+// reference's hits, and the static roster's run at p0, whose candidate count
+// it must match and whose RunSec is the horizon timelines are laid out on.
+func elasticReference(t *testing.T, in Input, opt Options, p0 int) (ref, static *Result) {
+	t.Helper()
+	ref, err := Serial(in, opt, cluster.GigabitCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rec, err := RunElastic(clusterCfg(4), in, opt, ElasticOptions{})
+	static, _, err = RunElastic(clusterCfg(p0), in, opt, ElasticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queriesEqual(t, "elastic-static", golden.Queries, res.Queries)
-	if res.Metrics.Candidates != golden.Metrics.Candidates {
-		t.Errorf("candidates %d, want %d", res.Metrics.Candidates, golden.Metrics.Candidates)
-	}
-	if len(rec.Attempts) != 1 {
-		t.Errorf("static run took %d attempts", len(rec.Attempts))
-	}
-	if mig := migrationTotal(res.Metrics); mig != 0 {
-		t.Errorf("static run moved %d migration bytes", mig)
-	}
+	return ref, static
 }
 
 // TestElasticTimelines: the acceptance criterion — over the same input and
@@ -55,11 +45,8 @@ func TestElasticStaticMatchesResilient(t *testing.T) {
 func TestElasticTimelines(t *testing.T) {
 	in := testInput(t, 60, 12)
 	opt := testOptions()
-	golden, _, err := RunResilient(clusterCfg(4), in, opt, ResilientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	horizon := golden.Metrics.RunSec
+	ref, static := elasticReference(t, in, opt, 4)
+	horizon := static.Metrics.RunSec
 
 	cases := []struct {
 		name string
@@ -115,9 +102,9 @@ func TestElasticTimelines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("epoch=%d: %v (attempts %+v)", epoch, err, rec.Attempts)
 				}
-				queriesEqual(t, tc.name, golden.Queries, res.Queries)
-				if res.Metrics.Candidates != golden.Metrics.Candidates {
-					t.Errorf("epoch=%d: candidates %d, want %d", epoch, res.Metrics.Candidates, golden.Metrics.Candidates)
+				queriesEqual(t, tc.name, ref.Queries, res.Queries)
+				if res.Metrics.Candidates != static.Metrics.Candidates {
+					t.Errorf("epoch=%d: candidates %d, want %d", epoch, res.Metrics.Candidates, static.Metrics.Candidates)
 				}
 				mig := migrationTotal(res.Metrics)
 				if tc.wantMigrate == "yes" && epoch == 1 && mig == 0 {
@@ -143,11 +130,8 @@ func TestElasticTimelines(t *testing.T) {
 func TestElasticCrashRestart(t *testing.T) {
 	in := testInput(t, 60, 12)
 	opt := testOptions()
-	golden, _, err := RunResilient(clusterCfg(4), in, opt, ResilientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	horizon := golden.Metrics.RunSec
+	ref, static := elasticReference(t, in, opt, 4)
+	horizon := static.Metrics.RunSec
 	mp := &cluster.MembershipPlan{Universe: 6, Initial: 4, Events: []cluster.MemberEvent{
 		{TimeSec: horizon * 0.05, Join: []int{4}},
 		{TimeSec: horizon * 0.4, Join: []int{5}, Leave: []int{0}},
@@ -172,9 +156,9 @@ func TestElasticCrashRestart(t *testing.T) {
 			if len(rec.Attempts) != 2 {
 				t.Fatalf("ran %d attempts, want 2 (%+v)", len(rec.Attempts), rec.Attempts)
 			}
-			queriesEqual(t, tc.name, golden.Queries, res.Queries)
-			if res.Metrics.Candidates != golden.Metrics.Candidates {
-				t.Errorf("candidates %d, want %d", res.Metrics.Candidates, golden.Metrics.Candidates)
+			queriesEqual(t, tc.name, ref.Queries, res.Queries)
+			if res.Metrics.Candidates != static.Metrics.Candidates {
+				t.Errorf("candidates %d, want %d", res.Metrics.Candidates, static.Metrics.Candidates)
 			}
 			if res.Metrics.RunSec <= rec.Attempts[1].RunSec {
 				t.Errorf("RunSec %v does not include the failed attempt (final attempt %v)",
@@ -192,11 +176,8 @@ func TestElasticCrashRestart(t *testing.T) {
 func TestElasticTraceOracle(t *testing.T) {
 	in := testInput(t, 60, 12)
 	opt := testOptions()
-	golden, _, err := RunResilient(clusterCfg(4), in, opt, ResilientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	horizon := golden.Metrics.RunSec
+	ref, static := elasticReference(t, in, opt, 4)
+	horizon := static.Metrics.RunSec
 	mp := cluster.SpotMembershipPlan(4, 2, 4, horizon*0.9, 11)
 	cfg := elasticCfg()
 	cfg.Trace = true
@@ -208,7 +189,7 @@ func TestElasticTraceOracle(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	queriesEqual(t, "trace-oracle", golden.Queries, a.Queries)
+	queriesEqual(t, "trace-oracle", ref.Queries, a.Queries)
 	ja, jb := exportTrace(t, a), exportTrace(t, b)
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("double-run traces differ: %d vs %d bytes", len(ja), len(jb))
@@ -234,7 +215,7 @@ func TestElasticTraceOracle(t *testing.T) {
 		return res
 	}
 	fa, fb := runF(), runF()
-	queriesEqual(t, "trace-oracle-crash", golden.Queries, fa.Queries)
+	queriesEqual(t, "trace-oracle-crash", ref.Queries, fa.Queries)
 	if !bytes.Equal(exportTrace(t, fa), exportTrace(t, fb)) {
 		t.Fatal("crashing double-run traces differ")
 	}
@@ -245,11 +226,8 @@ func TestElasticTraceOracle(t *testing.T) {
 func TestElasticRejoinSameRank(t *testing.T) {
 	in := testInput(t, 40, 8)
 	opt := testOptions()
-	golden, _, err := RunResilient(clusterCfg(3), in, opt, ResilientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	horizon := golden.Metrics.RunSec
+	ref, static := elasticReference(t, in, opt, 3)
+	horizon := static.Metrics.RunSec
 	mp := &cluster.MembershipPlan{Universe: 4, Initial: 3, Events: []cluster.MemberEvent{
 		{TimeSec: horizon * 0.1, Leave: []int{2}},
 		{TimeSec: horizon * 0.4, Join: []int{2}},
@@ -258,7 +236,7 @@ func TestElasticRejoinSameRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queriesEqual(t, "rejoin", golden.Queries, res.Queries)
+	queriesEqual(t, "rejoin", ref.Queries, res.Queries)
 }
 
 // TestElasticSingleRank: Universe = Initial = 1 degenerates to the serial
@@ -304,11 +282,8 @@ func TestElasticChaos(t *testing.T) {
 			}
 			in := testInput(t, tc.nDB, tc.nQ)
 			opt := testOptions()
-			golden, _, err := RunResilient(clusterCfg(tc.p0), in, opt, ResilientOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			horizon := golden.Metrics.RunSec
+			ref, static := elasticReference(t, in, opt, tc.p0)
+			horizon := static.Metrics.RunSec
 			s1, s2 := tc.p0, tc.universe-1 // spare ranks: one adjacent, one at the top
 			mp := &cluster.MembershipPlan{Universe: tc.universe, Initial: tc.p0, Events: []cluster.MemberEvent{
 				{TimeSec: horizon * 0.05, Join: []int{s1}, Leave: []int{1}},
@@ -335,9 +310,9 @@ func TestElasticChaos(t *testing.T) {
 			if len(rec.Attempts) != 3 {
 				t.Fatalf("ran %d attempts, want 3 (%+v)", len(rec.Attempts), rec.Attempts)
 			}
-			queriesEqual(t, tc.name, golden.Queries, a.Queries)
-			if a.Metrics.Candidates != golden.Metrics.Candidates {
-				t.Errorf("candidates %d, want %d", a.Metrics.Candidates, golden.Metrics.Candidates)
+			queriesEqual(t, tc.name, ref.Queries, a.Queries)
+			if a.Metrics.Candidates != static.Metrics.Candidates {
+				t.Errorf("candidates %d, want %d", a.Metrics.Candidates, static.Metrics.Candidates)
 			}
 			b, _ := run()
 			if !bytes.Equal(exportTrace(t, a), exportTrace(t, b)) {

@@ -265,7 +265,6 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 	}{
 		{"Serial", func(in Input) error { _, err := Serial(in, opt, cfg.Cost); return err }},
 		{"Run", func(in Input) error { _, err := Run(AlgoA, cfg, in, opt); return err }},
-		{"RunResilient", func(in Input) error { _, _, err := RunResilient(cfg, in, opt, ResilientOptions{}); return err }},
 		{"RunElastic", func(in Input) error { _, _, err := RunElastic(cfg, in, opt, ElasticOptions{}); return err }},
 		{"RunWithRecovery", func(in Input) error { _, _, err := RunWithRecovery(AlgoB, cfg, in, opt, nil, 0); return err }},
 	}

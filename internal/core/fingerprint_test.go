@@ -93,12 +93,6 @@ func TestEngineFingerprints(t *testing.T) {
 			return res, nil, err
 		}
 	}
-	resilient := func(ropt ResilientOptions, masking bool) runFn {
-		return func(opt Options) (*Result, *Recovery, error) {
-			opt.Masking = masking
-			return RunResilient(tracedCfg(4), in, opt, ropt)
-		}
-	}
 	elastic := func(eopt ElasticOptions) runFn {
 		return func(opt Options) (*Result, *Recovery, error) {
 			cfg := elasticCfg()
@@ -136,22 +130,13 @@ func TestEngineFingerprints(t *testing.T) {
 		{"run/master-worker/p=4", engine(AlgoMasterWorker, 4, 1), 0},
 		{"run/candidate/p=4", engine(AlgoCandidate, 4, 1), 0},
 
-		{"resilient/clean/every=0", resilient(ResilientOptions{}, true), 1},
-		{"resilient/clean/every=1", resilient(ResilientOptions{CheckpointEvery: 1}, true), 1},
-		{"resilient/clean/every=2", resilient(ResilientOptions{CheckpointEvery: 2}, true), 1},
-		{"resilient/nomask/every=2", resilient(ResilientOptions{CheckpointEvery: 2}, false), 1},
-		{"resilient/crash", resilient(ResilientOptions{CheckpointEvery: 2,
-			Faults: []*cluster.FaultPlan{{Seed: 11, CrashAtCall: map[int]int{2: 9}, DetectSec: 0.005}}}, true), 2},
-		{"resilient/two-crashes", resilient(ResilientOptions{CheckpointEvery: 1,
-			Faults: []*cluster.FaultPlan{crash(1, 9), crash(0, 4)}}, true), 3},
-		{"resilient/crash-no-checkpoints", resilient(ResilientOptions{
-			Faults: []*cluster.FaultPlan{crash(1, 9)}}, true), 2},
-
 		{"recovery/b/crash", func(opt Options) (*Result, *Recovery, error) {
 			return RunWithRecovery(AlgoB, tracedCfg(4), in, opt, []*cluster.FaultPlan{crash(2, 12)}, 0)
 		}, 2},
 
 		{"elastic/static", elastic(ElasticOptions{}), 1},
+		{"elastic/static/crash", elastic(ElasticOptions{EpochSteps: 2,
+			Faults: []*cluster.FaultPlan{{Seed: 11, CrashAtCall: map[int]int{2: 9}, DetectSec: 0.005}}}), 2},
 		{"elastic/spot/epoch=1", elastic(ElasticOptions{Membership: spot, EpochSteps: 1}), 1},
 		{"elastic/spot/epoch=2", elastic(ElasticOptions{Membership: spot, EpochSteps: 2}), 1},
 		{"elastic/autoscale", elastic(ElasticOptions{Membership: cluster.AutoscaleMembershipPlan(4, 3, horizon*0.4, 3)}), 1},

@@ -151,9 +151,9 @@ func TestFragIdxBuiltOncePerBlock(t *testing.T) {
 
 	t.Run("resilient-crash", func(t *testing.T) {
 		cache := newIndexCache()
-		res, rec, err := runResilient(clusterCfg(4), in, opt, ResilientOptions{
-			CheckpointEvery: 1,
-			Faults:          []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 9}}},
+		res, rec, err := runElastic(clusterCfg(4), in, opt, ElasticOptions{
+			EpochSteps: 1,
+			Faults:     []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 9}}},
 		}, cache)
 		if err != nil {
 			t.Fatalf("%v (attempts: %+v)", err, rec.Attempts)

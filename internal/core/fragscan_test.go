@@ -79,14 +79,15 @@ func TestFragIdxEngineScorers(t *testing.T) {
 	}
 }
 
-// TestFragIdxResilientChaos crashes a rank mid-run under the fragment-index
-// scan: the recovery attempt rebuilds every block's index from scratch, and
-// the final results must still match the failure-free peptide-major run
-// bit-for-bit.
+// TestFragIdxResilientChaos crashes a rank mid-run of the static elastic
+// roster under the fragment-index scan: the recovery attempt re-partitions
+// the blocks over the survivors, and the final results must still match the
+// failure-free peptide-major run bit-for-bit.
 func TestFragIdxResilientChaos(t *testing.T) {
 	in := testInput(t, 80, 12)
 	opt := testOptions()
-	golden, grec, err := RunResilient(clusterCfg(6), in, opt, ResilientOptions{CheckpointEvery: 2})
+	eopt := ElasticOptions{EpochSteps: 2}
+	golden, grec, err := RunElastic(clusterCfg(6), in, opt, eopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFragIdxResilientChaos(t *testing.T) {
 	fragOpt.ScanMode = ScanModeFragIdx
 
 	// Failure-free fragment-index run: identical results and metrics.
-	clean, _, err := RunResilient(clusterCfg(6), in, fragOpt, ResilientOptions{CheckpointEvery: 2})
+	clean, _, err := RunElastic(clusterCfg(6), in, fragOpt, eopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +109,9 @@ func TestFragIdxResilientChaos(t *testing.T) {
 	}
 
 	// Chaos: crash a rank, recover, rebuild indices — results unchanged.
-	res, rec, err := RunResilient(clusterCfg(6), in, fragOpt, ResilientOptions{
-		CheckpointEvery: 2,
-		Faults:          []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 9}}},
+	res, rec, err := RunElastic(clusterCfg(6), in, fragOpt, ElasticOptions{
+		EpochSteps: eopt.EpochSteps,
+		Faults:     []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 9}}},
 	})
 	if err != nil {
 		t.Fatalf("%v (attempts: %+v)", err, rec.Attempts)

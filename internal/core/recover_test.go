@@ -7,38 +7,46 @@ import (
 	"pepscale/internal/cluster"
 )
 
-// TestResilientMatchesReference: failure-free, the checkpointed engine must
-// reproduce the serial reference and Algorithm A exactly at every
-// checkpoint interval, including checkpointing disabled.
+// The crash restart of Algorithm A's schedule is RunElastic on a static
+// roster: no Membership, a boundary checkpoint every EpochSteps steps.
+
+// TestResilientMatchesReference: failure-free, the static roster must
+// reproduce the serial reference and Algorithm A exactly at every epoch
+// length, including one that leaves no boundary inside the sweep (and so
+// writes no checkpoint).
 func TestResilientMatchesReference(t *testing.T) {
 	in := testInput(t, 60, 12)
 	opt := testOptions()
+	const p0 = 4
 	ref, err := Serial(in, opt, cluster.GigabitCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	algoA, err := Run(AlgoA, clusterCfg(4), in, opt)
+	algoA, err := Run(AlgoA, clusterCfg(p0), in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, every := range []int{0, 1, 2, 3} {
-		res, rec, err := RunResilient(clusterCfg(4), in, opt, ResilientOptions{CheckpointEvery: every})
+	for _, epoch := range []int{1, 2, 3, p0} {
+		res, rec, err := RunElastic(clusterCfg(p0), in, opt, ElasticOptions{EpochSteps: epoch})
 		if err != nil {
-			t.Fatalf("every=%d: %v", every, err)
+			t.Fatalf("epoch=%d: %v", epoch, err)
 		}
-		queriesEqual(t, "resilient-vs-serial", ref.Queries, res.Queries)
-		queriesEqual(t, "resilient-vs-algoA", algoA.Queries, res.Queries)
+		queriesEqual(t, "static-vs-serial", ref.Queries, res.Queries)
+		queriesEqual(t, "static-vs-algoA", algoA.Queries, res.Queries)
 		if res.Metrics.Candidates != algoA.Metrics.Candidates {
-			t.Errorf("every=%d: candidates %d, want %d", every, res.Metrics.Candidates, algoA.Metrics.Candidates)
+			t.Errorf("epoch=%d: candidates %d, want %d", epoch, res.Metrics.Candidates, algoA.Metrics.Candidates)
 		}
 		if len(rec.Attempts) != 1 {
-			t.Errorf("every=%d: %d attempts on a failure-free run", every, len(rec.Attempts))
+			t.Errorf("epoch=%d: %d attempts on a failure-free run", epoch, len(rec.Attempts))
 		}
-		if every > 0 && rec.CheckpointWrites == 0 {
-			t.Errorf("every=%d: no checkpoint writes", every)
+		if mig := migrationTotal(res.Metrics); mig != 0 {
+			t.Errorf("epoch=%d: static run moved %d migration bytes", epoch, mig)
 		}
-		if every == 0 && rec.CheckpointWrites != 0 {
-			t.Errorf("every=0: %d unexpected checkpoint writes", rec.CheckpointWrites)
+		if epoch < p0 && rec.CheckpointWrites == 0 {
+			t.Errorf("epoch=%d: no checkpoint writes", epoch)
+		}
+		if epoch >= p0 && rec.CheckpointWrites != 0 {
+			t.Errorf("epoch=%d: %d unexpected checkpoint writes", epoch, rec.CheckpointWrites)
 		}
 	}
 }
@@ -51,14 +59,19 @@ func TestResilientMatchesReference(t *testing.T) {
 func TestResilientChaos(t *testing.T) {
 	in := testInput(t, 80, 12)
 	opt := testOptions()
-	ropt := ResilientOptions{CheckpointEvery: 2}
-	golden, grec, err := RunResilient(clusterCfg(6), in, opt, ropt)
+	eopt := ElasticOptions{EpochSteps: 2}
+	ref, err := Serial(in, opt, cluster.GigabitCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, grec, err := RunElastic(clusterCfg(6), in, opt, eopt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(grec.Attempts) != 1 {
 		t.Fatalf("golden run had %d attempts", len(grec.Attempts))
 	}
+	queriesEqual(t, "static-vs-serial", ref.Queries, golden.Queries)
 	midRun := golden.Metrics.RunSec * 0.5
 
 	cases := []struct {
@@ -98,9 +111,9 @@ func TestResilientChaos(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, rec, err := RunResilient(clusterCfg(6), in, opt, ResilientOptions{
-				CheckpointEvery: ropt.CheckpointEvery,
-				Faults:          []*cluster.FaultPlan{tc.fault},
+			res, rec, err := RunElastic(clusterCfg(6), in, opt, ElasticOptions{
+				EpochSteps: eopt.EpochSteps,
+				Faults:     []*cluster.FaultPlan{tc.fault},
 			})
 			if err != nil {
 				t.Fatalf("%v (attempts: %+v)", err, rec.Attempts)
@@ -125,7 +138,7 @@ func TestResilientChaos(t *testing.T) {
 	}
 
 	// The retried-drops schedule must actually have exercised the retry loop.
-	res, _, err := RunResilient(clusterCfg(6), in, opt, ResilientOptions{
+	res, _, err := RunElastic(clusterCfg(6), in, opt, ElasticOptions{
 		Faults: []*cluster.FaultPlan{{Seed: 5, DropProb: 0.3, MaxRetries: 256}},
 	})
 	if err != nil {
@@ -143,17 +156,16 @@ func TestResilientChaos(t *testing.T) {
 	}
 }
 
-// TestResilientRepeatedFailures: the driver keeps shrinking the machine
+// TestResilientRepeatedFailures: the driver keeps shrinking the roster
 // across several faulty attempts, still converging on identical hits.
 func TestResilientRepeatedFailures(t *testing.T) {
 	in := testInput(t, 60, 8)
 	opt := testOptions()
-	golden, _, err := RunResilient(clusterCfg(5), in, opt, ResilientOptions{})
+	golden, _, err := RunElastic(clusterCfg(5), in, opt, ElasticOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rec, err := RunResilient(clusterCfg(5), in, opt, ResilientOptions{
-		CheckpointEvery: 1,
+	res, rec, err := RunElastic(clusterCfg(5), in, opt, ElasticOptions{
 		Faults: []*cluster.FaultPlan{
 			{CrashAtCall: map[int]int{4: 6}},
 			{CrashAtTime: map[int]float64{0: golden.Metrics.RunSec * 0.3}},
@@ -165,8 +177,10 @@ func TestResilientRepeatedFailures(t *testing.T) {
 	if len(rec.Attempts) != 3 {
 		t.Fatalf("ran %d attempts, want 3 (%+v)", len(rec.Attempts), rec.Attempts)
 	}
-	if final := rec.Attempts[2].Ranks; final >= 5 {
-		t.Fatalf("final attempt still on %d ranks", final)
+	for i, want := range []int{5, 4, 3} {
+		if got := rec.Attempts[i].Ranks; got != want {
+			t.Fatalf("attempt %d on %d ranks, want %d (%+v)", i, got, want, rec.Attempts)
+		}
 	}
 	queriesEqual(t, "repeated-failures", golden.Queries, res.Queries)
 	if res.Metrics.Candidates != golden.Metrics.Candidates {
@@ -181,13 +195,13 @@ func TestResilientRepeatedFailures(t *testing.T) {
 func TestResilientSpaceBound(t *testing.T) {
 	in := testInput(t, 200, 6)
 	opt := testOptions()
-	clean, _, err := RunResilient(clusterCfg(8), in, opt, ResilientOptions{CheckpointEvery: 2})
+	clean, _, err := RunElastic(clusterCfg(8), in, opt, ElasticOptions{EpochSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed, rec, err := RunResilient(clusterCfg(8), in, opt, ResilientOptions{
-		CheckpointEvery: 2,
-		Faults:          []*cluster.FaultPlan{{CrashAtCall: map[int]int{3: 9}}},
+	crashed, rec, err := RunElastic(clusterCfg(8), in, opt, ElasticOptions{
+		EpochSteps: 2,
+		Faults:     []*cluster.FaultPlan{{CrashAtCall: map[int]int{3: 9}}},
 	})
 	if err != nil {
 		t.Fatalf("%v (attempts: %+v)", err, rec.Attempts)
@@ -246,7 +260,7 @@ func TestRecoveryAlgoB(t *testing.T) {
 // instead of looping.
 func TestResilientGivesUp(t *testing.T) {
 	in := testInput(t, 40, 4)
-	_, rec, err := RunResilient(clusterCfg(3), in, testOptions(), ResilientOptions{
+	_, rec, err := RunElastic(clusterCfg(3), in, testOptions(), ElasticOptions{
 		MaxAttempts: 1,
 		Faults:      []*cluster.FaultPlan{{CrashAtCall: map[int]int{1: 3}}},
 	})
@@ -267,7 +281,7 @@ func TestResilientSingleRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunResilient(clusterCfg(1), in, opt, ResilientOptions{CheckpointEvery: 1})
+	res, _, err := RunElastic(clusterCfg(1), in, opt, ElasticOptions{EpochSteps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,10 +104,11 @@ func engineBody(algo Algorithm, cfg cluster.Config, in Input, opt Options, sh *s
 	switch algo {
 	case AlgoMasterWorker:
 		return func(r *cluster.Rank) error { return masterWorkerBody(r, in, opt, sh) }, nil
-	case AlgoA:
-		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, opt.Masking, 1, false, sh) }, nil
-	case AlgoANoMask:
-		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, false, 1, false, sh) }, nil
+	case AlgoA, AlgoANoMask:
+		if algo == AlgoANoMask {
+			opt.Masking = false
+		}
+		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, 1, false, sh) }, nil
 	case AlgoB:
 		return func(r *cluster.Rank) error { return algorithmBBody(r, in, opt, sh) }, nil
 	case AlgoCandidate:
@@ -120,7 +121,7 @@ func engineBody(algo Algorithm, cfg cluster.Config, in Input, opt Options, sh *s
 		if cfg.Ranks%groups != 0 {
 			return nil, fmt.Errorf("core: %d groups do not divide %d ranks", groups, cfg.Ranks)
 		}
-		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, opt.Masking, groups, true, sh) }, nil
+		return func(r *cluster.Rank) error { return cycleBody(r, in, opt, groups, true, sh) }, nil
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 	}

@@ -9,24 +9,21 @@
 // (internal/ckpt) to a host-side stable store, the write charged as I/O, and
 // whichever rank drives the group next restores it from there.
 //
-// A sweeper is one rank's handle on that structure. Three drivers nest its
-// step differently and share everything else:
+// A sweeper is one rank's handle on that structure. Two drivers nest its
+// step and share everything else, and neither prefetches:
 //
-//   - resilientBody is group-major (each owned group sweeps all its remaining
-//     steps, checkpointing every CheckpointEvery) and prefetches the next
-//     block when Options.Masking is on;
 //   - elasticMain is step-major (all owned groups share one cursor), with a
-//     membership boundary between steps, and never prefetches;
+//     membership boundary — checkpoints, then any join or leave — every
+//     EpochSteps steps; on a static roster it is the checkpointed crash
+//     restart of Algorithm A's schedule;
 //   - Backend.ScanBatch runs a bounded quantum of steps for one pepd batch
-//     (group id = batch id, so concurrent batches stagger their block order),
-//     and never prefetches.
+//     (group id = batch id, so concurrent batches stagger their block order).
 //
-// It is deliberately not merged with walkBlocks (algoa.go): the walk holds
-// the scanned and the arriving block together and frees after the arrival,
-// as the paper's space bound is stated, while the sweep frees a transported
-// block as soon as it is scanned; and a walk visits one rank's fixed query
-// set, while a sweep step belongs to one of several groups. Sharing code
-// would mean branching on the caller or moving virtual time.
+// The sweep is the second transport core, beside walkBlocks (algoa.go): the
+// walk holds the scanned and the arriving block together and frees after
+// the arrival, as the paper's space bound is stated, while the sweep frees a
+// transported block as soon as it is scanned; and a walk visits one rank's
+// fixed query set, while a sweep step belongs to one of several groups.
 //
 // Bit-identity with the failure-free static run holds because a top-τ list
 // is a pure function of its offer multiset (topk's strict total order breaks
@@ -50,7 +47,7 @@ import (
 )
 
 // rgroup is one query group's in-flight state on its driving rank: a group
-// of the stable partition under RunResilient/RunElastic, a batch under pepd.
+// of the stable partition under RunElastic, a batch under pepd.
 //
 //pepvet:perrank
 type rgroup struct {
@@ -88,12 +85,9 @@ type sweeper struct {
 	// bases[b] is the global protein index of block b's first record.
 	bases  []int32
 	groups map[int]*rgroup
-	// pending is the prefetch issued by the previous step for the block of
-	// the step that follows it in the same group; nil otherwise.
-	pending *cluster.Pending
-	// dcomp and drecv are the host's two transport buffers: the block being
-	// scanned and the one the next get lands in, swapped on every arrival.
-	dcomp, drecv []byte
+	// dbuf is the host's transport buffer: a step's get lands in it and the
+	// block is scanned before the next step's get is issued.
+	dbuf []byte
 }
 
 func newSweeper(r *cluster.Rank, db []byte, opt Options, cache *indexCache, store *ckpt.Store, noun string, plan *placement.Plan, gen []int32) (*sweeper, error) {
@@ -233,26 +227,19 @@ func (sw *sweeper) sortedGroups() []*rgroup {
 
 // step is the sweep's one transport step: group gr offers block (g+s) mod
 // p0 — resident, or fetched with a one-sided get and freed right after the
-// scan — and its cursor advances to s+1. With prefetch, the get for step
-// s+1's block is issued before the scan; the caller's next call must then be
-// step(gr, s+1, …).
-func (sw *sweeper) step(gr *rgroup, s int, prefetch bool) error {
+// scan — and its cursor advances to s+1.
+func (sw *sweeper) step(gr *rgroup, s int) error {
 	r, id := sw.r, sw.r.ID()
 	r.SetStep(s)
 	b := (gr.g + s) % sw.p0
 	data := sw.block(b)
 	var alloc int64
 	if owner := sw.plan.BlockRank(b); owner != id {
-		pending := sw.pending
-		sw.pending = nil
-		if pending == nil {
-			pending = r.Get(owner, blockWinName(b, sw.gen[b]))
-		}
 		var err error
-		if data, err = pending.WaitInto(sw.drecv); err != nil {
+		if data, err = r.Get(owner, blockWinName(b, sw.gen[b])).WaitInto(sw.dbuf); err != nil {
 			return err
 		}
-		sw.drecv, sw.dcomp = sw.dcomp, data
+		sw.dbuf = data
 		alloc = int64(len(data))
 		r.NoteAlloc(alloc)
 	}
@@ -260,12 +247,6 @@ func (sw *sweeper) step(gr *rgroup, s int, prefetch bool) error {
 	recs, err := sw.cache.recsFor(key, data)
 	if err != nil {
 		return fmt.Errorf("rank %d: block %d: %w", id, b, err)
-	}
-	if prefetch && s+1 < sw.p0 {
-		nb := (gr.g + s + 1) % sw.p0
-		if owner := sw.plan.BlockRank(nb); owner != id {
-			sw.pending = r.Get(owner, blockWinName(nb, sw.gen[nb]))
-		}
 	}
 	c, err := sw.processBlock(r, sw.opt, gr.qs, gr.lists, recs, sw.bases[b], key)
 	if err != nil {

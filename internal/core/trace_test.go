@@ -131,23 +131,23 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceDeterminismResilient covers RunResilient: failure-free and under
-// a deterministic fault plan, double runs export byte-identical traces, and
-// the chaos trace records the crash, the survivors' detection stalls, and
-// one attempt per driver retry.
+// TestTraceDeterminismResilient covers the crash restart of the static
+// elastic roster: failure-free and under a deterministic fault plan, double
+// runs export byte-identical traces, and the chaos trace records the crash,
+// the survivors' detection stalls, and one attempt per driver retry.
 func TestTraceDeterminismResilient(t *testing.T) {
 	in := testInput(t, 60, 8)
 	opt := testOptions()
 
-	runOnce := func(ropt ResilientOptions) (*Result, *Recovery) {
-		res, rec, err := RunResilient(tracedCfg(4), in, opt, ropt)
+	runOnce := func(eopt ElasticOptions) (*Result, *Recovery) {
+		res, rec, err := RunElastic(tracedCfg(4), in, opt, eopt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, rec
 	}
 
-	clean := ResilientOptions{CheckpointEvery: 2}
+	clean := ElasticOptions{EpochSteps: 2}
 	r1, _ := runOnce(clean)
 	r2, _ := runOnce(clean)
 	if !bytes.Equal(exportTrace(t, r1), exportTrace(t, r2)) {
@@ -158,8 +158,8 @@ func TestTraceDeterminismResilient(t *testing.T) {
 	}
 	checkTraceMatchesMetrics(t, r1)
 
-	chaos := ResilientOptions{
-		CheckpointEvery: 2,
+	chaos := ElasticOptions{
+		EpochSteps: 2,
 		Faults: []*cluster.FaultPlan{
 			{Seed: 11, CrashAtCall: map[int]int{2: 9}, DetectSec: 0.005},
 		},
@@ -197,17 +197,16 @@ func TestTraceDeterminismResilient(t *testing.T) {
 	if detects == 0 {
 		t.Error("failed attempt shows no detection stalls on survivors")
 	}
-	// The surviving attempt runs on fewer ranks (the re-partition).
-	final := c1.Trace.Attempts[len(c1.Trace.Attempts)-1]
-	if final.Ranks >= failed.Ranks {
-		t.Errorf("final attempt has %d ranks, failed had %d; expected a shrink", final.Ranks, failed.Ranks)
+	// The surviving attempt runs on fewer live ranks (the re-partition).
+	if final, first := rec.Attempts[len(rec.Attempts)-1].Ranks, rec.Attempts[0].Ranks; final >= first {
+		t.Errorf("final attempt has %d ranks, failed had %d; expected a shrink", final, first)
 	}
 	checkTraceMatchesMetrics(t, c1)
 }
 
 // TestTracePhases asserts the engines tag their phases: Algorithm A
-// produces load/scan/report, Algorithm B adds sort, and the resilient
-// engine adds checkpoint epochs.
+// produces load/scan/report, Algorithm B adds sort, and the checkpointed
+// sweep (static RunElastic) adds checkpoint epochs.
 func TestTracePhases(t *testing.T) {
 	in := testInput(t, 50, 8)
 	opt := testOptions()
@@ -244,14 +243,14 @@ func TestTracePhases(t *testing.T) {
 		}
 	}
 
-	resR, _, err := RunResilient(tracedCfg(4), in, opt, ResilientOptions{CheckpointEvery: 1})
+	resR, _, err := RunElastic(tracedCfg(4), in, opt, ElasticOptions{EpochSteps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr := phasesOf(resR.Trace)
 	for _, want := range []string{"load", "scan", "checkpoint", "report"} {
 		if !pr[want] {
-			t.Errorf("resilient trace missing phase %q (got %v)", want, pr)
+			t.Errorf("static elastic trace missing phase %q (got %v)", want, pr)
 		}
 	}
 

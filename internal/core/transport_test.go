@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"pepscale/internal/chem"
 	"pepscale/internal/cluster"
 	"pepscale/internal/trace"
 )
@@ -77,12 +79,65 @@ func TestRecoveryDriversCountHitsOnce(t *testing.T) {
 			t.Errorf("%s: Metrics.Hits = %d, the results hold %d", name, res.Metrics.Hits, hits)
 		}
 	}
-	res, rec, err := RunResilient(clusterCfg(4), in, opt, ResilientOptions{CheckpointEvery: 1, Faults: crash})
-	check("resilient", res, rec, err)
-	res, rec, err = RunElastic(clusterCfg(4), in, opt, ElasticOptions{Faults: crash})
+	res, rec, err := RunElastic(clusterCfg(4), in, opt, ElasticOptions{Faults: crash})
 	check("elastic", res, rec, err)
 	res, rec, err = RunWithRecovery(AlgoB, clusterCfg(4), in, opt, crash, 0)
 	check("recovery/b", res, rec, err)
+}
+
+// TestCandidateWalkTagsSteps: the candidate engine's band walk is walkBlocks,
+// so its transport is tagged by walk step like Algorithm A's instead of all
+// at step −1: the get that brings band s+1 in is issued at step s (plus one
+// at step 0 when the first band is remote), and nothing runs past the step
+// that scans the last band.
+func TestCandidateWalkTagsSteps(t *testing.T) {
+	in := testInput(t, 60, 12)
+	opt := testOptions()
+	// Windows this wide cross band edges, so every rank fetches one band
+	// or more (one rank walks three).
+	opt.Tol = chem.DaltonTolerance(400)
+	res, err := Run(AlgoCandidate, tracedCfg(4), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	att := res.Trace.Attempts[0]
+	if len(att.StepStats()) == 0 {
+		t.Fatal("candidate run tagged no step")
+	}
+	fetched := 0
+	for rank, evs := range att.Events {
+		var gets []int
+		last := -1
+		for _, ev := range evs {
+			last = max(last, ev.Step)
+			if ev.Kind == trace.KindGetIssue && ev.Name == candWindow {
+				gets = append(gets, ev.Step)
+			}
+		}
+		fetched += len(gets)
+		if len(gets) == 0 {
+			if last > 0 {
+				t.Errorf("rank %d: fetched nothing but reached step %d", rank, last)
+			}
+			continue
+		}
+		var want []int
+		if len(gets) > 1 && gets[1] == 0 {
+			want = append(want, 0) // the first band is remote
+		}
+		for s := 0; len(want) < len(gets); s++ {
+			want = append(want, s)
+		}
+		if !slices.Equal(gets, want) {
+			t.Errorf("rank %d: gets tagged %v, want %v", rank, gets, want)
+		}
+		if next := want[len(want)-1] + 1; last > next {
+			t.Errorf("rank %d: events at step %d, past the last band's step %d", rank, last, next)
+		}
+	}
+	if fetched == 0 {
+		t.Fatal("no rank fetched a band: nothing was checked")
+	}
 }
 
 // TestElasticIdleMemberKeepsStepTag: a member that drives no group still

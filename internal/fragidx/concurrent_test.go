@@ -12,9 +12,10 @@ import (
 
 // TestTierConcurrentSingleFlight is the shared-index contract under the race
 // detector: many goroutines (the ranks scanning one block) ask one Index for
-// a mix of tiers at once, including a match tier beyond the slot arrays.
-// Every caller of a key must get the same pointer, every tier must be built
-// exactly once, and the result must equal a serially built index.
+// a mix of tiers at once, including tiers beyond MaxFragmentCharge that are
+// never built. Every caller of a key must get the same pointer, every tier
+// must be built exactly once, and the result must equal a serially built
+// index.
 func TestTierConcurrentSingleFlight(t *testing.T) {
 	params := digest.DefaultParams()
 	params.Mods = []chem.Mod{chem.OxidationM}
@@ -27,11 +28,12 @@ func TestTierConcurrentSingleFlight(t *testing.T) {
 		kind Kind
 	}
 	keys := []key{
-		{1, KindMatch}, {2, KindMatch}, {3, KindMatch}, {maxPassCharge + 1, KindMatch},
+		{1, KindMatch}, {2, KindMatch}, {3, KindMatch},
 		{1, KindPasses}, {2, KindPasses}, {3, KindPasses},
-		{maxPassCharge + 1, KindPasses}, // unsupported: nil for everyone, never built
+		// unsupported: nil for everyone, never built
+		{maxPassCharge + 1, KindMatch}, {maxPassCharge + 1, KindPasses},
 	}
-	const buildable = 7
+	const buildable = 6
 
 	pool := NewBuildPool()
 	shared := NewPooled(ix, params.Mods, cfg, pool)

@@ -74,9 +74,10 @@ const (
 	metaIndexMask   = 0xffff
 
 	// maxSlot and maxPassCharge bound the packable slot index and fragment
-	// charge; a block exceeding either cannot carry pass postings (see
-	// Index.Tier), though plain match tiers remain available since their
-	// walks read only the ordinal and series bits.
+	// charge. A block beyond maxSlot cannot carry pass postings, though
+	// plain match tiers remain available since their walks read only the
+	// ordinal and series bits; no tier exists beyond maxPassCharge (see
+	// Index.Tier).
 	maxSlot       = metaSlotMask
 	maxPassCharge = MaxFragmentCharge
 
@@ -266,12 +267,6 @@ type Index struct {
 
 	match  [maxPassCharge + 1]tierSlot // by maxZ
 	passes [maxPassCharge + 1]tierSlot // by maxZ
-
-	// wide holds the match tiers whose charge cap exceeds the slot arrays
-	// (a configured MaxFragmentCharge above maxPassCharge); wideMu guards
-	// the map, not the builds.
-	wideMu sync.Mutex
-	wide   map[int]*tierSlot
 }
 
 // tierSlot single-flights one tier: t is nil until the build that holds mu
@@ -294,7 +289,7 @@ func NewPooled(src *digest.Index, mods []chem.Mod, cfg score.Config, pool *Build
 	if pool == nil {
 		pool = NewBuildPool()
 	}
-	x := &Index{src: src, mods: mods, cfg: cfg, pool: pool, wide: make(map[int]*tierSlot)}
+	x := &Index{src: src, mods: mods, cfg: cfg, pool: pool}
 	x.lens = make([]int32, src.Len())
 	for i := range x.lens {
 		x.lens[i] = int32(src.SeqLen(i))
@@ -309,43 +304,29 @@ func NewPooled(src *digest.Index, mods []chem.Mod, cfg score.Config, pool *Build
 func (x *Index) Len() int { return len(x.lens) }
 
 // Tier returns the (maxZ, kind) tier, building it on first use; every caller
-// of one key gets the same pointer. For KindPasses it returns nil when the
-// block cannot carry pass postings (fragment slot or charge beyond the
-// packable range) — callers fall back to full scoring; KindMatch is always
-// available.
+// of one key gets the same pointer. It returns nil for a charge cap above
+// MaxFragmentCharge, which a Meta cannot carry (core.Options.Validate refuses
+// the fragment-index scan there), and for KindPasses also when the block
+// cannot carry pass postings (fragment slot or ordinal beyond the packable
+// range) — callers fall back to full scoring.
 func (x *Index) Tier(maxZ int, kind Kind) *Tier {
 	if maxZ < 1 {
 		maxZ = 1
 	}
-	var s *tierSlot
-	switch {
-	case kind == KindPasses:
-		if maxZ > maxPassCharge || x.maxSlots(maxZ) > maxSlot+1 || x.Len() > maxPackOrd {
+	if maxZ > maxPassCharge {
+		return nil
+	}
+	s := &x.match[maxZ]
+	if kind == KindPasses {
+		if x.maxSlots(maxZ) > maxSlot+1 || x.Len() > maxPackOrd {
 			return nil
 		}
 		s = &x.passes[maxZ]
-	case maxZ <= maxPassCharge:
-		s = &x.match[maxZ]
-	default:
-		s = x.wideSlot(maxZ)
 	}
 	if t := s.t.Load(); t != nil {
 		return t
 	}
 	return x.buildOnce(s, maxZ, kind)
-}
-
-// wideSlot returns the slot of a match tier beyond the slot arrays.
-func (x *Index) wideSlot(maxZ int) *tierSlot {
-	x.wideMu.Lock()
-	defer x.wideMu.Unlock()
-	s := x.wide[maxZ]
-	if s == nil {
-		s = new(tierSlot)
-		//pepvet:allow ranksafety wideMu is held; the map only ever gains single-flight slots
-		x.wide[maxZ] = s
-	}
-	return s
 }
 
 // buildOnce builds s's tier unless a concurrent caller already has.

@@ -3,10 +3,10 @@
 // p0 database blocks and p0 query groups, fixed for the lifetime of a search
 // — to a current membership set of global rank ids.
 //
-// Two constructors cover the two regimes. RoundRobin reproduces the
-// historical modular partition of core.RunResilient (block b and group g on
-// member b mod p′), which remaps almost every assignment when the membership
-// changes. Next computes an incremental plan instead: assignments whose
+// Two constructors cover the two regimes. RoundRobin is the modular
+// partition every attempt of core.RunElastic starts from (block b and group g
+// on member b mod p′), which remaps almost every assignment when the
+// membership changes. Next computes an incremental plan instead: assignments whose
 // owner survives keep their owner wherever the balance targets allow, and
 // only the orphaned or over-quota remainder moves — the minimal migration
 // set for exact ⌈/⌋-balanced ownership. Rebalance diffs two plans into the
@@ -154,11 +154,10 @@ func sortedMembers(members []int) ([]int, error) {
 	return out, nil
 }
 
-// RoundRobin builds the historical modular plan: block b and group g are
-// owned by the (b mod p′)-th and (g mod p′)-th member in ascending order.
-// Over members 0..p′−1 this is exactly the partition core.RunResilient has
-// always used, so refactoring onto it changes no assignment, no virtual
-// time, and no trace byte.
+// RoundRobin builds the modular plan: block b and group g are owned by the
+// (b mod p′)-th and (g mod p′)-th member in ascending order. Over members
+// 0..p0−1 block b sits on rank b, Algorithm A's layout, which is what makes a
+// static core.RunElastic follow Algorithm A's schedule.
 func RoundRobin(blocks, groups int, members []int) (*Plan, error) {
 	ms, err := sortedMembers(members)
 	if err != nil {

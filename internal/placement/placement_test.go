@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestRoundRobinMatchesModularPartition pins the back-compat contract: over
-// members 0..p−1 the plan reproduces core.RunResilient's b mod p partition.
+// TestRoundRobinMatchesModularPartition pins the modular contract: over
+// members 0..p−1 the plan is the b mod p partition a static core.RunElastic
+// starts from.
 func TestRoundRobinMatchesModularPartition(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		members := make([]int, p)
