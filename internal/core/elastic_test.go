@@ -38,6 +38,49 @@ func elasticReference(t *testing.T, in Input, opt Options, p0 int) (ref, static 
 	return ref, static
 }
 
+// TestElasticStaticMatchesResilient: the resilient engine is now RunElastic
+// with no Membership. It must match Algorithm A's crash restart
+// (RunWithRecovery) failure-free, and an explicit roster with spare members
+// that never join must degenerate to it exactly.
+func TestElasticStaticMatchesResilient(t *testing.T) {
+	in := testInput(t, 60, 12)
+	opt := testOptions()
+	golden, grec, err := RunElastic(clusterCfg(4), in, opt, ElasticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	algoA, arec, err := RunWithRecovery(AlgoA, clusterCfg(4), in, opt, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queriesEqual(t, "static-vs-recovery", algoA.Queries, golden.Queries)
+	if golden.Metrics.Candidates != algoA.Metrics.Candidates {
+		t.Errorf("candidates %d, want %d", golden.Metrics.Candidates, algoA.Metrics.Candidates)
+	}
+	if len(grec.Attempts) != 1 || len(arec.Attempts) != 1 {
+		t.Errorf("failure-free runs took %d and %d attempts", len(grec.Attempts), len(arec.Attempts))
+	}
+
+	mp := &cluster.MembershipPlan{Universe: 6, Initial: 4}
+	res, rec, err := RunElastic(elasticCfg(), in, opt, ElasticOptions{Membership: mp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queriesEqual(t, "elastic-static", golden.Queries, res.Queries)
+	if res.Metrics.Candidates != golden.Metrics.Candidates {
+		t.Errorf("candidates %d, want %d", res.Metrics.Candidates, golden.Metrics.Candidates)
+	}
+	if len(rec.Attempts) != 1 {
+		t.Errorf("static run took %d attempts", len(rec.Attempts))
+	}
+	if rec.CheckpointWrites != grec.CheckpointWrites {
+		t.Errorf("checkpoint writes %d, want %d", rec.CheckpointWrites, grec.CheckpointWrites)
+	}
+	if mig := migrationTotal(res.Metrics); mig != 0 {
+		t.Errorf("static run moved %d migration bytes", mig)
+	}
+}
+
 // TestElasticTimelines: the acceptance criterion — over the same input and
 // seed, ANY join/leave timeline (handwritten churn, the seeded spot and
 // autoscale profiles, membership growing past the block count) produces
