@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pepscale/internal/cluster"
 	"pepscale/internal/fasta"
 	"pepscale/internal/score"
 	"pepscale/internal/topk"
+	"pepscale/internal/wire"
 )
 
 // dbWindow is the RMA window name under which every rank exposes its
@@ -80,14 +80,17 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 	// Agree on global protein-index bases. Every rank contributes its own
 	// record count; block b's count is taken from the first rank holding
 	// block b (ranks of group 0 when blocks < p).
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(recs)))
-	counts := r.Allgather(cnt[:])
+	counts := r.Allgather(wire.U64(nil, uint64(len(recs))))
 	l.bases = make([]int32, blocks)
 	var acc int32
 	for b := 0; b < blocks; b++ {
+		cur := wire.NewReader(counts[b], errWire)
+		n := cur.U64()
+		if err := cur.Finish(); err != nil {
+			return nil, fmt.Errorf("rank %d: record count of block %d: %w", r.ID(), b, err)
+		}
 		l.bases[b] = acc
-		acc += int32(binary.LittleEndian.Uint64(counts[b]))
+		acc += int32(n)
 	}
 
 	// Query loading: rank i receives roughly m/p queries.

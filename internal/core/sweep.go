@@ -33,7 +33,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -44,6 +43,7 @@ import (
 	"pepscale/internal/score"
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
+	"pepscale/internal/wire"
 )
 
 // rgroup is one query group's in-flight state on its driving rank: a group
@@ -139,19 +139,23 @@ func (sw *sweeper) loadOwned() error {
 // ascending block order.
 func (sw *sweeper) agreeBases(comm *cluster.Comm) error {
 	mine := sw.plan.BlocksOf(sw.r.ID())
-	payload := make([]byte, 8*len(mine))
-	for i, b := range mine {
+	payload := make([]byte, 0, 8*len(mine))
+	for _, b := range mine {
 		raw := sw.block(b)
 		recs, err := sw.cache.recsFor(blockKey(b, len(raw)), raw)
 		if err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint64(payload[8*i:], uint64(len(recs)))
+		payload = wire.U64(payload, uint64(len(recs)))
 	}
 	nrecs := make([]int32, sw.p0)
 	for j, buf := range comm.Allgather(payload) {
-		for k, b := range sw.plan.BlocksOf(comm.GlobalRank(j)) {
-			nrecs[b] = int32(binary.LittleEndian.Uint64(buf[8*k:]))
+		cur := wire.NewReader(buf, errWire)
+		for _, b := range sw.plan.BlocksOf(comm.GlobalRank(j)) {
+			nrecs[b] = int32(cur.U64())
+		}
+		if err := cur.Finish(); err != nil {
+			return fmt.Errorf("rank %d: record counts of rank %d: %w", sw.r.ID(), comm.GlobalRank(j), err)
 		}
 	}
 	sw.bases = make([]int32, sw.p0)

@@ -14,12 +14,14 @@
 package sortmz
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"pepscale/internal/chem"
 	"pepscale/internal/cluster"
 	"pepscale/internal/fasta"
+	"pepscale/internal/wire"
 )
 
 // MaxKey caps the integer m/z key, mirroring the paper's bounded range.
@@ -184,7 +186,10 @@ func Sort(r *cluster.Rank, local []Seq, p Params) (*Result, error) {
 	tuples := r.Allgather(encodeBoundary(Boundary{Lo: lo, Hi: hi}))
 	bounds := make([]Boundary, size)
 	for i, b := range tuples {
-		bounds[i] = decodeBoundary(b)
+		var err error
+		if bounds[i], err = decodeBoundary(b); err != nil {
+			return nil, fmt.Errorf("sortmz: rank %d: boundary of rank %d: %w", r.ID(), i, err)
+		}
 	}
 
 	return &Result{Local: sorted, Boundaries: bounds, SortSec: r.Time() - t0}, nil
@@ -222,26 +227,20 @@ func ComputeOwners(global []int64, ranks int) []int32 {
 	return owner
 }
 
+// errWire reports a sequence image or boundary tuple that fails structural
+// validation.
+var errWire = errors.New("sortmz: corrupt wire blob")
+
+// encodeBoundary encodes a boundary tuple as [lo int32][hi int32].
 func encodeBoundary(b Boundary) []byte {
-	out := make([]byte, 8)
-	putInt32(out[0:], b.Lo)
-	putInt32(out[4:], b.Hi)
-	return out
+	return wire.U32(wire.U32(make([]byte, 0, 8), uint32(b.Lo)), uint32(b.Hi))
 }
 
-func decodeBoundary(buf []byte) Boundary {
-	return Boundary{Lo: getInt32(buf[0:]), Hi: getInt32(buf[4:])}
-}
-
-func putInt32(b []byte, v int32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getInt32(b []byte) int32 {
-	return int32(b[0]) | int32(b[1])<<8 | int32(b[2])<<16 | int32(b[3])<<24
+// decodeBoundary parses a tuple written by encodeBoundary.
+func decodeBoundary(buf []byte) (Boundary, error) {
+	cur := wire.NewReader(buf, errWire)
+	b := Boundary{Lo: int32(cur.U32()), Hi: int32(cur.U32())}
+	return b, cur.Finish()
 }
 
 // MarshalSeqs encodes sequences compactly for the wire:
@@ -252,42 +251,33 @@ func MarshalSeqs(seqs []Seq) []byte {
 		n += 4 + 4 + 2 + 4 + len(s.Rec.ID) + len(s.Rec.Seq)
 	}
 	out := make([]byte, 0, n)
-	var scratch [4]byte
 	for _, s := range seqs {
-		putInt32(scratch[:], s.GID)
-		out = append(out, scratch[:]...)
-		putInt32(scratch[:], s.Key)
-		out = append(out, scratch[:]...)
-		out = append(out, byte(len(s.Rec.ID)), byte(len(s.Rec.ID)>>8))
-		putInt32(scratch[:], int32(len(s.Rec.Seq)))
-		out = append(out, scratch[:]...)
+		out = wire.U32(out, uint32(s.GID))
+		out = wire.U32(out, uint32(s.Key))
+		out = wire.U16(out, uint16(len(s.Rec.ID)))
+		out = wire.U32(out, uint32(len(s.Rec.Seq)))
 		out = append(out, s.Rec.ID...)
 		out = append(out, s.Rec.Seq...)
 	}
 	return out
 }
 
+// UnmarshalSeqs parses an image written by MarshalSeqs; the empty image is
+// the empty list. Every error wraps errWire.
 func UnmarshalSeqs(buf []byte) ([]Seq, error) {
+	cur := wire.NewReader(buf, errWire)
 	var out []Seq
-	i := 0
-	for i < len(buf) {
-		if i+14 > len(buf) {
-			return nil, fmt.Errorf("truncated sequence header at byte %d", i)
-		}
-		gid := getInt32(buf[i:])
-		key := getInt32(buf[i+4:])
-		idLen := int(buf[i+8]) | int(buf[i+9])<<8
-		seqLen := int(getInt32(buf[i+10:]))
-		i += 14
-		if i+idLen+seqLen > len(buf) || seqLen < 0 {
-			return nil, fmt.Errorf("truncated sequence body at byte %d", i)
-		}
-		id := string(buf[i : i+idLen])
-		i += idLen
-		seq := make([]byte, seqLen)
-		copy(seq, buf[i:i+seqLen])
-		i += seqLen
-		out = append(out, Seq{GID: gid, Key: key, Rec: fasta.Record{ID: id, Seq: seq}})
+	for cur.Len() > 0 {
+		s := Seq{GID: int32(cur.U32()), Key: int32(cur.U32())}
+		idLen := int(cur.U16())
+		seqLen := cur.Count(1)
+		s.Rec.ID = string(cur.Bytes(idLen))
+		s.Rec.Seq = make([]byte, seqLen)
+		copy(s.Rec.Seq, cur.Bytes(seqLen))
+		out = append(out, s)
+	}
+	if err := cur.Finish(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
