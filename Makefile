@@ -93,7 +93,7 @@ chaos-elastic:
 
 # fuzz-short gives every fuzz target a fixed, CI-sized budget: the codec
 # decoders (checkpoint, result/batch wire, membership plan, pepd frames,
-# trace JSON reader) must never panic and must only accept canonical blobs
+# sorted sequence image) must never panic and must only accept canonical blobs
 # (internal/wire/wiretest), and the two input parsers (FASTA with its
 # boundary-repair splitter, MGF) must never panic and must agree with
 # themselves. The minimize budget is capped so a coverage-expanding input
@@ -101,12 +101,12 @@ chaos-elastic:
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/ckpt/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
-	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzReadChrome -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeResults -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeMembershipPlan -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSubmit -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/sortmz/ -run '^$$' -fuzz FuzzUnmarshalSeqs -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/fasta/ -run '^$$' -fuzz FuzzParseFASTA -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/spectrum/ -run '^$$' -fuzz FuzzParseMGF -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 

@@ -1,4 +1,4 @@
-// Chrome trace_event JSON export and import.
+// Chrome trace_event JSON export.
 //
 // WriteChrome emits the JSON-object flavour of the Chrome tracing format
 // ({"traceEvents": [...]}) that Perfetto and chrome://tracing load directly:
@@ -6,8 +6,8 @@
 // for intervals and "i" instants for zero-duration markers, with ts/dur in
 // microseconds of virtual time. Viewers only need ts/dur, but those are
 // lossy (µs scaling); the full-precision seconds, the Stats deltas, and all
-// tags ride in each event's args, so ReadChrome(WriteChrome(t)) == t exactly
-// and the export is byte-for-byte deterministic for a deterministic run.
+// tags ride in each event's args, and the export is byte-for-byte
+// deterministic for a deterministic run.
 package trace
 
 import (
@@ -109,28 +109,7 @@ func WriteChrome(w io.Writer, t *Trace) error {
 		}
 		for tid, evs := range a.Events {
 			for _, ev := range evs {
-				args, err := json.Marshal(eventArgs{
-					Kind:             ev.Kind.String(),
-					Phase:            ev.Phase,
-					Step:             ev.Step,
-					Peer:             ev.Peer,
-					Bytes:            ev.Bytes,
-					PhID:             ev.PhID,
-					Seq:              ev.Seq,
-					Note:             ev.Note,
-					StartSec:         ev.Start,
-					DurSec:           ev.Dur,
-					ComputeSec:       ev.Delta.ComputeSec,
-					TotalCommSec:     ev.Delta.TotalCommSec,
-					ResidualCommSec:  ev.Delta.ResidualCommSec,
-					SyncWaitSec:      ev.Delta.SyncWaitSec,
-					BytesSent:        ev.Delta.BytesSent,
-					BytesReceived:    ev.Delta.BytesReceived,
-					RMABytesReceived: ev.Delta.RMABytesReceived,
-					Messages:         ev.Delta.Messages,
-					RMARetries:       ev.Delta.RMARetries,
-					RMAFailures:      ev.Delta.RMAFailures,
-				})
+				args, err := json.Marshal(chromeArgs(ev))
 				if err != nil {
 					return err
 				}
@@ -159,142 +138,33 @@ func WriteChrome(w io.Writer, t *Trace) error {
 	return err
 }
 
-// Reader sanity bounds: a hostile file must not make ReadChrome allocate
-// unboundedly more than its own size.
-const (
-	maxAttempts = 1 << 12
-	maxRanks    = 1 << 16
-)
-
-// ReadChrome parses data produced by WriteChrome (or any structurally
-// compatible Chrome trace) back into a Trace. Attempts are ordered by first
-// appearance of their pid; each rank's events keep file order. Unknown
-// event kinds, out-of-range ids, and non-finite times are errors.
-func ReadChrome(data []byte) (*Trace, error) {
-	var file struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+// chromeArgs is ev's lossless args payload.
+func chromeArgs(ev Event) eventArgs {
+	return eventArgs{
+		Kind:             ev.Kind.String(),
+		Phase:            ev.Phase,
+		Step:             ev.Step,
+		Peer:             ev.Peer,
+		Bytes:            ev.Bytes,
+		PhID:             ev.PhID,
+		Seq:              ev.Seq,
+		Note:             ev.Note,
+		StartSec:         ev.Start,
+		DurSec:           ev.Dur,
+		ComputeSec:       ev.Delta.ComputeSec,
+		TotalCommSec:     ev.Delta.TotalCommSec,
+		ResidualCommSec:  ev.Delta.ResidualCommSec,
+		SyncWaitSec:      ev.Delta.SyncWaitSec,
+		BytesSent:        ev.Delta.BytesSent,
+		BytesReceived:    ev.Delta.BytesReceived,
+		RMABytesReceived: ev.Delta.RMABytesReceived,
+		Messages:         ev.Delta.Messages,
+		RMARetries:       ev.Delta.RMARetries,
+		RMAFailures:      ev.Delta.RMAFailures,
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&file); err != nil {
-		return nil, fmt.Errorf("trace: parse: %w", err)
-	}
-	t := &Trace{}
-	attemptByPID := map[int]*Attempt{}
-	attempt := func(pid int) (*Attempt, error) {
-		if pid < 0 || pid >= maxAttempts {
-			return nil, fmt.Errorf("trace: pid %d out of range", pid)
-		}
-		if a, ok := attemptByPID[pid]; ok {
-			return a, nil
-		}
-		if len(t.Attempts) >= maxAttempts {
-			return nil, fmt.Errorf("trace: too many attempts")
-		}
-		a := &Attempt{}
-		attemptByPID[pid] = a
-		t.Attempts = append(t.Attempts, a)
-		return a, nil
-	}
-	// slots counts rank timelines allocated across every attempt; bounding
-	// the sum (not just each tid) keeps a hostile file from turning a few
-	// bytes of sparse tids into gigabytes of empty timelines.
-	slots := 0
-	growRanks := func(a *Attempt, tid int) error {
-		if tid < 0 || tid >= maxRanks {
-			return fmt.Errorf("trace: tid %d out of range", tid)
-		}
-		if tid < a.Ranks {
-			return nil
-		}
-		slots += tid + 1 - a.Ranks
-		if slots > maxRanks {
-			return fmt.Errorf("trace: more than %d rank timelines", maxRanks)
-		}
-		a.Ranks = tid + 1
-		for len(a.Events) < a.Ranks {
-			a.Events = append(a.Events, nil)
-		}
-		return nil
-	}
-	for i, ce := range file.TraceEvents {
-		switch ce.Ph {
-		case "M":
-			a, err := attempt(ce.PID)
-			if err != nil {
-				return nil, err
-			}
-			var ma metaArgs
-			if len(ce.Args) > 0 {
-				if err := json.Unmarshal(ce.Args, &ma); err != nil {
-					return nil, fmt.Errorf("trace: event %d: metadata args: %w", i, err)
-				}
-			}
-			switch ce.Name {
-			case "process_name":
-				a.Label = ma.Name
-			case "thread_name":
-				if err := growRanks(a, ce.TID); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, fmt.Errorf("trace: event %d: unknown metadata record %q", i, ce.Name)
-			}
-		case "X", "i":
-			a, err := attempt(ce.PID)
-			if err != nil {
-				return nil, err
-			}
-			if err := growRanks(a, ce.TID); err != nil {
-				return nil, err
-			}
-			var ea eventArgs
-			if len(ce.Args) == 0 {
-				return nil, fmt.Errorf("trace: event %d: missing args", i)
-			}
-			if err := json.Unmarshal(ce.Args, &ea); err != nil {
-				return nil, fmt.Errorf("trace: event %d: args: %w", i, err)
-			}
-			kind, ok := ParseKind(ea.Kind)
-			if !ok {
-				return nil, fmt.Errorf("trace: event %d: unknown kind %q", i, ea.Kind)
-			}
-			ev := Event{
-				Kind:  kind,
-				Name:  ce.Name,
-				Phase: ea.Phase,
-				Step:  ea.Step,
-				Peer:  ea.Peer,
-				Bytes: ea.Bytes,
-				PhID:  ea.PhID,
-				Seq:   ea.Seq,
-				Note:  ea.Note,
-				Start: ea.StartSec,
-				Dur:   ea.DurSec,
-				Delta: StatDelta{
-					ComputeSec:       ea.ComputeSec,
-					TotalCommSec:     ea.TotalCommSec,
-					ResidualCommSec:  ea.ResidualCommSec,
-					SyncWaitSec:      ea.SyncWaitSec,
-					BytesSent:        ea.BytesSent,
-					BytesReceived:    ea.BytesReceived,
-					RMABytesReceived: ea.RMABytesReceived,
-					Messages:         ea.Messages,
-					RMARetries:       ea.RMARetries,
-					RMAFailures:      ea.RMAFailures,
-				},
-			}
-			if err := checkEvent(ev); err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", i, err)
-			}
-			a.Events[ce.TID] = append(a.Events[ce.TID], ev)
-		default:
-			return nil, fmt.Errorf("trace: event %d: unsupported phase %q", i, ce.Ph)
-		}
-	}
-	return t, nil
 }
 
-// checkEvent validates one parsed event's invariants.
+// checkEvent validates one event's invariants.
 func checkEvent(ev Event) error {
 	for _, v := range []float64{ev.Start, ev.Dur, ev.Delta.ComputeSec, ev.Delta.TotalCommSec, ev.Delta.ResidualCommSec, ev.Delta.SyncWaitSec} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -84,16 +84,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// ParseKind inverts String.
-func ParseKind(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if s == name {
-			return Kind(k), true
-		}
-	}
-	return 0, false
-}
-
 // StatDelta is the exact cluster.Stats mutation an event applied. Folding a
 // rank's deltas in program order reproduces its Stats field-for-field,
 // bit-for-bit (the same float64 values are added in the same order).

@@ -155,9 +155,6 @@ func (j Job) Run(db []byte, queries []*Spectrum) (*Result, error) {
 // Perfetto or chrome://tracing; timestamps are virtual seconds as µs).
 func WriteTrace(w io.Writer, t *ExecutionTrace) error { return trace.WriteChrome(w, t) }
 
-// ReadTrace parses a trace written by WriteTrace.
-func ReadTrace(data []byte) (*ExecutionTrace, error) { return trace.ReadChrome(data) }
-
 // WriteTraceSummary renders the trace analysis report: per-phase rollups,
 // per-step load imbalance, and the critical-path decomposition.
 func WriteTraceSummary(w io.Writer, t *ExecutionTrace) error { return trace.WriteSummary(w, t) }
