@@ -37,8 +37,8 @@ type loaded struct {
 	scanner
 }
 
-// scanner is what a rank needs to scan one block: the part of loaded that
-// both transport cores (walkBlocks' visits and the sweeper) carry.
+// scanner is what a rank needs to walk and scan blocks: the part of loaded
+// that the sweeper carries too.
 type scanner struct {
 	// sc is the scoring model.
 	sc score.Scorer
@@ -48,6 +48,9 @@ type scanner struct {
 	scan scanState
 	// cache is the host-side per-run index memoizer (may be nil).
 	cache *indexCache
+	// dcomp and drecv are walkBlocks' host buffers: the transported block
+	// being scanned and the one arriving.
+	dcomp, drecv []byte
 }
 
 // loadPhase performs the balanced parallel load: block myBlock of a
@@ -183,69 +186,63 @@ func finishRun(r *cluster.Rank, l *loaded, sh *shared, indices []int, loadSec, s
 	return nil
 }
 
-// walkBlocks is the paper's one transport idea, written once: visit the
-// window win of n ranks in turn, step s visiting rank ownerAt(s), while a
-// one-sided get for the next one is in flight. When step 0's owner is this
-// rank, its resident block is visited without a fetch and that visit's data
-// is nil. With masking the next get is issued before the visit and completed
-// after it; without, it is issued only after the visit (the paper's
-// no-masking comparison version). arrived, when set, sees each fetched block
-// once it has landed and the footprint has been updated, before the visit
-// that scans it and before any further get.
+// walkBlocks is the paper's one transport idea, written once: visit n blocks
+// in turn, visit i at step step reading window win of rank owner, as at(i)
+// says. A block this rank owns is visited resident, with nil data and no get.
+// With masking, the next block's get is issued before a visit and completed
+// after it, so only the walk's first block is fetched unmasked. Without (the
+// paper's no-masking comparison version, and the checkpointed sweep), each
+// block is fetched at its own step and released right after its visit.
+// arrived, when set, sees each fetched block once it has landed and the
+// footprint has been updated, before the visit that scans it and before any
+// further get.
 //
-// The walk holds Dcomp and Drecv together, as the paper's space bound says:
-// the previous transported block is released only after the next one has
-// arrived. The checkpointed sweep (sweep.go) frees after each scan instead,
-// which is one reason the two are separate cores. On the host the two are
-// two buffers swapped on arrival, so arrived and visit must not keep a
-// reference into data once they return (the run cache's decoders copy out of
-// it).
-func walkBlocks(r *cluster.Rank, n int, ownerAt func(s int) int, win string, masking bool, arrived, visit func(owner int, data []byte) error) error {
-	var data, drecv []byte
-	var held int64 // transported Dcomp footprint (0 while the resident block is current)
-	arrive := func(owner int, pending *cluster.Pending) error {
-		d, err := pending.WaitInto(drecv)
-		if err != nil {
-			return err
+// With masking the walk holds Dcomp and Drecv together, as the paper's space
+// bound says: a transported block is released only after the next one has
+// arrived. On the host those are the scanner's two buffers, swapped on
+// arrival, so arrived and visit must not keep a reference into data once
+// they return (the run cache's decoders copy out of it).
+func (sn *scanner) walkBlocks(r *cluster.Rank, n int, at func(i int) (step, owner int, win string), masking bool, arrived, visit func(i int, data []byte) error) error {
+	var held int64               // footprint of the transported block in sn.dcomp
+	var pending *cluster.Pending // with masking, block i's get, issued before visit i−1
+	for i := 0; i < n; i++ {
+		step, owner, win := at(i)
+		if pending == nil && owner != r.ID() {
+			r.SetStep(step)
+			pending = r.Get(owner, win)
 		}
-		r.NoteAlloc(int64(len(d))) // Drecv materialized
-		if held > 0 {
-			r.NoteFree(held) // previous transported block released
-		}
-		data, drecv, held = d, data, int64(len(d))
-		if arrived == nil {
-			return nil
-		}
-		return arrived(owner, data)
-	}
-	for s := 0; s < n; s++ {
-		owner := ownerAt(s)
-		r.SetStep(s)
-		if s == 0 && owner != r.ID() {
-			// First block is remote: nothing to mask against yet.
-			if err := arrive(owner, r.Get(owner, win)); err != nil {
+		var data []byte
+		if pending != nil {
+			if masking { // the scanned block's buffer receives the next one
+				sn.dcomp, sn.drecv = sn.drecv, sn.dcomp
+			}
+			d, err := pending.WaitInto(sn.dcomp)
+			if err != nil {
 				return err
 			}
+			r.NoteAlloc(int64(len(d))) // Drecv materialized
+			r.NoteFree(held)           // the previous transported block released
+			sn.dcomp, data, held = d, d, int64(len(d))
+			if arrived != nil {
+				if err := arrived(i, d); err != nil {
+					return err
+				}
+			}
 		}
-		var pending *cluster.Pending
-		if masking && s+1 < n {
-			pending = r.Get(ownerAt(s+1), win)
+		r.SetStep(step)
+		pending = nil
+		if masking && i+1 < n {
+			if _, next, nextWin := at(i + 1); next != r.ID() {
+				pending = r.Get(next, nextWin)
+			}
 		}
-		if err := visit(owner, data); err != nil {
+		if err := visit(i, data); err != nil {
 			return err
 		}
-		if s+1 < n {
-			next := ownerAt(s + 1)
-			if !masking {
-				pending = r.Get(next, win)
-			}
-			if err := arrive(next, pending); err != nil {
-				return err
-			}
+		if pending == nil { // nothing arrives behind this block: release it now
+			r.NoteFree(held)
+			held = 0
 		}
-	}
-	if held > 0 {
-		r.NoteFree(held)
 	}
 	return nil
 }
@@ -299,14 +296,14 @@ func cycleBody(r *cluster.Rank, in Input, opt Options, groups int, split bool, s
 	// database the same way), so keying by block index shares the host-side
 	// parse/digest between groups.
 	var candidates int64
-	ownerAt := func(s int) int { return first + (local+s)%gs }
-	err = walkBlocks(r, gs, ownerAt, dbWindow, opt.Masking, nil, func(owner int, data []byte) error {
-		b := owner - first
+	at := func(s int) (int, int, string) { return s, first + (local+s)%gs, dbWindow }
+	err = l.walkBlocks(r, gs, at, opt.Masking, nil, func(s int, data []byte) error {
+		b := (local + s) % gs
 		recs, size := l.recs, len(l.myBytes)
-		if owner != id {
+		if b != local {
 			size = len(data)
 			if recs, err = l.cache.recsFor(blockKey(b, size), data); err != nil {
-				return fmt.Errorf("rank %d: block from rank %d: %w", id, owner, err)
+				return fmt.Errorf("rank %d: block from rank %d: %w", id, first+b, err)
 			}
 		}
 		c, err := l.processBlock(r, opt, l.qs, l.lists, recs, l.bases[b], blockKey(b, size))

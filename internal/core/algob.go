@@ -105,7 +105,9 @@ func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Resu
 	id := r.ID()
 	var candidates int64
 	ownerAt := func(s int) int { return first + (start+s)%n }
-	err := walkBlocks(r, n, ownerAt, dbWindow, opt.Masking, nil, func(owner int, data []byte) error {
+	at := func(s int) (int, int, string) { return s, ownerAt(s), dbWindow }
+	err := l.walkBlocks(r, n, at, opt.Masking, nil, func(s int, data []byte) error {
+		owner := ownerAt(s)
 		// Each rank's sorted slice is unique within the run, so the owner rank
 		// is the block's cache identity — no content hashing per fetch. The
 		// resident slice is read through the cache like a transported one:

@@ -326,10 +326,8 @@ func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt f
 		// staggered across concurrent batches and their remote fetches
 		// spread across owners; hits are order-independent (the offer
 		// multiset is what matters).
-		for n := 0; gr.cursor < bk.p0 && n < steps; n++ {
-			if err := sw.step(gr, gr.cursor); err != nil {
-				return err
-			}
+		if err := sw.walk([]*rgroup{gr}, gr.cursor, min(gr.cursor+steps, bk.p0)); err != nil {
+			return err
 		}
 		r.SetStep(-1)
 		sw.checkpoint(gr)

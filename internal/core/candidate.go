@@ -342,8 +342,8 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, own
 	// per-key sort is charged before the next get.
 	var candidates int64
 	cur, curKey := own, ownKey
-	arrived := func(owner int, data []byte) error {
-		curKey = blockKey(owner, len(data))
+	arrived := func(s int, data []byte) error {
+		curKey = blockKey(needed[s], len(data))
 		var err error
 		if cur, err = l.cache.candsFor(curKey, data); err != nil {
 			return err
@@ -351,8 +351,9 @@ func candScanPhase(r *cluster.Rank, l *loaded, opt Options, own []candEntry, own
 		r.Compute(cost.SortSecPerKey * float64(len(cur)))
 		return nil
 	}
-	err := walkBlocks(r, len(needed), func(s int) int { return needed[s] }, candWindow, opt.Masking, arrived, func(owner int, _ []byte) error {
-		c, err := scanCandBlock(r, l, opt, cur, curKey, bandLo[owner], bandHi[owner])
+	at := func(s int) (int, int, string) { return s, needed[s], candWindow }
+	err := l.walkBlocks(r, len(needed), at, opt.Masking, arrived, func(s int, _ []byte) error {
+		c, err := scanCandBlock(r, l, opt, cur, curKey, bandLo[needed[s]], bandHi[needed[s]])
 		candidates += c
 		return err
 	})

@@ -16,16 +16,14 @@
 //     ranks split into groups; the database is partitioned within a group
 //     and the query set across groups.
 //
-// Database transport is written twice and crash restart once. walkBlocks
+// Database transport and crash restart are each written once. walkBlocks
 // (algoa.go) is the paper's double-buffered block walk, shared by Algorithm
-// A, SubGroup (Algorithm A inside each group), Algorithm B's sender group
-// and the candidate engine's band walk; the sweeper (sweep.go) is the
-// checkpointed group sweep over a stable p0-way partition, shared by
-// RunElastic — on a static roster, the checkpointed crash restart of
-// Algorithm A's schedule — and the pepd Backend. They differ in when a
-// transported block is freed and in who owns the step cursor, so they stay
-// separate (see sweep.go). recoverLoop (recover.go) is the one attempt loop
-// behind RunElastic and RunWithRecovery.
+// A, SubGroup (Algorithm A inside each group), Algorithm B's sender group,
+// the candidate engine's band walk and the sweeper (sweep.go): the
+// checkpointed group sweep over a stable p0-way partition behind RunElastic
+// — on a static roster, the checkpointed crash restart of Algorithm A's
+// schedule — and the pepd Backend, which walks without masking. recoverLoop
+// (recover.go) is the one attempt loop behind RunElastic and RunWithRecovery.
 //
 // All engines run on the virtual distributed-memory machine of
 // internal/cluster and produce identical hit lists for identical inputs —
@@ -75,11 +73,11 @@ type Options struct {
 	// BatchSize is the master–worker query batch size (default 16).
 	BatchSize int
 	// Masking enables communication–computation overlap (the prefetch of
-	// the next block while the current one is scanned) in every walkBlocks
-	// engine: A, B, sub-group and candidate. The checkpointed sweep
-	// (RunElastic, the pepd backend) never prefetches. DefaultOptions turns
-	// it on; AlgoANoMask is Algorithm A with it forced off, whatever this
-	// field says.
+	// the next block while the current one is scanned) in A, B, sub-group
+	// and candidate. The checkpointed sweep (RunElastic, the pepd backend)
+	// walks the same transport without it. DefaultOptions turns it on;
+	// AlgoANoMask is Algorithm A with it forced off, whatever this field
+	// says.
 	Masking bool
 	// Groups is the sub-group count of the SubGroup engine (must divide p).
 	Groups int

@@ -245,7 +245,7 @@ func elasticStart(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, s
 // departed=true when the rank left gracefully and should park again.
 func elasticMain(r *cluster.Rank, in Input, es *elasticSchedule, sh *shared, st *elasticState) (bool, error) {
 	r.SetPhase("scan")
-	for ; st.s < es.p0; st.s++ {
+	for st.s < es.p0 {
 		if st.s == st.nextB {
 			st.nextB += es.epoch
 			departed, err := elasticBoundary(r, in, es, sh, st)
@@ -256,18 +256,17 @@ func elasticMain(r *cluster.Rank, in Input, es *elasticSchedule, sh *shared, st 
 				return true, nil
 			}
 		}
-		// Tag the step on every member, not only inside sweeper.step: a
-		// member that drives no group still reaches the next boundary, and
-		// its events there carry this step.
-		r.SetStep(st.s)
-		for _, gr := range st.sortedGroups() {
-			if st.s < gr.cursor || len(gr.qs) == 0 {
-				continue
-			}
-			if err := st.step(gr, st.s); err != nil {
-				return false, err
-			}
+		// One walk per epoch, so no get crosses a boundary. Tag the epoch's
+		// last step on every member, not only inside the walk: a member that
+		// drives no group still reaches the next boundary, and its events
+		// there carry this step.
+		end := min(st.nextB, es.p0)
+		groups := slices.DeleteFunc(st.sortedGroups(), func(gr *rgroup) bool { return len(gr.qs) == 0 })
+		if err := st.walk(groups, st.s, end); err != nil {
+			return false, err
 		}
+		r.SetStep(end - 1)
+		st.s = end
 	}
 
 	// Report over the final membership; the lowest member merges and then

@@ -1,4 +1,4 @@
-// The checkpointed group sweep: the second of the two transport cores.
+// The checkpointed group sweep over a stable partition.
 //
 // The job is partitioned ONCE into p0 record-aligned database blocks and p0
 // query groups — a stable logical structure, independent of which ranks are
@@ -9,21 +9,17 @@
 // (internal/ckpt) to a host-side stable store, the write charged as I/O, and
 // whichever rank drives the group next restores it from there.
 //
-// A sweeper is one rank's handle on that structure. Two drivers nest its
-// step and share everything else, and neither prefetches:
+// A sweeper is one rank's handle on that structure. Its walk turns a range
+// of steps over some groups into (step, group) visits and runs them through
+// walkBlocks (algoa.go), the transport every engine shares, without masking.
+// Two drivers call it and share everything else:
 //
 //   - elasticMain is step-major (all owned groups share one cursor), with a
 //     membership boundary — checkpoints, then any join or leave — every
-//     EpochSteps steps; on a static roster it is the checkpointed crash
-//     restart of Algorithm A's schedule;
-//   - Backend.ScanBatch runs a bounded quantum of steps for one pepd batch
+//     EpochSteps steps, and one walk per epoch; on a static roster it is the
+//     checkpointed crash restart of Algorithm A's schedule;
+//   - Backend.ScanBatch walks a bounded quantum of steps for one pepd batch
 //     (group id = batch id, so concurrent batches stagger their block order).
-//
-// The sweep is the second transport core, beside walkBlocks (algoa.go): the
-// walk holds the scanned and the arriving block together and frees after
-// the arrival, as the paper's space bound is stated, while the sweep frees a
-// transported block as soon as it is scanned; and a walk visits one rank's
-// fixed query set, while a sweep step belongs to one of several groups.
 //
 // Bit-identity with the failure-free static run holds because a top-τ list
 // is a pure function of its offer multiset (topk's strict total order breaks
@@ -85,9 +81,6 @@ type sweeper struct {
 	// bases[b] is the global protein index of block b's first record.
 	bases  []int32
 	groups map[int]*rgroup
-	// dbuf is the host's transport buffer: a step's get lands in it and the
-	// block is scanned before the next step's get is issued.
-	dbuf []byte
 }
 
 func newSweeper(r *cluster.Rank, db []byte, opt Options, cache *indexCache, store *ckpt.Store, noun string, plan *placement.Plan, gen []int32) (*sweeper, error) {
@@ -229,39 +222,44 @@ func (sw *sweeper) sortedGroups() []*rgroup {
 	return out
 }
 
-// step is the sweep's one transport step: group gr offers block (g+s) mod
-// p0 — resident, or fetched with a one-sided get and freed right after the
-// scan — and its cursor advances to s+1.
-func (sw *sweeper) step(gr *rgroup, s int) error {
-	r, id := sw.r, sw.r.ID()
-	r.SetStep(s)
-	b := (gr.g + s) % sw.p0
-	data := sw.block(b)
-	var alloc int64
-	if owner := sw.plan.BlockRank(b); owner != id {
-		var err error
-		if data, err = r.Get(owner, blockWinName(b, sw.gen[b])).WaitInto(sw.dbuf); err != nil {
-			return err
+// walk runs groups over steps [from, to) step-major: at step s, each group
+// whose cursor has not passed s offers block (g+s) mod p0 — resident, or
+// fetched at step s and freed right after the scan — and its cursor advances
+// to s+1.
+func (sw *sweeper) walk(groups []*rgroup, from, to int) error {
+	type visit struct {
+		s, b int
+		gr   *rgroup
+	}
+	var visits []visit
+	for s := from; s < to; s++ {
+		for _, gr := range groups {
+			if s >= gr.cursor {
+				visits = append(visits, visit{s, (gr.g + s) % sw.p0, gr})
+			}
 		}
-		sw.dbuf = data
-		alloc = int64(len(data))
-		r.NoteAlloc(alloc)
 	}
-	key := blockKey(b, len(data))
-	recs, err := sw.cache.recsFor(key, data)
-	if err != nil {
-		return fmt.Errorf("rank %d: block %d: %w", id, b, err)
+	at := func(i int) (int, int, string) {
+		v := visits[i]
+		return v.s, sw.plan.BlockRank(v.b), blockWinName(v.b, sw.gen[v.b])
 	}
-	c, err := sw.processBlock(r, sw.opt, gr.qs, gr.lists, recs, sw.bases[b], key)
-	if err != nil {
+	return sw.walkBlocks(sw.r, len(visits), at, false, nil, func(i int, data []byte) error {
+		v := visits[i]
+		if data == nil {
+			data = sw.block(v.b)
+		}
+		key := blockKey(v.b, len(data))
+		recs, err := sw.cache.recsFor(key, data)
+		if err != nil {
+			return fmt.Errorf("rank %d: block %d: %w", sw.r.ID(), v.b, err)
+		}
+		c, err := sw.processBlock(sw.r, sw.opt, v.gr.qs, v.gr.lists, recs, sw.bases[v.b], key)
+		if err == nil {
+			v.gr.candidates += c
+			v.gr.cursor = v.s + 1
+		}
 		return err
-	}
-	gr.candidates += c
-	if alloc > 0 {
-		r.NoteFree(alloc)
-	}
-	gr.cursor = s + 1
-	return nil
+	})
 }
 
 // checkpoint serializes the group's recovery state to the stable store,

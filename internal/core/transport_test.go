@@ -9,9 +9,9 @@ import (
 	"pepscale/internal/trace"
 )
 
-// Named regressions for the pitfalls of folding the engines onto the two
-// transport cores (walkBlocks, sweeper) and the one restart driver. The
-// fingerprint tables catch all of them as a changed hash; these say which.
+// Named regressions for the pitfalls of folding the engines onto the one
+// transport core (walkBlocks) and the one restart driver. The fingerprint
+// tables catch all of them as a changed hash; these say which.
 
 // collectiveOrder returns the names of rank 0's collective events in order.
 func collectiveOrder(att *trace.Attempt) []string {
@@ -140,10 +140,43 @@ func TestCandidateWalkTagsSteps(t *testing.T) {
 	}
 }
 
+// TestUnmaskedGetsTaggedWithTheirStep: without masking, Algorithm A fetches
+// each block at the step that scans it, so every get carries that step; with
+// masking, the get for step s's block is issued during step s−1.
+func TestUnmaskedGetsTaggedWithTheirStep(t *testing.T) {
+	in := testInput(t, 40, 8)
+	const p = 4
+	for _, c := range []struct {
+		algo Algorithm
+		lead int // steps between a get's tag and the step that scans its block
+	}{{AlgoANoMask, 0}, {AlgoA, 1}} {
+		res, err := Run(c.algo, tracedCfg(p), in, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, evs := range res.Trace.Attempts[0].Events {
+			var scanned []int
+			for _, ev := range evs {
+				if ev.Kind != trace.KindGetIssue || ev.Name != dbWindow {
+					continue
+				}
+				s := (ev.Peer - rank + p) % p // rank scans block Peer at step s
+				if ev.Step != s-c.lead {
+					t.Errorf("%s rank %d: get of step %d's block tagged step %d, want %d", c.algo, rank, s, ev.Step, s-c.lead)
+				}
+				scanned = append(scanned, s)
+			}
+			if !slices.Equal(scanned, []int{1, 2, 3}) {
+				t.Errorf("%s rank %d: fetched the blocks of steps %v, want [1 2 3]", c.algo, rank, scanned)
+			}
+		}
+	}
+}
+
 // TestElasticIdleMemberKeepsStepTag: a member that drives no group still
 // reaches every epoch boundary, and its boundary events must carry the same
-// step tag as everyone else's — elasticMain tags the step once per step, not
-// only inside sweeper.step. Two ranks join a 3-group job at the first
+// step tag as everyone else's — elasticMain tags the epoch's last step after
+// each walk, not only inside it. Two ranks join a 3-group job at the first
 // boundary; minimal-move placement gives them nothing to drive.
 func TestElasticIdleMemberKeepsStepTag(t *testing.T) {
 	in := testInput(t, 60, 9)
