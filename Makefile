@@ -2,15 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build vet loc lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments experiments-check clean
+.PHONY: all check build vet loc loc-check lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments experiments-check clean
 
 all: build vet test
 
-# check is the pre-merge gate: compile, vet, lint, full tests, the race
+# check is the pre-merge gate: compile, vet, lint, the size budget, full tests, the race
 # detector over every package, the paper's tables against their golden, the
 # streaming-service smoke, and the end-to-end benchmark at its small size
 # table (every workload, every query checked against the serial oracle).
-check: build vet lint test race experiments-check serve-smoke bench-quick
+check: build vet lint loc-check test race experiments-check serve-smoke bench-quick
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,15 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# loc-check is the size ratchet: it fails when loc's total exceeds the number
+# in the committed .loc-budget, as cover does for .coverage-threshold. A change
+# that adds lines raises the budget in its own diff.
+loc-check:
+	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \
+	budget=$$(cat .loc-budget); \
+	echo "loc: $$total non-test lines (budget: $$budget)"; \
+	[ "$$total" -le "$$budget" ] || { echo "loc $$total exceeds the $$budget budget in .loc-budget"; exit 1; }
 
 # lint is split in two so CI can run the repo's own analyzers with GitHub
 # annotations while the optional third-party linters stay a separate step.
