@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet loc loc-check lint lint-pepvet lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments experiments-check clean
+.PHONY: all check build vet loc loc-check lint lint-pepvet lint-imports lint-extra test test-short bench bench-json bench-smoke bench-e2e bench-quick scale-smoke serve-smoke race chaos chaos-elastic chaos-serve fuzz-short cover examples experiments quick-experiments experiments-check clean
 
 all: build vet test
 
@@ -35,9 +35,9 @@ loc-check:
 	echo "loc: $$total non-test lines (budget: $$budget)"; \
 	[ "$$total" -le "$$budget" ] || { echo "loc $$total exceeds the $$budget budget in .loc-budget"; exit 1; }
 
-# lint is split in two so CI can run the repo's own analyzers with GitHub
+# lint is split so CI can run the repo's own analyzers with GitHub
 # annotations while the optional third-party linters stay a separate step.
-lint: lint-pepvet lint-extra
+lint: lint-pepvet lint-imports lint-extra
 
 # lint-pepvet runs the repo's own analyzer suite (cmd/pepvet): six
 # checkers (determinism, hotpath, allocflow, ranksafety, clockaudit,
@@ -50,6 +50,14 @@ lint: lint-pepvet lint-extra
 PEPVET_FLAGS ?=
 lint-pepvet:
 	$(GO) run ./cmd/pepvet $(PEPVET_FLAGS) ./...
+
+# lint-imports keeps the fragment-index builder out of the product: no
+# package may import internal/fragidx except the benchmark (bench), which
+# times it, and fragidx's own tests.
+lint-imports:
+	@bad=$$($(GO) list -deps -test -f '{{.ImportPath}}|{{join .Imports " "}}' ./... | \
+		awk -F'|' '$$1 !~ /^pepscale\/(bench|internal\/fragidx)([ .]|$$)/ && (" " $$2 " ") ~ / pepscale\/internal\/fragidx / { print $$1 }'); \
+	if [ -n "$$bad" ]; then echo "lint: only bench may import internal/fragidx; imported by:"; echo "$$bad"; exit 1; fi
 
 # lint-extra runs staticcheck and govulncheck when they are installed.
 # Both are optional locally (the container may not ship them) but CI
@@ -66,13 +74,12 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# race runs every package under the race detector, then repeats the tests
-# whose subject is a schedule: many goroutines demanding tiers of one shared
-# fragment index, or entries of one run cache through its lock-free hit path,
-# at once (each built once, same pointer for all).
+# race runs every package under the race detector, then repeats the test
+# whose subject is a schedule: many goroutines demanding entries of one run
+# cache through its lock-free hit path at once (each built once, same
+# pointer for all).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestTierConcurrentSingleFlight' ./internal/fragidx/
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
@@ -141,11 +148,9 @@ bench-json:
 	  | $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 
 # bench-smoke runs every scan-kernel benchmark for a single iteration: no
-# timing signal, but it executes the benchmark fixtures end to end (including
-# the fragment-index warm-up scans, their zero-alloc expectations, and the
-# cold-index BenchmarkScanKernelFragIdxCold that builds the tiers in the
-# loop), so a kernel that panics, diverges, or allocates per candidate fails
-# CI without the cost of a timed run.
+# timing signal, but it executes the benchmark fixtures end to end (warm-up
+# scans included), so a kernel that panics or diverges fails CI without the
+# cost of a timed run.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkScanKernel' -benchtime 1x -run '^$$' ./internal/core/
 

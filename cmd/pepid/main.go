@@ -9,7 +9,6 @@
 //	pepid -db db.fasta -spectra queries.mgf
 //	      [-algo a|b|c|mw|a-nomask|subgroup] [-p 8] [-tau 50] [-delta 3]
 //	      [-scorer likelihood|hyper|sharedpeaks|xcorr] [-prefilter 0.28]
-//	      [-scan peptide|fragidx]
 //	      [-mods "Oxidation(M),Phospho(STY)"] [-semi] [-groups 2]
 //	      [-decoy -fdr 0.01] [-o hits.tsv] [-metrics]
 //	      [-trace run.json] [-trace-summary]
@@ -66,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ppm       = flag.Bool("ppm", false, "interpret -delta as parts-per-million")
 		scorer    = flag.String("scorer", "likelihood", "scoring model: likelihood, hyper, sharedpeaks, xcorr")
 		prefilter = flag.Float64("prefilter", 0, "X!!Tandem-style aggressive prefilter threshold (0 disables)")
-		scanMode  = flag.String("scan", "", "block-scan kernel: peptide (default) or fragidx")
 		mods      = flag.String("mods", "", "comma-separated variable modifications, e.g. \"Oxidation(M),Phospho(STY)\"")
 		maxMods   = flag.Int("max-mods", 2, "max simultaneous modifications per peptide")
 		semi      = flag.Bool("semi", false, "also consider semi-tryptic (prefix/suffix) candidates")
@@ -117,7 +115,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	opt.ScorerName = *scorer
 	opt.Prefilter = *prefilter
-	opt.ScanMode = *scanMode
 	opt.Digest.SemiTryptic = *semi
 	opt.Digest.MissedCleavages = *missed
 	opt.BatchSize = *batchSize

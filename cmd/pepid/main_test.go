@@ -104,9 +104,10 @@ func TestPepidErrors(t *testing.T) {
 	if err := run([]string{"-scorer", "bogus", "-synth-db", "30", "-synth-queries", "1"}, sink, sink); err == nil {
 		t.Error("unknown scorer should error")
 	}
+	// The scan kernel is not a user choice: -scan is not a flag.
 	err := run([]string{"-scan", "query", "-synth-db", "30", "-synth-queries", "1"}, sink, sink)
-	if err == nil || !strings.Contains(err.Error(), "unknown scan mode") {
-		t.Errorf("-scan query (the removed query-major mode): err = %v, want unknown scan mode", err)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -scan") {
+		t.Errorf("-scan query: err = %v, want the flag package's usage error", err)
 	}
 }
 
@@ -121,7 +122,7 @@ func TestPepidProfiles(t *testing.T) {
 		args    []string
 		wantErr bool
 	}{
-		{"batch+trace", []string{"-synth-db", "60", "-synth-queries", "2", "-p", "2", "-scan", "fragidx",
+		{"batch+trace", []string{"-synth-db", "60", "-synth-queries", "2", "-p", "2", "-scorer", "hyper",
 			"-trace", filepath.Join(dir, "run.json")}, false},
 		{"serve", []string{"-synth-db", "60", "-synth-queries", "4", "-p", "2", "-serve", "-serve-duration", "0.1"}, false},
 		{"error-exit", []string{"-synth-db", "30", "-synth-queries", "1", "-scorer", "bogus"}, true},

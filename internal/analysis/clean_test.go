@@ -105,7 +105,7 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 	root := moduleRoot(t)
 	pkgs, err := analysis.Load(root,
 		"./internal/core", "./internal/score", "./internal/topk", "./internal/cluster",
-		"./internal/fragidx", "./internal/placement")
+		"./internal/placement")
 	if err != nil {
 		t.Fatalf("loading annotated packages: %v", err)
 	}
@@ -122,23 +122,16 @@ func TestRepoAnnotationsPresent(t *testing.T) {
 		"pepscale/internal/core.sweeper",
 		"pepscale/internal/core.rgroup",
 		"pepscale/internal/cluster.Rank",
-		"pepscale/internal/fragidx.Scratch",
 		"pepscale/internal/placement.Scratch",
 	} {
 		if !marked[want] {
 			t.Errorf("type %s has lost its //pepvet:perrank marker", want)
 		}
 	}
-	// The block-owned types every rank reads at once: dropping the marker
+	// The block-owned type every rank reads at once: dropping the marker
 	// would drop the immutable-after-publish check with it.
-	for _, want := range []string{
-		"pepscale/internal/fragidx.Index",
-		"pepscale/internal/fragidx.Tier",
-		"pepscale/internal/core.blockIndex",
-	} {
-		if !marks.Shared[want] {
-			t.Errorf("type %s has lost its //pepvet:shared marker", want)
-		}
+	if want := "pepscale/internal/core.blockIndex"; !marks.Shared[want] {
+		t.Errorf("type %s has lost its //pepvet:shared marker", want)
 	}
 }
 

@@ -58,9 +58,9 @@ func assignBox(vs []int) {
 
 // walkRows is shaped like an inverted-index row walk done wrong: locating
 // the window with a capturing sort.Search closure and collecting postings
-// into an unhinted local. The real walks (internal/fragidx) advance
-// per-row cursors and accumulate into field-backed scratch, so neither
-// construct appears on their paths.
+// into an unhinted local. A walk done right advances per-row cursors and
+// accumulates into field-backed scratch, so neither construct appears on
+// its path.
 //
 //pepvet:hotpath
 func walkRows(rowStart []int32, windows [][2]int32) []int32 {

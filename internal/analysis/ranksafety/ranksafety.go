@@ -24,8 +24,8 @@
 //
 //	//pepvet:shared
 //
-// (fragidx.Index, fragidx.Tier, core's blockIndex) are block-owned: every
-// rank that scans the block reads the same instance at once, which is sound
+// (core's blockIndex) are block-owned: every rank that scans the block
+// reads the same instance at once, which is sound
 // only because the value is immutable once published. The analyzer accepts
 // such a type anywhere a per-rank type would be rejected, and in exchange
 // rejects what would break the contract:

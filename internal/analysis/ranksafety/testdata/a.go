@@ -1,7 +1,7 @@
 // Package a is the ranksafety analyzer's seeded-violation corpus: a
 // //pepvet:perrank type escaping through each of the three forbidden routes,
 // unmarked types left silent, and one //pepvet:allow ownership transfer;
-// then a //pepvet:shared type shaped like the block-owned fragment index —
+// then a //pepvet:shared type shaped like a block-owned index —
 // built in its constructor and under a sync.Once, read by every rank — with
 // each way of writing to it after publish.
 package a
@@ -53,7 +53,7 @@ func transfer(s *scratch) {
 //pepvet:shared
 type tier struct{ rows []int32 }
 
-// index is shaped like fragidx.Index: one instance per block, handed to
+// index is shaped like a block-owned index: one instance per block, handed to
 // every rank that scans the block.
 //
 //pepvet:shared

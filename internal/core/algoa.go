@@ -119,12 +119,11 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 }
 
 // processBlock digests a block of contiguously numbered proteins (base,
-// base+1, …) into its mass index (memoized host-side per run, together with
-// the fragment index a fragidx-mode scan walks; the clock still charges each
-// rank) and scans all given queries against it. key is the block's
-// precomputed cache identity (see blockKey) — threading it through the
-// transport loops avoids re-hashing every transported block's bytes on every
-// iteration. It returns the candidate count.
+// base+1, …) into its mass index (memoized host-side per run; the clock
+// still charges each rank) and scans all given queries against it. key is
+// the block's precomputed cache identity (see blockKey) — threading it
+// through the transport loops avoids re-hashing every transported block's
+// bytes on every iteration. It returns the candidate count.
 func (sn *scanner) processBlock(r *cluster.Rank, opt Options, qs []*score.Query, lists []*topk.List, recs []fasta.Record, base int32, key cacheKey) (int64, error) {
 	blk, err := sn.cache.indexFor(key, recs, base, opt.Digest)
 	if err != nil {
@@ -139,7 +138,7 @@ func (sn *scanner) scanBlock(r *cluster.Rank, opt Options, qs []*score.Query, li
 	cost := r.Cost()
 	r.Compute(cost.DigestSecPerResidue * float64(fasta.TotalResidues(recs)))
 	r.NoteAlloc(blk.foot)
-	st := sn.scan.scan(qs, lists, blk, sn.sc, opt, idOf)
+	st := sn.scan.scan(qs, lists, blk.ix, sn.sc, opt, idOf)
 	r.Compute(scanComputeSec(cost, sn.sc, st))
 	r.NoteFree(blk.foot)
 	return st.Candidates

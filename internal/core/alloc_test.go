@@ -19,9 +19,9 @@ func TestScanIndexZeroAllocPerCandidate(t *testing.T) {
 		f := newScanFixture(t, scorer, 120, 8)
 		opt := f.opt
 		opt.MinScore = math.MaxFloat64
-		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf) // warm under this opt
+		f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf) // warm under this opt
 		if allocs := testing.AllocsPerRun(3, func() {
-			f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
+			f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
 		}); allocs != 0 {
 			t.Errorf("%s: %v allocs per warmed scan over %d candidates, want 0",
 				scorer, allocs, f.cands)
@@ -36,50 +36,11 @@ func TestScanPrefilterZeroAlloc(t *testing.T) {
 	opt := f.opt
 	opt.Prefilter = 0.25
 	opt.MinScore = math.MaxFloat64
-	f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
+	f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
 	if allocs := testing.AllocsPerRun(3, func() {
-		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
+		f.scan.scan(f.qs, f.lists, f.ix, f.sc, opt, f.idOf)
 	}); allocs != 0 {
 		t.Errorf("%v allocs per warmed prefiltered scan, want 0", allocs)
-	}
-}
-
-// TestScanFragIdxZeroAllocPerCandidate is the allocation-free guarantee of
-// the fragment-index scan: after a warm pass has built the block's tiers
-// and grown the walk accumulators and term memos, repeated scans must not
-// allocate — the walk, the bound computation, and the prune decisions are
-// all array work on recycled state.
-func TestScanFragIdxZeroAllocPerCandidate(t *testing.T) {
-	for _, scorer := range []string{"likelihood", "hyper", "sharedpeaks", "xcorr"} {
-		f := newScanFixture(t, scorer, 120, 8)
-		opt := f.opt
-		opt.ScanMode = ScanModeFragIdx
-		opt.MinScore = math.MaxFloat64
-		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf) // warm: builds tiers
-		if allocs := testing.AllocsPerRun(3, func() {
-			f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
-		}); allocs != 0 {
-			t.Errorf("%s: %v allocs per warmed fragidx scan over %d candidates, want 0",
-				scorer, allocs, f.cands)
-		}
-	}
-}
-
-// TestScanFragIdxPrefilterZeroAlloc covers the quick-prefilter walk of the
-// fragment-index scan (its own tier and counters) under the same guarantee.
-func TestScanFragIdxPrefilterZeroAlloc(t *testing.T) {
-	for _, scorer := range []string{"likelihood", "hyper"} {
-		f := newScanFixture(t, scorer, 120, 8)
-		opt := f.opt
-		opt.ScanMode = ScanModeFragIdx
-		opt.Prefilter = 0.25
-		opt.MinScore = math.MaxFloat64
-		f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
-		if allocs := testing.AllocsPerRun(3, func() {
-			f.scan.scan(f.qs, f.lists, f.blk, f.sc, opt, f.idOf)
-		}); allocs != 0 {
-			t.Errorf("%s: %v allocs per warmed prefiltered fragidx scan, want 0", scorer, allocs)
-		}
 	}
 }
 

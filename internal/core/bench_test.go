@@ -9,7 +9,6 @@ import (
 	"pepscale/internal/cluster"
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
-	"pepscale/internal/fragidx"
 	"pepscale/internal/score"
 	"pepscale/internal/synth"
 	"pepscale/internal/topk"
@@ -21,7 +20,6 @@ import (
 // Table III candidates/sec rate, here in host wall-clock).
 type scanFixture struct {
 	ix    *digest.Index
-	blk   *blockIndex // ix as the scans take it: the block's shared indexes
 	qs    []*score.Query
 	lists []*topk.List
 	sc    score.Scorer
@@ -36,8 +34,8 @@ func newScanFixture(b testing.TB, scorer string, nDB, nQ int) *scanFixture {
 }
 
 // newScanFixtureOpt is newScanFixture with an Options hook applied before
-// anything is built, for fixtures that need a non-default scan mode or
-// precursor tolerance.
+// anything is built, for fixtures that need a non-default precursor
+// tolerance.
 func newScanFixtureOpt(b testing.TB, scorer string, nDB, nQ int, mutate func(*Options)) *scanFixture {
 	b.Helper()
 	db := synth.GenerateDB(synth.SizedSpec(nDB))
@@ -64,7 +62,7 @@ func newScanFixtureOpt(b testing.TB, scorer string, nDB, nQ int, mutate func(*Op
 	for i := range lists {
 		lists[i] = topk.New(opt.Tau)
 	}
-	f := &scanFixture{ix: ix, blk: newBlockIndex(ix, nil), qs: qs, lists: lists, sc: sc, opt: opt, idOf: blockIDResolver(db, 0)}
+	f := &scanFixture{ix: ix, qs: qs, lists: lists, sc: sc, opt: opt, idOf: blockIDResolver(db, 0)}
 	// Warm passes: fill the top-τ lists and the persistent sweep state so
 	// timed scans exercise the steady-state path (threshold rejections, warm
 	// caches, no buffer growth). One pass is not enough — re-scanning the
@@ -72,14 +70,14 @@ func newScanFixtureOpt(b testing.TB, scorer string, nDB, nQ int, mutate func(*Op
 	// warm until the accepted-offer count stops falling (it converges within
 	// a handful of scans) or the timed loop would blend fill-up transients
 	// into the rate at small iteration counts.
-	st := f.scan.scan(f.qs, f.lists, f.blk, f.sc, f.opt, f.idOf)
+	st := f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
 	f.cands = st.Candidates
 	if f.cands == 0 {
 		b.Fatal("degenerate scan fixture: zero candidates")
 	}
 	prev := st.Offered
 	for i := 0; i < 16; i++ {
-		w := f.scan.scan(f.qs, f.lists, f.blk, f.sc, f.opt, f.idOf)
+		w := f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
 		if w.Offered >= prev {
 			break
 		}
@@ -103,7 +101,7 @@ func BenchmarkScanKernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.scan.scan(f.qs, f.lists, f.blk, f.sc, f.opt, f.idOf)
+				f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
 			}
 			b.StopTimer()
 			candPerOp := float64(f.cands)
@@ -127,93 +125,36 @@ func BenchmarkScanKernelBatched(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.scan.scan(f.qs, f.lists, f.blk, f.sc, f.opt, f.idOf)
+				f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
 			}
 			b.StopTimer()
 			candPerOp := float64(f.cands)
 			b.ReportMetric(candPerOp, "cand/op")
 			b.ReportMetric(candPerOp*float64(b.N)/b.Elapsed().Seconds(), "cand/s")
-		})
-	}
-}
-
-// BenchmarkScanKernelFragIdx measures the fragment-index scan on the same
-// workloads as BenchmarkScanKernelBatched — the tentpole comparison of the
-// inverted-index kernel against the peptide-major sweep. The warmed fixture
-// holds the built tiers, so the loop body is the pure query-walk + prune +
-// survivor-scoring path.
-func BenchmarkScanKernelFragIdx(b *testing.B) {
-	for _, nQ := range scanDensities {
-		b.Run(fmt.Sprintf("likelihood/q=%d", nQ), func(b *testing.B) {
-			f := newScanFixtureOpt(b, "likelihood", 300, nQ, func(o *Options) {
-				o.ScanMode = ScanModeFragIdx
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.scan.scan(f.qs, f.lists, f.blk, f.sc, f.opt, f.idOf)
-			}
-			b.StopTimer()
-			candPerOp := float64(f.cands)
-			b.ReportMetric(candPerOp, "cand/op")
-			b.ReportMetric(candPerOp*float64(b.N)/b.Elapsed().Seconds(), "cand/s")
-		})
-	}
-}
-
-// BenchmarkScanKernelFragIdxCold is BenchmarkScanKernelFragIdx with the
-// block's index cold: every iteration scans a fresh blockIndex, so the
-// fragment index and every tier the query set demands are built inside the
-// timed region — what the first rank to scan a block pays, once per block per
-// run. Build scratch comes from one pool, as it does from a run's cache; the
-// scanState stays the fixture's warm one, so the difference to the warmed
-// benchmark at the same q is the build alone.
-func BenchmarkScanKernelFragIdxCold(b *testing.B) {
-	for _, nQ := range []int{256, 4096} {
-		b.Run(fmt.Sprintf("likelihood/q=%d", nQ), func(b *testing.B) {
-			f := newScanFixtureOpt(b, "likelihood", 300, nQ, func(o *Options) {
-				o.ScanMode = ScanModeFragIdx
-			})
-			pool := fragidx.NewBuildPool()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blk := newBlockIndex(f.ix, pool)
-				f.scan.scan(f.qs, f.lists, blk, f.sc, f.opt, f.idOf)
-			}
-			b.StopTimer()
-			candPerOp := float64(f.cands)
-			b.ReportMetric(candPerOp, "cand/op")
-			b.ReportMetric(candPerOp*float64(b.N)/b.Elapsed().Seconds(), "cand/s")
-			b.ReportMetric(float64(pool.Builds())/float64(b.N), "tiers/op")
 		})
 	}
 }
 
 // BenchmarkScanKernelWindowSweep sweeps the precursor-window width at a
-// fixed query count for both batch kernels: wider windows mean more
-// candidates per query and deeper window overlap, the regime where the
-// inverted index amortizes best (and the peptide-major sweep's per-group
-// Prepare amortization saturates).
+// fixed query count: wider windows mean more candidates per query and
+// deeper window overlap, where the sweep's per-group Prepare amortization
+// saturates.
 func BenchmarkScanKernelWindowSweep(b *testing.B) {
 	for _, delta := range []float64{1, 3, 10} {
-		for _, mode := range []string{ScanModePeptideMajor, ScanModeFragIdx} {
-			b.Run(fmt.Sprintf("likelihood/%s/delta=%g", mode, delta), func(b *testing.B) {
-				f := newScanFixtureOpt(b, "likelihood", 300, 1024, func(o *Options) {
-					o.ScanMode = mode
-					o.Tol = chem.DaltonTolerance(delta)
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					f.scan.scan(f.qs, f.lists, f.blk, f.sc, f.opt, f.idOf)
-				}
-				b.StopTimer()
-				candPerOp := float64(f.cands)
-				b.ReportMetric(candPerOp, "cand/op")
-				b.ReportMetric(candPerOp*float64(b.N)/b.Elapsed().Seconds(), "cand/s")
+		b.Run(fmt.Sprintf("likelihood/delta=%g", delta), func(b *testing.B) {
+			f := newScanFixtureOpt(b, "likelihood", 300, 1024, func(o *Options) {
+				o.Tol = chem.DaltonTolerance(delta)
 			})
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.scan.scan(f.qs, f.lists, f.ix, f.sc, f.opt, f.idOf)
+			}
+			b.StopTimer()
+			candPerOp := float64(f.cands)
+			b.ReportMetric(candPerOp, "cand/op")
+			b.ReportMetric(candPerOp*float64(b.N)/b.Elapsed().Seconds(), "cand/s")
+		})
 	}
 }
 

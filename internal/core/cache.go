@@ -7,7 +7,6 @@ import (
 
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
-	"pepscale/internal/fragidx"
 	"pepscale/internal/sortmz"
 )
 
@@ -16,19 +15,15 @@ import (
 // the virtual clock still charges that work per rank); on the simulation
 // host, p ranks rebuilding identical immutable structures would multiply
 // wall-clock time AND resident memory by p for no fidelity gain, so the
-// host builds each block's parse, digest and fragment index once, keyed by
-// content. All cached values are immutable after construction (the fragment
-// index after each tier's single build) and therefore safe to share across
-// rank goroutines. The cache lives as long as the run: one Run, every
+// host builds each block's parse and digest once, keyed by content. All
+// cached values are immutable after construction and therefore safe to share
+// across rank goroutines. The cache lives as long as the run: one Run, every
 // attempt of one RunElastic, one Backend.
 type indexCache struct {
 	// mu guards m and every insertion into or growth of a dense table; dense
 	// hits take no lock.
 	mu sync.Mutex
 	m  map[cacheKey]*cacheEntry
-	// fragBuild lends scratch to every fragment-index tier build of the run
-	// and counts them (one per tier built; see blockIndex).
-	fragBuild *fragidx.BuildPool
 	// dense is a per-kind table fast path for the dominant key shape:
 	// block-index hashes (see blockKey), which are small integers. At p=1024
 	// the transport loops perform 2.1 M cache lookups per search from every
@@ -90,7 +85,7 @@ func blockKey(block int, size int) cacheKey {
 }
 
 func newIndexCache() *indexCache {
-	return &indexCache{m: make(map[cacheKey]*cacheEntry), fragBuild: fragidx.NewBuildPool()}
+	return &indexCache{m: make(map[cacheKey]*cacheEntry)}
 }
 
 // getOrBuild returns the cached value for key, building it exactly once
@@ -160,39 +155,13 @@ func (c *indexCache) insert(key cacheKey) *cacheEntry {
 }
 
 // blockIndex is what the host derives from one block's peptides: the mass
-// index, its memory footprint (the footprint walk is O(index) and the
-// transport loops ask for it O(p) times per block), and — created by the
-// first fragment-index scan of the block — the inverted fragment index.
-// Every rank scanning the block shares all three; a scanState keeps only its
-// own walk state.
+// index and the footprint every scan of it notes as resident on its rank.
+// Every rank scanning the block shares it.
 //
 //pepvet:shared
 type blockIndex struct {
 	ix   *digest.Index
 	foot int64
-
-	fragOnce sync.Once
-	frag     *fragidx.Index
-	// fragBuild is the owning cache's pool; nil for a block outside any
-	// cache, whose fragment index then builds with a pool of its own.
-	fragBuild *fragidx.BuildPool
-}
-
-// newBlockIndex wraps a block's mass index. fragBuild is nil for a block no
-// run cache owns — the serial reference and tests, which scan one block with
-// throwaway state.
-func newBlockIndex(ix *digest.Index, fragBuild *fragidx.BuildPool) *blockIndex {
-	return &blockIndex{ix: ix, foot: indexFootprintBytes(ix), fragBuild: fragBuild}
-}
-
-// fragIndex returns the block's fragment index, created on first use. It is
-// a pure function of the block and the run's (constant) scoring and
-// modification settings; its tiers are built on demand, each exactly once.
-func (b *blockIndex) fragIndex(opt Options) *fragidx.Index {
-	b.fragOnce.Do(func() {
-		b.frag = fragidx.NewPooled(b.ix, opt.Digest.Mods, opt.Score, b.fragBuild)
-	})
-	return b.frag
 }
 
 // indexFor returns the derived indexes of a block whose proteins are numbered
@@ -212,11 +181,7 @@ func (c *indexCache) blockFor(key cacheKey, kind cacheKind, build func() (*diges
 		if err != nil {
 			return nil, err
 		}
-		var fragBuild *fragidx.BuildPool
-		if c != nil {
-			fragBuild = c.fragBuild
-		}
-		return newBlockIndex(ix, fragBuild), nil
+		return &blockIndex{ix: ix, foot: indexFootprintBytes(ix)}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -392,7 +392,7 @@ func scanCandBlock(r *cluster.Rank, l *loaded, opt Options, block []candEntry, k
 	for _, e := range block {
 		idByGID[e.GID] = e.ID
 	}
-	st := l.scan.scan(l.qs[qFrom:qTo], l.lists[qFrom:qTo], blk, l.sc, opt, func(g int32) string {
+	st := l.scan.scan(l.qs[qFrom:qTo], l.lists[qFrom:qTo], blk.ix, l.sc, opt, func(g int32) string {
 		if s, ok := idByGID[g]; ok {
 			return s
 		}

@@ -40,7 +40,6 @@ import (
 	"pepscale/internal/cluster"
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
-	"pepscale/internal/fragidx"
 	"pepscale/internal/score"
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
@@ -81,18 +80,19 @@ type Options struct {
 	Masking bool
 	// Groups is the sub-group count of the SubGroup engine (must divide p).
 	Groups int
-	// ScanMode selects the block-scan kernel: "" or "peptide" for the
-	// peptide-major sweep (default), "fragidx" for the inverted
-	// fragment-index path. Both produce bit-identical results — hits, Offer
-	// order, stats, traces — and differ only in host-side speed.
+	// ScanMode names a block-scan kernel, but there is one: every accepted
+	// value ("", "peptide", "fragidx") runs the peptide-major sweep, and any
+	// other value fails Validate. The field stays only because the
+	// benchmark's workload table (bench/workloads.go) still sets it, and goes
+	// when that table stops naming it.
 	ScanMode string
 }
 
-// ScanMode values for Options.ScanMode.
+// ScanMode values Options.Validate accepts; both run the peptide-major
+// sweep.
 const (
-	// ScanModePeptideMajor is the batched index-order sweep (the default).
 	ScanModePeptideMajor = "peptide"
-	// ScanModeFragIdx is the inverted fragment-index scan (internal/fragidx).
+	// ScanModeFragIdx named the retired fragment-index scan.
 	ScanModeFragIdx = "fragidx"
 )
 
@@ -126,12 +126,7 @@ func (o Options) Validate() error {
 		return err
 	}
 	switch o.ScanMode {
-	case "", ScanModePeptideMajor:
-	case ScanModeFragIdx:
-		if z := o.Score.Theoretical.MaxFragmentCharge; z > fragidx.MaxFragmentCharge {
-			return fmt.Errorf("core: scan mode %q cannot index fragment charges above %d: Score.Theoretical.MaxFragmentCharge is %d (use scan mode %q)",
-				ScanModeFragIdx, fragidx.MaxFragmentCharge, z, ScanModePeptideMajor)
-		}
+	case "", ScanModePeptideMajor, ScanModeFragIdx:
 	default:
 		return fmt.Errorf("core: unknown scan mode %q (want peptide or fragidx)", o.ScanMode)
 	}
@@ -333,14 +328,13 @@ const prefilterCostFraction = 0.15
 // returned stats into virtual time so the same scan logic serves both the
 // engines and the pure serial reference.
 //
-// The kernel is selected by Options.ScanMode — the peptide-major sweep by
-// default (see scanState.scan); this wrapper runs it with throwaway sweep
+// This wrapper runs the peptide-major sweep (scanState.scan) with throwaway
 // state. Engine loops that scan repeatedly hold a persistent scanState
 // instead, which keeps the sweep allocation-free and preserves the per-query
 // scoring caches across blocks.
 func scanIndex(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
 	var ss scanState
-	return ss.scan(qs, lists, newBlockIndex(ix, nil), sc, opt, idOf)
+	return ss.scan(qs, lists, ix, sc, opt, idOf)
 }
 
 // scanComputeSec converts scan statistics into the virtual CPU time of the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pepscale/internal/cluster"
@@ -101,6 +102,28 @@ func TestEnginesAgree(t *testing.T) {
 			if res.Metrics.Candidates != ref.Metrics.Candidates {
 				t.Errorf("%v p=%d: candidates = %d, want %d", algo, p, res.Metrics.Candidates, ref.Metrics.Candidates)
 			}
+		}
+	}
+}
+
+// TestScanModeValidate pins the option-validation surface of ScanMode: the
+// accepted values (all of which run the one sweep) pass at any fragment
+// charge cap, and any other value is refused.
+func TestScanModeValidate(t *testing.T) {
+	for _, mode := range []string{"", ScanModePeptideMajor, ScanModeFragIdx} {
+		opt := DefaultOptions()
+		opt.ScanMode = mode
+		opt.Score.Theoretical.MaxFragmentCharge = 8
+		if err := opt.Validate(); err != nil {
+			t.Errorf("mode %q: unexpected error %v", mode, err)
+		}
+	}
+	// "query" named the query-major reference until it became test-only.
+	for _, mode := range []string{"inverted", "query"} {
+		opt := DefaultOptions()
+		opt.ScanMode = mode
+		if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), "unknown scan mode") {
+			t.Errorf("scan mode %q: Validate = %v, want unknown scan mode", mode, err)
 		}
 	}
 }

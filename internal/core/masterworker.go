@@ -79,7 +79,7 @@ func masterWorkerSolo(r *cluster.Rank, in Input, opt Options, sh *shared) error 
 		lists[i] = topk.New(opt.Tau)
 	}
 	var scan scanState
-	st := scan.scan(qs, lists, blk, sc, opt, blockIDResolver(recs, 0))
+	st := scan.scan(qs, lists, blk.ix, sc, opt, blockIDResolver(recs, 0))
 	r.Compute(scanComputeSec(cost, sc, st))
 	sh.merged = finalizeResults(queryIndices(0, len(qs)), qs, lists)
 	sh.loadSec[0] = loadSec
@@ -200,7 +200,7 @@ func mwWorker(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 		for i := range lists {
 			lists[i] = topk.New(opt.Tau)
 		}
-		st := scan.scan(qs, lists, blk, sc, opt, idOf)
+		st := scan.scan(qs, lists, blk.ix, sc, opt, idOf)
 		r.Compute(scanComputeSec(cost, sc, st))
 		candidates += st.Candidates
 		processed += len(qs)

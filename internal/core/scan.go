@@ -1,4 +1,4 @@
-// The peptide-major batched block scan.
+// The block scan: the peptide-major sweep every engine runs on every block.
 //
 // The historical scan (scanIndexQueryMajor, now the tests' reference oracle
 // in scanref_test.go) is query-major: for each query
@@ -10,7 +10,10 @@
 // order, maintains the set of "active" queries whose window contains the
 // current peptide grouped by precursor charge, and for each (peptide,
 // charge) group prepares the scoring model once (score.Scorer.Prepare),
-// scoring all active queries of the charge against it.
+// scoring all active queries of the charge against it. Like the paper's
+// kernel it generates each candidate's model on the fly from the block
+// being scanned; an inverted fragment index built per block was measured
+// slower end to end at every query density (EXPERIMENTS.md K3).
 //
 // Results are bit-identical to the query-major scan: each query still
 // visits exactly the peptides of its window, in ascending index order and
@@ -25,9 +28,7 @@ import (
 	"sort"
 
 	"pepscale/internal/digest"
-	"pepscale/internal/fragidx"
 	"pepscale/internal/score"
-	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
 )
 
@@ -65,8 +66,8 @@ func (s *massSorter) Less(i, j int) bool {
 // engine loops keep one instance alive across blocks so the per-query scoring
 // caches (score.BatchQuery) survive as long as the query set does. Like a
 // Scorer, a scanState belongs to one rank and is not safe for concurrent use.
-// It owns nothing derived from a block: the mass index and the fragment
-// index arrive with each scan's blockIndex, shared with every other rank.
+// It owns nothing derived from a block: the mass index arrives with each
+// scan, shared with every other rank.
 //
 //pepvet:perrank
 type scanState struct {
@@ -79,15 +80,10 @@ type scanState struct {
 	nGroups int
 	surv    []int32 // prefilter survivors of the current group
 
-	prep       score.CandidatePrep
-	deltaBuf   []float64
-	quickBins  []int32
-	quickFrags []spectrum.Fragment
-
-	// Fragment-index walk state (ScanModeFragIdx): the accumulators and
-	// per-tier row cursors of this rank's walks over the block's index.
-	fscr     fragidx.Scratch
-	passTile []fragidx.PassQuery
+	prep        score.CandidatePrep
+	deltaBuf    []float64
+	quickBins   []int32
+	quickPrefix []float64
 }
 
 // addActive inserts query position qi into its charge group, creating the
@@ -107,20 +103,6 @@ func (ss *scanState) addActive(charge int, qi int32) {
 	g.charge = charge
 	g.members = append(g.members[:0], qi)
 	ss.nGroups++
-}
-
-// scan dispatches one block scan to the kernel selected by Options.ScanMode.
-// All kernels are bit-identical in hits, Offer order, and stats; the virtual
-// clock charges the same scan cost regardless of the host-side path (see
-// scanComputeSec), so traces are byte-identical across modes too.
-func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, blk *blockIndex, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
-	if opt.ScanMode == ScanModeFragIdx {
-		if len(qs) == 0 || blk.ix.Len() == 0 {
-			return scanStats{}
-		}
-		return ss.scanFragIdx(qs, lists, blk.ix, blk.fragIndex(opt), sc, opt, idOf)
-	}
-	return ss.scanPeptideMajor(qs, lists, blk.ix, sc, opt, idOf)
 }
 
 // bindQueries binds per-query batch state, keeping each query's caches when
@@ -168,11 +150,12 @@ func (ss *scanState) computeWindows(qs []*score.Query, ix *digest.Index, opt Opt
 	}
 }
 
-// scanPeptideMajor runs the peptide-major sweep; see the package comment
-// above for the design and the bit-identity argument.
+// scan runs the peptide-major sweep of one block; see the file comment for
+// the design and the bit-identity argument. Every Options.ScanMode value
+// runs it.
 //
 //pepvet:hotpath
-func (ss *scanState) scanPeptideMajor(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
+func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Index, sc score.Scorer, opt Options, idOf func(int32) string) scanStats {
 	var st scanStats
 	n := len(qs)
 	ixLen := ix.Len()
@@ -246,7 +229,7 @@ func (ss *scanState) scanPeptideMajor(qs []*score.Query, lists []*topk.List, ix 
 			memb := live
 			if opt.Prefilter > 0 {
 				if !quickReady {
-					ss.quickBins, ss.quickFrags = score.QuickBins(ss.quickBins, pep.Seq, deltas, opt.Score, ss.quickFrags)
+					ss.quickBins, ss.quickPrefix = score.QuickBins(ss.quickBins, ss.quickPrefix, pep.Seq, deltas, opt.Score)
 					quickReady = true
 				}
 				ss.surv = ss.surv[:0]

@@ -42,13 +42,11 @@ var scanVariants = []scanVariant{
 		o.Tol = chem.DaltonTolerance(40)
 	}},
 	{"keepall", func(o *Options, s *synth.SpectraSpec) {
-		// MinScore at -inf keeps zero and negative scores, exercising the
-		// fragment-index path's exact-zero and no-prune branches.
+		// MinScore at -inf keeps zero and negative scores.
 		o.MinScore = math.Inf(-1)
 	}},
 	{"noisy", func(o *Options, s *synth.SpectraSpec) {
-		// Dense spectra stress the walk accumulators and the tightness of
-		// the likelihood estimate at high bin occupancy.
+		// Dense spectra: high bin occupancy, many matched fragments.
 		s.NoisePeaks = 60
 	}},
 }
@@ -96,65 +94,38 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fragSc, err := score.New(scorer, opt.Score)
-					if err != nil {
-						t.Fatal(err)
-					}
 					refLists := make([]*topk.List, len(qs))
 					batLists := make([]*topk.List, len(qs))
-					fragLists := make([]*topk.List, len(qs))
 					for i := range qs {
 						refLists[i] = topk.New(opt.Tau)
 						batLists[i] = topk.New(opt.Tau)
-						fragLists[i] = topk.New(opt.Tau)
 					}
 					refSt := scanIndexQueryMajor(qs, refLists, ix, refSc, opt, idOf)
-					blk := newBlockIndex(ix, nil)
 					var ss scanState
-					batSt := ss.scan(qs, batLists, blk, batSc, opt, idOf)
+					batSt := ss.scan(qs, batLists, ix, batSc, opt, idOf)
 					if refSt != batSt {
 						t.Errorf("%s: scanStats differ: query-major %+v, peptide-major %+v", scorer, refSt, batSt)
-					}
-					fragOpt := opt
-					fragOpt.ScanMode = ScanModeFragIdx
-					var fss scanState
-					fragSt := fss.scan(qs, fragLists, blk, fragSc, fragOpt, idOf)
-					if refSt != fragSt {
-						t.Errorf("%s: scanStats differ: query-major %+v, fragidx %+v", scorer, refSt, fragSt)
 					}
 					for qi := range qs {
 						if !reflect.DeepEqual(refLists[qi].Hits(), batLists[qi].Hits()) {
 							t.Errorf("%s: query %d hits differ:\nquery-major  %+v\npeptide-major %+v",
 								scorer, qi, refLists[qi].Hits(), batLists[qi].Hits())
 						}
-						if !reflect.DeepEqual(refLists[qi].Hits(), fragLists[qi].Hits()) {
-							t.Errorf("%s: query %d hits differ:\nquery-major %+v\nfragidx     %+v",
-								scorer, qi, refLists[qi].Hits(), fragLists[qi].Hits())
-						}
 					}
 					// Rescanning on the same warmed state (as engine transport
 					// loops do block after block) must stay stable: the memo
 					// caches may be hit instead of filled, never drift.
 					reLists := make([]*topk.List, len(qs))
-					fragReLists := make([]*topk.List, len(qs))
 					for i := range qs {
 						reLists[i] = topk.New(opt.Tau)
-						fragReLists[i] = topk.New(opt.Tau)
 					}
-					reSt := ss.scan(qs, reLists, blk, batSc, opt, idOf)
+					reSt := ss.scan(qs, reLists, ix, batSc, opt, idOf)
 					if reSt != batSt {
 						t.Errorf("%s: warmed rescan stats differ: first %+v, rescan %+v", scorer, batSt, reSt)
-					}
-					fragReSt := fss.scan(qs, fragReLists, blk, fragSc, fragOpt, idOf)
-					if fragReSt != fragSt {
-						t.Errorf("%s: warmed fragidx rescan stats differ: first %+v, rescan %+v", scorer, fragSt, fragReSt)
 					}
 					for qi := range qs {
 						if !reflect.DeepEqual(batLists[qi].Hits(), reLists[qi].Hits()) {
 							t.Errorf("%s: query %d warmed rescan hits differ", scorer, qi)
-						}
-						if !reflect.DeepEqual(fragLists[qi].Hits(), fragReLists[qi].Hits()) {
-							t.Errorf("%s: query %d warmed fragidx rescan hits differ", scorer, qi)
 						}
 					}
 				}

@@ -10,7 +10,7 @@ import (
 // scanIndexQueryMajor is the historical query-major scan: for each query in
 // turn, walk its candidate window and evaluate every pair independently. It
 // is the bit-identical reference the property tests (and
-// BenchmarkScanKernelQueryMajor) compare the production kernels against; it
+// BenchmarkScanKernelQueryMajor) compare the peptide-major sweep against; it
 // is no longer selectable as a scan mode.
 //
 // The inner loop is allocation-free per candidate: modification deltas and

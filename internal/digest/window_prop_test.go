@@ -44,8 +44,7 @@ func windowIndex(t *testing.T, recs []fasta.Record) *Index {
 }
 
 // TestWindowMatchesLinearReference is the property test for the gallop
-// bounds the scan kernels (and the fragment index's window slicing) build
-// on: across degenerate mass distributions — all-equal masses, a single
+// bounds the scan kernels build on: across degenerate mass distributions — all-equal masses, a single
 // peptide, an empty index — and randomized ones, Window must agree with a
 // linear scan for every probe, and WindowFrom must agree with Window for
 // EVERY hint satisfying its precondition (hints at or below the true

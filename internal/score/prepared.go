@@ -16,12 +16,11 @@ import (
 )
 
 // CandidatePrep holds the prepared form of one candidate at one precursor
-// charge: the theoretical fragment list of the model peptide (and, for the
-// likelihood model, of its deterministic null shuffles) and the fragments'
-// precomputed bin indices. All buffers are recycled across candidates, so a
-// warmed Prepare/ScorePrepared cycle performs zero heap allocations. A
-// CandidatePrep belongs to the sweep of one rank and is not safe for
-// concurrent use.
+// charge: the fragment bins of the model peptide (and, for the likelihood
+// model, of its deterministic null shuffles). All buffers are recycled
+// across candidates, so a warmed Prepare/ScorePrepared cycle performs zero
+// heap allocations. A CandidatePrep belongs to the sweep of one rank and is
+// not safe for concurrent use.
 //
 //pepvet:perrank
 type CandidatePrep struct {
@@ -35,17 +34,18 @@ type CandidatePrep struct {
 }
 
 // prepPass is one prepared fragment list — the model peptide or one of its
-// null shuffles — with per-slot bins.
+// null shuffles — as per-slot bins in spectrum.AppendBins' order: an even
+// slot holds a b-ion, the odd slot after it the y-ion of the same cleavage
+// index and charge.
 type prepPass struct {
-	frags []spectrum.Fragment
-	bins  []int32
+	bins   []int32
+	prefix []float64 // AppendBins' prefix-mass scratch
 }
 
 // fill populates the pass for (pep, deltas) at the given precursor charge,
 // reusing the pass buffers.
 func (p *prepPass) fill(cfg Config, charge int, pep []byte, deltas []float64) {
-	p.frags = spectrum.AppendFragments(p.frags[:0], pep, deltas, charge, cfg.Theoretical)
-	p.bins = spectrum.AppendBinIndices(p.bins[:0], p.frags, cfg.binWidth())
+	p.bins, p.prefix = spectrum.AppendBins(p.bins[:0], p.prefix, pep, deltas, charge, cfg.Theoretical, cfg.binWidth())
 }
 
 // prepareSingle fills pass 0 only (the models without a null component)
@@ -86,14 +86,6 @@ type BatchQuery struct {
 	// log((1−p1)/(1−p0)), so a slot's matched and unmatched terms share a
 	// cache line. Tables are filled eagerly on first use (see lenTerms).
 	rr [][]float64
-	// peakBins/peakInt cache the query's ascending occupied-bin list for the
-	// fragment-index walk (see Peaks).
-	peakBins []int32
-	peakInt  []float64
-	// occLP0/occL1P0 cache log(p0) and log(1−p0) of the query's occupancy
-	// for the fragment-index walk (see OccLogs).
-	occLP0, occL1P0 float64
-	occSet          bool
 }
 
 // Batch wraps q for batched scoring.
@@ -165,7 +157,7 @@ func (s *Likelihood) Prepare(prep *CandidatePrep, pep []byte, modDeltas []float6
 //
 //pepvet:hotpath
 func (s *Likelihood) ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64 {
-	rr := bq.lenTerms(prep.pepLen, len(prep.pass[0].frags))
+	rr := bq.lenTerms(prep.pepLen, len(prep.pass[0].bins))
 	model := likelihoodPassCached(bq.Q, &prep.pass[0], rr)
 	var null float64
 	for k := 1; k <= nullShuffles; k++ {
@@ -197,18 +189,18 @@ func likelihoodPassCached(q *Query, p *prepPass, rr []float64) float64 {
 //
 //pepvet:hotpath
 func (sc *scratch) matchPrepared(q *Query, prep *CandidatePrep) matchStats {
-	p := &prep.pass[0]
-	st := matchStats{predicted: prep.predicted, nFrag: len(p.frags)}
+	bins := prep.pass[0].bins
+	st := matchStats{predicted: prep.predicted, nFrag: len(bins)}
 	sc.matched.reset()
-	for j := range p.frags {
-		if inten, ok := q.PeakInten(p.bins[j]); ok {
+	for j, bin := range bins {
+		if inten, ok := q.PeakInten(bin); ok {
 			st.dot += inten
-			if p.frags[j].Kind == spectrum.BIon {
+			if j&1 == 0 { // b-ion slot (see prepPass)
 				st.bMatched++
 			} else {
 				st.yMatched++
 			}
-			if sc.matched.add(p.bins[j]) {
+			if sc.matched.add(bin) {
 				st.distinct++
 			}
 		}
@@ -265,15 +257,14 @@ func (s *XCorr) ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64 {
 // QuickBins fills bins with the singly-charged prefilter fragment bins of
 // the candidate — the query-independent half of QuickMatchFractionBuf — so
 // a sweep can test many queries against one candidate without regenerating
-// fragments. fragBuf is the reused fragment scratch; both slices are
+// fragments. prefix is spectrum.AppendBins' reused scratch; both slices are
 // truncated, filled, and returned.
 //
 //pepvet:hotpath
-func QuickBins(bins []int32, pep []byte, modDeltas []float64, cfg Config, fragBuf []spectrum.Fragment) ([]int32, []spectrum.Fragment) {
+func QuickBins(bins []int32, prefix []float64, pep []byte, modDeltas []float64, cfg Config) ([]int32, []float64) {
 	opt := cfg.Theoretical
 	opt.MaxFragmentCharge = 1
-	frags := spectrum.AppendFragments(fragBuf[:0], pep, modDeltas, 1, opt)
-	return spectrum.AppendBinIndices(bins[:0], frags, cfg.binWidth()), frags
+	return spectrum.AppendBins(bins[:0], prefix, pep, modDeltas, 1, opt, cfg.binWidth())
 }
 
 // QuickMatchFromBins returns exactly QuickMatchFraction given the

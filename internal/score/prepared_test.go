@@ -89,11 +89,11 @@ func TestQuickBinsMatchesQuickMatchFraction(t *testing.T) {
 	cfg := DefaultConfig()
 	q := makeQuery(t, truePep, 7)
 	var bins []int32
-	var frags []spectrum.Fragment
+	var prefix []float64
 	for _, pepStr := range preparedPeps {
 		pep := []byte(pepStr)
 		want := QuickMatchFraction(q, pep, nil, cfg)
-		bins, frags = QuickBins(bins, pep, nil, cfg, frags)
+		bins, prefix = QuickBins(bins, prefix, pep, nil, cfg)
 		if got := QuickMatchFromBins(q, bins); got != want {
 			t.Errorf("pep=%s: QuickMatchFromBins = %v, QuickMatchFraction = %v", pepStr, got, want)
 		}
@@ -131,10 +131,10 @@ func TestQuickBinsZeroAlloc(t *testing.T) {
 	q := makeQuery(t, truePep, 7)
 	pep := []byte(truePep)
 	var bins []int32
-	var frags []spectrum.Fragment
-	bins, frags = QuickBins(bins, pep, nil, cfg, frags)
+	var prefix []float64
+	bins, prefix = QuickBins(bins, prefix, pep, nil, cfg)
 	if allocs := testing.AllocsPerRun(100, func() {
-		bins, frags = QuickBins(bins, pep, nil, cfg, frags)
+		bins, prefix = QuickBins(bins, prefix, pep, nil, cfg)
 		QuickMatchFromBins(q, bins)
 	}); allocs != 0 {
 		t.Errorf("QuickBins+QuickMatchFromBins: %v allocs with warm buffers, want 0", allocs)

@@ -58,6 +58,11 @@ func (c Config) binWidth() float64 {
 	return c.BinWidth
 }
 
+// FragmentBinWidth returns the effective fragment m/z bin width (the
+// configured width, or the default when unset) — the bin geometry the
+// fragment-index builder (internal/fragidx) shares with the scorers.
+func (c Config) FragmentBinWidth() float64 { return c.binWidth() }
+
 // Query is a preprocessed, binned experimental spectrum ready for repeated
 // scoring. Queries are immutable after PrepareQuery and safe for concurrent
 // use.
@@ -163,13 +168,6 @@ type Scorer interface {
 	// model (the paper's ρ, normalized so Hyper ≈ 1). The virtual cluster
 	// charges compute time proportional to it.
 	Cost() float64
-	// FragWalk reports which fragment-index walk (see fragbound.go) feeds
-	// BoundFromAccum for this model.
-	FragWalk() FragWalkKind
-	// BoundFromAccum converts a fragment-index walk accumulator into either
-	// the exact ScorePrepared value (exact=true, bit-identical) or a sound
-	// upper bound on it (exact=false).
-	BoundFromAccum(bq *BatchQuery, acc MatchAccum) (bound float64, exact bool)
 }
 
 // New constructs a scorer by registry name: "likelihood", "hyper", or
@@ -327,14 +325,27 @@ func (sc *scratch) match(q *Query, frags []spectrum.Fragment, width float64) mat
 // modDeltas, kept aligned) using the scratch buffers — same permutation as
 // the allocating shuffle, without the copies.
 func (sc *scratch) shuffled(pep []byte, modDeltas []float64, salt uint64) ([]byte, []float64) {
-	sc.nullPep = append(sc.nullPep[:0], pep...)
+	var deltas []float64
+	sc.nullPep, deltas = ShuffledInto(sc.nullPep, sc.nullDel, pep, modDeltas, salt)
+	if deltas != nil {
+		sc.nullDel = deltas
+	}
+	return sc.nullPep, deltas
+}
+
+// ShuffledInto writes the salt-th deterministic null permutation of pep
+// (and modDeltas, kept aligned) into the reusable buffers and returns the
+// extended views — the exact permutation the likelihood null model scores,
+// exposed for the fragment-index builder. The returned delta slice is nil
+// when modDeltas is nil; pepBuf is always returned for reuse.
+func ShuffledInto(pepBuf []byte, delBuf []float64, pep []byte, modDeltas []float64, salt uint64) ([]byte, []float64) {
+	pepBuf = append(pepBuf[:0], pep...)
 	var deltas []float64
 	if modDeltas != nil {
-		sc.nullDel = append(sc.nullDel[:0], modDeltas...)
-		deltas = sc.nullDel
+		deltas = append(delBuf[:0], modDeltas...)
 	}
-	shuffleInPlace(sc.nullPep, deltas, pep, salt)
-	return sc.nullPep, deltas
+	shuffleInPlace(pepBuf, deltas, pep, salt)
+	return pepBuf, deltas
 }
 
 // logFactTableSize bounds the memoized ln(n!) table (64 KiB). The
@@ -453,6 +464,10 @@ func (s *Likelihood) Name() string { return "likelihood" }
 // nullShuffles is the number of random-peptide spectra averaged into the
 // null model (more shuffles stabilize the likelihood ratio).
 const nullShuffles = 3
+
+// NullShuffles exports the null-model shuffle count for the fragment-index
+// builder, which indexes the exact same null peptides.
+const NullShuffles = nullShuffles
 
 // Cost implements Scorer. The likelihood model generates and evaluates a
 // model spectrum for the candidate plus nullShuffles random-peptide

@@ -47,8 +47,8 @@ import (
 type Config struct {
 	// DB is the FASTA database kept resident on the cluster.
 	DB []byte
-	// Opt are the search options (Tau, tolerance, scorer, ScanMode —
-	// peptide-major or fragidx — both serve identically).
+	// Opt are the search options (Tau, tolerance, scorer); every block is
+	// scanned by the peptide-major sweep, whatever Opt.ScanMode says.
 	Opt core.Options
 	// Ranks is the machine's rank universe when Membership is nil (all
 	// ranks start as members).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pepscale/internal/cluster"
@@ -111,9 +112,8 @@ func steadySpec() LoadSpec {
 }
 
 // TestStreamingMatchesOffline is the tentpole acceptance test: a seeded
-// streaming run — batching windows, WFQ dispatch, every scan mode — must
-// produce per-query top-τ hits bit-identical to the same queries run as one
-// offline batch.
+// streaming run — batching windows, WFQ dispatch — must produce per-query
+// top-τ hits bit-identical to the same queries run as one offline batch.
 func TestStreamingMatchesOffline(t *testing.T) {
 	db, pool := testWorkload(t, 60, 12)
 	want := offlineHits(t, db, pool, testOpt())
@@ -121,28 +121,97 @@ func TestStreamingMatchesOffline(t *testing.T) {
 	if len(arrivals) == 0 {
 		t.Fatal("empty schedule")
 	}
-	for _, mode := range []string{core.ScanModePeptideMajor, core.ScanModeFragIdx} {
-		for _, steps := range []int{0, 1} {
-			label := fmt.Sprintf("mode=%s/steps=%d", mode, steps)
-			cfg := steadyCfg(db)
-			cfg.Opt.ScanMode = mode
-			cfg.StepsPerQuantum = steps
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatalf("%s: New: %v", label, err)
+	for _, steps := range []int{0, 1} {
+		label := fmt.Sprintf("steps=%d", steps)
+		cfg := steadyCfg(db)
+		cfg.StepsPerQuantum = steps
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: New: %v", label, err)
+		}
+		rejs, err := s.Play(arrivals)
+		if err != nil {
+			t.Fatalf("%s: Play: %v", label, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", label, err)
+		}
+		checkService(t, label, s, rejs, want)
+		if s.Metrics().Batches < 2 {
+			t.Errorf("%s: only %d batches formed; load too thin to exercise batching",
+				label, s.Metrics().Batches)
+		}
+	}
+}
+
+// TestEveryScanModeIsTheSweep: Options.ScanMode names no second kernel.
+// Under each value Validate accepts, Algorithm A at p=4 and a pepd run
+// report the serial reference's hits and trace bytes identical to the
+// "peptide" run's; any other value is refused by Validate, by every engine
+// and by the service.
+func TestEveryScanModeIsTheSweep(t *testing.T) {
+	db, pool := testWorkload(t, 60, 12)
+	in := core.Input{DBData: db, Queries: pool}
+	serial, err := core.Serial(in, testOpt(), cluster.GigabitCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := offlineHits(t, db, pool, testOpt())
+	arrivals := Schedule(steadySpec(), pool)
+	chrome := func(tr *trace.Trace) []byte {
+		var buf bytes.Buffer
+		if err := trace.WriteChrome(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var peptideRun, peptideServe []byte
+	for _, mode := range []string{core.ScanModePeptideMajor, "", core.ScanModeFragIdx} {
+		opt := testOpt()
+		opt.ScanMode = mode
+		res, err := core.Run(core.AlgoA, cluster.Config{Ranks: 4, Cost: cluster.GigabitCluster(), Trace: true}, in, opt)
+		if err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+		for i, q := range res.Queries {
+			if !reflect.DeepEqual(q.Hits, serial.Queries[i].Hits) {
+				t.Errorf("mode %q: query %s hits differ from Serial", mode, q.ID)
 			}
-			rejs, err := s.Play(arrivals)
-			if err != nil {
-				t.Fatalf("%s: Play: %v", label, err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", label, err)
-			}
-			checkService(t, label, s, rejs, want)
-			if s.Metrics().Batches < 2 {
-				t.Errorf("%s: only %d batches formed; load too thin to exercise batching",
-					label, s.Metrics().Batches)
-			}
+		}
+
+		cfg := steadyCfg(db)
+		cfg.Opt = opt
+		cfg.Trace = true
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("mode %q: New: %v", mode, err)
+		}
+		rejs, err := s.Play(arrivals)
+		if err != nil {
+			t.Fatalf("mode %q: Play: %v", mode, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("mode %q: Close: %v", mode, err)
+		}
+		checkService(t, "mode "+mode, s, rejs, want)
+
+		run, served := chrome(res.Trace), chrome(s.Trace())
+		if peptideRun == nil {
+			peptideRun, peptideServe = run, served
+		} else if !bytes.Equal(run, peptideRun) || !bytes.Equal(served, peptideServe) {
+			t.Errorf("mode %q: trace bytes differ from the %q run's", mode, core.ScanModePeptideMajor)
+		}
+	}
+
+	opt := testOpt()
+	opt.ScanMode = "query" // the query-major reference, test-only since the sweep replaced it
+	_, runErr := core.Run(core.AlgoA, cluster.Config{Ranks: 4, Cost: cluster.GigabitCluster()}, in, opt)
+	cfg := steadyCfg(db)
+	cfg.Opt = opt
+	_, newErr := New(cfg)
+	for i, err := range []error{opt.Validate(), runErr, newErr} {
+		if err == nil || !strings.Contains(err.Error(), "unknown scan mode") {
+			t.Errorf("check %d (Validate, Run, New) with scan mode \"query\": err = %v, want unknown scan mode", i, err)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package spectrum
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +176,48 @@ func TestFragmentsWithMods(t *testing.T) {
 	}
 	if math.Abs(get(mod, YIon, 2)-get(plain, YIon, 2)-delta) > 1e-9 {
 		t.Error("y2 not shifted by delta")
+	}
+}
+
+// TestAppendBinsMatchesFragments is AppendBins' contract: across precursor
+// and fragment charges, modifications, both mass scales and the degenerate
+// lengths, it yields exactly the BinIndex of every AppendFragments m/z,
+// appended after what dst already holds, with the scratch reused from one
+// peptide to the next.
+func TestAppendBinsMatchesFragments(t *testing.T) {
+	const residues = "ACDEFGHIKLMNPQRSTVWY"
+	rng := rand.New(rand.NewPCG(5, 9))
+	var got []int32
+	var prefix []float64
+	for trial := 0; trial < 200; trial++ {
+		n := []int{0, 1, 2, 3, 40}[trial%5]
+		pep := make([]byte, n)
+		for i := range pep {
+			pep[i] = residues[rng.IntN(len(residues))]
+		}
+		var mods []float64
+		if trial%3 == 0 {
+			mods = make([]float64, n)
+			for i := range mods {
+				if rng.IntN(4) == 0 {
+					mods[i] = 79.96633 * rng.Float64()
+				}
+			}
+		}
+		opt := TheoreticalOptions{MassType: chem.Mono, MaxFragmentCharge: 1 + rng.IntN(4)}
+		if trial%2 == 1 {
+			opt.MassType = chem.Average
+		}
+		z := 1 + rng.IntN(4)
+		head := []int32{-7}
+		want := head
+		for _, f := range AppendFragments(nil, pep, mods, z, opt) {
+			want = append(want, BinIndex(f.MZ, DefaultBinWidth))
+		}
+		got, prefix = AppendBins(append(got[:0], head...), prefix, pep, mods, z, opt, DefaultBinWidth)
+		if !slices.Equal(got, want) {
+			t.Fatalf("pep %s mods %v z %d opt %+v:\nAppendBins %v\nfragments  %v", pep, mods, z, opt, got, want)
+		}
 	}
 }
 

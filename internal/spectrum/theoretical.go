@@ -145,15 +145,44 @@ func EffectiveMaxFragmentCharge(opt TheoreticalOptions, precursorCharge int) int
 	return maxZ
 }
 
-// AppendBinIndices appends each fragment's m/z bin index to dst and
-// returns the extended slice — the precomputed form of the per-fragment
-// BinIndex calls of the scoring kernel, generated once per candidate by the
-// batched scan and reused across every query it is scored against.
-func AppendBinIndices(dst []int32, frags []Fragment, width float64) []int32 {
-	for _, f := range frags {
-		dst = append(dst, BinIndex(f.MZ, width))
+// AppendBins appends the m/z bin of every fragment AppendFragments emits for
+// the peptide, in its slot order (per cleavage index and charge, the b-ion
+// then the y-ion), without building the Fragment values: element for element
+// BinIndex of each AppendFragments m/z. It is what the batched scan
+// prepares once per candidate and reuses across every query scored against
+// it. prefix is reused scratch for the peptide's prefix masses; both slices
+// are returned.
+func AppendBins(dst []int32, prefix []float64, pep []byte, modDeltas []float64, precursorCharge int, opt TheoreticalOptions, width float64) ([]int32, []float64) {
+	n := len(pep)
+	if n < 2 {
+		return dst, prefix
 	}
-	return dst
+	tab := chem.Table(opt.MassType)
+	water := chem.WaterMono
+	if opt.MassType == chem.Average {
+		water = chem.WaterAvg
+	}
+	// prefix[k] is the mass of residues [0,k), summed left to right as
+	// AppendFragments sums them, so prefix[n] is its total bit for bit.
+	prefix = append(prefix[:0], 0)
+	var sum float64
+	for i := 0; i < n; i++ {
+		m := tab[pep[i]]
+		if modDeltas != nil {
+			m += modDeltas[i]
+		}
+		sum += m
+		prefix = append(prefix, sum)
+	}
+	maxZ := EffectiveMaxFragmentCharge(opt, precursorCharge)
+	for i := 1; i < n; i++ {
+		b := prefix[i]                       // b_i covers residues [0,i)
+		y := prefix[n] - prefix[n-i] + water // y_i covers residues [n-i,n)
+		for z := 1; z <= maxZ; z++ {
+			dst = append(dst, BinIndex(chem.MZ(b, z), width), BinIndex(chem.MZ(y, z), width))
+		}
+	}
+	return dst, prefix
 }
 
 // growFragments extends dst by need elements, reallocating (with headroom)
