@@ -74,13 +74,15 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# race runs every package under the race detector, then repeats the test
-# whose subject is a schedule: many goroutines demanding entries of one run
+# race runs every package under the race detector, then repeats the tests
+# whose subjects are schedules: many goroutines demanding entries of one run
 # cache through its lock-free hit path at once (each built once, same
-# pointer for all).
+# pointer for all), and every member of an Allgather reading the one result
+# the last arriver built.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
+	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather' ./internal/cluster/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and

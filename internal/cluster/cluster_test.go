@@ -254,6 +254,7 @@ func TestBcast(t *testing.T) {
 
 func TestGatherAndAllgather(t *testing.T) {
 	m := newMachine(t, 3, freeNet())
+	var backing [3]*byte // &all[i][0] as rank i received it
 	err := m.Run(func(r *Rank) error {
 		payload := bytes.Repeat([]byte{byte('a' + r.ID())}, r.ID()+1)
 		got := r.Gather(0, payload)
@@ -268,18 +269,24 @@ func TestGatherAndAllgather(t *testing.T) {
 		if len(all) != 3 || string(all[0]) != "a" || string(all[2]) != "ccc" {
 			return fmt.Errorf("allgather = %q", all)
 		}
-		// The copies share a backing array but not their capacity, and
-		// belong to this rank alone.
-		_ = append(all[0], 'X')
-		all[1][0] = byte('A' + r.ID())
+		// The result is one read-only value shared by every member: a copy
+		// of the payloads taken at the call, so writing to one's own payload
+		// afterwards changes nobody's view.
+		backing[r.ID()] = &all[0][0]
+		payload[0] = 'X'
 		r.Barrier()
-		if want := string([]byte{byte('A' + r.ID()), 'b'}); string(all[1]) != want || string(all[2]) != "ccc" {
-			return fmt.Errorf("rank %d: allgather copies not private: %q, want [1] = %q", r.ID(), all, want)
+		if string(all[0]) != "a" || string(all[1]) != "bb" || string(all[2]) != "ccc" {
+			return fmt.Errorf("rank %d: allgather result changed after the payloads did: %q", r.ID(), all)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, p := range backing {
+		if p != backing[0] {
+			t.Errorf("rank %d's allgather result has its own backing array, want rank 0's", i)
+		}
 	}
 }
 

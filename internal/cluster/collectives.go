@@ -231,7 +231,7 @@ func (r *Rank) AllreduceInt64Vec(op ReduceOp, vec []int64) []int64 {
 func (r *Rank) Bcast(root int, data []byte) []byte { return r.World().Bcast(root, data) }
 
 // Allgather collects one payload per rank; every rank receives the full
-// rank-indexed slice (private copies).
+// rank-indexed slice, one read-only value shared by all (see Comm.Allgather).
 func (r *Rank) Allgather(payload []byte) [][]byte { return r.World().Allgather(payload) }
 
 // Gather collects one payload per rank at root. Root receives the

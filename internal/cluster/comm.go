@@ -191,32 +191,33 @@ func (c *Comm) Gather(root int, payload []byte) [][]byte {
 }
 
 // Allgather collects one payload per member; every member receives the
-// group-ordered slice as private copies, cut from one backing array per
-// caller and capacity-clipped so appending to one cannot reach the next.
+// group-ordered slice. The last arriver copies the payloads once, and every
+// member gets that same read-only result (a write would show in all views;
+// a later write to one's own payload shows in none). Each member is still
+// charged its full receive.
 func (c *Comm) Allgather(payload []byte) [][]byte {
 	res, maxClock := c.shared.ph.arrive(c.r, c.myIdx, payload, func(inputs []interface{}) interface{} {
-		out := make([][]byte, len(inputs))
 		var total int
+		for _, in := range inputs {
+			b, _ := in.([]byte)
+			total += len(b)
+		}
+		out := make([][]byte, len(inputs))
+		flat := make([]byte, 0, total)
 		for i, in := range inputs {
 			b, _ := in.([]byte)
-			out[i] = b
-			total += len(b)
+			o := len(flat)
+			flat = append(flat, b...)
+			out[i] = flat[o:len(flat):len(flat)]
 		}
 		return gathered{bufs: out, total: total}
 	})
 	g := res.(gathered)
 	c.r.syncTo("allgather", maxClock, c.collSec(g.total))
-	out := make([][]byte, len(g.bufs))
-	flat := make([]byte, 0, g.total)
-	for i, b := range g.bufs {
-		o := len(flat)
-		flat = append(flat, b...)
-		out[i] = flat[o:len(flat):len(flat)]
-	}
 	c.r.Stats.BytesSent += int64(len(payload))
 	c.r.Stats.BytesReceived += int64(g.total)
 	c.r.traceCollBytes(int64(len(payload)), int64(g.total))
-	return out
+	return g.bufs
 }
 
 // reduceFloat64 applies op to a pair.

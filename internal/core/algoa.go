@@ -84,16 +84,8 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 	// record count; block b's count is taken from the first rank holding
 	// block b (ranks of group 0 when blocks < p).
 	counts := r.Allgather(wire.U64(nil, uint64(len(recs))))
-	l.bases = make([]int32, blocks)
-	var acc int32
-	for b := 0; b < blocks; b++ {
-		cur := wire.NewReader(counts[b], errWire)
-		n := cur.U64()
-		if err := cur.Finish(); err != nil {
-			return nil, fmt.Errorf("rank %d: record count of block %d: %w", r.ID(), b, err)
-		}
-		l.bases[b] = acc
-		acc += int32(n)
+	if l.bases, err = cache.basesFor(blocks, counts); err != nil {
+		return nil, fmt.Errorf("rank %d: %w", r.ID(), err)
 	}
 
 	// Query loading: rank i receives roughly m/p queries.
@@ -253,7 +245,9 @@ func (sn *scanner) walkBlocks(r *cluster.Rank, n int, at func(i int) (step, owne
 //	A2. For s = 0 .. gs−1: issue a non-blocking one-sided get for block
 //	    (i+s+1) mod gs (masking), generate candidates on the fly from the
 //	    current block, score Qi against them while the transfer proceeds,
-//	    then complete the get.
+//	    then complete the get. With Qi empty (p > m) there is nothing to
+//	    score, so the rank walks no block; its Di stays exposed for the
+//	    others, and it waits for them at A3's gather.
 //	A3. Report the τ best hits per local query; gather at rank 0.
 //
 // Algorithm A is the one-group case on the world communicator. The SubGroup
@@ -295,8 +289,12 @@ func cycleBody(r *cluster.Rank, in Input, opt Options, groups int, split bool, s
 	// database the same way), so keying by block index shares the host-side
 	// parse/digest between groups.
 	var candidates int64
+	steps := gs
+	if len(l.qs) == 0 {
+		steps = 0
+	}
 	at := func(s int) (int, int, string) { return s, first + (local+s)%gs, dbWindow }
-	err = l.walkBlocks(r, gs, at, opt.Masking, nil, func(s int, data []byte) error {
+	err = l.walkBlocks(r, steps, at, opt.Masking, nil, func(s int, data []byte) error {
 		b := (local + s) % gs
 		recs, size := l.recs, len(l.myBytes)
 		if b != local {

@@ -8,6 +8,7 @@ import (
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
 	"pepscale/internal/sortmz"
+	"pepscale/internal/wire"
 )
 
 // indexCache memoizes per-block derived data within one run. On a real
@@ -62,8 +63,9 @@ const (
 	kindCands
 	kindCandIndex
 	kindRanges
+	kindBases
 
-	kindCount = int(kindRanges) + 1
+	kindCount = int(kindBases) + 1
 )
 
 type cacheKey struct {
@@ -202,6 +204,31 @@ func (c *indexCache) rangesFor(data []byte, blocks int) []fasta.Range {
 		return fasta.Ranges(data, blocks), nil
 	})
 	return v.([]fasta.Range)
+}
+
+// basesFor memoizes the global protein-index bases, block b's being the sum
+// of the record counts of blocks 0..b−1. Like rangesFor's partition they are
+// a pure function of the block count, so every rank shares one read-only slice.
+func (c *indexCache) basesFor(blocks int, counts [][]byte) ([]int32, error) {
+	key := cacheKey{hash: uint64(blocks), kind: kindBases}
+	v, err := c.getOrBuild(key, func() (interface{}, error) {
+		bases := make([]int32, blocks)
+		var acc int32
+		for b := range bases {
+			cur := wire.NewReader(counts[b], errWire)
+			n := cur.U64()
+			if err := cur.Finish(); err != nil {
+				return nil, fmt.Errorf("record count of block %d: %w", b, err)
+			}
+			bases[b] = acc
+			acc += int32(n)
+		}
+		return bases, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.([]int32), nil
 }
 
 // recsFor parses a raw FASTA block once per key.

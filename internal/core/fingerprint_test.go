@@ -120,13 +120,17 @@ func TestEngineFingerprints(t *testing.T) {
 		{"run/a/p=1", engine(AlgoA, 1, 1), 0},
 		{"run/a/p=3", engine(AlgoA, 3, 1), 0},
 		{"run/a/p=8", engine(AlgoA, 8, 1), 0},
+		// At p = 16, 4 ranks hold none of the 12 queries and walk no block.
+		{"run/a/p=16", engine(AlgoA, 16, 1), 0},
 		{"run/a-nomask/p=4", engine(AlgoANoMask, 4, 1), 0},
+		{"run/a-nomask/p=16", engine(AlgoANoMask, 16, 1), 0},
 		{"run/b/p=1", engine(AlgoB, 1, 1), 0},
 		{"run/b/p=4", engine(AlgoB, 4, 1), 0},
 		{"run/b/p=5", engine(AlgoB, 5, 1), 0},
 		{"run/subgroup/p=4,g=2", engine(AlgoSubGroup, 4, 2), 0},
 		{"run/subgroup/p=6,g=3", engine(AlgoSubGroup, 6, 3), 0},
 		{"run/subgroup/p=4,g=1", engine(AlgoSubGroup, 4, 1), 0},
+		{"run/subgroup/p=16,g=2", engine(AlgoSubGroup, 16, 2), 0},
 		{"run/master-worker/p=4", engine(AlgoMasterWorker, 4, 1), 0},
 		{"run/candidate/p=4", engine(AlgoCandidate, 4, 1), 0},
 

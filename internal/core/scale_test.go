@@ -38,20 +38,24 @@ func TestAlgoAScale4096(t *testing.T) {
 		t.Fatalf("PerRank has %d entries, want %d", len(res.Metrics.PerRank), p)
 	}
 
-	// One injected crash mid-scan: the run must fail recoverably (a rank
-	// failure, not a hang or a fatal machine error) and still return
-	// promptly with 4095 survivors unwinding through the stuck-rank
-	// analysis.
-	cfg.Fault = &cluster.FaultPlan{Seed: 7, CrashAtCall: map[int]int{100: 9}, DetectSec: 0.01}
-	_, err = Run(AlgoA, cfg, in, opt)
-	if err == nil {
-		t.Fatal("crash plan produced no failure")
-	}
-	var rf cluster.ErrRankFailed
-	if !errors.As(err, &rf) {
-		t.Fatalf("crash surfaced as %T (%v), want ErrRankFailed", err, err)
-	}
-	if rf.Rank != 100 {
-		t.Fatalf("failed rank %d, want 100", rf.Rank)
+	// One injected crash: the run must fail recoverably (a rank failure, not
+	// a hang or a fatal machine error) and still return promptly with 4095
+	// survivors unwinding through the stuck-rank analysis. With 48 queries
+	// over 4096 ranks, rank 85 holds one query and walks the blocks, so its
+	// 9th primitive call is mid-scan; rank 100 holds none and walks nothing,
+	// so it is crashed at its 1st, the load's Allgather.
+	for _, c := range []struct{ rank, call int }{{85, 9}, {100, 1}} {
+		cfg.Fault = &cluster.FaultPlan{Seed: 7, CrashAtCall: map[int]int{c.rank: c.call}, DetectSec: 0.01}
+		_, err = Run(AlgoA, cfg, in, opt)
+		if err == nil {
+			t.Fatalf("crash of rank %d at call %d produced no failure", c.rank, c.call)
+		}
+		var rf cluster.ErrRankFailed
+		if !errors.As(err, &rf) {
+			t.Fatalf("crash surfaced as %T (%v), want ErrRankFailed", err, err)
+		}
+		if rf.Rank != c.rank {
+			t.Fatalf("failed rank %d, want %d", rf.Rank, c.rank)
+		}
 	}
 }

@@ -57,6 +57,41 @@ func TestSubGroupOneGroupStillSplits(t *testing.T) {
 	}
 }
 
+// TestQuerylessRanksWalkNothing: with more ranks than queries, a rank whose
+// query share is empty has nothing to score, so Algorithm A's cycle (masked,
+// unmasked and per sub-group) fetches no block on it, and the hits still
+// equal Serial's.
+func TestQuerylessRanksWalkNothing(t *testing.T) {
+	in := testInput(t, 60, 5)
+	ref, err := Serial(in, testOptions(), clusterCfg(1).Cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{AlgoA, AlgoANoMask, AlgoSubGroup} {
+		opt := testOptions()
+		opt.Groups = 2
+		res, err := Run(algo, clusterCfg(8), in, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		queriesEqual(t, algo.String(), ref.Queries, res.Queries)
+		idle := 0
+		for i, rm := range res.Metrics.PerRank {
+			if rm.Queries != 0 {
+				continue
+			}
+			idle++
+			if rm.RMABytesReceived != 0 || rm.Messages != 0 {
+				t.Errorf("%s rank %d holds no query but fetched %d RMA bytes in %d messages",
+					algo, i, rm.RMABytesReceived, rm.Messages)
+			}
+		}
+		if idle == 0 {
+			t.Fatalf("%s: every rank holds a query: nothing was checked", algo)
+		}
+	}
+}
+
 // TestRecoveryDriversCountHitsOnce: buildResult sums Metrics.Hits; the
 // shared restart driver must not add the merged hits a second time.
 func TestRecoveryDriversCountHitsOnce(t *testing.T) {

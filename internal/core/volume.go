@@ -16,6 +16,9 @@ import "pepscale/internal/spectrum"
 //	LB(p) = (p − 1) · min(D, Q)
 //
 // where D is the database image size and Q the serialized query-set size.
+// With more ranks than queries (p > m) the 1/p premise fails: a rank holding
+// no query needs no block, so Algorithm A's RMA is m·D-shaped and can sit
+// below LB(p).
 // This is the mass-spectrometry instance of the communication lower bounds
 // derived for distributed-memory omics workloads (arXiv:2009.14123; see
 // PAPERS.md), which the paper's engines approach within small factors —
