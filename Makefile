@@ -77,12 +77,13 @@ test-short:
 # race runs every package under the race detector, then repeats the tests
 # whose subjects are schedules: many goroutines demanding entries of one run
 # cache through its lock-free hit path at once (each built once, same
-# pointer for all), and every member of an Allgather reading the one result
-# the last arriver built.
+# pointer for all), every member of an Allgather reading the one result
+# the last arriver built, and ranks parked at a barrier: woken once each when
+# it completes, or moved to the stuck-rank analysis by a crash.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
-	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather' ./internal/cluster/
+	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier' ./internal/cluster/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and
@@ -170,7 +171,8 @@ bench-quick:
 
 # scale-smoke drives the virtual machine at cluster scale: a full 4096-rank
 # run (clean and with an injected crash), the hierarchical-vs-flat
-# bit-identity property, the hierarchical comm-time win at p ≥ 1024, and a
+# bit-identity property, the hierarchical comm-time win at p ≥ 1024, at most
+# 2p wake-ups of the ranks parked in one 1024-rank barrier, and a
 # single untimed iteration of the 1024-rank machine benchmark. Catches O(p²)
 # regressions in the machine internals that the default-sized tests never
 # exercise. The last two lines are allocation guards: one Get+WaitInto per
@@ -178,7 +180,7 @@ bench-quick:
 # build per block shape, failing above its bytes-per-peptide budget.
 scale-smoke:
 	$(GO) test -short -count=1 \
-		-run 'MachineScale4096|HierarchicalReducesCommTime|HierarchicalCollectivesBitIdentical' \
+		-run 'MachineScale4096|HierarchicalReducesCommTime|HierarchicalCollectivesBitIdentical|CollectiveWakesLinear' \
 		./internal/cluster/
 	$(GO) test -short -count=1 -run 'AlgoAScale4096' ./internal/core/
 	$(GO) test -bench 'BenchmarkMachineScale/p=1024' -benchtime 1x -run '^$$' ./internal/cluster/

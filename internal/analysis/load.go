@@ -138,18 +138,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the one package held in dir (non-test files
-// only) — the single-package analysistest loader. Helper subdirectories, if
-// any, are loaded too but not returned; use LoadCorpus when the test needs
-// them.
-func LoadDir(dir string) (*Package, error) {
-	pkgs, err := LoadCorpus(dir)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
 // corpusImporter resolves a corpus helper package by its directory name and
 // defers everything else (the standard library) to export data.
 type corpusImporter struct {

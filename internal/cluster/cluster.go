@@ -100,6 +100,14 @@ type Machine struct {
 	errOnce   sync.Once
 	abortErr  error
 
+	// failCh is closed by a Run's first failure (failRank or doAbort) once
+	// failMu records it; until then a rank parked in a collective waits on
+	// it instead of on every broadcast (see awaitRound). collWakes counts
+	// those ranks' wake-ups, host-only: no clock, Stats or trace reads it.
+	failOnce  sync.Once
+	failCh    chan struct{}
+	collWakes atomic.Int64
+
 	// Blocked-state registry behind blockMu: which primitive each rank is
 	// parked in (blocked), plus per-receiver in-flight message counts
 	// (inflight[to][from] = messages sent but not yet pulled) so the
@@ -244,6 +252,7 @@ func New(cfg Config) (*Machine, error) {
 		wins:            make([]winTable, cfg.Ranks),
 		groups:          make(map[string]*commShared),
 		abort:           make(chan struct{}),
+		failCh:          make(chan struct{}),
 		failures:        make(map[int]error),
 		firstFailedRank: -1,
 		bodyDone:        make([]bool, cfg.Ranks),
@@ -302,6 +311,7 @@ func (m *Machine) doAbort(err error) {
 	m.fatalSeen = true
 	m.failMu.Unlock()
 	m.errOnce.Do(func() { m.abortErr = err })
+	m.failOnce.Do(func() { close(m.failCh) })
 	m.abortOnce.Do(func() { close(m.abort) })
 	m.broadcast()
 }
@@ -322,6 +332,7 @@ func (m *Machine) failRank(rank int, err error, vtime float64) {
 	}
 	m.failMu.Unlock()
 	m.errOnce.Do(func() { m.abortErr = err })
+	m.failOnce.Do(func() { close(m.failCh) })
 	m.stateVer.Add(1)
 	m.broadcast()
 }
@@ -562,7 +573,7 @@ func (m *Machine) isFailed(rank int) bool {
 }
 
 // broadcast wakes every waiter blocked on machine-level state (window
-// exposure, body completion, failures).
+// exposure, body completion, failures); collective waiters only after a failure.
 func (m *Machine) broadcast() {
 	m.notifyMu.Lock()
 	ch := m.notifyCh
@@ -816,6 +827,8 @@ func (m *Machine) Reset() {
 	m.memberMu.Unlock()
 	m.abortOnce = sync.Once{}
 	m.abort = make(chan struct{})
+	m.failOnce = sync.Once{}
+	m.failCh = make(chan struct{})
 	m.errOnce = sync.Once{}
 	m.abortErr = nil
 	m.blockMu.Lock()

@@ -192,13 +192,13 @@ func TestAllreduceScalars(t *testing.T) {
 			return fmt.Errorf("min = %d", got)
 		}
 		f := float64(r.ID())
-		if got := r.AllreduceFloat64(OpMax, f); got != 4 {
+		if got := r.World().AllreduceFloat64(OpMax, f); got != 4 {
 			return fmt.Errorf("fmax = %v", got)
 		}
-		if got := r.AllreduceFloat64(OpSum, f); got != 10 {
+		if got := r.World().AllreduceFloat64(OpSum, f); got != 10 {
 			return fmt.Errorf("fsum = %v", got)
 		}
-		if got := r.AllreduceFloat64(OpMin, f); got != 0 {
+		if got := r.World().AllreduceFloat64(OpMin, f); got != 0 {
 			return fmt.Errorf("fmin = %v", got)
 		}
 		return nil
@@ -238,7 +238,7 @@ func TestBcast(t *testing.T) {
 		if r.ID() == 2 {
 			payload = []byte("root-data")
 		}
-		got := r.Bcast(2, payload)
+		got := r.World().Bcast(2, payload)
 		if string(got) != "root-data" {
 			return fmt.Errorf("rank %d got %q", r.ID(), got)
 		}

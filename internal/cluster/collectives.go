@@ -98,13 +98,27 @@ func (p *phaser) arrive(r *Rank, idx int, input interface{}, fn func(inputs []in
 	return rd.result, rd.maxClock
 }
 
-// awaitRound parks the rank until its collective round completes. Under a
-// recoverable failure the rank unwinds (detection charge + failPanic) only
-// once the stuck-rank analysis proves the rendezvous can never complete — a
-// fact of the virtual execution, not of goroutine scheduling — so a faulted
-// run's survivor timelines are deterministic. A fatal abort unwinds
-// immediately.
+// awaitRound parks the rank until its collective round completes. Before the
+// machine's first failure only the round's completion, that failure (failCh)
+// or a fatal abort can change what the rank does, so it parks once on those
+// three and no other machine event wakes it: O(p) wake-ups per collective,
+// not O(p²). After a failure the registry loop takes over: the rank unwinds
+// (detection charge + failPanic) only once the stuck-rank analysis proves the
+// rendezvous can never complete — a fact of the virtual execution, not of
+// goroutine scheduling — so a faulted run's survivor timelines are
+// deterministic. A fatal abort unwinds immediately.
 func (r *Rank) awaitRound(p *phaser, rd *phRound) {
+	if !r.m.hasFailure() {
+		select {
+		case <-rd.done:
+			r.m.collWakes.Add(1)
+			return
+		case <-r.m.failCh:
+			r.m.collWakes.Add(1)
+		case <-r.m.abort:
+			r.interrupted()
+		}
+	}
 	defer r.m.clearBlocked(r.id)
 	for {
 		ch := r.m.notified()
@@ -113,11 +127,9 @@ func (r *Rank) awaitRound(p *phaser, rd *phRound) {
 			return
 		default:
 		}
-		if r.m.hasFailure() {
-			r.m.setBlocked(r.id, blockInfo{kind: blockColl, round: rd, members: p.ranks})
-			if r.m.shouldUnwind(r.id) {
-				r.interrupted()
-			}
+		r.m.setBlocked(r.id, blockInfo{kind: blockColl, round: rd, members: p.ranks})
+		if r.m.shouldUnwind(r.id) {
+			r.interrupted()
 		}
 		select {
 		case <-rd.done:
@@ -125,6 +137,7 @@ func (r *Rank) awaitRound(p *phaser, rd *phRound) {
 		case <-r.m.abort:
 			r.interrupted()
 		}
+		r.m.collWakes.Add(1)
 	}
 }
 
@@ -184,11 +197,6 @@ func (op ReduceOp) String() string {
 // the result.
 func (r *Rank) AllreduceInt64(op ReduceOp, v int64) int64 { return r.World().AllreduceInt64(op, v) }
 
-// AllreduceFloat64 combines one float64 per rank under op.
-func (r *Rank) AllreduceFloat64(op ReduceOp, v float64) float64 {
-	return r.World().AllreduceFloat64(op, v)
-}
-
 // AllreduceInt64Vec element-wise combines equal-length vectors (the global
 // count array of the parallel counting sort). Every rank receives a private
 // copy of the result.
@@ -225,10 +233,6 @@ func (r *Rank) AllreduceInt64Vec(op ReduceOp, vec []int64) []int64 {
 	copy(out, shared)
 	return out
 }
-
-// Bcast distributes root's payload to every rank (root receives its own
-// data back unchanged).
-func (r *Rank) Bcast(root int, data []byte) []byte { return r.World().Bcast(root, data) }
 
 // Allgather collects one payload per rank; every rank receives the full
 // rank-indexed slice, one read-only value shared by all (see Comm.Allgather).

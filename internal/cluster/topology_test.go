@@ -151,10 +151,10 @@ func collectiveResults(t *testing.T, cm CostModel, p int) ([][]interface{}, []St
 		id := r.ID()
 		var out []interface{}
 		out = append(out, r.AllreduceInt64(OpSum, int64(id+1)))
-		out = append(out, r.AllreduceFloat64(OpMax, float64(id)*1.5))
+		out = append(out, r.World().AllreduceFloat64(OpMax, float64(id)*1.5))
 		out = append(out, r.AllreduceInt64Vec(OpMin, []int64{int64(id), int64(p - id)}))
 		buf := []byte{byte(id), byte(id >> 8), 7}
-		out = append(out, r.Bcast(0, buf))
+		out = append(out, r.World().Bcast(0, buf))
 		out = append(out, r.Allgather([]byte{byte(id)}))
 		out = append(out, r.Gather(0, []byte{byte(id), 1}))
 		send := make([][]byte, p)
@@ -265,7 +265,7 @@ func TestHierarchicalReducesCommTime(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = m.Run(func(r *Rank) error {
-				r.Bcast(0, make([]byte, 64<<10))
+				r.World().Bcast(0, make([]byte, 64<<10))
 				r.Allgather(make([]byte, 64))
 				r.AllreduceInt64(OpSum, 1)
 				r.Barrier()

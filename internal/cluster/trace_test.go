@@ -72,9 +72,9 @@ func exerciseAll(r *Rank) error {
 	r.Recv((id - 1 + p) % p)
 	r.Barrier()
 	r.AllreduceInt64(OpSum, int64(id))
-	r.AllreduceFloat64(OpMax, float64(id))
+	r.World().AllreduceFloat64(OpMax, float64(id))
 	r.AllreduceInt64Vec(OpSum, []int64{int64(id), 1})
-	r.Bcast(0, []byte("payload"))
+	r.World().Bcast(0, []byte("payload"))
 	r.Allgather(make([]byte, 10+id))
 	r.Gather(0, make([]byte, 20+id))
 	send := make([][]byte, p)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Experiment names accepted by Run, in canonical order.
@@ -96,13 +95,4 @@ func (c *Config) Run(names []string) error {
 		}
 	}
 	return nil
-}
-
-// SortedNames returns a copy of Names sorted alphabetically (for help
-// output).
-func SortedNames() []string {
-	out := make([]string, len(Names))
-	copy(out, Names)
-	sort.Strings(out)
-	return out
 }
