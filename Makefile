@@ -42,11 +42,13 @@ lint: lint-pepvet lint-imports lint-extra
 # lint-pepvet runs the repo's own analyzer suite (cmd/pepvet): six
 # checkers (determinism, hotpath, allocflow, ranksafety, clockaudit,
 # blockreg) enforcing the invariants documented in DESIGN.md §7. All six
-# share one package load and one interprocedural summary computation —
-# the call graph, SCC order, and per-function effect summaries are built
-# once and cached for the whole suite, so adding a checker costs its walk
-# but never a second type-check. PEPVET_FLAGS feeds extra driver flags
-# (-json for machine output, -github for CI annotations).
+# share one package load. determinism, allocflow and blockreg also share
+# one interprocedural summary computation — the call graph, SCC order, and
+# per-function effect summaries are built once for the suite; clockaudit is
+# a single-writer rule (only Rank.charge writes a clock, a Stats counter or
+# the trace log) and needs none. Adding a checker costs its walk but never
+# a second type-check. PEPVET_FLAGS feeds extra driver flags (-json for
+# machine output, -github for CI annotations).
 PEPVET_FLAGS ?=
 lint-pepvet:
 	$(GO) run ./cmd/pepvet $(PEPVET_FLAGS) ./...

@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -281,8 +282,8 @@ func parseTenantLoads(s string) ([]serve.TenantLoad, error) {
 		default:
 			return nil, fmt.Errorf("tenant %q: unknown profile %q", fields[0], fields[1])
 		}
-		if _, err := fmt.Sscanf(fields[2], "%f", &ld.RatePerSec); err != nil {
-			return nil, fmt.Errorf("tenant %q: bad rate %q", fields[0], fields[2])
+		if _, err := fmt.Sscanf(fields[2], "%f", &ld.RatePerSec); err != nil || !finiteNonNeg(ld.RatePerSec) {
+			return nil, fmt.Errorf("tenant %q: bad rate %q: want a finite, non-negative queries per second", fields[0], fields[2])
 		}
 		if len(fields) > 3 {
 			if fields[3] != "interactive" {
@@ -295,10 +296,16 @@ func parseTenantLoads(s string) ([]serve.TenantLoad, error) {
 	return loads, nil
 }
 
+// finiteNonNeg reports whether v is a finite number at or above zero.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // runServe runs pepd over a seeded arrival schedule: every query enters
 // through the client wire codec, and per-query result lines stream to the
 // output in completion order.
 func runServe(p serveParams, stdout, stderr io.Writer) error {
+	if !finiteNonNeg(p.horizon) {
+		return fmt.Errorf("-serve-duration %v: want a finite, non-negative number of virtual seconds", p.horizon)
+	}
 	loads, err := parseTenantLoads(p.tenants)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pepscale"
 )
@@ -108,6 +109,45 @@ func TestPepidErrors(t *testing.T) {
 	err := run([]string{"-scan", "query", "-synth-db", "30", "-synth-queries", "1"}, sink, sink)
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -scan") {
 		t.Errorf("-scan query: err = %v, want the flag package's usage error", err)
+	}
+}
+
+// TestPepidRejectsNonFiniteFlags: a NaN tolerance, and a non-finite or
+// negative -serve-window, -serve-duration or tenant rate, each return an
+// error, and promptly — before the fix some hung, exhausted memory building
+// an endless arrival schedule, or exited 0 having searched nothing.
+func TestPepidRejectsNonFiniteFlags(t *testing.T) {
+	base := []string{"-synth-db", "30", "-synth-queries", "2", "-p", "2", "-metrics=false", "-o", os.DevNull}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"delta NaN", []string{"-delta", "NaN"}, "Tol.Value"},
+		{"window NaN", []string{"-serve", "-serve-window", "NaN"}, "BatchWindowSec"},
+		{"window Inf", []string{"-serve", "-serve-window", "Inf"}, "BatchWindowSec"},
+		{"window negative", []string{"-serve", "-serve-window", "-1"}, "BatchWindowSec"},
+		{"duration Inf", []string{"-serve", "-serve-duration", "Inf"}, "-serve-duration"},
+		{"duration NaN", []string{"-serve", "-serve-duration", "NaN"}, "-serve-duration"},
+		{"duration negative", []string{"-serve", "-serve-duration", "-1"}, "-serve-duration"},
+		{"rate Inf", []string{"-serve", "-serve-tenants", "a:steady:Inf"}, "bad rate"},
+		{"rate NaN", []string{"-serve", "-serve-tenants", "a:steady:NaN"}, "bad rate"},
+		{"rate negative", []string{"-serve", "-serve-tenants", "a:steady:-5"}, "bad rate"},
+	}
+	for _, tc := range cases {
+		done := make(chan error, 1)
+		go func() {
+			sink := &bytes.Buffer{}
+			done <- run(append(append([]string(nil), base...), tc.args...), sink, sink)
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: run did not return within 30s", tc.name)
+		}
 	}
 }
 

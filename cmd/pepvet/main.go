@@ -10,8 +10,8 @@
 //	allocflow    no //pepvet:hotpath function calls a helper — however many
 //	             frames down — that may allocate
 //	ranksafety   //pepvet:perrank values never escape their owning rank
-//	clockaudit   every internal/cluster clock/Stats charge emits the
-//	             matching trace event on all paths
+//	clockaudit   in internal/cluster only Rank.charge writes a rank's
+//	             clock or Stats counters or appends to its trace log
 //	blockreg     every internal/cluster parking loop registers with the
 //	             blocked-state registry
 //

@@ -1,34 +1,18 @@
-// Package clockaudit implements the pepvet analyzer that statically
-// cross-checks the trace-as-oracle invariant: inside internal/cluster, every
-// mutation of a rank's virtual clock or of a Stats field that appears in
-// trace.StatDelta must be mirrored into the rank's trace log on every path
-// out of the function. The runtime tests enforce the same property by
-// folding the emitted deltas and comparing against the counters; this
-// analyzer catches the drop at review time, on the exact branch that loses
-// the event.
+// Package clockaudit implements the pepvet analyzer that keeps the virtual
+// machine's accounting on one path. Inside internal/cluster a rank's clock
+// and Stats counters change only in Rank.charge, which adds an event's
+// delta to Stats and logs that same event, so a trace folds to Stats by
+// construction. Outside a method charge on Rank the analyzer reports a
+// write of a Rank's clock or whole Stats, a write of a Stats counter that
+// comes from its embedded StatDelta (promoted, s.Messages++, or explicit,
+// s.StatDelta.Messages++), and a call of RankLog.Append.
 //
-// Charge sites are writes to the clock field of a Rank or to a StatDelta
-// field of a Stats value (assignment, compound assignment, ++/--). Emission
-// is a call to (*RankLog).Append, a write through a trace Event or StatDelta
-// value (the collective-amend path), or a call to a function whose summary
-// — propagated bottom-up over the call-graph SCCs — may emit. Within a
-// function the analysis is path-sensitive over the statement structure:
-// pending charges merge at joins, loop bodies run to a fixpoint, and a
-// pending charge that reaches a return (or the end of the function) is
-// reported at the charge site with the escaping line in the message.
-//
-// Three shapes are deliberately exempt: assignments of zero (Machine.Reset
-// rewinds clocks without representing an interval, so there is no event to
-// emit); branches of an `if <log> == nil { return }` or bodies of an
-// `if <log> != nil { ... }` tracing guard (tracing disabled means the oracle
-// is vacuous — an emitting guarded branch still clears pending charges);
-// and panics (a process-invariant failure has no coherent trace to keep).
-// Matching is by type name (Rank, Stats, Event, StatDelta, RankLog), which
-// keeps the corpus self-contained and the analyzer indifferent to where the
-// trace package lives.
-//
-// Suppress with //pepvet:allow clockaudit <reason> on the charge line —
-// e.g. for fields the trace intentionally does not carry.
+// Zero assignments are exempt (Machine.Reset rewinds a rank without
+// charging an interval), and so are the memory gauges Stats carries beside
+// the delta and any StatDelta not reached through a Stats — the event a
+// primitive builds before it charges it. Matching is by type name, which
+// keeps the corpus self-contained. Suppress with
+// //pepvet:allow clockaudit <reason> on the write's line.
 package clockaudit
 
 import (
@@ -36,170 +20,103 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"pepscale/internal/analysis"
 )
 
-const name = "clockaudit"
-
-// Analyzer is the clock/trace accounting checker.
+// Analyzer is the single-writer accounting checker.
 var Analyzer = &analysis.Analyzer{
-	Name: name,
-	Doc:  "require every virtual-clock or Stats charge in internal/cluster to emit the matching trace event on all paths",
+	Name: "clockaudit",
+	Doc:  "require every virtual-clock, Stats-counter or trace-log write in internal/cluster to go through Rank.charge",
 	AppliesTo: func(path string) bool {
 		return path == "internal/cluster" || strings.HasSuffix(path, "/internal/cluster")
 	},
-	BeginIPA: begin,
-	Run:      run,
+	Run: run,
 }
 
-// deltaFields are the Stats fields mirrored 1:1 in trace.StatDelta. Fields
-// outside this set (ResidentBytes, MaxResidentBytes) are memory-residency
-// gauges the trace intentionally does not carry.
-var deltaFields = map[string]bool{
-	"ComputeSec":       true,
-	"TotalCommSec":     true,
-	"ResidualCommSec":  true,
-	"SyncWaitSec":      true,
-	"BytesSent":        true,
-	"BytesReceived":    true,
-	"RMABytesReceived": true,
-	"Messages":         true,
-	"RMARetries":       true,
-	"RMAFailures":      true,
-}
-
-// emitFacts is the analyzer's Pass.Global: the set of functions whose call
-// may emit a trace event.
-type emitFacts struct {
-	emits map[*types.Func]bool
-}
-
-// begin computes may-emit summaries bottom-up over the SCCs.
-func begin(_ *analysis.Analyzer, ipa *analysis.IPA, pkgs []*analysis.Package) any {
-	facts := &emitFacts{emits: make(map[*types.Func]bool)}
-	for _, scc := range ipa.SCCs() {
-		for changed := true; changed; {
-			changed = false
-			for _, n := range scc {
-				if facts.emits[n.Obj] {
-					continue
-				}
-				if directlyEmits(n.Pkg.Info, n.Decl.Body) {
-					facts.emits[n.Obj] = true
-					changed = true
-					continue
-				}
-				for _, call := range n.Calls {
-					if facts.emits[call.Callee] {
-						facts.emits[n.Obj] = true
-						changed = true
-						break
+func run(pass *analysis.Pass) {
+	info := pass.TypesInfo
+	write := func(lhs ast.Expr) {
+		if t := target(info, lhs); t != "" {
+			pass.Reportf(lhs.Pos(), "%s is written outside Rank.charge; charge the event that carries it so the trace and Stats stay one write", t)
+		}
+	}
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || isCharge(info, fd) {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && isZero(info, n.Rhs[i]) {
+							continue // a reset, not a charge
+						}
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.CallExpr:
+					if fn := analysis.CalleeFunc(info, n); fn != nil && fn.Name() == "Append" {
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil && typeName(recv.Type()) == "RankLog" {
+							pass.Reportf(n.Pos(), "RankLog.Append is called outside Rank.charge; log an event only by charging it")
+						}
 					}
 				}
-			}
+				return true
+			})
 		}
 	}
-	return facts
 }
 
-// directlyEmits reports whether body itself contains an emission: an
-// Append call on a RankLog or a write through an Event/StatDelta value.
-func directlyEmits(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isAppendOnRankLog(info, n) {
-				found = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if isTraceWrite(info, lhs) {
-					found = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if isTraceWrite(info, n.X) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
+// isCharge reports whether fd is the one writer: a method charge on Rank.
+func isCharge(info *types.Info, fd *ast.FuncDecl) bool {
+	return fd.Name.Name == "charge" && fd.Recv != nil && len(fd.Recv.List) == 1 &&
+		typeName(info.TypeOf(fd.Recv.List[0].Type)) == "Rank"
 }
 
-// namedTypeName returns the name of expr's (pointer-dereferenced) named
-// type, or "".
-func namedTypeName(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		if n, ok := p.Elem().(*types.Named); ok {
-			return n.Obj().Name()
-		}
-	}
-	return ""
-}
-
-// isAppendOnRankLog recognizes tl.Append(...) where tl is a *RankLog.
-func isAppendOnRankLog(info *types.Info, call *ast.CallExpr) bool {
-	fn := analysis.CalleeFunc(info, call)
-	if fn == nil || fn.Name() != "Append" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return namedTypeName(sig.Recv().Type()) == "RankLog"
-}
-
-// isTraceWrite recognizes an lvalue that stores through a trace Event or
-// StatDelta (the collective byte-amend path counts as emission: it edits
-// the event already in the log).
-func isTraceWrite(info *types.Info, lhs ast.Expr) bool {
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	base := namedTypeName(info.TypeOf(sel.X))
-	return base == "Event" || base == "StatDelta"
-}
-
-// chargeTarget returns a display name ("Rank.clock", "Stats.BytesSent") when
-// lhs mutates an audited counter, or "".
-func chargeTarget(info *types.Info, lhs ast.Expr) string {
+// target names the accounting state lhs writes ("Rank.clock",
+// "Stats.Messages", "Stats.StatDelta.Messages"), or returns "".
+func target(info *types.Info, lhs ast.Expr) string {
 	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
 	field := sel.Sel.Name
-	base := namedTypeName(info.TypeOf(sel.X))
-	switch {
-	case field == "clock" && base == "Rank":
-		return "Rank.clock"
-	case deltaFields[field] && base == "Stats":
-		return "Stats." + field
+	switch typeName(info.TypeOf(sel.X)) {
+	case "Rank":
+		if field == "clock" || typeName(info.TypeOf(sel)) == "Stats" {
+			return "Rank." + field
+		}
+	case "Stats":
+		if field == "StatDelta" || promotedFromDelta(info, sel) {
+			return "Stats." + field
+		}
+	case "StatDelta":
+		if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && typeName(info.TypeOf(inner.X)) == "Stats" {
+			return "Stats." + inner.Sel.Name + "." + field
+		}
 	}
 	return ""
 }
 
-// isZeroValue reports whether rhs is a constant zero or an empty composite
-// literal — the reset shapes that do not represent a charged interval.
-func isZeroValue(info *types.Info, rhs ast.Expr) bool {
+// promotedFromDelta reports whether sel selects a field Stats promotes
+// from its embedded StatDelta.
+func promotedFromDelta(info *types.Info, sel *ast.SelectorExpr) bool {
+	s := info.Selections[sel]
+	if s == nil || len(s.Index()) < 2 {
+		return false
+	}
+	st, ok := deref(s.Recv()).Underlying().(*types.Struct)
+	return ok && st.Field(s.Index()[0]).Name() == "StatDelta"
+}
+
+// isZero reports whether rhs is a constant zero or an empty composite
+// literal.
+func isZero(info *types.Info, rhs ast.Expr) bool {
 	if lit, ok := ast.Unparen(rhs).(*ast.CompositeLit); ok {
 		return len(lit.Elts) == 0
 	}
@@ -214,367 +131,17 @@ func isZeroValue(info *types.Info, rhs ast.Expr) bool {
 	return false
 }
 
-// traceGuard classifies cond as a tracing-enabled guard: it contains a
-// comparison of a *RankLog against nil. eq is true for ==.
-func traceGuard(info *types.Info, cond ast.Expr) (eq, ok bool) {
-	isNil := func(e ast.Expr) bool {
-		tv, has := info.Types[e]
-		return has && tv.IsNil()
+// typeName returns the name of t's (pointer-dereferenced) named type, or "".
+func typeName(t types.Type) string {
+	if n, ok := deref(t).(*types.Named); ok {
+		return n.Obj().Name()
 	}
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if ok {
-			return false
-		}
-		be, isBin := n.(*ast.BinaryExpr)
-		if !isBin || (be.Op != token.EQL && be.Op != token.NEQ) {
-			return true
-		}
-		if (isNil(be.Y) && namedTypeName(info.TypeOf(be.X)) == "RankLog") ||
-			(isNil(be.X) && namedTypeName(info.TypeOf(be.Y)) == "RankLog") {
-			eq, ok = be.Op == token.EQL, true
-			return false
-		}
-		return true
-	})
-	return eq, ok
+	return ""
 }
 
-// A chargeSite is one pending (unemitted) counter mutation.
-type chargeSite struct {
-	pos    token.Pos
-	target string
-}
-
-// auditor runs the path analysis for one function.
-type auditor struct {
-	pass       *analysis.Pass
-	facts      *emitFacts
-	deferEmits bool
-	// leaks records, per charge site, the first line the charge escapes at.
-	leaks map[chargeSite]int
-}
-
-func run(pass *analysis.Pass) {
-	facts, _ := pass.Global.(*emitFacts)
-	if facts == nil {
-		return
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
 	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			a := &auditor{pass: pass, facts: facts, leaks: make(map[chargeSite]int)}
-			out, term := a.block(fd.Body.List, nil)
-			if !term {
-				a.report(out, fd.Body.Rbrace)
-			}
-			sites := make([]chargeSite, 0, len(a.leaks))
-			for s := range a.leaks {
-				sites = append(sites, s)
-			}
-			sort.Slice(sites, func(i, j int) bool { return sites[i].pos < sites[j].pos })
-			for _, s := range sites {
-				pass.Reportf(s.pos, "%s is charged here but the charge can escape at line %d without the matching trace event; mirror every clock/Stats mutation into the rank's trace log on all paths",
-					s.target, a.leaks[s])
-			}
-		}
-	}
-}
-
-// report marks every pending charge as leaking at pos (first leak wins, so
-// the message points at the earliest escape).
-func (a *auditor) report(pending []chargeSite, pos token.Pos) {
-	if a.deferEmits {
-		return
-	}
-	line := a.pass.Fset.Position(pos).Line
-	for _, s := range pending {
-		if _, seen := a.leaks[s]; !seen {
-			a.leaks[s] = line
-		}
-	}
-}
-
-// union merges two pending sets without duplicates.
-func union(a, b []chargeSite) []chargeSite {
-	if len(b) == 0 {
-		return a
-	}
-	out := append([]chargeSite(nil), a...)
-	for _, s := range b {
-		dup := false
-		for _, t := range out {
-			if t == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// block threads the pending set through a statement list. term reports
-// that every path through the list returned (or panicked). Within one
-// statement list an emission covers charges in either order: the cluster
-// primitives build the trace.Event (under the tracing guard) and then
-// apply the very deltas it carries, so a charge in the same basic block as
-// an emission is part of the same accounting action. The covered window
-// closes at the next control-flow statement.
-func (a *auditor) block(stmts []ast.Stmt, in []chargeSite) (out []chargeSite, term bool) {
-	covered := false
-	for _, s := range stmts {
-		var emitted bool
-		in, term, emitted = a.stmt(s, in, covered)
-		if term {
-			return nil, true
-		}
-		covered = emitted
-	}
-	return in, false
-}
-
-// stmt analyzes one statement. covered reports that an emission directly
-// precedes s in the same statement list; emitted reports that s itself is
-// an emission (a leaf emit or a guarded tracing branch), extending the
-// covered window to the next statement.
-func (a *auditor) stmt(s ast.Stmt, in []chargeSite, covered bool) (out []chargeSite, term, emitted bool) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		out, term = a.block(s.List, in)
-		return out, term, false
-	case *ast.LabeledStmt:
-		return a.stmt(s.Stmt, in, covered)
-	case *ast.ReturnStmt:
-		a.report(in, s.Pos())
-		return nil, true, false
-	case *ast.IfStmt:
-		if s.Init != nil {
-			in, _ = a.leaf(s.Init, in, false)
-		}
-		if eq, guarded := traceGuard(a.pass.TypesInfo, s.Cond); guarded {
-			if eq {
-				// if log == nil { ... }: tracing disabled, the oracle is
-				// vacuous on that branch — skip it entirely.
-				return in, false, covered
-			}
-			// if log != nil { emit }: an emitting branch clears pending
-			// and opens a covered window for the deltas applied next.
-			if directlyEmitsStmts(a.pass.TypesInfo, a.facts, s.Body.List) {
-				return nil, false, true
-			}
-			out, term = a.stmt2(s.Body, in)
-			return out, term, false
-		}
-		thenOut, thenTerm := a.stmt2(s.Body, in)
-		elseOut, elseTerm := in, false
-		if s.Else != nil {
-			elseOut, elseTerm = a.stmt2(s.Else, in)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return nil, true, false
-		case thenTerm:
-			return elseOut, false, false
-		case elseTerm:
-			return thenOut, false, false
-		}
-		return union(thenOut, elseOut), false, false
-	case *ast.ForStmt:
-		if s.Init != nil {
-			in, _ = a.leaf(s.Init, in, false)
-		}
-		out, term = a.loop(s.Body, in)
-		return out, term, false
-	case *ast.RangeStmt:
-		out, term = a.loop(s.Body, in)
-		return out, term, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		out, term = a.branches(s, in)
-		return out, term, false
-	case *ast.DeferStmt:
-		if a.emitCall(s.Call) {
-			a.deferEmits = true
-		}
-		return in, false, false
-	case *ast.GoStmt:
-		return in, false, false // the goroutine's body is its own accounting domain
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return nil, true, false // invariant failure: no coherent trace to keep
-			}
-		}
-		out, emitted = a.leaf(s, in, covered)
-		return out, false, emitted
-	default:
-		out, emitted = a.leaf(s, in, covered)
-		return out, false, emitted
-	}
-}
-
-// stmt2 is stmt without the covered-window plumbing, for nested branch
-// bodies that start a fresh window.
-func (a *auditor) stmt2(s ast.Stmt, in []chargeSite) ([]chargeSite, bool) {
-	out, term, _ := a.stmt(s, in, false)
-	return out, term
-}
-
-// loop analyzes a loop body to a fixpoint: charges made in one iteration
-// may be emitted in a later one or after the loop, so the exit state is the
-// entry state joined with the stabilized body state.
-func (a *auditor) loop(body *ast.BlockStmt, in []chargeSite) ([]chargeSite, bool) {
-	b1, _ := a.block(body.List, in)
-	b2, _ := a.block(body.List, union(in, b1))
-	return union(in, b2), false
-}
-
-// branches merges the arms of a switch/type-switch/select.
-func (a *auditor) branches(s ast.Stmt, in []chargeSite) ([]chargeSite, bool) {
-	var clauses []ast.Stmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			in, _ = a.leaf(s.Init, in, false)
-		}
-		clauses = s.Body.List
-	case *ast.TypeSwitchStmt:
-		clauses = s.Body.List
-	case *ast.SelectStmt:
-		clauses = s.Body.List
-	}
-	var out []chargeSite
-	allTerm := len(clauses) > 0
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			body = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-				body = c.Body
-			} else {
-				body = append([]ast.Stmt{c.Comm}, c.Body...)
-			}
-		}
-		cOut, cTerm := a.block(body, in)
-		if !cTerm {
-			allTerm = false
-			out = union(out, cOut)
-		}
-	}
-	if _, isSelect := s.(*ast.SelectStmt); !isSelect && !hasDefault {
-		// A switch without default can fall through untaken.
-		out = union(out, in)
-		allTerm = false
-	}
-	if allTerm && hasDefault {
-		return nil, true
-	}
-	if allTerm {
-		if _, isSelect := s.(*ast.SelectStmt); isSelect {
-			return nil, true // a blocking select always takes an arm
-		}
-	}
-	return out, false
-}
-
-// leaf scans one simple statement for emissions and charges. An emission
-// clears the pending set before new charges are added; a charge inside a
-// covered window (just after an emission in the same statement list) is
-// part of the emitted event's accounting and is not pending. The window
-// persists through consecutive leaf statements. Function literals are
-// skipped: a closure runs later, in its own accounting context.
-func (a *auditor) leaf(s ast.Stmt, in []chargeSite, covered bool) (out []chargeSite, emitted bool) {
-	info := a.pass.TypesInfo
-	if stmtEmits(info, a.facts, s) {
-		in = nil
-		covered = true
-	}
-	charge := func(lhs ast.Expr, target string) {
-		if !covered {
-			in = union(in, []chargeSite{{pos: lhs.Pos(), target: target}})
-		}
-	}
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range s.Lhs {
-			target := chargeTarget(info, lhs)
-			if target == "" {
-				continue
-			}
-			if s.Tok == token.ASSIGN && i < len(s.Rhs) && isZeroValue(info, s.Rhs[i]) {
-				continue // reset, not a charge
-			}
-			charge(lhs, target)
-		}
-	case *ast.IncDecStmt:
-		if target := chargeTarget(info, s.X); target != "" {
-			charge(s.X, target)
-		}
-	}
-	return in, covered
-}
-
-// stmtEmits reports whether s contains an emitting call or a trace write,
-// ignoring nested function literals.
-func stmtEmits(info *types.Info, facts *emitFacts, s ast.Stmt) bool {
-	found := false
-	ast.Inspect(s, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			fn := analysis.CalleeFunc(info, n)
-			if isAppendOnRankLog(info, n) || (fn != nil && facts.emits[fn]) {
-				found = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if isTraceWrite(info, lhs) {
-					found = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if isTraceWrite(info, n.X) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// directlyEmitsStmts reports whether any of stmts emits (used for guarded
-// tracing branches).
-func directlyEmitsStmts(info *types.Info, facts *emitFacts, stmts []ast.Stmt) bool {
-	for _, s := range stmts {
-		if stmtEmits(info, facts, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// emitCall reports whether call emits directly or through its callee's
-// summary.
-func (a *auditor) emitCall(call *ast.CallExpr) bool {
-	info := a.pass.TypesInfo
-	if isAppendOnRankLog(info, call) {
-		return true
-	}
-	fn := analysis.CalleeFunc(info, call)
-	return fn != nil && a.facts.emits[fn]
+	return t
 }

@@ -7,11 +7,10 @@ import (
 	"pepscale/internal/analysis/clockaudit"
 )
 
-// TestSeededViolations runs the analyzer over the corpus: every charge that
-// can reach a function exit without its trace event must be flagged at the
-// charge site, and the sanctioned shapes (covered windows, tracing guards,
-// zero resets, deferred/transitive emits, panics, the allow directive) must
-// stay silent.
+// TestSeededViolations runs the analyzer over the corpus: every write of the
+// clock, a Stats counter or the trace log outside Rank.charge must be
+// flagged, and charge itself, zero resets, events built field by field, the
+// residency gauge and the allow directive must stay silent.
 func TestSeededViolations(t *testing.T) {
 	analysistest.Run(t, clockaudit.Analyzer, "testdata")
 }

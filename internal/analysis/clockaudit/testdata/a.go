@@ -1,15 +1,20 @@
-// Package a is the clockaudit analyzer's seeded-violation corpus:
-// miniature Rank/Stats/trace types (matching is by type name, so the
-// corpus is self-contained) with charges that drop their trace event on
-// some path. Every leaking charge carries a `// want` expectation; the
-// sanctioned shapes — covered windows, tracing guards, zero resets,
-// deferred and transitive emits, panics — stay silent.
+// Package a is the clockaudit analyzer's corpus: miniature Rank/Stats/trace
+// types (matching is by type name, so the corpus is self-contained). Every
+// write of the clock, a Stats counter or the log outside Rank.charge carries
+// a `// want` expectation; charge itself, zero resets, events built field by
+// field, the residency gauge and an allowed write stay silent.
 package a
 
-// StatDelta mirrors the audited Stats fields.
+// StatDelta is the counter block an event carries and Stats embeds.
 type StatDelta struct {
 	ComputeSec float64
-	BytesSent  int64
+	Messages   int64
+}
+
+// Add writes a StatDelta that is not reached through a Stats: silent.
+func (d *StatDelta) Add(o StatDelta) {
+	d.ComputeSec += o.ComputeSec
+	d.Messages += o.Messages
 }
 
 // Event is one trace record.
@@ -20,133 +25,99 @@ type Event struct {
 // RankLog is the per-rank trace log.
 type RankLog struct{ events []Event }
 
-// Append emits one event.
-func (l *RankLog) Append(e Event) { l.events = append(l.events, e) }
+// Append logs one event.
+func (l *RankLog) Append(ev Event) { l.events = append(l.events, ev) }
 
-// Stats carries two audited counters plus one gauge the trace does not.
+// Stats embeds the counters plus one gauge the trace does not carry.
 type Stats struct {
-	ComputeSec    float64
-	BytesSent     int64
+	StatDelta
 	ResidentBytes int64
 }
 
 // Rank is the charged party.
 type Rank struct {
 	clock float64
-	stats Stats
+	Stats Stats
 	tl    *RankLog
 }
 
-// branchDrop loses the event on the fast path: the seeded violation.
-func (r *Rank) branchDrop(d float64, fast bool) {
-	if fast {
-		r.clock += d // want "Rank.clock is charged here but the charge can escape at line \d+ without the matching trace event"
-		return
-	}
-	r.clock += d
-	r.tl.Append(Event{Delta: StatDelta{ComputeSec: d}})
-}
-
-// silent never emits: the charge escapes at the closing brace.
-func (r *Rank) silent() {
-	r.stats.BytesSent += 8 // want "Stats.BytesSent is charged here but the charge can escape at line \d+"
-}
-
-// switchDrop emits in one arm only; the untraced arm leaks the charge.
-func (r *Rank) switchDrop(kind int, d float64) {
-	r.clock += d // want "Rank.clock is charged here but the charge can escape at line \d+"
-	switch kind {
-	case 0:
-		r.tl.Append(Event{Delta: StatDelta{ComputeSec: d}})
-	case 1:
-	}
-}
-
-// emitThenCharge is the cluster idiom: build and append the event under the
-// tracing guard, then apply the very deltas it carries. The charges sit in
-// the emission's covered window and are not pending.
-func (r *Rank) emitThenCharge(d float64) {
+// charge is the one writer: silent.
+func (r *Rank) charge(end float64, ev Event) {
+	r.clock = end
+	r.Stats.StatDelta.Add(ev.Delta)
 	if r.tl != nil {
-		r.tl.Append(Event{Delta: StatDelta{ComputeSec: d}})
+		r.tl.Append(ev)
 	}
-	r.stats.ComputeSec += d
-	r.clock += d
 }
 
-// guardedCharge: with tracing disabled the oracle is vacuous, so the eq
-// guard's branch is exempt; the enabled path emits after charging.
-func (r *Rank) guardedCharge(d float64) {
-	if r.tl == nil {
-		r.clock += d
-		return
-	}
-	r.clock += d
-	r.tl.Append(Event{Delta: StatDelta{ComputeSec: d}})
+// compute builds a local StatDelta and its event field by field and
+// charges them: silent.
+func (r *Rank) compute(d float64) {
+	var sd StatDelta
+	sd.ComputeSec = d
+	ev := Event{Delta: sd}
+	ev.Delta.Messages++
+	r.charge(r.clock+d, ev)
 }
 
-// reset rewinds without representing an interval: zero assignments are not
-// charges.
+// directClock moves the clock past charge.
+func (r *Rank) directClock(d float64) {
+	r.clock += d // want "Rank.clock is written outside Rank.charge"
+}
+
+// promoted writes counters Stats promotes from its StatDelta.
+func (r *Rank) promoted(d float64) {
+	r.Stats.ComputeSec += d // want "Stats.ComputeSec is written outside Rank.charge"
+	r.Stats.Messages++      // want "Stats.Messages is written outside Rank.charge"
+}
+
+// explicit names the embedded StatDelta on the way to the counter.
+func (r *Rank) explicit(n int64) {
+	r.Stats.StatDelta.Messages += n            // want "Stats.StatDelta.Messages is written outside Rank.charge"
+	r.Stats.StatDelta = StatDelta{Messages: n} // want "Stats.StatDelta is written outside Rank.charge"
+}
+
+// wholeStats overwrites every counter at once.
+func (r *Rank) wholeStats(s Stats) {
+	r.Stats = s // want "Rank.Stats is written outside Rank.charge"
+}
+
+// logDirect logs an event its counters never see.
+func (r *Rank) logDirect(ev Event) {
+	if r.tl != nil {
+		r.tl.Append(ev) // want "RankLog.Append is called outside Rank.charge"
+	}
+}
+
+// inClosure writes the clock from a function literal: still this function's
+// write.
+func (r *Rank) inClosure(d float64) func() {
+	return func() {
+		r.clock += d // want "Rank.clock is written outside Rank.charge"
+	}
+}
+
+// other has a charge method, but it is not Rank's.
+type other struct{ r *Rank }
+
+func (o *other) charge(d float64) {
+	o.r.clock += d // want "Rank.clock is written outside Rank.charge"
+}
+
+// reset rewinds without charging an interval: zero writes are exempt.
 func (r *Rank) reset() {
 	r.clock = 0
-	r.stats.ComputeSec = 0
-	r.stats = Stats{}
+	r.Stats = Stats{}
+	r.Stats.ComputeSec = 0
 }
 
-// loopCarried charges each iteration and emits before the next: the loop
-// fixpoint sees the emission clear the carry.
-func (r *Rank) loopCarried(ds []float64) {
-	for _, d := range ds {
-		r.clock += d
-		r.tl.Append(Event{Delta: StatDelta{ComputeSec: d}})
-	}
-}
-
-// loopLeak never emits: the charge survives the fixpoint and escapes at the
-// function's end.
-func (r *Rank) loopLeak(ds []float64) {
-	for _, d := range ds {
-		r.clock += d // want "Rank.clock is charged here but the charge can escape at line \d+"
-	}
-}
-
-// deferredEmit emits on the way out on every path.
-func (r *Rank) deferredEmit(d float64) {
-	defer r.tl.Append(Event{Delta: StatDelta{ComputeSec: d}})
-	r.clock += d
-}
-
-// emit is the helper the bottom-up summaries must see through.
-func (r *Rank) emit(e Event) { r.tl.Append(e) }
-
-// viaHelper charges then emits through the helper: the may-emit summary
-// clears the pending charge.
-func (r *Rank) viaHelper(d float64) {
-	r.clock += d
-	r.emit(Event{Delta: StatDelta{ComputeSec: d}})
-}
-
-// amend edits the event already in the log: a write through a trace value
-// counts as emission (the collective byte-amend path).
-func (r *Rank) amend(e *Event, n int64) {
-	r.stats.BytesSent += n
-	e.Delta.BytesSent += n
-}
-
-// invariantFailure panics: a process-invariant failure has no coherent
-// trace to keep.
-func (r *Rank) invariantFailure(d float64) {
-	r.clock += d
-	panic("clock underflow")
-}
-
-// allowedCharge is justified: suppression works on the charge line.
-func (r *Rank) allowedCharge(d float64) {
-	//pepvet:allow clockaudit the collective rendezvous amends the event for this charge centrally
-	r.clock += d
-}
-
-// gauge: ResidentBytes is deliberately outside StatDelta, so it is not
-// audited.
+// gauge: ResidentBytes is outside StatDelta, so it is not audited.
 func (r *Rank) gauge(n int64) {
-	r.stats.ResidentBytes += n
+	r.Stats.ResidentBytes += n
+}
+
+// allowed is justified: suppression works on the write's line.
+func (r *Rank) allowed(d float64) {
+	//pepvet:allow clockaudit the corpus proves the directive silences a write
+	r.clock += d
 }

@@ -48,8 +48,7 @@ type Config struct {
 	// Fault is an optional deterministic fault schedule (nil: failure-free).
 	Fault *FaultPlan
 	// Trace enables per-rank event tracing on the virtual clock (see
-	// Machine.Trace and internal/trace). Disabled tracing costs one nil
-	// check per accounting site and allocates nothing.
+	// Machine.Trace and internal/trace). Disabled tracing allocates nothing.
 	Trace bool
 }
 
@@ -624,11 +623,7 @@ func (r *Rank) chargeDetection(failed int, crashT float64) {
 	det := crashT + r.m.detectSec()
 	if det > r.clock {
 		d := det - r.clock
-		if r.tl != nil {
-			r.tl.Append(trace.Event{Kind: trace.KindDetect, Name: "fault-detect", Peer: failed, Start: r.clock, Dur: d, Delta: trace.StatDelta{SyncWaitSec: d}})
-		}
-		r.Stats.SyncWaitSec += d
-		r.clock = det
+		r.charge(det, trace.Event{Kind: trace.KindDetect, Name: "fault-detect", Peer: failed, Start: r.clock, Dur: d, Delta: trace.StatDelta{SyncWaitSec: d}})
 	}
 }
 
@@ -859,31 +854,11 @@ func (m *Machine) Reset() {
 	m.broadcast()
 }
 
-// Stats aggregates one rank's accounting.
+// Stats aggregates one rank's accounting: the counters every event's delta
+// adds to (see trace.StatDelta for each one), plus two memory gauges the
+// trace does not carry.
 type Stats struct {
-	// ComputeSec is the virtual CPU time charged via Compute.
-	ComputeSec float64
-	// TotalCommSec is the full (unmasked) cost of every communication
-	// operation the rank issued.
-	TotalCommSec float64
-	// ResidualCommSec is the portion of TotalCommSec that was NOT hidden
-	// behind computation — the paper's "residual communication" that alone
-	// contributes to run-time.
-	ResidualCommSec float64
-	// SyncWaitSec is time spent waiting for slower ranks at collective
-	// entry (load-imbalance skew, distinct from transfer cost).
-	SyncWaitSec float64
-	// BytesSent and BytesReceived count payload bytes.
-	BytesSent, BytesReceived int64
-	// RMABytesReceived counts the subset of BytesReceived transported by
-	// one-sided gets (the database-transport traffic of Algorithms A/B).
-	RMABytesReceived int64
-	// Messages counts point-to-point sends plus one-sided gets issued.
-	Messages int64
-	// RMARetries counts one-sided transfer reissues after injected drops;
-	// RMAFailures counts transfers abandoned after exhausting the retry
-	// budget (each of which fails the issuing rank).
-	RMARetries, RMAFailures int64
+	trace.StatDelta
 	// ResidentBytes is the rank's current tracked allocation;
 	// MaxResidentBytes its high-water mark (the space-optimality check).
 	ResidentBytes, MaxResidentBytes int64
@@ -899,8 +874,7 @@ type Rank struct {
 	clock   float64
 	pending map[int][]message
 
-	// tl is the rank's trace log; nil when tracing is disabled, making
-	// every emission site a single pointer test.
+	// tl is the rank's trace log; nil when tracing is disabled.
 	tl *trace.RankLog
 	// lastCollPh and lastCollSeq identify the collective rendezvous round
 	// this rank most recently arrived at (stamped on the collective's
@@ -926,6 +900,20 @@ func (r *Rank) Time() float64 { return r.clock }
 // Cost returns the machine's cost model, for analytic compute charging.
 func (r *Rank) Cost() CostModel { return r.m.cfg.Cost }
 
+// charge is the machine's one accounting path: it moves the clock to end,
+// adds ev.Delta to Stats and, when tracing is on, logs ev. Every clock or
+// counter change of a rank goes through it (clockaudit enforces that), so
+// folding a trace's deltas reproduces Stats by construction.
+//
+//pepvet:hotpath
+func (r *Rank) charge(end float64, ev trace.Event) {
+	r.clock = end
+	r.Stats.StatDelta.Add(ev.Delta)
+	if r.tl != nil {
+		r.tl.Append(ev)
+	}
+}
+
 // Compute advances the virtual clock by sec seconds of computation. A
 // straggler multiplier from the machine's fault plan (if any) scales the
 // charge.
@@ -934,28 +922,20 @@ func (r *Rank) Compute(sec float64) {
 		sec = 0
 	}
 	sec *= r.stragglerFactor()
-	start := r.clock
-	r.clock += sec
-	r.Stats.ComputeSec += sec
-	if r.tl != nil && sec != 0 {
-		r.tl.Append(trace.Event{Kind: trace.KindCompute, Name: "compute", Peer: -1, Start: start, Dur: sec, Delta: trace.StatDelta{ComputeSec: sec}})
+	if sec == 0 {
+		return
 	}
+	r.charge(r.clock+sec, trace.Event{Kind: trace.KindCompute, Name: "compute", Peer: -1, Start: r.clock, Dur: sec, Delta: trace.StatDelta{ComputeSec: sec}})
 }
 
 // ChargeComm advances the clock by sec seconds of unmaskable communication
 // cost. It lets higher layers model transports the primitive set does not
 // capture directly (e.g. a ring-algorithm large-vector allreduce).
 func (r *Rank) ChargeComm(sec float64) {
-	if sec < 0 {
-		sec = 0
+	if sec <= 0 {
+		return
 	}
-	start := r.clock
-	r.clock += sec
-	r.Stats.TotalCommSec += sec
-	r.Stats.ResidualCommSec += sec
-	if r.tl != nil && sec != 0 {
-		r.tl.Append(trace.Event{Kind: trace.KindCommCharge, Name: "comm-charge", Peer: -1, Start: start, Dur: sec, Delta: trace.StatDelta{TotalCommSec: sec, ResidualCommSec: sec}})
-	}
+	r.charge(r.clock+sec, trace.Event{Kind: trace.KindCommCharge, Name: "comm-charge", Peer: -1, Start: r.clock, Dur: sec, Delta: trace.StatDelta{TotalCommSec: sec, ResidualCommSec: sec}})
 }
 
 // IdleUntil advances the rank's clock to the absolute virtual time t,
@@ -968,11 +948,7 @@ func (r *Rank) IdleUntil(t float64) {
 		return
 	}
 	d := t - r.clock
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindIdle, Name: "idle", Peer: -1, Start: r.clock, Dur: d, Delta: trace.StatDelta{SyncWaitSec: d}})
-	}
-	r.Stats.SyncWaitSec += d
-	r.clock = t
+	r.charge(t, trace.Event{Kind: trace.KindIdle, Name: "idle", Peer: -1, Start: r.clock, Dur: d, Delta: trace.StatDelta{SyncWaitSec: d}})
 }
 
 // NoteAlloc records bytes of private memory acquired by the rank program
@@ -1001,15 +977,9 @@ func (r *Rank) Send(to int, tag string, payload []byte) {
 	}
 	r.faultPoint()
 	cost := r.m.cfg.Cost
-	start := r.clock
-	r.clock += cost.SendOverheadSec
+	n := int64(len(payload))
+	r.charge(r.clock+cost.SendOverheadSec, trace.Event{Kind: trace.KindSend, Name: tag, Peer: to, Bytes: n, Start: r.clock, Dur: cost.SendOverheadSec, Delta: trace.StatDelta{TotalCommSec: cost.SendOverheadSec, BytesSent: n, Messages: 1}})
 	xfer := cost.PathXferSec(len(payload), r.id, to, r.Size()) + r.injectSendDelay(to)
-	r.Stats.TotalCommSec += cost.SendOverheadSec
-	r.Stats.BytesSent += int64(len(payload))
-	r.Stats.Messages++
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindSend, Name: tag, Peer: to, Bytes: int64(len(payload)), Start: start, Dur: cost.SendOverheadSec, Delta: trace.StatDelta{TotalCommSec: cost.SendOverheadSec, BytesSent: int64(len(payload)), Messages: 1}})
-	}
 	msg := message{from: r.id, tag: tag, payload: payload, arrival: r.clock + xfer}
 	r.m.noteSent(to, r.id)
 	select {
@@ -1157,23 +1127,19 @@ func (r *Rank) pullOne(from int) {
 // yet — load imbalance, not network time).
 func (r *Rank) deliver(msg message) (string, []byte) {
 	xfer := r.m.cfg.Cost.PathXferSec(len(msg.payload), msg.from, r.id, r.Size())
-	entry := r.clock
-	var commD, syncD float64
+	n := int64(len(msg.payload))
+	ev := trace.Event{Kind: trace.KindRecv, Name: msg.tag, Peer: msg.from, Bytes: n, Start: r.clock, Delta: trace.StatDelta{TotalCommSec: xfer, BytesReceived: n}}
+	end := r.clock
 	if wait := msg.arrival - r.clock; wait > 0 {
-		r.clock = msg.arrival
+		end = msg.arrival
 		comm := wait
 		if comm > xfer {
 			comm = xfer
 		}
-		r.Stats.ResidualCommSec += comm
-		r.Stats.SyncWaitSec += wait - comm
-		commD, syncD = comm, wait-comm
+		ev.Delta.ResidualCommSec, ev.Delta.SyncWaitSec = comm, wait-comm
 	}
-	r.Stats.TotalCommSec += xfer
-	r.Stats.BytesReceived += int64(len(msg.payload))
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindRecv, Name: msg.tag, Peer: msg.from, Bytes: int64(len(msg.payload)), Start: entry, Dur: r.clock - entry, Delta: trace.StatDelta{TotalCommSec: xfer, ResidualCommSec: commD, SyncWaitSec: syncD, BytesReceived: int64(len(msg.payload))}})
-	}
+	ev.Dur = end - ev.Start
+	r.charge(end, ev)
 	return msg.tag, msg.payload
 }
 
@@ -1183,9 +1149,7 @@ func (r *Rank) deliver(msg message) (string, []byte) {
 // the "without disturbing the remote processor" property of MPI_Get.
 func (r *Rank) Expose(name string, data []byte) {
 	r.faultPoint()
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindExpose, Name: name, Peer: -1, Bytes: int64(len(data)), Start: r.clock})
-	}
+	r.charge(r.clock, trace.Event{Kind: trace.KindExpose, Name: name, Peer: -1, Bytes: int64(len(data)), Start: r.clock})
 	t := &r.m.wins[r.id]
 	t.mu.Lock()
 	if t.m == nil {
@@ -1220,10 +1184,7 @@ func (r *Rank) Get(owner int, name string) *Pending {
 		panic(fmt.Sprintf("cluster: rank %d Get from invalid rank %d", r.id, owner))
 	}
 	r.faultPoint()
-	r.Stats.Messages++
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindGetIssue, Name: name, Peer: owner, Start: r.clock, Delta: trace.StatDelta{Messages: 1}})
-	}
+	r.charge(r.clock, trace.Event{Kind: trace.KindGetIssue, Name: name, Peer: owner, Start: r.clock, Delta: trace.StatDelta{Messages: 1}})
 	return &Pending{r: r, owner: owner, name: name, issueTime: r.clock, issueCompute: r.Stats.ComputeSec}
 }
 
@@ -1305,9 +1266,7 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 	entry := r.clock
 	w, err := r.waitWindow(p.owner, p.name)
 	if err != nil {
-		if r.tl != nil {
-			r.tl.Append(trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Start: entry, Dur: r.clock - entry, Note: err.Error()})
-		}
+		r.charge(r.clock, trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Start: entry, Dur: r.clock - entry, Note: err.Error()})
 		return nil, err
 	}
 	data, exposeTime := w.data, w.exposeTime
@@ -1328,17 +1287,12 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 	var nretries int64
 	attempts := 1
 	for r.dropTransfer(p.owner) {
-		r.Stats.RMARetries++
 		nretries++
 		if attempts > r.m.fault.plan.maxRetries() {
-			r.Stats.RMAFailures++
 			terr := TransferError{Owner: p.owner, Window: p.name, Attempts: attempts}
-			r.clock += retryExtra + xfer
-			r.Stats.TotalCommSec += retryExtra + xfer
-			r.Stats.ResidualCommSec += retryExtra + xfer
-			if r.tl != nil {
-				r.tl.Append(trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Start: entry, Dur: r.clock - entry, Note: terr.Error(), Delta: trace.StatDelta{TotalCommSec: retryExtra + xfer, ResidualCommSec: retryExtra + xfer, RMARetries: nretries, RMAFailures: 1}})
-			}
+			lost := retryExtra + xfer
+			end := r.clock + lost
+			r.charge(end, trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Start: entry, Dur: end - entry, Note: terr.Error(), Delta: trace.StatDelta{TotalCommSec: lost, ResidualCommSec: lost, RMARetries: nretries, RMAFailures: 1}})
 			r.m.failRank(r.id, ErrRankFailed{Rank: r.id, Cause: terr}, r.clock)
 			return nil, terr
 		}
@@ -1347,34 +1301,28 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 		attempts++
 	}
 	completion := start + retryExtra + xfer
-	r.Stats.BytesReceived += int64(len(data))
-	r.Stats.RMABytesReceived += int64(len(data))
+	n := int64(len(data))
+	ev := trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Bytes: n, Start: entry, Delta: trace.StatDelta{BytesReceived: n, RMABytesReceived: n, RMARetries: nretries}}
+	if blocking {
+		ev.Note = "blocking"
+	}
 	waited := completion - r.clock
 	if waited < 0 {
 		waited = 0
 	}
-	d := trace.StatDelta{BytesReceived: int64(len(data)), RMABytesReceived: int64(len(data)), RMARetries: nretries}
 	// The op's total cost is its transfer time (including retry attempts)
 	// or, when exposure lag stretched the wait, the full unmasked wait —
 	// keeping residual ≤ total per op.
+	ev.Delta.TotalCommSec = retryExtra + xfer
 	if waited > retryExtra+xfer {
-		r.Stats.TotalCommSec += waited
-		d.TotalCommSec = waited
-	} else {
-		r.Stats.TotalCommSec += retryExtra + xfer
-		d.TotalCommSec = retryExtra + xfer
+		ev.Delta.TotalCommSec = waited
 	}
+	end := r.clock
 	if waited > 0 {
-		r.Stats.ResidualCommSec += waited
-		d.ResidualCommSec = waited
-		r.clock = completion
+		ev.Delta.ResidualCommSec = waited
+		end = completion
 	}
-	if r.tl != nil {
-		ev := trace.Event{Kind: trace.KindGetWait, Name: p.name, Peer: p.owner, Bytes: int64(len(data)), Start: entry, Dur: r.clock - entry, Delta: d}
-		if blocking {
-			ev.Note = "blocking"
-		}
-		r.tl.Append(ev)
-	}
+	ev.Dur = end - entry
+	r.charge(end, ev)
 	return append(buf[:0], data...), nil
 }

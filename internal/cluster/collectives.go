@@ -143,23 +143,17 @@ func (r *Rank) awaitRound(p *phaser, rd *phRound) {
 
 // syncTo advances the rank clock to the collective's start time (recording
 // the skew as synchronization wait) and then charges the collective's own
-// communication cost. The name identifies the collective operation in the
-// trace; the rendezvous identity stamped by arrive ties the event to its
-// peers' events of the same round.
-func (r *Rank) syncTo(name string, maxClock, cost float64) {
-	entry := r.clock
-	var wait float64
+// communication cost and the payload bytes this rank sent and received. The
+// name identifies the collective operation in the trace; the rendezvous
+// identity stamped by arrive ties the event to its peers' events of the
+// same round.
+func (r *Rank) syncTo(name string, maxClock, cost float64, sent, recv int64) {
+	at, wait := r.clock, 0.0
 	if w := maxClock - r.clock; w > 0 {
-		wait = w
-		r.Stats.SyncWaitSec += w
-		r.clock = maxClock
+		at, wait = maxClock, w
 	}
-	r.clock += cost
-	r.Stats.TotalCommSec += cost
-	r.Stats.ResidualCommSec += cost
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindCollective, Name: name, Peer: -1, PhID: r.lastCollPh, Seq: r.lastCollSeq, Start: entry, Dur: r.clock - entry, Delta: trace.StatDelta{SyncWaitSec: wait, TotalCommSec: cost, ResidualCommSec: cost}})
-	}
+	end := at + cost
+	r.charge(end, trace.Event{Kind: trace.KindCollective, Name: name, Peer: -1, Bytes: sent + recv, PhID: r.lastCollPh, Seq: r.lastCollSeq, Start: r.clock, Dur: end - r.clock, Delta: trace.StatDelta{SyncWaitSec: wait, TotalCommSec: cost, ResidualCommSec: cost, BytesSent: sent, BytesReceived: recv}})
 }
 
 // The world collectives below are the Comm methods on the all-ranks
@@ -227,7 +221,7 @@ func (r *Rank) AllreduceInt64Vec(op ReduceOp, vec []int64) []int64 {
 		}
 		return acc
 	})
-	r.syncTo("allreduce-int64vec", maxClock, r.worldCollSec(8*len(vec)))
+	r.syncTo("allreduce-int64vec", maxClock, r.worldCollSec(8*len(vec)), 0, 0)
 	shared := res.([]int64)
 	out := make([]int64, len(shared))
 	copy(out, shared)
@@ -270,9 +264,6 @@ func (r *Rank) Alltoallv(send [][]byte) [][]byte {
 		out[j] = cp
 		recvTotal += len(src)
 	}
-	r.syncTo("alltoallv", maxClock, r.m.cfg.Cost.alltoallvSecLevels(sendTotal, recvTotal, r.m.world.lv))
-	r.Stats.BytesSent += int64(sendTotal)
-	r.Stats.BytesReceived += int64(recvTotal)
-	r.traceCollBytes(int64(sendTotal), int64(recvTotal))
+	r.syncTo("alltoallv", maxClock, r.m.cfg.Cost.alltoallvSecLevels(sendTotal, recvTotal, r.m.world.lv), int64(sendTotal), int64(recvTotal))
 	return out
 }

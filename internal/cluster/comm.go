@@ -88,7 +88,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		}
 		return out
 	})
-	r.syncTo("split", maxClock, c.collSec(12))
+	r.syncTo("split", maxClock, c.collSec(12), 0, 0)
 	shared := res.(map[int]*commShared)[color]
 	myIdx := -1
 	for i, gr := range shared.ranks {
@@ -106,7 +106,7 @@ func (c *Comm) Split(color, key int) *Comm {
 // Barrier synchronizes the communicator's members.
 func (c *Comm) Barrier() {
 	_, maxClock := c.shared.ph.arrive(c.r, c.myIdx, nil, nil)
-	c.r.syncTo("barrier", maxClock, c.collSec(0))
+	c.r.syncTo("barrier", maxClock, c.collSec(0), 0, 0)
 }
 
 // AllreduceInt64 combines one int64 per member under op.
@@ -118,7 +118,7 @@ func (c *Comm) AllreduceInt64(op ReduceOp, v int64) int64 {
 		}
 		return acc
 	})
-	c.r.syncTo("allreduce-int64", maxClock, c.collSec(8))
+	c.r.syncTo("allreduce-int64", maxClock, c.collSec(8), 0, 0)
 	return res.(int64)
 }
 
@@ -132,7 +132,7 @@ func (c *Comm) AllreduceFloat64(op ReduceOp, v float64) float64 {
 		}
 		return acc
 	})
-	c.r.syncTo("allreduce-float64", maxClock, c.collSec(8))
+	c.r.syncTo("allreduce-float64", maxClock, c.collSec(8), 0, 0)
 	return res.(float64)
 }
 
@@ -144,16 +144,14 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 		return d
 	})
 	out, _ := res.([]byte)
-	c.r.syncTo("bcast", maxClock, c.collSec(len(out)))
+	n := int64(len(out))
 	if c.myIdx != root {
+		c.r.syncTo("bcast", maxClock, c.collSec(len(out)), 0, n)
 		cp := make([]byte, len(out))
 		copy(cp, out)
-		c.r.Stats.BytesReceived += int64(len(out))
-		c.r.traceCollBytes(0, int64(len(out)))
 		return cp
 	}
-	c.r.Stats.BytesSent += int64(len(out))
-	c.r.traceCollBytes(int64(len(out)), 0)
+	c.r.syncTo("bcast", maxClock, c.collSec(len(out)), n, 0)
 	return out
 }
 
@@ -179,14 +177,10 @@ func (c *Comm) Gather(root int, payload []byte) [][]byte {
 	g := res.(gathered)
 	cost := c.r.Cost()
 	if c.myIdx == root {
-		c.r.syncTo("gather", maxClock, cost.gatherRootSecLevels(g.total, c.shared.lv))
-		c.r.Stats.BytesReceived += int64(g.total)
-		c.r.traceCollBytes(0, int64(g.total))
+		c.r.syncTo("gather", maxClock, cost.gatherRootSecLevels(g.total, c.shared.lv), 0, int64(g.total))
 		return g.bufs
 	}
-	c.r.syncTo("gather", maxClock, cost.PathXferSec(len(payload), c.r.id, c.shared.ranks[root], c.r.Size()))
-	c.r.Stats.BytesSent += int64(len(payload))
-	c.r.traceCollBytes(int64(len(payload)), 0)
+	c.r.syncTo("gather", maxClock, cost.PathXferSec(len(payload), c.r.id, c.shared.ranks[root], c.r.Size()), int64(len(payload)), 0)
 	return nil
 }
 
@@ -213,10 +207,7 @@ func (c *Comm) Allgather(payload []byte) [][]byte {
 		return gathered{bufs: out, total: total}
 	})
 	g := res.(gathered)
-	c.r.syncTo("allgather", maxClock, c.collSec(g.total))
-	c.r.Stats.BytesSent += int64(len(payload))
-	c.r.Stats.BytesReceived += int64(g.total)
-	c.r.traceCollBytes(int64(len(payload)), int64(g.total))
+	c.r.syncTo("allgather", maxClock, c.collSec(g.total), int64(len(payload)), int64(g.total))
 	return g.bufs
 }
 

@@ -203,9 +203,7 @@ func (r *Rank) faultPoint() {
 // crash marks this rank failed and unwinds it.
 func (r *Rank) crash(cause error) {
 	err := ErrRankFailed{Rank: r.id, Cause: cause}
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindCrash, Name: "crash", Peer: -1, Start: r.clock, Note: cause.Error()})
-	}
+	r.charge(r.clock, trace.Event{Kind: trace.KindCrash, Name: "crash", Peer: -1, Start: r.clock, Note: cause.Error()})
 	r.m.failRank(r.id, err, r.clock)
 	panic(crashPanic{err: err})
 }

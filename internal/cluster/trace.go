@@ -1,11 +1,11 @@
 // Event-tracing surface of the virtual machine.
 //
-// When Config.Trace is set, every accounting site of the machine mirrors
-// its Stats mutation as a typed interval event on the rank's virtual-clock
-// timeline (see internal/trace). Tracing is zero-overhead when disabled:
-// each rank holds a nil log pointer and every emission site is a single
-// pointer test on the hot path — the disabled-tracer AllocsPerRun guard in
-// trace_test.go enforces that no allocation sneaks in.
+// Every accounting site of the machine builds its charge as a typed interval
+// event (see internal/trace) and applies it through Rank.charge, which adds
+// the event's delta to Stats and, when Config.Trace is set, appends the event
+// to the rank's timeline. The log and the counters are therefore one write,
+// not two kept equal. Disabled tracing allocates nothing — the
+// disabled-tracer AllocsPerRun guard in trace_test.go enforces it.
 package cluster
 
 import "pepscale/internal/trace"
@@ -34,25 +34,7 @@ func (r *Rank) SetStep(step int) {
 // state restored) at the current virtual clock. No-op when tracing is
 // disabled.
 func (r *Rank) Mark(name, note string) {
-	if r.tl != nil {
-		r.tl.Append(trace.Event{Kind: trace.KindMark, Name: name, Note: note, Peer: -1, Start: r.clock})
-	}
-}
-
-// traceCollBytes attaches the byte counters a collective charges after its
-// rendezvous to the just-recorded collective event, keeping the event's
-// delta an exact mirror of the Stats mutation.
-func (r *Rank) traceCollBytes(sent, recv int64) {
-	if r.tl == nil {
-		return
-	}
-	ev := r.tl.Last()
-	if ev == nil || ev.Kind != trace.KindCollective {
-		return
-	}
-	ev.Bytes += sent + recv
-	ev.Delta.BytesSent += sent
-	ev.Delta.BytesReceived += recv
+	r.charge(r.clock, trace.Event{Kind: trace.KindMark, Name: name, Note: note, Peer: -1, Start: r.clock})
 }
 
 // Trace snapshots the events recorded since the machine was created (or

@@ -19,51 +19,23 @@ func foldDeltas(att *trace.Attempt, rank int) trace.StatDelta {
 }
 
 // checkTraceMatchesStats asserts the folded trace of every rank equals the
-// machine's Stats exactly (same floats added in the same order).
+// machine's Stats counters exactly (same floats added in the same order).
 func checkTraceMatchesStats(t *testing.T, m *Machine, att *trace.Attempt) {
 	t.Helper()
 	if att == nil {
 		t.Fatal("nil attempt from traced machine")
 	}
 	for i := 0; i < m.Ranks(); i++ {
-		st := m.Rank(i).Stats
-		d := foldDeltas(att, i)
-		if d.ComputeSec != st.ComputeSec {
-			t.Errorf("rank %d: trace ComputeSec %v != stats %v", i, d.ComputeSec, st.ComputeSec)
-		}
-		if d.TotalCommSec != st.TotalCommSec {
-			t.Errorf("rank %d: trace TotalCommSec %v != stats %v", i, d.TotalCommSec, st.TotalCommSec)
-		}
-		if d.ResidualCommSec != st.ResidualCommSec {
-			t.Errorf("rank %d: trace ResidualCommSec %v != stats %v", i, d.ResidualCommSec, st.ResidualCommSec)
-		}
-		if d.SyncWaitSec != st.SyncWaitSec {
-			t.Errorf("rank %d: trace SyncWaitSec %v != stats %v", i, d.SyncWaitSec, st.SyncWaitSec)
-		}
-		if d.BytesSent != st.BytesSent {
-			t.Errorf("rank %d: trace BytesSent %d != stats %d", i, d.BytesSent, st.BytesSent)
-		}
-		if d.BytesReceived != st.BytesReceived {
-			t.Errorf("rank %d: trace BytesReceived %d != stats %d", i, d.BytesReceived, st.BytesReceived)
-		}
-		if d.RMABytesReceived != st.RMABytesReceived {
-			t.Errorf("rank %d: trace RMABytesReceived %d != stats %d", i, d.RMABytesReceived, st.RMABytesReceived)
-		}
-		if d.Messages != st.Messages {
-			t.Errorf("rank %d: trace Messages %d != stats %d", i, d.Messages, st.Messages)
-		}
-		if d.RMARetries != st.RMARetries {
-			t.Errorf("rank %d: trace RMARetries %d != stats %d", i, d.RMARetries, st.RMARetries)
-		}
-		if d.RMAFailures != st.RMAFailures {
-			t.Errorf("rank %d: trace RMAFailures %d != stats %d", i, d.RMAFailures, st.RMAFailures)
+		if d, st := foldDeltas(att, i), m.Rank(i).Stats.StatDelta; d != st {
+			t.Errorf("rank %d: folded trace %+v != stats %+v", i, d, st)
 		}
 	}
 }
 
-// exerciseAll touches every traced primitive: compute, point-to-point,
-// all collectives, communicator splits, and masked + blocking one-sided
-// transfers.
+// exerciseAll touches every traced primitive: compute, point-to-point
+// (from one peer and from any), all collectives, communicator splits,
+// masked + blocking one-sided transfers, and idle and communication
+// charges.
 func exerciseAll(r *Rank) error {
 	p, id := r.Size(), r.ID()
 	r.SetPhase("work")
@@ -104,6 +76,11 @@ func exerciseAll(r *Rank) error {
 	if r.Tracing() {
 		r.Mark("done", fmt.Sprintf("rank %d finished", id))
 	}
+	r.Send((id+1)%p, "any", make([]byte, 32+8*id))
+	if from, _, _ := r.RecvAny(); from != (id-1+p)%p {
+		return fmt.Errorf("rank %d: RecvAny from %d", id, from)
+	}
+	r.IdleUntil(r.Time() + 0.001*float64(id)) // rank 0: already there, no charge
 	r.ChargeComm(0.0005)
 	r.Barrier()
 	return nil

@@ -116,8 +116,17 @@ func (o Options) Validate() error {
 	if o.Tau < 0 {
 		return fmt.Errorf("core: negative tau %d", o.Tau)
 	}
+	if math.IsNaN(o.Tol.Value) || math.IsInf(o.Tol.Value, 0) {
+		return fmt.Errorf("core: Tol.Value %v is not finite", o.Tol.Value)
+	}
 	if o.Tol.Value < 0 {
 		return fmt.Errorf("core: negative tolerance %v", o.Tol)
+	}
+	if math.IsNaN(o.Prefilter) {
+		return fmt.Errorf("core: Prefilter is NaN")
+	}
+	if math.IsNaN(o.MinScore) {
+		return fmt.Errorf("core: MinScore is NaN (use -Inf to keep every hit)")
 	}
 	if err := o.Digest.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,6 +125,36 @@ func TestScanModeValidate(t *testing.T) {
 		opt.ScanMode = mode
 		if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), "unknown scan mode") {
 			t.Errorf("scan mode %q: Validate = %v, want unknown scan mode", mode, err)
+		}
+	}
+}
+
+// TestValidateNonFinite pins the refusal of a non-finite tolerance and of a
+// NaN prefilter or score floor, each named in the error; a -Inf MinScore
+// (keep every hit) stays legal.
+func TestValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		set  func(*Options)
+		want string // "" means Validate must accept
+	}{
+		{"tol NaN", func(o *Options) { o.Tol.Value = nan }, "Tol.Value"},
+		{"tol +Inf", func(o *Options) { o.Tol.Value = inf }, "Tol.Value"},
+		{"tol -Inf", func(o *Options) { o.Tol.Value = -inf }, "Tol.Value"},
+		{"prefilter NaN", func(o *Options) { o.Prefilter = nan }, "Prefilter"},
+		{"minscore NaN", func(o *Options) { o.MinScore = nan }, "MinScore"},
+		{"minscore -Inf", func(o *Options) { o.MinScore = -inf }, ""},
+		{"prefilter 0.3", func(o *Options) { o.Prefilter = 0.3 }, ""},
+	} {
+		opt := DefaultOptions()
+		tc.set(&opt)
+		err := opt.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate = %v, want an error naming %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -191,6 +191,9 @@ func New(cfg Config) (*Server, error) {
 	if err := mp.Validate(); err != nil {
 		return nil, err
 	}
+	if w := cfg.BatchWindowSec; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+		return nil, fmt.Errorf("serve: BatchWindowSec %v is not a finite, non-negative time", w)
+	}
 	s := &Server{
 		cfg:      cfg,
 		universe: mp.Universe,
@@ -199,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 		dead:     map[int]bool{},
 		tenants:  map[string]*tenant{},
 	}
-	if s.cfg.BatchWindowSec <= 0 {
+	if s.cfg.BatchWindowSec == 0 {
 		s.cfg.BatchWindowSec = 0.05
 	}
 	if s.cfg.MaxBatch < 1 {
@@ -223,6 +226,14 @@ func New(cfg Config) (*Server, error) {
 		}
 		if _, dup := s.tenants[tc.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", tc.Name)
+		}
+		for _, f := range [...]struct {
+			name string
+			v    float64
+		}{{"Weight", tc.Weight}, {"QuotaPerSec", tc.QuotaPerSec}, {"Burst", tc.Burst}} {
+			if math.IsNaN(f.v) {
+				return nil, fmt.Errorf("serve: tenant %q: %s is NaN", tc.Name, f.name)
+			}
 		}
 		s.tenants[tc.Name] = newTenant(tc, s.cfg.QueueCap)
 		s.names = append(s.names, tc.Name)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,6 +110,32 @@ func steadySpec() LoadSpec {
 		{Tenant: TenantConfig{Name: "acme"}, Profile: ProfileSteady, RatePerSec: 40},
 		{Tenant: TenantConfig{Name: "zeta"}, Profile: ProfileBursty, RatePerSec: 30},
 	}}
+}
+
+// TestNewRejectsNonFiniteConfig: a NaN, infinite or negative batching
+// window and a NaN tenant weight, quota or burst are refused up front,
+// naming the field, instead of stalling or silently admitting nothing.
+func TestNewRejectsNonFiniteConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"window NaN", func(c *Config) { c.BatchWindowSec = nan }, "BatchWindowSec"},
+		{"window Inf", func(c *Config) { c.BatchWindowSec = inf }, "BatchWindowSec"},
+		{"window negative", func(c *Config) { c.BatchWindowSec = -1 }, "BatchWindowSec"},
+		{"weight NaN", func(c *Config) { c.Tenants[0].Weight = nan }, "Weight"},
+		{"quota NaN", func(c *Config) { c.Tenants[1].QuotaPerSec = nan }, "QuotaPerSec"},
+		{"burst NaN", func(c *Config) { c.Tenants[0].Burst = nan }, "Burst"},
+	}
+	for _, tc := range cases {
+		cfg := steadyCfg(nil)
+		tc.set(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New err = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestStreamingMatchesOffline is the tentpole acceptance test: a seeded

@@ -84,20 +84,34 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// StatDelta is the exact cluster.Stats mutation an event applied. Folding a
-// rank's deltas in program order reproduces its Stats field-for-field,
-// bit-for-bit (the same float64 values are added in the same order).
+// StatDelta is the exact cluster.Stats mutation an event applied, and the
+// counter block cluster.Stats embeds. Folding a rank's deltas in program
+// order reproduces its Stats field-for-field, bit-for-bit (the same float64
+// values are added in the same order).
 type StatDelta struct {
-	ComputeSec       float64
-	TotalCommSec     float64
-	ResidualCommSec  float64
-	SyncWaitSec      float64
-	BytesSent        int64
-	BytesReceived    int64
+	// ComputeSec is the virtual CPU time charged via Compute.
+	ComputeSec float64
+	// TotalCommSec is the full (unmasked) cost of every communication
+	// operation the rank issued.
+	TotalCommSec float64
+	// ResidualCommSec is the portion of TotalCommSec that was NOT hidden
+	// behind computation — the paper's "residual communication" that alone
+	// contributes to run-time.
+	ResidualCommSec float64
+	// SyncWaitSec is time spent waiting for slower ranks at collective
+	// entry (load-imbalance skew, distinct from transfer cost).
+	SyncWaitSec float64
+	// BytesSent and BytesReceived count payload bytes.
+	BytesSent, BytesReceived int64
+	// RMABytesReceived counts the subset of BytesReceived transported by
+	// one-sided gets (the database-transport traffic of Algorithms A/B).
 	RMABytesReceived int64
-	Messages         int64
-	RMARetries       int64
-	RMAFailures      int64
+	// Messages counts point-to-point sends plus one-sided gets issued.
+	Messages int64
+	// RMARetries counts one-sided transfer reissues after injected drops;
+	// RMAFailures counts transfers abandoned after exhausting the retry
+	// budget (each of which fails the issuing rank).
+	RMARetries, RMAFailures int64
 }
 
 // Add accumulates o into d.
@@ -175,25 +189,13 @@ func (l *RankLog) SetPhase(phase string) { l.phase = phase }
 // SetStep tags subsequent events with a transport-loop step (-1 clears).
 func (l *RankLog) SetStep(step int) { l.step = step }
 
-// Append stamps ev with the current phase and step and appends it,
-// returning a pointer to the stored event so the caller can attach
-// late-arriving byte counts. The pointer is invalidated by the next Append.
+// Append stamps ev with the current phase and step and appends it.
 //
 //pepvet:hotpath
-func (l *RankLog) Append(ev Event) *Event {
+func (l *RankLog) Append(ev Event) {
 	ev.Phase = l.phase
 	ev.Step = l.step
 	l.events = append(l.events, ev)
-	return &l.events[len(l.events)-1]
-}
-
-// Last returns the most recently appended event (nil when empty). The
-// pointer is invalidated by the next Append.
-func (l *RankLog) Last() *Event {
-	if len(l.events) == 0 {
-		return nil
-	}
-	return &l.events[len(l.events)-1]
 }
 
 // Len returns the number of recorded events.

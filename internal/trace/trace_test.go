@@ -168,16 +168,15 @@ func TestRecorderLifecycle(t *testing.T) {
 	l.Append(Event{Kind: KindCompute, Peer: -1, Dur: 1, Delta: StatDelta{ComputeSec: 1}})
 	l.SetPhase("scan")
 	l.SetStep(3)
-	ptr := l.Append(Event{Kind: KindCollective, Name: "barrier", Peer: -1})
-	ptr.Bytes += 42
+	l.Append(Event{Kind: KindCollective, Name: "barrier", Peer: -1, Bytes: 42})
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if last := l.Last(); last.Bytes != 42 || last.Phase != "scan" || last.Step != 3 {
-		t.Errorf("Last = %+v", last)
+	if first := l.events[0]; first.Phase != "load" || first.Step != -1 {
+		t.Errorf("first event tags = %q/%d", first.Phase, first.Step)
 	}
-	if first := rec.Rank(0); first.events[0].Phase != "load" || first.events[0].Step != -1 {
-		t.Errorf("first event tags = %q/%d", first.events[0].Phase, first.events[0].Step)
+	if second := l.events[1]; second.Bytes != 42 || second.Phase != "scan" || second.Step != 3 {
+		t.Errorf("second event = %+v", second)
 	}
 
 	att := rec.Snapshot("snap")
@@ -199,9 +198,6 @@ func TestRecorderLifecycle(t *testing.T) {
 	}
 	if empty := rec.Rank(0); empty.phase != "" || empty.step != -1 {
 		t.Errorf("Reset left tags %q/%d", empty.phase, empty.step)
-	}
-	if last := rec.Rank(0).Last(); last != nil {
-		t.Errorf("Last on empty log = %+v", last)
 	}
 }
 
