@@ -39,14 +39,14 @@ loc-check:
 # annotations while the optional third-party linters stay a separate step.
 lint: lint-pepvet lint-imports lint-extra
 
-# lint-pepvet runs the repo's own analyzer suite (cmd/pepvet): six
-# checkers (determinism, hotpath, allocflow, ranksafety, clockaudit,
-# blockreg) enforcing the invariants documented in DESIGN.md §7. All six
-# share one package load. determinism, allocflow and blockreg also share
-# one interprocedural summary computation — the call graph, SCC order, and
-# per-function effect summaries are built once for the suite; clockaudit is
-# a single-writer rule (only Rank.charge writes a clock, a Stats counter or
-# the trace log) and needs none. Adding a checker costs its walk but never
+# lint-pepvet runs the repo's own analyzer suite (cmd/pepvet): five
+# checkers (determinism, hotpath, allocflow, ranksafety, clockaudit)
+# enforcing the invariants documented in DESIGN.md §7. All five share one
+# package load. determinism and allocflow also share one interprocedural
+# summary computation — the call graph, SCC order, and per-function effect
+# summaries are built once for the suite; clockaudit is a single-writer
+# rule (only Rank.charge writes a clock, a Stats counter or the trace log)
+# and needs none. Adding a checker costs its walk but never
 # a second type-check. PEPVET_FLAGS feeds extra driver flags (-json for
 # machine output, -github for CI annotations).
 PEPVET_FLAGS ?=
@@ -80,12 +80,15 @@ test-short:
 # whose subjects are schedules: many goroutines demanding entries of one run
 # cache through its lock-free hit path at once (each built once, same
 # pointer for all), every member of an Allgather reading the one result
-# the last arriver built, and ranks parked at a barrier: woken once each when
-# it completes, or moved to the stuck-rank analysis by a crash.
+# the last arriver built, ranks parked at a barrier: woken once each when it
+# completes or unwound by a crash, two crashes that must report the least
+# failure whichever the host records first, and every engine and pepd
+# fingerprint, crash lines included, byte for byte.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
-	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier' ./internal/cluster/
+	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome' ./internal/cluster/
+	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints' ./internal/core/ ./internal/serve/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and

@@ -1,5 +1,5 @@
 // Command pepvet is the repository's invariant multichecker: it loads the
-// requested packages (default ./...) and applies the six repo-specific
+// requested packages (default ./...) and applies the five repo-specific
 // analyzers —
 //
 //	determinism  no wall-clock / global randomness / env reads / map-order
@@ -12,8 +12,6 @@
 //	ranksafety   //pepvet:perrank values never escape their owning rank
 //	clockaudit   in internal/cluster only Rank.charge writes a rank's
 //	             clock or Stats counters or appends to its trace log
-//	blockreg     every internal/cluster parking loop registers with the
-//	             blocked-state registry
 //
 // — plus the driver's own directive hygiene (reported under the pseudo-
 // analyzer name "pepvet"), printing findings as file:line:col diagnostics
@@ -38,7 +36,6 @@ import (
 
 	"pepscale/internal/analysis"
 	"pepscale/internal/analysis/allocflow"
-	"pepscale/internal/analysis/blockreg"
 	"pepscale/internal/analysis/clockaudit"
 	"pepscale/internal/analysis/determinism"
 	"pepscale/internal/analysis/hotpath"
@@ -53,7 +50,6 @@ func Analyzers() []*analysis.Analyzer {
 		allocflow.Analyzer,
 		ranksafety.Analyzer,
 		clockaudit.Analyzer,
-		blockreg.Analyzer,
 	}
 }
 

@@ -169,7 +169,7 @@ func TestAnalyzerNamesUnique(t *testing.T) {
 // internal/analysis mirror this list, and dropping an analyzer from the
 // command must be a deliberate, visible change.
 func TestSuiteMatchesPepvetCommand(t *testing.T) {
-	want := []string{"determinism", "hotpath", "allocflow", "ranksafety", "clockaudit", "blockreg"}
+	want := []string{"determinism", "hotpath", "allocflow", "ranksafety", "clockaudit"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

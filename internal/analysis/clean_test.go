@@ -9,7 +9,6 @@ import (
 
 	"pepscale/internal/analysis"
 	"pepscale/internal/analysis/allocflow"
-	"pepscale/internal/analysis/blockreg"
 	"pepscale/internal/analysis/clockaudit"
 	"pepscale/internal/analysis/determinism"
 	"pepscale/internal/analysis/hotpath"
@@ -39,11 +38,10 @@ func fullSuite() []*analysis.Analyzer {
 		allocflow.Analyzer,
 		ranksafety.Analyzer,
 		clockaudit.Analyzer,
-		blockreg.Analyzer,
 	}
 }
 
-// TestRepoIsPepvetClean is the meta-regression: the full six-analyzer pepvet
+// TestRepoIsPepvetClean is the meta-regression: the full five-analyzer pepvet
 // suite over every repository package — internal, cmd, and examples trees
 // alike — must produce no unsuppressed findings and no directive hygiene
 // complaints (every //pepvet:allow justified AND engaged), the same contract

@@ -2,7 +2,7 @@
 // substrate that stands in for the paper's MPI cluster. Each rank runs as a
 // goroutine with private memory; ranks interact only through the machine's
 // primitives — point-to-point messages, tree collectives (Barrier,
-// Allreduce, Bcast, Gather), a personalized all-to-all (Alltoallv), and
+// Allreduce, Gather, Allgather), a personalized all-to-all (Alltoallv), and
 // one-sided RMA windows (Expose / Get / Wait) with the non-blocking,
 // target-passive semantics of MPI_Get over RDMA.
 //
@@ -19,6 +19,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,20 +69,34 @@ type Machine struct {
 	coll  *phaser
 	world *commShared
 
-	// Membership state behind memberMu: which ranks of the universe are
-	// currently active. Sized to the universe at construction and only ever
-	// flipped through markActive's bounds checks, so admission can never
-	// index past the per-rank arrays.
+	// Membership and rank ends behind memberMu. active says which ranks of
+	// the universe are currently members: sized to the universe at
+	// construction and only ever flipped through markActive's bounds checks,
+	// so admission can never index past the per-rank arrays. live counts the
+	// active ranks whose body has not returned this Run; idle is closed and
+	// replaced whenever live drops to one or none, the only moments a RecvAny
+	// can lose its last possible sender. admitter[i] is the rank whose Admit
+	// made rank i active this Run (-1: none since it was last dormant), and
+	// admitted[i] is closed and replaced when it is named. A Split takes
+	// memberMu inside its parent's phaser lock, so nothing holding memberMu
+	// takes a phaser lock.
 	memberMu sync.Mutex
 	active   []bool
-
+	live     int
+	idle     chan struct{}
+	admitter []int
+	admitted []chan struct{}
+	// ends[i] is closed once rank i's body has returned this Run, after
+	// endCause[i] records how it ended (see cause). A primitive parked on
+	// rank i selects on it.
+	ends     []chan struct{}
+	endCause []cause
 	// groups memoizes sub-communicators built by Rank.Group, keyed by the
 	// sorted member list so every member of one epoch shares a single
-	// rendezvous. Reset clears it: a crashed run may leave a group phaser
-	// round with permanently missing arrivals, exactly like the world
-	// phaser.
-	groupMu sync.Mutex
+	// rendezvous; phasers lists every rendezvous a rank's end must reach
+	// (the world's, every group's and every split's).
 	groups  map[string]*commShared
+	phasers []*phaser
 
 	fault *faultState
 
@@ -89,79 +104,25 @@ type Machine struct {
 	rec *trace.Recorder
 
 	// abort is closed only on FATAL failures (body errors, unexpected
-	// panics): every blocked primitive unwinds immediately and the run is
-	// unrecoverable. Recoverable rank failures never close it — survivors
-	// instead unwind through the deterministic stuck-rank analysis (see
-	// doomed), so the set of events a survivor records cannot depend on
-	// goroutine scheduling.
+	// panics): every parked primitive unwinds at once and the run is
+	// unrecoverable. A recoverable rank failure never closes it: survivors
+	// learn of it from the end of the rank they wait on.
 	abortOnce sync.Once
 	abort     chan struct{}
-	errOnce   sync.Once
-	abortErr  error
 
-	// failCh is closed by a Run's first failure (failRank or doAbort) once
-	// failMu records it; until then a rank parked in a collective waits on
-	// it instead of on every broadcast (see awaitRound). collWakes counts
-	// those ranks' wake-ups, host-only: no clock, Stats or trace reads it.
-	failOnce  sync.Once
-	failCh    chan struct{}
+	// Failure bookkeeping behind failMu: every rank's own recoverable
+	// failure (crash or exhausted transfer retries) with its virtual time,
+	// and the first fatal error.
+	failMu   sync.Mutex
+	failures map[int]failure
+	fatalErr error
+	// lastErr is the last Run's error: a failed machine refuses to run
+	// again until Reset.
+	lastErr error
+
+	// collWakes counts wake-ups of ranks parked in a collective round,
+	// host-only: no clock, Stats or trace reads it.
 	collWakes atomic.Int64
-
-	// Blocked-state registry behind blockMu: which primitive each rank is
-	// parked in (blocked), plus per-receiver in-flight message counts
-	// (inflight[to][from] = messages sent but not yet pulled) so the
-	// stuck-rank analysis can see mailbox traffic it cannot inspect
-	// through the channel. Sparse maps replace the former p×p counter
-	// arrays, which cost 268 MB at p=4096. Ranks register lazily — only
-	// once the machine carries a failure — keeping the failure-free path
-	// free of registry traffic.
-	blockMu  sync.Mutex
-	blocked  []blockInfo
-	inflight []map[int]int64
-
-	// stateVer counts mutations of every input the stuck-rank analysis
-	// reads (blocked registry, in-flight counts, failures, finished
-	// bodies, window exposures). doomed caches its fixpoint verdicts under
-	// anMu keyed by this version, so a wave of p survivors observing one
-	// failure costs one O(p) evaluation per state change instead of p
-	// fresh O(p²) evaluations.
-	stateVer atomic.Uint64
-
-	// Analysis scratch behind anMu: machine-owned buffers reused across
-	// doomed evaluations (no per-call allocation), plus the cached
-	// verdicts and the stateVer they correspond to.
-	anMu       sync.Mutex
-	anVer      uint64
-	anValid    bool
-	anCan      []bool
-	anBlocked  []blockInfo
-	anFailed   []bool
-	anDone     []bool
-	anAvailAny []bool // rank has ≥1 in-flight message from another rank
-	anAvailPk  []bool // blockRecv(peer): in-flight message from that peer
-	anWinOpen  []bool // blockWindow: the awaited window is exposed
-	anRound    map[*phRound]int8
-
-	// Failure bookkeeping behind failMu: which ranks failed (crash or
-	// exhausted transfer retries), the first failure's rank and virtual
-	// time, and whether any non-recoverable (fatal) failure occurred.
-	failMu          sync.Mutex
-	failures        map[int]error
-	firstFailedRank int
-	firstFailTime   float64
-	fatalSeen       bool
-
-	// bodyDone tracks which ranks' bodies have returned this Run, so a Wait
-	// on a not-yet-exposed window can distinguish "exposure in flight" from
-	// "owner finished without exposing".
-	bodyMu   sync.Mutex
-	bodyDone []bool
-
-	// notifyCh is a broadcast channel closed and replaced on every
-	// machine-level event a blocked Wait may be watching for (window
-	// exposure, body completion, rank failure).
-	notifyMu sync.Mutex
-	notifyCh chan struct{}
 }
 
 // winTable is one owner's windows by name. An RWMutex because lookups
@@ -169,6 +130,9 @@ type Machine struct {
 type winTable struct {
 	mu sync.RWMutex
 	m  map[string]*window
+	// wake, when a rank waits for a window of this owner, is closed by the
+	// owner's next exposure.
+	wake chan struct{}
 }
 
 // window is one exposure: immutable once published. A re-exposure swaps in a
@@ -188,6 +152,21 @@ func (m *Machine) window(owner int, name string) *window {
 	return w
 }
 
+// windowOrWake returns owner's current exposure under name or, when there is
+// none, a channel closed by the owner's next exposure.
+func (m *Machine) windowOrWake(owner int, name string) (*window, <-chan struct{}) {
+	t := &m.wins[owner]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if w := t.m[name]; w != nil {
+		return w, nil
+	}
+	if t.wake == nil {
+		t.wake = make(chan struct{})
+	}
+	return nil, t.wake
+}
+
 type message struct {
 	from    int
 	tag     string
@@ -195,30 +174,32 @@ type message struct {
 	arrival float64
 }
 
-// blockKind classifies the primitive a rank is parked in.
-type blockKind uint8
-
-const (
-	blockNone   blockKind = iota
-	blockSend             // mailbox at peer is full
-	blockRecv             // waiting for a message from peer (any if peer < 0)
-	blockWindow           // waiting for peer to expose the named window
-	blockColl             // waiting at a collective rendezvous round
-)
-
-// blockInfo records what a parked rank is waiting for, feeding the
-// stuck-rank analysis that replaces racy abort unwinding.
-type blockInfo struct {
-	kind    blockKind
-	peer    int
-	name    string   // blockWindow: the window name
-	round   *phRound // blockColl: the rendezvous round (identity by pointer)
-	members []int    // blockColl: global rank ids of the round's members
+// cause is how a rank's body ended: with the failure it crashed with or
+// unwound from (failed: the rank and virtual time the failure started at),
+// or on its own (rank is the rank itself; a completion or a fatal error).
+// The least of several causes is the earliest failure by (time, rank); an
+// end that is no failure comes after every failure, lowest rank first.
+type cause struct {
+	rank   int
+	t      float64
+	failed bool
 }
 
-// ErrAborted is reported when a machine operation is interrupted because
-// another rank failed.
-var ErrAborted = errors.New("cluster: machine aborted")
+func (c cause) before(d cause) bool {
+	if c.failed != d.failed {
+		return c.failed
+	}
+	if c.t != d.t {
+		return c.t < d.t
+	}
+	return c.rank < d.rank
+}
+
+// failure is one rank's own recoverable failure.
+type failure struct {
+	err error
+	t   float64
+}
 
 // defaultMailboxDepth caps total buffered-message slots at 2^18 across the
 // machine so a p=4096 machine does not pre-allocate gigabytes of channel
@@ -247,41 +228,23 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:             cfg,
-		wins:            make([]winTable, cfg.Ranks),
-		groups:          make(map[string]*commShared),
-		abort:           make(chan struct{}),
-		failCh:          make(chan struct{}),
-		failures:        make(map[int]error),
-		firstFailedRank: -1,
-		bodyDone:        make([]bool, cfg.Ranks),
-		notifyCh:        make(chan struct{}),
+		cfg:      cfg,
+		active:   make([]bool, cfg.Ranks),
+		idle:     make(chan struct{}),
+		admitter: make([]int, cfg.Ranks),
+		admitted: make([]chan struct{}, cfg.Ranks),
+		ends:     make([]chan struct{}, cfg.Ranks),
+		endCause: make([]cause, cfg.Ranks),
 	}
-	m.active = make([]bool, cfg.Ranks)
-	if cfg.Members == nil {
-		for i := range m.active {
-			m.active[i] = true
+	for _, id := range cfg.Members {
+		if id < 0 || id >= cfg.Ranks {
+			return nil, fmt.Errorf("cluster: Config.Members rank %d outside [0,%d)", id, cfg.Ranks)
 		}
-	} else {
-		for _, id := range cfg.Members {
-			if id < 0 || id >= cfg.Ranks {
-				return nil, fmt.Errorf("cluster: Config.Members rank %d outside [0,%d)", id, cfg.Ranks)
-			}
-			if m.active[id] {
-				return nil, fmt.Errorf("cluster: Config.Members rank %d duplicated", id)
-			}
-			m.active[id] = true
+		if m.active[id] {
+			return nil, fmt.Errorf("cluster: Config.Members rank %d duplicated", id)
 		}
+		m.active[id] = true
 	}
-	m.fault = newFaultState(cfg.Fault, cfg.Ranks)
-	worldRanks := make([]int, cfg.Ranks)
-	for i := range worldRanks {
-		worldRanks[i] = i
-	}
-	m.coll = newPhaser(worldRanks, worldPhaserID)
-	m.world = &commShared{ranks: worldRanks, ph: m.coll, lv: cfg.Cost.levelsFor(worldRanks)}
-	m.blocked = make([]blockInfo, cfg.Ranks)
-	m.inflight = make([]map[int]int64, cfg.Ranks)
 	if cfg.Trace {
 		m.rec = trace.NewRecorder(cfg.Ranks)
 	}
@@ -289,11 +252,13 @@ func New(cfg Config) (*Machine, error) {
 	m.ranks = make([]*Rank, cfg.Ranks)
 	for i := 0; i < cfg.Ranks; i++ {
 		m.mailbox[i] = make(chan message, cfg.MailboxDepth)
-		m.ranks[i] = &Rank{m: m, id: i, pending: make(map[int][]message)}
+		m.admitted[i] = make(chan struct{})
+		m.ranks[i] = &Rank{m: m, id: i}
 		if m.rec != nil {
 			m.ranks[i].tl = m.rec.Rank(i)
 		}
 	}
+	m.Reset()
 	return m, nil
 }
 
@@ -307,303 +272,69 @@ func (m *Machine) Cost() CostModel { return m.cfg.Cost }
 // primitive. Recoverable rank failures go through failRank instead.
 func (m *Machine) doAbort(err error) {
 	m.failMu.Lock()
-	m.fatalSeen = true
+	if m.fatalErr == nil {
+		m.fatalErr = err
+	}
 	m.failMu.Unlock()
-	m.errOnce.Do(func() { m.abortErr = err })
-	m.failOnce.Do(func() { close(m.failCh) })
 	m.abortOnce.Do(func() { close(m.abort) })
-	m.broadcast()
 }
 
-// failRank records a recoverable rank failure at virtual time vtime and
-// wakes every blocked primitive so survivors can observe it. It does NOT
-// close the abort channel: survivors keep running until the stuck-rank
-// analysis proves they can never proceed, which keeps the failure's effect
-// on each survivor a function of virtual state alone.
+// failRank records rank's own recoverable failure at virtual time vtime.
+// Nobody is woken: survivors learn of it when the rank's body ends.
 func (m *Machine) failRank(rank int, err error, vtime float64) {
 	m.failMu.Lock()
 	if _, dup := m.failures[rank]; !dup {
-		m.failures[rank] = err
-		if m.firstFailedRank < 0 {
-			m.firstFailedRank = rank
-			m.firstFailTime = vtime
-		}
+		m.failures[rank] = failure{err: err, t: vtime}
 	}
 	m.failMu.Unlock()
-	m.errOnce.Do(func() { m.abortErr = err })
-	m.failOnce.Do(func() { close(m.failCh) })
-	m.stateVer.Add(1)
-	m.broadcast()
 }
 
-// hasFailure reports whether any failure (recoverable or fatal) has been
-// recorded this Run — the gate for registering blocked state.
-func (m *Machine) hasFailure() bool {
+// failureOf returns rank's own recoverable failure as a cause, if any.
+func (m *Machine) failureOf(rank int) (cause, bool) {
 	m.failMu.Lock()
 	defer m.failMu.Unlock()
-	return m.firstFailedRank >= 0 || m.fatalSeen
+	f, ok := m.failures[rank]
+	return cause{rank: rank, t: f.t, failed: true}, ok
 }
 
-// setBlocked registers what rank is parked waiting for. Idempotent: only a
-// changed registration broadcasts.
-func (m *Machine) setBlocked(rank int, b blockInfo) {
-	m.blockMu.Lock()
-	cur := m.blocked[rank]
-	if cur.kind == b.kind && cur.peer == b.peer && cur.name == b.name && cur.round == b.round {
-		m.blockMu.Unlock()
-		return
+// endRank records how rank id's body ended and only then signals it: to the
+// primitives parked on the rank (ends), to RecvAny waiters when an active
+// rank ends, and to every rendezvous the rank belongs to, from whose rounds
+// it is gone.
+func (m *Machine) endRank(id int, c cause) {
+	m.memberMu.Lock()
+	m.endCause[id] = c
+	close(m.ends[id])
+	if m.active[id] {
+		m.live--
+		m.wakeIdle()
 	}
-	m.blocked[rank] = b
-	m.blockMu.Unlock()
-	m.stateVer.Add(1)
-	m.broadcast()
-}
-
-// clearBlocked removes rank's registration when it leaves a blocking
-// primitive (by completing it or by unwinding out of it).
-func (m *Machine) clearBlocked(rank int) {
-	m.blockMu.Lock()
-	if m.blocked[rank].kind == blockNone {
-		m.blockMu.Unlock()
-		return
+	phs := m.phasers
+	m.memberMu.Unlock()
+	for _, p := range phs {
+		if _, ok := slices.BinarySearch(p.sorted, id); ok {
+			p.leave(m, c)
+		}
 	}
-	m.blocked[rank] = blockInfo{}
-	m.blockMu.Unlock()
-	m.stateVer.Add(1)
-	m.broadcast()
 }
 
-// noteSent counts a message headed for `to`'s mailbox BEFORE the channel
-// send, so the analysis over-approximates in-flight traffic (a message it
-// counts either lands or is uncounted again when the sender unwinds).
-func (m *Machine) noteSent(to, from int) {
-	m.blockMu.Lock()
-	if m.inflight[to] == nil {
-		m.inflight[to] = make(map[int]int64)
-	}
-	m.inflight[to][from]++
-	m.blockMu.Unlock()
-	m.stateVer.Add(1)
-}
-
-// unsend retracts a noteSent whose channel send never happened (the sender
-// unwound while parked on a full mailbox).
-func (m *Machine) unsend(to, from int) {
-	m.blockMu.Lock()
-	m.inflight[to][from]--
-	m.blockMu.Unlock()
-	m.stateVer.Add(1)
-	m.broadcast()
-}
-
-// shouldUnwind reports whether rank, parked in a blocked primitive, must
-// unwind: immediately on a fatal abort, or — under a recoverable failure —
-// once the stuck-rank analysis proves it can never be unblocked.
-func (m *Machine) shouldUnwind(rank int) bool {
-	m.failMu.Lock()
-	fatal := m.fatalSeen
-	failed := m.firstFailedRank >= 0
-	m.failMu.Unlock()
-	if fatal {
+// ended reports whether rank id's body has returned this Run.
+func (m *Machine) ended(id int) bool {
+	select {
+	case <-m.ends[id]:
 		return true
-	}
-	return failed && m.doomed(rank)
-}
-
-// doomed reports whether rank can never be unblocked by the remaining live
-// ranks. It runs a can-progress fixpoint over the blocked-state registry:
-// a rank progresses if it is running, or if the resource it waits for can
-// still be produced by a progressing rank. The evaluation is conservative —
-// transiently unregistered ranks count as running — so a true verdict is
-// stable, and every survivor reaches the same verdict at the same virtual
-// state regardless of real-time interleaving. That determinism is what
-// makes a faulted run's trace byte-identical across schedules.
-//
-// Verdicts are computed into machine-owned scratch (no per-call
-// allocation) and cached under the state version: every registry mutation
-// bumps stateVer, so a cache hit is exactly as fresh as a recomputation,
-// and a wave of p survivors observing the same failure shares one
-// evaluation instead of each running its own.
-func (m *Machine) doomed(rank int) bool {
-	ver := m.stateVer.Load()
-	m.anMu.Lock()
-	defer m.anMu.Unlock()
-	if !m.anValid || m.anVer != ver {
-		m.recomputeCan()
-		m.anVer, m.anValid = ver, true
-	}
-	return !m.anCan[rank]
-}
-
-// recomputeCan runs the can-progress fixpoint into the analysis scratch.
-// Caller holds anMu.
-func (m *Machine) recomputeCan() {
-	p := m.cfg.Ranks
-	if m.anCan == nil {
-		m.anCan = make([]bool, p)
-		m.anBlocked = make([]blockInfo, p)
-		m.anFailed = make([]bool, p)
-		m.anDone = make([]bool, p)
-		m.anAvailAny = make([]bool, p)
-		m.anAvailPk = make([]bool, p)
-		m.anWinOpen = make([]bool, p)
-		m.anRound = make(map[*phRound]int8)
-	}
-	m.failMu.Lock()
-	for i := range m.anFailed {
-		m.anFailed[i] = m.failures[i] != nil
-	}
-	m.failMu.Unlock()
-	m.bodyMu.Lock()
-	copy(m.anDone, m.bodyDone)
-	m.bodyMu.Unlock()
-	m.blockMu.Lock()
-	copy(m.anBlocked, m.blocked)
-	for i := range m.anAvailAny {
-		m.anAvailAny[i], m.anAvailPk[i] = false, false
-		//pepvet:allow determinism the any-sender verdict is a disjunction over map entries; iteration order cannot change it
-		for from, n := range m.inflight[i] {
-			if n > 0 && from != i {
-				m.anAvailAny[i] = true
-				break
-			}
-		}
-		if b := m.anBlocked[i]; b.kind == blockRecv && b.peer >= 0 {
-			m.anAvailPk[i] = m.inflight[i][b.peer] > 0
-		}
-	}
-	m.blockMu.Unlock()
-	for i := range m.anWinOpen {
-		b := m.anBlocked[i]
-		m.anWinOpen[i] = b.kind == blockWindow && m.window(b.peer, b.name) != nil
-	}
-
-	nCan := 0
-	for i := range m.anCan {
-		m.anCan[i] = !m.anFailed[i] && !m.anDone[i] && m.anBlocked[i].kind == blockNone
-		if m.anCan[i] {
-			nCan++
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		// Collective-round verdicts are memoized per pass: a stale negative
-		// only delays a flip to the next pass, which the flip itself forces.
-		clear(m.anRound)
-		for i := range m.anCan {
-			if m.anCan[i] || m.anFailed[i] || m.anDone[i] || m.anBlocked[i].kind == blockNone {
-				continue
-			}
-			if m.mayUnblock(i, nCan) {
-				m.anCan[i] = true
-				nCan++
-				changed = true
-			}
-		}
+	default:
+		return false
 	}
 }
 
-// mayUnblock evaluates one parked rank's dependency against the current
-// can-progress scratch. nCan is the number of ranks currently able to
-// progress (none of which is i — i is blocked). Caller holds anMu.
-func (m *Machine) mayUnblock(i, nCan int) bool {
-	b := m.anBlocked[i]
-	switch b.kind {
-	case blockSend:
-		// Needs the receiver to drain its mailbox.
-		return m.anCan[b.peer]
-	case blockRecv:
-		if b.peer >= 0 {
-			return m.anAvailPk[i] || m.anCan[b.peer]
-		}
-		// Any in-flight message, or any rank that can still send one.
-		return m.anAvailAny[i] || nCan > 0
-	case blockWindow:
-		// An exposed window unblocks the waiter with data; a failed or
-		// finished owner unblocks it with an error return.
-		return m.anWinOpen[i] || m.anFailed[b.peer] || m.anDone[b.peer] || m.anCan[b.peer]
-	case blockColl:
-		// The rendezvous completes only if every member that has not yet
-		// arrived at this round can still arrive.
-		if v := m.anRound[b.round]; v != 0 {
-			return v > 0
-		}
-		ok := true
-		for _, g := range b.members {
-			if g == i {
-				continue
-			}
-			if m.anBlocked[g].kind == blockColl && m.anBlocked[g].round == b.round {
-				continue // already arrived and parked on the same round
-			}
-			if !m.anCan[g] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			m.anRound[b.round] = 1
-		} else {
-			m.anRound[b.round] = -1
-		}
-		return ok
+// wakeIdle wakes the RecvAny waiters once at most one active rank is left
+// running. Caller holds memberMu.
+func (m *Machine) wakeIdle() {
+	if m.live <= 1 {
+		close(m.idle)
+		m.idle = make(chan struct{})
 	}
-	return true
-}
-
-// firstCrash returns the first recoverable failure's rank and virtual time.
-// It reports false when the machine is healthy or the failure is fatal
-// (fatal aborts unwind via abortPanic, not the failure-detection path).
-func (m *Machine) firstCrash() (rank int, vtime float64, ok bool) {
-	m.failMu.Lock()
-	defer m.failMu.Unlock()
-	if m.firstFailedRank >= 0 && !m.fatalSeen {
-		return m.firstFailedRank, m.firstFailTime, true
-	}
-	return 0, 0, false
-}
-
-// isFailed reports whether rank has been marked failed.
-func (m *Machine) isFailed(rank int) bool {
-	m.failMu.Lock()
-	defer m.failMu.Unlock()
-	_, ok := m.failures[rank]
-	return ok
-}
-
-// broadcast wakes every waiter blocked on machine-level state (window
-// exposure, body completion, failures); collective waiters only after a failure.
-func (m *Machine) broadcast() {
-	m.notifyMu.Lock()
-	ch := m.notifyCh
-	m.notifyCh = make(chan struct{})
-	m.notifyMu.Unlock()
-	close(ch)
-}
-
-// notified returns a channel closed at the next machine-level event. Grab it
-// BEFORE re-checking state to avoid missed wakeups.
-func (m *Machine) notified() <-chan struct{} {
-	m.notifyMu.Lock()
-	ch := m.notifyCh
-	m.notifyMu.Unlock()
-	return ch
-}
-
-// noteBodyDone marks rank's body as returned for this Run.
-func (m *Machine) noteBodyDone(rank int) {
-	m.bodyMu.Lock()
-	m.bodyDone[rank] = true
-	m.bodyMu.Unlock()
-	m.stateVer.Add(1)
-	m.broadcast()
-}
-
-// bodyFinished reports whether rank's body has returned this Run.
-func (m *Machine) bodyFinished(rank int) bool {
-	m.bodyMu.Lock()
-	defer m.bodyMu.Unlock()
-	return m.bodyDone[rank]
 }
 
 // detectSec returns the configured failure-detection timeout.
@@ -617,50 +348,59 @@ func (m *Machine) detectSec() float64 {
 type abortPanic struct{}
 
 // chargeDetection advances the survivor's clock to the failure-detector
-// firing time (crash time + detection timeout), accounted as
+// firing time (failure time + detection timeout), accounted as
 // synchronization wait.
-func (r *Rank) chargeDetection(failed int, crashT float64) {
-	det := crashT + r.m.detectSec()
+func (r *Rank) chargeDetection(c cause) {
+	det := c.t + r.m.detectSec()
 	if det > r.clock {
 		d := det - r.clock
-		r.charge(det, trace.Event{Kind: trace.KindDetect, Name: "fault-detect", Peer: failed, Start: r.clock, Dur: d, Delta: trace.StatDelta{SyncWaitSec: d}})
+		r.charge(det, trace.Event{Kind: trace.KindDetect, Name: "fault-detect", Peer: c.rank, Start: r.clock, Dur: d, Delta: trace.StatDelta{SyncWaitSec: d}})
 	}
 }
 
-// interrupted unwinds the calling rank out of a blocked primitive after the
-// machine aborted. A recoverable peer crash charges the detection timeout
-// and unwinds as failPanic (Run records ErrRankFailed for the survivor); a
-// fatal abort unwinds as abortPanic. Never returns.
+// interrupted unwinds the calling rank out of a parked primitive after a
+// fatal abort (recovered by Run). Never returns.
 func (r *Rank) interrupted() {
-	if rank, t, ok := r.m.firstCrash(); ok {
-		r.chargeDetection(rank, t)
-		panic(failPanic{rank: rank})
-	}
 	panic(abortPanic{})
 }
 
-// interruptedErr is interrupted for error-returning primitives (Wait): a
-// recoverable crash becomes an ErrRankFailed return; a fatal abort still
-// panics (recovered by Run).
-func (r *Rank) interruptedErr() error {
-	if rank, t, ok := r.m.firstCrash(); ok {
-		r.chargeDetection(rank, t)
-		return ErrRankFailed{Rank: rank}
+// observe is a parked primitive learning that the rank it waits on ended by
+// failure c: a fatal abort takes precedence; otherwise the rank is charged
+// the detection timeout.
+func (r *Rank) observe(c cause) {
+	select {
+	case <-r.m.abort:
+		r.interrupted()
+	default:
 	}
-	panic(abortPanic{})
+	r.chargeDetection(c)
+}
+
+// peerEnded fails a primitive whose dependency ended without providing what
+// it waits for: c is the dependency's cause. A failure unwinds the rank as a
+// survivor; an end that is no failure is a program error, fatal for the run,
+// and what names the primitive and the peer for its message.
+func (r *Rank) peerEnded(c cause, what string) {
+	if c.failed {
+		r.observe(c)
+		panic(failPanic{c: c})
+	}
+	r.m.doAbort(fmt.Errorf("cluster: rank %d: %s: %w", r.id, what, ErrPeerFinished))
+	r.interrupted()
 }
 
 // RunReport describes one Run's outcome per rank, distinguishing
 // recoverable rank failures (crashes, exhausted transfer retries) from
 // fatal aborts (body errors, unexpected panics).
 type RunReport struct {
-	// Err is the machine's first failure; nil when every rank completed.
+	// Err is the run's first fatal error or, without one, the failure of
+	// the least (virtual time, rank); nil when every rank completed.
 	Err error
 	// Fatal marks a non-recoverable failure (rank body error or panic).
 	Fatal bool
 	// FailedRanks lists failed ranks in ascending order.
 	FailedRanks []int
-	// FailureTimeSec is the virtual time of the first failure (0 if none).
+	// FailureTimeSec is the virtual time of the least failure (0 if none).
 	FailureTimeSec float64
 	// RankErrs maps each rank to its outcome; completed ranks are absent.
 	// Survivors interrupted by a peer failure record ErrRankFailed.
@@ -690,18 +430,24 @@ func (m *Machine) Run(body func(r *Rank) error) error {
 
 // RunWithReport is Run returning the full per-rank outcome.
 func (m *Machine) RunWithReport(body func(r *Rank) error) *RunReport {
-	if m.abortErr != nil {
+	if m.lastErr != nil {
 		return &RunReport{
-			Err:   fmt.Errorf("cluster: machine aborted by a previous run (call Reset): %w", m.abortErr),
+			Err:   fmt.Errorf("cluster: machine aborted by a previous run (call Reset): %w", m.lastErr),
 			Fatal: true,
 		}
 	}
 	p := m.cfg.Ranks
-	m.bodyMu.Lock()
-	for i := range m.bodyDone {
-		m.bodyDone[i] = false
+	m.live = 0
+	for i := range m.ends {
+		m.ends[i] = make(chan struct{})
+		m.admitter[i] = -1
+		if m.active[i] {
+			m.live++
+		}
 	}
-	m.bodyMu.Unlock()
+	for _, ph := range m.phasers {
+		ph.gone = 0 // every member ended last Run
+	}
 	outcomes := make([]error, p)
 	var wg sync.WaitGroup
 	for _, r := range m.ranks {
@@ -709,47 +455,24 @@ func (m *Machine) RunWithReport(body func(r *Rank) error) *RunReport {
 		//pepvet:allow ranksafety Run is the ownership hand-off: each Rank is given to exactly one goroutine for the duration of the body
 		go func(r *Rank) {
 			defer wg.Done()
-			defer m.noteBodyDone(r.id)
-			defer func() {
-				switch rec := recover().(type) {
-				case nil:
-				case abortPanic:
-					outcomes[r.id] = m.abortErr // unwound by a fatal abort
-				case failPanic:
-					outcomes[r.id] = ErrRankFailed{Rank: rec.rank}
-				case crashPanic:
-					outcomes[r.id] = rec.err // own failure, already recorded
-				default:
-					err := fmt.Errorf("cluster: rank %d panicked: %v", r.id, rec)
-					m.doAbort(err)
-					outcomes[r.id] = err
-				}
-			}()
-			if err := body(r); err != nil {
-				var rf ErrRankFailed
-				if errors.As(err, &rf) || m.isFailed(r.id) {
-					// Recoverable failure surfaced through the body's own
-					// error return; already recorded via failRank.
-					outcomes[r.id] = err
-				} else {
-					wrapped := fmt.Errorf("cluster: rank %d: %w", r.id, err)
-					m.doAbort(wrapped)
-					outcomes[r.id] = wrapped
-				}
-			}
+			var c cause
+			outcomes[r.id], c = m.runBody(r, body)
+			m.endRank(r.id, c)
 		}(r)
 	}
 	wg.Wait()
-	rep := &RunReport{Err: m.abortErr, RankErrs: make(map[int]error, p)}
+	rep := &RunReport{RankErrs: make(map[int]error, p)}
 	m.failMu.Lock()
 	for i := 0; i < p; i++ {
-		if m.failures[i] != nil {
+		if f, ok := m.failures[i]; ok {
+			if len(rep.FailedRanks) == 0 || f.t < rep.FailureTimeSec {
+				rep.Err, rep.FailureTimeSec = f.err, f.t
+			}
 			rep.FailedRanks = append(rep.FailedRanks, i)
 		}
 	}
-	rep.Fatal = m.fatalSeen
-	if m.firstFailedRank >= 0 {
-		rep.FailureTimeSec = m.firstFailTime
+	if m.fatalErr != nil {
+		rep.Err, rep.Fatal = m.fatalErr, true
 	}
 	m.failMu.Unlock()
 	for i, err := range outcomes {
@@ -757,7 +480,47 @@ func (m *Machine) RunWithReport(body func(r *Rank) error) *RunReport {
 			rep.RankErrs[i] = err
 		}
 	}
+	m.lastErr = rep.Err
 	return rep
+}
+
+// runBody runs one rank's body and classifies its end: the rank's outcome
+// error and the cause it ended by.
+func (m *Machine) runBody(r *Rank, body func(r *Rank) error) (out error, c cause) {
+	c = cause{rank: r.id}
+	defer func() {
+		switch rec := recover().(type) {
+		case nil:
+		case abortPanic:
+			m.failMu.Lock()
+			out = m.fatalErr // unwound by a fatal abort
+			m.failMu.Unlock()
+		case failPanic:
+			out, c = ErrRankFailed{Rank: rec.c.rank}, rec.c
+		case crashPanic:
+			out, c = rec.err, rec.c // own failure, already recorded
+		default:
+			out = fmt.Errorf("cluster: rank %d panicked: %v", r.id, rec)
+			m.doAbort(out)
+		}
+	}()
+	err := body(r)
+	if err == nil {
+		return nil, c
+	}
+	// A recoverable failure surfaced through the body's own error return:
+	// the rank's own (recorded by failRank), or another's a Wait reported.
+	if own, ok := m.failureOf(r.id); ok {
+		return err, own
+	}
+	if rf := (ErrRankFailed{}); errors.As(err, &rf) {
+		if c, ok := m.failureOf(rf.Rank); ok {
+			return err, c
+		}
+	}
+	wrapped := fmt.Errorf("cluster: rank %d: %w", r.id, err)
+	m.doAbort(wrapped)
+	return wrapped, c
 }
 
 // Rank returns rank i's handle (for post-run stats inspection).
@@ -797,61 +560,32 @@ func (m *Machine) Reset() {
 	}
 	m.wins = make([]winTable, m.cfg.Ranks)
 	// A crashed run may have poisoned the collective rendezvous (a round
-	// with permanently missing arrivals); rebuild it and the world
-	// communicator that references it.
+	// with permanently missing arrivals); rebuild it, the world
+	// communicator that references it and the group registry.
 	worldRanks := make([]int, m.cfg.Ranks)
 	for i := range worldRanks {
 		worldRanks[i] = i
 	}
 	m.coll = newPhaser(worldRanks, worldPhaserID)
 	m.world = &commShared{ranks: worldRanks, ph: m.coll, lv: m.cfg.Cost.levelsFor(worldRanks)}
-	m.groupMu.Lock()
 	m.groups = make(map[string]*commShared)
-	m.groupMu.Unlock()
+	m.phasers = []*phaser{m.coll}
 	// Membership reverts to the configured initial set, so a Reset machine
 	// replays an elastic schedule from its starting roster.
-	m.memberMu.Lock()
 	for i := range m.active {
 		m.active[i] = m.cfg.Members == nil
 	}
-	if m.cfg.Members != nil {
-		for _, id := range m.cfg.Members {
-			m.active[id] = true
-		}
+	for _, id := range m.cfg.Members {
+		m.active[id] = true
 	}
-	m.memberMu.Unlock()
 	m.abortOnce = sync.Once{}
 	m.abort = make(chan struct{})
-	m.failOnce = sync.Once{}
-	m.failCh = make(chan struct{})
-	m.errOnce = sync.Once{}
-	m.abortErr = nil
-	m.blockMu.Lock()
-	for i := range m.blocked {
-		m.blocked[i] = blockInfo{}
-		clear(m.inflight[i])
-	}
-	m.blockMu.Unlock()
-	m.anMu.Lock()
-	m.anValid = false
-	m.anMu.Unlock()
-	m.stateVer.Add(1)
-	m.failMu.Lock()
-	m.failures = make(map[int]error)
-	m.firstFailedRank = -1
-	m.firstFailTime = 0
-	m.fatalSeen = false
-	m.failMu.Unlock()
-	m.bodyMu.Lock()
-	for i := range m.bodyDone {
-		m.bodyDone[i] = false
-	}
-	m.bodyMu.Unlock()
+	m.failures = make(map[int]failure)
+	m.fatalErr, m.lastErr = nil, nil
 	m.fault = newFaultState(m.cfg.Fault, m.cfg.Ranks)
 	if m.rec != nil {
 		m.rec.Reset()
 	}
-	m.broadcast()
 }
 
 // Stats aggregates one rank's accounting: the counters every event's delta
@@ -971,6 +705,8 @@ func (r *Rank) NoteFree(bytes int64) {
 
 // Send delivers payload to rank `to` with an identifying tag. The sender is
 // charged only its CPU overhead; transfer time is realized at the receiver.
+// On a full mailbox the sender waits for a slot, or drops the message once
+// the receiver has ended, as a buffered send would.
 func (r *Rank) Send(to int, tag string, payload []byte) {
 	if to < 0 || to >= r.Size() {
 		panic(fmt.Sprintf("cluster: rank %d Send to invalid rank %d", r.id, to))
@@ -981,46 +717,22 @@ func (r *Rank) Send(to int, tag string, payload []byte) {
 	r.charge(r.clock+cost.SendOverheadSec, trace.Event{Kind: trace.KindSend, Name: tag, Peer: to, Bytes: n, Start: r.clock, Dur: cost.SendOverheadSec, Delta: trace.StatDelta{TotalCommSec: cost.SendOverheadSec, BytesSent: n, Messages: 1}})
 	xfer := cost.PathXferSec(len(payload), r.id, to, r.Size()) + r.injectSendDelay(to)
 	msg := message{from: r.id, tag: tag, payload: payload, arrival: r.clock + xfer}
-	r.m.noteSent(to, r.id)
 	select {
 	case r.m.mailbox[to] <- msg:
 	default:
-		r.sendSlow(to, msg)
-	}
-}
-
-// sendSlow parks the sender on a full mailbox until space frees up, the
-// stuck-rank analysis proves the receiver can never drain it, or a fatal
-// abort fires.
-func (r *Rank) sendSlow(to int, msg message) {
-	defer r.m.clearBlocked(r.id)
-	for {
-		ch := r.m.notified()
 		select {
 		case r.m.mailbox[to] <- msg:
-			return
-		default:
-		}
-		if r.m.hasFailure() {
-			r.m.setBlocked(r.id, blockInfo{kind: blockSend, peer: to})
-			if r.m.shouldUnwind(r.id) {
-				r.m.unsend(to, r.id) // the message never entered the mailbox
-				r.interrupted()
-			}
-		}
-		select {
-		case r.m.mailbox[to] <- msg:
-			return
-		case <-ch:
+		case <-r.m.ends[to]:
 		case <-r.m.abort:
-			r.m.unsend(to, r.id)
 			r.interrupted()
 		}
 	}
 }
 
 // Recv blocks until a message from rank `from` is available and returns its
-// tag and payload, advancing the clock to the message's arrival time.
+// tag and payload, advancing the clock to the message's arrival time. It
+// fails once `from` has ended without sending one: with from's cause if that
+// was a failure, fatally (ErrPeerFinished) if it was not.
 func (r *Rank) Recv(from int) (tag string, payload []byte) {
 	r.faultPoint()
 	for {
@@ -1029,27 +741,40 @@ func (r *Rank) Recv(from int) (tag string, payload []byte) {
 			r.pending[from] = q[1:]
 			return r.deliver(msg)
 		}
-		r.pullOne(from)
+		select {
+		case msg := <-r.m.mailbox[r.id]:
+			r.intake(msg)
+		case <-r.m.ends[from]:
+			// Everything `from` sent is in the mailbox by now.
+			r.drain()
+			if len(r.pending[from]) == 0 {
+				r.peerEnded(r.m.endCause[from], fmt.Sprintf("Recv(%d): rank %d finished without sending", from, from))
+			}
+		case <-r.m.abort:
+			r.interrupted()
+		}
 	}
 }
 
 // RecvAny blocks until any message is available. Among already-queued
 // messages it picks the earliest virtual arrival (ties to the lowest rank)
-// to keep timing as schedule-independent as possible.
+// to keep timing as schedule-independent as possible. It fails once no
+// other active rank is still running: with the least cause among them if
+// one failed, fatally (ErrPeerFinished) if none did.
 func (r *Rank) RecvAny() (from int, tag string, payload []byte) {
 	r.faultPoint()
+	return r.recvAny("RecvAny", false)
+}
+
+// recvAny is RecvAny after the fault point; prim names the caller's
+// primitive in a fatal error. For an admission, a named admitter replaces
+// the other active ranks as the wait's dependency.
+func (r *Rank) recvAny(prim string, admission bool) (from int, tag string, payload []byte) {
 	for {
-		// Drain anything immediately available so the arrival-time choice
-		// sees all queued messages.
-		for {
-			select {
-			case msg := <-r.m.mailbox[r.id]:
-				r.intake(msg)
-				continue
-			default:
-			}
-			break
-		}
+		// Whether any sender is left is read before the mailbox is drained:
+		// every message of a rank that has ended is in the mailbox already.
+		w := r.m.senders(r.id, admission)
+		r.drain()
 		if from, ok := r.earliestPending(); ok {
 			q := r.pending[from]
 			msg := q[0]
@@ -1057,8 +782,67 @@ func (r *Rank) RecvAny() (from int, tag string, payload []byte) {
 			tag, payload = r.deliver(msg)
 			return msg.from, tag, payload
 		}
-		r.pullOne(-1)
+		switch {
+		case w.by >= 0 && w.byEnded:
+			r.peerEnded(r.m.endCause[w.by], fmt.Sprintf("%s: admitting rank %d finished without sending the admission", prim, w.by))
+		case w.by < 0 && w.alone:
+			r.peerEnded(r.m.leastActiveEnd(r.id), prim+": every other active rank finished without sending")
+		}
+		select {
+		case msg := <-r.m.mailbox[r.id]:
+			r.intake(msg)
+		case <-w.wake:
+		case <-w.named:
+		case <-r.m.abort:
+			r.interrupted()
+		}
 	}
+}
+
+// waitSenders is what a RecvAny or AwaitAdmission waits on: by is the
+// admitter it depends on (-1: the other active ranks), byEnded whether that
+// rank has ended, alone whether no other active rank is still running, wake
+// the channel closed when the dependency may next change and named the one
+// closed when the rank is admitted.
+type waitSenders struct {
+	by             int
+	byEnded, alone bool
+	wake, named    <-chan struct{}
+}
+
+// senders snapshots rank id's wait dependency: for an admission with a
+// named admitter that rank, otherwise every other active rank.
+func (m *Machine) senders(id int, admission bool) waitSenders {
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	w := waitSenders{by: -1}
+	if admission {
+		if w.by = m.admitter[id]; w.by >= 0 {
+			w.byEnded, w.wake = m.ended(w.by), m.ends[w.by]
+			return w
+		}
+		w.named = m.admitted[id]
+	}
+	others := m.live
+	if m.active[id] {
+		others--
+	}
+	w.alone, w.wake = others == 0, m.idle
+	return w
+}
+
+// leastActiveEnd returns the least cause among the active ranks other than
+// id, all of which have ended (a cause that is no failure when none failed).
+func (m *Machine) leastActiveEnd(id int) cause {
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	least := cause{rank: id}
+	for j, a := range m.active {
+		if a && j != id && m.endCause[j].before(least) {
+			least = m.endCause[j]
+		}
+	}
+	return least
 }
 
 func (r *Rank) earliestPending() (int, bool) {
@@ -1081,42 +865,19 @@ func (r *Rank) earliestPending() (int, bool) {
 	return best, best >= 0
 }
 
-// intake moves one message from the mailbox into the pending queues,
-// keeping the in-flight counter in step.
+// intake moves one message from the mailbox into the pending queues.
 func (r *Rank) intake(msg message) {
-	r.m.blockMu.Lock()
-	r.m.inflight[r.id][msg.from]--
-	r.m.blockMu.Unlock()
-	r.m.stateVer.Add(1)
 	r.pending[msg.from] = append(r.pending[msg.from], msg)
 }
 
-// pullOne blocks until one mailbox message can be moved into the pending
-// queues. from names the sender the caller is waiting for (-1: any), which
-// scopes the stuck-rank analysis once the machine carries a failure.
-func (r *Rank) pullOne(from int) {
-	defer r.m.clearBlocked(r.id)
+// drain moves every message already in the mailbox into the pending queues.
+func (r *Rank) drain() {
 	for {
-		ch := r.m.notified()
 		select {
 		case msg := <-r.m.mailbox[r.id]:
 			r.intake(msg)
-			return
 		default:
-		}
-		if r.m.hasFailure() {
-			r.m.setBlocked(r.id, blockInfo{kind: blockRecv, peer: from})
-			if r.m.shouldUnwind(r.id) {
-				r.interrupted()
-			}
-		}
-		select {
-		case msg := <-r.m.mailbox[r.id]:
-			r.intake(msg)
 			return
-		case <-ch:
-		case <-r.m.abort:
-			r.interrupted()
 		}
 	}
 }
@@ -1155,15 +916,14 @@ func (r *Rank) Expose(name string, data []byte) {
 	if t.m == nil {
 		t.m = make(map[string]*window)
 	}
-	_, again := t.m[name]
 	// A re-exposure replaces the window in a new epoch; it never writes
 	// through the old one.
 	t.m[name] = &window{data: data, exposeTime: r.clock}
-	t.mu.Unlock()
-	if !again {
-		r.m.stateVer.Add(1) // the stuck-rank analysis reads which windows exist
+	if t.wake != nil {
+		close(t.wake) // wake the ranks waiting for a window of this owner
+		t.wake = nil
 	}
-	r.m.broadcast() // wake waiters blocked on this exposure
+	t.mu.Unlock()
 }
 
 // Pending is an in-flight one-sided get; Wait completes it.
@@ -1188,55 +948,42 @@ func (r *Rank) Get(owner int, name string) *Pending {
 	return &Pending{r: r, owner: owner, name: name, issueTime: r.clock, issueCompute: r.Stats.ComputeSec}
 }
 
-// waitWindow blocks until owner's window under name exists, the owner fails
-// (ErrRankFailed), or the owner's body finishes without ever exposing it
-// (ErrNoWindow — unless a peer failure explains the missing exposure, which
-// is reported as ErrRankFailed instead). An exposure merely still in flight
-// is therefore waited for, not an error. Every exit condition is a fact of
-// the virtual execution, so the outcome is schedule-independent.
+// waitWindow blocks until owner's window under name exists or the owner's
+// body ends. An owner that ended by a failure fails the wait with
+// ErrRankFailed naming that failure's rank, charged its detection; one that
+// completed without exposing the window fails it with ErrNoWindow. An
+// exposure merely still in flight is therefore waited for, not an error.
+// Every exit condition is a fact of the owner's own program order, so the
+// outcome is schedule-independent.
 func (r *Rank) waitWindow(owner int, name string) (*window, error) {
 	// Fast path: in steady-state transport loops the window was exposed long
-	// ago, so skip the wakeup-channel registration and blocked-state
-	// bookkeeping entirely. At p=4096 this lookup runs O(p²) times per run.
+	// ago. At p=4096 this lookup runs O(p²) times per run.
 	if w := r.m.window(owner, name); w != nil {
 		return w, nil
 	}
-	defer r.m.clearBlocked(r.id)
+	if owner == r.id {
+		// A rank knows its own windows synchronously.
+		return nil, fmt.Errorf("cluster: rank %d: window %q: %w", r.id, name, ErrNoWindow)
+	}
 	for {
-		ch := r.m.notified() // grab before re-checking to avoid lost wakeups
-		if w := r.m.window(owner, name); w != nil {
+		w, exposed := r.m.windowOrWake(owner, name)
+		if w != nil {
 			return w, nil
 		}
-		if owner == r.id {
-			// A rank knows its own windows synchronously.
-			return nil, fmt.Errorf("cluster: rank %d: window %q: %w", r.id, name, ErrNoWindow)
-		}
-		if r.m.isFailed(owner) {
-			if rank, t, ok := r.m.firstCrash(); ok {
-				r.chargeDetection(rank, t)
-			}
-			return nil, ErrRankFailed{Rank: owner}
-		}
-		if r.m.bodyFinished(owner) {
-			if rank, t, ok := r.m.firstCrash(); ok {
-				// The owner unwound as a survivor of a peer failure before
-				// exposing: observe that failure rather than mis-reporting
-				// the missing window as a program error.
-				r.chargeDetection(rank, t)
-				return nil, ErrRankFailed{Rank: rank}
-			}
-			return nil, fmt.Errorf("cluster: rank %d: window %q: rank %d finished without exposing it: %w", r.id, name, owner, ErrNoWindow)
-		}
-		if r.m.hasFailure() {
-			r.m.setBlocked(r.id, blockInfo{kind: blockWindow, peer: owner, name: name})
-			if r.m.shouldUnwind(r.id) {
-				return nil, r.interruptedErr()
-			}
-		}
 		select {
-		case <-ch:
+		case <-exposed:
+		case <-r.m.ends[owner]:
+			if w := r.m.window(owner, name); w != nil {
+				return w, nil // exposed before the owner ended
+			}
+			c := r.m.endCause[owner]
+			if !c.failed {
+				return nil, fmt.Errorf("cluster: rank %d: window %q: rank %d finished without exposing it: %w", r.id, name, owner, ErrNoWindow)
+			}
+			r.observe(c)
+			return nil, ErrRankFailed{Rank: c.rank}
 		case <-r.m.abort:
-			return nil, r.interruptedErr()
+			r.interrupted()
 		}
 	}
 }

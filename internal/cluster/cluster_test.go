@@ -231,19 +231,20 @@ func TestAllreduceVec(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
+// TestGatherAtNonZeroRoot: a gather to a root other than rank 0 lands every
+// member's payload at that root in rank order, and nothing elsewhere.
+func TestGatherAtNonZeroRoot(t *testing.T) {
 	m := newMachine(t, 4, freeNet())
 	err := m.Run(func(r *Rank) error {
-		var payload []byte
-		if r.ID() == 2 {
-			payload = []byte("root-data")
-		}
-		got := r.World().Bcast(2, payload)
-		if string(got) != "root-data" {
-			return fmt.Errorf("rank %d got %q", r.ID(), got)
-		}
+		got := r.World().Gather(2, []byte{byte('a' + r.ID())})
 		if r.ID() != 2 {
-			got[0] = 'X' // private copy — must not corrupt others
+			if got != nil {
+				return fmt.Errorf("non-root rank %d got %q", r.ID(), got)
+			}
+			return nil
+		}
+		if string(bytes.Join(got, nil)) != "abcd" || len(got) != 4 {
+			return fmt.Errorf("root got %q", got)
 		}
 		return nil
 	})

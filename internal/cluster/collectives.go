@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"pepscale/internal/trace"
 )
@@ -14,12 +15,21 @@ const worldPhaserID = "world"
 // MPI ordering requirement); each operation is one phaser round. The id
 // names the phaser in traces; together with the round sequence number it
 // lets trace analysis match one rendezvous across rank timelines.
+//
+// A round resolves once every member has arrived or is gone (its body ended
+// this Run, so it never arrives again). With no member gone it completes;
+// otherwise every arrived member unwinds with the least cause among the gone
+// ones. Which members arrive and which end is a fact of each member's own
+// program order, so both the round's outcome and that cause are too.
 type phaser struct {
-	id    string
-	n     int
-	ranks []int // global rank ids of the members, ascending group order
-	cur   *phRound
-	mu    chMutex
+	id     string
+	n      int
+	ranks  []int // global rank ids of the members, ascending group order
+	sorted []int // the same ids ascending, for membership tests
+	cur    *phRound
+	mu     chMutex
+	gone   int   // members that ended this Run
+	least  cause // the least cause among them
 }
 
 // chMutex is a channel-based mutex so a blocked collective can also observe
@@ -51,11 +61,33 @@ type phRound struct {
 	done     chan struct{}
 	result   interface{}
 	maxClock float64
+	// failed marks a round resolved with members gone; end is the least
+	// cause among them.
+	failed bool
+	end    cause
 }
 
 func newPhaser(ranks []int, id string) *phaser {
 	n := len(ranks)
-	return &phaser{id: id, n: n, ranks: ranks, cur: newRound(n, 0), mu: newChMutex()}
+	sorted := ranks
+	if !slices.IsSorted(ranks) {
+		sorted = slices.Clone(ranks)
+		slices.Sort(sorted)
+	}
+	return &phaser{id: id, n: n, ranks: ranks, sorted: sorted, cur: newRound(n, 0), mu: newChMutex()}
+}
+
+// addPhaser creates a rendezvous that a rank's end reaches, with its
+// members that have already ended this Run gone. Caller holds memberMu.
+func (m *Machine) addPhaser(ranks []int, id string) *phaser {
+	p := newPhaser(ranks, id)
+	for _, g := range ranks {
+		if m.ended(g) {
+			p.markGone(m.endCause[g])
+		}
+	}
+	m.phasers = append(m.phasers, p)
+	return p
 }
 
 func newRound(n int, seq int64) *phRound {
@@ -67,10 +99,12 @@ func newRound(n int, seq int64) *phRound {
 	}
 }
 
-// arrive deposits this rank's input and blocks until all ranks of the round
-// have arrived; the last arriver evaluates fn over the rank-indexed inputs.
-// It returns fn's result and the maximum clock across participants.
-func (p *phaser) arrive(r *Rank, idx int, input interface{}, fn func(inputs []interface{}) interface{}) (interface{}, float64) {
+// arrive deposits this rank's input and blocks until the round resolves;
+// when every member arrived, the last arriver evaluates fn over the
+// rank-indexed inputs. It returns fn's result and the maximum clock across
+// participants. A round resolved with members gone unwinds the caller: name
+// is the collective, for the error when no gone member failed.
+func (p *phaser) arrive(r *Rank, name string, idx int, input interface{}, fn func(inputs []interface{}) interface{}) (interface{}, float64) {
 	r.faultPoint()
 	p.mu.lock(r)
 	rd := p.cur
@@ -78,7 +112,26 @@ func (p *phaser) arrive(r *Rank, idx int, input interface{}, fn func(inputs []in
 	rd.inputs[idx] = input
 	rd.clocks[idx] = r.clock
 	rd.arrived++
-	if rd.arrived == p.n {
+	last := rd.arrived+p.gone == p.n
+	if last {
+		p.resolve(rd, fn)
+	}
+	p.mu.unlock()
+	if !last {
+		r.awaitRound(rd)
+	}
+	if rd.failed {
+		r.peerEnded(rd.end, fmt.Sprintf("%s: rank %d finished without arriving", name, rd.end.rank))
+	}
+	return rd.result, rd.maxClock
+}
+
+// resolve settles rd, at whose resolution every member has arrived or is
+// gone. Caller holds p.mu.
+func (p *phaser) resolve(rd *phRound, fn func(inputs []interface{}) interface{}) {
+	if p.gone > 0 {
+		rd.failed, rd.end = true, p.least
+	} else {
 		rd.maxClock = rd.clocks[0]
 		for _, c := range rd.clocks[1:] {
 			if c > rd.maxClock {
@@ -89,55 +142,44 @@ func (p *phaser) arrive(r *Rank, idx int, input interface{}, fn func(inputs []in
 			rd.result = fn(rd.inputs)
 		}
 		p.cur = newRound(p.n, rd.seq+1)
-		p.mu.unlock()
-		close(rd.done)
-	} else {
-		p.mu.unlock()
-		r.awaitRound(p, rd)
 	}
-	return rd.result, rd.maxClock
+	close(rd.done)
 }
 
-// awaitRound parks the rank until its collective round completes. Before the
-// machine's first failure only the round's completion, that failure (failCh)
-// or a fatal abort can change what the rank does, so it parks once on those
-// three and no other machine event wakes it: O(p) wake-ups per collective,
-// not O(p²). After a failure the registry loop takes over: the rank unwinds
-// (detection charge + failPanic) only once the stuck-rank analysis proves the
-// rendezvous can never complete — a fact of the virtual execution, not of
-// goroutine scheduling — so a faulted run's survivor timelines are
-// deterministic. A fatal abort unwinds immediately.
-func (r *Rank) awaitRound(p *phaser, rd *phRound) {
-	if !r.m.hasFailure() {
-		select {
-		case <-rd.done:
-			r.m.collWakes.Add(1)
-			return
-		case <-r.m.failCh:
-			r.m.collWakes.Add(1)
-		case <-r.m.abort:
-			r.interrupted()
-		}
+// markGone counts one more member that ended by c.
+func (p *phaser) markGone(c cause) {
+	p.gone++
+	if p.gone == 1 || c.before(p.least) {
+		p.least = c
 	}
-	defer r.m.clearBlocked(r.id)
-	for {
-		ch := r.m.notified()
-		select {
-		case <-rd.done:
-			return
-		default:
-		}
-		r.m.setBlocked(r.id, blockInfo{kind: blockColl, round: rd, members: p.ranks})
-		if r.m.shouldUnwind(r.id) {
-			r.interrupted()
-		}
-		select {
-		case <-rd.done:
-		case <-ch:
-		case <-r.m.abort:
-			r.interrupted()
-		}
+}
+
+// leave marks a member that ended by c gone, resolving the current round if
+// it was the last one awaited. A fatal abort has unwound every member.
+func (p *phaser) leave(m *Machine, c cause) {
+	select {
+	case <-p.mu.ch:
+	case <-m.abort:
+		return
+	}
+	p.markGone(c)
+	// A round nobody waits in stays open: after a clean Run it is the one
+	// the next Run starts from.
+	if rd := p.cur; rd.arrived > 0 && rd.arrived+p.gone == p.n {
+		p.resolve(rd, nil)
+	}
+	p.mu.unlock()
+}
+
+// awaitRound parks the rank until its collective round resolves or a fatal
+// abort fires; nothing else wakes it, so a collective costs O(p) host
+// wake-ups.
+func (r *Rank) awaitRound(rd *phRound) {
+	select {
+	case <-rd.done:
 		r.m.collWakes.Add(1)
+	case <-r.m.abort:
+		r.interrupted()
 	}
 }
 
@@ -195,7 +237,7 @@ func (r *Rank) AllreduceInt64(op ReduceOp, v int64) int64 { return r.World().All
 // count array of the parallel counting sort). Every rank receives a private
 // copy of the result.
 func (r *Rank) AllreduceInt64Vec(op ReduceOp, vec []int64) []int64 {
-	res, maxClock := r.m.coll.arrive(r, r.id, vec, func(inputs []interface{}) interface{} {
+	res, maxClock := r.m.coll.arrive(r, "allreduce-int64vec", r.id, vec, func(inputs []interface{}) interface{} {
 		first := inputs[0].([]int64)
 		acc := make([]int64, len(first))
 		copy(acc, first)
@@ -243,7 +285,7 @@ func (r *Rank) Alltoallv(send [][]byte) [][]byte {
 	if len(send) != r.Size() {
 		panic(fmt.Sprintf("cluster: Alltoallv needs %d buffers, got %d", r.Size(), len(send)))
 	}
-	res, maxClock := r.m.coll.arrive(r, r.id, send, func(inputs []interface{}) interface{} {
+	res, maxClock := r.m.coll.arrive(r, "alltoallv", r.id, send, func(inputs []interface{}) interface{} {
 		n := len(inputs)
 		matrix := make([][][]byte, n)
 		for i, in := range inputs {

@@ -63,7 +63,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		color, key, rank int
 	}
 	in := entry{color: color, key: key, rank: r.id}
-	res, maxClock := c.shared.ph.arrive(r, c.myIdx, in, func(inputs []interface{}) interface{} {
+	res, maxClock := c.shared.ph.arrive(r, "split", c.myIdx, in, func(inputs []interface{}) interface{} {
 		groups := map[int][]entry{}
 		for _, raw := range inputs {
 			e := raw.(entry)
@@ -84,7 +84,10 @@ func (c *Comm) Split(color, key int) *Comm {
 			}
 			// The phaser id is derived from the (sorted) membership, so a
 			// deterministic program yields deterministic trace identities.
-			out[color] = &commShared{ranks: ranks, ph: newPhaser(ranks, fmt.Sprintf("split%v", ranks)), lv: r.m.cfg.Cost.levelsFor(ranks)}
+			r.m.memberMu.Lock()
+			ph := r.m.addPhaser(ranks, fmt.Sprintf("split%v", ranks))
+			r.m.memberMu.Unlock()
+			out[color] = &commShared{ranks: ranks, ph: ph, lv: r.m.cfg.Cost.levelsFor(ranks)}
 		}
 		return out
 	})
@@ -105,13 +108,13 @@ func (c *Comm) Split(color, key int) *Comm {
 
 // Barrier synchronizes the communicator's members.
 func (c *Comm) Barrier() {
-	_, maxClock := c.shared.ph.arrive(c.r, c.myIdx, nil, nil)
+	_, maxClock := c.shared.ph.arrive(c.r, "barrier", c.myIdx, nil, nil)
 	c.r.syncTo("barrier", maxClock, c.collSec(0), 0, 0)
 }
 
 // AllreduceInt64 combines one int64 per member under op.
 func (c *Comm) AllreduceInt64(op ReduceOp, v int64) int64 {
-	res, maxClock := c.shared.ph.arrive(c.r, c.myIdx, v, func(inputs []interface{}) interface{} {
+	res, maxClock := c.shared.ph.arrive(c.r, "allreduce-int64", c.myIdx, v, func(inputs []interface{}) interface{} {
 		acc := inputs[0].(int64)
 		for _, in := range inputs[1:] {
 			acc = reduceInt64(op, acc, in.(int64))
@@ -125,7 +128,7 @@ func (c *Comm) AllreduceInt64(op ReduceOp, v int64) int64 {
 // AllreduceFloat64 combines one float64 per member under op — the epoch
 // clock agreement of the elastic engine (OpMax over member virtual times).
 func (c *Comm) AllreduceFloat64(op ReduceOp, v float64) float64 {
-	res, maxClock := c.shared.ph.arrive(c.r, c.myIdx, v, func(inputs []interface{}) interface{} {
+	res, maxClock := c.shared.ph.arrive(c.r, "allreduce-float64", c.myIdx, v, func(inputs []interface{}) interface{} {
 		acc := inputs[0].(float64)
 		for _, in := range inputs[1:] {
 			acc = reduceFloat64(op, acc, in.(float64))
@@ -134,25 +137,6 @@ func (c *Comm) AllreduceFloat64(op ReduceOp, v float64) float64 {
 	})
 	c.r.syncTo("allreduce-float64", maxClock, c.collSec(8), 0, 0)
 	return res.(float64)
-}
-
-// Bcast distributes the payload of the member at group index root to every
-// member (root receives its own data back unchanged).
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	res, maxClock := c.shared.ph.arrive(c.r, c.myIdx, data, func(inputs []interface{}) interface{} {
-		d, _ := inputs[root].([]byte)
-		return d
-	})
-	out, _ := res.([]byte)
-	n := int64(len(out))
-	if c.myIdx != root {
-		c.r.syncTo("bcast", maxClock, c.collSec(len(out)), 0, n)
-		cp := make([]byte, len(out))
-		copy(cp, out)
-		return cp
-	}
-	c.r.syncTo("bcast", maxClock, c.collSec(len(out)), n, 0)
-	return out
 }
 
 // gathered is the rendezvous result of Gather and Allgather.
@@ -164,7 +148,7 @@ type gathered struct {
 // Gather collects one payload per member at the member with group index
 // root, which receives the group-ordered slice; other members receive nil.
 func (c *Comm) Gather(root int, payload []byte) [][]byte {
-	res, maxClock := c.shared.ph.arrive(c.r, c.myIdx, payload, func(inputs []interface{}) interface{} {
+	res, maxClock := c.shared.ph.arrive(c.r, "gather", c.myIdx, payload, func(inputs []interface{}) interface{} {
 		out := make([][]byte, len(inputs))
 		var total int
 		for i, in := range inputs {
@@ -190,7 +174,7 @@ func (c *Comm) Gather(root int, payload []byte) [][]byte {
 // a later write to one's own payload shows in none). Each member is still
 // charged its full receive.
 func (c *Comm) Allgather(payload []byte) [][]byte {
-	res, maxClock := c.shared.ph.arrive(c.r, c.myIdx, payload, func(inputs []interface{}) interface{} {
+	res, maxClock := c.shared.ph.arrive(c.r, "allgather", c.myIdx, payload, func(inputs []interface{}) interface{} {
 		var total int
 		for _, in := range inputs {
 			b, _ := in.([]byte)

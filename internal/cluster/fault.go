@@ -9,11 +9,19 @@
 // same failure points.
 //
 // Fault checks hook the entry of every communication primitive (Send, Recv,
-// RecvAny, Get, Wait, Expose, and each collective rendezvous); Compute applies
-// the straggler multiplier. A crash marks the rank failed (see ErrRankFailed
-// and Machine.RunWithReport) and unwinds it; survivors observe the failure
-// from their next blocked primitive after a detection timeout charged on the
-// virtual clock.
+// RecvAny, AwaitAdmission, Get, Wait, Expose, and each collective
+// rendezvous); Compute applies the straggler multiplier. A crash marks the
+// rank failed (see ErrRankFailed and Machine.RunWithReport) and ends its
+// body. Survivors learn of it by dependency, not by broadcast: a parked
+// primitive fails once the rank or ranks it waits on have ended — a Recv on
+// its sender, a Wait on the window's owner, RecvAny on every other active
+// rank, AwaitAdmission on its admitter once it has one (before that, on
+// every other active rank), a collective round on the members that never
+// arrive — with their least cause, the earliest failure by (virtual time,
+// rank), after a detection timeout charged on the virtual clock. A rank's
+// end is a fact of its own program order, so the primitive a survivor fails
+// in, and the virtual time it fails at, do not depend on the host's
+// schedule.
 package cluster
 
 import (
@@ -201,11 +209,11 @@ func (r *Rank) faultPoint() {
 }
 
 // crash marks this rank failed and unwinds it.
-func (r *Rank) crash(cause error) {
-	err := ErrRankFailed{Rank: r.id, Cause: cause}
-	r.charge(r.clock, trace.Event{Kind: trace.KindCrash, Name: "crash", Peer: -1, Start: r.clock, Note: cause.Error()})
+func (r *Rank) crash(reason error) {
+	err := ErrRankFailed{Rank: r.id, Cause: reason}
+	r.charge(r.clock, trace.Event{Kind: trace.KindCrash, Name: "crash", Peer: -1, Start: r.clock, Note: reason.Error()})
 	r.m.failRank(r.id, err, r.clock)
-	panic(crashPanic{err: err})
+	panic(crashPanic{err: err, c: cause{rank: r.id, t: r.clock, failed: true}})
 }
 
 // stragglerFactor returns this rank's compute multiplier (1 when unset).
@@ -265,8 +273,8 @@ func (r *Rank) dropTransfer(owner int) bool {
 
 // ErrRankFailed reports a rank failure. The failed rank records it with the
 // crash cause; survivors interrupted by the failure observe it (from blocked
-// collectives, receives, and waits) with Cause nil and Rank naming the peer
-// that failed. Match with errors.As.
+// collectives, receives, and waits) with Cause nil and Rank naming the rank
+// the failure started on. Match with errors.As.
 type ErrRankFailed struct {
 	// Rank is the failed rank.
 	Rank int
@@ -307,8 +315,16 @@ func (e TransferError) Error() string {
 	return fmt.Sprintf("cluster: get of window %q from rank %d failed after %d attempts", e.Window, e.Owner, e.Attempts)
 }
 
+// ErrPeerFinished marks a receive or a collective whose peer finished its
+// rank body without sending the awaited message or arriving — a program
+// error, fatal for the run, as opposed to a peer that failed (ErrRankFailed).
+var ErrPeerFinished = errors.New("cluster: peer finished without sending or arriving")
+
 // crashPanic unwinds a rank at its own injected failure point.
-type crashPanic struct{ err error }
+type crashPanic struct {
+	err error
+	c   cause
+}
 
 // failPanic unwinds a survivor interrupted by a peer failure.
-type failPanic struct{ rank int }
+type failPanic struct{ c cause }

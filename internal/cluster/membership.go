@@ -327,31 +327,73 @@ func (m *Machine) ActiveCount() int {
 // no-op transitions so admission can never index past the universe or
 // double-admit.
 func (m *Machine) markActive(id int, active bool) error {
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	return m.setActive(id, active)
+}
+
+// setActive is markActive with memberMu held. A rank going dormant forgets
+// its admitter.
+func (m *Machine) setActive(id int, active bool) error {
 	if id < 0 || id >= m.cfg.Ranks {
 		return fmt.Errorf("cluster: membership change for rank %d outside universe [0,%d)", id, m.cfg.Ranks)
 	}
-	m.memberMu.Lock()
-	defer m.memberMu.Unlock()
 	if m.active[id] == active {
 		return fmt.Errorf("cluster: rank %d already %s", id, map[bool]string{true: "active", false: "dormant"}[active])
 	}
 	m.active[id] = active
+	if !active {
+		m.admitter[id] = -1
+	}
+	if !m.ended(id) {
+		if active {
+			m.live++
+		} else {
+			m.live--
+			m.wakeIdle()
+		}
+	}
 	return nil
 }
 
-// Admit activates dormant rank `to` and hands it payload as its admission
-// state. The message transfer is charged like any Send, so the joiner's
-// clock advances to the admission's arrival time. Admitting an active or
-// out-of-universe rank panics: it is a program error on par with sending to
-// an invalid rank.
-func (r *Rank) Admit(to int, payload []byte) {
-	if err := r.m.markActive(to, true); err != nil {
-		panic(err.Error())
+// admit activates dormant rank to on behalf of active rank by, names by its
+// admitter and wakes its AwaitAdmission to wait on by alone.
+func (m *Machine) admit(by, to int) error {
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	if !m.active[by] {
+		return fmt.Errorf("cluster: dormant rank %d cannot admit rank %d", by, to)
 	}
-	if r.tl != nil {
-		r.Mark("admit", fmt.Sprintf("rank %d admitted by %d", to, r.id))
+	if err := m.setActive(to, true); err != nil {
+		return err
 	}
-	r.Send(to, admitTag, payload)
+	m.admitter[to] = by
+	close(m.admitted[to])
+	m.admitted[to] = make(chan struct{})
+	return nil
+}
+
+// Admit activates the dormant ranks `to` and hands each payload as its
+// admission state. Every one of them is active, with the caller as its
+// admitter, before the first admission is sent, so a crash at any of the
+// sends fails each joiner still waiting for its admission (see
+// AwaitAdmission) instead of leaving it dormant in a round that counts it.
+// Each transfer is charged like any Send, so a joiner's clock advances to
+// its admission's arrival time. Admitting from a dormant rank, or admitting
+// an active or out-of-universe rank, panics: it is a program error on par
+// with sending to an invalid rank.
+func (r *Rank) Admit(to []int, payload []byte) {
+	for _, j := range to {
+		if err := r.m.admit(r.id, j); err != nil {
+			panic(err.Error())
+		}
+	}
+	for _, j := range to {
+		if r.tl != nil {
+			r.Mark("admit", fmt.Sprintf("rank %d admitted by %d", j, r.id))
+		}
+		r.Send(j, admitTag, payload)
+	}
 }
 
 // Depart marks the calling rank dormant again (a graceful leave). The
@@ -394,9 +436,13 @@ func (r *Rank) Release(to int) {
 // The wait itself is free on the virtual clock — a dormant rank models
 // capacity that is not yet part of the job — but the delivered admission
 // message is charged normally. Any other message arriving while dormant is
-// a protocol error and panics.
+// a protocol error and panics. Once admitted, it depends on its admitter
+// alone: it fails if the admitter ends without sending the admission. Until
+// then, like RecvAny, it fails once no other active rank is left running,
+// so two dormant ranks never wait on each other.
 func (r *Rank) AwaitAdmission() (payload []byte, ok bool) {
-	from, tag, payload := r.RecvAny()
+	r.faultPoint()
+	from, tag, payload := r.recvAny("AwaitAdmission", true)
 	switch tag {
 	case admitTag:
 		return payload, true
@@ -428,13 +474,13 @@ func (r *Rank) Group(members []int) *Comm {
 	}
 	key := fmt.Sprint(ms)
 	m := r.m
-	m.groupMu.Lock()
+	m.memberMu.Lock()
 	sh, ok := m.groups[key]
 	if !ok {
-		sh = &commShared{ranks: ms, ph: newPhaser(ms, "group"+key), lv: m.cfg.Cost.levelsFor(ms)}
+		sh = &commShared{ranks: ms, ph: m.addPhaser(ms, "group"+key), lv: m.cfg.Cost.levelsFor(ms)}
 		m.groups[key] = sh
 	}
-	m.groupMu.Unlock()
+	m.memberMu.Unlock()
 	myIdx := -1
 	for i, id := range sh.ranks {
 		if id == r.id {

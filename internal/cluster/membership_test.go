@@ -190,12 +190,12 @@ func TestAdmissionFlow(t *testing.T) {
 	err = m.Run(func(r *Rank) error {
 		switch r.ID() {
 		case 0:
-			r.Admit(1, []byte("state-v1"))
+			r.Admit([]int{1}, []byte("state-v1"))
 			tag, _ := r.Recv(1) // rank 1's departure notice
 			if tag != "leaving" {
 				t.Errorf("got tag %q", tag)
 			}
-			r.Admit(1, []byte("state-v2"))
+			r.Admit([]int{1}, []byte("state-v2"))
 			r.Recv(1)
 			r.Release(1)
 			r.Release(2)
@@ -249,7 +249,7 @@ func TestAdmitAfterLeaveBarrier(t *testing.T) {
 		both := r.Group([]int{0, 1})
 		if r.ID() == 0 {
 			both.Barrier()
-			r.Admit(1, []byte("back"))
+			r.Admit([]int{1}, []byte("back"))
 			return nil
 		}
 		both.LeaveBarrier()
@@ -280,7 +280,7 @@ func TestAdmissionChargesArrival(t *testing.T) {
 	err = m.Run(func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Compute(3.5)
-			r.Admit(1, make([]byte, 1<<20))
+			r.Admit([]int{1}, make([]byte, 1<<20))
 			return nil
 		}
 		if _, ok := r.AwaitAdmission(); !ok {
@@ -306,7 +306,7 @@ func TestAdmitRejectsBadTargets(t *testing.T) {
 	}
 	rep := m.RunWithReport(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.Admit(1, nil) // rank 1 is already active
+			r.Admit([]int{1}, nil) // rank 1 is already active
 		}
 		return nil
 	})
@@ -316,7 +316,7 @@ func TestAdmitRejectsBadTargets(t *testing.T) {
 	m.Reset()
 	rep = m.RunWithReport(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.Admit(7, nil) // outside the universe
+			r.Admit([]int{7}, nil) // outside the universe
 		}
 		return nil
 	})
@@ -344,7 +344,7 @@ func TestResetRestoresMembership(t *testing.T) {
 	}
 	err = m.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			r.Admit(1, nil)
+			r.Admit([]int{1}, nil)
 			r.Release(2)
 			return nil
 		}
@@ -389,9 +389,9 @@ func TestGroupCollectives(t *testing.T) {
 			if f != 2 {
 				t.Errorf("rank %d: max %v, want 2", r.ID(), f)
 			}
-			got := c.Bcast(1, []byte{byte(r.ID())})
-			if len(got) != 1 || got[0] != 2 {
-				t.Errorf("rank %d: bcast %v", r.ID(), got)
+			got := c.Allgather([]byte{byte(r.ID())})
+			if len(got) != 2 || got[0][0] != 0 || got[1][0] != 2 {
+				t.Errorf("rank %d: allgather %v", r.ID(), got)
 			}
 			blobs := c.Gather(0, []byte{byte(10 + r.ID())})
 			if c.Index() == 0 {

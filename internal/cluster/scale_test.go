@@ -9,7 +9,7 @@ import (
 
 // scaleProgram is the microprogram used by the p=4096 scale tests and
 // BenchmarkMachineScale: a mix of the machine's primitive families sized so
-// a full run exercises the O(p) paths (doomed analysis, mailbox sizing,
+// a full run exercises the O(p) paths (rank ends, mailbox sizing,
 // collective rendezvous) without drowning in payload bytes.
 func scaleProgram(r *Rank) error {
 	p, id := r.Size(), r.ID()
@@ -65,8 +65,8 @@ func TestMachineScale4096(t *testing.T) {
 }
 
 // TestMachineScaleDeterministic4096 pins run-to-run determinism of the
-// survivor timelines at scale under a crash: the stuck-rank fixpoint must
-// stay schedule-independent with the O(p) incremental analysis.
+// survivor timelines at scale under a crash: each survivor unwinds from the
+// primitive whose dependency ended, whatever order the host runs them in.
 func TestMachineScaleDeterministic4096(t *testing.T) {
 	if testing.Short() {
 		t.Skip("second 4096-rank faulted pass; covered by TestMachineScale4096 in -short")

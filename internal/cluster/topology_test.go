@@ -154,7 +154,7 @@ func collectiveResults(t *testing.T, cm CostModel, p int) ([][]interface{}, []St
 		out = append(out, r.World().AllreduceFloat64(OpMax, float64(id)*1.5))
 		out = append(out, r.AllreduceInt64Vec(OpMin, []int64{int64(id), int64(p - id)}))
 		buf := []byte{byte(id), byte(id >> 8), 7}
-		out = append(out, r.World().Bcast(0, buf))
+		out = append(out, r.World().Gather(p-1, buf))
 		out = append(out, r.Allgather([]byte{byte(id)}))
 		out = append(out, r.Gather(0, []byte{byte(id), 1}))
 		send := make([][]byte, p)
@@ -264,8 +264,9 @@ func TestHierarchicalReducesCommTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			big := make([]byte, 64<<10) // read-only, shared by every rank
 			err = m.Run(func(r *Rank) error {
-				r.World().Bcast(0, make([]byte, 64<<10))
+				r.World().Gather(0, big)
 				r.Allgather(make([]byte, 64))
 				r.AllreduceInt64(OpSum, 1)
 				r.Barrier()

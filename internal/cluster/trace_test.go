@@ -46,7 +46,7 @@ func exerciseAll(r *Rank) error {
 	r.AllreduceInt64(OpSum, int64(id))
 	r.World().AllreduceFloat64(OpMax, float64(id))
 	r.AllreduceInt64Vec(OpSum, []int64{int64(id), 1})
-	r.World().Bcast(0, []byte("payload"))
+	r.World().Gather(p-1, []byte("payload"))
 	r.Allgather(make([]byte, 10+id))
 	r.Gather(0, make([]byte, 20+id))
 	send := make([][]byte, p)

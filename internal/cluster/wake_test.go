@@ -33,10 +33,10 @@ func TestCollectiveWakesLinear(t *testing.T) {
 }
 
 // TestCrashWhileParkedAtBarrier crashes one rank on entry to a barrier the
-// other 63 have already arrived at. The crash is the machine's first failure,
-// so it is what moves the survivors from their single park to the
-// stuck-rank analysis: each must come out with ErrRankFailed naming the
-// crashed rank, and its clock must be the same in two runs.
+// other 63 have already arrived at. The victim's end marks it gone from
+// that round, which resolves with its cause: each survivor must come out
+// with ErrRankFailed naming the crashed rank, and its clock must be the same
+// in two runs.
 func TestCrashWhileParkedAtBarrier(t *testing.T) {
 	const p, victim = 64, 17
 	run := func() []float64 {

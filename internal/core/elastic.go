@@ -306,10 +306,8 @@ func elasticBoundary(r *cluster.Rank, in Input, es *elasticSchedule, sh *shared,
 	r.SetPhase("migrate")
 	// 3-4. The lowest current member admits each joiner, handing it the
 	// boundary state it cannot otherwise reconstruct.
-	if st.plan.Members[0] == r.ID() {
-		for _, j := range diffSorted(newMembers, st.plan.Members) {
-			r.Admit(j, encodeAdmission(st, newMembers, es.p0))
-		}
+	if joiners := diffSorted(newMembers, st.plan.Members); len(joiners) > 0 && st.plan.Members[0] == r.ID() {
+		r.Admit(joiners, encodeAdmission(st, newMembers, es.p0))
 	}
 	return elasticApply(r, in, sh, st, newMembers)
 }

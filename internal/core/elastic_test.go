@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"pepscale/internal/cluster"
+	"pepscale/internal/trace"
 )
 
 // elasticCfg is the base machine config for elastic runs (Ranks is
@@ -208,6 +210,65 @@ func TestElasticCrashRestart(t *testing.T) {
 					res.Metrics.RunSec, rec.Attempts[1].RunSec)
 			}
 		})
+	}
+}
+
+// TestElasticAdmitterCrash: the lowest member crashes while it admits two
+// joiners at a boundary, before or after the first admission is sent. Every
+// joiner it had not yet sent to must fail with its crash rather than stay
+// parked while the continuing members wait for it on their union, so each
+// such attempt unwinds and the restart converges. The sweep crashes rank 0
+// at each of its primitive calls up to the second admission, every run
+// under a ten-second host deadline.
+func TestElasticAdmitterCrash(t *testing.T) {
+	in := testInput(t, 60, 12)
+	opt := testOptions()
+	ref, static := elasticReference(t, in, opt, 4)
+	mp := &cluster.MembershipPlan{Universe: 6, Initial: 4, Events: []cluster.MemberEvent{
+		{TimeSec: static.Metrics.RunSec * 0.05, Join: []int{4, 5}},
+	}}
+	cfg := elasticCfg()
+	cfg.Trace = true
+	admitsHit := 0
+	for n := 1; admitsHit < 2; n++ {
+		if n > 500 {
+			t.Fatalf("rank 0 made %d primitive calls without reaching both admissions", n)
+		}
+		res := runElasticWithin(t, cfg, in, opt, ElasticOptions{
+			Membership: mp,
+			Faults:     []*cluster.FaultPlan{{CrashAtCall: map[int]int{0: n}}},
+		})
+		queriesEqual(t, "admitter-crash", ref.Queries, res.Queries)
+		ev := res.Trace.Attempts[0].Events[0]
+		if len(ev) >= 2 && ev[len(ev)-1].Kind == trace.KindCrash && ev[len(ev)-2].Kind == trace.KindMark && ev[len(ev)-2].Name == "admit" {
+			admitsHit++
+		}
+	}
+}
+
+// runElasticWithin is RunElastic failing the test if it has not returned
+// within ten seconds of host time.
+func runElasticWithin(t *testing.T, cfg cluster.Config, in Input, opt Options, eopt ElasticOptions) *Result {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		rec *Recovery
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, rec, err := RunElastic(cfg, in, opt, eopt)
+		done <- outcome{res, rec, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("%v (attempts %+v)", o.err, o.rec.Attempts)
+		}
+		return o.res
+	case <-time.After(10 * time.Second):
+		t.Fatal("elastic run still parked after 10 s")
+		return nil
 	}
 }
 

@@ -40,7 +40,7 @@ func TestAlgoAScale4096(t *testing.T) {
 
 	// One injected crash: the run must fail recoverably (a rank failure, not
 	// a hang or a fatal machine error) and still return promptly with 4095
-	// survivors unwinding through the stuck-rank analysis. With 48 queries
+	// survivors unwinding from the primitives that wait on it. With 48 queries
 	// over 4096 ranks, rank 85 holds one query and walks the blocks, so its
 	// 9th primitive call is mid-scan; rank 100 holds none and walks nothing,
 	// so it is crashed at its 1st, the load's Allgather.

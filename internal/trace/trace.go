@@ -41,8 +41,8 @@ const (
 	KindGetWait
 	// KindExpose is the zero-duration publication of an RMA window.
 	KindExpose
-	// KindCollective is a collective rendezvous (barrier, allreduce, bcast,
-	// gather, allgather, alltoallv, split) including its entry skew.
+	// KindCollective is a collective rendezvous (barrier, allreduce, gather,
+	// allgather, alltoallv, split) including its entry skew.
 	KindCollective
 	// KindDetect is a survivor's failure-detection stall: the wait from its
 	// current clock to crashTime+DetectSec, charged as synchronization.
