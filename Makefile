@@ -8,9 +8,10 @@ all: build vet test
 
 # check is the pre-merge gate: compile, vet, lint, the size budget, full tests, the race
 # detector over every package, the paper's tables against their golden, the
-# streaming-service smoke, and the end-to-end benchmark at its small size
-# table (every workload, every query checked against the serial oracle).
-check: build vet lint loc-check test race experiments-check serve-smoke bench-quick
+# streaming-service smoke, the example programs, and the end-to-end benchmark
+# at its small size table (every workload, every query checked against the
+# serial oracle).
+check: build vet lint loc-check test race experiments-check serve-smoke examples bench-quick
 
 build:
 	$(GO) build ./...
@@ -200,6 +201,7 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'StreamingMatchesOffline|DoubleRunTrace|SteadyStateIngestAllocs' ./internal/serve/
 	$(GO) run ./cmd/pepid -serve -synth-db 200 -synth-queries 8 -serve-duration 0.25 >/dev/null
 
+# examples runs the five example programs end to end (~4 s).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/metagenome

@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		specPath  = flag.String("spectra", "", "MGF query spectra path")
 		synthDB   = flag.Int("synth-db", 2000, "synthetic database size when -db is absent")
 		synthQ    = flag.Int("synth-queries", 50, "synthetic query count when -spectra is absent")
-		algoName  = flag.String("algo", "a", "engine: a, a-nomask, b, mw, subgroup")
+		algoName  = flag.String("algo", "a", "engine: a, a-nomask, b, c, mw, subgroup")
 		ranks     = flag.Int("p", 8, "virtual processor count")
 		tau       = flag.Int("tau", 50, "top hits reported per query (τ)")
 		delta     = flag.Float64("delta", 3, "parent mass tolerance in daltons (δ)")
@@ -90,6 +90,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	profFlags := prof.Register(flag)
 	if err := flag.Parse(args); err != nil {
 		return err
+	}
+	if *ranks < 1 {
+		return fmt.Errorf("-p %d: want at least 1 virtual processor", *ranks)
+	}
+	if !(*fdrCut >= 0 && *fdrCut <= 1) {
+		return fmt.Errorf("-fdr %v: want a q-value in [0, 1]", *fdrCut)
 	}
 	stopProf, err := profFlags.Start()
 	if err != nil {

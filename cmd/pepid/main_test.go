@@ -112,38 +112,49 @@ func TestPepidErrors(t *testing.T) {
 	}
 }
 
-// TestPepidRejectsNonFiniteFlags: a NaN tolerance, and a non-finite or
-// negative -serve-window, -serve-duration or tenant rate, each return an
-// error, and promptly — before the fix some hung, exhausted memory building
-// an endless arrival schedule, or exited 0 having searched nothing.
+// TestPepidRejectsNonFiniteFlags: a NaN tolerance, a non-finite or
+// negative -serve-window, -serve-duration or tenant rate, a -p below 1 and
+// an -fdr outside [0, 1] each return an error, and promptly — before the
+// fix some hung, exhausted memory building an endless arrival schedule,
+// exited 0 having searched nothing, or silently ran on another value. The
+// -p and -fdr errors come before any input is generated.
 func TestPepidRejectsNonFiniteFlags(t *testing.T) {
 	base := []string{"-synth-db", "30", "-synth-queries", "2", "-p", "2", "-metrics=false", "-o", os.DevNull}
 	cases := []struct {
-		name string
-		args []string
-		want string
+		name  string
+		args  []string
+		want  string
+		early bool
 	}{
-		{"delta NaN", []string{"-delta", "NaN"}, "Tol.Value"},
-		{"window NaN", []string{"-serve", "-serve-window", "NaN"}, "BatchWindowSec"},
-		{"window Inf", []string{"-serve", "-serve-window", "Inf"}, "BatchWindowSec"},
-		{"window negative", []string{"-serve", "-serve-window", "-1"}, "BatchWindowSec"},
-		{"duration Inf", []string{"-serve", "-serve-duration", "Inf"}, "-serve-duration"},
-		{"duration NaN", []string{"-serve", "-serve-duration", "NaN"}, "-serve-duration"},
-		{"duration negative", []string{"-serve", "-serve-duration", "-1"}, "-serve-duration"},
-		{"rate Inf", []string{"-serve", "-serve-tenants", "a:steady:Inf"}, "bad rate"},
-		{"rate NaN", []string{"-serve", "-serve-tenants", "a:steady:NaN"}, "bad rate"},
-		{"rate negative", []string{"-serve", "-serve-tenants", "a:steady:-5"}, "bad rate"},
+		{"delta NaN", []string{"-delta", "NaN"}, "Tol.Value", false},
+		{"window NaN", []string{"-serve", "-serve-window", "NaN"}, "BatchWindowSec", false},
+		{"window Inf", []string{"-serve", "-serve-window", "Inf"}, "BatchWindowSec", false},
+		{"window negative", []string{"-serve", "-serve-window", "-1"}, "BatchWindowSec", false},
+		{"duration Inf", []string{"-serve", "-serve-duration", "Inf"}, "-serve-duration", false},
+		{"duration NaN", []string{"-serve", "-serve-duration", "NaN"}, "-serve-duration", false},
+		{"duration negative", []string{"-serve", "-serve-duration", "-1"}, "-serve-duration", false},
+		{"rate Inf", []string{"-serve", "-serve-tenants", "a:steady:Inf"}, "bad rate", false},
+		{"rate NaN", []string{"-serve", "-serve-tenants", "a:steady:NaN"}, "bad rate", false},
+		{"rate negative", []string{"-serve", "-serve-tenants", "a:steady:-5"}, "bad rate", false},
+		{"p negative", []string{"-p", "-3"}, "-p -3", true},
+		{"p zero serve", []string{"-serve", "-p", "0"}, "-p 0", true},
+		{"fdr above one", []string{"-decoy", "-fdr", "2"}, "-fdr 2", true},
+		{"fdr negative", []string{"-decoy", "-fdr", "-0.5"}, "-fdr -0.5", true},
+		{"fdr NaN", []string{"-decoy", "-fdr", "NaN"}, "-fdr NaN", true},
 	}
 	for _, tc := range cases {
+		sink := &bytes.Buffer{}
 		done := make(chan error, 1)
 		go func() {
-			sink := &bytes.Buffer{}
 			done <- run(append(append([]string(nil), base...), tc.args...), sink, sink)
 		}()
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
+			}
+			if tc.early && strings.Contains(sink.String(), "generated") {
+				t.Errorf("%s: input generated before the flag was rejected:\n%s", tc.name, sink)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%s: run did not return within 30s", tc.name)

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,13 +32,6 @@ type Config struct {
 	Ranks int
 	// Cost is the network/compute cost model (zero value: free network).
 	Cost CostModel
-	// MailboxDepth bounds buffered point-to-point messages per receiver.
-	// The default scales with the machine so total buffer space stays
-	// O(p): 4096 slots per rank up to p=64, shrinking hyperbolically to 64
-	// slots at p≥4096. Depth is virtual-time-neutral (arrival times are
-	// fixed at Send; a sender parked on a full mailbox charges nothing),
-	// so the default only bounds host memory, never the virtual clock.
-	MailboxDepth int
 	// Members optionally names the initially active subset of the rank
 	// universe (ascending global ids; nil means all ranks are active).
 	// Dormant ranks park in AwaitAdmission until an active rank Admits or
@@ -59,7 +51,8 @@ type Machine struct {
 	cfg   Config
 	ranks []*Rank
 
-	mailbox []chan message
+	// inbox[i] holds the point-to-point messages sent to rank i.
+	inbox []inbox
 
 	// wins[owner] holds the RMA windows rank owner has exposed. One table
 	// per owner, each behind its own lock, so two host threads meet only when
@@ -174,6 +167,57 @@ type message struct {
 	arrival float64
 }
 
+// inbox is one rank's undelivered messages: a FIFO queue per sender, created
+// by that sender's first Send, and a wake channel of capacity 1 that every
+// Send signals and only the owning rank reads. A token can be stale, never
+// lost: the owner reads the queues before it parks on wake.
+type inbox struct {
+	mu   sync.Mutex
+	q    map[int][]message
+	wake chan struct{}
+}
+
+// put appends msg to its sender's queue and wakes the owner.
+func (in *inbox) put(msg message) {
+	in.mu.Lock()
+	if in.q == nil {
+		in.q = make(map[int][]message)
+	}
+	in.q[msg.from] = append(in.q[msg.from], msg)
+	in.mu.Unlock()
+	select {
+	case in.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take removes and returns the oldest message from sender from, or the
+// earliest-arriving head of any queue (ties to the lowest sender) when from
+// is -1.
+func (in *inbox) take(from int) (message, bool) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if from < 0 {
+		var head message
+		//pepvet:allow determinism the least (arrival, sender) head is the same in any iteration order
+		for f, q := range in.q {
+			if h := q[0]; from < 0 || h.arrival < head.arrival || h.arrival == head.arrival && f < from {
+				from, head = f, h
+			}
+		}
+	}
+	q := in.q[from]
+	if len(q) == 0 {
+		return message{}, false
+	}
+	if len(q) == 1 {
+		delete(in.q, from)
+	} else {
+		in.q[from] = q[1:]
+	}
+	return q[0], true
+}
+
 // cause is how a rank's body ended: with the failure it crashed with or
 // unwound from (failed: the rank and virtual time the failure started at),
 // or on its own (rank is the rank itself; a completion or a fatal error).
@@ -201,28 +245,10 @@ type failure struct {
 	t   float64
 }
 
-// defaultMailboxDepth caps total buffered-message slots at 2^18 across the
-// machine so a p=4096 machine does not pre-allocate gigabytes of channel
-// buffers, while small machines keep the historical per-rank depth of 4096.
-func defaultMailboxDepth(p int) int {
-	const totalSlots = 1 << 18
-	d := totalSlots / p
-	if d > 4096 {
-		d = 4096
-	}
-	if d < 64 {
-		d = 64
-	}
-	return d
-}
-
 // New creates a machine with p ranks.
 func New(cfg Config) (*Machine, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 rank, got %d", cfg.Ranks)
-	}
-	if cfg.MailboxDepth <= 0 {
-		cfg.MailboxDepth = defaultMailboxDepth(cfg.Ranks)
 	}
 	if err := cfg.Fault.Validate(cfg.Ranks); err != nil {
 		return nil, err
@@ -248,10 +274,8 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Trace {
 		m.rec = trace.NewRecorder(cfg.Ranks)
 	}
-	m.mailbox = make([]chan message, cfg.Ranks)
 	m.ranks = make([]*Rank, cfg.Ranks)
 	for i := 0; i < cfg.Ranks; i++ {
-		m.mailbox[i] = make(chan message, cfg.MailboxDepth)
 		m.admitted[i] = make(chan struct{})
 		m.ranks[i] = &Rank{m: m, id: i}
 		if m.rec != nil {
@@ -538,25 +562,18 @@ func (m *Machine) MaxTime() float64 {
 	return max
 }
 
-// Reset clears clocks, statistics, windows, pending messages, and failure
-// state, leaving the machine ready for a fresh Run — including after an
-// aborted one: the abort channel, collective rendezvous, and fault-plan
-// PRNG streams are all recreated, so a Reset machine replays a fault
-// schedule identically. It must not be called concurrently with Run.
+// Reset clears clocks, statistics, windows, undelivered messages, and
+// failure state, leaving the machine ready for a fresh Run — including
+// after an aborted one: the abort channel, collective rendezvous, and
+// fault-plan PRNG streams are all recreated, so a Reset machine replays a
+// fault schedule identically. It must not be called concurrently with Run.
 func (m *Machine) Reset() {
+	m.inbox = make([]inbox, m.cfg.Ranks)
 	for i, r := range m.ranks {
 		r.clock = 0
 		r.Stats = Stats{}
 		r.leaving = false
-		r.pending = make(map[int][]message)
-	drain:
-		for {
-			select {
-			case <-m.mailbox[i]:
-			default:
-				break drain
-			}
-		}
+		m.inbox[i].wake = make(chan struct{}, 1)
 	}
 	m.wins = make([]winTable, m.cfg.Ranks)
 	// A crashed run may have poisoned the collective rendezvous (a round
@@ -603,10 +620,9 @@ type Stats struct {
 //
 //pepvet:perrank
 type Rank struct {
-	m       *Machine
-	id      int
-	clock   float64
-	pending map[int][]message
+	m     *Machine
+	id    int
+	clock float64
 
 	// tl is the rank's trace log; nil when tracing is disabled.
 	tl *trace.RankLog
@@ -705,8 +721,8 @@ func (r *Rank) NoteFree(bytes int64) {
 
 // Send delivers payload to rank `to` with an identifying tag. The sender is
 // charged only its CPU overhead; transfer time is realized at the receiver.
-// On a full mailbox the sender waits for a slot, or drops the message once
-// the receiver has ended, as a buffered send would.
+// It never waits: the message joins the receiver's inbox, fixed to arrive at
+// the sender's clock plus the transfer time.
 func (r *Rank) Send(to int, tag string, payload []byte) {
 	if to < 0 || to >= r.Size() {
 		panic(fmt.Sprintf("cluster: rank %d Send to invalid rank %d", r.id, to))
@@ -716,17 +732,7 @@ func (r *Rank) Send(to int, tag string, payload []byte) {
 	n := int64(len(payload))
 	r.charge(r.clock+cost.SendOverheadSec, trace.Event{Kind: trace.KindSend, Name: tag, Peer: to, Bytes: n, Start: r.clock, Dur: cost.SendOverheadSec, Delta: trace.StatDelta{TotalCommSec: cost.SendOverheadSec, BytesSent: n, Messages: 1}})
 	xfer := cost.PathXferSec(len(payload), r.id, to, r.Size()) + r.injectSendDelay(to)
-	msg := message{from: r.id, tag: tag, payload: payload, arrival: r.clock + xfer}
-	select {
-	case r.m.mailbox[to] <- msg:
-	default:
-		select {
-		case r.m.mailbox[to] <- msg:
-		case <-r.m.ends[to]:
-		case <-r.m.abort:
-			r.interrupted()
-		}
-	}
+	r.m.inbox[to].put(message{from: r.id, tag: tag, payload: payload, arrival: r.clock + xfer})
 }
 
 // Recv blocks until a message from rank `from` is available and returns its
@@ -735,21 +741,19 @@ func (r *Rank) Send(to int, tag string, payload []byte) {
 // was a failure, fatally (ErrPeerFinished) if it was not.
 func (r *Rank) Recv(from int) (tag string, payload []byte) {
 	r.faultPoint()
+	in := &r.m.inbox[r.id]
 	for {
-		if q := r.pending[from]; len(q) > 0 {
-			msg := q[0]
-			r.pending[from] = q[1:]
+		if msg, ok := in.take(from); ok {
 			return r.deliver(msg)
 		}
 		select {
-		case msg := <-r.m.mailbox[r.id]:
-			r.intake(msg)
+		case <-in.wake:
 		case <-r.m.ends[from]:
-			// Everything `from` sent is in the mailbox by now.
-			r.drain()
-			if len(r.pending[from]) == 0 {
-				r.peerEnded(r.m.endCause[from], fmt.Sprintf("Recv(%d): rank %d finished without sending", from, from))
+			// Everything `from` sent is queued by now.
+			if msg, ok := in.take(from); ok {
+				return r.deliver(msg)
 			}
+			r.peerEnded(r.m.endCause[from], fmt.Sprintf("Recv(%d): rank %d finished without sending", from, from))
 		case <-r.m.abort:
 			r.interrupted()
 		}
@@ -770,15 +774,12 @@ func (r *Rank) RecvAny() (from int, tag string, payload []byte) {
 // primitive in a fatal error. For an admission, a named admitter replaces
 // the other active ranks as the wait's dependency.
 func (r *Rank) recvAny(prim string, admission bool) (from int, tag string, payload []byte) {
+	in := &r.m.inbox[r.id]
 	for {
-		// Whether any sender is left is read before the mailbox is drained:
-		// every message of a rank that has ended is in the mailbox already.
+		// Whether any sender is left is read before the queues: every message
+		// of a rank that has ended is queued already.
 		w := r.m.senders(r.id, admission)
-		r.drain()
-		if from, ok := r.earliestPending(); ok {
-			q := r.pending[from]
-			msg := q[0]
-			r.pending[from] = q[1:]
+		if msg, ok := in.take(-1); ok {
 			tag, payload = r.deliver(msg)
 			return msg.from, tag, payload
 		}
@@ -789,8 +790,7 @@ func (r *Rank) recvAny(prim string, admission bool) (from int, tag string, paylo
 			r.peerEnded(r.m.leastActiveEnd(r.id), prim+": every other active rank finished without sending")
 		}
 		select {
-		case msg := <-r.m.mailbox[r.id]:
-			r.intake(msg)
+		case <-in.wake:
 		case <-w.wake:
 		case <-w.named:
 		case <-r.m.abort:
@@ -843,43 +843,6 @@ func (m *Machine) leastActiveEnd(id int) cause {
 		}
 	}
 	return least
-}
-
-func (r *Rank) earliestPending() (int, bool) {
-	best := -1
-	var bestArrival float64
-	senders := make([]int, 0, len(r.pending))
-	//pepvet:allow determinism senders are collected then sorted; the arrival-time choice below is order-independent
-	for from, q := range r.pending {
-		if len(q) > 0 {
-			senders = append(senders, from)
-		}
-	}
-	sort.Ints(senders)
-	for _, from := range senders {
-		a := r.pending[from][0].arrival
-		if best < 0 || a < bestArrival {
-			best, bestArrival = from, a
-		}
-	}
-	return best, best >= 0
-}
-
-// intake moves one message from the mailbox into the pending queues.
-func (r *Rank) intake(msg message) {
-	r.pending[msg.from] = append(r.pending[msg.from], msg)
-}
-
-// drain moves every message already in the mailbox into the pending queues.
-func (r *Rank) drain() {
-	for {
-		select {
-		case msg := <-r.m.mailbox[r.id]:
-			r.intake(msg)
-		default:
-			return
-		}
-	}
 }
 
 // deliver advances the receiver clock to the arrival time and accounts the

@@ -416,14 +416,13 @@ func TestResetAfterAbort(t *testing.T) {
 	}
 }
 
-// TestMailboxBackpressure (satellite): MailboxDepth 1 with injected delays
-// stays deadlock-free and delivers every message in order.
-func TestMailboxBackpressure(t *testing.T) {
+// TestMailboxFIFOUnderInjectedDelays: injected delays let a later message
+// arrive earlier, yet Recv delivers one sender's messages in send order.
+func TestMailboxFIFOUnderInjectedDelays(t *testing.T) {
 	m, err := New(Config{
-		Ranks:        2,
-		Cost:         CostModel{LatencySec: 1e-3, BytesPerSec: 1e6},
-		MailboxDepth: 1,
-		Fault:        &FaultPlan{Seed: 3, DelayProb: 0.5, DelaySec: 0.02},
+		Ranks: 2,
+		Cost:  CostModel{LatencySec: 1e-3, BytesPerSec: 1e6},
+		Fault: &FaultPlan{Seed: 3, DelayProb: 0.5, DelaySec: 0.02},
 	})
 	if err != nil {
 		t.Fatal(err)

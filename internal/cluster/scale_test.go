@@ -9,8 +9,8 @@ import (
 
 // scaleProgram is the microprogram used by the p=4096 scale tests and
 // BenchmarkMachineScale: a mix of the machine's primitive families sized so
-// a full run exercises the O(p) paths (rank ends, mailbox sizing,
-// collective rendezvous) without drowning in payload bytes.
+// a full run exercises the O(p) paths (rank ends, inboxes, collective
+// rendezvous) without drowning in payload bytes.
 func scaleProgram(r *Rank) error {
 	p, id := r.Size(), r.ID()
 	r.Expose("blk", make([]byte, 64))
@@ -61,6 +61,24 @@ func TestMachineScale4096(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.FailedRanks, []int{p / 2}) {
 		t.Fatalf("failed ranks %v, want [%d]", rep.FailedRanks, p/2)
+	}
+}
+
+// TestMachineScale4096NewAllocPerRank bounds what cluster.New allocates per
+// rank at p=4096 (TotalAlloc delta): a per-rank structure sized by p, or a
+// buffer preallocated for traffic that may never come, shows here first.
+func TestMachineScale4096NewAllocPerRank(t *testing.T) {
+	const p = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(Config{Ranks: p, Cost: TwoLevelCluster()})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	if perRank := float64(after.TotalAlloc-before.TotalAlloc) / p; perRank > 1024 {
+		t.Fatalf("New allocates %.0f B per rank at p=%d, want ≤ 1 KiB", perRank, p)
 	}
 }
 

@@ -202,14 +202,14 @@ func TestUnwindByDependency(t *testing.T) {
 			return nil
 		}, []survivor{{0, 2, 0.15 + detect}, {1, 2, 0.15 + detect}}},
 
-		{"Send into a full mailbox", Config{Ranks: 2, MailboxDepth: 1, Fault: crash(1)}, func(r *Rank) error {
+		{"Send to a crashed receiver", Config{Ranks: 2, Fault: crash(1)}, func(r *Rank) error {
 			if r.ID() == 1 {
 				r.Compute(0.3)
 				r.Recv(0)
 				return nil
 			}
 			for i := 0; i < 3; i++ {
-				r.Send(1, "t", []byte{byte(i)}) // the receiver's end drops what does not fit
+				r.Send(1, "t", []byte{byte(i)}) // never waits, ended receiver or not
 			}
 			return nil
 		}, []survivor{{0, -1, 0}}},

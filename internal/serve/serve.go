@@ -4,16 +4,15 @@
 // The server is a discrete-event loop over VIRTUAL time driving a resident
 // core.Backend. Client sessions Submit query spectra at non-decreasing
 // virtual instants; admission control (per-tenant token-bucket quotas and
-// bounded ingress queues, the MailboxDepth discipline applied at the front
-// door) either accepts a query into its tenant's formation ring or rejects
-// it with a typed retry-after. A tenant's forming batch closes on
-// max-batch-size or on the batching-window deadline, whichever comes first
-// — interactive-priority tenants close immediately, preempting formation —
-// and closed batches dispatch under weighted fair queuing (priority lanes
-// first, then lowest WFQ credit) onto the least-loaded member rank, where
-// core.Backend.ScanBatch advances them quantum by quantum through the
-// resident blocks. Per-query top-τ results stream back (Completions, or a
-// Sink callback) the moment their batch finalizes.
+// bounded ingress queues) either accepts a query into its tenant's formation
+// ring or rejects it with a typed retry-after. A tenant's forming batch
+// closes on max-batch-size or on the batching-window deadline, whichever
+// comes first — interactive-priority tenants close immediately, preempting
+// formation — and closed batches dispatch under weighted fair queuing
+// (priority lanes first, then lowest WFQ credit) onto the least-loaded
+// member rank, where core.Backend.ScanBatch advances them quantum by quantum
+// through the resident blocks. Per-query top-τ results stream back
+// (Completions, or a Sink callback) the moment their batch finalizes.
 //
 // Membership events (a cluster.MembershipPlan timeline) rotate blocks
 // between members on the live machine; crashes (seeded FaultPlans) retire
@@ -78,8 +77,6 @@ type Config struct {
 	Tenants []TenantConfig
 	// Cost is the cluster cost model.
 	Cost cluster.CostModel
-	// MailboxDepth is passed through to the machine.
-	MailboxDepth int
 	// Trace enables event tracing on the machine(s).
 	Trace bool
 	// Faults[i] is the fault plan injected into machine incarnation i
@@ -256,7 +253,7 @@ func New(cfg Config) (*Server, error) {
 
 // buildMachine creates machine incarnation s.incarnation.
 func (s *Server) buildMachine() error {
-	c := cluster.Config{Ranks: s.universe, Cost: s.cfg.Cost, MailboxDepth: s.cfg.MailboxDepth, Trace: s.cfg.Trace}
+	c := cluster.Config{Ranks: s.universe, Cost: s.cfg.Cost, Trace: s.cfg.Trace}
 	if s.incarnation < len(s.cfg.Faults) {
 		c.Fault = s.cfg.Faults[s.incarnation]
 	}

@@ -45,9 +45,9 @@ type TenantConfig struct {
 	Burst float64
 	// Priority selects the scheduling lane.
 	Priority Priority
-	// QueueCap bounds the tenant's admitted-but-undispatched queries —
-	// the ingress analogue of the cluster's MailboxDepth: a full queue
-	// rejects with a typed retry-after instead of growing without bound.
+	// QueueCap bounds the tenant's admitted-but-undispatched queries: a
+	// full queue rejects with a typed retry-after instead of growing
+	// without bound.
 	// 0 uses the server default.
 	QueueCap int
 }
