@@ -119,10 +119,11 @@ chaos-elastic:
 # fuzz-short gives every fuzz target a fixed, CI-sized budget: the codec
 # decoders (checkpoint, result/batch wire, membership plan, pepd frames,
 # sorted sequence image) must never panic and must only accept canonical blobs
-# (internal/wire/wiretest), and the two input parsers (FASTA with its
+# (internal/wire/wiretest), the two input parsers (FASTA with its
 # boundary-repair splitter, MGF) must never panic and must agree with
-# themselves. The minimize budget is capped so a coverage-expanding input
-# cannot stall the run.
+# themselves, and the likelihood model's null-pass bound must reject only
+# candidates that Score puts below the floor. The minimize budget is capped
+# so a coverage-expanding input cannot stall the run.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/ckpt/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
@@ -134,6 +135,7 @@ fuzz-short:
 	$(GO) test ./internal/sortmz/ -run '^$$' -fuzz FuzzUnmarshalSeqs -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/fasta/ -run '^$$' -fuzz FuzzParseFASTA -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/spectrum/ -run '^$$' -fuzz FuzzParseMGF -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/score/ -run '^$$' -fuzz FuzzScorePreparedBound -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # cover enforces the checked-in statement-coverage floor
 # (.coverage-threshold) over the simulation and observability packages.

@@ -56,7 +56,7 @@ type Options struct {
 	// Digest configures candidate generation.
 	Digest digest.Params
 	// ScorerName selects the statistical model ("likelihood", "hyper",
-	// "sharedpeaks").
+	// "sharedpeaks", "xcorr").
 	ScorerName string
 	// Score configures the model.
 	Score score.Config

@@ -15,12 +15,22 @@
 // being scanned; an inverted fragment index built per block was measured
 // slower end to end at every query density (EXPERIMENTS.md K3).
 //
+// Each query is scored against a floor: MinScore, or the list's top-τ
+// threshold when that is higher and the list is full. The likelihood model
+// bounds the score from above before each of its null-shuffle passes and
+// stops, unscored, once the bound is below the floor (score/prepared.go):
+// on the bench workloads that leaves 1.6–3.6 of its four passes per
+// candidate.
+//
 // Results are bit-identical to the query-major scan: each query still
 // visits exactly the peptides of its window, in ascending index order and
-// exactly once, and ScorePrepared reproduces Score bit-for-bit — so the
-// per-query Offer sequence, tie-breaks, hit lists, and scanStats (and with
-// them the virtual clock) are unchanged. The property tests in
-// scan_prop_test.go compare the two paths directly.
+// exactly once, and every score ScorePrepared returns reproduces Score
+// bit-for-bit. A candidate it rejects scores below a floor the checks after
+// it refuse anyway, so it would never have been offered; Candidates is
+// counted per window and Offered per accepted offer. So the per-query Offer
+// sequence, tie-breaks, hit lists, and scanStats (and with them the virtual
+// clock) are unchanged. The property tests in scan_prop_test.go compare the
+// two paths directly.
 
 package core
 
@@ -248,12 +258,14 @@ func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Inde
 
 			sc.Prepare(&ss.prep, pep.Seq, deltas, g.charge)
 			for _, qi := range memb {
-				s := sc.ScorePrepared(&ss.bqs[qi], &ss.prep)
-				if s <= opt.MinScore {
-					continue
-				}
 				list := lists[qi]
-				if thr, full := list.Threshold(); full && s < thr {
+				thr, full := list.Threshold()
+				floor := opt.MinScore
+				if full && thr > floor {
+					floor = thr
+				}
+				s, ok := sc.ScorePrepared(&ss.bqs[qi], &ss.prep, floor)
+				if !ok || s <= opt.MinScore || full && s < thr {
 					continue
 				}
 				if !strsReady {

@@ -49,6 +49,15 @@ var scanVariants = []scanVariant{
 		// Dense spectra: high bin occupancy, many matched fragments.
 		s.NoisePeaks = 60
 	}},
+	{"tau1", func(o *Options, s *synth.SpectraSpec) {
+		// One hit per query: the list fills at once and its threshold
+		// bounds most likelihood candidates out before their null passes.
+		o.Tau = 1
+	}},
+	{"minscore", func(o *Options, s *synth.SpectraSpec) {
+		// A high MinScore bounds candidates out even while lists fill.
+		o.MinScore = 2
+	}},
 }
 
 // TestScanPeptideMajorMatchesQueryMajor is the equivalence property of the

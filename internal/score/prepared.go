@@ -5,8 +5,21 @@
 // depend on the query only through its precursor charge. The batched API
 // inverts that: Scorer.Prepare generates the candidate's model ONCE per
 // (peptide, charge) into a CandidatePrep, and Scorer.ScorePrepared scores
-// each active query against the prepared state. Every ScorePrepared result
-// is bit-identical to the corresponding Scorer.Score call.
+// each active query against the prepared state. Every score ScorePrepared
+// returns is bit-identical to the corresponding Scorer.Score call.
+//
+// The likelihood score is model − (N1+N2+N3)/3, and each pass sums, slot
+// by slot, either the matched term (0.5+0.5·intensity)·log(p1/p0) or the
+// unmatched term log((1−p1)/(1−p0)). With lo and hi the weights of the
+// query's least and greatest peak intensity, L = Σ min(unmatched,
+// lo·matched, hi·matched) bounds any pass from below, so before null pass
+// k the score is at most ub = model − (N1+…+N(k−1) + (4−k)·L)/3. When
+// ub + slack is below the caller's floor (its top-τ threshold or MinScore;
+// slack covers rounding, see lenTerms), ScorePrepared returns false
+// without filling or scoring the remaining shuffles: Prepare
+// fills only pass 0, and null pass k is filled by the first query that
+// needs it. A score that is computed runs the same passes in the same
+// order, so it is unchanged bit for bit.
 package score
 
 import (
@@ -26,8 +39,14 @@ import (
 type CandidatePrep struct {
 	pepLen int
 	charge int
-	nPass  int
-	pass   [1 + nullShuffles]prepPass
+	// ready counts the likelihood passes filled for the current candidate:
+	// Prepare fills pass 0, ScorePrepared the null passes on demand.
+	ready int
+	pass  [1 + nullShuffles]prepPass
+	// pep and deltas are the candidate as passed to Prepare, kept for the
+	// null passes the likelihood model fills later.
+	pep    []byte
+	deltas []float64
 	// predicted is the query-independent half of the match statistics of
 	// pass 0: the count of distinct predicted fragment bins.
 	predicted int
@@ -53,7 +72,6 @@ func (p *prepPass) fill(cfg Config, charge int, pep []byte, deltas []float64) {
 func (prep *CandidatePrep) prepareSingle(cfg Config, scr *scratch, pep []byte, modDeltas []float64, charge int) {
 	prep.pepLen = len(pep)
 	prep.charge = charge
-	prep.nPass = 1
 	prep.pass[0].fill(cfg, charge, pep, modDeltas)
 	scr.pred.reset()
 	prep.predicted = 0
@@ -84,7 +102,8 @@ type BatchQuery struct {
 	// rr holds the memoized log-ratio terms indexed [pepLen], interleaved as
 	// rr[pepLen][2·slot] = log(p1/p0) and rr[pepLen][2·slot+1] =
 	// log((1−p1)/(1−p0)), so a slot's matched and unmatched terms share a
-	// cache line. Tables are filled eagerly on first use (see lenTerms).
+	// cache line, followed by the two null-pass bound entries L and slack.
+	// Tables are filled eagerly on first use (see lenTerms).
 	rr [][]float64
 }
 
@@ -103,22 +122,28 @@ func Batch(q *Query) BatchQuery { return BatchQuery{Q: q} }
 // of residue masses. Each term is the identical expression the lazy
 // per-slot fill evaluated, so scores are unchanged bit-for-bit; what the
 // eager build buys is branch-free table reads on the scan hot paths.
+//
+// Entries 2n and 2n+1 hold L and slack (file comment). A pass rounds by
+// at most about (n+1)·u·ΣA_j, with A_j = max(|lo|,|hi|)·|rr[2j]| +
+// |rr[2j+1]| and u = 2⁻⁵³, fused multiply-adds included; the bound test
+// adds up four passes and L, and slack = 4·(n+8)·u·ΣA_j covers that twice.
 func (bq *BatchQuery) lenTerms(pepLen, n int) []float64 {
 	for len(bq.rr) <= pepLen {
 		bq.rr = append(bq.rr, nil)
 	}
 	t := bq.rr[pepLen]
-	if len(t) >= 2*n {
+	if len(t) == 2*n+2 {
 		return t
 	}
 	// Rebuilt from scratch rather than grown: the slot layout depends on
 	// maxZ, so a table built for a smaller slot count is not a prefix of the
 	// larger one. (In-contract a BatchQuery sees one fragment-charge cap —
 	// its query's — and this branch runs once per pepLen.)
-	t = make([]float64, 2*n)
+	t = make([]float64, 2*n+2)
+	q := bq.Q
 	if pepLen >= 2 && n > 0 {
 		maxZ := n / (2 * (pepLen - 1))
-		p0 := bq.Q.occupancy
+		p0 := q.occupancy
 		s := 0
 		for i := 1; i < pepLen; i++ {
 			for z := 1; z <= maxZ; z++ {
@@ -132,38 +157,56 @@ func (bq *BatchQuery) lenTerms(pepLen, n int) []float64 {
 			}
 		}
 	}
+	lo, hi := 0.5+0.5*q.intenLo, 0.5+0.5*q.intenHi
+	w := math.Max(math.Abs(lo), math.Abs(hi))
+	var lower, mag float64
+	for j := 0; j < n; j++ {
+		r1, r0 := t[2*j], t[2*j+1]
+		lower += math.Min(r0, math.Min(lo*r1, hi*r1))
+		mag += w*math.Abs(r1) + math.Abs(r0)
+	}
+	t[2*n] = lower
+	t[2*n+1] = 0x1p-51 * float64(n+8) * mag
 	bq.rr[pepLen] = t
 	return t
 }
 
-// Prepare implements Scorer: the model fragments plus the nullShuffles
-// null-model fragment lists, generated once for every query of the charge.
+// Prepare implements Scorer: the model fragments only. The nullShuffles
+// null-model fragment lists are filled by ScorePrepared when a query's
+// bound first needs them.
 func (s *Likelihood) Prepare(prep *CandidatePrep, pep []byte, modDeltas []float64, charge int) {
 	prep.pepLen = len(pep)
 	prep.charge = charge
-	prep.nPass = 1 + nullShuffles
+	prep.ready = 1
+	prep.pep, prep.deltas = pep, modDeltas
 	prep.pass[0].fill(s.cfg, charge, pep, modDeltas)
-	for k := uint64(0); k < nullShuffles; k++ {
-		nullPep, nullDeltas := s.scr.shuffled(pep, modDeltas, k)
-		prep.pass[1+k].fill(s.cfg, charge, nullPep, nullDeltas)
-	}
 }
 
-// ScorePrepared implements Scorer; bit-identical to Score for the prepared
-// candidate when bq.Q's precursor charge equals the prepared charge. A null
-// shuffle permutes residues but keeps the fragment (Kind, Index, Charge)
-// slot structure of the model pass, so all four passes read one per-query
-// log-ratio table memoized by peptide length (see BatchQuery.lenTerms).
+// ScorePrepared implements Scorer with the null-pass bound of the file
+// comment. A null shuffle permutes residues but keeps the fragment (Kind,
+// Index, Charge) slot structure of the model pass, so all four passes read
+// one per-query log-ratio table memoized by peptide length (see
+// BatchQuery.lenTerms).
 //
 //pepvet:hotpath
-func (s *Likelihood) ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64 {
-	rr := bq.lenTerms(prep.pepLen, len(prep.pass[0].bins))
+func (s *Likelihood) ScorePrepared(bq *BatchQuery, prep *CandidatePrep, floor float64) (float64, bool) {
+	n := len(prep.pass[0].bins)
+	rr := bq.lenTerms(prep.pepLen, n)
+	lower, slack := rr[2*n], rr[2*n+1]
 	model := likelihoodPassCached(bq.Q, &prep.pass[0], rr)
 	var null float64
 	for k := 1; k <= nullShuffles; k++ {
+		if model-(null+float64(nullShuffles+1-k)*lower)/nullShuffles+slack < floor {
+			return 0, false
+		}
+		if k == prep.ready {
+			nullPep, nullDeltas := s.scr.shuffled(prep.pep, prep.deltas, uint64(k-1))
+			prep.pass[k].fill(s.cfg, prep.charge, nullPep, nullDeltas)
+			prep.ready++
+		}
 		null += likelihoodPassCached(bq.Q, &prep.pass[k], rr)
 	}
-	return model - null/nullShuffles
+	return model - null/nullShuffles, true
 }
 
 // likelihoodPassCached accumulates one pass's log-likelihood from the
@@ -216,8 +259,8 @@ func (s *Hyper) Prepare(prep *CandidatePrep, pep []byte, modDeltas []float64, ch
 // ScorePrepared implements Scorer.
 //
 //pepvet:hotpath
-func (s *Hyper) ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64 {
-	return hyperFromStats(s.scr.matchPrepared(bq.Q, prep))
+func (s *Hyper) ScorePrepared(bq *BatchQuery, prep *CandidatePrep, _ float64) (float64, bool) {
+	return hyperFromStats(s.scr.matchPrepared(bq.Q, prep)), true
 }
 
 // Prepare implements Scorer.
@@ -228,8 +271,8 @@ func (s *SharedPeaks) Prepare(prep *CandidatePrep, pep []byte, modDeltas []float
 // ScorePrepared implements Scorer.
 //
 //pepvet:hotpath
-func (s *SharedPeaks) ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64 {
-	return sharedPeaksFromStats(bq.Q, s.scr.matchPrepared(bq.Q, prep))
+func (s *SharedPeaks) ScorePrepared(bq *BatchQuery, prep *CandidatePrep, _ float64) (float64, bool) {
+	return sharedPeaksFromStats(bq.Q, s.scr.matchPrepared(bq.Q, prep)), true
 }
 
 // Prepare implements Scorer.
@@ -240,18 +283,18 @@ func (s *XCorr) Prepare(prep *CandidatePrep, pep []byte, modDeltas []float64, ch
 // ScorePrepared implements Scorer.
 //
 //pepvet:hotpath
-func (s *XCorr) ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64 {
+func (s *XCorr) ScorePrepared(bq *BatchQuery, prep *CandidatePrep, _ float64) (float64, bool) {
 	q := bq.Q
 	bins := prep.pass[0].bins
 	if len(bins) == 0 {
-		return 0
+		return 0, true
 	}
 	q.buildXCorr()
 	var sum float64
 	for _, bin := range bins {
 		sum += q.xcorrAt(bin)
 	}
-	return sum * 0.1
+	return sum * 0.1, true
 }
 
 // QuickBins fills bins with the singly-charged prefilter fragment bins of

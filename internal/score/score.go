@@ -79,6 +79,10 @@ type Query struct {
 	occupancy float64
 	// numPeaks is the count of occupied bins.
 	numPeaks int
+	// intenLo and intenHi are the least and greatest normalized peak
+	// intensity (both 0 for an empty spectrum): they bound the matched-slot
+	// weight of the likelihood model's null-pass bound (see lenTerms).
+	intenLo, intenHi float64
 	// denseLo/dense mirror Binned.Bins as a dense intensity table over
 	// [MinBin, MaxBin] (NaN marks an empty bin), turning the per-fragment
 	// map probe of the scoring kernel into an array index.
@@ -130,6 +134,14 @@ func PrepareQuery(raw *spectrum.Spectrum, cfg Config) *Query {
 		occupancy:  occ,
 		numPeaks:   len(b.Bins),
 	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	//pepvet:allow determinism minimum and maximum over map values are order-independent reductions
+	for _, v := range b.Bins {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	if lo <= hi {
+		q.intenLo, q.intenHi = lo, hi
+	}
 	if span := int64(b.MaxBin) - int64(b.MinBin) + 1; span > 0 && span <= denseSpanCap {
 		q.denseLo = b.MinBin
 		q.dense = make([]float64, span)
@@ -157,21 +169,24 @@ type Scorer interface {
 	// per-residue modification deltas) against q; larger is better.
 	Score(q *Query, pep []byte, modDeltas []float64) float64
 	// Prepare generates the candidate's model state for the given precursor
-	// charge into prep (fragments, bins, null spectra, confidences) so that
-	// many queries of that charge can be scored without regenerating it.
+	// charge into prep so that many queries of that charge can be scored
+	// without regenerating it. prep keeps pep and modDeltas: the caller
+	// leaves both unchanged until the candidate's last ScorePrepared.
 	Prepare(prep *CandidatePrep, pep []byte, modDeltas []float64, charge int)
-	// ScorePrepared scores bq.Q against a prepared candidate. When bq.Q's
-	// charge equals the prepared charge, the result is bit-identical to
-	// Score(bq.Q, pep, modDeltas).
-	ScorePrepared(bq *BatchQuery, prep *CandidatePrep) float64
+	// ScorePrepared scores bq.Q against a prepared candidate whose charge
+	// equals bq.Q's. It returns (s, true) with s bit-identical to
+	// Score(bq.Q, pep, modDeltas), or (0, false) when it has proved that
+	// score below floor without computing it; only the likelihood model
+	// rejects, the others ignore floor.
+	ScorePrepared(bq *BatchQuery, prep *CandidatePrep, floor float64) (float64, bool)
 	// Cost returns the relative per-candidate computational weight of the
 	// model (the paper's ρ, normalized so Hyper ≈ 1). The virtual cluster
 	// charges compute time proportional to it.
 	Cost() float64
 }
 
-// New constructs a scorer by registry name: "likelihood", "hyper", or
-// "sharedpeaks".
+// New constructs a scorer by registry name: "likelihood", "hyper",
+// "sharedpeaks", or "xcorr".
 func New(name string, cfg Config) (Scorer, error) {
 	switch name {
 	case "likelihood", "":
