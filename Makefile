@@ -117,11 +117,12 @@ chaos-elastic:
 	$(GO) test -race -count=1 ./internal/placement/
 
 # fuzz-short gives every fuzz target a fixed, CI-sized budget: the codec
-# decoders (checkpoint, result/batch wire, membership plan, pepd frames,
-# sorted sequence image) must never panic and must only accept canonical blobs
+# decoders (checkpoint, result/batch wire, candidate blocks, elastic
+# admission, membership plan, pepd frames, sorted sequence image, sortmz
+# boundary tuple) must never panic and must only accept canonical blobs
 # (internal/wire/wiretest), the two input parsers (FASTA with its
-# boundary-repair splitter, MGF) must never panic and must agree with
-# themselves, and the likelihood model's null-pass bound must reject only
+# boundary-repair splitter, held to its byte-at-a-time reference; MGF) must
+# never panic and must agree with themselves, and the likelihood model's null-pass bound must reject only
 # candidates that Score puts below the floor. The minimize budget is capped
 # so a coverage-expanding input cannot stall the run.
 FUZZTIME ?= 10s
@@ -129,10 +130,13 @@ fuzz-short:
 	$(GO) test ./internal/ckpt/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeResults -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalCands -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeAdmission -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzDecodeMembershipPlan -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSubmit -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/sortmz/ -run '^$$' -fuzz FuzzUnmarshalSeqs -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/sortmz/ -run '^$$' -fuzz FuzzDecodeBoundary -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/fasta/ -run '^$$' -fuzz FuzzParseFASTA -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/spectrum/ -run '^$$' -fuzz FuzzParseMGF -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/score/ -run '^$$' -fuzz FuzzScorePreparedBound -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
@@ -150,12 +154,17 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json refreshes the checked-in scoring-kernel baseline. Run on a
-# quiet machine; compare against git history before committing.
+# bench-json refreshes the checked-in kernel baseline: the scorers, the scan
+# kernel and engine host time, the virtual machine at scale, and the database
+# side of a search (the digest index build per block shape, the FASTA parse
+# in MB/s). Run on a quiet machine; compare against git history before
+# committing.
 bench-json:
 	{ $(GO) test -bench 'BenchmarkScorers' -benchmem -run '^$$' . ; \
 	  $(GO) test -bench 'BenchmarkScanKernel|BenchmarkEngineHostTime' -run '^$$' ./internal/core/ ; \
-	  $(GO) test -bench 'BenchmarkMachineScale' -run '^$$' ./internal/cluster/ ; } \
+	  $(GO) test -bench 'BenchmarkMachineScale' -run '^$$' ./internal/cluster/ ; \
+	  $(GO) test -bench 'BenchmarkNewIndex' -run '^$$' ./internal/digest/ ; \
+	  $(GO) test -bench 'BenchmarkParseBytes' -run '^$$' ./internal/fasta/ ; } \
 	  | $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 
 # bench-smoke runs every scan-kernel benchmark for a single iteration: no

@@ -456,7 +456,7 @@ func decodeAdmission(data []byte, p0 int) (*admission, error) {
 		return nil, err
 	}
 	if len(ad.blockOwner) != p0 || len(ad.groupOwner) != p0 {
-		return nil, fmt.Errorf("core: admission owner tables sized %d/%d, want %d", len(ad.blockOwner), len(ad.groupOwner), p0)
+		return nil, fmt.Errorf("%w: admission owner tables sized %d/%d, want %d", errWire, len(ad.blockOwner), len(ad.groupOwner), p0)
 	}
 	return ad, nil
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pepscale/internal/placement"
 	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
 	"pepscale/internal/wire/wiretest"
@@ -112,6 +113,43 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(encodeBatch(wireSampleBatch()))
 	f.Add(encodeBatch(batchMsg{}))
 	wiretest.Canonical(f, nonEmpty(decodeBatch), encodeBatch, errWire)
+}
+
+// FuzzUnmarshalCands: same contract for the candidate-block decoder, whose
+// blobs a rank reads from another rank's window.
+func FuzzUnmarshalCands(f *testing.F) {
+	golden, err := marshalCands(goldenCands())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(golden)
+	encode := func(es []candEntry) []byte {
+		b, err := marshalCands(es)
+		if err != nil {
+			panic(err) // a decoded entry always fits the format's u8 lengths
+		}
+		return b
+	}
+	wiretest.Canonical(f, unmarshalCands, encode, errWire)
+}
+
+// FuzzDecodeAdmission: same contract for the admission hand-off a joiner
+// decodes, at the golden state's p0.
+func FuzzDecodeAdmission(f *testing.F) {
+	st, newMembers, p0 := goldenAdmissionState()
+	f.Add([]byte{})
+	f.Add(encodeAdmission(st, newMembers, p0))
+	decode := func(b []byte) (*admission, error) { return decodeAdmission(b, p0) }
+	encode := func(ad *admission) []byte {
+		sw := &sweeper{
+			plan:  &placement.Plan{Members: ad.oldMembers, BlockOwner: ad.blockOwner, GroupOwner: ad.groupOwner},
+			gen:   ad.gen,
+			bases: ad.bases,
+		}
+		return encodeAdmission(&elasticState{sweeper: sw, eventIdx: ad.eventIdx, s: ad.step}, ad.newMembers, p0)
+	}
+	wiretest.Canonical(f, decode, encode, errWire)
 }
 
 // TestWireHostileCounts: every count field of the four engine formats is

@@ -160,7 +160,8 @@ func CleavageSites(seq []byte) []int {
 	return appendCleavageSites(nil, seq)
 }
 
-// appendCleavageSites appends the cut positions of a non-empty seq to dst.
+// appendCleavageSites appends the cut positions of seq to dst: 0, the cuts
+// inside seq, then len(seq) (so 0, 0 for an empty seq).
 func appendCleavageSites(dst []int, seq []byte) []int {
 	dst = append(dst, 0)
 	for i := 1; i < len(seq); i++ {
@@ -177,7 +178,7 @@ func appendCleavageSites(dst []int, seq []byte) []int {
 // containing non-standard residues (B, J, O, U, X, Z) have those segments
 // skipped: a peptide is emitted only if every residue is standard.
 func Digest(seq []byte, protein int32, p Params, emit func(Peptide)) {
-	newDigester(p).run(seq, func(start, end int, mass float64, sites []ModSite) {
+	newDigester(p).run(seq, CleavageSites(seq), func(start, end int, mass float64, sites []ModSite) {
 		pep := Peptide{Seq: seq[start:end], Protein: protein, Mass: mass}
 		if len(sites) > 0 {
 			pep.Sites = append([]ModSite(nil), sites...)
@@ -192,13 +193,12 @@ func Digest(seq []byte, protein int32, p Params, emit func(Peptide)) {
 type emitFunc func(start, end int, mass float64, sites []ModSite)
 
 // digester enumerates candidates protein after protein, reusing its scratch:
-// an index build digests every protein of its block twice (count, then fill)
-// without allocating per protein or per peptide.
+// an index build digests every protein of its block once without allocating
+// per protein or per peptide.
 type digester struct {
 	p     Params
 	tab   *[256]float64
 	water float64
-	cuts  []int
 
 	// The modification expansion in progress: the applicable sites of
 	// seq[start:end], the ones applied so far and their mass.
@@ -218,18 +218,18 @@ func newDigester(p Params) *digester {
 	return d
 }
 
-// run enumerates seq's candidates in a deterministic order. Every mass is
+// run enumerates seq's candidates in a deterministic order, given its
+// cleavage sites (appendCleavageSites). Every mass is
 // the left-to-right residue sum plus water — chem.ResidueSum's exact
 // operation order, since Hit.Mass is output: the spans sharing a start
 // extend one running sum across missed cleavages, which adds the same terms
 // in the same order (a difference of prefix sums would not).
-func (d *digester) run(seq []byte, emit emitFunc) {
+func (d *digester) run(seq []byte, cuts []int, emit emitFunc) {
 	if len(seq) == 0 {
 		return
 	}
 	d.seq, d.emit = seq, emit
-	d.cuts = appendCleavageSites(d.cuts[:0], seq)
-	cuts, p := d.cuts, &d.p
+	p := &d.p
 	for i := 0; i+1 < len(cuts); i++ {
 		start, at := cuts[i], cuts[i]
 		sum, standard := 0.0, true

@@ -3,7 +3,6 @@ package digest
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -302,45 +301,95 @@ func TestWindowFromMatchesWindow(t *testing.T) {
 	}
 }
 
+// TestIndexDeterministicAcrossBlockSplit: the index of a block is the
+// whole database's index restricted to the block's proteins, entry for entry
+// and in the same order (the distributed-engine invariant), with and without
+// modifications and semi-tryptic forms. Same-mass variants that differ only
+// in which residue carries a modification render to different hits
+// (M[+15.99]AMK, MAM[+15.99]K), so their order is part of the contract.
 func TestIndexDeterministicAcrossBlockSplit(t *testing.T) {
-	// Digesting the whole set must equal digesting two halves with
-	// adjusted protein bases (the distributed-engine invariant): the same
-	// peptides, bit for bit, with and without modifications.
 	recs := []fasta.Record{}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 40; i++ {
 		recs = append(recs, fasta.Record{ID: "r", Seq: randomProtein(uint64(i)+77, 150)})
 	}
 	modified := DefaultParams()
 	modified.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
 	modified.MaxModsPerPeptide = 2
-	for name, p := range map[string]Params{"plain": DefaultParams(), "modified": modified} {
-		whole, err := NewIndex(recs, 0, p)
+	semi := modified
+	semi.SemiTryptic = true
+	splits := []int{0, 3, 17, 40}
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{{"plain", DefaultParams()}, {"modified", modified}, {"semi+modified", semi}} {
+		whole, err := NewIndex(recs, 0, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h1, err := NewIndex(recs[:5], 0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := NewIndex(recs[5:], 5, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if whole.Len() != h1.Len()+h2.Len() {
-			t.Fatalf("%s: split sizes: %d vs %d+%d", name, whole.Len(), h1.Len(), h2.Len())
-		}
-		// +1 per peptide of the whole, -1 per peptide of a half.
-		count := map[string]int{}
-		for ix, sign := range map[*Index]int{whole: 1, h1: -1, h2: -1} {
-			for i := 0; i < ix.Len(); i++ {
-				pep := ix.At(i)
-				count[fmt.Sprintf("%x %s %d %v", math.Float64bits(pep.Mass), pep.Seq, pep.Protein, pep.Sites)] += sign
+		var tiedVariants, total int
+		for b := 0; b+1 < len(splits); b++ {
+			lo, hi := splits[b], splits[b+1]
+			part, err := NewIndex(recs[lo:hi], int32(lo), c.p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for k, n := range count {
-			if n != 0 {
-				t.Errorf("%s: peptide %s: whole has %+d more than the halves", name, k, n)
+			j := 0
+			for i := 0; i < whole.Len(); i++ {
+				w := whole.At(i)
+				if w.Protein < int32(lo) || w.Protein >= int32(hi) {
+					continue
+				}
+				if j >= part.Len() {
+					t.Fatalf("%s: block [%d,%d) has %d entries, the whole index more", c.name, lo, hi, part.Len())
+				}
+				g := part.At(j)
+				if math.Float64bits(g.Mass) != math.Float64bits(w.Mass) || !bytes.Equal(g.Seq, w.Seq) ||
+					g.Protein != w.Protein || !reflect.DeepEqual(g.Sites, w.Sites) {
+					t.Fatalf("%s: block [%d,%d) entry %d is %s %d %v %v, the whole index has %s %d %v %v",
+						c.name, lo, hi, j, g.Seq, g.Protein, g.Mass, g.Sites, w.Seq, w.Protein, w.Mass, w.Sites)
+				}
+				if j > 0 {
+					prev := part.At(j - 1)
+					if prev.Mass == g.Mass && bytes.Equal(prev.Seq, g.Seq) && len(prev.Sites) == len(g.Sites) && len(g.Sites) > 0 {
+						tiedVariants++
+					}
+				}
+				j++
 			}
+			if j != part.Len() {
+				t.Fatalf("%s: block [%d,%d) has %d entries, the whole index %d", c.name, lo, hi, part.Len(), j)
+			}
+			total += j
+		}
+		if total != whole.Len() {
+			t.Fatalf("%s: blocks hold %d entries, the whole index %d", c.name, total, whole.Len())
+		}
+		if c.p.MaxModsPerPeptide > 0 && tiedVariants == 0 {
+			t.Errorf("%s: no same-mass site variants adjacent; the split checks nothing their order decides", c.name)
+		}
+	}
+}
+
+// TestSpanBoundCoversPlainDigest: the span count that sizes a cold staging
+// column is at least the entry count of an unmodified, fully tryptic digest,
+// so such a build never grows its column.
+func TestSpanBoundCoversPlainDigest(t *testing.T) {
+	var recs []fasta.Record
+	for i := 0; i < 60; i++ {
+		recs = append(recs, fasta.Record{Seq: randomProtein(uint64(i)+5, 400)})
+	}
+	recs = append(recs, fasta.Record{}, fasta.Record{Seq: []byte("KKKKRRRRPPPP")})
+	for _, p := range []Params{DefaultParams(), {MinLength: 1, MaxLength: 500, MaxMass: 1e9}, {MissedCleavages: 3, MinLength: 1, MaxLength: 12, MaxMass: 1e9}} {
+		ix, err := NewIndex(recs, 0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := 0
+		for _, rec := range recs {
+			b += spanBound(appendCleavageSites(nil, rec.Seq), p)
+		}
+		if b < ix.Len() {
+			t.Errorf("%+v: span bound %d below the %d entries", p, b, ix.Len())
 		}
 	}
 }
@@ -385,10 +434,10 @@ func TestParamsValidate(t *testing.T) {
 			return IndexFromFunc(1<<16+2, func(int) Peptide { return longest }, DefaultParams())
 		}},
 		{"peptide length", func() (*Index, error) {
-			return IndexFromPeptides([]Peptide{{Seq: seq[:math.MaxUint16+1]}}, DefaultParams())
+			return IndexFromFunc(1, func(int) Peptide { return Peptide{Seq: seq[:math.MaxUint16+1]} }, DefaultParams())
 		}},
 		{"peptide mod sites", func() (*Index, error) {
-			return IndexFromPeptides([]Peptide{{Seq: seq[:8], Sites: make([]ModSite, math.MaxUint16+1)}}, DefaultParams())
+			return IndexFromFunc(1, func(int) Peptide { return Peptide{Seq: seq[:8], Sites: make([]ModSite, math.MaxUint16+1)} }, DefaultParams())
 		}},
 	}
 	for i, c := range tooLarge {

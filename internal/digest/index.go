@@ -5,7 +5,9 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"pepscale/internal/fasta"
 )
@@ -62,8 +64,8 @@ func NewIndex(recs []fasta.Record, baseProtein int32, p Params) (*Index, error) 
 
 // NewIndexIDs is NewIndex with an explicit global protein index per record,
 // as needed after the m/z redistribution of Algorithm B scrambles block
-// membership. The block is digested twice — a counting pass, then a filling
-// pass — so every column is allocated once at its final size.
+// membership. The block is digested once, into a pooled staging column (see
+// staging) that the sort scatters into the index's own exact-size column.
 func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -71,55 +73,60 @@ func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
 	if len(gids) != len(recs) {
 		return nil, fmt.Errorf("digest: %d records but %d protein ids", len(recs), len(gids))
 	}
-	var residues int64
-	for _, rec := range recs {
-		residues += int64(len(rec.Seq))
-	}
-	if err := checkFits("block residues", residues, math.MaxUint32); err != nil {
+	residues := fasta.TotalResidues(recs)
+	if err := checkFits("block residues", int64(residues), math.MaxUint32); err != nil {
 		return nil, err
 	}
+	st := stagingPool.Get().(*staging)
+	bound := 0
+	for _, rec := range recs {
+		st.cuts = appendCleavageSites(st.cuts[:0], rec.Seq)
+		bound += spanBound(st.cuts, p)
+	}
+	if cap(st.ents) < bound {
+		st.ents = make([]entry, 0, bound)
+	}
+	arena := make([]byte, 0, residues)
 	d := newDigester(p)
-	var n, nSites int
-	count := func(_, _ int, _ float64, sites []ModSite) {
-		n++
-		nSites += len(sites)
-	}
-	for _, rec := range recs {
-		d.run(rec.Seq, count)
-	}
-	ix, err := newIndex(n, int(residues), nSites)
-	if err != nil {
-		return nil, err
-	}
 	var base int
 	var gid int32
 	fill := func(start, end int, mass float64, sites []ModSite) {
-		ix.add(base+start, end-start, gid, mass, sites)
+		st.add(base+start, end-start, gid, mass, sites)
 	}
 	for i, rec := range recs {
-		base, gid = len(ix.arena), gids[i]
-		ix.arena = append(ix.arena, rec.Seq...)
-		d.run(rec.Seq, fill)
+		base, gid = len(arena), gids[i]
+		arena = append(arena, rec.Seq...)
+		st.cuts = appendCleavageSites(st.cuts[:0], rec.Seq)
+		d.run(rec.Seq, st.cuts, fill)
 	}
-	ix.sort()
-	return ix, nil
+	return st.index(arena)
 }
 
-// IndexFromPeptides builds an index directly from pre-generated peptides —
-// the path used where candidates arrive already digested. The peptides are
-// copied into the index's own storage in the canonical mass order.
-func IndexFromPeptides(peps []Peptide, p Params) (*Index, error) {
-	return IndexFromFunc(len(peps), func(i int) Peptide { return peps[i] }, p)
+// spanBound counts the tryptic spans of one record, given its cleavage
+// sites, within p's missed-cleavage and length limits: the entry count of an
+// unmodified, fully tryptic digest, less those the mass window or a
+// non-standard residue drops. It reads no residue and sums no mass.
+func spanBound(cuts []int, p Params) (n int) {
+	for i := range cuts {
+		for e := i + 1; e < len(cuts) && e-i <= p.MissedCleavages+1 && cuts[e]-cuts[i] <= p.MaxLength; e++ {
+			if cuts[e]-cuts[i] >= p.MinLength {
+				n++
+			}
+		}
+	}
+	return n
 }
 
-// IndexFromFunc is IndexFromPeptides over the n peptides at(0..n-1), for a
-// caller whose candidates are not held as a []Peptide (the candidate-
-// transport engine's wire entries). at is called twice per peptide.
+// IndexFromFunc builds an index directly from the n pre-generated peptides
+// at(0..n-1) — the path used where candidates arrive already digested (the
+// candidate-transport engine's wire entries). The peptides are copied into
+// the index's own storage in the index order. at is called twice per
+// peptide: once to size the arena, once to fill it.
 func IndexFromFunc(n int, at func(i int) Peptide, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var residues, nSites int64
+	var residues int64
 	for i := 0; i < n; i++ {
 		pep := at(i)
 		if err := checkFits("peptide length", int64(len(pep.Seq)), math.MaxUint16); err != nil {
@@ -129,52 +136,63 @@ func IndexFromFunc(n int, at func(i int) Peptide, p Params) (*Index, error) {
 			return nil, err
 		}
 		residues += int64(len(pep.Seq))
-		nSites += int64(len(pep.Sites))
 	}
 	if err := checkFits("block residues", residues, math.MaxUint32); err != nil {
 		return nil, err
 	}
-	ix, err := newIndex(n, int(residues), int(nSites))
-	if err != nil {
-		return nil, err
-	}
+	st := stagingPool.Get().(*staging)
+	st.ents = slices.Grow(st.ents, n)
+	arena := make([]byte, 0, residues)
 	for i := 0; i < n; i++ {
 		pep := at(i)
-		off := len(ix.arena)
-		ix.arena = append(ix.arena, pep.Seq...)
-		ix.add(off, len(pep.Seq), pep.Protein, pep.Mass, pep.Sites)
+		st.add(len(arena), len(pep.Seq), pep.Protein, pep.Mass, pep.Sites)
+		arena = append(arena, pep.Seq...)
 	}
-	ix.sort()
-	return ix, nil
+	return st.index(arena)
 }
 
-// newIndex allocates the three columns at their final sizes.
-func newIndex(n, residues, nSites int) (*Index, error) {
-	if err := checkFits("block mod sites", int64(nSites), math.MaxUint32); err != nil {
+// staging holds a build's cleavage sites, its entries and sites in emission
+// order, and the bucket counts of its sort. It is pooled across builds, so a
+// build allocates only the index's own columns at their final sizes: a
+// column grown by append allocates about five times its final size. A build
+// that finds the entry column shorter than its span bound (or its count)
+// replaces it at that size first.
+type staging struct {
+	ents   []entry
+	sites  []ModSite
+	counts []uint32
+	cuts   []int
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// add appends the candidate arena[off:off+n] with its sites.
+func (st *staging) add(off, n int, protein int32, mass float64, sites []ModSite) {
+	st.ents = append(st.ents, entry{
+		mass: mass, off: uint32(off), protein: protein,
+		siteOff: uint32(len(st.sites)), n: uint16(n), nSites: uint16(len(sites)),
+	})
+	st.sites = append(st.sites, sites...)
+}
+
+// index returns the staged entries as an index over arena (the site column
+// copied at its final size, the entries scattered into theirs in order),
+// and st to the pool.
+func (st *staging) index(arena []byte) (*Index, error) {
+	defer func() {
+		st.ents, st.sites = st.ents[:0], st.sites[:0]
+		stagingPool.Put(st)
+	}()
+	if err := checkFits("block mod sites", int64(len(st.sites)), math.MaxUint32); err != nil {
 		return nil, err
 	}
-	ix := &Index{ents: make([]entry, 0, n), arena: make([]byte, 0, residues)}
-	if nSites > 0 {
-		ix.sites = make([]ModSite, 0, nSites)
+	ix := &Index{arena: arena}
+	if len(st.sites) > 0 {
+		ix.sites = slices.Clone(st.sites)
 	}
+	ix.sortFrom(st)
 	return ix, nil
 }
-
-// add appends the candidate arena[off:off+n]; every column has room (see
-// newIndex), so nothing grows.
-func (ix *Index) add(off, n int, protein int32, mass float64, sites []ModSite) {
-	ix.ents = append(ix.ents, entry{
-		mass: mass, off: uint32(off), protein: protein,
-		siteOff: uint32(len(ix.sites)), n: uint16(n), nSites: uint16(len(sites)),
-	})
-	ix.sites = append(ix.sites, sites...)
-}
-
-// radixMinLen is the entry count from which sort uses the radix passes.
-// Below it the comparison sort wins and allocates nothing, which keeps a
-// build's fixed cost proportional to its block: a p=1024 run builds a
-// thousand indexes of a few hundred entries each.
-const radixMinLen = 4096
 
 // massKey maps a mass to a uint64 whose unsigned order is the float order.
 func massKey(m float64) uint64 {
@@ -185,70 +203,99 @@ func massKey(m float64) uint64 {
 	return b | 1<<63
 }
 
-// sort orders entries by mass with a deterministic tie-break (residues, then
-// protein, then site count), so that identical databases produce identical
-// indexes regardless of block boundaries. Entries equal under all four may
-// take either order: they render to the same hit. Large blocks take a stable
-// LSD radix sort on the bytes of the mass key, skipping the bytes every
-// entry shares, and then order each run of equal mass by the tie-break.
-func (ix *Index) sort() {
-	n := len(ix.ents)
-	if n < radixMinLen {
-		slices.SortFunc(ix.ents, func(a, b entry) int {
-			if c := cmp.Compare(a.mass, b.mass); c != 0 {
-				return c
-			}
-			return ix.compareTie(a, b)
-		})
+// sortFrom fills ix.ents with st.ents in the index order: by mass key, then
+// residues, protein, site count and the sites themselves by (Pos, Mod). The
+// order is total over an entry's content, so an index does not depend on
+// how the database was split into blocks or in which order peptides arrived
+// (only entries identical in content can trade places, and nothing can tell
+// them apart). One counting pass buckets the entries by the leading bits of
+// their key's offset from the least key, about two per bucket; one scatter
+// moves them into the exact-size column; each bucket is then sorted in
+// place, by insertion while it is short.
+func (ix *Index) sortFrom(st *staging) {
+	src := st.ents
+	n := len(src)
+	ix.ents = make([]entry, n)
+	if n == 0 {
 		return
 	}
-	var count [8][256]int
-	for i := range ix.ents {
-		k := massKey(ix.ents[i].mass)
-		for d := range count {
-			count[d][byte(k>>(8*d))]++
-		}
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range src {
+		k := massKey(src[i].mass)
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	k0 := massKey(ix.ents[0].mass)
-	src, dst := ix.ents, make([]entry, n)
-	for d := range count {
-		c, shift := &count[d], 8*d
-		if c[byte(k0>>shift)] == n {
-			continue
-		}
-		at := 0
-		for i, m := range c {
-			c[i] = at
-			at += m
-		}
-		for i := range src {
-			slot := &c[byte(massKey(src[i].mass)>>shift)]
-			dst[*slot] = src[i]
-			*slot++
-		}
-		src, dst = dst, src
+	shift := max(bits.Len64(hi-lo)-bits.Len(uint(n/2)), 0)
+	buckets := int((hi-lo)>>shift) + 1
+	if cap(st.counts) < buckets+1 {
+		st.counts = make([]uint32, buckets+1)
 	}
-	ix.ents = src
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && src[j].mass == src[i].mass {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(src[i:j], ix.compareTie)
-		}
-		i = j
+	counts := st.counts[:buckets+1]
+	clear(counts)
+	for i := range src {
+		counts[(massKey(src[i].mass)-lo)>>shift+1]++
+	}
+	for b := 1; b <= buckets; b++ {
+		counts[b] += counts[b-1]
+	}
+	for i := range src {
+		slot := &counts[(massKey(src[i].mass)-lo)>>shift]
+		ix.ents[*slot] = src[i]
+		*slot++
+	}
+	// counts[b] is now the end of bucket b.
+	start := 0
+	for _, end := range counts[:buckets] {
+		ix.sortRun(ix.ents[start:end])
+		start = int(end)
 	}
 }
 
-// compareTie orders two entries of equal mass.
-func (ix *Index) compareTie(a, b entry) int {
-	return cmp.Or(bytes.Compare(ix.seq(&a), ix.seq(&b)), cmp.Compare(a.protein, b.protein), cmp.Compare(a.nSites, b.nSites))
+// sortRun sorts one bucket: by insertion up to 32 entries, else by
+// slices.SortFunc.
+func (ix *Index) sortRun(run []entry) {
+	if len(run) > 32 {
+		slices.SortFunc(run, func(a, b entry) int { return ix.compare(&a, &b) })
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		e := run[i]
+		k := massKey(e.mass)
+		j := i
+		for ; j > 0; j-- {
+			if pk := massKey(run[j-1].mass); pk < k || pk == k && ix.compare(&run[j-1], &e) <= 0 {
+				break
+			}
+			run[j] = run[j-1]
+		}
+		run[j] = e
+	}
+}
+
+// compare is the index order.
+func (ix *Index) compare(a, b *entry) int {
+	if c := cmp.Compare(massKey(a.mass), massKey(b.mass)); c != 0 {
+		return c
+	}
+	if c := bytes.Compare(ix.seq(a), ix.seq(b)); c != 0 {
+		return c
+	}
+	return cmp.Or(cmp.Compare(a.protein, b.protein), cmp.Compare(a.nSites, b.nSites),
+		slices.CompareFunc(ix.sitesOf(a), ix.sitesOf(b), func(x, y ModSite) int {
+			return cmp.Or(cmp.Compare(x.Pos, y.Pos), cmp.Compare(x.Mod, y.Mod))
+		}))
 }
 
 func (ix *Index) seq(e *entry) []byte {
 	end := e.off + uint32(e.n)
 	return ix.arena[e.off:end:end]
+}
+
+func (ix *Index) sitesOf(e *entry) []ModSite {
+	if e.nSites == 0 {
+		return nil
+	}
+	end := e.siteOff + uint32(e.nSites)
+	return ix.sites[e.siteOff:end:end]
 }
 
 // Len returns the number of indexed candidate peptides.
@@ -258,12 +305,7 @@ func (ix *Index) Len() int { return len(ix.ents) }
 // index's storage and must not be modified.
 func (ix *Index) At(i int) Peptide {
 	e := &ix.ents[i]
-	pep := Peptide{Seq: ix.seq(e), Protein: e.protein, Mass: e.mass}
-	if e.nSites > 0 {
-		end := e.siteOff + uint32(e.nSites)
-		pep.Sites = ix.sites[e.siteOff:end:end]
-	}
-	return pep
+	return Peptide{Seq: ix.seq(e), Protein: e.protein, Mass: e.mass, Sites: ix.sitesOf(e)}
 }
 
 // SeqLen returns len(At(i).Seq) without building the view.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"pepscale/internal/chem"
@@ -25,7 +27,8 @@ func benchDB(n int, seed uint64) []fasta.Record {
 
 // referenceDigest is the index build this package replaced, kept as the
 // order's definition: every emitted peptide appended to one slice, ordered
-// by sort.Slice under the (mass, residues, protein, site count) comparator.
+// by sort.Slice under (mass, residues, protein, site count, sites by
+// (Pos, Mod)).
 func referenceDigest(recs []fasta.Record, gids []int32, p digest.Params) []digest.Peptide {
 	var peps []digest.Peptide
 	for i, rec := range recs {
@@ -42,68 +45,42 @@ func referenceDigest(recs []fasta.Record, gids []int32, p digest.Params) []diges
 		if a.Protein != b.Protein {
 			return a.Protein < b.Protein
 		}
-		return len(a.Sites) < len(b.Sites)
+		if len(a.Sites) != len(b.Sites) {
+			return len(a.Sites) < len(b.Sites)
+		}
+		for k := range a.Sites {
+			if x, y := a.Sites[k], b.Sites[k]; x != y {
+				return x.Pos < y.Pos || x.Pos == y.Pos && x.Mod < y.Mod
+			}
+		}
+		return false
 	})
 	return peps
 }
 
-func sitesLess(a, b []digest.ModSite) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i].Pos < b[i].Pos || a[i].Pos == b[i].Pos && a[i].Mod < b[i].Mod
-		}
-	}
-	return false
-}
-
-// requireSameOrder checks At(i) against the reference field for field. The
-// comparator leaves peptides equal in mass, residues, protein and site count
-// in either order (they differ only in which sites are modified), so each
-// such run is put in site order on both sides first.
+// requireSameOrder checks At(i) against the reference field for field.
 func requireSameOrder(t *testing.T, ix *digest.Index, want []digest.Peptide) {
 	t.Helper()
 	if ix.Len() != len(want) {
 		t.Fatalf("Len = %d, reference has %d", ix.Len(), len(want))
 	}
-	got := make([]digest.Peptide, ix.Len())
-	for i := range got {
-		got[i] = ix.At(i)
-		if ix.SeqLen(i) != len(got[i].Seq) {
-			t.Fatalf("SeqLen(%d) = %d, At has %d residues", i, ix.SeqLen(i), len(got[i].Seq))
+	for i, w := range want {
+		g := ix.At(i)
+		if ix.SeqLen(i) != len(g.Seq) {
+			t.Fatalf("SeqLen(%d) = %d, At has %d residues", i, ix.SeqLen(i), len(g.Seq))
 		}
-	}
-	tied := func(a, b digest.Peptide) bool {
-		return a.Mass == b.Mass && bytes.Equal(a.Seq, b.Seq) && a.Protein == b.Protein && len(a.Sites) == len(b.Sites)
-	}
-	for _, peps := range [][]digest.Peptide{got, want} {
-		for i := 0; i < len(peps); {
-			j := i + 1
-			for j < len(peps) && tied(peps[i], peps[j]) {
-				j++
-			}
-			run := peps[i:j]
-			sort.SliceStable(run, func(a, b int) bool { return sitesLess(run[a].Sites, run[b].Sites) })
-			i = j
-		}
-	}
-	for i := range want {
-		g, w := got[i], want[i]
 		if math.Float64bits(g.Mass) != math.Float64bits(w.Mass) || !bytes.Equal(g.Seq, w.Seq) || g.Protein != w.Protein {
 			t.Fatalf("At(%d) = {%s %d %v}, reference {%s %d %v}", i, g.Seq, g.Protein, g.Mass, w.Seq, w.Protein, w.Mass)
 		}
-		if (g.Sites == nil) != (w.Sites == nil) || len(g.Sites) != len(w.Sites) {
+		if (g.Sites == nil) != (w.Sites == nil) || !slices.Equal(g.Sites, w.Sites) {
 			t.Fatalf("At(%d) %s: sites %v, reference %v", i, g.Seq, g.Sites, w.Sites)
-		}
-		for s := range w.Sites {
-			if g.Sites[s] != w.Sites[s] {
-				t.Fatalf("At(%d) %s: sites %v, reference %v", i, g.Seq, g.Sites, w.Sites)
-			}
 		}
 	}
 }
 
 // TestIndexMatchesReferenceOrder holds the flat index to the order and the
-// bits of the build it replaced, on both sides of the radix threshold.
+// bits of the reference build, from one-record blocks to ones of a hundred
+// thousand entries.
 func TestIndexMatchesReferenceOrder(t *testing.T) {
 	mods := func(p digest.Params) digest.Params {
 		p.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
@@ -120,7 +97,7 @@ func TestIndexMatchesReferenceOrder(t *testing.T) {
 	}
 	base := digest.DefaultParams()
 	// Sequence counts per case: a semi-tryptic digest is about forty times
-	// the size, so it crosses the threshold with three sequences.
+	// the size.
 	wide, narrow := []int{1, 3, 40, 120}, []int{1, 3, 8}
 	params := []struct {
 		name  string
@@ -130,7 +107,6 @@ func TestIndexMatchesReferenceOrder(t *testing.T) {
 		{"plain", base, wide}, {"mods", mods(base), wide}, {"average", avg(base), wide},
 		{"semi", semi(base), narrow}, {"semi+mods", semi(mods(base)), narrow},
 	}
-	sawSmall, sawRadix := false, false
 	for _, pc := range params {
 		for _, n := range pc.sizes {
 			for seed := uint64(1); seed <= 2; seed++ {
@@ -159,11 +135,6 @@ func TestIndexMatchesReferenceOrder(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if ix.Len() < digest.RadixMinLen {
-						sawSmall = true
-					} else {
-						sawRadix = true
-					}
 					t.Run(name, func(t *testing.T) { requireSameOrder(t, ix, want) })
 
 					// The same peptides handed over pre-digested, in reverse.
@@ -171,23 +142,60 @@ func TestIndexMatchesReferenceOrder(t *testing.T) {
 					for i, pep := range want {
 						rev[len(want)-1-i] = pep
 					}
-					fromPeps, err := digest.IndexFromPeptides(rev, pc.p)
+					fromPeps, err := digest.IndexFromFunc(len(rev), func(i int) digest.Peptide { return rev[i] }, pc.p)
 					if err != nil {
-						t.Fatalf("%s: IndexFromPeptides: %v", name, err)
+						t.Fatalf("%s: IndexFromFunc: %v", name, err)
 					}
 					t.Run(name+"/from-peptides", func(t *testing.T) { requireSameOrder(t, fromPeps, want) })
 				}
 			}
 		}
 	}
-	if !sawSmall || !sawRadix {
-		t.Errorf("sizes cover small=%v radix=%v sides of the %d-entry threshold, want both", sawSmall, sawRadix, digest.RadixMinLen)
+}
+
+// TestIndexOwnsItsColumns: builds share pooled staging, never an index's
+// columns. Indexes built from several goroutines at once equal their serial
+// builds, and an index built before them is unchanged after them.
+func TestIndexOwnsItsColumns(t *testing.T) {
+	p := digest.DefaultParams()
+	p.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
+	p.MaxModsPerPeptide = 2
+	recs := benchDB(24, 3)
+	gids := make([]int32, len(recs))
+	for i := range gids {
+		gids[i] = int32(i)
 	}
+	want := referenceDigest(recs, gids, p)
+	first, err := digest.NewIndex(recs, 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	got := make([]*digest.Index, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				got[w], errs[w] = digest.NewIndex(recs[w:], int32(w), p)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, ix := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		requireSameOrder(t, ix, referenceDigest(recs[w:], gids[w:], p))
+	}
+	requireSameOrder(t, first, want)
 }
 
 // indexShapes are the builds BenchmarkNewIndex times, with the allocation
 // ceiling of one NewIndex call in bytes for n peptides where one is set: a
-// 1,500-record block (batch_sparse's shape, radix path), a 2-record block
+// 1,500-record block (batch_sparse's shape), a 2-record block
 // (scale_wide's, which builds a thousand of them per search, so its fixed
 // cost counts), and the whole-database build core.Serial does.
 var indexShapes = []struct {

@@ -43,6 +43,24 @@ func ParseBytes(data []byte) ([]Record, error) {
 	return parseRange(data, 0, len(data))
 }
 
+// residueTab maps a sequence byte to the residue it stands for: letters
+// upper-cased, 0 for a byte the body may hold but the sequence drops
+// (whitespace, and '*' for a stop codon), invalidByte for anything else.
+var residueTab = func() (t [256]byte) {
+	for i := range t {
+		t[i] = invalidByte
+	}
+	for b := byte('A'); b <= 'Z'; b++ {
+		t[b], t[b-'A'+'a'] = b, b
+	}
+	for _, b := range []byte("*\n\r \t") {
+		t[b] = 0
+	}
+	return t
+}()
+
+const invalidByte = 0xFF
+
 // parseRange parses records whose header lines begin in data[start:end).
 // A record's sequence may extend to the next header even past end; callers
 // using Ranges never produce that case because boundaries are repaired.
@@ -57,9 +75,6 @@ func parseRange(data []byte, start, end int) ([]Record, error) {
 		return nil, fmt.Errorf("%w: expected '>' at byte %d, found %q", ErrMalformed, i, data[i])
 	}
 	for i < end {
-		if data[i] != '>' {
-			return nil, fmt.Errorf("%w: expected '>' at byte %d", ErrMalformed, i)
-		}
 		nl := bytes.IndexByte(data[i:], '\n')
 		var header string
 		var bodyStart int
@@ -75,30 +90,28 @@ func parseRange(data []byte, start, end int) ([]Record, error) {
 		if id == "" {
 			return nil, fmt.Errorf("%w: empty header at byte %d", ErrMalformed, i)
 		}
-		// The sequence body runs until the next header line or EOF.
-		bodyEnd := bodyStart
-		for bodyEnd < len(data) {
-			if data[bodyEnd] == '>' && (bodyEnd == 0 || data[bodyEnd-1] == '\n') {
-				break
-			}
-			bodyEnd++
+		// The sequence body runs until the next header line or EOF. The
+		// byte before bodyStart is a newline, so a header may open it.
+		bodyEnd := len(data)
+		if bodyStart < len(data) && data[bodyStart] == '>' {
+			bodyEnd = bodyStart
+		} else if at := bytes.Index(data[bodyStart:], []byte("\n>")); at >= 0 {
+			bodyEnd = bodyStart + at + 1
 		}
-		seq := make([]byte, 0, bodyEnd-bodyStart)
-		for _, b := range data[bodyStart:bodyEnd] {
-			switch {
-			case b >= 'a' && b <= 'z':
-				seq = append(seq, b-'a'+'A')
-			case b >= 'A' && b <= 'Z', b == '*':
-				if b != '*' { // trailing stop codons are dropped
-					seq = append(seq, b)
-				}
-			case b == '\n', b == '\r', b == ' ', b == '\t':
-				// ignore
-			default:
+		body := data[bodyStart:bodyEnd]
+		seq := make([]byte, len(body))
+		n := 0
+		for _, b := range body {
+			r := residueTab[b]
+			if r == invalidByte {
 				return nil, fmt.Errorf("%w: invalid sequence byte %q in record %s", ErrMalformed, b, id)
 			}
+			seq[n] = r
+			if r != 0 {
+				n++
+			}
 		}
-		recs = append(recs, Record{ID: id, Desc: desc, Seq: seq})
+		recs = append(recs, Record{ID: id, Desc: desc, Seq: seq[:n]})
 		i = bodyEnd
 	}
 	return recs, nil

@@ -3,19 +3,95 @@ package fasta_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pepscale/internal/fasta"
 	"pepscale/internal/synth"
 )
 
-// FuzzParseFASTA holds the parser and the boundary-repair splitter to one
-// another on arbitrary bytes: neither panics, every rejection is
-// ErrMalformed, and for p in {1, 3, 8} the records of Ranges' partitions,
-// parsed one by one and concatenated, are exactly the records of the whole
-// image — a malformed image is rejected by some partition, never silently
-// shortened.
+// referenceParse is the byte-at-a-time parser the table-driven one replaced,
+// kept as its definition: the records whose header lines begin in
+// data[start:end), each body running to the next header line or EOF.
+func referenceParse(data []byte, start, end int) ([]fasta.Record, error) {
+	var recs []fasta.Record
+	i := start
+	for i < end && (data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	if i < end && data[i] != '>' {
+		return nil, fmt.Errorf("%w: expected '>' at byte %d, found %q", fasta.ErrMalformed, i, data[i])
+	}
+	for i < end {
+		if data[i] != '>' {
+			return nil, fmt.Errorf("%w: expected '>' at byte %d", fasta.ErrMalformed, i)
+		}
+		nl := bytes.IndexByte(data[i:], '\n')
+		var header string
+		var bodyStart int
+		if nl < 0 {
+			header = string(data[i+1:])
+			bodyStart = len(data)
+		} else {
+			header = string(data[i+1 : i+nl])
+			bodyStart = i + nl + 1
+		}
+		header = strings.TrimSpace(strings.TrimRight(header, "\r"))
+		id, desc := header, ""
+		if sp := strings.IndexAny(header, " \t"); sp >= 0 {
+			id, desc = header[:sp], strings.TrimSpace(header[sp+1:])
+		}
+		if id == "" {
+			return nil, fmt.Errorf("%w: empty header at byte %d", fasta.ErrMalformed, i)
+		}
+		bodyEnd := bodyStart
+		for bodyEnd < len(data) {
+			if data[bodyEnd] == '>' && (bodyEnd == 0 || data[bodyEnd-1] == '\n') {
+				break
+			}
+			bodyEnd++
+		}
+		seq := make([]byte, 0, bodyEnd-bodyStart)
+		for _, b := range data[bodyStart:bodyEnd] {
+			switch {
+			case b >= 'a' && b <= 'z':
+				seq = append(seq, b-'a'+'A')
+			case b >= 'A' && b <= 'Z', b == '*':
+				if b != '*' {
+					seq = append(seq, b)
+				}
+			case b == '\n', b == '\r', b == ' ', b == '\t':
+			default:
+				return nil, fmt.Errorf("%w: invalid sequence byte %q in record %s", fasta.ErrMalformed, b, id)
+			}
+		}
+		recs = append(recs, fasta.Record{ID: id, Desc: desc, Seq: seq})
+		i = bodyEnd
+	}
+	return recs, nil
+}
+
+// sameParse fails t unless two parses agree: equal records, or equal error
+// text.
+func sameParse(t *testing.T, what string, got []fasta.Record, gotErr error, want []fasta.Record, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
+	}
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: records\n%+v\nreference\n%+v", what, got, want)
+	}
+}
+
+// FuzzParseFASTA holds the parser to the reference parser and the
+// boundary-repair splitter to the parser on arbitrary bytes: the whole image
+// and every partition parse to the reference's records or its error text,
+// nothing panics, every rejection is ErrMalformed, and for p in {1, 3, 8}
+// the records of Ranges' partitions, parsed one by one and concatenated, are
+// exactly the records of the whole image — a malformed image is rejected by
+// some partition, never silently shortened.
 func FuzzParseFASTA(f *testing.F) {
 	db := synth.GenerateDB(synth.SizedSpec(12))
 	f.Add(fasta.Marshal(db))
@@ -40,6 +116,8 @@ func FuzzParseFASTA(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole, err := fasta.ParseBytes(data)
+		ref, refErr := referenceParse(data, 0, len(data))
+		sameParse(t, "ParseBytes", whole, err, ref, refErr)
 		if err != nil && !errors.Is(err, fasta.ErrMalformed) {
 			t.Fatalf("ParseBytes error %v is not ErrMalformed", err)
 		}
@@ -48,6 +126,10 @@ func FuzzParseFASTA(f *testing.F) {
 			var perr error
 			for _, r := range fasta.Ranges(data, p) {
 				recs, e := fasta.ParseRange(data, r)
+				if r.Start < r.End {
+					ref, refErr := referenceParse(data, r.Start, r.End)
+					sameParse(t, fmt.Sprintf("p=%d: ParseRange(%v)", p, r), recs, e, ref, refErr)
+				}
 				if e != nil {
 					if !errors.Is(e, fasta.ErrMalformed) {
 						t.Fatalf("p=%d: ParseRange error %v is not ErrMalformed", p, e)
@@ -65,4 +147,21 @@ func FuzzParseFASTA(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkParseBytes parses the FASTA image of a 12,000-sequence database
+// of the benchmark's shape (microbial lengths with a third of the spread),
+// one line per sequence as fasta.Marshal writes it.
+func BenchmarkParseBytes(b *testing.B) {
+	spec := synth.SizedSpec(12000)
+	spec.LengthStdDev = 80
+	spec.Seed = 7
+	img := fasta.Marshal(synth.GenerateDB(spec))
+	b.SetBytes(int64(len(img)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fasta.ParseBytes(img); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -58,6 +58,14 @@ func FuzzUnmarshalSeqs(f *testing.F) {
 	wiretest.Canonical(f, UnmarshalSeqs, MarshalSeqs, errWire)
 }
 
+// FuzzDecodeBoundary: same contract for the boundary tuple every rank
+// gathers from every other.
+func FuzzDecodeBoundary(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(encodeBoundary(Boundary{Lo: 301, Hi: -2}))
+	wiretest.Canonical(f, decodeBoundary, encodeBoundary, errWire)
+}
+
 // TestWireHostileCounts: the sequence length is checked against the bytes
 // behind it before the sequence is allocated.
 func TestWireHostileCounts(t *testing.T) {
