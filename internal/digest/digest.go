@@ -208,6 +208,9 @@ type digester struct {
 	cands, sites []ModSite
 	base, mass   float64
 	budget       int
+
+	// siteCum is bound's running count of candidate sites.
+	siteCum []int32
 }
 
 func newDigester(p Params) *digester {
@@ -257,6 +260,80 @@ func (d *digester) run(seq []byte, cuts []int, emit emitFunc) {
 			}
 		}
 	}
+}
+
+// bound returns upper bounds on the entries and modification sites run
+// emits for seq, given its cleavage sites: run's spans and semi-tryptic
+// forms within the length limits, each with its modification variants,
+// counted from the modifiable residues it holds. It sums no mass, so it
+// does not know which candidates the mass window or a non-standard residue
+// drops.
+func (d *digester) bound(seq []byte, cuts []int) (ents, sites int) {
+	p := &d.p
+	mods := len(p.Mods) > 0 && p.MaxModsPerPeptide > 0
+	if mods {
+		// siteCum[i] counts the (position, modification) pairs expandMods
+		// would consider in seq[:i].
+		d.siteCum = append(d.siteCum[:0], 0)
+		for _, b := range seq {
+			n := d.siteCum[len(d.siteCum)-1]
+			for _, m := range p.Mods {
+				if m.AppliesTo(b) {
+					n++
+				}
+			}
+			d.siteCum = append(d.siteCum, n)
+		}
+	}
+	add := func(start, end int) {
+		ents++
+		if mods {
+			v, s := d.variants(int(d.siteCum[end] - d.siteCum[start]))
+			ents, sites = ents+v, sites+s
+		}
+	}
+	for i := 0; i+1 < len(cuts); i++ {
+		start := cuts[i]
+		for mc := 0; mc <= p.MissedCleavages && i+1+mc < len(cuts); mc++ {
+			end := cuts[i+1+mc]
+			n := end - start
+			if n > p.MaxLength && !p.SemiTryptic {
+				break
+			}
+			if n >= p.MinLength && n <= p.MaxLength {
+				add(start, end)
+			}
+			if p.SemiTryptic {
+				for l := p.MinLength; l < n && l <= p.MaxLength; l++ {
+					add(start, start+l)
+					add(end-l, end)
+				}
+			}
+		}
+	}
+	return ents, sites
+}
+
+// variants bounds the modified variants expandMods emits for a peptide with
+// c candidate sites, and the sites they carry: the sets of at most
+// MaxModsPerPeptide of them, capped at the variant limit.
+func (d *digester) variants(c int) (v, sites int) {
+	limit := d.p.maxVariants()
+	term := 1
+	for k := 1; k <= d.p.MaxModsPerPeptide && k <= c; k++ {
+		if term > math.MaxInt/(c-k+1) {
+			break
+		}
+		term = term * (c - k + 1) / k // C(c, k)
+		v, sites = v+term, sites+k*term
+		if v >= limit {
+			break
+		}
+	}
+	if v >= limit {
+		return limit, limit * min(c, d.p.MaxModsPerPeptide)
+	}
+	return v, sites
 }
 
 // emitSub emits one semi-tryptic form and its modification variants.

@@ -370,26 +370,55 @@ func TestIndexDeterministicAcrossBlockSplit(t *testing.T) {
 	}
 }
 
-// TestSpanBoundCoversPlainDigest: the span count that sizes a cold staging
-// column is at least the entry count of an unmodified, fully tryptic digest,
-// so such a build never grows its column.
-func TestSpanBoundCoversPlainDigest(t *testing.T) {
+// TestBoundCoversDigest: the digester's bound, which sizes an index build's
+// columns, covers the entries and sites it emits, with and without
+// modifications and semi-tryptic forms. Where no candidate is dropped (every
+// residue standard, an open mass window, no residue taking two
+// modifications) the entry bound is exact, and so is the site bound unless
+// the variant cap cuts a peptide's expansion short.
+func TestBoundCoversDigest(t *testing.T) {
 	var recs []fasta.Record
-	for i := 0; i < 60; i++ {
-		recs = append(recs, fasta.Record{Seq: randomProtein(uint64(i)+5, 400)})
+	for i := 0; i < 40; i++ {
+		recs = append(recs, fasta.Record{Seq: randomProtein(uint64(i)+5, 300)})
 	}
-	recs = append(recs, fasta.Record{}, fasta.Record{Seq: []byte("KKKKRRRRPPPP")})
-	for _, p := range []Params{DefaultParams(), {MinLength: 1, MaxLength: 500, MaxMass: 1e9}, {MissedCleavages: 3, MinLength: 1, MaxLength: 12, MaxMass: 1e9}} {
-		ix, err := NewIndex(recs, 0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := 0
+	recs = append(recs, fasta.Record{}, fasta.Record{Seq: []byte("KKKKRRRRPPPP")}, fasta.Record{Seq: []byte("MSTYMSTYKMMSSTTYYR")})
+	open := Params{MissedCleavages: 2, MinLength: 4, MaxLength: 30, MaxMass: 1e9}
+	withMods := func(p Params, maxMods, maxVariants int) Params {
+		p.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
+		p.MaxModsPerPeptide, p.MaxVariantsPerPeptide = maxMods, maxVariants
+		return p
+	}
+	withSemi := func(p Params) Params { p.SemiTryptic = true; return p }
+	const uncapped = 1 << 20
+	cases := []struct {
+		name              string
+		p                 Params
+		exact, exactSites bool
+	}{
+		{"default", DefaultParams(), false, false},
+		{"default+mods", withMods(DefaultParams(), 2, 0), false, false},
+		{"default+semi+mods", withSemi(withMods(DefaultParams(), 2, 0)), false, false},
+		{"open", open, true, true},
+		{"open+semi", withSemi(open), true, true},
+		{"open+mods", withMods(open, 3, uncapped), true, true},
+		{"open+mods capped", withMods(open, 3, 5), true, false},
+		{"open+semi+mods", withSemi(withMods(open, 2, uncapped)), true, true},
+		{"short, three missed", Params{MissedCleavages: 3, MinLength: 1, MaxLength: 12, MaxMass: 1e9}, true, true},
+	}
+	for _, c := range cases {
+		ents, sites := 0, 0
+		d := newDigester(c.p)
 		for _, rec := range recs {
-			b += spanBound(appendCleavageSites(nil, rec.Seq), p)
+			cuts := appendCleavageSites(nil, rec.Seq)
+			e, s := d.bound(rec.Seq, cuts)
+			ents, sites = ents+e, sites+s
+			d.run(rec.Seq, cuts, func(_, _ int, _ float64, s []ModSite) {
+				ents--
+				sites -= len(s)
+			})
 		}
-		if b < ix.Len() {
-			t.Errorf("%+v: span bound %d below the %d entries", p, b, ix.Len())
+		if ents < 0 || sites < 0 || c.exact && ents != 0 || c.exactSites && sites != 0 {
+			t.Errorf("%s: bound exceeds the digest by %d entries and %d sites", c.name, ents, sites)
 		}
 	}
 }

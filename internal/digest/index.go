@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"pepscale/internal/fasta"
 )
@@ -64,8 +63,9 @@ func NewIndex(recs []fasta.Record, baseProtein int32, p Params) (*Index, error) 
 
 // NewIndexIDs is NewIndex with an explicit global protein index per record,
 // as needed after the m/z redistribution of Algorithm B scrambles block
-// membership. The block is digested once, into a pooled staging column (see
-// staging) that the sort scatters into the index's own exact-size column.
+// membership. The block is digested once, into columns sized by the
+// digester's bound on what it emits, and the entries are then sorted in
+// place.
 func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -77,56 +77,49 @@ func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
 	if err := checkFits("block residues", int64(residues), math.MaxUint32); err != nil {
 		return nil, err
 	}
-	st := stagingPool.Get().(*staging)
-	bound := 0
-	for _, rec := range recs {
-		st.cuts = appendCleavageSites(st.cuts[:0], rec.Seq)
-		bound += spanBound(st.cuts, p)
-	}
-	if cap(st.ents) < bound {
-		st.ents = make([]entry, 0, bound)
-	}
-	arena := make([]byte, 0, residues)
 	d := newDigester(p)
+	// One record's cleavage sites, on the stack unless the record has more
+	// than 64.
+	var buf [64]int
+	cuts := buf[:0]
+	ents, sites := 0, 0
+	for _, rec := range recs {
+		cuts = appendCleavageSites(cuts[:0], rec.Seq)
+		e, s := d.bound(rec.Seq, cuts)
+		ents, sites = ents+e, sites+s
+	}
+	if err := checkFits("block mod sites", int64(sites), math.MaxUint32); err != nil {
+		return nil, err
+	}
+	ix := &Index{ents: make([]entry, 0, ents), arena: make([]byte, 0, residues)}
+	if sites > 0 {
+		ix.sites = make([]ModSite, 0, sites)
+	}
 	var base int
 	var gid int32
 	fill := func(start, end int, mass float64, sites []ModSite) {
-		st.add(base+start, end-start, gid, mass, sites)
+		ix.add(base+start, end-start, gid, mass, sites)
 	}
 	for i, rec := range recs {
-		base, gid = len(arena), gids[i]
-		arena = append(arena, rec.Seq...)
-		st.cuts = appendCleavageSites(st.cuts[:0], rec.Seq)
-		d.run(rec.Seq, st.cuts, fill)
+		base, gid = len(ix.arena), gids[i]
+		ix.arena = append(ix.arena, rec.Seq...)
+		cuts = appendCleavageSites(cuts[:0], rec.Seq)
+		d.run(rec.Seq, cuts, fill)
 	}
-	return st.index(arena)
-}
-
-// spanBound counts the tryptic spans of one record, given its cleavage
-// sites, within p's missed-cleavage and length limits: the entry count of an
-// unmodified, fully tryptic digest, less those the mass window or a
-// non-standard residue drops. It reads no residue and sums no mass.
-func spanBound(cuts []int, p Params) (n int) {
-	for i := range cuts {
-		for e := i + 1; e < len(cuts) && e-i <= p.MissedCleavages+1 && cuts[e]-cuts[i] <= p.MaxLength; e++ {
-			if cuts[e]-cuts[i] >= p.MinLength {
-				n++
-			}
-		}
-	}
-	return n
+	ix.sort()
+	return ix, nil
 }
 
 // IndexFromFunc builds an index directly from the n pre-generated peptides
 // at(0..n-1) — the path used where candidates arrive already digested (the
 // candidate-transport engine's wire entries). The peptides are copied into
 // the index's own storage in the index order. at is called twice per
-// peptide: once to size the arena, once to fill it.
+// peptide: once to size the columns, once to fill them.
 func IndexFromFunc(n int, at func(i int) Peptide, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var residues int64
+	var residues, sites int64
 	for i := 0; i < n; i++ {
 		pep := at(i)
 		if err := checkFits("peptide length", int64(len(pep.Seq)), math.MaxUint16); err != nil {
@@ -136,62 +129,34 @@ func IndexFromFunc(n int, at func(i int) Peptide, p Params) (*Index, error) {
 			return nil, err
 		}
 		residues += int64(len(pep.Seq))
+		sites += int64(len(pep.Sites))
 	}
 	if err := checkFits("block residues", residues, math.MaxUint32); err != nil {
 		return nil, err
 	}
-	st := stagingPool.Get().(*staging)
-	st.ents = slices.Grow(st.ents, n)
-	arena := make([]byte, 0, residues)
-	for i := 0; i < n; i++ {
-		pep := at(i)
-		st.add(len(arena), len(pep.Seq), pep.Protein, pep.Mass, pep.Sites)
-		arena = append(arena, pep.Seq...)
-	}
-	return st.index(arena)
-}
-
-// staging holds a build's cleavage sites, its entries and sites in emission
-// order, and the bucket counts of its sort. It is pooled across builds, so a
-// build allocates only the index's own columns at their final sizes: a
-// column grown by append allocates about five times its final size. A build
-// that finds the entry column shorter than its span bound (or its count)
-// replaces it at that size first.
-type staging struct {
-	ents   []entry
-	sites  []ModSite
-	counts []uint32
-	cuts   []int
-}
-
-var stagingPool = sync.Pool{New: func() any { return new(staging) }}
-
-// add appends the candidate arena[off:off+n] with its sites.
-func (st *staging) add(off, n int, protein int32, mass float64, sites []ModSite) {
-	st.ents = append(st.ents, entry{
-		mass: mass, off: uint32(off), protein: protein,
-		siteOff: uint32(len(st.sites)), n: uint16(n), nSites: uint16(len(sites)),
-	})
-	st.sites = append(st.sites, sites...)
-}
-
-// index returns the staged entries as an index over arena (the site column
-// copied at its final size, the entries scattered into theirs in order),
-// and st to the pool.
-func (st *staging) index(arena []byte) (*Index, error) {
-	defer func() {
-		st.ents, st.sites = st.ents[:0], st.sites[:0]
-		stagingPool.Put(st)
-	}()
-	if err := checkFits("block mod sites", int64(len(st.sites)), math.MaxUint32); err != nil {
+	if err := checkFits("block mod sites", sites, math.MaxUint32); err != nil {
 		return nil, err
 	}
-	ix := &Index{arena: arena}
-	if len(st.sites) > 0 {
-		ix.sites = slices.Clone(st.sites)
+	ix := &Index{ents: make([]entry, 0, n), arena: make([]byte, 0, residues)}
+	if sites > 0 {
+		ix.sites = make([]ModSite, 0, sites)
 	}
-	ix.sortFrom(st)
+	for i := 0; i < n; i++ {
+		pep := at(i)
+		ix.add(len(ix.arena), len(pep.Seq), pep.Protein, pep.Mass, pep.Sites)
+		ix.arena = append(ix.arena, pep.Seq...)
+	}
+	ix.sort()
 	return ix, nil
+}
+
+// add appends the candidate arena[off:off+n] with its sites.
+func (ix *Index) add(off, n int, protein int32, mass float64, sites []ModSite) {
+	ix.ents = append(ix.ents, entry{
+		mass: mass, off: uint32(off), protein: protein,
+		siteOff: uint32(len(ix.sites)), n: uint16(n), nSites: uint16(len(sites)),
+	})
+	ix.sites = append(ix.sites, sites...)
 }
 
 // massKey maps a mass to a uint64 whose unsigned order is the float order.
@@ -203,50 +168,69 @@ func massKey(m float64) uint64 {
 	return b | 1<<63
 }
 
-// sortFrom fills ix.ents with st.ents in the index order: by mass key, then
-// residues, protein, site count and the sites themselves by (Pos, Mod). The
-// order is total over an entry's content, so an index does not depend on
-// how the database was split into blocks or in which order peptides arrived
-// (only entries identical in content can trade places, and nothing can tell
-// them apart). One counting pass buckets the entries by the leading bits of
-// their key's offset from the least key, about two per bucket; one scatter
-// moves them into the exact-size column; each bucket is then sorted in
-// place, by insertion while it is short.
-func (ix *Index) sortFrom(st *staging) {
-	src := st.ents
-	n := len(src)
-	ix.ents = make([]entry, n)
-	if n == 0 {
-		return
-	}
+// sort puts ix.ents in the index order: by mass key, then residues,
+// protein, site count and the sites themselves by (Pos, Mod). The order is
+// total over an entry's content, so an index does not depend on how the
+// database was split into blocks or in which order peptides arrived (only
+// entries identical in content can trade places, and nothing can tell them
+// apart).
+func (ix *Index) sort() { ix.sortRange(ix.ents) }
+
+// sortRange sorts ents in place, most significant digit first. It buckets
+// them by the leading bits of their key's offset from the least key: up to
+// 256 buckets, about two entries per bucket below 512 entries. Each round
+// visits the unfilled slots of every bucket and swaps the entry in each to
+// the next free slot of its own bucket, which places it; rounds repeat
+// until every bucket is full. The visits of a round do not wait on each
+// other's loads, and with at most 256 buckets the slots being filled stay
+// in cache. Each bucket is then sorted the same way while it holds more
+// than 32 entries of unequal keys, and by sortRun below that.
+func (ix *Index) sortRange(ents []entry) {
+	n := len(ents)
 	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for i := range src {
-		k := massKey(src[i].mass)
+	for i := range ents {
+		k := massKey(ents[i].mass)
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	shift := max(bits.Len64(hi-lo)-bits.Len(uint(n/2)), 0)
-	buckets := int((hi-lo)>>shift) + 1
-	if cap(st.counts) < buckets+1 {
-		st.counts = make([]uint32, buckets+1)
+	if n <= 32 || lo == hi {
+		ix.sortRun(ents)
+		return
 	}
-	counts := st.counts[:buckets+1]
-	clear(counts)
-	for i := range src {
-		counts[(massKey(src[i].mass)-lo)>>shift+1]++
+	shift := max(bits.Len64(hi-lo)-min(bits.Len(uint(n/2)), 8), 0)
+	bucket := func(e *entry) uint8 { return uint8((massKey(e.mass) - lo) >> shift) }
+	// Bucket b's slots are [head[b], end[b]) once the counts are summed;
+	// head[b] then advances past each entry placed in b. A bucket number
+	// indexes the arrays themselves, which needs no bounds check.
+	var heads, ends [256]uint32
+	nb := int((hi-lo)>>shift) + 1
+	head, end := heads[:nb], ends[:nb]
+	for i := range ents {
+		ends[bucket(&ents[i])]++
 	}
-	for b := 1; b <= buckets; b++ {
-		counts[b] += counts[b-1]
+	sum := uint32(0)
+	for b, c := range end {
+		head[b] = sum
+		sum += c
+		end[b] = sum
 	}
-	for i := range src {
-		slot := &counts[(massKey(src[i].mass)-lo)>>shift]
-		ix.ents[*slot] = src[i]
-		*slot++
+	for full := false; !full; {
+		full = true
+		for b := range end {
+			for i := head[b]; i < end[b]; i++ {
+				t := bucket(&ents[i])
+				j := heads[t]
+				ents[i], ents[j] = ents[j], ents[i]
+				heads[t] = j + 1
+			}
+			full = full && head[b] == end[b]
+		}
 	}
-	// counts[b] is now the end of bucket b.
-	start := 0
-	for _, end := range counts[:buckets] {
-		ix.sortRun(ix.ents[start:end])
-		start = int(end)
+	start := uint32(0)
+	for _, e := range end {
+		if e-start > 1 {
+			ix.sortRange(ents[start:e])
+		}
+		start = e
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"pepscale/internal/chem"
@@ -153,67 +152,97 @@ func TestIndexMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
-// TestIndexOwnsItsColumns: builds share pooled staging, never an index's
-// columns. Indexes built from several goroutines at once equal their serial
-// builds, and an index built before them is unchanged after them.
-func TestIndexOwnsItsColumns(t *testing.T) {
-	p := digest.DefaultParams()
-	p.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
-	p.MaxModsPerPeptide = 2
-	recs := benchDB(24, 3)
-	gids := make([]int32, len(recs))
-	for i := range gids {
-		gids[i] = int32(i)
+// TestIndexSortsAnyMass: the in-place sort orders masses no digest emits
+// (NaN, infinities, signed zeros, negatives) by their key, keeps every
+// entry, and resolves runs of more than 32 equal keys and blocks deep
+// enough to take several bucket levels.
+func TestIndexSortsAnyMass(t *testing.T) {
+	key := func(m float64) uint64 {
+		if b := math.Float64bits(m); b>>63 != 0 {
+			return ^b
+		} else {
+			return b | 1<<63
+		}
 	}
-	want := referenceDigest(recs, gids, p)
-	first, err := digest.NewIndex(recs, 0, p)
+	odd := []float64{math.NaN(), math.Inf(-1), -1e300, -5, math.Copysign(0, -1), 0, 1e-300, 1e300, math.Inf(1), 1234.5}
+	seq := []byte("PEPTIDEKR")
+	state := uint64(7)
+	var peps []digest.Peptide
+	count := map[[3]uint64]int{}
+	for i := 0; i < 20000; i++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		m := 500 + float64(state%4500000)/1000
+		if i%4 == 0 {
+			m = odd[state%uint64(len(odd))]
+		}
+		pep := digest.Peptide{Seq: seq[:1+state%9], Protein: int32(state % 5), Mass: m}
+		peps = append(peps, pep)
+		count[[3]uint64{math.Float64bits(m), uint64(len(pep.Seq)), uint64(pep.Protein)}]++
+	}
+	ix, err := digest.IndexFromFunc(len(peps), func(i int) digest.Peptide { return peps[i] }, digest.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 4
-	got := make([]*digest.Index, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				got[w], errs[w] = digest.NewIndex(recs[w:], int32(w), p)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, ix := range got {
-		if errs[w] != nil {
-			t.Fatal(errs[w])
+	for i := 0; i < ix.Len(); i++ {
+		g := ix.At(i)
+		count[[3]uint64{math.Float64bits(g.Mass), uint64(len(g.Seq)), uint64(g.Protein)}]--
+		if i == 0 {
+			continue
 		}
-		requireSameOrder(t, ix, referenceDigest(recs[w:], gids[w:], p))
+		p := ix.At(i - 1)
+		if kp, kg := key(p.Mass), key(g.Mass); kp > kg || kp == kg && (len(p.Seq) > len(g.Seq) || len(p.Seq) == len(g.Seq) && p.Protein > g.Protein) {
+			t.Fatalf("At(%d) = {%s %d %v} after {%s %d %v}", i, g.Seq, g.Protein, g.Mass, p.Seq, p.Protein, p.Mass)
+		}
 	}
-	requireSameOrder(t, first, want)
+	for k, n := range count {
+		if n != 0 {
+			t.Fatalf("entry %v: %d more in the input than in the index", k, n)
+		}
+	}
 }
 
 // indexShapes are the builds BenchmarkNewIndex times, with the allocation
 // ceiling of one NewIndex call in bytes for n peptides where one is set: a
 // 1,500-record block (batch_sparse's shape), a 2-record block
 // (scale_wide's, which builds a thousand of them per search, so its fixed
-// cost counts), and the whole-database build core.Serial does.
+// cost counts), the whole-database build core.Serial does, and 150-record
+// blocks digested with Oxidation(M) and Phospho(STY) (two per peptide) and
+// semi-tryptically, whose columns are sized by bounds that count
+// modification variants and prefixes and suffixes.
 var indexShapes = []struct {
 	name   string
 	recs   int
+	p      digest.Params
 	budget func(n int) float64
 }{
-	{"block=1500", 1500, func(n int) float64 { return 96 * float64(n) }},
-	{"block=2", 2, func(n int) float64 { return 4096 + 64*float64(n) }},
-	{"whole=12000", 12000, nil},
+	{"block=1500", 1500, digest.DefaultParams(), func(n int) float64 { return 96 * float64(n) }},
+	{"block=2", 2, digest.DefaultParams(), func(n int) float64 { return 4096 + 64*float64(n) }},
+	{"whole=12000", 12000, digest.DefaultParams(), nil},
+	{"mods,block=150", 150, modParams(), func(n int) float64 { return 64 * float64(n) }},
+	{"semi,block=150", 150, semiParams(), func(n int) float64 { return 64 * float64(n) }},
+}
+
+func modParams() digest.Params {
+	p := digest.DefaultParams()
+	p.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
+	p.MaxModsPerPeptide = 2
+	return p
+}
+
+func semiParams() digest.Params {
+	p := digest.DefaultParams()
+	p.SemiTryptic = true
+	return p
 }
 
 // buildAllocBytes returns the heap bytes one NewIndex call allocates.
-func buildAllocBytes(tb testing.TB, recs []fasta.Record) (bytes uint64, ix *digest.Index) {
+func buildAllocBytes(tb testing.TB, recs []fasta.Record, p digest.Params) (bytes uint64, ix *digest.Index) {
 	tb.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ix, err := digest.NewIndex(recs, 0, digest.DefaultParams())
+	ix, err := digest.NewIndex(recs, 0, p)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		tb.Fatal(err)
@@ -226,7 +255,7 @@ func TestNewIndexAllocBudget(t *testing.T) {
 		if c.budget == nil {
 			continue
 		}
-		got, ix := buildAllocBytes(t, benchDB(c.recs, 7))
+		got, ix := buildAllocBytes(t, benchDB(c.recs, 7), c.p)
 		if max := c.budget(ix.Len()); float64(got) > max {
 			t.Errorf("%s: NewIndex allocated %d B for %d peptides (%.1f B/peptide), budget %.0f B",
 				c.name, got, ix.Len(), float64(got)/float64(ix.Len()), max)
@@ -244,7 +273,7 @@ func BenchmarkNewIndex(b *testing.B) {
 			var peptides int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, ix := buildAllocBytes(b, recs)
+				got, ix := buildAllocBytes(b, recs, c.p)
 				bytes += got
 				peptides += ix.Len()
 				if c.budget != nil && float64(got) > c.budget(ix.Len()) {
