@@ -83,13 +83,16 @@ test-short:
 # pointer for all), every member of an Allgather reading the one result
 # the last arriver built, ranks parked at a barrier: woken once each when it
 # completes or unwound by a crash, two crashes that must report the least
-# failure whichever the host records first, and every engine and pepd
-# fingerprint, crash lines included, byte for byte.
+# failure whichever the host records first, every engine and pepd
+# fingerprint, crash lines included, byte for byte, and pepd's resident
+# scan state: its prepared-fragment tables written by one owner rank per
+# Run, and a warm batch's allocation budget.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
 	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints' ./internal/core/ ./internal/serve/
+	$(GO) test -race -count=5 -run 'TestPrepTable|TestBackendWarmTableMatchesSerial|TestBackendQuantumAllocBudget' ./internal/core/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and
@@ -161,7 +164,7 @@ bench:
 # committing.
 bench-json:
 	{ $(GO) test -bench 'BenchmarkScorers' -benchmem -run '^$$' . ; \
-	  $(GO) test -bench 'BenchmarkScanKernel|BenchmarkEngineHostTime' -run '^$$' ./internal/core/ ; \
+	  $(GO) test -bench 'BenchmarkScanKernel|BenchmarkEngineHostTime|BenchmarkBackendQuantum' -run '^$$' ./internal/core/ ; \
 	  $(GO) test -bench 'BenchmarkMachineScale' -run '^$$' ./internal/cluster/ ; \
 	  $(GO) test -bench 'BenchmarkNewIndex' -run '^$$' ./internal/digest/ ; \
 	  $(GO) test -bench 'BenchmarkParseBytes' -run '^$$' ./internal/fasta/ ; } \

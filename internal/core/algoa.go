@@ -53,6 +53,15 @@ type scanner struct {
 	dcomp, drecv []byte
 }
 
+// newScanner returns a scanner with a fresh scorer for opt.
+func newScanner(opt Options, cache *indexCache) (*scanner, error) {
+	sc, err := score.New(opt.ScorerName, opt.Score)
+	if err != nil {
+		return nil, err
+	}
+	return &scanner{sc: sc, cache: cache}, nil
+}
+
 // loadPhase performs the balanced parallel load: block myBlock of a
 // blocks-way record-aligned partition of the database file, plus this
 // rank's 1/p share of the query file, with I/O and conditioning charged to

@@ -28,6 +28,12 @@
 // order breaks all ties), every query sees every block exactly once across
 // quanta regardless of batching, owner, or block order, and the global
 // protein index bases are a pure function of the p0-way partition.
+//
+// What every batch shares stays resident instead of being rebuilt per
+// quantum: each rank's scanner (scorer and scratch, sweep state, walkBlocks'
+// buffers) for the life of the machine, and each block's prepared-fragment
+// tables (prepTables) for the life of the backend. Both are host-side: the
+// virtual clock charges every quantum's scan as before.
 package core
 
 import (
@@ -37,6 +43,7 @@ import (
 	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
 	"pepscale/internal/placement"
+	"pepscale/internal/score"
 	"pepscale/internal/spectrum"
 )
 
@@ -57,6 +64,37 @@ type Backend struct {
 	// migBytes[r] counts block-migration bytes fetched by rank r across
 	// all rotations (each rank writes only its own slot during a Run).
 	migBytes []int64
+	// scanners[r] is rank r's resident scanner, created by its first Run
+	// after a Boot (each rank writes only its own slot during a Run).
+	scanners []*scanner
+	preps    prepTables
+}
+
+// prepTables are a backend's prepared-fragment tables: preps[b][c−1] holds
+// block b's candidates at effective fragment-charge cap c, created when a
+// batch first scans the block. A batch engine scans a candidate 1.01–1.29
+// times per run, so only the backend, whose blocks every batch rescans,
+// keeps them (nil elsewhere).
+//
+// Single writer: the backend drives one ScanBatch Run at a time and only
+// the batch's owner rank runs in it, so at most one sweep reads or writes
+// the tables at any instant, and consecutive Runs are ordered by the
+// machine's join.
+type prepTables [][]*score.PrepTable
+
+// forBlock returns block b's tables (nil for nil pt), creating them for an
+// index of entries positions on first use.
+func (pt prepTables) forBlock(b, entries int, opt Options) []*score.PrepTable {
+	if pt == nil {
+		return nil
+	}
+	if pt[b] == nil {
+		pt[b] = make([]*score.PrepTable, max(1, opt.Score.Theoretical.MaxFragmentCharge))
+		for c := range pt[b] {
+			pt[b][c] = score.NewPrepTable(entries)
+		}
+	}
+	return pt[b]
 }
 
 // NewBackend partitions the database into blocks record-aligned pieces and
@@ -77,6 +115,7 @@ func NewBackend(db []byte, opt Options, blocks int) (*Backend, error) {
 		store: ckpt.NewStore(),
 		gen:   make([]int32, blocks),
 		bases: make([]int32, blocks),
+		preps: make(prepTables, blocks),
 	}
 	var acc int32
 	for b, rg := range bk.cache.rangesFor(db, blocks) {
@@ -118,13 +157,19 @@ func (bk *Backend) MigrationBytes() int64 {
 }
 
 // sweeper is rank r's handle on the backend's partition, placement, window
-// generations and store for the duration of one machine Run.
+// generations, store and tables for the duration of one machine Run, over
+// the rank's resident scanner.
 func (bk *Backend) sweeper(r *cluster.Rank) (*sweeper, error) {
-	sw, err := newSweeper(r, bk.db, bk.opt, bk.cache, bk.store, "batch", bk.plan, bk.gen)
-	if err != nil {
-		return nil, err
+	sn := bk.scanners[r.ID()]
+	if sn == nil {
+		var err error
+		if sn, err = newScanner(bk.opt, bk.cache); err != nil {
+			return nil, err
+		}
+		bk.scanners[r.ID()] = sn
 	}
-	sw.bases = bk.bases
+	sw := newSweeper(r, sn, bk.db, bk.opt, bk.store, "batch", bk.plan, bk.gen)
+	sw.bases, sw.preps = bk.bases, bk.preps
 	return sw, nil
 }
 
@@ -153,6 +198,9 @@ func (bk *Backend) Boot(mach *cluster.Machine, members []int) (*cluster.RunRepor
 	if bk.migBytes == nil {
 		bk.migBytes = make([]int64, mach.Ranks())
 	}
+	// A new machine starts with no resident scan state: none survives a
+	// crash, and no binding outlives the machine its batches ran on.
+	bk.scanners = make([]*scanner, mach.Ranks())
 	rep := mach.RunWithReport(func(r *cluster.Rank) error {
 		if len(bk.plan.BlocksOf(r.ID())) == 0 {
 			return nil
@@ -292,12 +340,19 @@ func (bs *BatchState) Results() []QueryResult { return bs.results }
 // twice. Reading the store then rather than staging a copy
 // of the blob now is equivalent: batch ids are unique, and a batch is never
 // scanned — hence never checkpointed — between Invalidate and that quantum.
-func (bk *Backend) Invalidate(bs *BatchState) { bs.gr = nil }
+// The owner's resident scanner drops its query bindings too.
+func (bk *Backend) Invalidate(bs *BatchState) {
+	bs.gr = nil
+	if bs.owner < len(bk.scanners) && bk.scanners[bs.owner] != nil {
+		bk.scanners[bs.owner].scan.unbind()
+	}
+}
 
 // ScanBatch advances bs by at most steps block scans on its owner rank,
 // starting no earlier than the absolute machine-local time dispatchAt. The
 // quantum checkpoints the batch on exit; a completed sweep finalizes the
-// per-query results and stamps DoneClock.
+// per-query results and stamps DoneClock. The quantum runs on the owner's
+// resident scanner, whose query bindings it resets first.
 func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt float64, steps int) (*cluster.RunReport, error) {
 	if bk.plan == nil {
 		return nil, fmt.Errorf("core: backend scan before boot")
@@ -321,6 +376,7 @@ func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt f
 			}
 		}
 		gr := bs.gr
+		sw.scan.unbind()
 		r.SetPhase("scan")
 		// The group id is the batch id, so the block order (id+s) mod p0 is
 		// staggered across concurrent batches and their remote fetches

@@ -201,3 +201,33 @@ func BenchmarkEngineHostTime(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBackendQuantum measures one pepd quantum — one block step of a
+// two-query batch on a warm backend (resident scanners, prepared-fragment
+// tables filled by earlier batches) — with its allocations. A batch's
+// first quantum also conditions its queries, so an op averages p0 quanta
+// of the batch cycle.
+func BenchmarkBackendQuantum(b *testing.B) {
+	db, pool := backendWorkload(b, 1000, 64)
+	opt := DefaultOptions()
+	bk, mach := bootBackend(b, db, opt, 4)
+	id := int32(0)
+	var bs *BatchState
+	next := func() {
+		if bs == nil || bs.Done() {
+			id++
+			at := 2 * int(id) % len(pool)
+			bs = NewBatch(id, pool[at:at+2])
+		}
+		scanQuantum(b, bk, mach, bs)
+	}
+	for i := 0; i < 4*len(pool); i++ { // every query pair in every block order
+		next()
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
+	}
+}

@@ -214,10 +214,11 @@ func elasticStart(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, s
 	if err != nil {
 		return nil, err
 	}
-	sw, err := newSweeper(r, in.DBData, opt, sh.cache, store, "group", plan, make([]int32, es.p0))
+	sn, err := newScanner(opt, sh.cache)
 	if err != nil {
 		return nil, err
 	}
+	sw := newSweeper(r, sn, in.DBData, opt, store, "group", plan, make([]int32, es.p0))
 	st := &elasticState{sweeper: sw, nextB: es.epoch}
 	if err := sw.loadOwned(); err != nil {
 		return nil, err
@@ -383,10 +384,11 @@ func elasticJoin(r *cluster.Rank, in Input, opt Options, es *elasticSchedule, st
 	}
 	prev := &placement.Plan{Blocks: es.p0, Groups: es.p0, Members: ad.oldMembers,
 		BlockOwner: ad.blockOwner, GroupOwner: ad.groupOwner}
-	sw, err := newSweeper(r, in.DBData, opt, sh.cache, store, "group", prev, ad.gen)
+	sn, err := newScanner(opt, sh.cache)
 	if err != nil {
 		return nil, err
 	}
+	sw := newSweeper(r, sn, in.DBData, opt, store, "group", prev, ad.gen)
 	sw.bases = ad.bases
 	st := &elasticState{sweeper: sw, eventIdx: ad.eventIdx, s: ad.step, nextB: ad.step + es.epoch}
 	departed, err := elasticApply(r, in, sh, st, ad.newMembers)

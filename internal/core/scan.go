@@ -13,7 +13,9 @@
 // scoring all active queries of the charge against it. Like the paper's
 // kernel it generates each candidate's model on the fly from the block
 // being scanned; an inverted fragment index built per block was measured
-// slower end to end at every query density (EXPERIMENTS.md K3).
+// slower end to end at every query density (EXPERIMENTS.md K3). Only pepd,
+// whose resident blocks every batch rescans, keeps what it generates, in
+// per-block tables of prepared passes (scanState.tabs, Backend).
 //
 // Each query is scored against a floor: MinScore, or the list's top-τ
 // threshold when that is higher and the list is full. The likelihood model
@@ -39,6 +41,7 @@ import (
 
 	"pepscale/internal/digest"
 	"pepscale/internal/score"
+	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
 )
 
@@ -90,7 +93,11 @@ type scanState struct {
 	nGroups int
 	surv    []int32 // prefilter survivors of the current group
 
-	prep        score.CandidatePrep
+	prep score.CandidatePrep
+	// tabs are the prepared-fragment tables of the block being scanned,
+	// indexed by effective fragment-charge cap − 1 (pepd's resident
+	// blocks, see Backend), or nil: prep then fills its own buffers.
+	tabs        []*score.PrepTable
 	deltaBuf    []float64
 	quickBins   []int32
 	quickPrefix []float64
@@ -126,8 +133,17 @@ func (ss *scanState) bindQueries(qs []*score.Query) {
 	}
 	for i, q := range qs {
 		if ss.bqs[i].Q != q {
-			ss.bqs[i] = score.Batch(q)
+			ss.bqs[i].Rebind(q)
 		}
+	}
+}
+
+// unbind drops every query binding, keeping the caches' storage for the
+// queries bound next: a resident scan state calls it before each batch, so
+// no binding outlives its batch's queries.
+func (ss *scanState) unbind() {
+	for i := range ss.bqs {
+		ss.bqs[i].Rebind(nil)
 	}
 }
 
@@ -256,6 +272,11 @@ func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Inde
 				}
 			}
 
+			var tab *score.PrepTable
+			if ss.tabs != nil {
+				tab = ss.tabs[spectrum.EffectiveMaxFragmentCharge(opt.Score.Theoretical, g.charge)-1]
+			}
+			ss.prep.Use(tab, i)
 			sc.Prepare(&ss.prep, pep.Seq, deltas, g.charge)
 			for _, qi := range memb {
 				list := lists[qi]

@@ -32,6 +32,14 @@ var scanVariants = []scanVariant{
 		o.Digest.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
 		o.Digest.MaxModsPerPeptide = 2
 	}},
+	{"semi", func(o *Options, s *synth.SpectraSpec) {
+		o.Digest.SemiTryptic = true
+	}},
+	{"fragcharge3", func(o *Options, s *synth.SpectraSpec) {
+		// Three fragment-charge caps in one scan: charges 1 and 4 share one.
+		s.Charges = []int{1, 2, 3, 4}
+		o.Score.Theoretical.MaxFragmentCharge = 3
+	}},
 	{"prefilter", func(o *Options, s *synth.SpectraSpec) {
 		o.Prefilter = 0.25
 	}},
@@ -135,6 +143,20 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 					for qi := range qs {
 						if !reflect.DeepEqual(batLists[qi].Hits(), reLists[qi].Hits()) {
 							t.Errorf("%s: query %d warmed rescan hits differ", scorer, qi)
+						}
+					}
+					// Through prepared-fragment tables (pepd's resident
+					// blocks), cold and then warm, nothing moves either.
+					ss.tabs = make(prepTables, 1).forBlock(0, ix.Len(), opt)
+					for _, table := range []string{"cold", "warm"} {
+						tabLists := newLists(len(qs), opt.Tau)
+						if st := ss.scan(qs, tabLists, ix, batSc, opt, idOf); st != batSt {
+							t.Errorf("%s: %s-table scan stats differ: %+v, want %+v", scorer, table, st, batSt)
+						}
+						for qi := range qs {
+							if !reflect.DeepEqual(batLists[qi].Hits(), tabLists[qi].Hits()) {
+								t.Errorf("%s: query %d %s-table hits differ", scorer, qi, table)
+							}
 						}
 					}
 				}

@@ -64,7 +64,7 @@ type rgroup struct {
 //
 //pepvet:perrank
 type sweeper struct {
-	scanner
+	*scanner
 	r      *cluster.Rank
 	opt    Options
 	db     []byte
@@ -81,16 +81,15 @@ type sweeper struct {
 	// bases[b] is the global protein index of block b's first record.
 	bases  []int32
 	groups map[int]*rgroup
+	// preps are the backend's prepared-fragment tables (nil in RunElastic).
+	preps prepTables
 }
 
-func newSweeper(r *cluster.Rank, db []byte, opt Options, cache *indexCache, store *ckpt.Store, noun string, plan *placement.Plan, gen []int32) (*sweeper, error) {
-	sc, err := score.New(opt.ScorerName, opt.Score)
-	if err != nil {
-		return nil, err
-	}
-	return &sweeper{scanner: scanner{sc: sc, cache: cache}, r: r, opt: opt, db: db, p0: plan.Blocks,
-		ranges: cache.rangesFor(db, plan.Blocks), store: store, noun: noun,
-		plan: plan, gen: gen, groups: make(map[int]*rgroup)}, nil
+// newSweeper returns rank r's sweeper over sn, the rank's scanner.
+func newSweeper(r *cluster.Rank, sn *scanner, db []byte, opt Options, store *ckpt.Store, noun string, plan *placement.Plan, gen []int32) *sweeper {
+	return &sweeper{scanner: sn, r: r, opt: opt, db: db, p0: plan.Blocks,
+		ranges: sn.cache.rangesFor(db, plan.Blocks), store: store, noun: noun,
+		plan: plan, gen: gen, groups: make(map[int]*rgroup)}
 }
 
 // blockWinName names database block b's RMA window at migration generation
@@ -248,17 +247,19 @@ func (sw *sweeper) walk(groups []*rgroup, from, to int) error {
 		if data == nil {
 			data = sw.block(v.b)
 		}
-		key := blockKey(v.b, len(data))
+		key, base := blockKey(v.b, len(data)), sw.bases[v.b]
 		recs, err := sw.cache.recsFor(key, data)
 		if err != nil {
 			return fmt.Errorf("rank %d: block %d: %w", sw.r.ID(), v.b, err)
 		}
-		c, err := sw.processBlock(sw.r, sw.opt, v.gr.qs, v.gr.lists, recs, sw.bases[v.b], key)
-		if err == nil {
-			v.gr.candidates += c
-			v.gr.cursor = v.s + 1
+		blk, err := sw.cache.indexFor(key, recs, base, sw.opt.Digest)
+		if err != nil {
+			return err
 		}
-		return err
+		sw.scan.tabs = sw.preps.forBlock(v.b, blk.ix.Len(), sw.opt)
+		v.gr.candidates += sw.scanBlock(sw.r, sw.opt, v.gr.qs, v.gr.lists, recs, blk, blockIDResolver(recs, base))
+		v.gr.cursor = v.s + 1
+		return nil
 	})
 }
 

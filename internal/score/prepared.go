@@ -20,6 +20,11 @@
 // fills only pass 0, and null pass k is filled by the first query that
 // needs it. A score that is computed runs the same passes in the same
 // order, so it is unchanged bit for bit.
+//
+// A sweep that scans the same block again and again (pepd's resident
+// blocks) binds its CandidatePrep to a PrepTable slot with Use: passes the
+// table already holds are read from it, and a pass filled is copied into it.
+// Both kinds of prep fill through CandidatePrep.fill.
 package score
 
 import (
@@ -50,6 +55,12 @@ type CandidatePrep struct {
 	// predicted is the query-independent half of the match statistics of
 	// pass 0: the count of distinct predicted fragment bins.
 	predicted int
+	// tab and entry bind the prep to a PrepTable entry (see Use); slot is
+	// the entry's slot for the current candidate. tab is nil while the prep
+	// owns its passes.
+	tab   *PrepTable
+	entry int
+	slot  int32
 }
 
 // prepPass is one prepared fragment list — the model peptide or one of its
@@ -57,22 +68,56 @@ type CandidatePrep struct {
 // slot holds a b-ion, the odd slot after it the y-ion of the same cleavage
 // index and charge.
 type prepPass struct {
+	// bins is the pass: own, or a read-only view of the bound table's copy.
 	bins   []int32
+	own    []int32   // the fill buffer, never shared with a table
 	prefix []float64 // AppendBins' prefix-mass scratch
 }
 
-// fill populates the pass for (pep, deltas) at the given precursor charge,
-// reusing the pass buffers.
-func (p *prepPass) fill(cfg Config, charge int, pep []byte, deltas []float64) {
-	p.bins, p.prefix = spectrum.AppendBins(p.bins[:0], p.prefix, pep, deltas, charge, cfg.Theoretical, cfg.binWidth())
+// Use binds the prep to entry of tab for the candidates it prepares next:
+// passes the table holds are read from it, and a pass the prep fills is
+// copied into it. Every Use of one (tab, entry) must prepare the same
+// peptide and deltas. A nil tab unbinds: the prep fills its own buffers.
+func (prep *CandidatePrep) Use(tab *PrepTable, entry int) { prep.tab, prep.entry = tab, entry }
+
+// begin starts a candidate with pass 0 ready: read, with any null passes
+// stored after it, from the bound table entry, or else filled.
+func (prep *CandidatePrep) begin(cfg Config, scr *scratch, pep []byte, modDeltas []float64, charge int) {
+	prep.pepLen, prep.charge = len(pep), charge
+	prep.pep, prep.deltas = pep, modDeltas
+	prep.ready = 0
+	if prep.tab != nil {
+		prep.slot = prep.tab.slotOf(prep.entry)
+		prep.ready = prep.tab.load(prep.slot, &prep.pass)
+	}
+	if prep.ready == 0 {
+		prep.fill(cfg, scr)
+	}
+}
+
+// fill generates the next pass — the model peptide for pass 0, null
+// shuffle k−1 for pass k — into the pass's own buffer and, when the prep is
+// bound, stores a copy in the table, which the pass then reads. AppendBins
+// never writes into a slice the table holds.
+func (prep *CandidatePrep) fill(cfg Config, scr *scratch) {
+	k := prep.ready
+	pep, deltas := prep.pep, prep.deltas
+	if k > 0 {
+		pep, deltas = scr.shuffled(pep, deltas, uint64(k-1))
+	}
+	p := &prep.pass[k]
+	p.own, p.prefix = spectrum.AppendBins(p.own[:0], p.prefix, pep, deltas, prep.charge, cfg.Theoretical, cfg.binWidth())
+	p.bins = p.own
+	if prep.tab != nil {
+		p.bins = prep.tab.store(prep.slot, k, p.own)
+	}
+	prep.ready++
 }
 
 // prepareSingle fills pass 0 only (the models without a null component)
 // plus the query-independent predicted-bin count.
 func (prep *CandidatePrep) prepareSingle(cfg Config, scr *scratch, pep []byte, modDeltas []float64, charge int) {
-	prep.pepLen = len(pep)
-	prep.charge = charge
-	prep.pass[0].fill(cfg, charge, pep, modDeltas)
+	prep.begin(cfg, scr, pep, modDeltas, charge)
 	scr.pred.reset()
 	prep.predicted = 0
 	for _, bin := range prep.pass[0].bins {
@@ -110,6 +155,15 @@ type BatchQuery struct {
 // Batch wraps q for batched scoring.
 func Batch(q *Query) BatchQuery { return BatchQuery{Q: q} }
 
+// Rebind wraps q (nil: nothing) in bq, dropping the tables memoized for
+// the previous query but keeping their storage for q's.
+func (bq *BatchQuery) Rebind(q *Query) {
+	bq.Q = q
+	for i := range bq.rr {
+		bq.rr[i] = bq.rr[i][:0]
+	}
+}
+
 // lenTerms returns the interleaved log-ratio table for candidates of length
 // pepLen with n fragment slots, building it eagerly on first use. For a
 // fixed query charge, n is a pure function of pepLen, so after one sweep
@@ -138,8 +192,13 @@ func (bq *BatchQuery) lenTerms(pepLen, n int) []float64 {
 	// Rebuilt from scratch rather than grown: the slot layout depends on
 	// maxZ, so a table built for a smaller slot count is not a prefix of the
 	// larger one. (In-contract a BatchQuery sees one fragment-charge cap —
-	// its query's — and this branch runs once per pepLen.)
-	t = make([]float64, 2*n+2)
+	// its query's — and this branch runs once per pepLen and binding.)
+	if cap(t) >= 2*n+2 {
+		t = t[:2*n+2]
+		clear(t)
+	} else {
+		t = make([]float64, 2*n+2)
+	}
 	q := bq.Q
 	if pepLen >= 2 && n > 0 {
 		maxZ := n / (2 * (pepLen - 1))
@@ -175,11 +234,7 @@ func (bq *BatchQuery) lenTerms(pepLen, n int) []float64 {
 // null-model fragment lists are filled by ScorePrepared when a query's
 // bound first needs them.
 func (s *Likelihood) Prepare(prep *CandidatePrep, pep []byte, modDeltas []float64, charge int) {
-	prep.pepLen = len(pep)
-	prep.charge = charge
-	prep.ready = 1
-	prep.pep, prep.deltas = pep, modDeltas
-	prep.pass[0].fill(s.cfg, charge, pep, modDeltas)
+	prep.begin(s.cfg, &s.scr, pep, modDeltas, charge)
 }
 
 // ScorePrepared implements Scorer with the null-pass bound of the file
@@ -200,9 +255,7 @@ func (s *Likelihood) ScorePrepared(bq *BatchQuery, prep *CandidatePrep, floor fl
 			return 0, false
 		}
 		if k == prep.ready {
-			nullPep, nullDeltas := s.scr.shuffled(prep.pep, prep.deltas, uint64(k-1))
-			prep.pass[k].fill(s.cfg, prep.charge, nullPep, nullDeltas)
-			prep.ready++
+			prep.fill(s.cfg, &s.scr)
 		}
 		null += likelihoodPassCached(bq.Q, &prep.pass[k], rr)
 	}
