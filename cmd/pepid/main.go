@@ -25,6 +25,9 @@
 //	pepid -serve [-serve-seed 42] [-serve-duration 1]
 //	      [-serve-tenants "acme:steady:40,ops:bursty:20:interactive"]
 //	      [-serve-window 0.05] [-serve-max-batch 16] [-p 4] ...
+//
+// -serve refuses the batch-only flags -algo, -decoy, -fdr, -trace and
+// -trace-summary when they are set.
 package main
 
 import (
@@ -90,6 +93,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	profFlags := prof.Register(flag)
 	if err := flag.Parse(args); err != nil {
 		return err
+	}
+	if *serveMode {
+		if set := setFlags(flag, "algo", "decoy", "fdr", "trace", "trace-summary"); len(set) > 0 {
+			return fmt.Errorf("-serve does not take %s: the service runs one engine and reports no FDR or trace", strings.Join(set, ", "))
+		}
 	}
 	if *ranks < 1 {
 		return fmt.Errorf("-p %d: want at least 1 virtual processor", *ranks)
@@ -251,6 +259,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	return nil
+}
+
+// setFlags returns, as "-name", those of names that the command line set.
+func setFlags(fs *flag.FlagSet, names ...string) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		for _, n := range names {
+			if f.Name == n {
+				set = append(set, "-"+n)
+			}
+		}
+	})
+	return set
 }
 
 // serveParams carries the -serve flag set into runServe.

@@ -162,6 +162,41 @@ func TestPepidRejectsNonFiniteFlags(t *testing.T) {
 	}
 }
 
+// TestPepidServeRefusesBatchFlags: -serve returns a usage error naming each
+// batch-only flag set with it, before any input is generated, instead of
+// running without it — -trace wrote no file and -decoy searched no decoys.
+// The same flags at their defaults, unset, do not count.
+func TestPepidServeRefusesBatchFlags(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-serve", "-synth-db", "30", "-synth-queries", "2", "-p", "2", "-serve-duration", "0.05", "-o", os.DevNull}
+	for _, extra := range [][]string{
+		{"-algo", "b"},
+		{"-algo", "a"},
+		{"-decoy"},
+		{"-fdr", "0.05"},
+		{"-trace", filepath.Join(dir, "t.json")},
+		{"-trace-summary"},
+		{"-decoy", "-trace-summary"},
+	} {
+		sink := &bytes.Buffer{}
+		err := run(append(append([]string(nil), base...), extra...), sink, sink)
+		for _, a := range extra {
+			if strings.HasPrefix(a, "-") && (err == nil || !strings.Contains(err.Error(), a)) {
+				t.Errorf("%v: err = %v, want a usage error naming %s", extra, err, a)
+			}
+		}
+		if strings.Contains(sink.String(), "generated") {
+			t.Errorf("%v: input generated before the flag was refused:\n%s", extra, sink)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t.json")); err == nil {
+		t.Error("-serve -trace wrote a trace file")
+	}
+	if err := run(base, &bytes.Buffer{}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("-serve without batch-only flags: %v", err)
+	}
+}
+
 // TestPepidProfiles: -cpuprofile and -memprofile write non-empty files on
 // the batch path together with -trace, on the -serve path, and on an error
 // exit (the profile is stopped and closed however run returns — a second

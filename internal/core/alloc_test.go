@@ -72,9 +72,11 @@ func TestScanIndexLazyMaterialization(t *testing.T) {
 			for i := start; i < end; i++ {
 				pep := f.ix.At(i)
 				deltas := pep.ModDeltas(mods)
-				if f.opt.Prefilter > 0 &&
-					score.QuickMatchFraction(q, pep.Seq, deltas, f.opt.Score) < f.opt.Prefilter {
-					continue
+				if f.opt.Prefilter > 0 {
+					bins, _ := score.QuickBins(nil, nil, pep.Seq, deltas, f.opt.Score)
+					if score.QuickMatchFromBins(q, bins) < f.opt.Prefilter {
+						continue
+					}
 				}
 				s := refSc.Score(q, pep.Seq, deltas)
 				if s <= f.opt.MinScore {

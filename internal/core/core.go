@@ -149,11 +149,11 @@ type Input struct {
 	Queries []*spectrum.Spectrum
 }
 
-// InvalidQueryError rejects a query spectrum no engine can search: a
-// precursor m/z that is not finite, a charge below 1, or a peak that is not
-// finite. A NaN parent mass has no place in the mass order the scan sweeps
-// queries in, so one such spectrum would move the candidate windows of the
-// valid queries around it; every entry point refuses the run instead.
+// InvalidQueryError rejects a query spectrum no engine can search: one
+// that fails spectrum.Check. A NaN parent mass has no place in the mass
+// order the scan sweeps queries in, so one such spectrum would move the
+// candidate windows of the valid queries around it; every entry point
+// refuses the run instead.
 type InvalidQueryError struct {
 	// Index is the query's position in Input.Queries.
 	Index int
@@ -174,18 +174,9 @@ func (in Input) validate(opt Options) error {
 	if err := opt.Validate(); err != nil {
 		return err
 	}
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	for i, q := range in.Queries {
-		switch {
-		case !finite(q.PrecursorMZ):
-			return &InvalidQueryError{Index: i, ID: q.ID, Reason: fmt.Sprintf("precursor m/z %v is not finite", q.PrecursorMZ)}
-		case q.Charge < 1:
-			return &InvalidQueryError{Index: i, ID: q.ID, Reason: fmt.Sprintf("charge %d is below 1", q.Charge)}
-		}
-		for _, pk := range q.Peaks {
-			if !finite(pk.MZ) || !finite(pk.Intensity) {
-				return &InvalidQueryError{Index: i, ID: q.ID, Reason: fmt.Sprintf("peak (%v, %v) is not finite", pk.MZ, pk.Intensity)}
-			}
+		if err := q.Check(); err != nil {
+			return &InvalidQueryError{Index: i, ID: q.ID, Reason: err.Error()}
 		}
 	}
 	return nil

@@ -239,11 +239,13 @@ func TestEdgeCases(t *testing.T) {
 }
 
 // TestNonFiniteQueryRejected: a query no engine can search — a NaN or
-// infinite precursor (no mass window), a charge below 1, a NaN peak — is
+// infinite precursor (no mass window), a charge below 1, a peak whose m/z
+// is NaN, negative or past spectrum.MaxPeakMZ, a negative intensity — is
 // refused with the typed error by every entry point before anything runs,
 // and by the MGF parser where such a spectrum would come from. One NaN
 // parent mass used to move the candidate windows of the valid queries
-// sorted around it.
+// sorted around it; a peak at m/z 1e9 made a query's bin span, and the
+// memory its scoring state took, grow with the m/z.
 func TestNonFiniteQueryRejected(t *testing.T) {
 	const victim = 2
 	cases := []struct {
@@ -256,6 +258,10 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 		{"-inf-precursor", func(s *spectrum.Spectrum) { s.PrecursorMZ = math.Inf(-1) }, "PEPMASS=-Inf\n"},
 		{"nan-peak", func(s *spectrum.Spectrum) { s.Peaks[0].MZ = math.NaN() }, "PEPMASS=500\nNaN 1\n"},
 		{"charge-0", func(s *spectrum.Spectrum) { s.Charge = 0 }, "PEPMASS=500\nCHARGE=0+\n"},
+		{"nan-peak-mz", func(s *spectrum.Spectrum) { s.Peaks[1].MZ = math.NaN() }, "PEPMASS=500\n100 1\nnan 2\n"},
+		{"peak-mz-1e9", func(s *spectrum.Spectrum) { s.Peaks[0].MZ = 1e9 }, "PEPMASS=500\n1e9 1\n"},
+		{"negative-peak-mz", func(s *spectrum.Spectrum) { s.Peaks[0].MZ = -3 }, "PEPMASS=500\n-3 1\n"},
+		{"negative-intensity", func(s *spectrum.Spectrum) { s.Peaks[0].Intensity = -1 }, "PEPMASS=500\n100 -1\n"},
 	}
 	opt := testOptions()
 	cfg := clusterCfg(3)

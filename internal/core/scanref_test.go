@@ -3,7 +3,6 @@ package core
 import (
 	"pepscale/internal/digest"
 	"pepscale/internal/score"
-	"pepscale/internal/spectrum"
 	"pepscale/internal/topk"
 )
 
@@ -14,7 +13,7 @@ import (
 // is no longer selectable as a scan mode.
 //
 // The inner loop is allocation-free per candidate: modification deltas and
-// prefilter fragments reuse scan-level buffers, and a topk.Hit (annotated
+// prefilter fragment bins reuse scan-level buffers, and a topk.Hit (annotated
 // peptide string, protein-ID lookup) is materialized only after the raw
 // score beats both MinScore and the list's current threshold. A hit scoring
 // strictly below a full list's worst retained score can never be accepted
@@ -25,7 +24,8 @@ func scanIndexQueryMajor(qs []*score.Query, lists []*topk.List, ix *digest.Index
 	var st scanStats
 	mods := opt.Digest.Mods
 	var deltaBuf []float64
-	var fragBuf []spectrum.Fragment
+	var quickBins []int32
+	var quickPrefix []float64
 	for qi, q := range qs {
 		lo, hi := opt.Tol.Window(q.ParentMass)
 		start, end := ix.Window(lo, hi)
@@ -38,9 +38,8 @@ func scanIndexQueryMajor(qs []*score.Query, lists []*topk.List, ix *digest.Index
 				deltaBuf = deltas
 			}
 			if opt.Prefilter > 0 {
-				var frac float64
-				frac, fragBuf = score.QuickMatchFractionBuf(q, pep.Seq, deltas, opt.Score, fragBuf)
-				if frac < opt.Prefilter {
+				quickBins, quickPrefix = score.QuickBins(quickBins, quickPrefix, pep.Seq, deltas, opt.Score)
+				if score.QuickMatchFromBins(q, quickBins) < opt.Prefilter {
 					st.Prefiltered++
 					continue
 				}

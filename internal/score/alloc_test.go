@@ -1,10 +1,6 @@
 package score
 
-import (
-	"testing"
-
-	"pepscale/internal/spectrum"
-)
+import "testing"
 
 // TestScoreZeroAlloc pins the allocation-free guarantee of the scoring hot
 // path: after one warming call (which grows the scratch buffers to the
@@ -23,21 +19,6 @@ func TestScoreZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { sc.Score(q, pep, nil) }); allocs != 0 {
 			t.Errorf("%s: %v allocs per warmed Score, want 0", name, allocs)
 		}
-	}
-}
-
-// TestQuickMatchFractionBufZeroAlloc pins the prefilter's buffer-reuse
-// contract: with a warmed caller-owned buffer it allocates nothing.
-func TestQuickMatchFractionBufZeroAlloc(t *testing.T) {
-	q := makeQuery(t, truePep, 7)
-	pep := []byte(truePep)
-	cfg := DefaultConfig()
-	var buf []spectrum.Fragment
-	_, buf = QuickMatchFractionBuf(q, pep, nil, cfg, buf)
-	if allocs := testing.AllocsPerRun(100, func() {
-		_, buf = QuickMatchFractionBuf(q, pep, nil, cfg, buf)
-	}); allocs != 0 {
-		t.Errorf("QuickMatchFractionBuf: %v allocs with warm buffer, want 0", allocs)
 	}
 }
 

@@ -350,11 +350,11 @@ func (s *XCorr) ScorePrepared(bq *BatchQuery, prep *CandidatePrep, _ float64) (f
 	return sum * 0.1, true
 }
 
-// QuickBins fills bins with the singly-charged prefilter fragment bins of
-// the candidate — the query-independent half of QuickMatchFractionBuf — so
-// a sweep can test many queries against one candidate without regenerating
-// fragments. prefix is spectrum.AppendBins' reused scratch; both slices are
-// truncated, filled, and returned.
+// QuickBins fills bins with the singly-charged b/y fragment bins of the
+// candidate — the query-independent half of the X!!Tandem-style prefilter
+// — so a sweep can test many queries against one candidate without
+// regenerating fragments. prefix is spectrum.AppendBins' reused scratch;
+// both slices are truncated, filled, and returned.
 //
 //pepvet:hotpath
 func QuickBins(bins []int32, prefix []float64, pep []byte, modDeltas []float64, cfg Config) ([]int32, []float64) {
@@ -363,8 +363,9 @@ func QuickBins(bins []int32, prefix []float64, pep []byte, modDeltas []float64, 
 	return spectrum.AppendBins(bins[:0], prefix, pep, modDeltas, 1, opt, cfg.binWidth())
 }
 
-// QuickMatchFromBins returns exactly QuickMatchFraction given the
-// candidate's precomputed QuickBins.
+// QuickMatchFromBins is the prefilter's per-query half: the fraction of
+// the candidate's QuickBins that hold an observed peak, a small fraction of
+// the cost of a full model evaluation.
 //
 //pepvet:hotpath
 func QuickMatchFromBins(q *Query, bins []int32) float64 {

@@ -25,9 +25,10 @@ package score
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
-	"pepscale/internal/chem"
 	"pepscale/internal/spectrum"
 	"pepscale/internal/xhash"
 )
@@ -83,38 +84,44 @@ type Query struct {
 	// intensity (both 0 for an empty spectrum): they bound the matched-slot
 	// weight of the likelihood model's null-pass bound (see lenTerms).
 	intenLo, intenHi float64
-	// denseLo/dense mirror Binned.Bins as a dense intensity table over
-	// [MinBin, MaxBin] (NaN marks an empty bin), turning the per-fragment
-	// map probe of the scoring kernel into an array index.
-	denseLo int32
-	dense   []float64
+	// occ is the occupancy bitmap over the bins [lo, lo+span), 64 per word;
+	// lo and inten copy Binned.MinBin and Binned.Inten so that PeakInten
+	// reads the Query alone.
+	occ   []occWord
+	lo    int32
+	span  uint64
+	inten []float64
 	// xc is the lazily built XCorr background-corrected array.
 	xc xcorr
 }
 
-// denseSpanCap bounds the dense table size; pathological spectra with a
-// wider bin span fall back to the map.
-const denseSpanCap = 1 << 20
-
-// PeakInten returns the normalized intensity at bin and whether the bin
-// holds a peak — the same answer as a Binned.Bins map lookup.
-func (q *Query) PeakInten(bin int32) (float64, bool) {
-	if q.dense != nil {
-		i := int(bin - q.denseLo)
-		if i < 0 || i >= len(q.dense) {
-			return 0, false
-		}
-		v := q.dense[i]
-		if math.IsNaN(v) {
-			return 0, false
-		}
-		return v, true
-	}
-	v, ok := q.Binned.Bins[bin]
-	return v, ok
+// occWord is 64 bins of a query's occupancy bitmap: bit i is set when bin
+// 64·w+i of the span holds a peak, and before counts the occupied bins of
+// the words ahead of it — the column index of the word's first peak.
+type occWord struct {
+	bits   uint64
+	before uint32
 }
 
-// PrepareQuery conditions and bins an experimental spectrum.
+// PeakInten returns the normalized intensity at bin and whether the bin
+// holds a peak.
+func (q *Query) PeakInten(bin int32) (float64, bool) {
+	i := uint64(int64(bin) - int64(q.lo))
+	if i >= q.span {
+		return 0, false
+	}
+	w := q.occ[i/64]
+	bit := uint64(1) << (i % 64)
+	if w.bits&bit == 0 {
+		return 0, false
+	}
+	return q.inten[int(w.before)+bits.OnesCount64(w.bits&(bit-1))], true
+}
+
+// PrepareQuery conditions and bins an experimental spectrum. raw must pass
+// spectrum.Check, which bounds the bin span and with it the bitmap: at the
+// default bin width a query holds at most about 25 KB of bitmap beyond its
+// columns' 12 B per occupied bin.
 func PrepareQuery(raw *spectrum.Spectrum, cfg Config) *Query {
 	pre := spectrum.Preprocess(raw, cfg.Preprocess)
 	b := spectrum.Bin(pre, cfg.binWidth())
@@ -133,24 +140,20 @@ func PrepareQuery(raw *spectrum.Spectrum, cfg Config) *Query {
 		Binned:     b,
 		occupancy:  occ,
 		numPeaks:   len(b.Bins),
+		inten:      b.Inten,
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	//pepvet:allow determinism minimum and maximum over map values are order-independent reductions
-	for _, v := range b.Bins {
-		lo, hi = math.Min(lo, v), math.Max(hi, v)
-	}
-	if lo <= hi {
-		q.intenLo, q.intenHi = lo, hi
-	}
-	if span := int64(b.MaxBin) - int64(b.MinBin) + 1; span > 0 && span <= denseSpanCap {
-		q.denseLo = b.MinBin
-		q.dense = make([]float64, span)
-		for i := range q.dense {
-			q.dense[i] = math.NaN()
+	if len(b.Inten) > 0 {
+		q.intenLo, q.intenHi = slices.Min(b.Inten), slices.Max(b.Inten)
+		q.lo, q.span = b.MinBin, uint64(int64(b.MaxBin)-int64(b.MinBin))+1
+		q.occ = make([]occWord, (q.span+63)/64)
+		for _, bin := range b.Bins {
+			i := uint64(int64(bin) - int64(b.MinBin))
+			q.occ[i/64].bits |= 1 << (i % 64)
 		}
-		//pepvet:allow determinism scatter into a dense array: each map key writes its own slot, so iteration order cannot escape
-		for bin, v := range b.Bins {
-			q.dense[bin-b.MinBin] = v
+		var n uint32
+		for w := range q.occ {
+			q.occ[w].before = n
+			n += uint32(bits.OnesCount64(q.occ[w].bits))
 		}
 	}
 	return q
@@ -398,23 +401,6 @@ func logFactorial(n int) float64 {
 	return lg
 }
 
-// shuffle performs a deterministic Fisher–Yates shuffle of a copy of pep
-// (and modDeltas, kept aligned), seeded by the peptide content and a stream
-// salt, so the "random peptide" null model is reproducible across ranks and
-// runs. The hot path uses scratch.shuffled instead; this allocating form
-// serves invariant tests (NullMass).
-func shuffle(pep []byte, modDeltas []float64, salt uint64) ([]byte, []float64) {
-	out := make([]byte, len(pep))
-	copy(out, pep)
-	var deltas []float64
-	if modDeltas != nil {
-		deltas = make([]float64, len(modDeltas))
-		copy(deltas, modDeltas)
-	}
-	shuffleInPlace(out, deltas, pep, salt)
-	return out, deltas
-}
-
 // shuffleInPlace applies the deterministic Fisher–Yates permutation to out
 // (and deltas, when non-nil), seeded by the ORIGINAL peptide bytes seed and
 // the stream salt. out must already hold a copy of the peptide.
@@ -436,35 +422,6 @@ func splitmix64(x uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// QuickMatchFraction is the cheap prefilter test used to emulate
-// X!!Tandem-style aggressive prefiltering: the fraction of the candidate's
-// singly-charged b/y fragment bins that hold an observed peak. It costs a
-// small fraction of a full model evaluation.
-func QuickMatchFraction(q *Query, pep []byte, modDeltas []float64, cfg Config) float64 {
-	frac, _ := QuickMatchFractionBuf(q, pep, modDeltas, cfg, nil)
-	return frac
-}
-
-// QuickMatchFractionBuf is QuickMatchFraction with a caller-owned fragment
-// buffer: buf is truncated, filled, and returned so a scan loop can reuse
-// it across candidates without per-candidate allocations.
-func QuickMatchFractionBuf(q *Query, pep []byte, modDeltas []float64, cfg Config, buf []spectrum.Fragment) (float64, []spectrum.Fragment) {
-	opt := cfg.Theoretical
-	opt.MaxFragmentCharge = 1
-	frags := spectrum.AppendFragments(buf[:0], pep, modDeltas, 1, opt)
-	if len(frags) == 0 {
-		return 0, frags
-	}
-	width := cfg.binWidth()
-	matched := 0
-	for _, f := range frags {
-		if _, ok := q.PeakInten(spectrum.BinIndex(f.MZ, width)); ok {
-			matched++
-		}
-	}
-	return float64(matched) / float64(len(frags)), frags
 }
 
 // Likelihood is the MSPolygraph-style log-likelihood-ratio scorer.
@@ -669,15 +626,4 @@ func logChoose(n, k int) float64 {
 		return math.Inf(-1)
 	}
 	return logFactorial(n) - logFactorial(k) - logFactorial(n-k)
-}
-
-// NullMass returns the parent mass of the shuffled null peptide — equal to
-// the candidate's by construction; exposed for invariant testing.
-func NullMass(pep []byte, modDeltas []float64, t chem.MassType) float64 {
-	null, deltas := shuffle(pep, modDeltas, 0)
-	m, _ := chem.PeptideMass(null, t)
-	for _, d := range deltas {
-		m += d
-	}
-	return m
 }

@@ -55,39 +55,40 @@ type xcorr struct {
 }
 
 // buildXCorr computes the corrected array once per query (thread-safe;
-// queries are shared across scan iterations).
+// queries are shared across scan iterations) from the binned columns.
+// The window sums are differences of cum, the running sum of the
+// intensities in bin order: zero bins add nothing to a sum, so cum holds
+// every prefix sum a dense array over the bins would.
 func (q *Query) buildXCorr() {
-	//pepvet:allow allocflow once-per-query lazy build: the sync.Once capture and dense buffers amortize across every candidate scored against the query, off the per-candidate path
+	//pepvet:allow allocflow once-per-query lazy build: the sync.Once capture and the corrected array amortize across every candidate scored against the query, off the per-candidate path
 	q.xc.once.Do(func() {
 		b := q.Binned
-		if b.MaxBin < b.MinBin {
+		if len(b.Bins) == 0 {
 			return
 		}
+		cum := make([]float64, len(b.Inten)+1)
+		for k, y := range b.Inten {
+			cum[k+1] = cum[k] + y
+		}
 		lo := b.MinBin - corrWindow - 1
-		hi := b.MaxBin + corrWindow + 1
-		n := int(hi-lo) + 1
-		dense := make([]float64, n)
-		//pepvet:allow determinism scatter into a dense array: each map key writes its own slot, so iteration order cannot escape
-		for bin, y := range b.Bins {
-			dense[bin-lo] = y
-		}
-		// Prefix sums for O(1) window means.
-		prefix := make([]float64, n+1)
-		for i, y := range dense {
-			prefix[i+1] = prefix[i] + y
-		}
-		corrected := make([]float64, n)
-		for i := range dense {
-			wLo := i - corrWindow
-			if wLo < 0 {
-				wLo = 0
+		corrected := make([]float64, int(b.MaxBin-b.MinBin)+2*corrWindow+3)
+		// At bin, k indexes the first peak at or after it, and kLo and kHi
+		// count the peaks before its window and up to its end.
+		k, kLo, kHi := 0, 0, 0
+		for i := range corrected {
+			bin := lo + int32(i)
+			for kLo < len(b.Bins) && b.Bins[kLo] < bin-corrWindow {
+				kLo++
 			}
-			wHi := i + corrWindow + 1
-			if wHi > n {
-				wHi = n
+			for kHi < len(b.Bins) && b.Bins[kHi] <= bin+corrWindow {
+				kHi++
 			}
-			mean := (prefix[wHi] - prefix[wLo]) / float64(2*corrWindow+1)
-			corrected[i] = dense[i] - mean
+			var y float64
+			if k < len(b.Bins) && b.Bins[k] == bin {
+				y = b.Inten[k]
+				k++
+			}
+			corrected[i] = y - (cum[kHi]-cum[kLo])/float64(2*corrWindow+1)
 		}
 		q.xc.base = lo
 		q.xc.corrected = corrected

@@ -143,12 +143,13 @@ func TestUnknownAndOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsNonFinite: a submit whose arrival time or precursor m/z
-// is not finite, or whose charge is below 1, is refused with the typed,
-// non-retryable error at both entrances and changes no state — admitted, a
-// NaN arrival makes next() return NaN forever and Drain spin, and a +Inf one
-// makes every later submit out of order. A valid submit and Close still
-// complete afterwards.
+// TestSubmitRejectsNonFinite: a submit whose arrival time is not finite, or
+// whose spectrum fails spectrum.Check (a non-finite precursor m/z, a charge
+// below 1, a peak m/z that is NaN, negative or past MaxPeakMZ, a negative
+// intensity), is refused with the typed, non-retryable error at both
+// entrances and changes no state — admitted, a NaN arrival makes next()
+// return NaN forever and Drain spin, and a +Inf one makes every later
+// submit out of order. A valid submit and Close still complete afterwards.
 func TestSubmitRejectsNonFinite(t *testing.T) {
 	db, pool := testWorkload(t, 40, 4)
 	s, err := New(steadyCfg(db))
@@ -161,12 +162,21 @@ func TestSubmitRejectsNonFinite(t *testing.T) {
 		sp.Charge, sp.PrecursorMZ = charge, mz
 		return &sp
 	}
+	withPeak := func(mz, in float64) *spectrum.Spectrum {
+		sp := *pool[0]
+		sp.Peaks = append([]spectrum.Peak{{MZ: mz, Intensity: in}}, pool[0].Peaks...)
+		return &sp
+	}
 	for name, f := range map[string]*SubmitFrame{
-		"NaN at":        {Tenant: "acme", AtSec: math.NaN(), Spec: pool[0]},
-		"+Inf at":       {Tenant: "acme", AtSec: math.Inf(1), Spec: pool[0]},
-		"-Inf at":       {Tenant: "acme", AtSec: math.Inf(-1), Spec: pool[0]},
-		"charge 0":      {Tenant: "acme", AtSec: 1, Spec: with(0, pool[0].PrecursorMZ)},
-		"NaN precursor": {Tenant: "acme", AtSec: 1, Spec: with(2, math.NaN())},
+		"NaN at":             {Tenant: "acme", AtSec: math.NaN(), Spec: pool[0]},
+		"+Inf at":            {Tenant: "acme", AtSec: math.Inf(1), Spec: pool[0]},
+		"-Inf at":            {Tenant: "acme", AtSec: math.Inf(-1), Spec: pool[0]},
+		"charge 0":           {Tenant: "acme", AtSec: 1, Spec: with(0, pool[0].PrecursorMZ)},
+		"NaN precursor":      {Tenant: "acme", AtSec: 1, Spec: with(2, math.NaN())},
+		"NaN peak m/z":       {Tenant: "acme", AtSec: 1, Spec: withPeak(math.NaN(), 1)},
+		"peak m/z 1e9":       {Tenant: "acme", AtSec: 1, Spec: withPeak(1e9, 1)},
+		"negative m/z":       {Tenant: "acme", AtSec: 1, Spec: withPeak(-3, 1)},
+		"negative intensity": {Tenant: "acme", AtSec: 1, Spec: withPeak(300, -1)},
 	} {
 		var inv *InvalidSubmitError
 		if err := s.Submit(f.AtSec, f.Tenant, f.Spec); !errors.As(err, &inv) {

@@ -363,8 +363,11 @@ func (s *Server) Submit(at float64, tenantName string, spec *spectrum.Spectrum) 
 	if spec == nil {
 		return fmt.Errorf("serve: nil spectrum")
 	}
-	if !finite(at) || spec.Charge < 1 || !finite(spec.PrecursorMZ) {
-		return &InvalidSubmitError{AtSec: at, Charge: spec.Charge, PrecursorMZ: spec.PrecursorMZ}
+	if !finite(at) {
+		return &InvalidSubmitError{AtSec: at, Reason: "the arrival time is not finite"}
+	}
+	if err := spec.Check(); err != nil {
+		return &InvalidSubmitError{AtSec: at, Reason: err.Error()}
 	}
 	if at < s.lastSubmit {
 		return &OutOfOrderError{AtSec: at, LastSec: s.lastSubmit}

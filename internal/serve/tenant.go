@@ -100,18 +100,16 @@ func (e *OutOfOrderError) Error() string {
 
 // InvalidSubmitError rejects a submit the service cannot schedule or search:
 // a non-finite arrival time (the event loop would never reach, or never get
-// past, it), a charge below 1, or a non-finite precursor m/z. Resubmitting
-// the same query cannot succeed, so it is not retryable.
+// past, it) or a spectrum that fails spectrum.Check. Resubmitting the same
+// query cannot succeed, so it is not retryable.
 type InvalidSubmitError struct {
-	AtSec       float64
-	Charge      int
-	PrecursorMZ float64
+	AtSec  float64
+	Reason string
 }
 
 // Error implements error.
 func (e *InvalidSubmitError) Error() string {
-	return fmt.Sprintf("serve: invalid submit (at %vs, charge %d, precursor m/z %v): times and m/z must be finite, charge at least 1",
-		e.AtSec, e.Charge, e.PrecursorMZ)
+	return fmt.Sprintf("serve: invalid submit at %vs: %s", e.AtSec, e.Reason)
 }
 
 // IsRetryable reports whether err is a backpressure rejection (quota or

@@ -3,7 +3,6 @@ package spectrum_test
 import (
 	"bytes"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -11,23 +10,17 @@ import (
 	"pepscale/internal/synth"
 )
 
-func finiteSpectra(specs []*spectrum.Spectrum) bool {
-	ok := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+func checkedSpectra(specs []*spectrum.Spectrum) bool {
 	for _, s := range specs {
-		if !ok(s.PrecursorMZ) {
+		if s.Check() != nil {
 			return false
-		}
-		for _, p := range s.Peaks {
-			if !ok(p.MZ) || !ok(p.Intensity) {
-				return false
-			}
 		}
 	}
 	return true
 }
 
 // FuzzParseMGF: the parser never panics and rejects only with ErrMGF; what it
-// accepts holds finite numbers only and survives WriteMGF → ParseMGF — the
+// accepts passes Spectrum.Check and survives WriteMGF → ParseMGF — the
 // same spectra, titles, charges and peak counts, and, once the values have
 // been through the writer's fixed precision, the same spectra exactly on
 // every further trip.
@@ -65,8 +58,8 @@ func FuzzParseMGF(f *testing.F) {
 			}
 			return
 		}
-		if !finiteSpectra(first) {
-			t.Fatalf("ParseMGF accepted a non-finite number:\n%s", data)
+		if !checkedSpectra(first) {
+			t.Fatalf("ParseMGF accepted a spectrum Check refuses:\n%s", data)
 		}
 		trip := func(specs []*spectrum.Spectrum) []*spectrum.Spectrum {
 			var buf bytes.Buffer

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -40,9 +39,9 @@ func WriteMGF(w io.Writer, specs []*Spectrum) error {
 	return bw.Flush()
 }
 
-// ParseMGF reads all spectra from an MGF stream. Every number it accepts is
-// finite: a NaN precursor has no mass window and NaN peaks no sorted order,
-// so "NaN" and "Inf" are malformed input like any other non-number.
+// ParseMGF reads all spectra from an MGF stream. Every spectrum it returns
+// passes Spectrum.Check; one that fails it is malformed input like any
+// other, reported at the line that ends it.
 func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -64,6 +63,9 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("%w: END IONS without BEGIN at line %d", ErrMGF, line)
 			}
+			if err := cur.Check(); err != nil {
+				return nil, fmt.Errorf("%w: spectrum ending at line %d: %v", ErrMGF, line, err)
+			}
 			cur.Sort()
 			specs = append(specs, cur)
 			cur = nil
@@ -80,14 +82,11 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: PEPMASS at line %d: %v", ErrMGF, line, err)
 			}
-			if !finite(v) {
-				return nil, fmt.Errorf("%w: non-finite PEPMASS at line %d", ErrMGF, line)
-			}
 			cur.PrecursorMZ = v
 		case strings.HasPrefix(text, "CHARGE="):
 			v := strings.TrimSuffix(text[len("CHARGE="):], "+")
 			z, err := strconv.Atoi(v)
-			if err != nil || z < 1 {
+			if err != nil {
 				return nil, fmt.Errorf("%w: CHARGE at line %d", ErrMGF, line)
 			}
 			cur.Charge = z
@@ -102,7 +101,7 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 			}
 			mz, err1 := strconv.ParseFloat(fields[0], 64)
 			in, err2 := strconv.ParseFloat(fields[1], 64)
-			if err1 != nil || err2 != nil || !finite(mz) || !finite(in) {
+			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("%w: peak line %d", ErrMGF, line)
 			}
 			cur.Peaks = append(cur.Peaks, Peak{MZ: mz, Intensity: in})
@@ -116,5 +115,3 @@ func ParseMGF(r io.Reader) ([]*Spectrum, error) {
 	}
 	return specs, nil
 }
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

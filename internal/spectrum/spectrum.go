@@ -41,13 +41,39 @@ func (s *Spectrum) ParentMass() float64 {
 }
 
 // Sort orders the peaks by ascending m/z (ties by intensity) in place.
-func (s *Spectrum) Sort() {
-	sort.Slice(s.Peaks, func(i, j int) bool {
-		if s.Peaks[i].MZ != s.Peaks[j].MZ {
-			return s.Peaks[i].MZ < s.Peaks[j].MZ
+func (s *Spectrum) Sort() { sortByMZ(s.Peaks) }
+
+func sortByMZ(ps []Peak) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].MZ != ps[j].MZ {
+			return ps[i].MZ < ps[j].MZ
 		}
-		return s.Peaks[i].Intensity < s.Peaks[j].Intensity
+		return ps[i].Intensity < ps[j].Intensity
 	})
+}
+
+// MaxPeakMZ bounds a searchable peak's m/z, far above any peptide
+// fragment: it bounds a query's bin span (about 100,000 bins at
+// DefaultBinWidth) and with it the query's occupancy bitmap.
+const MaxPeakMZ = 100_000
+
+// Check is the test every entry point applies to a query spectrum: a
+// finite precursor m/z, a charge of at least 1, and each peak at an m/z in
+// [0, MaxPeakMZ] with a finite intensity ≥ 0 (the square-root transform
+// makes a negative one NaN). The negated comparisons refuse NaN.
+func (s *Spectrum) Check() error {
+	if math.IsNaN(s.PrecursorMZ) || math.IsInf(s.PrecursorMZ, 0) {
+		return fmt.Errorf("precursor m/z %v is not finite", s.PrecursorMZ)
+	}
+	if s.Charge < 1 {
+		return fmt.Errorf("charge %d is below 1", s.Charge)
+	}
+	for i, p := range s.Peaks {
+		if !(p.MZ >= 0 && p.MZ <= MaxPeakMZ && p.Intensity >= 0 && p.Intensity <= math.MaxFloat64) {
+			return fmt.Errorf("peak %d (%v, %v) is not an m/z in [0, %d] with a finite intensity ≥ 0", i, p.MZ, p.Intensity, MaxPeakMZ)
+		}
+	}
+	return nil
 }
 
 // TotalIntensity returns the summed peak intensity.
@@ -92,11 +118,14 @@ var DefaultPreprocess = PreprocessOptions{
 	SqrtIntensity:     true,
 }
 
-// Preprocess returns a conditioned copy of s; s is unchanged.
+// Preprocess returns a conditioned copy of s, its peaks sorted by m/z; s
+// is unchanged.
 func Preprocess(s *Spectrum, opt PreprocessOptions) *Spectrum {
 	out := &Spectrum{ID: s.ID, PrecursorMZ: s.PrecursorMZ, Charge: s.Charge}
 	peaks := make([]Peak, len(s.Peaks))
 	copy(peaks, s.Peaks)
+	// Every step below keeps the m/z order (the square root is monotone).
+	sortByMZ(peaks)
 	if opt.MinRelativeIntensity > 0 {
 		min := s.BasePeak().Intensity * opt.MinRelativeIntensity
 		kept := peaks[:0]
@@ -120,43 +149,45 @@ func Preprocess(s *Spectrum, opt PreprocessOptions) *Spectrum {
 		}
 	}
 	out.Peaks = peaks
-	out.Sort()
 	return out
 }
 
+// topPerWindow keeps, in place, the top most intense peaks (ties to the
+// lower m/z) of each width-dalton window of the m/z-sorted peaks: a window
+// is a run of them, and the result stays sorted.
 func topPerWindow(peaks []Peak, top int, width float64) []Peak {
-	byWindow := map[int][]Peak{}
-	for _, p := range peaks {
-		w := int(p.MZ / width)
-		byWindow[w] = append(byWindow[w], p)
-	}
-	var out []Peak
-	//pepvet:allow determinism windows are truncated independently and the result is fully re-sorted; group order cannot escape
-	for _, ps := range byWindow {
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].Intensity != ps[j].Intensity {
-				return ps[i].Intensity > ps[j].Intensity
-			}
-			return ps[i].MZ < ps[j].MZ
-		})
-		if len(ps) > top {
-			ps = ps[:top]
+	out := peaks[:0]
+	for i, j := 0, 0; i < len(peaks); i = j {
+		w := int(peaks[i].MZ / width)
+		for j = i + 1; j < len(peaks) && int(peaks[j].MZ/width) == w; j++ {
 		}
-		out = append(out, ps...)
+		run := peaks[i:j]
+		if len(run) > top {
+			sort.Slice(run, func(a, b int) bool {
+				if run[a].Intensity != run[b].Intensity {
+					return run[a].Intensity > run[b].Intensity
+				}
+				return run[a].MZ < run[b].MZ
+			})
+			run = run[:top]
+			sortByMZ(run)
+		}
+		out = append(out, run...)
 	}
-	res := &Spectrum{Peaks: out}
-	res.Sort()
-	return res.Peaks
+	return out
 }
 
 // Binned is a sparse fixed-width binning of a spectrum, the representation
-// consumed by the scoring models.
+// consumed by the scoring models: the occupied bins in ascending order, as
+// two parallel columns.
 type Binned struct {
 	// Width is the bin width in daltons.
 	Width float64
-	// Bins maps bin index -> summed intensity (normalized to max 1 after
+	// Bins holds the occupied bin indices, ascending; Inten[k] is the
+	// summed intensity of bin Bins[k] (normalized to max 1 after
 	// Normalize).
-	Bins map[int32]float64
+	Bins  []int32
+	Inten []float64
 	// MinBin and MaxBin bound the occupied bin indices (MinBin > MaxBin for
 	// an empty spectrum).
 	MinBin, MaxBin int32
@@ -165,30 +196,36 @@ type Binned struct {
 // BinIndex returns the bin index for an m/z value at the given width.
 func BinIndex(mz, width float64) int32 { return int32(mz/width + 0.5) }
 
-// Bin converts a spectrum to its sparse binned form.
+// Bin converts a spectrum whose peaks are sorted by m/z (as Preprocess
+// leaves them) to its sparse binned form in one pass. BinIndex never
+// decreases with m/z, so peaks that share a bin are adjacent; their
+// intensities are summed in peak order, starting from zero.
 func Bin(s *Spectrum, width float64) *Binned {
 	if width <= 0 {
 		width = DefaultBinWidth
 	}
-	b := &Binned{Width: width, Bins: make(map[int32]float64, len(s.Peaks)), MinBin: math.MaxInt32, MaxBin: math.MinInt32}
+	b := &Binned{Width: width, MinBin: math.MaxInt32, MaxBin: math.MinInt32}
+	if len(s.Peaks) == 0 {
+		return b
+	}
+	b.Bins = make([]int32, 0, len(s.Peaks))
+	b.Inten = make([]float64, 0, len(s.Peaks))
 	for _, p := range s.Peaks {
 		i := BinIndex(p.MZ, width)
-		b.Bins[i] += p.Intensity
-		if i < b.MinBin {
-			b.MinBin = i
+		if n := len(b.Bins); n == 0 || b.Bins[n-1] != i {
+			b.Bins = append(b.Bins, i)
+			b.Inten = append(b.Inten, 0)
 		}
-		if i > b.MaxBin {
-			b.MaxBin = i
-		}
+		b.Inten[len(b.Inten)-1] += p.Intensity
 	}
+	b.MinBin, b.MaxBin = b.Bins[0], b.Bins[len(b.Bins)-1]
 	return b
 }
 
 // Normalize scales bin intensities so the largest equals 1.
 func (b *Binned) Normalize() {
 	var max float64
-	//pepvet:allow determinism maximum over map values is an order-independent reduction
-	for _, v := range b.Bins {
+	for _, v := range b.Inten {
 		if v > max {
 			max = v
 		}
@@ -196,9 +233,8 @@ func (b *Binned) Normalize() {
 	if max <= 0 {
 		return
 	}
-	//pepvet:allow determinism scatter: each key rewrites its own slot, so iteration order cannot escape
-	for k, v := range b.Bins {
-		b.Bins[k] = v / max
+	for k, v := range b.Inten {
+		b.Inten[k] = v / max
 	}
 }
 

@@ -1,6 +1,7 @@
 package spectrum
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -34,18 +35,54 @@ func TestSortAndBasePeak(t *testing.T) {
 func TestBinning(t *testing.T) {
 	s := &Spectrum{Peaks: []Peak{{100.0, 1}, {100.3, 2}, {101.2, 4}}}
 	b := Bin(s, 1.0)
-	if len(b.Bins) != 2 {
-		t.Fatalf("bins: %v", b.Bins)
+	// 100.0 and 100.3 share bin 100.
+	if !slices.Equal(b.Bins, []int32{100, 101}) || !slices.Equal(b.Inten, []float64{3, 4}) {
+		t.Fatalf("bins %v inten %v, want [100 101] [3 4]", b.Bins, b.Inten)
 	}
-	if b.Bins[100] != 3 { // 100.0 and 100.3 share bin 100
-		t.Errorf("bin 100 = %v", b.Bins[100])
-	}
-	if b.Bins[101] != 4 {
-		t.Errorf("bin 101 = %v", b.Bins[101])
+	if b.MinBin != 100 || b.MaxBin != 101 {
+		t.Errorf("span [%d, %d], want [100, 101]", b.MinBin, b.MaxBin)
 	}
 	b.Normalize()
-	if b.Bins[101] != 1 || math.Abs(b.Bins[100]-0.75) > 1e-12 {
-		t.Errorf("normalize: %v", b.Bins)
+	if b.Inten[1] != 1 || math.Abs(b.Inten[0]-0.75) > 1e-12 {
+		t.Errorf("normalize: %v", b.Inten)
+	}
+	if empty := Bin(&Spectrum{}, 1.0); len(empty.Bins) != 0 || empty.MinBin <= empty.MaxBin {
+		t.Errorf("empty spectrum: %v", empty)
+	}
+}
+
+// TestBinMatchesMapSum: the columns are the occupied bins in ascending
+// order, each holding, bit for bit, the sum a map keyed by bin accumulates
+// over the m/z-sorted peaks (from zero, in peak order) — the form the
+// scorers read before the columns.
+func TestBinMatchesMapSum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 11))
+	for trial := 0; trial < 300; trial++ {
+		s := &Spectrum{Peaks: make([]Peak, rng.IntN(60))}
+		for i := range s.Peaks {
+			// A narrow m/z range, so many peaks share a bin.
+			s.Peaks[i] = Peak{MZ: 100 + 40*rng.Float64(), Intensity: rng.ExpFloat64()}
+		}
+		s.Sort()
+		want := map[int32]float64{}
+		for _, p := range s.Peaks {
+			want[BinIndex(p.MZ, DefaultBinWidth)] += p.Intensity
+		}
+		b := Bin(s, DefaultBinWidth)
+		if len(b.Bins) != len(want) || len(b.Inten) != len(want) {
+			t.Fatalf("trial %d: %d bins, %d intensities, want %d", trial, len(b.Bins), len(b.Inten), len(want))
+		}
+		for k, bin := range b.Bins {
+			if k > 0 && bin <= b.Bins[k-1] {
+				t.Fatalf("trial %d: bins not ascending: %v", trial, b.Bins)
+			}
+			if math.Float64bits(b.Inten[k]) != math.Float64bits(want[bin]) {
+				t.Fatalf("trial %d: bin %d sums to %v, want %v", trial, bin, b.Inten[k], want[bin])
+			}
+		}
+		if len(b.Bins) > 0 && (b.MinBin != b.Bins[0] || b.MaxBin != b.Bins[len(b.Bins)-1]) {
+			t.Fatalf("trial %d: span [%d, %d] for bins %v", trial, b.MinBin, b.MaxBin, b.Bins)
+		}
 	}
 }
 
@@ -95,6 +132,99 @@ func TestPreprocessMinRelative(t *testing.T) {
 	out = Preprocess(s, PreprocessOptions{MinRelativeIntensity: 0.1})
 	if len(out.Peaks) != 1 {
 		t.Error("0.5 < 10% of base should be dropped")
+	}
+}
+
+// preprocessByGroups is Preprocess with the window selection done by
+// grouping peaks in a map and re-sorting the whole result at the end.
+func preprocessByGroups(s *Spectrum, opt PreprocessOptions) []Peak {
+	peaks := append([]Peak(nil), s.Peaks...)
+	if opt.MinRelativeIntensity > 0 {
+		min := s.BasePeak().Intensity * opt.MinRelativeIntensity
+		peaks = slices.DeleteFunc(peaks, func(p Peak) bool { return p.Intensity < min })
+	}
+	if opt.TopPeaksPerWindow > 0 {
+		byWindow := map[int][]Peak{}
+		for _, p := range peaks {
+			w := int(p.MZ / opt.WindowWidth)
+			byWindow[w] = append(byWindow[w], p)
+		}
+		peaks = peaks[:0]
+		for _, ps := range byWindow {
+			slices.SortFunc(ps, func(a, b Peak) int {
+				if a.Intensity != b.Intensity {
+					return cmp.Compare(b.Intensity, a.Intensity)
+				}
+				return cmp.Compare(a.MZ, b.MZ)
+			})
+			peaks = append(peaks, ps[:min(len(ps), opt.TopPeaksPerWindow)]...)
+		}
+	}
+	if opt.SqrtIntensity {
+		for i := range peaks {
+			peaks[i].Intensity = math.Sqrt(peaks[i].Intensity)
+		}
+	}
+	out := &Spectrum{Peaks: peaks}
+	out.Sort()
+	return out.Peaks
+}
+
+// TestPreprocessMatchesGrouping: selecting each window's peaks from runs of
+// the m/z-sorted peaks keeps the same peaks, in the same order, as
+// grouping the unsorted peaks by window — ties in intensity and in m/z,
+// windows of one peak and windows past the cut included.
+func TestPreprocessMatchesGrouping(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 4))
+	for trial := 0; trial < 300; trial++ {
+		s := &Spectrum{Peaks: make([]Peak, rng.IntN(80))}
+		for i := range s.Peaks {
+			s.Peaks[i] = Peak{MZ: float64(rng.IntN(4000)) / 8, Intensity: float64(rng.IntN(20))}
+		}
+		opt := PreprocessOptions{TopPeaksPerWindow: rng.IntN(5), WindowWidth: 25, SqrtIntensity: trial%2 == 0}
+		if trial%3 == 0 {
+			opt.MinRelativeIntensity = 0.2
+		}
+		in := slices.Clone(s.Peaks)
+		got := Preprocess(s, opt).Peaks
+		if want := preprocessByGroups(s, opt); !slices.Equal(got, want) {
+			t.Fatalf("trial %d opt %+v:\n got %v\nwant %v", trial, opt, got, want)
+		}
+		if !slices.Equal(s.Peaks, in) {
+			t.Fatalf("trial %d: Preprocess changed its input", trial)
+		}
+	}
+}
+
+// TestCheck: Spectrum.Check accepts the bounds themselves and refuses each
+// field that makes a spectrum unsearchable.
+func TestCheck(t *testing.T) {
+	ok := Spectrum{PrecursorMZ: 500, Charge: 2, Peaks: []Peak{{0, 0}, {MaxPeakMZ, 1}}}
+	if err := ok.Check(); err != nil {
+		t.Fatalf("valid spectrum: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(s *Spectrum)
+	}{
+		{"nan-precursor", func(s *Spectrum) { s.PrecursorMZ = math.NaN() }},
+		{"inf-precursor", func(s *Spectrum) { s.PrecursorMZ = math.Inf(-1) }},
+		{"charge-0", func(s *Spectrum) { s.Charge = 0 }},
+		{"nan-mz", func(s *Spectrum) { s.Peaks[1].MZ = math.NaN() }},
+		{"inf-mz", func(s *Spectrum) { s.Peaks[1].MZ = math.Inf(1) }},
+		{"negative-mz", func(s *Spectrum) { s.Peaks[0].MZ = -0.5 }},
+		{"mz-past-max", func(s *Spectrum) { s.Peaks[1].MZ = math.Nextafter(MaxPeakMZ, math.Inf(1)) }},
+		{"nan-intensity", func(s *Spectrum) { s.Peaks[0].Intensity = math.NaN() }},
+		{"inf-intensity", func(s *Spectrum) { s.Peaks[0].Intensity = math.Inf(1) }},
+		{"negative-intensity", func(s *Spectrum) { s.Peaks[0].Intensity = -1e-9 }},
+	}
+	for _, tc := range cases {
+		s := ok
+		s.Peaks = slices.Clone(ok.Peaks)
+		tc.mutate(&s)
+		if err := s.Check(); err == nil {
+			t.Errorf("%s: Check accepted %+v", tc.name, s)
+		}
 	}
 }
 
