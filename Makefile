@@ -84,15 +84,17 @@ test-short:
 # the last arriver built, ranks parked at a barrier: woken once each when it
 # completes or unwound by a crash, two crashes that must report the least
 # failure whichever the host records first, every engine and pepd
-# fingerprint, crash lines included, byte for byte, and pepd's resident
+# fingerprint, crash lines included, byte for byte, pepd's resident
 # scan state: its prepared-fragment tables written by one owner rank per
-# Run, and a warm batch's allocation budget.
+# Run and a warm batch's allocation budget, and the hit path's storage: a
+# top-τ heap allocated once, a warm checkpoint that allocates nothing, and
+# one group's stored blob rewritten in place by Put while Get copies it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
 	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints' ./internal/core/ ./internal/serve/
-	$(GO) test -race -count=5 -run 'TestPrepTable|TestBackendWarmTableMatchesSerial|TestBackendQuantumAllocBudget' ./internal/core/
+	$(GO) test -race -count=5 -run 'TestPrepTable|TestBackendWarmTableMatchesSerial|TestBackendQuantumAllocBudget|TestCheckpointAllocFree|TestHeapAllocatedOnce|TestStoreConcurrentPutGet' ./internal/core/ ./internal/topk/ ./internal/ckpt/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and
@@ -120,17 +122,19 @@ chaos-elastic:
 	$(GO) test -race -count=1 ./internal/placement/
 
 # fuzz-short gives every fuzz target a fixed, CI-sized budget: the codec
-# decoders (checkpoint, result/batch wire, candidate blocks, elastic
-# admission, membership plan, pepd frames, sorted sequence image, sortmz
-# boundary tuple) must never panic and must only accept canonical blobs
-# (internal/wire/wiretest), the two input parsers (FASTA with its
-# boundary-repair splitter, held to its byte-at-a-time reference; MGF) must
-# never panic and must agree with themselves, and the likelihood model's null-pass bound must reject only
+# decoders (checkpoint, and the restart decoder held to it, result/batch
+# wire, candidate blocks, elastic admission, membership plan, pepd frames,
+# sorted sequence image, sortmz boundary tuple) must never panic and must
+# only accept canonical blobs (internal/wire/wiretest), the two input
+# parsers (FASTA with its boundary-repair splitter, held to its
+# byte-at-a-time reference; MGF) must never panic and must agree with
+# themselves, and the likelihood model's null-pass bound must reject only
 # candidates that Score puts below the floor. The minimize budget is capped
 # so a coverage-expanding input cannot stall the run.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/ckpt/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/ckpt/ -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeResults -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzUnmarshalCands -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

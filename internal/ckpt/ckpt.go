@@ -8,6 +8,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,17 +17,21 @@ import (
 	"pepscale/internal/wire"
 )
 
-// Codec framing.
+// Codec framing. HeaderSize is a blob's fixed part, up to its query count.
 const (
-	magic   = 0x50434b50 // "PCKP"
-	version = 1
+	magic      = 0x50434b50 // "PCKP"
+	version    = 1
+	HeaderSize = 4 + 4 + 4 + 4 + 8 + 4
 )
 
 // ErrCorrupt reports a blob that fails structural validation.
 var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 
+// ErrShape reports a well-formed blob that does not fit its restore.
+var ErrShape = errors.New("ckpt: checkpoint shape mismatch")
+
 // Query is one query's checkpointed state: its current top-τ hits in
-// best-first order (topk.List.Hits order).
+// best-first order (topk.List.AppendSorted order).
 type Query struct {
 	Hits []topk.Hit
 }
@@ -46,19 +51,24 @@ type Group struct {
 	Queries []Query
 }
 
+// AppendHeader appends the fixed part of a blob with queries hit lists,
+// which follow it in topk.AppendHits form.
+func AppendHeader(b []byte, group, cursor int32, candidates int64, queries int) []byte {
+	b = wire.U32(b, magic)
+	b = wire.U32(b, version)
+	b = wire.U32(b, uint32(group))
+	b = wire.U32(b, uint32(cursor))
+	b = wire.U64(b, uint64(candidates))
+	return wire.U32(b, uint32(queries))
+}
+
 // Encode serializes the group deterministically.
 func (g *Group) Encode() []byte {
-	n := 4 + 4 + 4 + 4 + 8 + 4
+	n := HeaderSize
 	for i := range g.Queries {
 		n += topk.HitsWireSize(g.Queries[i].Hits)
 	}
-	buf := make([]byte, 0, n)
-	buf = wire.U32(buf, magic)
-	buf = wire.U32(buf, version)
-	buf = wire.U32(buf, uint32(g.Group))
-	buf = wire.U32(buf, uint32(g.Cursor))
-	buf = wire.U64(buf, uint64(g.Candidates))
-	buf = wire.U32(buf, uint32(len(g.Queries)))
+	buf := AppendHeader(make([]byte, 0, n), g.Group, g.Cursor, g.Candidates, len(g.Queries))
 	for i := range g.Queries {
 		buf = topk.AppendHits(buf, g.Queries[i].Hits)
 	}
@@ -68,16 +78,9 @@ func (g *Group) Encode() []byte {
 // Decode parses a blob produced by Encode.
 func Decode(b []byte) (*Group, error) {
 	d := wire.NewReader(b, ErrCorrupt)
-	if m := d.U32(); m != magic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
-	}
-	if v := d.U32(); v != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
-	}
-	g := &Group{
-		Group:      int32(d.U32()),
-		Cursor:     int32(d.U32()),
-		Candidates: int64(d.U64()),
+	g, err := readHeader(&d)
+	if err != nil {
+		return nil, err
 	}
 	// A query is at least its hit count.
 	g.Queries = make([]Query, d.Count(4))
@@ -87,16 +90,49 @@ func Decode(b []byte) (*Group, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return &g, nil
+}
+
+// Restore is Decode for a restart: it offers query i's hits straight to
+// lists[i] and returns the cursor and candidate count. A blob for another
+// group, a cursor outside [0, steps], a negative count or other than
+// len(lists) queries fail with ErrShape before any hit is offered.
+func Restore(blob []byte, group int32, steps int, lists []*topk.List) (int, int64, error) {
+	d := wire.NewReader(blob, ErrCorrupt)
+	g, err := readHeader(&d)
+	if err == nil && (g.Group != group || g.Cursor < 0 || int(g.Cursor) > steps || g.Candidates < 0 || d.Count(4) != len(lists)) {
+		err = ErrShape
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, l := range lists {
+		topk.OfferHits(&d, l)
+	}
+	return int(g.Cursor), g.Candidates, d.Finish()
+}
+
+// readHeader reads a blob's fixed part up to its query count.
+func readHeader(d *wire.Reader) (Group, error) {
+	if m := d.U32(); m != magic {
+		return Group{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
+	}
+	if v := d.U32(); v != version {
+		return Group{}, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	}
+	return Group{Group: int32(d.U32()), Cursor: int32(d.U32()), Candidates: int64(d.U64())}, nil
 }
 
 // Store is the stable checkpoint storage a restarted machine reads from —
 // host-side state that survives rank failures, as a parallel filesystem
 // would. Blobs are keyed by group; a Put replaces the group's previous
-// checkpoint. Safe for concurrent use by rank goroutines.
+// checkpoint, copying into its storage (or a deleted group's), and a Delete
+// drops it. Safe for concurrent use by rank goroutines.
 type Store struct {
-	mu     sync.Mutex
-	blobs  map[int32][]byte
+	mu    sync.Mutex
+	blobs map[int32][]byte
+	// spare is the last deleted blob's storage, for the next new group.
+	spare  []byte
 	writes int64
 	bytes  int64
 }
@@ -108,26 +144,34 @@ func NewStore() *Store {
 
 // Put durably records the group's checkpoint (copying blob).
 func (s *Store) Put(group int32, blob []byte) {
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
 	s.mu.Lock()
-	s.blobs[group] = cp
+	dst, ok := s.blobs[group]
+	if !ok {
+		dst, s.spare = s.spare, nil
+	}
+	s.blobs[group] = append(dst[:0], blob...)
 	s.writes++
 	s.bytes += int64(len(blob))
 	s.mu.Unlock()
 }
 
-// Get returns a copy of the group's latest checkpoint, if any.
+// Get returns a copy of the group's latest checkpoint, if any, taken under
+// the lock: a Put rewrites the stored bytes in place.
 func (s *Store) Get(group int32) ([]byte, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	blob, ok := s.blobs[group]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
+	return bytes.Clone(blob), ok
+}
+
+// Delete drops the group's checkpoint, if any; a later Get finds none.
+func (s *Store) Delete(group int32) {
+	s.mu.Lock()
+	if blob, ok := s.blobs[group]; ok {
+		delete(s.blobs, group)
+		s.spare = blob
 	}
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
-	return cp, true
+	s.mu.Unlock()
 }
 
 // Writes returns the number of Put calls.

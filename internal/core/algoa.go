@@ -51,6 +51,9 @@ type scanner struct {
 	// dcomp and drecv are walkBlocks' host buffers: the transported block
 	// being scanned and the one arriving.
 	dcomp, drecv []byte
+	// ckpt and hits are the sweep's checkpoint scratch (blob, one list).
+	ckpt []byte
+	hits []topk.Hit
 }
 
 // newScanner returns a scanner with a fresh scorer for opt.
@@ -105,10 +108,7 @@ func loadPhaseOpts(r *cluster.Rank, in Input, opt Options, cache *indexCache, bl
 	r.NoteAlloc(int64(qbytes))
 	if prepare {
 		l.qs = prepareQueries(r, mySpecs, opt.Score)
-		l.lists = make([]*topk.List, len(l.qs))
-		for i := range l.lists {
-			l.lists[i] = topk.New(opt.Tau)
-		}
+		l.lists = topk.NewLists(len(l.qs), opt.Tau)
 	}
 
 	sc, err := score.New(opt.ScorerName, opt.Score)

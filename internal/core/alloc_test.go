@@ -97,9 +97,9 @@ func TestScanIndexLazyMaterialization(t *testing.T) {
 			t.Errorf("%s: Offered = %d, reference = %d", scorer, st.Offered, offered)
 		}
 		for qi := range f.qs {
-			if !reflect.DeepEqual(lazy[qi].Hits(), ref[qi].Hits()) {
+			if !reflect.DeepEqual(lazy[qi].AppendSorted(nil), ref[qi].AppendSorted(nil)) {
 				t.Errorf("%s: query %d hits differ:\nlazy %+v\nref  %+v",
-					scorer, qi, lazy[qi].Hits(), ref[qi].Hits())
+					scorer, qi, lazy[qi].AppendSorted(nil), ref[qi].AppendSorted(nil))
 			}
 		}
 	}

@@ -147,6 +147,9 @@ func (bk *Backend) CheckpointWrites() int64 { return bk.store.Writes() }
 // CheckpointBytes is the companion byte counter of CheckpointWrites.
 func (bk *Backend) CheckpointBytes() int64 { return bk.store.Bytes() }
 
+// CheckpointsHeld returns the number of batches with a stored checkpoint.
+func (bk *Backend) CheckpointsHeld() int { return bk.store.Len() }
+
 // MigrationBytes returns the total block bytes moved by rotations.
 func (bk *Backend) MigrationBytes() int64 {
 	var total int64
@@ -351,7 +354,8 @@ func (bk *Backend) Invalidate(bs *BatchState) {
 // ScanBatch advances bs by at most steps block scans on its owner rank,
 // starting no earlier than the absolute machine-local time dispatchAt. The
 // quantum checkpoints the batch on exit; a completed sweep finalizes the
-// per-query results and stamps DoneClock. The quantum runs on the owner's
+// per-query results, stamps DoneClock and deletes the checkpoint (a done
+// batch is never restored). The quantum runs on the owner's
 // resident scanner, whose query bindings it resets first.
 func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt float64, steps int) (*cluster.RunReport, error) {
 	if bk.plan == nil {
@@ -394,6 +398,7 @@ func (bk *Backend) ScanBatch(mach *cluster.Machine, bs *BatchState, dispatchAt f
 			r.NoteFree(int64(queryBytes(bs.specs)))
 			bs.done = true
 			bs.doneClock = r.Time()
+			sw.store.Delete(bs.id)
 		}
 		return nil
 	})

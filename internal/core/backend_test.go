@@ -3,8 +3,10 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"pepscale/internal/ckpt"
 	"pepscale/internal/cluster"
 	"pepscale/internal/fasta"
 	"pepscale/internal/spectrum"
@@ -155,6 +157,38 @@ func TestBackendQuantumAllocBudget(t *testing.T) {
 	if extra := int64(got) - int64(prep); extra > int64(backendQuantumBudget*len(pool)) {
 		t.Errorf("a warm batch of %d queries allocated %d B beyond its %d B of PrepareQuery output (%d B/query), budget %d B/query",
 			len(pool), extra, prep, extra/int64(len(pool)), backendQuantumBudget)
+	}
+}
+
+// TestBackendRejectsOutOfRangeCheckpoint: a checkpoint whose cursor or
+// candidate count is negative is refused as a shape mismatch, like one past
+// the sweep. Before the check, a cursor of −1 made batch 0's first step
+// index block −1, and batch 7's scan block (7−1) mod 4 at step −1, a block
+// its sweep offers again later.
+func TestBackendRejectsOutOfRangeCheckpoint(t *testing.T) {
+	db, pool := backendWorkload(t, 60, 4)
+	opt := DefaultOptions()
+	opt.Tau = 10
+	for _, tc := range []struct {
+		name       string
+		batch      int32
+		cursor     int32
+		candidates int64
+	}{
+		{"batch 0, cursor -1", 0, -1, 0},
+		{"batch 7, cursor -1", 7, -1, 0},
+		{"batch 7, candidates -1", 7, 1, -1},
+	} {
+		bk, mach := bootBackend(t, db, opt, 4)
+		cp := ckpt.Group{Group: tc.batch, Cursor: tc.cursor, Candidates: tc.candidates, Queries: make([]ckpt.Query, len(pool))}
+		bk.store.Put(tc.batch, cp.Encode())
+		rep, err := bk.ScanBatch(mach, NewBatch(tc.batch, pool), 0, 0)
+		if err != nil {
+			t.Fatalf("%s: ScanBatch: %v", tc.name, err)
+		}
+		if rep.Err == nil || !strings.Contains(rep.Err.Error(), "checkpoint shape mismatch") {
+			t.Errorf("%s: the quantum ended with %v, want a checkpoint shape mismatch", tc.name, rep.Err)
+		}
 	}
 }
 

@@ -227,10 +227,7 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 		routed.Specs = append(routed.Specs, part.Specs...)
 	}
 	l.qs = prepareQueries(r, routed.Specs, opt.Score)
-	l.lists = make([]*topk.List, len(l.qs))
-	for i := range l.lists {
-		l.lists[i] = topk.New(opt.Tau)
-	}
+	l.lists = topk.NewLists(len(l.qs), opt.Tau)
 	sortSec := r.Time() - tSort
 
 	// C4: fetch and scan only intersecting bands, own band first.

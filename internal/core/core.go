@@ -347,7 +347,8 @@ func scanComputeSec(cost cluster.CostModel, sc score.Scorer, st scanStats) float
 		float64(st.Offered)*cost.HitSecPerHit
 }
 
-// finalizeResults converts per-query top-k lists into QueryResults.
+// finalizeResults converts per-query top-k lists into QueryResults, each
+// taking its list's storage (topk.List.Drain) and leaving the list empty.
 func finalizeResults(indices []int, qs []*score.Query, lists []*topk.List) []QueryResult {
 	out := make([]QueryResult, len(qs))
 	for i, q := range qs {
@@ -355,7 +356,7 @@ func finalizeResults(indices []int, qs []*score.Query, lists []*topk.List) []Que
 			Index:      indices[i],
 			ID:         q.ID,
 			ParentMass: q.ParentMass,
-			Hits:       lists[i].Hits(),
+			Hits:       lists[i].Drain(),
 		}
 	}
 	return out

@@ -74,10 +74,7 @@ func masterWorkerSolo(r *cluster.Rank, in Input, opt Options, sh *shared) error 
 	r.SetPhase("scan")
 
 	qs := prepareQueries(r, in.Queries, opt.Score)
-	lists := make([]*topk.List, len(qs))
-	for i := range lists {
-		lists[i] = topk.New(opt.Tau)
-	}
+	lists := topk.NewLists(len(qs), opt.Tau)
 	var scan scanState
 	st := scan.scan(qs, lists, blk.ix, sc, opt, blockIDResolver(recs, 0))
 	r.Compute(scanComputeSec(cost, sc, st))
@@ -196,10 +193,7 @@ func mwWorker(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 			return err
 		}
 		qs := prepareQueries(r, b.Specs, opt.Score)
-		lists := make([]*topk.List, len(qs))
-		for i := range lists {
-			lists[i] = topk.New(opt.Tau)
-		}
+		lists := topk.NewLists(len(qs), opt.Tau)
 		st := scan.scan(qs, lists, blk.ix, sc, opt, idOf)
 		r.Compute(scanComputeSec(cost, sc, st))
 		candidates += st.Candidates

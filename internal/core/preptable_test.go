@@ -82,7 +82,7 @@ func TestPrepTableMatchesAppendBins(t *testing.T) {
 					ss.scan(qs, got, ix, sc, opt, blockIDResolver(db, 0))
 					scanIndex(qs, want, ix, sc, opt, blockIDResolver(db, 0))
 					for qi := range qs {
-						if !slices.EqualFunc(got[qi].Hits(), want[qi].Hits(), func(a, b topk.Hit) bool { return a == b }) {
+						if !slices.EqualFunc(got[qi].AppendSorted(nil), want[qi].AppendSorted(nil), func(a, b topk.Hit) bool { return a == b }) {
 							t.Errorf("round %d: query %d hits differ from a scan without tables", round, qi)
 						}
 					}

@@ -124,9 +124,9 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 						t.Errorf("%s: scanStats differ: query-major %+v, peptide-major %+v", scorer, refSt, batSt)
 					}
 					for qi := range qs {
-						if !reflect.DeepEqual(refLists[qi].Hits(), batLists[qi].Hits()) {
+						if !reflect.DeepEqual(refLists[qi].AppendSorted(nil), batLists[qi].AppendSorted(nil)) {
 							t.Errorf("%s: query %d hits differ:\nquery-major  %+v\npeptide-major %+v",
-								scorer, qi, refLists[qi].Hits(), batLists[qi].Hits())
+								scorer, qi, refLists[qi].AppendSorted(nil), batLists[qi].AppendSorted(nil))
 						}
 					}
 					// Rescanning on the same warmed state (as engine transport
@@ -141,7 +141,7 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 						t.Errorf("%s: warmed rescan stats differ: first %+v, rescan %+v", scorer, batSt, reSt)
 					}
 					for qi := range qs {
-						if !reflect.DeepEqual(batLists[qi].Hits(), reLists[qi].Hits()) {
+						if !reflect.DeepEqual(batLists[qi].AppendSorted(nil), reLists[qi].AppendSorted(nil)) {
 							t.Errorf("%s: query %d warmed rescan hits differ", scorer, qi)
 						}
 					}
@@ -154,7 +154,7 @@ func TestScanPeptideMajorMatchesQueryMajor(t *testing.T) {
 							t.Errorf("%s: %s-table scan stats differ: %+v, want %+v", scorer, table, st, batSt)
 						}
 						for qi := range qs {
-							if !reflect.DeepEqual(batLists[qi].Hits(), tabLists[qi].Hits()) {
+							if !reflect.DeepEqual(batLists[qi].AppendSorted(nil), tabLists[qi].AppendSorted(nil)) {
 								t.Errorf("%s: query %d %s-table hits differ", scorer, qi, table)
 							}
 						}

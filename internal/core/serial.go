@@ -31,10 +31,7 @@ func Serial(in Input, opt Options, cost cluster.CostModel) (*Result, error) {
 		return nil, err
 	}
 	qs := prepareQueries(nil, in.Queries, opt.Score)
-	lists := make([]*topk.List, len(qs))
-	for i := range lists {
-		lists[i] = topk.New(opt.Tau)
-	}
+	lists := topk.NewLists(len(qs), opt.Tau)
 	st := scanIndex(qs, lists, ix, sc, opt, blockIDResolver(recs, 0))
 	results := finalizeResults(queryIndices(0, len(qs)), qs, lists)
 

@@ -168,29 +168,16 @@ func (sw *sweeper) loadGroup(g, qlo int, specs []*spectrum.Spectrum) (*rgroup, e
 	r.Compute(cost.IOSec(qbytes))
 	r.NoteAlloc(int64(qbytes))
 	gr := &rgroup{g: g, qlo: qlo, qhi: qlo + len(specs), qs: prepareQueries(r, specs, sw.opt.Score)}
-	gr.lists = make([]*topk.List, len(gr.qs))
-	for i := range gr.lists {
-		gr.lists[i] = topk.New(sw.opt.Tau)
-	}
+	gr.lists = topk.NewLists(len(gr.qs), sw.opt.Tau)
 	blob, ok := sw.store.Get(int32(g))
 	if !ok {
 		return gr, nil
 	}
 	r.Compute(cost.IOSec(len(blob)))
-	cp, err := ckpt.Decode(blob)
-	if err != nil {
+	var err error
+	if gr.cursor, gr.candidates, err = ckpt.Restore(blob, int32(g), sw.p0, gr.lists); err != nil {
 		return nil, fmt.Errorf("rank %d: restore %s %d: %w", r.ID(), sw.noun, g, err)
 	}
-	if int(cp.Group) != g || len(cp.Queries) != len(gr.qs) || int(cp.Cursor) > sw.p0 {
-		return nil, fmt.Errorf("rank %d: restore %s %d: checkpoint shape mismatch", r.ID(), sw.noun, g)
-	}
-	for i := range cp.Queries {
-		for _, h := range cp.Queries[i].Hits {
-			gr.lists[i].Offer(h)
-		}
-	}
-	gr.cursor = int(cp.Cursor)
-	gr.candidates = cp.Candidates
 	if r.Tracing() {
 		r.Mark("restore", fmt.Sprintf("%s %d resumes at step %d", sw.noun, g, gr.cursor))
 	}
@@ -264,16 +251,21 @@ func (sw *sweeper) walk(groups []*rgroup, from, to int) error {
 }
 
 // checkpoint serializes the group's recovery state to the stable store,
-// charging the write as I/O.
+// charging the write as I/O: encoded from the live lists into the scanner's
+// scratch, sized exactly first, and copied into the group's stored blob.
 func (sw *sweeper) checkpoint(gr *rgroup) {
-	r := sw.r
-	cp := ckpt.Group{Group: int32(gr.g), Cursor: int32(gr.cursor), Candidates: gr.candidates}
-	cp.Queries = make([]ckpt.Query, len(gr.lists))
-	for i, l := range gr.lists {
-		cp.Queries[i] = ckpt.Query{Hits: l.Hits()}
+	r, sn := sw.r, sw.scanner
+	n := ckpt.HeaderSize
+	for _, l := range gr.lists {
+		n += l.WireSize()
 	}
-	blob := cp.Encode()
-	sw.store.Put(cp.Group, blob)
+	blob := ckpt.AppendHeader(slices.Grow(sn.ckpt[:0], n), int32(gr.g), int32(gr.cursor), gr.candidates, len(gr.lists))
+	for _, l := range gr.lists {
+		sn.hits = l.AppendSorted(sn.hits[:0])
+		blob = topk.AppendHits(blob, sn.hits)
+	}
+	sn.ckpt = blob
+	sw.store.Put(int32(gr.g), blob)
 	r.SetPhase("checkpoint")
 	if r.Tracing() {
 		r.Mark("checkpoint", fmt.Sprintf("%s %d at step %d (%d bytes)", sw.noun, gr.g, gr.cursor, len(blob)))

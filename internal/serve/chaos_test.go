@@ -140,3 +140,51 @@ func TestChaosCombinedDeterministic(t *testing.T) {
 		t.Error("double-run chaos completions differ")
 	}
 }
+
+// TestChaosCrashAfterFinalize: a batch's checkpoint goes when the batch
+// finalizes, so a crash of its owner after that, before the batch's
+// completions are emitted, must not need it — the done batch keeps its
+// results through the recovery, and every query gets the offline hits.
+func TestChaosCrashAfterFinalize(t *testing.T) {
+	db, pool := testWorkload(t, 60, 12)
+	want := offlineHits(t, db, pool, testOpt())
+	s, err := New(steadyCfg(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done *batchRef
+	i := 0
+	for ; done == nil && i < len(pool); i++ {
+		if err := s.Submit(float64(i)*1e-3, "acme", pool[i]); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		for _, br := range s.inflight {
+			if br.bs.Done() {
+				done = br
+			}
+		}
+	}
+	if done == nil {
+		t.Fatal("no batch was finalized and still awaiting emission")
+	}
+	if n := s.bk.CheckpointsHeld(); n != 0 {
+		t.Fatalf("the store holds %d checkpoints with every dispatched batch finalized", n)
+	}
+	owner := done.bs.Owner()
+	crash := &cluster.RunReport{Err: cluster.ErrRankFailed{Rank: owner}, FailedRanks: []int{owner}}
+	if err := s.onCrash(crash); err != nil {
+		t.Fatalf("recovering from rank %d's crash: %v", owner, err)
+	}
+	for ; i < len(pool); i++ {
+		if err := s.Submit(s.NowSec()+float64(i)*1e-3, "acme", pool[i]); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := s.Metrics(); st.Crashes != 1 || st.Recoveries != 1 {
+		t.Errorf("%d crashes and %d recoveries, want 1 and 1", st.Crashes, st.Recoveries)
+	}
+	checkService(t, "crash after finalize", s, nil, want)
+}

@@ -86,7 +86,7 @@ type Config struct {
 	// universe size).
 	MaxRecoveries int
 	// Sink, when set, receives every completion as it is emitted (in
-	// deterministic emission order).
+	// deterministic emission order), and the server keeps none of them.
 	Sink func(Completion)
 }
 
@@ -453,7 +453,7 @@ func (s *Server) Close() error {
 }
 
 // Completions returns every emitted completion in deterministic emission
-// order.
+// order. A server with a Sink keeps none: the Sink has received them.
 func (s *Server) Completions() []Completion { return s.comps }
 
 // Metrics returns the service counters so far.
@@ -743,9 +743,10 @@ func (s *Server) finish(br *batchRef) {
 			DoneSec:   doneAbs,
 			Hits:      qr.Hits,
 		}
-		s.comps = append(s.comps, c)
 		if s.cfg.Sink != nil {
 			s.cfg.Sink(c)
+		} else {
+			s.comps = append(s.comps, c)
 		}
 		tn.stats.Completed++
 		s.stats.Completed++

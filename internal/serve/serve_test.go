@@ -401,7 +401,11 @@ func TestSubmitFrameRoundTrip(t *testing.T) {
 	db, pool := testWorkload(t, 40, 4)
 	cfg := steadyCfg(db)
 	var frames [][]byte
-	cfg.Sink = func(c Completion) { frames = append(frames, c.Frame().Encode()) }
+	var comps []Completion
+	cfg.Sink = func(c Completion) {
+		comps = append(comps, c)
+		frames = append(frames, c.Frame().Encode())
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +427,7 @@ func TestSubmitFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeResult %d: %v", i, err)
 		}
-		c := s.Completions()[i]
+		c := comps[i]
 		if rf.Tenant != c.Tenant || rf.Seq != c.Seq || rf.QueryID != c.QueryID {
 			t.Errorf("frame %d decodes to (%s,%d,%s), want (%s,%d,%s)",
 				i, rf.Tenant, rf.Seq, rf.QueryID, c.Tenant, c.Seq, c.QueryID)
@@ -431,6 +435,47 @@ func TestSubmitFrameRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(rf.Hits, c.Hits) {
 			t.Errorf("frame %d hits differ after round trip", i)
 		}
+	}
+}
+
+// TestSinkStreamHoldsNothing: a stream served through a Sink leaves the
+// server holding no completion and the backend no checkpoint — every batch
+// was checkpointed at each one-block quantum, and each checkpoint went when
+// its batch finalized — while every query still gets the offline hits.
+func TestSinkStreamHoldsNothing(t *testing.T) {
+	db, pool := testWorkload(t, 60, 12)
+	want := offlineHits(t, db, pool, testOpt())
+	cfg := steadyCfg(db)
+	cfg.StepsPerQuantum = 1
+	var sunk int
+	cfg.Sink = func(c Completion) {
+		sunk++
+		if !reflect.DeepEqual(c.Hits, want[c.QueryID]) {
+			t.Errorf("query %s/%d (%s) hits differ from the offline batch", c.Tenant, c.Seq, c.QueryID)
+		}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Play(Schedule(steadySpec(), pool)); err != nil {
+		t.Fatalf("Play: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := s.Metrics(); sunk == 0 || int64(sunk) != st.Admitted {
+		t.Fatalf("sank %d completions for %d admitted queries", sunk, st.Admitted)
+	}
+	if s.CheckpointWrites() <= s.Metrics().Batches {
+		t.Errorf("%d checkpoint writes for %d batches: the quanta did not checkpoint mid-sweep",
+			s.CheckpointWrites(), s.Metrics().Batches)
+	}
+	if n := s.bk.CheckpointsHeld(); n != 0 {
+		t.Errorf("the store holds %d checkpoints after the stream, want 0", n)
+	}
+	if n := len(s.Completions()); n != 0 {
+		t.Errorf("the server kept %d completions it had sunk", n)
 	}
 }
 

@@ -17,7 +17,7 @@ func ExampleList() {
 	} {
 		l.Offer(h)
 	}
-	for i, h := range l.Hits() {
+	for i, h := range l.AppendSorted(nil) {
 		fmt.Printf("%d. %s %.1f\n", i+1, h.Peptide, h.Score)
 	}
 	// Output:

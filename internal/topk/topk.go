@@ -8,10 +8,6 @@
 // r offered candidates.
 package topk
 
-import (
-	"sort"
-)
-
 // Hit is a scored candidate peptide match for one query spectrum.
 type Hit struct {
 	// Peptide is the candidate sequence (with modification annotations, if
@@ -52,17 +48,23 @@ type List struct {
 	h []Hit // min-heap ordered by less
 }
 
+// firstCap bounds a heap's first allocation: a list with τ ≤ firstCap sizes
+// its heap once, a larger τ doubles toward τ, so few hits never cost τ slots.
+const firstCap = 64
+
 // New returns a list that retains at most k hits. k <= 0 yields a list that
 // rejects everything (a legal degenerate configuration used in tests).
-func New(k int) *List {
-	if k < 0 {
-		k = 0
-	}
-	return &List{k: k}
-}
+func New(k int) *List { return &List{k: max(k, 0)} }
 
-// K returns the capacity bound τ.
-func (l *List) K() int { return l.k }
+// NewLists returns n lists of capacity k, allocated together.
+func NewLists(n, k int) []*List {
+	ls, out := make([]List, n), make([]*List, n)
+	for i := range out {
+		ls[i].k = max(k, 0)
+		out[i] = &ls[i]
+	}
+	return out
+}
 
 // Len returns the number of hits currently retained.
 func (l *List) Len() int { return len(l.h) }
@@ -84,15 +86,18 @@ func (l *List) Offer(h Hit) bool {
 		return false
 	}
 	if len(l.h) < l.k {
+		if len(l.h) == cap(l.h) {
+			l.h = append(make([]Hit, 0, min(l.k, max(firstCap, 2*cap(l.h)))), l.h...)
+		}
 		l.h = append(l.h, h)
-		l.up(len(l.h) - 1)
+		up(l.h, len(l.h)-1)
 		return true
 	}
 	if !less(l.h[0], h) {
 		return false
 	}
 	l.h[0] = h
-	l.down(0)
+	down(l.h, 0)
 	return true
 }
 
@@ -103,41 +108,54 @@ func (l *List) Merge(other *List) {
 	}
 }
 
-// Hits returns the retained hits ordered best-first. The result is a fresh
-// slice; the list remains usable.
-func (l *List) Hits() []Hit {
-	out := make([]Hit, len(l.h))
-	copy(out, l.h)
-	sort.Slice(out, func(i, j int) bool { return less(out[j], out[i]) })
-	return out
+// AppendSorted appends the retained hits to dst, best first, and returns the
+// extended slice; the list is unchanged.
+func (l *List) AppendSorted(dst []Hit) []Hit {
+	n := len(dst)
+	dst = append(dst, l.h...)
+	// Heap-sort the copy: each pass swaps the root, the worst hit left,
+	// behind the shrinking heap.
+	for h, last := dst[n:], len(dst)-n-1; last > 0; last-- {
+		h[0], h[last] = h[last], h[0]
+		down(h[:last], 0)
+	}
+	return dst
 }
 
-func (l *List) up(i int) {
+// Drain returns the retained hits best first, sorted in place in the list's
+// own storage, which passes to the caller; the list is left empty.
+func (l *List) Drain() []Hit {
+	h := l.AppendSorted(l.h[:0])
+	l.h = nil
+	return h
+}
+
+func up(h []Hit, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(l.h[i], l.h[parent]) {
+		if !less(h[i], h[parent]) {
 			return
 		}
-		l.h[i], l.h[parent] = l.h[parent], l.h[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-func (l *List) down(i int) {
-	n := len(l.h)
+func down(h []Hit, i int) {
+	n := len(h)
 	for {
 		left, right := 2*i+1, 2*i+2
 		smallest := i
-		if left < n && less(l.h[left], l.h[smallest]) {
+		if left < n && less(h[left], h[smallest]) {
 			smallest = left
 		}
-		if right < n && less(l.h[right], l.h[smallest]) {
+		if right < n && less(h[right], h[smallest]) {
 			smallest = right
 		}
 		if smallest == i {
 			return
 		}
-		l.h[i], l.h[smallest] = l.h[smallest], l.h[i]
+		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
 }

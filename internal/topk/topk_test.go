@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func TestTopKMatchesSortReference(t *testing.T) {
 			hits[i] = mkHit(s, i)
 			l.Offer(hits[i])
 		}
-		return reflect.DeepEqual(l.Hits(), reference(hits, k))
+		return slices.Equal(l.AppendSorted(nil), reference(hits, k))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -55,7 +56,7 @@ func TestOfferOrderIndependent(t *testing.T) {
 	for _, i := range perm {
 		l2.Offer(hits[i])
 	}
-	if !reflect.DeepEqual(l1.Hits(), l2.Hits()) {
+	if !reflect.DeepEqual(l1.AppendSorted(nil), l2.AppendSorted(nil)) {
 		t.Error("top-k depends on offer order")
 	}
 }
@@ -66,7 +67,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 	for i := 4; i >= 0; i-- {
 		l.Offer(mkHit(1.0, i))
 	}
-	hits := l.Hits()
+	hits := l.AppendSorted(nil)
 	if len(hits) != 3 {
 		t.Fatalf("got %d hits", len(hits))
 	}
@@ -106,7 +107,7 @@ func TestZeroCapacity(t *testing.T) {
 		if l.Offer(mkHit(100, 1)) {
 			t.Errorf("New(%d) retained a hit", k)
 		}
-		if l.Len() != 0 || len(l.Hits()) != 0 {
+		if l.Len() != 0 || len(l.AppendSorted(nil)) != 0 {
 			t.Errorf("New(%d) non-empty", k)
 		}
 	}
@@ -125,7 +126,7 @@ func TestMerge(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	if !reflect.DeepEqual(a.Hits(), reference(all, 5)) {
+	if !reflect.DeepEqual(a.AppendSorted(nil), reference(all, 5)) {
 		t.Error("merge result differs from global top-k")
 	}
 	if b.Len() != 5 {
@@ -138,14 +139,91 @@ func TestHitsDoesNotMutate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Offer(mkHit(float64(i), i))
 	}
-	h1 := l.Hits()
-	h2 := l.Hits()
+	h1 := l.AppendSorted(nil)
+	h2 := l.AppendSorted(nil)
 	if !reflect.DeepEqual(h1, h2) {
-		t.Error("repeated Hits() calls disagree")
+		t.Error("repeated AppendSorted calls disagree")
 	}
 	h1[0].Score = -999
-	if reflect.DeepEqual(l.Hits()[0], h1[0]) {
-		t.Error("Hits() returned aliased storage")
+	if reflect.DeepEqual(l.AppendSorted(nil)[0], h1[0]) {
+		t.Error("AppendSorted returned aliased storage")
+	}
+}
+
+// TestAppendSortedAndDrainMatchReference: on random offers full of ties —
+// scores from a handful of values, peptides and proteins repeating — both
+// ways out of a list give the sort reference's top τ, AppendSorted keeps
+// dst's prefix and the list, and Drain leaves the list empty and reusable.
+// τ spans the first heap allocation's bound, so growth past it is covered.
+func TestAppendSortedAndDrainMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, k := range []int{0, 1, 3, 50, firstCap, firstCap + 1, 200} {
+		for trial := 0; trial < 20; trial++ {
+			hits := make([]Hit, 1+rng.Intn(3*k+5))
+			for i := range hits {
+				hits[i] = Hit{
+					Peptide: fmt.Sprintf("PEP%d", rng.Intn(4)),
+					Protein: int32(rng.Intn(3)),
+					Mass:    1000 + float64(rng.Intn(2)),
+					Score:   float64(rng.Intn(5)),
+				}
+			}
+			l := New(k)
+			for _, h := range hits {
+				l.Offer(h)
+			}
+			want := reference(hits, k)
+			prefix := []Hit{mkHit(-1, 0)}
+			got := l.AppendSorted(slices.Clip(prefix))
+			if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
+				t.Fatalf("k=%d trial %d: AppendSorted = %v, want %v after the prefix", k, trial, got, want)
+			}
+			if l.Len() != len(want) {
+				t.Fatalf("k=%d trial %d: AppendSorted changed the list's length", k, trial)
+			}
+			if drained := l.Drain(); !slices.Equal(drained, want) {
+				t.Fatalf("k=%d trial %d: Drain = %v, want %v", k, trial, drained, want)
+			}
+			if l.Len() != 0 || l.Drain() != nil {
+				t.Fatalf("k=%d trial %d: list not empty after Drain", k, trial)
+			}
+			if k > 0 && (!l.Offer(hits[0]) || l.Len() != 1) {
+				t.Fatalf("k=%d trial %d: drained list does not accept a hit", k, trial)
+			}
+		}
+	}
+}
+
+// TestHeapAllocatedOnce: a τ = 50 list offered three times τ hits allocates
+// its heap exactly once, and a τ = 1e6 list offered a few hits holds no
+// more than the first allocation's bound.
+func TestHeapAllocatedOnce(t *testing.T) {
+	const k, runs = 50, 20
+	hits := make([]Hit, 3*k)
+	for i := range hits {
+		hits[i] = mkHit(float64(i%17), i)
+	}
+	lists := make([]*List, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range lists {
+		lists[i] = New(k)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		l := lists[next]
+		next++
+		for _, h := range hits {
+			l.Offer(h)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("filling a τ=%d list allocates %v times, want 1", k, allocs)
+	}
+	big := New(1_000_000)
+	for _, h := range hits[:10] {
+		big.Offer(h)
+	}
+	if c := cap(big.h); c > firstCap {
+		t.Errorf("a τ=1e6 list holding 10 hits has %d slots, want at most %d", c, firstCap)
 	}
 }
 

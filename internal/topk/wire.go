@@ -14,6 +14,9 @@ func HitsWireSize(hits []Hit) int {
 	return n
 }
 
+// WireSize is HitsWireSize of the retained hits.
+func (l *List) WireSize() int { return HitsWireSize(l.h) }
+
 // AppendHits appends the list in the one wire form checkpoints, result
 // gathers and PRES frames share: a u32 count, then per hit the peptide
 // (str), protein index (u32), protein id (str), mass and score (f64).
@@ -39,13 +42,19 @@ func ReadHits(r *wire.Reader) []Hit {
 	}
 	hits := make([]Hit, n)
 	for i := range hits {
-		hits[i] = Hit{
-			Peptide:   r.Str(),
-			Protein:   int32(r.U32()),
-			ProteinID: r.Str(),
-			Mass:      r.F64(),
-			Score:     r.F64(),
-		}
+		hits[i] = readHit(r)
 	}
 	return hits
+}
+
+// OfferHits offers l each hit of a list written by AppendHits, building no
+// slice. A failure is left in r for the caller's Finish.
+func OfferHits(r *wire.Reader, l *List) {
+	for n := r.Count(hitWireMin); n > 0; n-- {
+		l.Offer(readHit(r))
+	}
+}
+
+func readHit(r *wire.Reader) Hit {
+	return Hit{Peptide: r.Str(), Protein: int32(r.U32()), ProteinID: r.Str(), Mass: r.F64(), Score: r.F64()}
 }
