@@ -88,13 +88,16 @@ test-short:
 # scan state: its prepared-fragment tables written by one owner rank per
 # Run and a warm batch's allocation budget, and the hit path's storage: a
 # top-τ heap allocated once, a warm checkpoint that allocates nothing, and
-# one group's stored blob rewritten in place by Put while Get copies it.
+# one group's stored blob rewritten in place by Put while Get copies it, and
+# pepd's delivery stage: a Sink on its own goroutine in emission order, the
+# Drain barrier, a Sink panic, and no goroutine left after Close.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
 	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints' ./internal/core/ ./internal/serve/
 	$(GO) test -race -count=5 -run 'TestPrepTable|TestBackendWarmTableMatchesSerial|TestBackendQuantumAllocBudget|TestCheckpointAllocFree|TestHeapAllocatedOnce|TestStoreConcurrentPutGet' ./internal/core/ ./internal/topk/ ./internal/ckpt/
+	$(GO) test -race -count=10 -run 'TestDelivery' ./internal/serve/
 
 # chaos sweeps the fault-injection, checkpoint/restart, and recovery test
 # schedules under the race detector: every injected crash, drop, delay, and
@@ -213,11 +216,15 @@ scale-smoke:
 
 # serve-smoke runs the streaming-service golden path under the race
 # detector — a seeded load test pinning streaming-equals-offline hits and
-# byte-identical double-run traces — plus a short pepd CLI run through the
-# client wire codec.
+# byte-identical double-run traces — then the live-heap soak guard without
+# it (its shadow memory distorts heap sizes), plus a short pepd CLI run
+# through the client wire codec and one schedule the CLI must refuse (from
+# an empty query pool, so that a regression builds no schedule).
 serve-smoke:
 	$(GO) test -race -count=1 -run 'StreamingMatchesOffline|DoubleRunTrace|SteadyStateIngestAllocs' ./internal/serve/
+	$(GO) test -count=1 -run 'TestServeLiveHeapBounded' -v ./internal/serve/
 	$(GO) run ./cmd/pepid -serve -synth-db 200 -synth-queries 8 -serve-duration 0.25 >/dev/null
+	$(GO) run ./cmd/pepid -serve -synth-db 200 -synth-queries 0 -serve-duration 1e9 2>&1 | grep -q 'expected arrivals, above'
 
 # examples runs the five example programs end to end (~4 s).
 examples:

@@ -27,7 +27,8 @@
 //	      [-serve-window 0.05] [-serve-max-batch 16] [-p 4] ...
 //
 // -serve refuses the batch-only flags -algo, -decoy, -fdr, -trace and
-// -trace-summary when they are set.
+// -trace-summary when they are set, a -serve-max-batch below 1, and tenant
+// loads that expect more than 1,000,000 arrivals over -serve-duration.
 package main
 
 import (
@@ -94,9 +95,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err := flag.Parse(args); err != nil {
 		return err
 	}
+	var loads []serve.TenantLoad
 	if *serveMode {
 		if set := setFlags(flag, "algo", "decoy", "fdr", "trace", "trace-summary"); len(set) > 0 {
 			return fmt.Errorf("-serve does not take %s: the service runs one engine and reports no FDR or trace", strings.Join(set, ", "))
+		}
+		if loads, err = serveLoads(*serveDur, *serveTen, *serveBatch); err != nil {
+			return err
 		}
 	}
 	if *ranks < 1 {
@@ -180,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *serveMode {
 		return runServe(serveParams{
 			db: db, pool: queries, opt: opt, ranks: *ranks,
-			seed: *serveSeed, horizon: *serveDur, tenants: *serveTen,
+			seed: *serveSeed, horizon: *serveDur, loads: loads,
 			window: *serveWin, maxBatch: *serveBatch,
 			metrics: *metrics, outPath: *outPath,
 		}, stdout, stderr)
@@ -282,7 +287,7 @@ type serveParams struct {
 	ranks    int
 	seed     uint64
 	horizon  float64
-	tenants  string
+	loads    []serve.TenantLoad
 	window   float64
 	maxBatch int
 	metrics  bool
@@ -326,19 +331,36 @@ func parseTenantLoads(s string) ([]serve.TenantLoad, error) {
 // finiteNonNeg reports whether v is a finite number at or above zero.
 func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
+// maxServeArrivals caps the expected length of a -serve schedule, which is
+// generated whole before the first submit: about 40 MB of arrivals.
+const maxServeArrivals = 1_000_000
+
+// serveLoads checks the -serve flags that shape the schedule and the
+// batches, before any input or schedule is generated, and returns the
+// parsed tenant loads.
+func serveLoads(horizon float64, tenants string, maxBatch int) ([]serve.TenantLoad, error) {
+	if maxBatch < 1 {
+		return nil, fmt.Errorf("-serve-max-batch %d: want at least 1 query per batch", maxBatch)
+	}
+	if !finiteNonNeg(horizon) {
+		return nil, fmt.Errorf("-serve-duration %v: want a finite, non-negative number of virtual seconds", horizon)
+	}
+	loads, err := parseTenantLoads(tenants)
+	if err != nil {
+		return nil, err
+	}
+	if n := (serve.LoadSpec{HorizonSec: horizon, Loads: loads}).ExpectedArrivals(); n > maxServeArrivals {
+		return nil, fmt.Errorf("-serve-duration %v with -serve-tenants %q: %.3g expected arrivals, above the %d one schedule may hold",
+			horizon, tenants, n, maxServeArrivals)
+	}
+	return loads, nil
+}
+
 // runServe runs pepd over a seeded arrival schedule: every query enters
 // through the client wire codec, and per-query result lines stream to the
 // output in completion order.
 func runServe(p serveParams, stdout, stderr io.Writer) error {
-	if !finiteNonNeg(p.horizon) {
-		return fmt.Errorf("-serve-duration %v: want a finite, non-negative number of virtual seconds", p.horizon)
-	}
-	loads, err := parseTenantLoads(p.tenants)
-	if err != nil {
-		return err
-	}
-	spec := serve.LoadSpec{Seed: p.seed, HorizonSec: p.horizon, Loads: loads}
-	arrivals := serve.Schedule(spec, p.pool)
+	arrivals := serve.Schedule(serve.LoadSpec{Seed: p.seed, HorizonSec: p.horizon, Loads: p.loads}, p.pool)
 
 	w := stdout
 	if p.outPath != "" {
@@ -351,6 +373,9 @@ func runServe(p serveParams, stdout, stderr io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "tenant\tseq\tquery\tarrive\tdone\tlatency\trank\tpeptide\tprotein\tmass\tscore")
+	// The Sink runs on the server's delivery goroutine while this one
+	// submits: it writes only bw and sinkErr, read here after Close.
+	var sinkErr error
 	cfg := serve.Config{
 		DB: p.db, Opt: p.opt, Ranks: p.ranks,
 		BatchWindowSec: p.window, MaxBatch: p.maxBatch,
@@ -360,7 +385,9 @@ func runServe(p serveParams, stdout, stderr io.Writer) error {
 			// service streams frames, the client renders rows.
 			rf, err := serve.DecodeResult(c.Frame().Encode())
 			if err != nil {
-				fmt.Fprintf(stderr, "pepid: result frame: %v\n", err)
+				if sinkErr == nil {
+					sinkErr = err
+				}
 				return
 			}
 			for i, h := range rf.Hits {
@@ -371,7 +398,7 @@ func runServe(p serveParams, stdout, stderr io.Writer) error {
 		},
 	}
 	tseen := map[string]bool{}
-	for _, ld := range loads {
+	for _, ld := range p.loads {
 		if !tseen[ld.Tenant.Name] {
 			tseen[ld.Tenant.Name] = true
 			cfg.Tenants = append(cfg.Tenants, ld.Tenant)
@@ -395,6 +422,9 @@ func runServe(p serveParams, stdout, stderr io.Writer) error {
 	}
 	if err := s.Close(); err != nil {
 		return err
+	}
+	if sinkErr != nil {
+		return fmt.Errorf("result frame: %w", sinkErr)
 	}
 	if err := bw.Flush(); err != nil {
 		return err

@@ -116,8 +116,9 @@ func TestPepidErrors(t *testing.T) {
 // negative -serve-window, -serve-duration or tenant rate, a -p below 1 and
 // an -fdr outside [0, 1] each return an error, and promptly — before the
 // fix some hung, exhausted memory building an endless arrival schedule,
-// exited 0 having searched nothing, or silently ran on another value. The
-// -p and -fdr errors come before any input is generated.
+// exited 0 having searched nothing, or silently ran on another value. All
+// but the -delta and -serve-window errors come before any input is
+// generated.
 func TestPepidRejectsNonFiniteFlags(t *testing.T) {
 	base := []string{"-synth-db", "30", "-synth-queries", "2", "-p", "2", "-metrics=false", "-o", os.DevNull}
 	cases := []struct {
@@ -130,12 +131,12 @@ func TestPepidRejectsNonFiniteFlags(t *testing.T) {
 		{"window NaN", []string{"-serve", "-serve-window", "NaN"}, "BatchWindowSec", false},
 		{"window Inf", []string{"-serve", "-serve-window", "Inf"}, "BatchWindowSec", false},
 		{"window negative", []string{"-serve", "-serve-window", "-1"}, "BatchWindowSec", false},
-		{"duration Inf", []string{"-serve", "-serve-duration", "Inf"}, "-serve-duration", false},
-		{"duration NaN", []string{"-serve", "-serve-duration", "NaN"}, "-serve-duration", false},
-		{"duration negative", []string{"-serve", "-serve-duration", "-1"}, "-serve-duration", false},
-		{"rate Inf", []string{"-serve", "-serve-tenants", "a:steady:Inf"}, "bad rate", false},
-		{"rate NaN", []string{"-serve", "-serve-tenants", "a:steady:NaN"}, "bad rate", false},
-		{"rate negative", []string{"-serve", "-serve-tenants", "a:steady:-5"}, "bad rate", false},
+		{"duration Inf", []string{"-serve", "-serve-duration", "Inf"}, "-serve-duration", true},
+		{"duration NaN", []string{"-serve", "-serve-duration", "NaN"}, "-serve-duration", true},
+		{"duration negative", []string{"-serve", "-serve-duration", "-1"}, "-serve-duration", true},
+		{"rate Inf", []string{"-serve", "-serve-tenants", "a:steady:Inf"}, "bad rate", true},
+		{"rate NaN", []string{"-serve", "-serve-tenants", "a:steady:NaN"}, "bad rate", true},
+		{"rate negative", []string{"-serve", "-serve-tenants", "a:steady:-5"}, "bad rate", true},
 		{"p negative", []string{"-p", "-3"}, "-p -3", true},
 		{"p zero serve", []string{"-serve", "-p", "0"}, "-p 0", true},
 		{"fdr above one", []string{"-decoy", "-fdr", "2"}, "-fdr 2", true},
@@ -158,6 +159,37 @@ func TestPepidRejectsNonFiniteFlags(t *testing.T) {
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%s: run did not return within 30s", tc.name)
+		}
+	}
+}
+
+// TestPepidServeRefusesUnboundedSchedules: -serve returns a usage error,
+// before any input or schedule is generated, for a schedule of more
+// expected arrivals than it may hold — a long horizon, a huge steady rate,
+// or adversarial floods, whose count grows with the square of the rate —
+// and for a -serve-max-batch below 1, which it once replaced by 16. The
+// query pool is empty, so a regression builds no schedule: Schedule
+// returns at once without queries.
+func TestPepidServeRefusesUnboundedSchedules(t *testing.T) {
+	base := []string{"-serve", "-synth-db", "30", "-synth-queries", "0", "-p", "2", "-o", os.DevNull}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-serve-duration", "1e9"}, "7e+10 expected arrivals"},
+		{[]string{"-serve-tenants", "a:steady:1e12"}, "1e+12 expected arrivals"},
+		{[]string{"-serve-tenants", "a:adversarial:1e4", "-serve-duration", "1"}, "expected arrivals"},
+		{[]string{"-serve-max-batch", "-1"}, "-serve-max-batch -1"},
+		{[]string{"-serve-max-batch", "0"}, "-serve-max-batch 0"},
+	}
+	for _, tc := range cases {
+		sink := &bytes.Buffer{}
+		err := run(append(append([]string(nil), base...), tc.args...), sink, sink)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want a usage error with %q", tc.args, err, tc.want)
+		}
+		if strings.Contains(sink.String(), "generated") {
+			t.Errorf("%v: input generated before the flag was refused:\n%s", tc.args, sink)
 		}
 	}
 }

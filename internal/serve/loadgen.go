@@ -96,6 +96,28 @@ func Schedule(spec LoadSpec, pool []*spectrum.Spectrum) []Arrival {
 	return out
 }
 
+// ExpectedArrivals is the mean length of the spec's schedule, worked out
+// from the rates without generating it, so that a caller can refuse a
+// schedule too large to hold. A steady or bursty tenant offers RatePerSec ×
+// HorizonSec queries. An adversarial tenant offers its mean flood, about
+// 2 × RatePerSec queries, once at 0 and then every 2/RatePerSec seconds on
+// average, so its count grows with the square of its rate.
+func (spec LoadSpec) ExpectedArrivals() float64 {
+	n := 0.0
+	for _, ld := range spec.Loads {
+		if ld.RatePerSec <= 0 || spec.HorizonSec <= 0 {
+			continue
+		}
+		if ld.Profile == ProfileAdversarial {
+			flood := (math.Max(1, math.Floor(ld.RatePerSec*4)) + 1) / 2
+			n += flood * (1 + ld.RatePerSec*spec.HorizonSec/2)
+		} else {
+			n += ld.RatePerSec * spec.HorizonSec
+		}
+	}
+	return n
+}
+
 // arrivalTimes draws one tenant's arrival instants in [0, horizon).
 func arrivalTimes(rng *synth.RNG, ld TenantLoad, horizon float64) []float64 {
 	if ld.RatePerSec <= 0 || horizon <= 0 {

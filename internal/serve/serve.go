@@ -12,7 +12,8 @@
 // (priority lanes first, then lowest WFQ credit) onto the least-loaded
 // member rank, where core.Backend.ScanBatch advances them quantum by quantum
 // through the resident blocks. Per-query top-τ results stream back
-// (Completions, or a Sink callback) the moment their batch finalizes.
+// (Completions, or a Sink called on a delivery goroutine beside the
+// scheduler) the moment their batch finalizes.
 //
 // Membership events (a cluster.MembershipPlan timeline) rotate blocks
 // between members on the live machine; crashes (seeded FaultPlans) retire
@@ -30,6 +31,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -85,8 +87,10 @@ type Config struct {
 	// MaxRecoveries bounds machine rebuilds after crashes (default: the
 	// universe size).
 	MaxRecoveries int
-	// Sink, when set, receives every completion as it is emitted (in
-	// deterministic emission order), and the server keeps none of them.
+	// Sink, when set, receives every completion in deterministic emission
+	// order, and the server keeps none of them. It runs on the server's
+	// delivery goroutine, beside the scheduler: it must not call the Server,
+	// and what it writes is the caller's after Drain or Close returns.
 	Sink func(Completion)
 }
 
@@ -140,8 +144,10 @@ type batchRef struct {
 	readyAt float64
 }
 
-// Server is one pepd instance. All methods are single-goroutine host-side
-// drivers; Submit times must be non-decreasing.
+// Server is one pepd instance. Its methods are host-side drivers for one
+// goroutine at a time, the scheduler's; Submit times must be non-decreasing.
+// A Server with a Sink also runs a delivery goroutine from New until Close
+// or its first fatal error.
 type Server struct {
 	cfg      Config
 	bk       *core.Backend
@@ -165,6 +171,7 @@ type Server struct {
 	nextID   int32
 
 	comps  []Completion
+	dl     *delivery
 	atts   []*trace.Attempt
 	stats  ServiceStats
 	failed error
@@ -247,6 +254,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := s.boot(); err != nil {
 		return nil, err
+	}
+	if cfg.Sink != nil {
+		s.dl = startDelivery(cfg.Sink, s.cfg.MaxInflight)
 	}
 	return s, nil
 }
@@ -342,10 +352,24 @@ func (s *Server) onCrash(rep *cluster.RunReport) error {
 	return nil
 }
 
-// fail poisons the server; every later call returns the first error.
+// fail poisons the server; every later call returns the first error. The
+// delivery stage hands the Sink what was emitted before it and ends.
 func (s *Server) fail(err error) error {
 	if s.failed == nil {
 		s.failed = err
+		if s.dl != nil {
+			s.dl.stop()
+		}
+	}
+	return s.failed
+}
+
+// poisoned returns the server's fatal error, a Sink panic included.
+func (s *Server) poisoned() error {
+	if s.failed == nil && s.dl != nil {
+		if err := s.dl.failed(); err != nil {
+			s.fail(err)
+		}
 	}
 	return s.failed
 }
@@ -357,8 +381,11 @@ func (s *Server) fail(err error) error {
 // that can never be admitted, or the service's fatal error. Admission never blocks: the scan loop runs only
 // inside the event-time advance, and a rejected submit changes no state.
 func (s *Server) Submit(at float64, tenantName string, spec *spectrum.Spectrum) error {
-	if s.failed != nil {
-		return s.failed
+	if err := s.poisoned(); err != nil {
+		return err
+	}
+	if s.closed {
+		return errClosed
 	}
 	if spec == nil {
 		return fmt.Errorf("serve: nil spectrum")
@@ -416,10 +443,15 @@ func (s *Server) Submit(at float64, tenantName string, spec *spectrum.Spectrum) 
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+var errClosed = errors.New("serve: Submit after Close")
+
 // SubmitFrame decodes a submission frame and submits it (the frame's AtSec
 // is the arrival instant; its Seq is advisory — completions carry the
 // tenant's admission sequence).
 func (s *Server) SubmitFrame(frame []byte) error {
+	if err := s.poisoned(); err != nil {
+		return err
+	}
 	f, err := DecodeSubmit(frame)
 	if err != nil {
 		return err
@@ -428,28 +460,38 @@ func (s *Server) SubmitFrame(frame []byte) error {
 }
 
 // Drain advances virtual time until every admitted query has completed
-// (and every scheduled rotation at or before that point has fired).
+// (and every scheduled rotation at or before that point has fired). It
+// returns once every completion emitted so far has returned from the Sink.
 func (s *Server) Drain() error {
-	for s.failed == nil {
+	for s.poisoned() == nil {
 		t := s.next()
 		if math.IsInf(t, 1) {
 			break
 		}
 		s.advanceTo(t)
 	}
+	if s.failed == nil && s.dl != nil {
+		if err := s.dl.flush(); err != nil {
+			s.fail(err)
+		}
+	}
 	return s.failed
 }
 
-// Close drains the service and retires the final machine incarnation. The
-// server is unusable afterwards except for accessors.
+// Close drains the service, ends the delivery goroutine and retires the
+// final machine incarnation. The server is unusable afterwards except for
+// accessors.
 func (s *Server) Close() error {
 	if s.closed {
 		return s.failed
 	}
-	err := s.Drain()
+	s.Drain()
+	if s.dl != nil {
+		s.dl.stop()
+	}
 	s.retireMachine(fmt.Sprintf("incarnation %d: pepd p=%d", s.incarnation, len(s.members)))
 	s.closed = true
-	return err
+	return s.failed
 }
 
 // Completions returns every emitted completion in deterministic emission
@@ -729,12 +771,18 @@ func (s *Server) runQuantum(br *batchRef) {
 	}
 }
 
-// finish emits a done batch's completions and releases its slot.
+// finish emits a done batch's completions, to Completions or as one
+// hand-off to the delivery stage, and releases its slot.
 func (s *Server) finish(br *batchRef) {
 	doneAbs := br.readyAt
 	tn := s.tenants[br.tenant]
-	for i, qr := range br.bs.Results() {
-		c := Completion{
+	results := br.bs.Results()
+	out := s.comps
+	if s.dl != nil {
+		out = make([]Completion, 0, len(results))
+	}
+	for i, qr := range results {
+		out = append(out, Completion{
 			Tenant:    br.tenant,
 			Seq:       br.entries[i].seq,
 			Batch:     br.bs.ID(),
@@ -742,14 +790,14 @@ func (s *Server) finish(br *batchRef) {
 			ArriveSec: br.entries[i].at,
 			DoneSec:   doneAbs,
 			Hits:      qr.Hits,
-		}
-		if s.cfg.Sink != nil {
-			s.cfg.Sink(c)
-		} else {
-			s.comps = append(s.comps, c)
-		}
+		})
 		tn.stats.Completed++
 		s.stats.Completed++
+	}
+	if s.dl != nil {
+		s.dl.send(out)
+	} else {
+		s.comps = out
 	}
 	for i, fl := range s.inflight {
 		if fl == br {

@@ -479,6 +479,26 @@ func TestSinkStreamHoldsNothing(t *testing.T) {
 	}
 }
 
+// TestExpectedArrivalsTracksSchedule: the arrival count a spec predicts
+// without generating its schedule is within a factor of 1.5 of the
+// schedule's length for every profile, adversarial floods (whose count
+// grows with the square of the rate) included.
+func TestExpectedArrivalsTracksSchedule(t *testing.T) {
+	_, pool := testWorkload(t, 40, 4)
+	for _, p := range []Profile{ProfileSteady, ProfileBursty, ProfileAdversarial} {
+		for _, rate := range []float64{10, 40} {
+			spec := LoadSpec{Seed: 3, HorizonSec: 60, Loads: []TenantLoad{{Tenant: TenantConfig{Name: "a"}, Profile: p, RatePerSec: rate}}}
+			got, want := float64(len(Schedule(spec, pool))), spec.ExpectedArrivals()
+			if got < want/1.5 || got > want*1.5 {
+				t.Errorf("%v at %v/s: %v arrivals, %v expected", p, rate, got, want)
+			}
+		}
+	}
+	if n := (LoadSpec{HorizonSec: 1e9, Loads: []TenantLoad{{RatePerSec: 40}, {Profile: ProfileBursty, RatePerSec: 30}}}).ExpectedArrivals(); n != 7e10 {
+		t.Errorf("steady 40/s and bursty 30/s over 1e9 s: %v expected arrivals, want 7e10", n)
+	}
+}
+
 // TestScheduleDeterministic: the load generator is a pure function of its
 // spec, and per-tenant streams are independent.
 func TestScheduleDeterministic(t *testing.T) {
