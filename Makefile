@@ -84,7 +84,9 @@ test-short:
 # the last arriver built, ranks parked at a barrier: woken once each when it
 # completes or unwound by a crash, two crashes that must report the least
 # failure whichever the host records first, every engine and pepd
-# fingerprint, crash lines included, byte for byte, pepd's resident
+# fingerprint, crash lines included, byte for byte, goroutines and ranks
+# reading overlapping windows of cold digest indexes while the first to
+# reach each mass bucket sorts it, pepd's resident
 # scan state: its prepared-fragment tables written by one owner rank per
 # Run and a warm batch's allocation budget, and the hit path's storage: a
 # top-τ heap allocated once, a warm checkpoint that allocates nothing, and
@@ -95,7 +97,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
 	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome' ./internal/cluster/
-	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints' ./internal/core/ ./internal/serve/
+	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints|TestIndexConcurrentFirstTouch|TestRanksShareColdIndex' ./internal/core/ ./internal/serve/ ./internal/digest/
 	$(GO) test -race -count=5 -run 'TestPrepTable|TestBackendWarmTableMatchesSerial|TestBackendQuantumAllocBudget|TestCheckpointAllocFree|TestHeapAllocatedOnce|TestStoreConcurrentPutGet' ./internal/core/ ./internal/topk/ ./internal/ckpt/
 	$(GO) test -race -count=10 -run 'TestDelivery' ./internal/serve/
 

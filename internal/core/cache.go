@@ -18,8 +18,10 @@ import (
 // wall-clock time AND resident memory by p for no fidelity gain, so the
 // host builds each block's parse and digest once, keyed by content. All
 // cached values are immutable after construction and therefore safe to share
-// across rank goroutines. The cache lives as long as the run: one Run, every
-// attempt of one RunElastic, one Backend.
+// across rank goroutines (a digest index sorts its mass buckets on first
+// touch, single-flight under its own lock, which moves no position). The
+// cache lives as long as the run: one Run, every attempt of one RunElastic,
+// one Backend.
 type indexCache struct {
 	// mu guards m and every insertion into or growth of a dense table; dense
 	// hits take no lock.

@@ -129,6 +129,7 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	idOf := blockIDResolver(l.recs, l.bases[id])
 	entries := make([]candEntry, ix.Len())
 	var candBytes int64
+	ix.SortAll()
 	for i := range entries {
 		pep := ix.At(i)
 		entries[i] = candEntry{Mass: pep.Mass, GID: pep.Protein, ID: idOf(pep.Protein), Seq: pep.Seq, Sites: pep.Sites}

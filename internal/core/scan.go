@@ -220,9 +220,12 @@ func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Inde
 			continue
 		}
 
-		pep := ix.At(i)
 		// Per-peptide state, materialized at most once no matter how many
-		// groups and queries score the peptide.
+		// groups and queries score the peptide, and only for a live member:
+		// i may be the end of every active window, a position no window
+		// covers, whose mass bucket another rank may be sorting.
+		var pep digest.Peptide
+		pepReady := false
 		var deltas []float64
 		deltasReady := false
 		quickReady := false
@@ -245,6 +248,9 @@ func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Inde
 				continue
 			}
 
+			if !pepReady {
+				pep, pepReady = ix.At(i), true
+			}
 			if !deltasReady {
 				deltas = pep.AppendModDeltas(ss.deltaBuf, mods)
 				if deltas != nil {

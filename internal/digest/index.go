@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"pepscale/internal/fasta"
 )
@@ -14,11 +16,13 @@ import (
 // Index is a mass-sorted candidate store for one database block, laid out
 // flat: one residue arena, one column of fixed-size entries pointing into
 // it, and one column of modification sites. At builds the Peptide view of an
-// entry on the fly.
+// entry on the fly. A large block is sorted one mass bucket at a time (see
+// sort and At).
 type Index struct {
 	ents  []entry
 	arena []byte
 	sites []ModSite
+	lazy  *buckets // nil when the build sorted every entry
 }
 
 // entry is one candidate: arena[off:off+n] at mass, with sites
@@ -64,8 +68,8 @@ func NewIndex(recs []fasta.Record, baseProtein int32, p Params) (*Index, error) 
 // NewIndexIDs is NewIndex with an explicit global protein index per record,
 // as needed after the m/z redistribution of Algorithm B scrambles block
 // membership. The block is digested once, into columns sized by the
-// digester's bound on what it emits, and the entries are then sorted in
-// place.
+// digester's bound on what it emits, and the entries are then sorted (or
+// partitioned, see sort) in place.
 func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -174,18 +178,59 @@ func massKey(m float64) uint64 {
 // database was split into blocks or in which order peptides arrived (only
 // entries identical in content can trade places, and nothing can tell them
 // apart).
-func (ix *Index) sort() { ix.sortRange(ix.ents) }
+//
+// A block of wholeSortMax entries or more is only partitioned into the
+// top-level buckets of sortRange, each sorted when a window first reaches
+// it (see buckets). Below that the bucket table would cost more than the
+// sorting it saves, and the block is sorted whole.
+func (ix *Index) sort() {
+	if len(ix.ents) < wholeSortMax {
+		ix.sortRange(ix.ents)
+		return
+	}
+	z := new(buckets)
+	var nb int
+	if z.least, z.shift, nb = partition(ix.ents, (*[256]uint32)(z.bounds[1:])); nb == 0 {
+		ix.sortRun(ix.ents)
+		return
+	}
+	z.last, ix.lazy = nb-1, z
+}
 
-// sortRange sorts ents in place, most significant digit first. It buckets
-// them by the leading bits of their key's offset from the least key: up to
-// 256 buckets, about two entries per bucket below 512 entries. Each round
-// visits the unfilled slots of every bucket and swaps the entry in each to
-// the next free slot of its own bucket, which places it; rounds repeat
-// until every bucket is full. The visits of a round do not wait on each
-// other's loads, and with at most 256 buckets the slots being filled stay
-// in cache. Each bucket is then sorted the same way while it holds more
+// wholeSortMax is the entry count from which a build defers its bucket
+// sorts: at 1,024 entries the 1 KiB bucket table is 4 % of the entries.
+const wholeSortMax = 1024
+
+// sortRange sorts ents in place, most significant digit first: partition
+// them into buckets, then sort each bucket the same way while it holds more
 // than 32 entries of unequal keys, and by sortRun below that.
 func (ix *Index) sortRange(ents []entry) {
+	var ends [256]uint32
+	_, _, nb := partition(ents, &ends)
+	if nb == 0 {
+		ix.sortRun(ents)
+		return
+	}
+	start := uint32(0)
+	for _, e := range ends[:nb] {
+		if e-start > 1 {
+			ix.sortRange(ents[start:e])
+		}
+		start = e
+	}
+}
+
+// partition buckets ents in place by the leading bits of their key's
+// offset from the least key: up to 256 buckets, about two entries per
+// bucket below 512 entries. Each round visits the unfilled slots of every
+// bucket and swaps the entry in each to the next free slot of its own
+// bucket, which places it; rounds repeat until every bucket is full. The
+// visits of a round do not wait on each other's loads, and with at most 256
+// buckets the slots being filled stay in cache. It returns the least key,
+// the shift that maps a key's offset to its bucket, and the bucket count nb
+// with bucket b's end in ends[b]; nb is 0, and ents untouched, when there
+// are at most 32 entries or one key.
+func partition(ents []entry, ends *[256]uint32) (least uint64, shift uint, nb int) {
 	n := len(ents)
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for i := range ents {
@@ -193,16 +238,15 @@ func (ix *Index) sortRange(ents []entry) {
 		lo, hi = min(lo, k), max(hi, k)
 	}
 	if n <= 32 || lo == hi {
-		ix.sortRun(ents)
-		return
+		return lo, 0, 0
 	}
-	shift := max(bits.Len64(hi-lo)-min(bits.Len(uint(n/2)), 8), 0)
+	shift = uint(max(bits.Len64(hi-lo)-min(bits.Len(uint(n/2)), 8), 0))
 	bucket := func(e *entry) uint8 { return uint8((massKey(e.mass) - lo) >> shift) }
 	// Bucket b's slots are [head[b], end[b]) once the counts are summed;
 	// head[b] then advances past each entry placed in b. A bucket number
 	// indexes the arrays themselves, which needs no bounds check.
-	var heads, ends [256]uint32
-	nb := int((hi-lo)>>shift) + 1
+	var heads [256]uint32
+	nb = int((hi-lo)>>shift) + 1
 	head, end := heads[:nb], ends[:nb]
 	for i := range ents {
 		ends[bucket(&ents[i])]++
@@ -225,12 +269,71 @@ func (ix *Index) sortRange(ents []entry) {
 			full = full && head[b] == end[b]
 		}
 	}
-	start := uint32(0)
-	for _, e := range end {
-		if e-start > 1 {
-			ix.sortRange(ents[start:e])
+	return lo, shift, nb
+}
+
+// buckets is the top-level partition of a block that sort left unsorted
+// inside its buckets; bucket b is ents[bounds[b]:bounds[b+1]]. A bucket is
+// sorted, with sortRange, once: by the first Window/WindowFrom that reaches
+// it, or by SortAll. Every rank that scans the block shares the index, so
+// the sort is single-flight under mu, and the bucket's bit in done is
+// stored after it: a reader that loads the bit set is ordered after the
+// sort's writes, and one that loads it clear takes mu and looks again.
+type buckets struct {
+	least  uint64
+	shift  uint
+	last   int // the last bucket
+	bounds [257]uint32
+	mu     sync.Mutex
+	done   [4]atomic.Uint64
+}
+
+// of returns the bucket that holds the entries of mass m, clamped to the
+// first and last bucket (m must not be NaN).
+func (z *buckets) of(m float64) int {
+	k := massKey(m)
+	if m == 0 {
+		k = massKey(math.Copysign(0, -1)) // -0 == +0: start at the lesser key
+	}
+	if k <= z.least {
+		return 0
+	}
+	return int(min((k-z.least)>>z.shift, uint64(z.last)))
+}
+
+// sorted reports whether buckets b0..b1 are all sorted.
+func (z *buckets) sorted(b0, b1 int) bool {
+	for b := b0; b <= b1; b++ {
+		if z.done[b>>6].Load()&(1<<(b&63)) == 0 {
+			return false
 		}
-		start = e
+	}
+	return true
+}
+
+// sortBuckets sorts those of buckets b0..b1 that are not sorted yet.
+func (ix *Index) sortBuckets(b0, b1 int) {
+	z := ix.lazy
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	for b := b0; b <= b1; b++ {
+		w := &z.done[b>>6]
+		if w.Load()&(1<<(b&63)) != 0 {
+			continue
+		}
+		if s, e := z.bounds[b], z.bounds[b+1]; e-s > 1 {
+			ix.sortRange(ix.ents[s:e])
+		}
+		w.Store(w.Load() | 1<<(b&63))
+	}
+}
+
+// SortAll sorts every bucket no window has reached, after which At and
+// SeqLen are valid at every position. A caller that reads the whole index
+// in order calls it first.
+func (ix *Index) SortAll() {
+	if ix.lazy != nil {
+		ix.sortBuckets(0, ix.lazy.last)
 	}
 }
 
@@ -286,17 +389,19 @@ func (ix *Index) sitesOf(e *entry) []ModSite {
 func (ix *Index) Len() int { return len(ix.ents) }
 
 // At returns the i-th peptide in mass order. Seq and Sites alias the
-// index's storage and must not be modified.
+// index's storage and must not be modified. i must lie in a window this
+// index returned, or the index must have been through SortAll.
 func (ix *Index) At(i int) Peptide {
 	e := &ix.ents[i]
 	return Peptide{Seq: ix.seq(e), Protein: e.protein, Mass: e.mass, Sites: ix.sitesOf(e)}
 }
 
-// SeqLen returns len(At(i).Seq) without building the view.
+// SeqLen returns len(At(i).Seq) without building the view, under At's
+// condition on i.
 func (ix *Index) SeqLen(i int) int { return int(ix.ents[i].n) }
 
 // Window returns the index range [start, end) of peptides with mass in
-// [lo, hi].
+// [lo, hi]; neither bound may be NaN.
 func (ix *Index) Window(lo, hi float64) (start, end int) {
 	return ix.WindowFrom(0, 0, lo, hi)
 }
@@ -308,15 +413,29 @@ func (ix *Index) Window(lo, hi float64) (start, end int) {
 // forward from the hints, so computing all windows of a mass-sorted query
 // batch costs near-linear time instead of a binary search per query. The
 // result is exactly Window(lo, hi).
+//
+// It sorts every bucket from lo's to hi's (or hi's to lo's). Lesser buckets
+// hold only lesser keys, so each bound gallops inside its own bucket.
 func (ix *Index) WindowFrom(hintStart, hintEnd int, lo, hi float64) (start, end int) {
 	// mass > hi exactly when mass >= the next float above hi.
-	return ix.gallopMassGE(hintStart, lo), ix.gallopMassGE(hintEnd, math.Nextafter(hi, math.Inf(1)))
+	above := math.Nextafter(hi, math.Inf(1))
+	z := ix.lazy
+	if z == nil {
+		n := len(ix.ents)
+		return ix.gallopMassGE(hintStart, n, lo), ix.gallopMassGE(hintEnd, n, above)
+	}
+	b0, b1 := z.of(lo), z.of(above)
+	if first, last := min(b0, b1), max(b0, b1); !z.sorted(first, last) {
+		//pepvet:allow allocflow first touch: a bucket is sorted once per index, and a window whose buckets are all sorted, as every warm one is, skips this call
+		ix.sortBuckets(first, last)
+	}
+	return ix.gallopMassGE(max(hintStart, int(z.bounds[b0])), int(z.bounds[b0+1]), lo),
+		ix.gallopMassGE(max(hintEnd, int(z.bounds[b1])), int(z.bounds[b1+1]), above)
 }
 
-// gallopMassGE returns the first index >= from whose mass is >= m, under
-// the precondition that every index below from has mass < m.
-func (ix *Index) gallopMassGE(from int, m float64) int {
-	n := len(ix.ents)
+// gallopMassGE returns the first index in [from, n) whose mass is >= m, or
+// n, under the precondition that every index below from has mass < m.
+func (ix *Index) gallopMassGE(from, n int, m float64) int {
 	from = max(from, 0)
 	// Exponential gallop to a bracket [lo, hi) that holds the answer
 	// (everything below lo is < m), then binary search inside it.
@@ -340,20 +459,4 @@ func (ix *Index) gallopMassGE(from int, m float64) int {
 func (ix *Index) CountInWindow(lo, hi float64) int {
 	s, e := ix.Window(lo, hi)
 	return e - s
-}
-
-// MinMass and MaxMass return the smallest and largest indexed masses (0 for
-// an empty index).
-func (ix *Index) MinMass() float64 {
-	if len(ix.ents) == 0 {
-		return 0
-	}
-	return ix.ents[0].mass
-}
-
-func (ix *Index) MaxMass() float64 {
-	if len(ix.ents) == 0 {
-		return 0
-	}
-	return ix.ents[len(ix.ents)-1].mass
 }

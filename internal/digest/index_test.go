@@ -60,6 +60,7 @@ func referenceDigest(recs []fasta.Record, gids []int32, p digest.Params) []diges
 // requireSameOrder checks At(i) against the reference field for field.
 func requireSameOrder(t *testing.T, ix *digest.Index, want []digest.Peptide) {
 	t.Helper()
+	ix.SortAll()
 	if ix.Len() != len(want) {
 		t.Fatalf("Len = %d, reference has %d", ix.Len(), len(want))
 	}
@@ -185,6 +186,7 @@ func TestIndexSortsAnyMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.SortAll()
 	for i := 0; i < ix.Len(); i++ {
 		g := ix.At(i)
 		count[[3]uint64{math.Float64bits(g.Mass), uint64(len(g.Seq)), uint64(g.Protein)}]--

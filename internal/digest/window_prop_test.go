@@ -1,11 +1,18 @@
 package digest
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"pepscale/internal/chem"
 	"pepscale/internal/fasta"
 )
 
@@ -40,6 +47,7 @@ func windowIndex(t *testing.T, recs []fasta.Record) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.SortAll()
 	return ix
 }
 
@@ -156,4 +164,240 @@ func TestWindowMatchesLinearReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// eagerOrder is the reference a lazily sorted index is held to: the
+// peptides sorted whole under the index order before any window is asked.
+func eagerOrder(peps []Peptide) []Peptide {
+	ref := slices.Clone(peps)
+	slices.SortFunc(ref, func(a, b Peptide) int {
+		return cmp.Or(cmp.Compare(massKey(a.Mass), massKey(b.Mass)), bytes.Compare(a.Seq, b.Seq),
+			cmp.Compare(a.Protein, b.Protein), cmp.Compare(len(a.Sites), len(b.Sites)),
+			slices.CompareFunc(a.Sites, b.Sites, func(x, y ModSite) int {
+				return cmp.Or(cmp.Compare(x.Pos, y.Pos), cmp.Compare(x.Mod, y.Mod))
+			}))
+	})
+	return ref
+}
+
+// eagerWindow is Window over the reference: the first position of mass
+// >= lo and the first of mass > hi.
+func eagerWindow(ref []Peptide, lo, hi float64) (start, end int) {
+	return sort.Search(len(ref), func(i int) bool { return ref[i].Mass >= lo }),
+		sort.Search(len(ref), func(i int) bool { return ref[i].Mass > hi })
+}
+
+// sameAt reports the first position of [start, end) where At or SeqLen
+// differs from the reference, field for field (mass by bits), or -1.
+func sameAt(ix *Index, ref []Peptide, start, end int) int {
+	for i := start; i < end; i++ {
+		g, w := ix.At(i), ref[i]
+		if math.Float64bits(g.Mass) != math.Float64bits(w.Mass) || !bytes.Equal(g.Seq, w.Seq) ||
+			g.Protein != w.Protein || !slices.Equal(g.Sites, w.Sites) || ix.SeqLen(i) != len(w.Seq) {
+			return i
+		}
+	}
+	return -1
+}
+
+// lazyCase is one block the lazy-index tests build cold, any number of
+// times, beside the peptides it holds.
+type lazyCase struct {
+	name  string
+	peps  []Peptide
+	build func() (*Index, error)
+}
+
+// lazyCases are the blocks of the lazy-index tests: digested ones with
+// modifications and semi-tryptic forms on both sides of wholeSortMax,
+// blocks of exactly wholeSortMax-1, wholeSortMax and wholeSortMax+1
+// entries, one of at most 32, one of infinite and signed-zero masses with
+// runs of more than 32 equal masses, one of a single mass, and an empty
+// one.
+func lazyCases(t *testing.T) []lazyCase {
+	t.Helper()
+	mods := DefaultParams()
+	mods.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
+	mods.MaxModsPerPeptide = 2
+	semi := mods
+	semi.SemiTryptic = true
+	digested := func(name string, nRecs int, p Params) lazyCase {
+		recs := make([]fasta.Record, nRecs)
+		var peps []Peptide
+		for i := range recs {
+			recs[i] = fasta.Record{ID: "r", Seq: randomProtein(uint64(i)*31+7, 300)}
+			Digest(recs[i].Seq, int32(i), p, func(pep Peptide) { peps = append(peps, pep) })
+		}
+		return lazyCase{name, peps, func() (*Index, error) { return NewIndex(recs, 0, p) }}
+	}
+	given := func(name string, peps []Peptide) lazyCase {
+		return lazyCase{name, peps, func() (*Index, error) {
+			return IndexFromFunc(len(peps), func(i int) Peptide { return peps[i] }, mods)
+		}}
+	}
+	cases := []lazyCase{
+		digested("plain/small", 12, DefaultParams()),
+		digested("plain/large", 150, DefaultParams()),
+		digested("mods", 60, mods),
+		digested("semi+mods", 12, semi),
+	}
+	pool := cases[1].peps
+	if len(pool) < 4*wholeSortMax {
+		t.Fatalf("the plain block has %d peptides, too few to cut the threshold cases from", len(pool))
+	}
+	for _, n := range []int{20, wholeSortMax - 1, wholeSortMax, wholeSortMax + 1} {
+		cases = append(cases, given(fmt.Sprintf("n=%d", n), pool[:n]))
+	}
+	odd := slices.Clone(pool[:3*wholeSortMax])
+	for i := range odd {
+		switch {
+		case i%97 == 0:
+			odd[i].Mass = math.Inf(1 - 2*(i%2))
+		case i%89 == 0:
+			odd[i].Mass = math.Copysign(0, float64(1-2*(i%2)))
+		case i%5 == 0:
+			odd[i].Mass = float64(1000 + 500*(i%3)) // three runs of about 200 equal masses
+		}
+	}
+	equal := slices.Clone(pool[:2*wholeSortMax])
+	for i := range equal {
+		equal[i].Mass = 1234.5
+	}
+	return append(cases, given("inf+zeros+runs", odd), given("one-mass", equal), given("empty", nil))
+}
+
+// lazyProbes returns windows in arbitrary order: random ones, single
+// masses, ones that start below the least mass or end above the greatest,
+// ones that span every bucket, and inverted ones. No window ends at +Inf:
+// Window's end is the first mass >= the float above hi, which for
+// hi = +Inf leaves out masses of +Inf, in an eager build as in a lazy one.
+func lazyProbes(rng *rand.Rand, ref []Peptide) [][2]float64 {
+	probes := [][2]float64{
+		{math.Inf(-1), math.MaxFloat64}, {-1e300, 1e300}, {math.Inf(-1), 0}, {0, 0}, {-1, 1},
+		{math.Inf(-1), math.Inf(-1)}, {1e9, 2e9}, {-2, -1}, {math.Inf(-1), 600}, {4000, math.MaxFloat64},
+	}
+	if len(ref) == 0 {
+		return probes
+	}
+	least, greatest := 400.0, 5000.0
+	for _, p := range ref {
+		if !math.IsInf(p.Mass, 0) {
+			least, greatest = min(least, p.Mass), max(greatest, p.Mass)
+		}
+	}
+	for k := 0; k < 60; k++ {
+		m := ref[rng.Intn(len(ref))].Mass
+		if math.IsInf(m, 0) {
+			m = least
+		}
+		lo := least + rng.Float64()*(greatest-least)
+		w := rng.ExpFloat64() * 5
+		probes = append(probes, [2]float64{m, m}, [2]float64{lo, lo + w}, [2]float64{lo + w, lo},
+			[2]float64{least - w, least + w}, [2]float64{greatest - w, greatest + w})
+	}
+	rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+	return probes
+}
+
+// TestLazyIndexMatchesEagerReference holds an index whose buckets are
+// sorted on first reach to the same peptides sorted whole: every window's
+// positions, and At and SeqLen at every position inside it, asked of cold
+// indexes in arbitrary order through Window and in ascending sweeps
+// through WindowFrom; then every position after SortAll.
+func TestLazyIndexMatchesEagerReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for _, c := range lazyCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			ref := eagerOrder(c.peps)
+			cold := func() *Index {
+				ix, err := c.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ix.Len() != len(ref) {
+					t.Fatalf("Len = %d, reference %d", ix.Len(), len(ref))
+				}
+				return ix
+			}
+			check := func(ix *Index, what string, lo, hi float64, gs, ge int) {
+				t.Helper()
+				ws, we := eagerWindow(ref, lo, hi)
+				if gs != ws || ge != we {
+					t.Fatalf("%s(%g, %g) = [%d,%d), reference [%d,%d)", what, lo, hi, gs, ge, ws, we)
+				}
+				if i := sameAt(ix, ref, gs, ge); i >= 0 {
+					t.Fatalf("%s(%g, %g): At(%d) = %+v, reference %+v", what, lo, hi, i, ix.At(i), ref[i])
+				}
+			}
+			for trial := 0; trial < 4; trial++ {
+				ix := cold()
+				for _, pr := range lazyProbes(rng, ref) {
+					s, e := ix.Window(pr[0], pr[1])
+					check(ix, "Window", pr[0], pr[1], s, e)
+				}
+			}
+			// Ascending sweeps, each on a cold index, from below the least
+			// mass to above the greatest: narrow, wide, and one whose first
+			// window spans every bucket.
+			for _, sw := range []struct{ w, step float64 }{{0.02, 2}, {3, 5}, {150, 120}} {
+				ix, w := cold(), sw.w
+				hs, he := 0, 0
+				for m := -2 * w; m < 6000; m += sw.step * (0.5 + rng.Float64()) {
+					hs, he = ix.WindowFrom(hs, he, m-w, m+w)
+					check(ix, "WindowFrom", m-w, m+w, hs, he)
+				}
+			}
+			ix := cold()
+			hs, he := ix.WindowFrom(0, 0, math.Inf(-1), 400)
+			check(ix, "WindowFrom", math.Inf(-1), 400, hs, he)
+			hs, he = ix.WindowFrom(hs, he, 500, 9000)
+			check(ix, "WindowFrom", 500, 9000, hs, he)
+			ix.SortAll()
+			if i := sameAt(ix, ref, 0, len(ref)); i >= 0 {
+				t.Fatalf("after SortAll: At(%d) = %+v, reference %+v", i, ix.At(i), ref[i])
+			}
+		})
+	}
+}
+
+// TestIndexConcurrentFirstTouch: goroutines asking overlapping windows of
+// one cold index at once each read the reference's peptides, whichever of
+// them sorts a bucket first (run under -race, this also checks that every
+// reader is ordered after the sort it reads).
+func TestIndexConcurrentFirstTouch(t *testing.T) {
+	recs := make([]fasta.Record, 150)
+	var peps []Peptide
+	for i := range recs {
+		recs[i] = fasta.Record{ID: "r", Seq: randomProtein(uint64(i)*13+3, 300)}
+		Digest(recs[i].Seq, int32(i), DefaultParams(), func(pep Peptide) { peps = append(peps, pep) })
+	}
+	ref := eagerOrder(peps)
+	ix, err := NewIndex(recs, 0, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	var wg sync.WaitGroup
+	for g := 0; g < p; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each goroutine sweeps the mass range from its own offset, with
+			// windows wide enough that neighbours reach the same buckets.
+			hs, he := 0, 0
+			for m := 400 + 17*float64(g); m < 5100; m += 23 {
+				lo, hi := m-12, m+12
+				hs, he = ix.WindowFrom(hs, he, lo, hi)
+				if ws, we := eagerWindow(ref, lo, hi); hs != ws || he != we {
+					t.Errorf("goroutine %d: WindowFrom(%g, %g) = [%d,%d), reference [%d,%d)", g, lo, hi, hs, he, ws, we)
+					return
+				}
+				if i := sameAt(ix, ref, hs, he); i >= 0 {
+					t.Errorf("goroutine %d: At(%d) = %+v, reference %+v", g, i, ix.At(i), ref[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

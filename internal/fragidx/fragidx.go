@@ -92,6 +92,7 @@ type Index struct {
 // New prepares an index over the block; tiers are built on first Tier call.
 func New(src *digest.Index, mods []chem.Mod, cfg score.Config) *Index {
 	x := &Index{src: src, mods: mods, cfg: cfg}
+	src.SortAll()
 	x.lens = make([]int32, src.Len())
 	for i := range x.lens {
 		x.lens[i] = int32(src.SeqLen(i))

@@ -45,7 +45,11 @@ type TenantLoad struct {
 	Tenant TenantConfig
 	// Profile shapes the arrival process.
 	Profile Profile
-	// RatePerSec is the mean offered rate in queries per virtual second.
+	// RatePerSec sets the offered load, in queries per virtual second. It
+	// is the mean offered rate of a steady or bursty tenant. An
+	// adversarial tenant offers a flood of about 2 × RatePerSec queries
+	// every 2/RatePerSec seconds on average, so about RatePerSec² queries
+	// per second; LoadSpec.ExpectedArrivals counts what a spec offers.
 	RatePerSec float64
 }
 
