@@ -211,6 +211,7 @@ func TestAllreduceScalars(t *testing.T) {
 func TestAllreduceVec(t *testing.T) {
 	const p = 4
 	m := newMachine(t, p, freeNet())
+	var backing [p]*int64 // &got[0] as rank i received it
 	err := m.Run(func(r *Rank) error {
 		vec := []int64{int64(r.ID()), 1, int64(-r.ID())}
 		got := r.AllreduceInt64Vec(OpSum, vec)
@@ -218,16 +219,27 @@ func TestAllreduceVec(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("vec sum = %v", got)
 		}
-		// Result must be private: mutating it must not affect other ranks.
-		got[0] = 999
+		// The result is one read-only value shared by every member, new
+		// storage rather than any member's input: writing to one's own
+		// input afterwards changes nobody's view.
+		backing[r.ID()] = &got[0]
+		vec[0] = 999
 		got2 := r.AllreduceInt64Vec(OpMax, vec)
-		if !reflect.DeepEqual(got2, []int64{3, 1, 0}) {
+		if !reflect.DeepEqual(got2, []int64{999, 1, 0}) {
 			return fmt.Errorf("vec max = %v", got2)
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("rank %d: vec sum changed after the inputs did: %v", r.ID(), got)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, b := range backing {
+		if b != backing[0] {
+			t.Errorf("rank %d's vec sum has its own backing array, want rank 0's", i)
+		}
 	}
 }
 
@@ -310,6 +322,46 @@ func TestAlltoallv(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAlltoallvHandsBuffersOver pins Alltoallv's contract: a receiver reads
+// the sender's buffer itself, not a copy (so a sender must not write to a
+// send buffer once it has called Alltoallv), and each rank is still charged
+// every byte it sends and receives.
+func TestAlltoallvHandsBuffersOver(t *testing.T) {
+	const p = 3
+	m := newMachine(t, p, freeNet())
+	var sent [p][p]*byte // &send[j][0] as rank i built it
+	var got [p][p]*byte  // &recv[j][0] as rank i received it
+	err := m.Run(func(r *Rank) error {
+		send := make([][]byte, p)
+		for j := range send {
+			send[j] = bytes.Repeat([]byte{byte('a' + r.ID())}, 1+j)
+			sent[r.ID()][j] = &send[j][0]
+		}
+		recv := r.Alltoallv(send)
+		for j, b := range recv {
+			if want := bytes.Repeat([]byte{byte('a' + j)}, 1+r.ID()); !bytes.Equal(b, want) {
+				return fmt.Errorf("rank %d: recv[%d] = %q, want %q", r.ID(), j, b, want)
+			}
+			got[r.ID()][j] = &b[0]
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			if got[i][j] != sent[j][i] {
+				t.Errorf("rank %d received a copy of rank %d's buffer, not the buffer", i, j)
+			}
+		}
+		// Rank i sends 1+2+3 bytes and receives p buffers of 1+i bytes.
+		if st := m.Rank(i).Stats; st.BytesSent != 6 || st.BytesReceived != int64(p*(1+i)) {
+			t.Errorf("rank %d: sent %d and received %d bytes, want 6 and %d", i, st.BytesSent, st.BytesReceived, p*(1+i))
+		}
 	}
 }
 

@@ -234,8 +234,10 @@ func (op ReduceOp) String() string {
 func (r *Rank) AllreduceInt64(op ReduceOp, v int64) int64 { return r.World().AllreduceInt64(op, v) }
 
 // AllreduceInt64Vec element-wise combines equal-length vectors (the global
-// count array of the parallel counting sort). Every rank receives a private
-// copy of the result.
+// count array of the parallel counting sort). The last arriver combines
+// them into a new vector, and every rank receives that same read-only
+// result (a write would show in all views); a later write to one's own
+// input shows in none.
 func (r *Rank) AllreduceInt64Vec(op ReduceOp, vec []int64) []int64 {
 	res, maxClock := r.m.coll.arrive(r, "allreduce-int64vec", r.id, vec, func(inputs []interface{}) interface{} {
 		first := inputs[0].([]int64)
@@ -264,10 +266,7 @@ func (r *Rank) AllreduceInt64Vec(op ReduceOp, vec []int64) []int64 {
 		return acc
 	})
 	r.syncTo("allreduce-int64vec", maxClock, r.worldCollSec(8*len(vec)), 0, 0)
-	shared := res.([]int64)
-	out := make([]int64, len(shared))
-	copy(out, shared)
-	return out
+	return res.([]int64)
 }
 
 // Allgather collects one payload per rank; every rank receives the full
@@ -281,30 +280,38 @@ func (r *Rank) Gather(root int, payload []byte) [][]byte { return r.World().Gath
 // Alltoallv performs a personalized all-to-all exchange: send[j] goes to
 // rank j, and the result's element j is what rank j sent to this rank. It
 // is the redistribution primitive of the parallel counting sort.
+//
+// The buffers are handed over, not copied: the result's element j is rank
+// j's send buffer itself, and the result is one read-only value shared with
+// the machine. A receiver must not write to it, and a sender must not write
+// to a send buffer once it has called Alltoallv. Each rank is still charged
+// its full send and receive.
 func (r *Rank) Alltoallv(send [][]byte) [][]byte {
 	if len(send) != r.Size() {
 		panic(fmt.Sprintf("cluster: Alltoallv needs %d buffers, got %d", r.Size(), len(send)))
 	}
 	res, maxClock := r.m.coll.arrive(r, "alltoallv", r.id, send, func(inputs []interface{}) interface{} {
+		// recv[i][j] = what rank j sent to rank i, in one backing array.
 		n := len(inputs)
-		matrix := make([][][]byte, n)
-		for i, in := range inputs {
-			matrix[i] = in.([][]byte)
+		flat := make([][]byte, n*n)
+		recv := make([][][]byte, n)
+		for i := range recv {
+			recv[i] = flat[i*n : (i+1)*n : (i+1)*n]
 		}
-		return matrix
+		for j, in := range inputs {
+			for i, b := range in.([][]byte) {
+				recv[i][j] = b
+			}
+		}
+		return recv
 	})
-	matrix := res.([][][]byte)
+	out := res.([][][]byte)[r.id]
 	var sendTotal, recvTotal int
 	for _, b := range send {
 		sendTotal += len(b)
 	}
-	out := make([][]byte, r.Size())
-	for j := 0; j < r.Size(); j++ {
-		src := matrix[j][r.id]
-		cp := make([]byte, len(src))
-		copy(cp, src)
-		out[j] = cp
-		recvTotal += len(src)
+	for _, b := range out {
+		recvTotal += len(b)
 	}
 	r.syncTo("alltoallv", maxClock, r.m.cfg.Cost.alltoallvSecLevels(sendTotal, recvTotal, r.m.world.lv), int64(sendTotal), int64(recvTotal))
 	return out

@@ -42,7 +42,7 @@ func algorithmBBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	if err != nil {
 		return err
 	}
-	blockBytes := sortmz.MarshalSeqs(sorted.Local)
+	blockBytes := sorted.Image
 	// Di is superseded by Dsi: at most three of the four database buffers
 	// are live at any point (paper's Algorithm B analysis).
 	r.NoteAlloc(int64(len(blockBytes)))
@@ -116,7 +116,7 @@ func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Resu
 			data = ownRaw
 		}
 		key := blockKey(owner, len(data))
-		cur, err := l.cache.seqsFor(key, data)
+		cur, err := l.cache.seqsFor(key, data, owner == id)
 		if err != nil {
 			return err
 		}

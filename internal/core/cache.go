@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -247,39 +250,43 @@ func (c *indexCache) recsFor(key cacheKey, raw []byte) ([]fasta.Record, error) {
 
 // seqBlock is one Algorithm B sorted slice in the forms every visit reads:
 // the records in slice order, the gid each carries (a sorted slice numbers
-// its proteins by the gids it transports) and the gid→FASTA-ID lookup.
-// Immutable once built and shared by every rank visiting the block.
+// its proteins by the gids it transports) and the record positions in gid
+// order, which idOf searches. Immutable once built and shared by every rank
+// visiting the block.
 type seqBlock struct {
-	recs    []fasta.Record
-	gids    []int32
-	idByGID map[int32]string
+	recs  []fasta.Record
+	gids  []int32
+	byGID []int32
 }
 
 func (b *seqBlock) idOf(gid int32) string {
-	if id, ok := b.idByGID[gid]; ok {
-		return id
+	if i, ok := slices.BinarySearchFunc(b.byGID, gid, func(at, gid int32) int { return cmp.Compare(b.gids[at], gid) }); ok {
+		return b.recs[b.byGID[i]].ID
 	}
 	return fmt.Sprintf("protein_%d", gid)
 }
 
-// seqsFor decodes an Algorithm B wire block once per key.
-func (c *indexCache) seqsFor(key cacheKey, raw []byte) (*seqBlock, error) {
+// seqsFor decodes an Algorithm B sorted slice once per key. The records'
+// sequences alias the image they are decoded from. own marks the image a
+// rank exposes, which nothing writes again, so it is read in place; any
+// other is a transport buffer the next fetch overwrites, so it is cloned
+// first.
+func (c *indexCache) seqsFor(key cacheKey, raw []byte, own bool) (*seqBlock, error) {
 	key.kind = kindSeqs
 	v, err := c.getOrBuild(key, func() (interface{}, error) {
-		seqs, err := sortmz.UnmarshalSeqs(raw)
+		if !own {
+			raw = bytes.Clone(raw)
+		}
+		img, err := sortmz.UnmarshalSeqs(raw)
 		if err != nil {
 			return nil, err
 		}
-		b := &seqBlock{
-			recs:    make([]fasta.Record, len(seqs)),
-			gids:    make([]int32, len(seqs)),
-			idByGID: make(map[int32]string, len(seqs)),
+		byGID := make([]int32, len(img.GIDs))
+		for i := range byGID {
+			byGID[i] = int32(i)
 		}
-		for i, s := range seqs {
-			b.recs[i], b.gids[i] = s.Rec, s.GID
-			b.idByGID[s.GID] = s.Rec.ID
-		}
-		return b, nil
+		slices.SortFunc(byGID, func(a, b int32) int { return cmp.Compare(img.GIDs[a], img.GIDs[b]) })
+		return &seqBlock{recs: img.Recs, gids: img.GIDs, byGID: byGID}, nil
 	})
 	if err != nil {
 		return nil, err

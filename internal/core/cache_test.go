@@ -5,7 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"pepscale/internal/cluster"
 	"pepscale/internal/digest"
 	"pepscale/internal/fasta"
 	"pepscale/internal/sortmz"
@@ -17,9 +19,9 @@ import (
 // leaves the cached value as it was.
 func TestCachedDecodersDoNotAlias(t *testing.T) {
 	fastaImg := []byte(">sp|P1 first protein\nMKWVTFISLLK\nAAAR\n>sp|P2\nPEPTIDEKR\n")
-	seqImg := sortmz.MarshalSeqs([]sortmz.Seq{
-		{GID: 7, Key: 1200, Rec: fasta.Record{ID: "sp|P1", Seq: []byte("MKWVTFISLLK")}},
-		{GID: 9, Key: 1300, Rec: fasta.Record{ID: "sp|P2", Seq: []byte("PEPTIDEKR")}},
+	seqImg := sortedImage(t, []sortmz.Seq{
+		{GID: 7, Rec: fasta.Record{ID: "sp|P1", Seq: []byte("MKWVTFISLLK")}},
+		{GID: 9, Rec: fasta.Record{ID: "sp|P2", Seq: []byte("PEPTIDEKR")}},
 	})
 	candImg, err := marshalCands([]candEntry{
 		{Mass: 1200.5, GID: 7, ID: "sp|P1", Seq: []byte("MKWVTFISLLK"), Sites: []digest.ModSite{{Pos: 0, Mod: 1}}},
@@ -35,7 +37,7 @@ func TestCachedDecodersDoNotAlias(t *testing.T) {
 	}{
 		{"recsFor", fastaImg, func(c *indexCache, raw []byte) (interface{}, error) { return c.recsFor(blockKey(0, len(raw)), raw) }},
 		{"seqsFor", seqImg, func(c *indexCache, raw []byte) (interface{}, error) {
-			b, err := c.seqsFor(blockKey(0, len(raw)), raw)
+			b, err := c.seqsFor(blockKey(0, len(raw)), raw, false)
 			if err != nil {
 				return nil, err
 			}
@@ -65,6 +67,64 @@ func TestCachedDecodersDoNotAlias(t *testing.T) {
 				t.Errorf("cached value changed with the buffer it was decoded from:\n got %v\nwant %v", got, want)
 			}
 		})
+	}
+}
+
+// sortedImage is the sequence image a one-rank counting sort of seqs
+// exposes.
+func sortedImage(t *testing.T, seqs []sortmz.Seq) []byte {
+	t.Helper()
+	m, err := cluster.New(cluster.Config{Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img []byte
+	err = m.Run(func(r *cluster.Rank) error {
+		res, err := sortmz.Sort(r, seqs, sortmz.Params{})
+		if res != nil {
+			img = res.Image
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestSeqsForReadsOwnImageInPlace: a rank's own exposed image is decoded
+// without a copy, every record's sequence a capped window of it, and idOf
+// finds each record's ID by gid and names an unknown gid by number.
+func TestSeqsForReadsOwnImageInPlace(t *testing.T) {
+	seqs := []sortmz.Seq{
+		{GID: 30, Rec: fasta.Record{ID: "sp|P3", Seq: []byte("GGGGGGGGGGGK")}},
+		{GID: 4, Rec: fasta.Record{ID: "sp|P1", Seq: []byte("MKWVTFISLLK")}},
+		{GID: 12, Rec: fasta.Record{ID: "", Seq: []byte("AK")}},
+	}
+	img := sortedImage(t, seqs)
+	b, err := newIndexCache().seqsFor(blockKey(0, len(img)), img, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.recs) != len(seqs) {
+		t.Fatalf("decoded %d records, sorted %d", len(b.recs), len(seqs))
+	}
+	lo, hi := uintptr(unsafe.Pointer(&img[0])), uintptr(unsafe.Pointer(&img[len(img)-1]))
+	for i, rec := range b.recs {
+		if at := uintptr(unsafe.Pointer(&rec.Seq[0])); at < lo || at > hi {
+			t.Errorf("record %d's sequence was copied out of the image", i)
+		}
+		if cap(rec.Seq) != len(rec.Seq) {
+			t.Errorf("record %d's sequence has capacity %d beyond its length %d", i, cap(rec.Seq), len(rec.Seq))
+		}
+	}
+	for _, s := range seqs {
+		if got := b.idOf(s.GID); got != s.Rec.ID {
+			t.Errorf("idOf(%d) = %q, want %q", s.GID, got, s.Rec.ID)
+		}
+	}
+	if got := b.idOf(5); got != "protein_5" {
+		t.Errorf("idOf of an unknown gid = %q", got)
 	}
 }
 

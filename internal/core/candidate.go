@@ -153,12 +153,12 @@ func candidateBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 	}
 	r.Compute(cost.SortSecPerKey * float64(len(entries)))
 	global := r.AllreduceInt64Vec(cluster.OpSum, counts)
-	owners := sortmz.ComputeOwners(global, p)
+	piv := sortmz.Pivots(global, p)
 	r.Compute(cost.SortSecPerKey * float64(len(global)))
 
 	outbound := make([][]candEntry, p)
 	for _, e := range entries {
-		o := owners[candKey(e.Mass)]
+		o := sortmz.Owner(piv, candKey(e.Mass))
 		outbound[o] = append(outbound[o], e)
 	}
 	sendBufs := make([][]byte, p)

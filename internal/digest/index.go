@@ -401,7 +401,7 @@ func (ix *Index) At(i int) Peptide {
 func (ix *Index) SeqLen(i int) int { return int(ix.ents[i].n) }
 
 // Window returns the index range [start, end) of peptides with mass in
-// [lo, hi]; neither bound may be NaN.
+// [lo, hi]; neither bound may be NaN, nor any mass in the index.
 func (ix *Index) Window(lo, hi float64) (start, end int) {
 	return ix.WindowFrom(0, 0, lo, hi)
 }
@@ -417,8 +417,13 @@ func (ix *Index) Window(lo, hi float64) (start, end int) {
 // It sorts every bucket from lo's to hi's (or hi's to lo's). Lesser buckets
 // hold only lesser keys, so each bound gallops inside its own bucket.
 func (ix *Index) WindowFrom(hintStart, hintEnd int, lo, hi float64) (start, end int) {
-	// mass > hi exactly when mass >= the next float above hi.
+	// mass > hi exactly when mass >= the next float above hi. No float is
+	// above +Inf: a window to +Inf ends where the index (its last bucket)
+	// does, which an end hint past it says.
 	above := math.Nextafter(hi, math.Inf(1))
+	if math.IsInf(hi, 1) {
+		hintEnd = math.MaxInt
+	}
 	z := ix.lazy
 	if z == nil {
 		n := len(ix.ents)
@@ -434,9 +439,10 @@ func (ix *Index) WindowFrom(hintStart, hintEnd int, lo, hi float64) (start, end 
 }
 
 // gallopMassGE returns the first index in [from, n) whose mass is >= m, or
-// n, under the precondition that every index below from has mass < m.
+// n, under the precondition that every index below from has mass < m; a
+// from past n returns n.
 func (ix *Index) gallopMassGE(from, n int, m float64) int {
-	from = max(from, 0)
+	from = min(max(from, 0), n)
 	// Exponential gallop to a bracket [lo, hi) that holds the answer
 	// (everything below lo is < m), then binary search inside it.
 	lo, hi := from, from

@@ -211,9 +211,9 @@ type lazyCase struct {
 // lazyCases are the blocks of the lazy-index tests: digested ones with
 // modifications and semi-tryptic forms on both sides of wholeSortMax,
 // blocks of exactly wholeSortMax-1, wholeSortMax and wholeSortMax+1
-// entries, one of at most 32, one of infinite and signed-zero masses with
-// runs of more than 32 equal masses, one of a single mass, and an empty
-// one.
+// entries, one of at most 32, two of infinite and signed-zero masses with
+// runs of more than 32 equal masses (one on each side of wholeSortMax),
+// one of a single mass, and an empty one.
 func lazyCases(t *testing.T) []lazyCase {
 	t.Helper()
 	mods := DefaultParams()
@@ -248,33 +248,39 @@ func lazyCases(t *testing.T) []lazyCase {
 	for _, n := range []int{20, wholeSortMax - 1, wholeSortMax, wholeSortMax + 1} {
 		cases = append(cases, given(fmt.Sprintf("n=%d", n), pool[:n]))
 	}
-	odd := slices.Clone(pool[:3*wholeSortMax])
-	for i := range odd {
-		switch {
-		case i%97 == 0:
-			odd[i].Mass = math.Inf(1 - 2*(i%2))
-		case i%89 == 0:
-			odd[i].Mass = math.Copysign(0, float64(1-2*(i%2)))
-		case i%5 == 0:
-			odd[i].Mass = float64(1000 + 500*(i%3)) // three runs of about 200 equal masses
+	odd := func(n int) []Peptide {
+		peps := slices.Clone(pool[:n])
+		for i := range peps {
+			switch {
+			case i%97 == 0:
+				peps[i].Mass = math.Inf(1 - 2*(i%2))
+			case i%89 == 0:
+				peps[i].Mass = math.Copysign(0, float64(1-2*(i%2)))
+			case i%5 == 0:
+				peps[i].Mass = float64(1000 + 500*(i%3)) // three runs of equal masses
+			}
 		}
+		return peps
 	}
 	equal := slices.Clone(pool[:2*wholeSortMax])
 	for i := range equal {
 		equal[i].Mass = 1234.5
 	}
-	return append(cases, given("inf+zeros+runs", odd), given("one-mass", equal), given("empty", nil))
+	// The same infinite and signed-zero masses in a block sorted whole at
+	// build and in one sorted by bucket.
+	return append(cases, given("inf+zeros+runs-eager", odd(wholeSortMax-1)), given("inf+zeros+runs", odd(3*wholeSortMax)),
+		given("one-mass", equal), given("empty", nil))
 }
 
 // lazyProbes returns windows in arbitrary order: random ones, single
-// masses, ones that start below the least mass or end above the greatest,
-// ones that span every bucket, and inverted ones. No window ends at +Inf:
-// Window's end is the first mass >= the float above hi, which for
-// hi = +Inf leaves out masses of +Inf, in an eager build as in a lazy one.
+// masses, ones that start below the least mass or end above the greatest
+// (at +Inf included), ones that span every bucket, and inverted ones.
 func lazyProbes(rng *rand.Rand, ref []Peptide) [][2]float64 {
 	probes := [][2]float64{
 		{math.Inf(-1), math.MaxFloat64}, {-1e300, 1e300}, {math.Inf(-1), 0}, {0, 0}, {-1, 1},
 		{math.Inf(-1), math.Inf(-1)}, {1e9, 2e9}, {-2, -1}, {math.Inf(-1), 600}, {4000, math.MaxFloat64},
+		{math.Inf(-1), math.Inf(1)}, {4000, math.Inf(1)}, {math.MaxFloat64, math.Inf(1)}, {math.Inf(1), math.Inf(1)},
+		{0, math.Inf(1)}, {math.Inf(1), 0},
 	}
 	if len(ref) == 0 {
 		return probes

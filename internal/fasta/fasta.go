@@ -65,7 +65,6 @@ const invalidByte = 0xFF
 // A record's sequence may extend to the next header even past end; callers
 // using Ranges never produce that case because boundaries are repaired.
 func parseRange(data []byte, start, end int) ([]Record, error) {
-	var recs []Record
 	i := start
 	// Skip leading blank lines.
 	for i < end && (data[i] == '\n' || data[i] == '\r') {
@@ -73,6 +72,12 @@ func parseRange(data []byte, start, end int) ([]Record, error) {
 	}
 	if i < end && data[i] != '>' {
 		return nil, fmt.Errorf("%w: expected '>' at byte %d, found %q", ErrMalformed, i, data[i])
+	}
+	// Every record opens with a '>' at i or after a newline, and a body
+	// ends at the next such '>': count them to allocate recs once.
+	var recs []Record
+	if i < end {
+		recs = make([]Record, 0, 1+bytes.Count(data[i+1:end], []byte("\n>")))
 	}
 	for i < end {
 		nl := bytes.IndexByte(data[i:], '\n')

@@ -67,7 +67,7 @@ func TestSortMatchesSerialReference(t *testing.T) {
 				var got []int32
 				seen := make(map[int32]bool, len(db))
 				for _, res := range results {
-					for _, s := range res.Local {
+					for _, s := range localSeqs(t, res) {
 						got = append(got, s.Key)
 						if seen[s.GID] {
 							t.Fatalf("gid %d delivered twice", s.GID)
@@ -89,7 +89,7 @@ func TestSortMatchesSerialReference(t *testing.T) {
 				// Equal keys may not straddle ranks (the paper's bucket rule).
 				owner := map[int32]int{}
 				for rank, res := range results {
-					for _, s := range res.Local {
+					for _, s := range localSeqs(t, res) {
 						if prev, ok := owner[s.Key]; ok && prev != rank {
 							t.Fatalf("key %d split across ranks %d and %d", s.Key, prev, rank)
 						}

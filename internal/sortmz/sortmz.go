@@ -14,9 +14,11 @@
 package sortmz
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"pepscale/internal/chem"
 	"pepscale/internal/cluster"
@@ -59,9 +61,10 @@ func (b Boundary) Empty() bool { return b.Lo > b.Hi }
 
 // Result is the outcome of the parallel sort on one rank.
 type Result struct {
-	// Local holds this rank's slice of the globally sorted database,
-	// ordered by ascending key.
-	Local []Seq
+	// Image is this rank's slice of the globally sorted database as one
+	// sequence image (see UnmarshalSeqs), its records ordered by ascending
+	// (key, gid). It is what Algorithm B exposes to the other ranks.
+	Image []byte
 	// Boundaries is the p-tuple table of per-rank key ranges (the paper's
 	// (begin_i, end_i) tuples) used to compute sender groups.
 	Boundaries []Boundary
@@ -101,8 +104,14 @@ func SenderGroupStart(bounds []Boundary, minKey int32) int {
 }
 
 // Sort runs the parallel counting sort. local carries this rank's database
-// block with global protein indices already assigned; the returned Result
-// holds the redistributed, locally sorted slice.
+// block with global protein indices already assigned; Sort sets each
+// record's Key. The returned Result holds the redistributed, locally sorted
+// slice as one sequence image.
+//
+// Each record's bytes are written twice on the host: once into the send
+// buffer of the rank that owns its key, sized exactly beforehand, and once
+// from the received buffers into the sorted image. The collectives hand the
+// buffers over without copying them.
 func Sort(r *cluster.Rank, local []Seq, p Params) (*Result, error) {
 	t0 := r.Time()
 	cost := r.Cost()
@@ -143,45 +152,35 @@ func Sort(r *cluster.Rank, local []Seq, p Params) (*Result, error) {
 	}
 
 	// Step S2b: derive partition pivots from the global count array.
-	owner := ComputeOwners(global, size)
+	piv := Pivots(global, size)
 	r.Compute(cost.SortSecPerKey * float64(len(global)))
 
-	// Step S2c: redistribute with Alltoallv.
-	outbound := make([][]Seq, size)
+	// Step S2c: redistribute with Alltoallv, each record encoded straight
+	// into its owner's exactly sized buffer.
+	sizes := make([]int, size)
 	for _, s := range local {
-		o := owner[s.Key]
-		outbound[o] = append(outbound[o], s)
+		sizes[Owner(piv, s.Key)] += recordSize(s)
 	}
-	sendBufs := make([][]byte, size)
-	for j := 0; j < size; j++ {
-		sendBufs[j] = MarshalSeqs(outbound[j])
+	send := make([][]byte, size)
+	for j := range send {
+		send[j] = make([]byte, 0, sizes[j])
 	}
-	recvBufs := r.Alltoallv(sendBufs)
-	var sorted []Seq
-	for _, buf := range recvBufs {
-		seqs, err := UnmarshalSeqs(buf)
-		if err != nil {
-			return nil, fmt.Errorf("sortmz: rank %d: %w", r.ID(), err)
-		}
-		sorted = append(sorted, seqs...)
+	for _, s := range local {
+		o := Owner(piv, s.Key)
+		send[o] = appendSeq(send[o], s)
 	}
-
-	// Local ordering within the rank (counting-sort bucket order is already
-	// coarse-correct; finish with a deterministic comparison sort).
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Key != sorted[j].Key {
-			return sorted[i].Key < sorted[j].Key
-		}
-		return sorted[i].GID < sorted[j].GID
-	})
-	r.Compute(cost.SortSecPerKey * float64(len(sorted)))
+	image, order, err := sortReceived(r.Alltoallv(send))
+	if err != nil {
+		return nil, fmt.Errorf("sortmz: rank %d: %w", r.ID(), err)
+	}
+	r.Compute(cost.SortSecPerKey * float64(len(order)))
 
 	// Boundary tuples: derivable identically on every rank from the global
 	// count array and pivots, but exchanged with an Allgather to mirror the
 	// paper's implementation (and to double-check agreement).
 	lo, hi := int32(1), int32(0)
-	if len(sorted) > 0 {
-		lo, hi = sorted[0].Key, sorted[len(sorted)-1].Key
+	if len(order) > 0 {
+		lo, hi = order[0].key, order[len(order)-1].key
 	}
 	tuples := r.Allgather(encodeBoundary(Boundary{Lo: lo, Hi: hi}))
 	bounds := make([]Boundary, size)
@@ -192,39 +191,83 @@ func Sort(r *cluster.Rank, local []Seq, p Params) (*Result, error) {
 		}
 	}
 
-	return &Result{Local: sorted, Boundaries: bounds, SortSec: r.Time() - t0}, nil
+	return &Result{Image: image, Boundaries: bounds, SortSec: r.Time() - t0}, nil
 }
 
-// ComputeOwners assigns each key bucket of a global weighted count array
-// to a rank such that cumulative weight is balanced and a bucket is never
-// split across ranks (the counting sort's pivot rule). Buckets with zero
-// weight get owner −1. Every rank derives the identical table from the
-// identical global array.
-func ComputeOwners(global []int64, ranks int) []int32 {
+// placed locates one received record, recv[src][off:off+n], under its sort
+// key and gid.
+type placed struct {
+	key, gid    int32
+	src, off, n int32
+}
+
+// sortReceived orders the records of the received buffers by (key, gid), a
+// total order because gids are unique, and copies each once into the sorted
+// image. It returns the image and where each of its records came from.
+func sortReceived(recv [][]byte) ([]byte, []placed, error) {
+	var n, total int
+	for j, buf := range recv {
+		m, _, err := scanImage(buf)
+		if err != nil {
+			return nil, nil, fmt.Errorf("records from rank %d: %w", j, err)
+		}
+		n, total = n+m, total+len(buf)
+	}
+	recs := make([]placed, 0, n)
+	for j, buf := range recv {
+		for cur := wire.NewReader(buf, errWire); cur.Len() > 0; {
+			off := len(buf) - cur.Len()
+			gid, key, _, _ := nextSeq(&cur)
+			recs = append(recs, placed{key: key, gid: gid, src: int32(j), off: int32(off), n: int32(len(buf) - cur.Len() - off)})
+		}
+	}
+	slices.SortFunc(recs, func(a, b placed) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.gid, b.gid))
+	})
+	image := make([]byte, 0, total)
+	for _, e := range recs {
+		image = append(image, recv[e.src][e.off:e.off+e.n]...)
+	}
+	return image, recs, nil
+}
+
+// Pivots derives the counting sort's partition from a global weighted count
+// array: rank o owns the keys in [piv[o], piv[o+1]), the last rank every key
+// from its pivot up. A key of nonzero weight goes to the rank its weight's
+// midpoint falls in, so cumulative weight is balanced and no bucket is split
+// across ranks; the midpoint only grows with the key, so ownership is
+// monotone and p keys describe it. A key of zero weight goes with the keys
+// below it. Every rank derives the identical pivots from the identical
+// array.
+func Pivots(global []int64, ranks int) []int32 {
 	var total int64
 	for _, c := range global {
 		total += c
 	}
-	owner := make([]int32, len(global))
-	var cum int64
+	piv := make([]int32, ranks)
+	for o := 1; o < ranks; o++ {
+		piv[o] = int32(len(global))
+	}
+	o, cum := 0, int64(0)
 	for k, c := range global {
 		if c == 0 {
-			owner[k] = -1
 			continue
 		}
 		// Midpoint rule keeps assignment stable against boundary keys.
 		mid := cum + (c+1)/2
-		o := int32(0)
-		if total > 0 {
-			o = int32((mid * int64(ranks)) / (total + 1))
+		for own := min(int(mid*int64(ranks)/(total+1)), ranks-1); o < own; o++ {
+			piv[o+1] = int32(k)
 		}
-		if o >= int32(ranks) {
-			o = int32(ranks) - 1
-		}
-		owner[k] = o
 		cum += c
 	}
-	return owner
+	return piv
+}
+
+// Owner returns the rank that owns key under the pivots piv: the last rank
+// whose pivot is at most key.
+func Owner(piv []int32, key int32) int {
+	o, _ := slices.BinarySearch(piv, key+1)
+	return o - 1
 }
 
 // errWire reports a sequence image or boundary tuple that fails structural
@@ -243,41 +286,75 @@ func decodeBoundary(buf []byte) (Boundary, error) {
 	return b, cur.Finish()
 }
 
-// MarshalSeqs encodes sequences compactly for the wire:
-// [gid int32][key int32][idLen u16][seqLen u32][id][seq] per record.
-func MarshalSeqs(seqs []Seq) []byte {
-	var n int
-	for _, s := range seqs {
-		n += 4 + 4 + 2 + 4 + len(s.Rec.ID) + len(s.Rec.Seq)
-	}
-	out := make([]byte, 0, n)
-	for _, s := range seqs {
-		out = wire.U32(out, uint32(s.GID))
-		out = wire.U32(out, uint32(s.Key))
-		out = wire.U16(out, uint16(len(s.Rec.ID)))
-		out = wire.U32(out, uint32(len(s.Rec.Seq)))
-		out = append(out, s.Rec.ID...)
-		out = append(out, s.Rec.Seq...)
-	}
-	return out
+// A sequence image is its records back to back, each
+// [gid int32][key int32][idLen u16][seqLen u32][id][seq].
+const recordHeader = 4 + 4 + 2 + 4
+
+// recordSize is the bytes appendSeq writes for s.
+func recordSize(s Seq) int { return recordHeader + len(s.Rec.ID) + len(s.Rec.Seq) }
+
+// appendSeq appends s to a sequence image: the format's one encoder.
+func appendSeq(dst []byte, s Seq) []byte {
+	dst = wire.U32(dst, uint32(s.GID))
+	dst = wire.U32(dst, uint32(s.Key))
+	dst = wire.U16(dst, uint16(len(s.Rec.ID)))
+	dst = wire.U32(dst, uint32(len(s.Rec.Seq)))
+	return append(append(dst, s.Rec.ID...), s.Rec.Seq...)
 }
 
-// UnmarshalSeqs parses an image written by MarshalSeqs; the empty image is
-// the empty list. Every error wraps errWire.
-func UnmarshalSeqs(buf []byte) ([]Seq, error) {
-	cur := wire.NewReader(buf, errWire)
-	var out []Seq
-	for cur.Len() > 0 {
-		s := Seq{GID: int32(cur.U32()), Key: int32(cur.U32())}
-		idLen := int(cur.U16())
-		seqLen := cur.Count(1)
-		s.Rec.ID = string(cur.Bytes(idLen))
-		s.Rec.Seq = make([]byte, seqLen)
-		copy(s.Rec.Seq, cur.Bytes(seqLen))
-		out = append(out, s)
+// nextSeq reads the record at cur; id and seq alias the image. A failed
+// read leaves cur failed (see wire.Reader).
+func nextSeq(cur *wire.Reader) (gid, key int32, id, seq []byte) {
+	gid, key = int32(cur.U32()), int32(cur.U32())
+	idLen := int(cur.U16())
+	seqLen := cur.Count(1)
+	return gid, key, cur.Bytes(idLen), cur.Bytes(seqLen)
+}
+
+// scanImage validates a sequence image, reading no more than its bytes,
+// and returns its record count and the total length of its IDs. Every error
+// wraps errWire.
+func scanImage(img []byte) (n, idBytes int, err error) {
+	cur := wire.NewReader(img, errWire)
+	for ; cur.Len() > 0; n++ {
+		_, _, id, _ := nextSeq(&cur)
+		idBytes += len(id)
 	}
-	if err := cur.Finish(); err != nil {
-		return nil, err
+	return n, idBytes, cur.Finish()
+}
+
+// Block is a decoded sequence image, one element per record in image order
+// in each column.
+type Block struct {
+	// Recs holds each record's ID and sequence. A Seq aliases the image,
+	// capped at its own length so an append to it cannot write into the
+	// next record; the IDs share one string.
+	Recs []fasta.Record
+	GIDs []int32
+	Keys []int32
+}
+
+// UnmarshalSeqs decodes a sequence image: the format's one decoder. The
+// empty image is the empty block. The image must not be written while the
+// block is in use. It validates every record before it allocates, and every
+// error wraps errWire.
+func UnmarshalSeqs(img []byte) (Block, error) {
+	n, idBytes, err := scanImage(img)
+	if err != nil {
+		return Block{}, err
 	}
-	return out, nil
+	b := Block{Recs: make([]fasta.Record, n), GIDs: make([]int32, n), Keys: make([]int32, n)}
+	// The IDs are written into one builder grown to their total, so it
+	// never moves them and each ID is a substring of its final string.
+	var ids strings.Builder
+	ids.Grow(idBytes)
+	cur := wire.NewReader(img, errWire)
+	for i := range b.Recs {
+		var id []byte
+		b.GIDs[i], b.Keys[i], id, b.Recs[i].Seq = nextSeq(&cur)
+		ids.Write(id)
+		s := ids.String()
+		b.Recs[i].ID = s[len(s)-len(id):]
+	}
+	return b, nil
 }

@@ -45,6 +45,25 @@ func runSort(t *testing.T, db []fasta.Record, p int) []*Result {
 	return results
 }
 
+// localSeqs decodes a rank's sorted image.
+func localSeqs(t *testing.T, res *Result) []Seq {
+	t.Helper()
+	b, err := UnmarshalSeqs(res.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blockSeqs(b)
+}
+
+// blockSeqs lists a decoded block's records as sequences.
+func blockSeqs(b Block) []Seq {
+	out := make([]Seq, len(b.Recs))
+	for i := range out {
+		out[i] = Seq{GID: b.GIDs[i], Key: b.Keys[i], Rec: b.Recs[i]}
+	}
+	return out
+}
+
 func TestKeyBounds(t *testing.T) {
 	if Key([]byte{}, chem.Mono) <= 0 {
 		t.Error("empty sequence key should be water+proton > 0")
@@ -77,7 +96,7 @@ func TestSortIsGlobalSortedPermutation(t *testing.T) {
 			results := runSort(t, db, p)
 			var all []Seq
 			for _, res := range results {
-				all = append(all, res.Local...)
+				all = append(all, localSeqs(t, res)...)
 			}
 			if len(all) != len(db) {
 				t.Fatalf("lost sequences: %d vs %d", len(all), len(db))
@@ -102,7 +121,7 @@ func TestSortIsGlobalSortedPermutation(t *testing.T) {
 			// Equal keys land on a single rank (paper requirement).
 			keyOwner := map[int32]int{}
 			for rank, res := range results {
-				for _, s := range res.Local {
+				for _, s := range localSeqs(t, res) {
 					if prev, ok := keyOwner[s.Key]; ok && prev != rank {
 						t.Fatalf("key %d split across ranks %d and %d", s.Key, prev, rank)
 					}
@@ -124,7 +143,7 @@ func TestSortBalance(t *testing.T) {
 	ideal := total / p
 	for rank, res := range results {
 		var got int
-		for _, s := range res.Local {
+		for _, s := range localSeqs(t, res) {
 			got += len(s.Rec.Seq)
 		}
 		if got > 2*ideal {
@@ -148,14 +167,15 @@ func TestBoundariesConsistent(t *testing.T) {
 	lastHi := int32(-1)
 	for rank, res := range results {
 		b := bounds[rank]
-		if len(res.Local) == 0 {
+		local := localSeqs(t, res)
+		if len(local) == 0 {
 			if !b.Empty() {
 				t.Errorf("rank %d empty but boundary %+v", rank, b)
 			}
 			continue
 		}
-		if b.Lo != res.Local[0].Key || b.Hi != res.Local[len(res.Local)-1].Key {
-			t.Errorf("rank %d boundary %+v vs content [%d,%d]", rank, b, res.Local[0].Key, res.Local[len(res.Local)-1].Key)
+		if b.Lo != local[0].Key || b.Hi != local[len(local)-1].Key {
+			t.Errorf("rank %d boundary %+v vs content [%d,%d]", rank, b, local[0].Key, local[len(local)-1].Key)
 		}
 		if b.Lo <= lastHi {
 			t.Errorf("rank %d boundary overlaps predecessor", rank)
@@ -206,9 +226,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 			return false
 		}
 		if len(seqs) == 0 {
-			return len(back) == 0
+			return len(back.Recs) == 0
 		}
-		return reflect.DeepEqual(seqs, back)
+		return reflect.DeepEqual(seqs, blockSeqs(back))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -268,11 +288,12 @@ func TestSortTimeGrowsWithRanks(t *testing.T) {
 func TestSortSingleRank(t *testing.T) {
 	db := testDB(20)
 	results := runSort(t, db, 1)
-	if len(results[0].Local) != 20 {
+	local := localSeqs(t, results[0])
+	if len(local) != 20 {
 		t.Fatal("p=1 sort lost records")
 	}
 	keys := make([]int, 0, 20)
-	for _, s := range results[0].Local {
+	for _, s := range local {
 		keys = append(keys, int(s.Key))
 	}
 	if !sort.IntsAreSorted(keys) {
