@@ -83,20 +83,23 @@ test-short:
 # pointer for all), every member of an Allgather reading the one result
 # the last arriver built, ranks parked at a barrier: woken once each when it
 # completes or unwound by a crash, two crashes that must report the least
-# failure whichever the host records first, every engine and pepd
-# fingerprint, crash lines included, byte for byte, goroutines and ranks
-# reading overlapping windows of cold digest indexes while the first to
-# reach each mass bucket sorts it, pepd's resident
-# scan state: its prepared-fragment tables written by one owner rank per
-# Run and a warm batch's allocation budget, and the hit path's storage: a
-# top-τ heap allocated once, a warm checkpoint that allocates nothing, and
-# one group's stored blob rewritten in place by Put while Get copies it, and
-# pepd's delivery stage: a Sink on its own goroutine in emission order, the
-# Drain barrier, a Sink panic, and no goroutine left after Close.
+# failure whichever the host records first, a get's read-only result and its
+# allocation-free Wait, every engine and pepd fingerprint, crash lines
+# included, byte for byte (under -race every window is fingerprinted at
+# Expose, so a write into a fetched block or an exposed buffer fails the Run
+# that makes it), goroutines and ranks reading overlapping windows of cold
+# digest indexes while the first to reach each mass bucket sorts it, pepd's
+# resident scan state: its prepared-fragment tables written by one owner
+# rank per Run and a warm batch's allocation budget, and the hit path's
+# storage: a top-τ heap allocated once, a warm checkpoint that allocates
+# nothing, and one group's stored blob rewritten in place by Put while Get
+# copies it, and pepd's delivery stage: a Sink on its own goroutine in
+# emission order, the Drain barrier, a Sink panic, and no goroutine left
+# after Close.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
-	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome' ./internal/cluster/
+	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome|TestRMAGetData|TestWaitAllocs' ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints|TestIndexConcurrentFirstTouch|TestRanksShareColdIndex' ./internal/core/ ./internal/serve/ ./internal/digest/
 	$(GO) test -race -count=5 -run 'TestPrepTable|TestBackendWarmTableMatchesSerial|TestBackendQuantumAllocBudget|TestCheckpointAllocFree|TestHeapAllocatedOnce|TestStoreConcurrentPutGet' ./internal/core/ ./internal/topk/ ./internal/ckpt/
 	$(GO) test -race -count=10 -run 'TestDelivery' ./internal/serve/
@@ -204,7 +207,7 @@ bench-quick:
 # 2p wake-ups of the ranks parked in one 1024-rank barrier, and a
 # single untimed iteration of the 1024-rank machine benchmark. Catches O(p²)
 # regressions in the machine internals that the default-sized tests never
-# exercise. The last two lines are allocation guards: one Get+WaitInto per
+# exercise. The last two lines are allocation guards: one Get+Wait per
 # rank at p=1024, failing above one allocation per step, and one digest index
 # build per block shape, failing above its bytes-per-peptide budget.
 scale-smoke:

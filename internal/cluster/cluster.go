@@ -6,7 +6,8 @@
 // one-sided RMA windows (Expose / Get / Wait) with the non-blocking,
 // target-passive semantics of MPI_Get over RDMA.
 //
-// Alongside real data movement, every rank carries a deterministic virtual
+// Alongside the data the primitives hand over (a get returns the owner's
+// window itself, read-only), every rank carries a deterministic virtual
 // clock driven by a LogGP-style CostModel: computation is charged with
 // Compute, messages cost λ + bytes·μ (with NIC sharing), collectives cost
 // ⌈log₂p⌉ rounds, and a Wait on a one-sided get advances the clock only by
@@ -19,6 +20,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -134,6 +136,20 @@ type winTable struct {
 type window struct {
 	data       []byte
 	exposeTime float64
+	sum        uint64 // data's fingerprint at Expose, under checkWindows
+}
+
+// windowSeed keys the windows' fingerprints.
+var windowSeed = maphash.MakeSeed()
+
+// checkWritten fails the Run when owner's window name, w, was written after
+// Expose; it checks only under checkWindows.
+func (m *Machine) checkWritten(owner int, name string, w *window) bool {
+	if !checkWindows || maphash.Bytes(windowSeed, w.data) == w.sum {
+		return false
+	}
+	m.doAbort(fmt.Errorf("cluster: rank %d's window %q was written after Expose", owner, name))
+	return true
 }
 
 // window returns owner's current exposure under name, or nil.
@@ -485,6 +501,17 @@ func (m *Machine) RunWithReport(body func(r *Rank) error) *RunReport {
 		}(r)
 	}
 	wg.Wait()
+	for owner := 0; checkWindows && owner < p; owner++ {
+		names := make([]string, 0, len(m.wins[owner].m))
+		//pepvet:allow determinism the names are sorted below
+		for name := range m.wins[owner].m {
+			names = append(names, name)
+		}
+		slices.Sort(names) // the first written window found is the one reported
+		for _, name := range names {
+			m.checkWritten(owner, name, m.wins[owner].m[name])
+		}
+	}
 	rep := &RunReport{RankErrs: make(map[int]error, p)}
 	m.failMu.Lock()
 	for i := 0; i < p; i++ {
@@ -868,12 +895,18 @@ func (r *Rank) deliver(msg message) (string, []byte) {
 }
 
 // Expose publishes data under name as a one-sided RMA window owned by this
-// rank. The data must not be mutated while exposed (standard RMA epoch
-// discipline); Get copies out of it without involving this rank's clock —
-// the "without disturbing the remote processor" property of MPI_Get.
+// rank. Nobody writes the data after the call, the owner included: every
+// Wait hands readers these very bytes, without involving this rank's clock
+// — the "without disturbing the remote processor" property of MPI_Get.
+// Under the race detector a write is caught at the window's re-exposure or
+// at the end of the Run, and fails the Run.
 func (r *Rank) Expose(name string, data []byte) {
 	r.faultPoint()
 	r.charge(r.clock, trace.Event{Kind: trace.KindExpose, Name: name, Peer: -1, Bytes: int64(len(data)), Start: r.clock})
+	w := &window{data: data, exposeTime: r.clock}
+	if checkWindows {
+		w.sum = maphash.Bytes(windowSeed, data)
+	}
 	t := &r.m.wins[r.id]
 	t.mu.Lock()
 	if t.m == nil {
@@ -881,12 +914,16 @@ func (r *Rank) Expose(name string, data []byte) {
 	}
 	// A re-exposure replaces the window in a new epoch; it never writes
 	// through the old one.
-	t.m[name] = &window{data: data, exposeTime: r.clock}
+	old := t.m[name]
+	t.m[name] = w
 	if t.wake != nil {
 		close(t.wake) // wake the ranks waiting for a window of this owner
 		t.wake = nil
 	}
 	t.mu.Unlock()
+	if old != nil && r.m.checkWritten(r.id, name, old) {
+		r.interrupted()
+	}
 }
 
 // Pending is an in-flight one-sided get; Wait completes it.
@@ -951,22 +988,18 @@ func (r *Rank) waitWindow(owner int, name string) (*window, error) {
 	}
 }
 
-// Wait completes the get and returns a private copy of the window data in a
-// buffer of its own: WaitInto(nil).
-func (p *Pending) Wait() ([]byte, error) { return p.WaitInto(nil) }
-
-// WaitInto completes the get and returns a private copy of the window data,
-// appended to buf[:0] — the caller owns buf and the result, and by passing
-// the buffer of a block it has finished with it holds Dcomp and Drecv and
-// nothing else, as the paper's Algorithm A does. The clock advances only by
-// the residual (unmasked) transfer time:
+// Wait completes the get and returns the window's bytes: the owner's own
+// slice, capped so that an append reallocates, and read-only — no rank
+// writes it, this one included (see Expose). A result fetched before a
+// re-exposure keeps its epoch's bytes. The clock advances only by the
+// residual (unmasked) transfer time:
 // completion = max(issueTime, exposeTime) + λ + bytes·μ, and the rank's
 // clock becomes max(clock, completion). If the window is not exposed yet,
-// WaitInto blocks until the owner exposes it (or fails, or finishes without
+// Wait blocks until the owner exposes it (or fails, or finishes without
 // exposing). Injected transfer drops are retried with exponential backoff
 // (plus bounded deterministic jitter when the plan configures it) charged
 // on the virtual clock; exhausting the budget fails this rank.
-func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
+func (p *Pending) Wait() ([]byte, error) {
 	if p.done {
 		return nil, errors.New("cluster: Wait called twice on the same Pending")
 	}
@@ -1034,5 +1067,5 @@ func (p *Pending) WaitInto(buf []byte) ([]byte, error) {
 	}
 	ev.Dur = end - entry
 	r.charge(end, ev)
-	return append(buf[:0], data...), nil
+	return data[:n:n], nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -424,80 +425,103 @@ func TestAlltoallvPermutation(t *testing.T) {
 	}
 }
 
+// TestRMAGetData: Wait hands the reader the owner's bytes, capped, so an
+// append to a result reallocates instead of writing into the window, and a
+// result fetched before a re-exposure keeps its epoch's bytes. Under the race
+// detector a write into a window, by a reader or by its owner, fails the Run
+// and names the window.
 func TestRMAGetData(t *testing.T) {
 	m := newMachine(t, 3, freeNet())
 	err := m.Run(func(r *Rank) error {
-		data := bytes.Repeat([]byte{byte(r.ID())}, 10)
-		r.Expose("blk", data)
+		r.Expose("blk", bytes.Repeat([]byte{byte(r.ID())}, 10))
 		r.Barrier()
 		next := (r.ID() + 1) % 3
+		want := bytes.Repeat([]byte{byte(next)}, 10)
 		got, err := r.Get(next, "blk").Wait()
 		if err != nil {
 			return err
 		}
-		if len(got) != 10 || got[0] != byte(next) {
-			return fmt.Errorf("rank %d got %v", r.ID(), got)
+		if !bytes.Equal(got, want) || cap(got) != len(got) {
+			return fmt.Errorf("rank %d got %v with capacity %d", r.ID(), got, cap(got))
 		}
-		got[0] = 99 // private copy
+		_ = append(got, 99)
 		again, err := r.Get(next, "blk").Wait()
 		if err != nil {
 			return err
 		}
-		if again[0] != byte(next) {
-			return fmt.Errorf("window corrupted by reader")
+		if &again[0] != &got[0] || !bytes.Equal(again, want) {
+			return fmt.Errorf("rank %d: a second get returned %v, not the owner's bytes", r.ID(), again)
 		}
 
-		// WaitInto: the copy lands in the caller's buffer and stays private.
-		buf := make([]byte, 0, 16)
-		got, err = r.Get(next, "blk").WaitInto(buf)
-		if err != nil {
-			return err
-		}
-		if &got[0] != &buf[:1][0] || !bytes.Equal(got, bytes.Repeat([]byte{byte(next)}, 10)) {
-			return fmt.Errorf("rank %d WaitInto did not fill the caller's buffer: %v", r.ID(), got)
-		}
-		got[0] = 99
-		if again, err = r.Get(next, "blk").Wait(); err != nil {
-			return err
-		}
-		if again[0] != byte(next) {
-			return fmt.Errorf("window corrupted through a WaitInto buffer")
-		}
-
-		// A re-exposure replaces the window; buffers fetched before it keep
-		// the bytes they were given, and a reused buffer holds the new block.
+		// A re-exposure replaces the window; a result fetched before it
+		// keeps its bytes, and a new get returns the new block.
 		r.Barrier()
 		r.Expose("blk", bytes.Repeat([]byte{byte(10 + r.ID())}, 6))
 		r.Barrier()
-		if again[0] != byte(next) || got[1] != byte(next) {
-			return fmt.Errorf("re-exposure wrote through to earlier copies: %v %v", again, got)
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("re-exposure wrote through to an earlier result: %v", got)
 		}
-		got, err = r.Get(next, "blk").WaitInto(got)
-		if err != nil {
+		if got, err = r.Get(next, "blk").Wait(); err != nil {
 			return err
 		}
-		if &got[0] != &buf[:1][0] || !bytes.Equal(got, bytes.Repeat([]byte{byte(10 + next)}, 6)) {
-			return fmt.Errorf("rank %d reused buffer holds %v after the second block", r.ID(), got)
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(10 + next)}, 6)) {
+			return fmt.Errorf("rank %d got %v after the re-exposure", r.ID(), got)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	for _, tc := range []struct {
+		name string
+		body func(r *Rank) error
+	}{
+		{"a reader writes a result", func(r *Rank) error {
+			r.Expose("blk", make([]byte, 4))
+			r.Barrier()
+			if r.ID() == 0 {
+				got, err := r.Get(1, "blk").Wait()
+				if err != nil {
+					return err
+				}
+				got[2] = 1
+			}
+			return nil
+		}},
+		{"the owner writes before a re-exposure", func(r *Rank) error {
+			if r.ID() == 1 {
+				data := make([]byte, 4)
+				r.Expose("blk", data)
+				data[2] = 1
+				r.Expose("blk", data)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !checkWindows {
+				t.Skip("the windows' read-only check runs under the race detector")
+			}
+			err := newMachine(t, 2, freeNet()).Run(tc.body)
+			if err == nil || !strings.Contains(err.Error(), `rank 1's window "blk" was written`) {
+				t.Fatalf("Run = %v, want a failure naming rank 1's window \"blk\"", err)
+			}
+		})
+	}
 }
 
-// TestWaitIntoAllocs is the transport step's allocation budget with tracing
-// off: completing a get into a warmed buffer allocates nothing, and a whole
-// Get+WaitInto step allocates the Pending and nothing else. Rank 1 is parked
-// in the closing barrier while rank 0 measures.
-func TestWaitIntoAllocs(t *testing.T) {
+// TestWaitAllocs is the transport step's allocation budget with tracing
+// off: completing a get allocates nothing, and a whole Get+Wait step
+// allocates the Pending and nothing else. Rank 1 is parked in the closing
+// barrier while rank 0 measures.
+func TestWaitAllocs(t *testing.T) {
 	m := newMachine(t, 2, freeNet())
 	err := m.Run(func(r *Rank) error {
 		r.Expose("blk", make([]byte, 512))
 		r.Barrier()
 		if r.ID() == 0 {
 			const runs = 100
-			buf := make([]byte, 0, 512)
 			var werr error
 			pend := make([]*Pending, runs+1) // AllocsPerRun warms up with one extra call
 			for i := range pend {
@@ -506,17 +530,17 @@ func TestWaitIntoAllocs(t *testing.T) {
 			wait := testing.AllocsPerRun(runs, func() {
 				p := pend[len(pend)-1]
 				pend = pend[:len(pend)-1]
-				if buf, werr = p.WaitInto(buf); werr != nil {
+				if _, werr = p.Wait(); werr != nil {
 					panic(werr)
 				}
 			})
 			step := testing.AllocsPerRun(runs, func() {
-				if buf, werr = r.Get(1, "blk").WaitInto(buf); werr != nil {
+				if _, werr = r.Get(1, "blk").Wait(); werr != nil {
 					panic(werr)
 				}
 			})
 			if wait != 0 || step > 1 {
-				return fmt.Errorf("WaitInto %v allocs/op (want 0), Get+WaitInto %v (want ≤ 1)", wait, step)
+				return fmt.Errorf("Wait %v allocs/op (want 0), Get+Wait %v (want ≤ 1)", wait, step)
 			}
 		}
 		r.Barrier()

@@ -11,3 +11,27 @@ func (m *Machine) WorldArrivals() int {
 	defer m.coll.mu.unlock()
 	return m.coll.cur.arrived
 }
+
+// Active reports whether rank id is currently an active member. Ranks
+// outside [0, Ranks) are never active.
+func (m *Machine) Active(id int) bool {
+	if id < 0 || id >= m.cfg.Ranks {
+		return false
+	}
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	return m.active[id]
+}
+
+// ActiveCount returns the current active-member count.
+func (m *Machine) ActiveCount() int {
+	m.memberMu.Lock()
+	defer m.memberMu.Unlock()
+	n := 0
+	for _, a := range m.active {
+		if a {
+			n++
+		}
+	}
+	return n
+}

@@ -299,30 +299,6 @@ const (
 	releaseTag = "membership/release"
 )
 
-// Active reports whether rank id is currently an active member. Ranks
-// outside [0, Ranks) are never active.
-func (m *Machine) Active(id int) bool {
-	if id < 0 || id >= m.cfg.Ranks {
-		return false
-	}
-	m.memberMu.Lock()
-	defer m.memberMu.Unlock()
-	return m.active[id]
-}
-
-// ActiveCount returns the current active-member count.
-func (m *Machine) ActiveCount() int {
-	m.memberMu.Lock()
-	defer m.memberMu.Unlock()
-	n := 0
-	for _, a := range m.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // markActive flips rank id's membership bit, rejecting out-of-range ids and
 // no-op transitions so admission can never index past the universe or
 // double-admit.

@@ -139,9 +139,10 @@ func BenchmarkMachineScale(b *testing.B) {
 
 // BenchmarkTransportStep measures the steady-state step of the block-cycled
 // transport at scale: per iteration every rank issues one Get to the next
-// owner of its cycle and completes it into its warmed buffer. It fails when a
-// step costs more than one allocation (the Pending), so an O(p²) allocation
-// cannot come back unnoticed; make scale-smoke runs it at -benchtime 1x.
+// owner of its cycle and completes it, taking the window's bytes. It fails
+// when a step costs more than one allocation (the Pending), so an O(p²)
+// allocation cannot come back unnoticed; make scale-smoke runs it at
+// -benchtime 1x.
 //
 // Only the steps are measured: ranks spin (never park, which could allocate)
 // at a gate before and after them while the benchmark goroutine reads the
@@ -166,11 +167,11 @@ func BenchmarkTransportStep(b *testing.B) {
 				id := r.ID()
 				r.Expose("blk", make([]byte, 680)) // scale_wide's mean block
 				r.Barrier()
-				buf, err := r.Get((id+1)%p, "blk").WaitInto(nil)
+				_, err := r.Get((id+1)%p, "blk").Wait()
 				warmed.Add(1)
 				spin(start.Load)
 				for i := 0; i < b.N && err == nil; i++ {
-					buf, err = r.Get((id+i+2)%p, "blk").WaitInto(buf)
+					_, err = r.Get((id+i+2)%p, "blk").Wait()
 				}
 				stepped.Add(1)
 				spin(finish.Load)

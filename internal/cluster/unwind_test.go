@@ -157,20 +157,20 @@ func TestUnwindByDependency(t *testing.T) {
 			return nil
 		}, []survivor{{1, 0, 0.2 + detect}, {2, 0, 0.2 + detect}, {3, 0, 0.2 + detect}}},
 
-		{"WaitInto on a dead owner", Config{Ranks: 2, Fault: crash(1)}, func(r *Rank) error {
+		{"Wait on a dead owner", Config{Ranks: 2, Fault: crash(1)}, func(r *Rank) error {
 			if r.ID() == 1 {
 				r.Compute(0.25)
 				r.Expose("w", []byte{1})
 				return nil
 			}
-			_, err := r.Get(1, "w").WaitInto(nil)
+			_, err := r.Get(1, "w").Wait()
 			return err
 		}, []survivor{{0, 1, 0.25 + detect}}},
 
-		{"WaitInto on an owner that unwound", Config{Ranks: 3, Fault: crash(2)}, func(r *Rank) error {
+		{"Wait on an owner that unwound", Config{Ranks: 3, Fault: crash(2)}, func(r *Rank) error {
 			switch r.ID() {
 			case 0:
-				_, err := r.Get(1, "w").WaitInto(nil)
+				_, err := r.Get(1, "w").Wait()
 				return err
 			case 1:
 				r.Recv(2) // unwinds before it exposes

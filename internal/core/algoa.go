@@ -48,9 +48,6 @@ type scanner struct {
 	scan scanState
 	// cache is the host-side per-run index memoizer (may be nil).
 	cache *indexCache
-	// dcomp and drecv are walkBlocks' host buffers: the transported block
-	// being scanned and the one arriving.
-	dcomp, drecv []byte
 	// ckpt and hits are the sweep's checkpoint scratch (blob, one list).
 	ckpt []byte
 	hits []topk.Hit
@@ -199,11 +196,11 @@ func finishRun(r *cluster.Rank, l *loaded, sh *shared, indices []int, loadSec, s
 //
 // With masking the walk holds Dcomp and Drecv together, as the paper's space
 // bound says: a transported block is released only after the next one has
-// arrived. On the host those are the scanner's two buffers, swapped on
-// arrival, so arrived and visit must not keep a reference into data once
-// they return (the run cache's decoders copy out of it).
+// arrived. The ledger charges both; on the host data is the owner's window
+// itself, read-only (cluster.Pending.Wait), so arrived and visit may keep
+// references into it but never write it.
 func (sn *scanner) walkBlocks(r *cluster.Rank, n int, at func(i int) (step, owner int, win string), masking bool, arrived, visit func(i int, data []byte) error) error {
-	var held int64               // footprint of the transported block in sn.dcomp
+	var held int64               // footprint of the transported block being visited
 	var pending *cluster.Pending // with masking, block i's get, issued before visit i−1
 	for i := 0; i < n; i++ {
 		step, owner, win := at(i)
@@ -213,16 +210,13 @@ func (sn *scanner) walkBlocks(r *cluster.Rank, n int, at func(i int) (step, owne
 		}
 		var data []byte
 		if pending != nil {
-			if masking { // the scanned block's buffer receives the next one
-				sn.dcomp, sn.drecv = sn.drecv, sn.dcomp
-			}
-			d, err := pending.WaitInto(sn.dcomp)
+			d, err := pending.Wait()
 			if err != nil {
 				return err
 			}
 			r.NoteAlloc(int64(len(d))) // Drecv materialized
 			r.NoteFree(held)           // the previous transported block released
-			sn.dcomp, data, held = d, d, int64(len(d))
+			data, held = d, int64(len(d))
 			if arrived != nil {
 				if err := arrived(i, d); err != nil {
 					return err

@@ -89,7 +89,7 @@ func algorithmBBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 		gsz := p - istart
 		if gsz > 0 {
 			// A rank below the sender group starts the cycle at its head.
-			candidates, err = bTransportLoop(r, l, opt, sorted, blockBytes, istart, gsz, max(id-istart, 0))
+			candidates, err = bTransportLoop(r, l, opt, sorted, istart, gsz, max(id-istart, 0))
 			if err != nil {
 				return err
 			}
@@ -101,7 +101,7 @@ func algorithmBBody(r *cluster.Rank, in Input, opt Options, sh *shared) error {
 // bTransportLoop walks the sender group, the n ranks first..first+n−1 from
 // first+start: each visit decodes the owner's sorted slice and scans the
 // queries whose window can reach it.
-func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Result, ownRaw []byte, first, n, start int) (int64, error) {
+func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Result, first, n, start int) (int64, error) {
 	id := r.ID()
 	var candidates int64
 	ownerAt := func(s int) int { return first + (start+s)%n }
@@ -111,12 +111,12 @@ func bTransportLoop(r *cluster.Rank, l *loaded, opt Options, sorted *sortmz.Resu
 		// Each rank's sorted slice is unique within the run, so the owner rank
 		// is the block's cache identity — no content hashing per fetch. The
 		// resident slice is read through the cache like a transported one:
-		// whichever rank reaches a block first decodes it for all.
+		// whichever rank reaches a block first decodes it in place for all.
 		if owner == id {
-			data = ownRaw
+			data = sorted.Image
 		}
 		key := blockKey(owner, len(data))
-		cur, err := l.cache.seqsFor(key, data, owner == id)
+		cur, err := l.cache.seqsFor(key, data)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -267,16 +266,11 @@ func (b *seqBlock) idOf(gid int32) string {
 }
 
 // seqsFor decodes an Algorithm B sorted slice once per key. The records'
-// sequences alias the image they are decoded from. own marks the image a
-// rank exposes, which nothing writes again, so it is read in place; any
-// other is a transport buffer the next fetch overwrites, so it is cloned
-// first.
-func (c *indexCache) seqsFor(key cacheKey, raw []byte, own bool) (*seqBlock, error) {
+// sequences alias the image they are decoded from: an exposed window, which
+// nothing writes again.
+func (c *indexCache) seqsFor(key cacheKey, raw []byte) (*seqBlock, error) {
 	key.kind = kindSeqs
 	v, err := c.getOrBuild(key, func() (interface{}, error) {
-		if !own {
-			raw = bytes.Clone(raw)
-		}
 		img, err := sortmz.UnmarshalSeqs(raw)
 		if err != nil {
 			return nil, err

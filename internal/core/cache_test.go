@@ -13,60 +13,62 @@ import (
 	"pepscale/internal/sortmz"
 )
 
-// TestCachedDecodersDoNotAlias pins what lets the transport loops reuse their
-// two buffers: everything the run cache derives from a transported block is
-// copied out of the bytes, so overwriting the buffer with the next block
-// leaves the cached value as it was.
+// TestCachedDecodersDoNotAlias: a parsed FASTA block's records own their
+// bytes (the parse upper-cases and drops whitespace), so overwriting the
+// bytes leaves the cached records as they were. The other decoders alias the
+// window they decode (TestSeqsForReadsOwnImageInPlace,
+// TestCandsForReadsImageInPlace).
 func TestCachedDecodersDoNotAlias(t *testing.T) {
-	fastaImg := []byte(">sp|P1 first protein\nMKWVTFISLLK\nAAAR\n>sp|P2\nPEPTIDEKR\n")
-	seqImg := sortedImage(t, []sortmz.Seq{
-		{GID: 7, Rec: fasta.Record{ID: "sp|P1", Seq: []byte("MKWVTFISLLK")}},
-		{GID: 9, Rec: fasta.Record{ID: "sp|P2", Seq: []byte("PEPTIDEKR")}},
+	t.Run("recsFor", func(t *testing.T) {
+		img := []byte(">sp|P1 first protein\nMKWVTFISLLK\nAAAR\n>sp|P2\nPEPTIDEKR\n")
+		want, err := newIndexCache().recsFor(blockKey(0, len(img)), img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := newIndexCache()
+		buf := append([]byte(nil), img...)
+		if _, err := cache.recsFor(blockKey(0, len(buf)), buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = '#'
+		}
+		got, err := cache.recsFor(blockKey(0, len(buf)), buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("cached records changed with the bytes they were parsed from:\n got %v\nwant %v", got, want)
+		}
 	})
-	candImg, err := marshalCands([]candEntry{
+}
+
+// TestCandsForReadsImageInPlace: a candidate block is decoded without
+// copying its sequences, each a capped window of the image.
+func TestCandsForReadsImageInPlace(t *testing.T) {
+	want := []candEntry{
 		{Mass: 1200.5, GID: 7, ID: "sp|P1", Seq: []byte("MKWVTFISLLK"), Sites: []digest.ModSite{{Pos: 0, Mod: 1}}},
 		{Mass: 1300.25, GID: 9, ID: "sp|P2", Seq: []byte("PEPTIDEKR")},
-	})
+	}
+	img, err := marshalCands(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name   string
-		img    []byte
-		decode func(c *indexCache, raw []byte) (interface{}, error)
-	}{
-		{"recsFor", fastaImg, func(c *indexCache, raw []byte) (interface{}, error) { return c.recsFor(blockKey(0, len(raw)), raw) }},
-		{"seqsFor", seqImg, func(c *indexCache, raw []byte) (interface{}, error) {
-			b, err := c.seqsFor(blockKey(0, len(raw)), raw, false)
-			if err != nil {
-				return nil, err
-			}
-			return b.recs, nil
-		}},
-		{"candsFor", candImg, func(c *indexCache, raw []byte) (interface{}, error) { return c.candsFor(blockKey(0, len(raw)), raw) }},
+	got, err := newIndexCache().candsFor(blockKey(0, len(img)), img)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.decode(newIndexCache(), append([]byte(nil), tc.img...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cache := newIndexCache()
-			buf := append([]byte(nil), tc.img...)
-			if _, err := tc.decode(cache, buf); err != nil {
-				t.Fatal(err)
-			}
-			for i := range buf {
-				buf[i] = '#' // the next block lands in the same buffer
-			}
-			got, err := tc.decode(cache, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reflect.ValueOf(got).Len() == 0 || !reflect.DeepEqual(got, want) {
-				t.Errorf("cached value changed with the buffer it was decoded from:\n got %v\nwant %v", got, want)
-			}
-		})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %v, want %v", got, want)
+	}
+	lo, hi := uintptr(unsafe.Pointer(&img[0])), uintptr(unsafe.Pointer(&img[len(img)-1]))
+	for i, e := range got {
+		if at := uintptr(unsafe.Pointer(&e.Seq[0])); at < lo || at > hi {
+			t.Errorf("entry %d's sequence was copied out of the image", i)
+		}
+		if cap(e.Seq) != len(e.Seq) {
+			t.Errorf("entry %d's sequence has capacity %d beyond its length %d", i, cap(e.Seq), len(e.Seq))
+		}
 	}
 }
 
@@ -92,9 +94,10 @@ func sortedImage(t *testing.T, seqs []sortmz.Seq) []byte {
 	return img
 }
 
-// TestSeqsForReadsOwnImageInPlace: a rank's own exposed image is decoded
-// without a copy, every record's sequence a capped window of it, and idOf
-// finds each record's ID by gid and names an unknown gid by number.
+// TestSeqsForReadsOwnImageInPlace: an exposed image, a rank's own or a
+// fetched one, is decoded without a copy, every record's sequence a capped
+// window of it, and idOf finds each record's ID by gid and names an unknown
+// gid by number.
 func TestSeqsForReadsOwnImageInPlace(t *testing.T) {
 	seqs := []sortmz.Seq{
 		{GID: 30, Rec: fasta.Record{ID: "sp|P3", Seq: []byte("GGGGGGGGGGGK")}},
@@ -102,7 +105,7 @@ func TestSeqsForReadsOwnImageInPlace(t *testing.T) {
 		{GID: 12, Rec: fasta.Record{ID: "", Seq: []byte("AK")}},
 	}
 	img := sortedImage(t, seqs)
-	b, err := newIndexCache().seqsFor(blockKey(0, len(img)), img, true)
+	b, err := newIndexCache().seqsFor(blockKey(0, len(img)), img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,8 @@ func marshalCands(entries []candEntry) ([]byte, error) {
 	return out, nil
 }
 
+// unmarshalCands decodes candidate entries; each Seq is a capped window of
+// buf, which the caller never writes again (an exposed window).
 func unmarshalCands(buf []byte) ([]candEntry, error) {
 	var out []candEntry
 	r := wire.NewReader(buf, errWire)
@@ -66,7 +68,7 @@ func unmarshalCands(buf []byte) ([]candEntry, error) {
 		e := candEntry{Mass: r.F64(), GID: int32(r.U32())}
 		idLen, seqLen, nSites := int(r.U8()), int(r.U8()), int(r.U8())
 		e.ID = string(r.Bytes(idLen))
-		e.Seq = append(make([]byte, 0, seqLen), r.Bytes(seqLen)...)
+		e.Seq = r.Bytes(seqLen)
 		if nSites > 0 {
 			e.Sites = make([]digest.ModSite, nSites)
 		}

@@ -501,3 +501,20 @@ func TestBSenderGroupSavesBytes(t *testing.T) {
 	rb, _ := Run(AlgoB, clusterCfg(6), in, opt)
 	queriesEqual(t, "heavy", ra.Queries, rb.Queries)
 }
+
+// TestOverlongIDRefused: a record whose ID does not fit Algorithm B's 16-bit
+// ID length is refused at the parse, naming the record, whatever the engine,
+// before Algorithm B could write a truncated sequence image.
+func TestOverlongIDRefused(t *testing.T) {
+	in := testInput(t, 20, 2)
+	db := append([]byte(nil), in.DBData...)
+	at := len(db)
+	in.DBData = append(db, ">"+strings.Repeat("X", 70000)+" long\nPEPTIDEKMKWVTFISLLK\n"...)
+	for _, algo := range []Algorithm{AlgoA, AlgoB} {
+		_, err := Run(algo, clusterCfg(4), in, testOptions())
+		var long *fasta.IDTooLongError
+		if !errors.As(err, &long) || !errors.Is(err, fasta.ErrMalformed) || long.At != at || long.Len != 70000 {
+			t.Errorf("%v: Run = %v, want an IDTooLongError at byte %d", algo, err, at)
+		}
+	}
+}

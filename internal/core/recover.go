@@ -4,8 +4,8 @@
 // search on the survivors. It drives RunElastic (elastic.go), which replays
 // its membership schedule — on a static roster, simply cfg.Ranks members —
 // without the dead ranks, each group resuming at its last boundary checkpoint;
-// and RunWithRecovery, which has no checkpoints and restarts a standard engine
-// from scratch on the surviving rank count.
+// the tests' RunWithRecovery drives it too, restarting a standard engine from
+// scratch on the surviving rank count.
 package core
 
 import (
@@ -109,31 +109,4 @@ func recoverLoop(name string, universe, maxAttempts int, faults []*cluster.Fault
 		dead = append(dead, rep.FailedRanks...)
 		failedSec += mach.MaxTime()
 	}
-}
-
-// RunWithRecovery runs a standard engine (see Run) and, on a recoverable
-// rank failure, re-runs it from scratch on the surviving rank count. It is
-// the checkpoint-free fallback for engines without a resumable transport
-// loop (e.g. Algorithm B, whose counting sort has no epoch structure);
-// results are identical across rank counts, so a from-scratch re-run on
-// p−1 ranks reproduces the failure-free hits exactly.
-func RunWithRecovery(algo Algorithm, cfg cluster.Config, in Input, opt Options, faults []*cluster.FaultPlan, maxAttempts int) (*Result, *Recovery, error) {
-	if err := in.validate(opt); err != nil {
-		return nil, nil, err
-	}
-	return recoverLoop(algo.String(), cfg.Ranks, maxAttempts, faults, nil, func(dead []int, _ float64) (*attemptPlan, error) {
-		// The engines renumber survivors 0..p′−1, so only the count changes.
-		c := cfg
-		if c.Ranks -= len(dead); c.Ranks < 1 {
-			return nil, fmt.Errorf("core: all %d ranks failed", cfg.Ranks)
-		}
-		// A fresh cache per attempt: Algorithm B's block keys are
-		// owner-rank-relative and name different bytes at a different p′.
-		sh := newShared(c.Ranks, newIndexCache())
-		body, err := engineBody(algo, c, in, opt, sh)
-		if err != nil {
-			return nil, err
-		}
-		return &attemptPlan{cfg: c, ranks: c.Ranks, label: fmt.Sprintf("%s p=%d", algo, c.Ranks), sh: sh, body: body}, nil
-	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -286,4 +287,31 @@ func TestResilientSingleRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	queriesEqual(t, "single-rank", ref.Queries, res.Queries)
+}
+
+// RunWithRecovery runs a standard engine (see Run) and, on a recoverable
+// rank failure, re-runs it from scratch on the surviving rank count through
+// recoverLoop: the checkpoint-free restart of engines without a resumable
+// transport loop (e.g. Algorithm B, whose counting sort has no epoch
+// structure). Results are identical across rank counts, so a from-scratch
+// re-run on p−1 ranks reproduces the failure-free hits exactly.
+func RunWithRecovery(algo Algorithm, cfg cluster.Config, in Input, opt Options, faults []*cluster.FaultPlan, maxAttempts int) (*Result, *Recovery, error) {
+	if err := in.validate(opt); err != nil {
+		return nil, nil, err
+	}
+	return recoverLoop(algo.String(), cfg.Ranks, maxAttempts, faults, nil, func(dead []int, _ float64) (*attemptPlan, error) {
+		// The engines renumber survivors 0..p′−1, so only the count changes.
+		c := cfg
+		if c.Ranks -= len(dead); c.Ranks < 1 {
+			return nil, fmt.Errorf("core: all %d ranks failed", cfg.Ranks)
+		}
+		// A fresh cache per attempt: Algorithm B's block keys are
+		// owner-rank-relative and name different bytes at a different p′.
+		sh := newShared(c.Ranks, newIndexCache())
+		body, err := engineBody(algo, c, in, opt, sh)
+		if err != nil {
+			return nil, err
+		}
+		return &attemptPlan{cfg: c, ranks: c.Ranks, label: fmt.Sprintf("%s p=%d", algo, c.Ranks), sh: sh, body: body}, nil
+	})
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,4 +133,10 @@ func TestDigestParamsFingerprint(t *testing.T) {
 	if a == digestParamsFingerprint(b) {
 		t.Error("fingerprint should distinguish semi-tryptic")
 	}
+}
+
+// digestParamsFingerprint is referenced by tests to assert survey scopes
+// differ only in the intended knobs.
+func digestParamsFingerprint(p digest.Params) string {
+	return fmt.Sprintf("%d/%d-%d/%g-%g/%v/%d", p.MissedCleavages, p.MinLength, p.MaxLength, p.MinMass, p.MaxMass, p.SemiTryptic, len(p.Mods))
 }

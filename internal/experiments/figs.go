@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pepscale/internal/chem"
-	"pepscale/internal/digest"
 	"pepscale/internal/report"
 	"pepscale/internal/synth"
 )
@@ -153,10 +152,4 @@ func (c *Config) Fig4(grid Grid) (*report.Table, *report.Table, error) {
 	}
 	c.printf("%s\n", chart)
 	return ts, te, nil
-}
-
-// digestParamsFingerprint is referenced by tests to assert survey scopes
-// differ only in the intended knobs.
-func digestParamsFingerprint(p digest.Params) string {
-	return fmt.Sprintf("%d/%d-%d/%g-%g/%v/%d", p.MissedCleavages, p.MinLength, p.MaxLength, p.MinMass, p.MaxMass, p.SemiTryptic, len(p.Mods))
 }

@@ -29,6 +29,24 @@ type Record struct {
 // ErrMalformed is wrapped by parse errors.
 var ErrMalformed = errors.New("fasta: malformed input")
 
+// MaxIDLen is the longest record ID the parser accepts: Algorithm B's
+// sorted sequence image stores an ID's length in 16 bits.
+const MaxIDLen = 1<<16 - 1
+
+// IDTooLongError refuses a record, named by the offset of its '>' and the
+// first bytes of its ID, whose ID is longer than MaxIDLen. It wraps
+// ErrMalformed.
+type IDTooLongError struct {
+	At, Len int
+	Prefix  string
+}
+
+func (e *IDTooLongError) Error() string {
+	return fmt.Sprintf("%v: record at byte %d: ID %q… is %d bytes, above %d", ErrMalformed, e.At, e.Prefix, e.Len, MaxIDLen)
+}
+
+func (e *IDTooLongError) Unwrap() error { return ErrMalformed }
+
 // Parse reads all records from r.
 func Parse(r io.Reader) ([]Record, error) {
 	data, err := io.ReadAll(bufio.NewReader(r))
@@ -94,6 +112,9 @@ func parseRange(data []byte, start, end int) ([]Record, error) {
 		id, desc := splitHeader(header)
 		if id == "" {
 			return nil, fmt.Errorf("%w: empty header at byte %d", ErrMalformed, i)
+		}
+		if len(id) > MaxIDLen {
+			return nil, &IDTooLongError{At: i, Len: len(id), Prefix: id[:32]}
 		}
 		// The sequence body runs until the next header line or EOF. The
 		// byte before bodyStart is a newline, so a header may open it.

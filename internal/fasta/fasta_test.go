@@ -213,3 +213,26 @@ func TestHeaderWithTabs(t *testing.T) {
 		t.Errorf("tab header: %+v", recs[0])
 	}
 }
+
+// TestParseRefusesLongID: an ID of MaxIDLen bytes parses; one byte more is
+// refused with an IDTooLongError naming the record's offset and prefix.
+func TestParseRefusesLongID(t *testing.T) {
+	head := ">A\nMK\n"
+	for _, n := range []int{MaxIDLen, MaxIDLen + 1, 70000} {
+		in := head + ">" + strings.Repeat("Q", n) + " desc\nMKVL\n"
+		recs, err := ParseBytes([]byte(in))
+		if n <= MaxIDLen {
+			if err != nil || len(recs) != 2 || len(recs[1].ID) != n {
+				t.Errorf("ID of %d bytes: %d records, %v", n, len(recs), err)
+			}
+			continue
+		}
+		var long *IDTooLongError
+		if !errors.As(err, &long) || !errors.Is(err, ErrMalformed) || long.At != len(head) || long.Len != n {
+			t.Fatalf("ID of %d bytes: error %v, want an IDTooLongError at byte %d", n, err, len(head))
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"`+strings.Repeat("Q", 32)+`"…`) || !strings.Contains(msg, fmt.Sprint(n)) {
+			t.Errorf("error %q does not name the record", msg)
+		}
+	}
+}

@@ -46,6 +46,9 @@ func referenceParse(data []byte, start, end int) ([]fasta.Record, error) {
 		if id == "" {
 			return nil, fmt.Errorf("%w: empty header at byte %d", fasta.ErrMalformed, i)
 		}
+		if len(id) > fasta.MaxIDLen {
+			return nil, &fasta.IDTooLongError{At: i, Len: len(id), Prefix: id[:32]}
+		}
 		bodyEnd := bodyStart
 		for bodyEnd < len(data) {
 			if data[bodyEnd] == '>' && (bodyEnd == 0 || data[bodyEnd-1] == '\n') {

@@ -277,3 +277,12 @@ func TestSteadyStateIngestAllocs(t *testing.T) {
 		t.Errorf("steady-state Submit allocates %.2f objects per call, want 0", avg)
 	}
 }
+
+// TenantMetrics returns one tenant's admission counters.
+func (s *Server) TenantMetrics(name string) (TenantStats, bool) {
+	tn := s.tenants[name]
+	if tn == nil {
+		return TenantStats{}, false
+	}
+	return tn.stats, true
+}

@@ -501,15 +501,6 @@ func (s *Server) Completions() []Completion { return s.comps }
 // Metrics returns the service counters so far.
 func (s *Server) Metrics() ServiceStats { return s.stats }
 
-// TenantMetrics returns one tenant's admission counters.
-func (s *Server) TenantMetrics(name string) (TenantStats, bool) {
-	tn := s.tenants[name]
-	if tn == nil {
-		return TenantStats{}, false
-	}
-	return tn.stats, true
-}
-
 // Members returns the current member ranks.
 func (s *Server) Members() []int { return append([]int(nil), s.members...) }
 

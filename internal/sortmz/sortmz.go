@@ -293,7 +293,9 @@ const recordHeader = 4 + 4 + 2 + 4
 // recordSize is the bytes appendSeq writes for s.
 func recordSize(s Seq) int { return recordHeader + len(s.Rec.ID) + len(s.Rec.Seq) }
 
-// appendSeq appends s to a sequence image: the format's one encoder.
+// appendSeq appends s to a sequence image: the format's one encoder. An ID's
+// length fits its u16 field because the FASTA parser refuses an ID longer
+// than fasta.MaxIDLen.
 func appendSeq(dst []byte, s Seq) []byte {
 	dst = wire.U32(dst, uint32(s.GID))
 	dst = wire.U32(dst, uint32(s.Key))

@@ -243,8 +243,8 @@ func (rec *Recorder) Snapshot(label string) *Attempt {
 }
 
 // Attempt is the immutable trace of one machine run: Events[r] is rank r's
-// timeline in program order. The recovery drivers (core.RunElastic,
-// core.RunWithRecovery) produce one Attempt per retry, so a chaos trace shows the crash, the survivors'
+// timeline in program order. The recovery driver (core.RunElastic) produces
+// one Attempt per retry, so a chaos trace shows the crash, the survivors'
 // detection stalls, and the re-partitioned re-run side by side.
 type Attempt struct {
 	// Label describes the run (engine, rank count, attempt number).
