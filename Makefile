@@ -100,7 +100,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestIndexCacheSingleFlight' ./internal/core/
 	$(GO) test -race -count=20 -run 'GatherAndAllgather|CommAllgather|CollectiveWakesLinear|CrashWhileParkedAtBarrier|TwoCrashesOneOutcome|TestRMAGetData|TestWaitAllocs' ./internal/cluster/
-	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints|TestIndexConcurrentFirstTouch|TestRanksShareColdIndex' ./internal/core/ ./internal/serve/ ./internal/digest/
+	$(GO) test -race -count=20 -run 'TestEngineFingerprints|TestServeFingerprints|TestIndexConcurrentFirstTouch|TestIndexProteinAndSitesEveryPosition|TestRanksShareColdIndex' ./internal/core/ ./internal/serve/ ./internal/digest/
 	$(GO) test -race -count=5 -run 'TestPrepTable|TestBackendWarmTableMatchesSerial|TestBackendQuantumAllocBudget|TestCheckpointAllocFree|TestHeapAllocatedOnce|TestStoreConcurrentPutGet' ./internal/core/ ./internal/topk/ ./internal/ckpt/
 	$(GO) test -race -count=10 -run 'TestDelivery' ./internal/serve/
 

@@ -249,7 +249,7 @@ func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Inde
 			}
 
 			if !pepReady {
-				pep, pepReady = ix.At(i), true
+				pep, pepReady = ix.Candidate(i), true
 			}
 			if !deltasReady {
 				deltas = pep.AppendModDeltas(ss.deltaBuf, mods)
@@ -296,6 +296,7 @@ func (ss *scanState) scan(qs []*score.Query, lists []*topk.List, ix *digest.Inde
 					continue
 				}
 				if !strsReady {
+					pep.Protein = ix.Protein(i)
 					annotated = pep.Annotated(mods)
 					proteinID = idOf(pep.Protein)
 					strsReady = true

@@ -262,13 +262,13 @@ func (d *digester) run(seq []byte, cuts []int, emit emitFunc) {
 	}
 }
 
-// bound returns upper bounds on the entries and modification sites run
-// emits for seq, given its cleavage sites: run's spans and semi-tryptic
-// forms within the length limits, each with its modification variants,
-// counted from the modifiable residues it holds. It sums no mass, so it
-// does not know which candidates the mass window or a non-standard residue
-// drops.
-func (d *digester) bound(seq []byte, cuts []int) (ents, sites int) {
+// bound returns upper bounds on the entries, the modified entries among
+// them and the modification sites run emits for seq, given its cleavage
+// sites: run's spans and semi-tryptic forms within the length limits, each
+// with its modification variants, counted from the modifiable residues it
+// holds. It sums no mass, so it does not know which candidates the mass
+// window or a non-standard residue drops.
+func (d *digester) bound(seq []byte, cuts []int) (ents, modEnts, sites int) {
 	p := &d.p
 	mods := len(p.Mods) > 0 && p.MaxModsPerPeptide > 0
 	if mods {
@@ -289,7 +289,7 @@ func (d *digester) bound(seq []byte, cuts []int) (ents, sites int) {
 		ents++
 		if mods {
 			v, s := d.variants(int(d.siteCum[end] - d.siteCum[start]))
-			ents, sites = ents+v, sites+s
+			ents, modEnts, sites = ents+v, modEnts+v, sites+s
 		}
 	}
 	for i := 0; i+1 < len(cuts); i++ {
@@ -311,7 +311,7 @@ func (d *digester) bound(seq []byte, cuts []int) (ents, sites int) {
 			}
 		}
 	}
-	return ents, sites
+	return ents, modEnts, sites
 }
 
 // variants bounds the modified variants expandMods emits for a peptide with

@@ -409,19 +409,22 @@ func TestBoundCoversDigest(t *testing.T) {
 		{"short, three missed", Params{MissedCleavages: 3, MinLength: 1, MaxLength: 12, MaxMass: 1e9}, true, true},
 	}
 	for _, c := range cases {
-		ents, sites := 0, 0
+		ents, modEnts, sites := 0, 0, 0
 		d := newDigester(c.p)
 		for _, rec := range recs {
 			cuts := appendCleavageSites(nil, rec.Seq)
-			e, s := d.bound(rec.Seq, cuts)
-			ents, sites = ents+e, sites+s
+			e, m, s := d.bound(rec.Seq, cuts)
+			ents, modEnts, sites = ents+e, modEnts+m, sites+s
 			d.run(rec.Seq, cuts, func(_, _ int, _ float64, s []ModSite) {
 				ents--
+				if len(s) > 0 {
+					modEnts--
+				}
 				sites -= len(s)
 			})
 		}
-		if ents < 0 || sites < 0 || c.exact && ents != 0 || c.exactSites && sites != 0 {
-			t.Errorf("%s: bound exceeds the digest by %d entries and %d sites", c.name, ents, sites)
+		if ents < 0 || modEnts < 0 || sites < 0 || c.exact && (ents != 0 || modEnts != 0) || c.exactSites && sites != 0 {
+			t.Errorf("%s: bound exceeds the digest by %d entries, %d modified entries and %d sites", c.name, ents, modEnts, sites)
 		}
 	}
 }

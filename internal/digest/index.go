@@ -14,30 +14,45 @@ import (
 )
 
 // Index is a mass-sorted candidate store for one database block, laid out
-// flat: one residue arena, one column of fixed-size entries pointing into
-// it, and one column of modification sites. At builds the Peptide view of an
-// entry on the fly. A large block is sorted one mass bucket at a time (see
-// sort and At).
+// flat: one residue arena, one column of 16-byte entries pointing into it,
+// the runs of the arena that belong to one protein, and, for the modified
+// entries, a column of (arena offset, site offset) pairs into one column of
+// modification sites. At builds the Peptide view of an entry on the fly. A
+// large block is sorted one mass bucket at a time (see sort and At).
 type Index struct {
 	ents  []entry
 	arena []byte
+	runs  []run
+	mods  []modRef
 	sites []ModSite
 	lazy  *buckets // nil when the build sorted every entry
 }
 
-// entry is one candidate: arena[off:off+n] at mass, with sites
-// [siteOff, siteOff+nSites) applied.
+// entry is one candidate of n residues at mass. An unmodified entry's
+// residues are arena[ref:ref+n]; a modified one's ref indexes mods, which
+// holds its arena offset and where its nSites sites start.
 type entry struct {
-	mass    float64
-	off     uint32
-	protein int32
-	siteOff uint32
-	n       uint16
-	nSites  uint16
+	mass   float64
+	ref    uint32
+	n      uint16
+	nSites uint16
+}
+
+type modRef struct{ off, siteOff uint32 }
+
+// run is the stretch of the arena from start to the next run's start,
+// whose candidates are all of protein gid. A candidate's protein is the
+// last run starting at or before its arena offset: an earlier run of the
+// same start is empty.
+type run struct {
+	start uint32
+	gid   int32
 }
 
 // TooLargeError reports a block that does not fit the index's 32-bit residue
-// and site offsets, or a peptide that does not fit its 16-bit lengths.
+// and site offsets, or a peptide that does not fit its 16-bit lengths. Every
+// modified entry carries a site, so a block whose sites fit also fits the
+// 32-bit references to its modified entries.
 type TooLargeError struct {
 	What   string // "block residues", "block mod sites", "peptide length" or "peptide mod sites"
 	N, Max int64
@@ -86,26 +101,23 @@ func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
 	// than 64.
 	var buf [64]int
 	cuts := buf[:0]
-	ents, sites := 0, 0
+	ents, modEnts, sites := 0, 0, 0
 	for _, rec := range recs {
 		cuts = appendCleavageSites(cuts[:0], rec.Seq)
-		e, s := d.bound(rec.Seq, cuts)
-		ents, sites = ents+e, sites+s
+		e, m, s := d.bound(rec.Seq, cuts)
+		ents, modEnts, sites = ents+e, modEnts+m, sites+s
 	}
 	if err := checkFits("block mod sites", int64(sites), math.MaxUint32); err != nil {
 		return nil, err
 	}
-	ix := &Index{ents: make([]entry, 0, ents), arena: make([]byte, 0, residues)}
-	if sites > 0 {
-		ix.sites = make([]ModSite, 0, sites)
-	}
+	ix := newColumns(ents, residues, len(recs), modEnts, sites)
 	var base int
-	var gid int32
 	fill := func(start, end int, mass float64, sites []ModSite) {
-		ix.add(base+start, end-start, gid, mass, sites)
+		ix.add(base+start, end-start, mass, sites)
 	}
 	for i, rec := range recs {
-		base, gid = len(ix.arena), gids[i]
+		base = len(ix.arena)
+		ix.addRun(base, gids[i])
 		ix.arena = append(ix.arena, rec.Seq...)
 		cuts = appendCleavageSites(cuts[:0], rec.Seq)
 		d.run(rec.Seq, cuts, fill)
@@ -117,13 +129,15 @@ func NewIndexIDs(recs []fasta.Record, gids []int32, p Params) (*Index, error) {
 // IndexFromFunc builds an index directly from the n pre-generated peptides
 // at(0..n-1) — the path used where candidates arrive already digested (the
 // candidate-transport engine's wire entries). The peptides are copied into
-// the index's own storage in the index order. at is called twice per
-// peptide: once to size the columns, once to fill them.
+// the index's own storage in the index order, each run of equal proteins
+// one run of the arena. at is called twice per peptide: once to size the
+// columns, once to fill them.
 func IndexFromFunc(n int, at func(i int) Peptide, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var residues, sites int64
+	var residues, runs, modEnts, sites int64
+	var prev int32
 	for i := 0; i < n; i++ {
 		pep := at(i)
 		if err := checkFits("peptide length", int64(len(pep.Seq)), math.MaxUint16); err != nil {
@@ -132,7 +146,16 @@ func IndexFromFunc(n int, at func(i int) Peptide, p Params) (*Index, error) {
 		if err := checkFits("peptide mod sites", int64(len(pep.Sites)), math.MaxUint16); err != nil {
 			return nil, err
 		}
-		residues += int64(len(pep.Seq))
+		// An empty peptide holds one unused byte of the arena, so the run
+		// it may start does not share its start with the next.
+		residues += int64(max(len(pep.Seq), 1))
+		if i == 0 || pep.Protein != prev {
+			runs++
+		}
+		prev = pep.Protein
+		if len(pep.Sites) > 0 {
+			modEnts++
+		}
 		sites += int64(len(pep.Sites))
 	}
 	if err := checkFits("block residues", residues, math.MaxUint32); err != nil {
@@ -141,26 +164,48 @@ func IndexFromFunc(n int, at func(i int) Peptide, p Params) (*Index, error) {
 	if err := checkFits("block mod sites", sites, math.MaxUint32); err != nil {
 		return nil, err
 	}
-	ix := &Index{ents: make([]entry, 0, n), arena: make([]byte, 0, residues)}
-	if sites > 0 {
-		ix.sites = make([]ModSite, 0, sites)
-	}
+	ix := newColumns(n, int(residues), int(runs), int(modEnts), int(sites))
 	for i := 0; i < n; i++ {
 		pep := at(i)
-		ix.add(len(ix.arena), len(pep.Seq), pep.Protein, pep.Mass, pep.Sites)
+		ix.addRun(len(ix.arena), pep.Protein)
+		ix.add(len(ix.arena), len(pep.Seq), pep.Mass, pep.Sites)
 		ix.arena = append(ix.arena, pep.Seq...)
+		if len(pep.Seq) == 0 {
+			ix.arena = append(ix.arena, 0)
+		}
 	}
 	ix.sort()
 	return ix, nil
 }
 
+// newColumns allocates an empty index whose columns hold the given counts;
+// an unmodified build allocates no modification columns.
+func newColumns(ents, residues, runs, modEnts, sites int) *Index {
+	ix := &Index{ents: make([]entry, 0, ents), arena: make([]byte, 0, residues), runs: make([]run, 0, runs)}
+	if modEnts > 0 {
+		ix.mods = make([]modRef, 0, modEnts)
+		ix.sites = make([]ModSite, 0, sites)
+	}
+	return ix
+}
+
+// addRun records that the arena from start on holds protein gid's
+// candidates; a run of the same protein goes on.
+func (ix *Index) addRun(start int, gid int32) {
+	if n := len(ix.runs); n == 0 || ix.runs[n-1].gid != gid {
+		ix.runs = append(ix.runs, run{start: uint32(start), gid: gid})
+	}
+}
+
 // add appends the candidate arena[off:off+n] with its sites.
-func (ix *Index) add(off, n int, protein int32, mass float64, sites []ModSite) {
-	ix.ents = append(ix.ents, entry{
-		mass: mass, off: uint32(off), protein: protein,
-		siteOff: uint32(len(ix.sites)), n: uint16(n), nSites: uint16(len(sites)),
-	})
-	ix.sites = append(ix.sites, sites...)
+func (ix *Index) add(off, n int, mass float64, sites []ModSite) {
+	ref := uint32(off)
+	if len(sites) > 0 {
+		ref = uint32(len(ix.mods))
+		ix.mods = append(ix.mods, modRef{off: uint32(off), siteOff: uint32(len(ix.sites))})
+		ix.sites = append(ix.sites, sites...)
+	}
+	ix.ents = append(ix.ents, entry{mass: mass, ref: ref, n: uint16(n), nSites: uint16(len(sites))})
 }
 
 // massKey maps a mass to a uint64 whose unsigned order is the float order.
@@ -363,26 +408,32 @@ func (ix *Index) compare(a, b *entry) int {
 	if c := cmp.Compare(massKey(a.mass), massKey(b.mass)); c != 0 {
 		return c
 	}
-	if c := bytes.Compare(ix.seq(a), ix.seq(b)); c != 0 {
+	va, vb := ix.view(*a), ix.view(*b)
+	if c := bytes.Compare(va.Seq, vb.Seq); c != 0 {
 		return c
 	}
-	return cmp.Or(cmp.Compare(a.protein, b.protein), cmp.Compare(a.nSites, b.nSites),
-		slices.CompareFunc(ix.sitesOf(a), ix.sitesOf(b), func(x, y ModSite) int {
+	return cmp.Or(cmp.Compare(ix.protein(a), ix.protein(b)), cmp.Compare(a.nSites, b.nSites),
+		slices.CompareFunc(va.Sites, vb.Sites, func(x, y ModSite) int {
 			return cmp.Or(cmp.Compare(x.Pos, y.Pos), cmp.Compare(x.Mod, y.Mod))
 		}))
 }
 
-func (ix *Index) seq(e *entry) []byte {
-	end := e.off + uint32(e.n)
-	return ix.arena[e.off:end:end]
-}
-
-func (ix *Index) sitesOf(e *entry) []ModSite {
-	if e.nSites == 0 {
-		return nil
+// protein finds the run of e's residues by binary search.
+func (ix *Index) protein(e *entry) int32 {
+	off := e.ref
+	if e.nSites != 0 {
+		off = ix.mods[e.ref].off
 	}
-	end := e.siteOff + uint32(e.nSites)
-	return ix.sites[e.siteOff:end:end]
+	lo, hi := 0, len(ix.runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ix.runs[mid].start <= off {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return ix.runs[lo-1].gid
 }
 
 // Len returns the number of indexed candidate peptides.
@@ -392,9 +443,32 @@ func (ix *Index) Len() int { return len(ix.ents) }
 // index's storage and must not be modified. i must lie in a window this
 // index returned, or the index must have been through SortAll.
 func (ix *Index) At(i int) Peptide {
-	e := &ix.ents[i]
-	return Peptide{Seq: ix.seq(e), Protein: e.protein, Mass: e.mass, Sites: ix.sitesOf(e)}
+	pep := ix.Candidate(i)
+	pep.Protein = ix.Protein(i)
+	return pep
 }
+
+// Candidate is At without the protein, whose lookup is a binary search
+// over the block's runs: its Protein is -1, and Protein(i) resolves it.
+// The sweep reads every candidate's residues, mass and sites, and the
+// protein of a hit only.
+func (ix *Index) Candidate(i int) Peptide { return ix.view(ix.ents[i]) }
+
+// view is e's Peptide without its protein.
+func (ix *Index) view(e entry) Peptide {
+	off, pep := e.ref, Peptide{Protein: -1, Mass: e.mass}
+	if e.nSites != 0 {
+		m := ix.mods[e.ref]
+		end := m.siteOff + uint32(e.nSites)
+		off, pep.Sites = m.off, ix.sites[m.siteOff:end:end]
+	}
+	end := off + uint32(e.n)
+	pep.Seq = ix.arena[off:end:end]
+	return pep
+}
+
+// Protein returns At(i).Protein, under At's condition on i.
+func (ix *Index) Protein(i int) int32 { return ix.protein(&ix.ents[i]) }
 
 // SeqLen returns len(At(i).Seq) without building the view, under At's
 // condition on i.

@@ -206,24 +206,27 @@ func TestIndexSortsAnyMass(t *testing.T) {
 }
 
 // indexShapes are the builds BenchmarkNewIndex times, with the allocation
-// ceiling of one NewIndex call in bytes for n peptides where one is set: a
-// 1,500-record block (batch_sparse's shape), a 2-record block
-// (scale_wide's, which builds a thousand of them per search, so its fixed
-// cost counts), the whole-database build core.Serial does, and 150-record
-// blocks digested with Oxidation(M) and Phospho(STY) (two per peptide) and
+// ceiling of one NewIndex call in bytes for n peptides: a 1,500-record
+// block (batch_sparse's shape), a 2-record block (scale_wide's, which
+// builds a thousand of them per search, so its fixed cost counts), the
+// whole-database build core.Serial does, and 150-record blocks digested
+// with Oxidation(M) and Phospho(STY) (two per peptide) and
 // semi-tryptically, whose columns are sized by bounds that count
-// modification variants and prefixes and suffixes.
+// modification variants and prefixes and suffixes. The unmodified budgets
+// of 24 B per peptide are what a 24-byte entry alone would take, beside
+// its share of the arena; the mods budget holds the side column of
+// modified entries to its presized 8 B each.
 var indexShapes = []struct {
 	name   string
 	recs   int
 	p      digest.Params
 	budget func(n int) float64
 }{
-	{"block=1500", 1500, digest.DefaultParams(), func(n int) float64 { return 96 * float64(n) }},
-	{"block=2", 2, digest.DefaultParams(), func(n int) float64 { return 4096 + 64*float64(n) }},
-	{"whole=12000", 12000, digest.DefaultParams(), nil},
-	{"mods,block=150", 150, modParams(), func(n int) float64 { return 64 * float64(n) }},
-	{"semi,block=150", 150, semiParams(), func(n int) float64 { return 64 * float64(n) }},
+	{"block=1500", 1500, digest.DefaultParams(), func(n int) float64 { return 24 * float64(n) }},
+	{"block=2", 2, digest.DefaultParams(), func(n int) float64 { return 4096 + 24*float64(n) }},
+	{"whole=12000", 12000, digest.DefaultParams(), func(n int) float64 { return 24 * float64(n) }},
+	{"mods,block=150", 150, modParams(), func(n int) float64 { return 40 * float64(n) }},
+	{"semi,block=150", 150, semiParams(), func(n int) float64 { return 24 * float64(n) }},
 }
 
 func modParams() digest.Params {
@@ -254,9 +257,6 @@ func buildAllocBytes(tb testing.TB, recs []fasta.Record, p digest.Params) (bytes
 
 func TestNewIndexAllocBudget(t *testing.T) {
 	for _, c := range indexShapes {
-		if c.budget == nil {
-			continue
-		}
 		got, ix := buildAllocBytes(t, benchDB(c.recs, 7), c.p)
 		if max := c.budget(ix.Len()); float64(got) > max {
 			t.Errorf("%s: NewIndex allocated %d B for %d peptides (%.1f B/peptide), budget %.0f B",
@@ -274,7 +274,7 @@ func BenchmarkNewIndex(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			recs := benchDB(c.recs, 7)
 			bytes, ix := buildAllocBytes(b, recs, c.p)
-			if c.budget != nil && float64(bytes) > c.budget(ix.Len()) {
+			if float64(bytes) > c.budget(ix.Len()) {
 				b.Fatalf("NewIndex allocated %d B for %d peptides, budget %.0f B", bytes, ix.Len(), c.budget(ix.Len()))
 			}
 			var peptides int

@@ -187,13 +187,16 @@ func eagerWindow(ref []Peptide, lo, hi float64) (start, end int) {
 		sort.Search(len(ref), func(i int) bool { return ref[i].Mass > hi })
 }
 
-// sameAt reports the first position of [start, end) where At or SeqLen
-// differs from the reference, field for field (mass by bits), or -1.
+// sameAt reports the first position of [start, end) where At, Candidate,
+// Protein or SeqLen differs from the reference, field for field (mass by
+// bits), or -1.
 func sameAt(ix *Index, ref []Peptide, start, end int) int {
 	for i := start; i < end; i++ {
-		g, w := ix.At(i), ref[i]
+		g, c, w := ix.At(i), ix.Candidate(i), ref[i]
 		if math.Float64bits(g.Mass) != math.Float64bits(w.Mass) || !bytes.Equal(g.Seq, w.Seq) ||
-			g.Protein != w.Protein || !slices.Equal(g.Sites, w.Sites) || ix.SeqLen(i) != len(w.Seq) {
+			g.Protein != w.Protein || !slices.Equal(g.Sites, w.Sites) || ix.SeqLen(i) != len(w.Seq) ||
+			ix.Protein(i) != w.Protein || c.Protein != -1 || math.Float64bits(c.Mass) != math.Float64bits(w.Mass) ||
+			!bytes.Equal(c.Seq, w.Seq) || !slices.Equal(c.Sites, w.Sites) || (c.Sites == nil) != (w.Sites == nil) {
 			return i
 		}
 	}
@@ -406,4 +409,139 @@ func TestIndexConcurrentFirstTouch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestIndexProteinAndSitesEveryPosition holds the protein, which the index
+// finds from a candidate's arena offset through its runs, and the sites of
+// a modified candidate, found through its side column, to the peptides the
+// digester emits, at every position: in blocks whose first and last
+// records hold candidates, with empty records (first, last, and ones that
+// share their arena start with the next), runs of equal gids, Algorithm B's
+// non-monotone gids and Oxidation(M)+Phospho(STY); and in IndexFromFunc
+// builds of alternating and repeated proteins, empty peptides among them;
+// each built eagerly (fewer than wholeSortMax entries) and lazily. Two
+// goroutines sweep each cold index at once before every position is read
+// after SortAll.
+func TestIndexProteinAndSitesEveryPosition(t *testing.T) {
+	mods := DefaultParams()
+	mods.Mods = []chem.Mod{chem.OxidationM, chem.PhosphoSTY}
+	mods.MaxModsPerPeptide = 2
+	seqs := func(n, maxLen int, seed uint64) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = randomProtein(seed+uint64(i)*29, maxLen)
+		}
+		return out
+	}
+	type layout struct {
+		name string
+		seqs [][]byte
+		gids []int32
+	}
+	gids := func(m int, gid func(i int) int32) []int32 {
+		g := make([]int32, m)
+		for i := range g {
+			g[i] = gid(i)
+		}
+		return g
+	}
+	ascending := func(i int) int32 { return 100 + int32(i) }
+	layouts := func(n, maxLen int) []layout {
+		edges := seqs(n, maxLen, 3)
+		empties := seqs(n, maxLen, 5)
+		empties[0], empties[n/2], empties[n-1] = nil, nil, nil
+		empties = slices.Insert(empties, n/3, nil, nil)
+		return []layout{
+			{"edges", edges, gids(n, ascending)},
+			{"empties", empties, gids(len(empties), ascending)},
+			{"equal-gids", edges, gids(n, func(i int) int32 { return 100 + int32(i/3) })},
+			{"scrambled", empties, gids(len(empties), func(i int) int32 { return int32((i*7919 + 13) % 10007) })},
+		}
+	}
+	type build struct {
+		name  string
+		peps  []Peptide
+		build func() (*Index, error)
+	}
+	var builds []build
+	for _, size := range []struct {
+		name      string
+		n, maxLen int
+	}{{"eager", 5, 100}, {"lazy", 45, 300}} {
+		for _, pc := range []struct {
+			name string
+			p    Params
+		}{{"plain", DefaultParams()}, {"mods", mods}} {
+			for _, l := range layouts(size.n, size.maxLen) {
+				recs := make([]fasta.Record, len(l.seqs))
+				var peps []Peptide
+				for i, seq := range l.seqs {
+					recs[i] = fasta.Record{ID: "r", Seq: seq}
+					Digest(seq, l.gids[i], pc.p, func(pep Peptide) { peps = append(peps, pep) })
+				}
+				if l.name == "edges" && (len(peps) == 0 || !slices.ContainsFunc(peps, func(pep Peptide) bool { return pep.Protein == l.gids[len(l.gids)-1] })) {
+					t.Fatalf("%s: the first or last record has no candidates", l.name)
+				}
+				p := pc.p
+				builds = append(builds, build{fmt.Sprintf("%s/%s/%s", size.name, pc.name, l.name), peps,
+					func() (*Index, error) { return NewIndexIDs(recs, l.gids, p) }})
+			}
+		}
+	}
+	// Pre-digested peptides whose protein alternates, or repeats in runs of
+	// three, from one position to the next; every seventh is empty.
+	for _, b := range slices.Clone(builds) {
+		if !strings.HasSuffix(b.name, "/edges") {
+			continue
+		}
+		for _, shape := range []struct {
+			name string
+			gid  func(i int) int32
+		}{{"alternating", func(i int) int32 { return int32(i % 2) }}, {"repeated", func(i int) int32 { return int32(i / 3) }}} {
+			peps := slices.Clone(b.peps)
+			for i := range peps {
+				peps[i].Protein = shape.gid(i)
+				if i%7 == 3 {
+					peps[i].Seq = peps[i].Seq[:0]
+				}
+			}
+			builds = append(builds, build{strings.TrimSuffix(b.name, "edges") + "from-func/" + shape.name, peps,
+				func() (*Index, error) { return IndexFromFunc(len(peps), func(i int) Peptide { return peps[i] }, mods) }})
+		}
+	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			ref := eagerOrder(b.peps)
+			ix, err := b.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ix.Len() != len(ref) {
+				t.Fatalf("Len = %d, reference %d", ix.Len(), len(ref))
+			}
+			if lazy := strings.HasPrefix(b.name, "lazy"); ix.Len() == 0 || lazy != (ix.lazy != nil) {
+				t.Fatalf("%d entries: lazy = %v, want %v", ix.Len(), ix.lazy != nil, lazy)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					hs, he := 0, 0
+					for m := 400 + 30*float64(g); m < 5100; m += 40 {
+						hs, he = ix.WindowFrom(hs, he, m-25, m+25)
+						if i := sameAt(ix, ref, hs, he); i >= 0 {
+							t.Errorf("goroutine %d: At(%d) = %+v, Protein %d, reference %+v", g, i, ix.At(i), ix.Protein(i), ref[i])
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			ix.SortAll()
+			if i := sameAt(ix, ref, 0, len(ref)); i >= 0 {
+				t.Fatalf("At(%d) = %+v, Protein %d, reference %+v", i, ix.At(i), ix.Protein(i), ref[i])
+			}
+		})
+	}
 }

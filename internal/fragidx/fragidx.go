@@ -151,7 +151,7 @@ func (x *Index) buildTier(maxZ int) *Tier {
 	var prefix, deltaBuf, nullDel []float64
 	var nullPep []byte
 	for ord := 0; ord < n; ord++ {
-		pep := x.src.At(ord)
+		pep := x.src.Candidate(ord)
 		deltas := pep.AppendModDeltas(deltaBuf, x.mods)
 		if deltas != nil {
 			deltaBuf = deltas

@@ -310,16 +310,16 @@ func TestFragmentsWithMods(t *testing.T) {
 }
 
 // TestAppendBinsMatchesFragments is AppendBins' contract: across precursor
-// and fragment charges, modifications, both mass scales and the degenerate
-// lengths, it yields exactly the BinIndex of every AppendFragments m/z,
-// appended after what dst already holds, with the scratch reused from one
-// peptide to the next.
+// and fragment charges, modifications, both mass scales, the degenerate
+// lengths and bin widths from 0.001 to 10, it yields exactly the BinIndex of
+// every AppendFragments m/z, appended after what dst already holds, with the
+// scratch reused from one peptide to the next.
 func TestAppendBinsMatchesFragments(t *testing.T) {
 	const residues = "ACDEFGHIKLMNPQRSTVWY"
 	rng := rand.New(rand.NewPCG(5, 9))
 	var got []int32
 	var prefix []float64
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 10000; trial++ {
 		n := []int{0, 1, 2, 3, 40}[trial%5]
 		pep := make([]byte, n)
 		for i := range pep {
@@ -339,15 +339,40 @@ func TestAppendBinsMatchesFragments(t *testing.T) {
 			opt.MassType = chem.Average
 		}
 		z := 1 + rng.IntN(4)
+		width := DefaultBinWidth
+		if trial%4 != 0 {
+			width = math.Pow(10, -3+4*rng.Float64())
+		}
 		head := []int32{-7}
 		want := head
 		for _, f := range AppendFragments(nil, pep, mods, z, opt) {
-			want = append(want, BinIndex(f.MZ, DefaultBinWidth))
+			want = append(want, BinIndex(f.MZ, width))
 		}
-		got, prefix = AppendBins(append(got[:0], head...), prefix, pep, mods, z, opt, DefaultBinWidth)
+		got, prefix = AppendBins(append(got[:0], head...), prefix, pep, mods, z, opt, width)
 		if !slices.Equal(got, want) {
-			t.Fatalf("pep %s mods %v z %d opt %+v:\nAppendBins %v\nfragments  %v", pep, mods, z, opt, got, want)
+			t.Fatalf("pep %s mods %v z %d opt %+v width %v:\nAppendBins %v\nfragments  %v", pep, mods, z, opt, width, got, want)
 		}
+	}
+}
+
+// BenchmarkAppendBins times one candidate's fragment bins: unmodified
+// peptides of 8 to 32 residues at precursor charges 2 and 3, the default
+// options and bin width, into reused buffers.
+func BenchmarkAppendBins(b *testing.B) {
+	const residues = "ACDEFGHIKLMNPQRSTVWY"
+	rng := rand.New(rand.NewPCG(3, 11))
+	peps := make([][]byte, 64)
+	for i := range peps {
+		peps[i] = make([]byte, 8+rng.IntN(25))
+		for j := range peps[i] {
+			peps[i][j] = residues[rng.IntN(len(residues))]
+		}
+	}
+	var bins []int32
+	var prefix []float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bins, prefix = AppendBins(bins[:0], prefix, peps[i%len(peps)], nil, 2+i%2, DefaultTheoretical, DefaultBinWidth)
 	}
 }
 

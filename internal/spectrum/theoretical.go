@@ -1,6 +1,8 @@
 package spectrum
 
 import (
+	"slices"
+
 	"pepscale/internal/chem"
 )
 
@@ -164,22 +166,31 @@ func AppendBins(dst []int32, prefix []float64, pep []byte, modDeltas []float64, 
 	}
 	// prefix[k] is the mass of residues [0,k), summed left to right as
 	// AppendFragments sums them, so prefix[n] is its total bit for bit.
-	prefix = append(prefix[:0], 0)
+	prefix = slices.Grow(prefix[:0], n+1)[:n+1]
+	prefix[0] = 0
 	var sum float64
-	for i := 0; i < n; i++ {
-		m := tab[pep[i]]
+	for i, r := range pep {
+		m := tab[r]
 		if modDeltas != nil {
 			m += modDeltas[i]
 		}
 		sum += m
-		prefix = append(prefix, sum)
+		prefix[i+1] = sum
 	}
 	maxZ := EffectiveMaxFragmentCharge(opt, precursorCharge)
+	from := len(dst)
+	dst = slices.Grow(dst, 2*(n-1)*maxZ)[:from+2*(n-1)*maxZ]
+	out := dst[from:]
 	for i := 1; i < n; i++ {
 		b := prefix[i]                       // b_i covers residues [0,i)
 		y := prefix[n] - prefix[n-i] + water // y_i covers residues [n-i,n)
-		for z := 1; z <= maxZ; z++ {
-			dst = append(dst, BinIndex(chem.MZ(b, z), width), BinIndex(chem.MZ(y, z), width))
+		// chem.MZ at z = 1: the product 1·ProtonMass and the division by 1
+		// are exact, so the sum alone is the same m/z bit for bit.
+		out[0], out[1] = BinIndex(b+chem.ProtonMass, width), BinIndex(y+chem.ProtonMass, width)
+		out = out[2:]
+		for z := 2; z <= maxZ; z++ {
+			out[0], out[1] = BinIndex(chem.MZ(b, z), width), BinIndex(chem.MZ(y, z), width)
+			out = out[2:]
 		}
 	}
 	return dst, prefix
